@@ -22,25 +22,25 @@ they are O(0.1) and the default lambda = 1 acts as a mild shrinkage.
 
 Feature matrices are sampled once per resimulation event and reused across
 iterations; streams are redrawn (and CV betas re-estimated on independent
-samples) every `resim_every` iterations.  Optimization streams are namespaced
-under a leading constant tag, so metrics computed through `price_surface`
-with any plain stream tag come from streams the optimizer never saw.
+samples) every `resim_every` iterations.  Optimization streams carry a
+constant tag (layout in `pricing._maturity_groups`), so metrics computed
+through `price_surface` come from streams the optimizer never saw.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bases import BrownianDriver
 from .errors import OptimizerError, ValidationError, WeightingError
-from .model import ChaosModel, sample_features, second_moment_coeffs
-from .pricing import estimate_cv, quad_nodes_features
+from .model import ChaosModel
+from .pricing import _group_prices, _maturity_groups
+from .quotes import quote_rates
 from .vol import bs_call, bs_vega
 
-# Leading stream tag for optimization draws.  `price_surface` tags are
-# 3-tuples (stream, maturity, role); these are 4-tuples, so evaluation
-# streams can never collide with calibration streams.
+# Stream tag after the resimulation count in optimization draws; the tag
+# layout is documented in `pricing._maturity_groups`.
 _CAL_TAG = 3233
 
 
@@ -96,13 +96,6 @@ def initial_coefficients(n, cfg):
     return cfg.init_std * rng.standard_normal(n)
 
 
-def _rates(quote, spot):
-    t = quote.maturity
-    r = -np.log(quote.discount_factor) / t
-    q = -np.log(quote.forward * quote.discount_factor / spot) / t
-    return r, q
-
-
 def vega_weights(quotes):
     """gamma_i = 1/Vega_i^2 at each quote's market implied vol.
 
@@ -116,7 +109,7 @@ def vega_weights(quotes):
             raise WeightingError(
                 f"quote {i} (T={q.maturity}, K={q.strike}): no usable implied vol"
             )
-        r, div = _rates(q, quotes.spot)
+        r, div = quote_rates(q, quotes.spot)
         vega = bs_vega(quotes.spot, q.strike, q.maturity, sigma, r, div)
         if not np.isfinite(vega) or vega <= 0:
             raise WeightingError(
@@ -130,22 +123,8 @@ def _call_target(quote, spot):
     """Market call price of a quote (derived from the vol for puts/missing mids)."""
     if getattr(quote, "option_type", "C") == "C" and quote.mid_price is not None:
         return quote.mid_price
-    r, div = _rates(quote, spot)
+    r, div = quote_rates(quote, spot)
     return bs_call(spot, quote.strike, quote.maturity, quote.implied_vol, r, div)
-
-
-@dataclass
-class _MaturityGroup:
-    maturity: float
-    rows: np.ndarray  # quote positions, for error messages
-    strikes: np.ndarray  # model-world strikes K S_0 / F
-    targets: np.ndarray  # model-world call targets C S_0 / (DF F)
-    gweights: np.ndarray  # model-world weights gamma (DF F / S_0)^2
-    weights: np.ndarray  # sample weights (uniform for MC, GH for quadrature)
-    features: np.ndarray  # (n_samples, n_coefficients)
-    beta1: np.ndarray = None  # per-strike CV coefficients, zeros if absent
-    beta2: np.ndarray = None
-    m2c: np.ndarray = None  # second-moment coefficient vector, if degree 2
 
 
 @dataclass
@@ -162,10 +141,6 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=()):
     as constants until the next resimulation.
     """
     qs = quotes.quotes
-    mats = sorted({q.maturity for q in qs})
-    bad = [t for t in mats if t > model.horizon + 1e-12]
-    if bad:
-        raise ValidationError(f"maturities beyond model horizon {model.horizon}: {bad}")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(qs),):
         raise ValidationError(
@@ -173,43 +148,11 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=()):
         )
     ws = CalibrationWorkspace(model.s0, len(model.coefficients))
     spot = getattr(quotes, "spot", model.s0)
-    for mi, t in enumerate(mats):
-        rows = np.array([i for i, q in enumerate(qs) if q.maturity == t])
-        scale = np.array([qs[i].discount_factor * qs[i].forward / model.s0 for i in rows])
-        strikes = np.array([qs[i].strike * model.s0 / qs[i].forward for i in rows])
-        targets = np.array([_call_target(qs[i], spot) for i in rows]) / scale
-        gw = weights[rows] * scale**2
-        method = schedule.for_maturity(t)
-        if method.kind == "quad":
-            w, feats = quad_nodes_features(model, t, method.n_nodes)
-            group = _MaturityGroup(t, rows, strikes, targets, gw, w, feats)
-        else:
-            block = sample_features(
-                model, t, method.n_paths, driver, tags=tuple(tags) + (_CAL_TAG, mi, 0)
-            )
-            w = np.full(method.n_paths, 1.0 / method.n_paths)
-            group = _MaturityGroup(t, rows, strikes, targets, gw, w, block.features)
-            if method.cv_degree >= 1:
-                b1 = np.zeros(len(rows))
-                b2 = np.zeros(len(rows))
-                for j, k in enumerate(strikes):
-                    cv = estimate_cv(
-                        model,
-                        block,
-                        k,
-                        method.cv_degree,
-                        driver,
-                        method.beta_samples,
-                        tags=tuple(tags) + (_CAL_TAG, mi, 1),
-                    )
-                    if cv.degree >= 1:
-                        b1[j] = cv.beta[0]
-                    if cv.degree == 2:
-                        b2[j] = cv.beta[1]
-                group.beta1, group.beta2 = b1, b2
-                if method.cv_degree == 2:
-                    group.m2c = second_moment_coeffs(model, t)
-        ws.groups.append(group)
+    prefix = tuple(tags) + (_CAL_TAG,)
+    for g in _maturity_groups(model, quotes, schedule, driver, prefix):
+        targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
+        gweights = weights[g.rows] * g.scale**2
+        ws.groups.append(replace(g, targets=targets, gweights=gweights))
     return ws
 
 
@@ -223,17 +166,8 @@ def workspace_loss(ws, theta, with_gradient=False):
     total = 0.0
     grad = np.zeros(ws.n_coefficients) if with_gradient else None
     for g in ws.groups:
-        s = ws.s0 + g.features @ theta
-        pay = np.maximum(s[None, :] - g.strikes[:, None], 0.0)
-        prices = pay @ g.weights
+        s, pay, prices = _group_prices(g, theta)
         b2u = 0.0
-        if g.beta1 is not None:
-            x1 = float(g.weights @ s) - ws.s0
-            prices = prices - g.beta1 * x1
-            if g.m2c is not None:
-                m2 = ws.s0**2 + float(g.m2c @ theta**2)
-                x2 = float(g.weights @ (s * s)) - m2
-                prices = prices - g.beta2 * x2
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
         if not with_gradient:
@@ -332,6 +266,7 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
         for it in range(cfg.max_iterations):
             resim = it % cfg.resim_every == 0
             if resim:
+                ws = None  # release the old feature blocks before resampling
                 ws = build_workspace(
                     work.with_coefficients(state.theta), quotes, weights,
                     schedule, driver, tags=(it // cfg.resim_every,),

@@ -53,7 +53,7 @@ from .vol import (
     implied_vol,
 )
 
-_EVAL_STREAM = 0  # price_surface tags never overlap calibration tags
+_EVAL_STREAM = 0  # tag layout: pricing._maturity_groups
 
 
 def _floats(text):

@@ -11,7 +11,6 @@ The enumeration order of the index set {a : 1 <= |a| <= P} is graded
 (by |a|), then ascending lexicographic on the flat tuple within a grade.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,8 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .hermite import hermite_upto
-
-LAYOUT_TAG = "flat-j-major/graded-lex-v1"
 
 
 @dataclass(frozen=True)
@@ -102,17 +99,3 @@ def phi_eval(a, integrals):
         if n > 0:
             out = out * hermite_upto(n_max, integrals[..., pos])[n]
     return out if out.ndim else float(out)
-
-
-def index_order_hash(p, m, d):
-    """SHA-256 over (layout tag, p, m, d, the serialized enumeration order).
-
-    Stored in model files so a load can detect any change to the enumeration
-    contract.
-    """
-    h = hashlib.sha256()
-    h.update(f"{LAYOUT_TAG}|{p}|{m}|{d}".encode())
-    for a in enumerate_indices(p, m, d):
-        h.update(b"|")
-        h.update(",".join(map(str, a.exponents)).encode())
-    return h.hexdigest()

@@ -95,8 +95,8 @@ def write_history(history, path):
 def load_config(path):
     """CalibrationConfig from JSON; unknown keys are rejected.
 
-    A `model` section ({p, m, d, horizon[, cells]}) may ride along to define
-    the model shape for a fresh calibration; it is returned separately.
+    A `model` section ({p, m, d, horizon}) may ride along to define the model
+    shape for a fresh calibration; it is returned separately.
     """
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
@@ -105,6 +105,9 @@ def load_config(path):
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {unknown}")
+    unknown = sorted(set(model_spec or ()) - {"p", "m", "d", "horizon"})
+    if unknown:
+        raise ValidationError(f"{path}: unknown model-section keys {unknown}")
     return CalibrationConfig(**data), model_spec
 
 

@@ -15,13 +15,14 @@ Two engines:
   u*d-dimensional integral of (S_0 + g_theta(z) - K)_+ against the standard
   normal density, done with the probabilists' rule (weights sum to 1).
 
-Prices are deterministic functions of (seed, stream, tag); reductions use
-numpy's fixed-order pairwise summation on single arrays, so results are
-bit-stable across BLAS thread settings (covered by a determinism test).
+Prices are deterministic functions of (seed, stream, tag) at a fixed BLAS
+thread count.  They are not yet bit-stable across thread counts: the BLAS
+matrix-vector and dot reductions change their last bits with the thread
+count, which acceptance criterion c13 detects (it fails today).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -29,7 +30,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from .bases import PiecewiseConstantBasis, cell_index
 from .conditional import piecewise_features
 from .errors import ConfigError, ValidationError
-from .model import sample_features, second_moment, terminal_values
+from .model import sample_features, second_moment, second_moment_coeffs, terminal_values
 
 QUAD_DIM_CAP = 4
 
@@ -121,24 +122,23 @@ def quad_call_price(model, t, k, n):
     return float(weights @ np.maximum(s - k, 0.0))
 
 
-def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):
-    """Estimate control-variate coefficients on an independent sample.
+def _cv_draw(model, t, degree, driver, beta_samples, tags):
+    """The independent CV sample at maturity t, shared by all its strikes.
 
-    Degenerate Sigma_X (e.g. theta = 0) degrades to degree 0 with a warning.
+    Returns (s, xc, sigma_x, singular): terminal values, centered control
+    variates, their covariance, and whether Sigma_X is too degenerate to
+    solve (e.g. theta = 0), in which case a warning is issued.
     """
     if degree not in (1, 2):
         raise ValidationError("cv degree must be 1 or 2 when estimating")
-    est_block = sample_features(model, block.maturity, beta_samples, driver, tags=tags)
+    est_block = sample_features(model, t, beta_samples, driver, tags=tags)
     s = terminal_values(model, est_block)
-    y = np.maximum(s - k, 0.0)
     xs = [s - model.s0]
     if degree == 2:
-        xs.append(s**2 - second_moment(model, block.maturity))
+        xs.append(s**2 - second_moment(model, t))
     x = np.stack(xs, axis=1)
     xc = x - x.mean(axis=0)
-    yc = y - y.mean()
-    sigma_x = xc.T @ xc / (len(y) - 1)
-    sigma_yx = xc.T @ yc / (len(y) - 1)
+    sigma_x = xc.T @ xc / (len(s) - 1)
     # scale-free singularity test on the correlation structure
     dg = np.sqrt(np.diag(sigma_x))
     bad = (dg < 1e-12 * max(1.0, model.s0)).any()
@@ -150,11 +150,30 @@ def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):
             "control-variate covariance is singular; degrading to degree 0",
             RuntimeWarning,
         )
+    return s, xc, sigma_x, bad
+
+
+def _cv_solve(draw, k, tags):
+    """CvState for strike k on a `_cv_draw` sample."""
+    s, xc, sigma_x, bad = draw
+    y = np.maximum(s - k, 0.0)
+    yc = y - y.mean()
+    sigma_yx = xc.T @ yc / (len(y) - 1)
+    if bad:
         return CvState(0, np.zeros(0), sigma_x, sigma_yx, 0.0, tuple(tags))
     beta = np.linalg.solve(sigma_x, sigma_yx)
     var_y = float(yc @ yc / (len(y) - 1))
     r2 = float(sigma_yx @ beta / var_y) if var_y > 0 else 0.0
-    return CvState(degree, beta, sigma_x, sigma_yx, r2, tuple(tags))
+    return CvState(xc.shape[1], beta, sigma_x, sigma_yx, r2, tuple(tags))
+
+
+def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):
+    """Estimate control-variate coefficients on an independent sample.
+
+    Degenerate Sigma_X (e.g. theta = 0) degrades to degree 0 with a warning.
+    """
+    draw = _cv_draw(model, block.maturity, degree, driver, beta_samples, tags)
+    return _cv_solve(draw, k, tags)
 
 
 def mc_call_price(model, block, k, cv=None):
@@ -173,6 +192,86 @@ def mc_call_price(model, block, k, cv=None):
     return price, se
 
 
+@dataclass(frozen=True)
+class _Group:
+    """One maturity's frozen pricing inputs, built by `_maturity_groups`."""
+
+    maturity: float
+    s0: float
+    rows: np.ndarray  # quote positions
+    strikes: np.ndarray  # model-world strikes K S_0 / F
+    scale: np.ndarray  # model-to-market price factor DF F / S_0
+    weights: np.ndarray  # sample weights (uniform for MC, GH for quadrature)
+    features: np.ndarray  # (n_samples, n_coefficients)
+    beta1: np.ndarray = None  # per-strike CV coefficients, zeros if degraded
+    beta2: np.ndarray = None
+    m2c: np.ndarray = None  # second-moment coefficient vector, if degree 2
+    targets: np.ndarray = None  # calibration: model-world targets C S_0 / (DF F)
+    gweights: np.ndarray = None  # calibration: weights gamma (DF F / S_0)^2
+
+
+def _maturity_groups(model, quotes, schedule, driver, prefix):
+    """Yield one `_Group` per quoted maturity, in ascending maturity order.
+
+    Strikes map to the zero-rate world as K S_0 / F; model prices map back
+    to market units by DF F / S_0.  CV betas are estimated at the model's
+    coefficients for every strike from one beta block per maturity.
+
+    Stream tags: the maturity at sorted position mi draws its feature block
+    under prefix + (mi, 0) and its CV beta block under prefix + (mi, 1);
+    quadrature maturities draw nothing.  Evaluation (`price_surface`) passes
+    prefix (stream_tag,), giving 3-tuples (stream_tag, mi, 0|1).  Calibration
+    (`calibrate.build_workspace`) passes (resim, 3233), giving 4-tuples
+    (resim, 3233, mi, 0|1), so the two never share a stream.
+    """
+    qs = quotes.quotes
+    mats = sorted({q.maturity for q in qs})
+    bad = [t for t in mats if t > model.horizon + 1e-12]
+    if bad:
+        raise ValidationError(f"maturities beyond model horizon {model.horizon}: {bad}")
+    for mi, t in enumerate(mats):
+        rows = np.array([i for i, q in enumerate(qs) if q.maturity == t])
+        scale = np.array([qs[i].discount_factor * qs[i].forward / model.s0 for i in rows])
+        strikes = np.array([qs[i].strike * model.s0 / qs[i].forward for i in rows])
+        method = schedule.for_maturity(t)
+        if method.kind == "quad":
+            w, feats = quad_nodes_features(model, t, method.n_nodes)
+            yield _Group(t, model.s0, rows, strikes, scale, w, feats)
+            continue
+        block = sample_features(model, t, method.n_paths, driver, tags=prefix + (mi, 0))
+        w = np.full(method.n_paths, 1.0 / method.n_paths)
+        b1 = b2 = m2c = None
+        if method.cv_degree >= 1:
+            cv_tags = prefix + (mi, 1)
+            draw = _cv_draw(model, t, method.cv_degree, driver,
+                            method.beta_samples, cv_tags)
+            betas = np.zeros((2, len(rows)))  # zeros where degraded
+            for j, k in enumerate(strikes):
+                cv = _cv_solve(draw, k, cv_tags)
+                betas[:cv.degree, j] = cv.beta
+            b1, b2 = betas
+            if method.cv_degree == 2:
+                m2c = second_moment_coeffs(model, t)
+        yield _Group(t, model.s0, rows, strikes, scale, w, block.features,
+                     b1, b2, m2c)
+
+
+def _group_prices(g, theta):
+    """(s, pay, prices): terminal samples, per-strike payoffs and model-world
+    CV-adjusted call prices of group g at coefficients theta."""
+    s = g.s0 + g.features @ theta
+    pay = np.maximum(s[None, :] - g.strikes[:, None], 0.0)
+    prices = pay @ g.weights
+    if g.beta1 is not None:
+        x1 = float(g.weights @ s) - g.s0
+        prices = prices - g.beta1 * x1
+        if g.m2c is not None:
+            m2 = g.s0**2 + float(g.m2c @ theta**2)
+            x2 = float(g.weights @ (s * s)) - m2
+            prices = prices - g.beta2 * x2
+    return s, pay, prices
+
+
 def price_surface(model, quotes, schedule, driver, stream_tag=0):
     """Price every quote with the scheduled engine per maturity.
 
@@ -182,38 +281,7 @@ def price_surface(model, quotes, schedule, driver, stream_tag=0):
     independent CV block) is sampled per MC maturity and shared across its
     strikes.  Returns a price array aligned with quotes.
     """
-    mats = sorted({q.maturity for q in quotes.quotes})
-    bad = [t for t in mats if t > model.horizon + 1e-12]
-    if bad:
-        raise ValidationError(f"maturities beyond model horizon {model.horizon}: {bad}")
     out = np.empty(len(quotes.quotes))
-    for mi, t in enumerate(mats):
-        rows = [(i, q) for i, q in enumerate(quotes.quotes) if q.maturity == t]
-        method = schedule.for_maturity(t)
-        if method.kind == "quad":
-            weights, feats = quad_nodes_features(model, t, method.n_nodes)
-            s = model.s0 + feats @ model.coefficients
-            for i, q in rows:
-                k_model = q.strike * model.s0 / q.forward
-                c_model = float(weights @ np.maximum(s - k_model, 0.0))
-                out[i] = c_model * q.discount_factor * q.forward / model.s0
-        else:
-            block = sample_features(
-                model, t, method.n_paths, driver, tags=(stream_tag, mi, 0)
-            )
-            for i, q in rows:
-                k_model = q.strike * model.s0 / q.forward
-                cv = None
-                if method.cv_degree >= 1:
-                    cv = estimate_cv(
-                        model,
-                        block,
-                        k_model,
-                        method.cv_degree,
-                        driver,
-                        method.beta_samples,
-                        tags=(stream_tag, mi, 1),
-                    )
-                c_model, _ = mc_call_price(model, block, k_model, cv)
-                out[i] = c_model * q.discount_factor * q.forward / model.s0
+    for g in _maturity_groups(model, quotes, schedule, driver, (stream_tag,)):
+        out[g.rows] = _group_prices(g, model.coefficients)[2] * g.scale
     return out

@@ -62,14 +62,6 @@ class Quote:
 class QuoteSurface:
     quotes: list
     spot: float = None
-    valuation_date: str = ""
-
-    @property
-    def maturities(self):
-        return sorted({q.maturity for q in self.quotes})
-
-    def at_maturity(self, t):
-        return [q for q in self.quotes if q.maturity == t]
 
 
 def quote_rates(quote, spot):

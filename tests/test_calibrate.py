@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from chaoscal import pricing
 from chaoscal.bases import BrownianDriver, PiecewiseConstantBasis
 from chaoscal.calibrate import (
     CalibrationConfig,
@@ -16,8 +17,8 @@ from chaoscal.calibrate import (
     workspace_loss,
 )
 from chaoscal.errors import OptimizerError, ValidationError, WeightingError
-from chaoscal.model import ChaosModel
-from chaoscal.pricing import PricingMethod, PricingSchedule, price_surface
+from chaoscal.model import ChaosModel, sample_features
+from chaoscal.pricing import PricingMethod, PricingSchedule, estimate_cv, price_surface
 from chaoscal.vol import bs_call, bs_vega, implied_vol
 
 
@@ -213,6 +214,54 @@ class TestLoss:
                                   mid_price=9.0)])
         with pytest.raises(ValidationError, match="1.5"):
             loss(model, quotes, np.ones(1), QUAD, driver)
+
+
+class TestSharedPricingPath:
+    """Calibration and evaluation build their maturity groups the same way."""
+
+    MC = PricingSchedule(default=PricingMethod("mc", n_paths=2000, cv_degree=2,
+                                               beta_samples=1000))
+    MATS = (0.3, 0.6, 1.0)
+
+    def case(self):
+        model = make_model([8.0, 10.0, 2.0, 1.5, -2.0])
+        quotes = _Surface([
+            _Quote(t, k, mid_price=5.0, implied_vol=0.2, forward=100.0)
+            for t in self.MATS for k in (90.0, 95.0, 100.0, 105.0, 110.0)
+        ])
+        return model, quotes
+
+    def test_one_feature_and_one_cv_draw_per_maturity(self, monkeypatch):
+        model, quotes = self.case()
+        drawn = []
+        real = pricing.sample_features
+
+        def counting(model, t, *args, **kwargs):
+            drawn.append(t)
+            return real(model, t, *args, **kwargs)
+
+        monkeypatch.setattr(pricing, "sample_features", counting)
+        price_surface(model, quotes, self.MC, BrownianDriver(5))
+        assert sorted(drawn) == sorted(self.MATS * 2)
+        drawn.clear()
+        build_workspace(model, quotes, np.ones(15), self.MC, BrownianDriver(5))
+        assert sorted(drawn) == sorted(self.MATS * 2)
+
+    def test_group_betas_are_estimate_cv_on_the_same_tags(self):
+        model, quotes = self.case()
+        driver = BrownianDriver(5)
+        ws = build_workspace(model, quotes, np.ones(15), self.MC, driver, tags=(4,))
+        evaluated = pricing._maturity_groups(model, quotes, self.MC, driver, (7,))
+        for prefix, groups in (((4, 3233), ws.groups), ((7,), evaluated)):
+            for mi, g in enumerate(groups):
+                block = sample_features(model, g.maturity, 2000, driver,
+                                        tags=prefix + (mi, 0))
+                np.testing.assert_array_equal(block.features, g.features)
+                for j, k in enumerate(g.strikes):
+                    cv = estimate_cv(model, block, k, 2, driver, 1000,
+                                     tags=prefix + (mi, 1))
+                    assert cv.degree == 2
+                    assert (g.beta1[j], g.beta2[j]) == tuple(cv.beta)
 
 
 class TestLossGradient:

@@ -227,6 +227,16 @@ class TestCalibrateCli:
         assert rc == 2
         assert "model" in capsys.readouterr().err
 
+    def test_unknown_model_section_key_exits_2(self, calibrated, tmp_path, capsys):
+        config = write_json(tmp_path / "c.json", {
+            "max_iterations": 3,
+            "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0, "cells": 3},
+        })
+        rc = main(["calibrate", "--quotes", calibrated["quotes"],
+                   "--config", config, "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "cells" in capsys.readouterr().err
+
     def test_diverged_run_exits_3_and_keeps_partial_history(self, calibrated,
                                                             tmp_path, capsys):
         config = write_json(tmp_path / "c.json", {

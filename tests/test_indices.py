@@ -10,7 +10,6 @@ from chaoscal.hermite import hermite_upto
 from chaoscal.indices import (
     MultiIndex,
     enumerate_indices,
-    index_order_hash,
     index_space_dim,
     phi_eval,
 )
@@ -88,10 +87,3 @@ class TestPhiEval:
         with pytest.raises(ValidationError):
             phi_eval(MultiIndex((1, 0)), [1.0, 2.0, 3.0])
 
-
-class TestOrderHash:
-    def test_stable_and_distinct(self):
-        h1 = index_order_hash(2, 3, 2)
-        assert h1 == index_order_hash(2, 3, 2)
-        assert h1 != index_order_hash(2, 3, 1)
-        assert h1 != index_order_hash(3, 3, 2)

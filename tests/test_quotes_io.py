@@ -258,6 +258,7 @@ class TestModelIo:
 
     def test_hash_depends_on_the_dims(self):
         assert index_order_hash(2, 3, 1) != index_order_hash(2, 3, 2)
+        assert index_order_hash(3, 3, 2) != index_order_hash(2, 3, 2)
         assert index_order_hash(2, 3, 1) == index_order_hash(2, 3, 1)
 
     def test_history_csv_round_trips_floats(self, tmp_path):
