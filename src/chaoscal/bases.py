@@ -14,23 +14,23 @@ expectation.  For the piecewise family it is diagonal with entries
 integrand of each entry is a polynomial of degree <= 2(M-1), so a fixed
 Gauss-Legendre rule with M nodes integrates it exactly.
 
+The Gram tail also gives the law of the Ito integrals I^t = int_0^t h dB: per
+Brownian component, the increment over (t_{k-1}, t_k] is N(0, G(t_{k-1}) -
+G(t_k)), independent of the past.  `sample_integrals` draws those increments
+exactly for both families, so sampled paths carry no time-discretization
+error.
+
 BrownianDriver wraps the counter-based Philox generator: streams are keyed by
 (seed, stream, *tags) through SeedSequence, so any (seed, stream, tag) triple
 reproduces its draws bit-for-bit regardless of what else was sampled.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_legendre, roots_legendre
 
-from .errors import ConfigError, ValidationError
-
-# Paths are generated in fixed-size blocks so that a given (seed, stream, tag)
-# yields the same array regardless of platform threading; numpy reductions and
-# the Philox bit stream are already deterministic, the block size just bounds
-# peak memory.
-_PATH_BLOCK = 1 << 16
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,14 @@ class LegendreBasis:
 
 @dataclass(frozen=True)
 class BrownianDriver:
-    """Counter-based Gaussian source; `steps_per_unit_time` is the fine-grid
-    resolution used for non-piecewise Ito sums."""
+    """Counter-based Gaussian source keyed by (seed, stream, *tags).
+
+    It has no time resolution: every basis is sampled exactly from the
+    interval covariances of its Ito integrals (see `sample_integrals`).
+    """
 
     seed: int
     stream: int = 0
-    steps_per_unit_time: int = 2048
 
     def generator(self, *tags):
         return np.random.Generator(
@@ -133,14 +135,36 @@ def gram_tail(spec, t):
     return 0.5 * (g + g.T)
 
 
+def _interval_root(c):
+    """Factor an interval covariance C = R R^T, keeping only the directions
+    with positive variance; R has shape (M, rank).
+
+    G(0) = I and G decreases in the PSD order, so every Gram tail has norm at
+    most 1 and the difference of two of them carries absolute round-off of
+    order M * eps.  Eigenvalues at or below that tolerance (including the
+    slightly negative ones round-off produces) are dropped: the variance they
+    would add is below what the subtraction resolves.
+    """
+    lam, vec = np.linalg.eigh(c)
+    keep = lam > c.shape[0] * np.finfo(float).eps
+    return vec[:, keep] * np.sqrt(lam[keep])
+
+
 def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
     """Sample I^t = (int_0^t h_1 dB^1, ..., int_0^t h_M dB^d) jointly over times.
 
     Returns an array of shape (len(times), n_paths, M*d) in the flat j-major
     layout.  All requested times share one Brownian path per path index.
-    Piecewise-constant bases are sampled exactly from Gaussian increments;
-    the Legendre family uses left-point Ito sums on the driver's fine grid
-    (requested times are inserted as grid points).
+
+    Sampling is exact for every basis.  Over an interval (t_{k-1}, t_k] the
+    increment of I^t is, independently for each Brownian component and of
+    the past, N(0, G(t_{k-1}) - G(t_k)) with G the Gram tail.  Each interval
+    of positive length draws (n_paths, d, rank) standard normals from the
+    driver's generator, in time order, and adds them through a root of that
+    covariance; time 0 and repeated times draw nothing.  For the
+    piecewise-constant family the covariance is diagonal, so an interval
+    inside one cell draws one normal per component.  The combination runs in
+    numpy's own einsum loop, so the bits do not depend on BLAS threading.
     """
     times = [float(t) for t in times]
     if any(t < 0 or t > spec.horizon for t in times):
@@ -150,64 +174,16 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     m = spec.size
-
-    if isinstance(spec, PiecewiseConstantBasis):
-        pts = np.union1d(np.asarray(spec.grid), np.asarray(times))
-        pts = pts[pts <= spec.horizon]
-        if pts[0] != 0.0:
-            pts = np.concatenate([[0.0], pts])
-    else:
-        dt = 1.0 / driver.steps_per_unit_time
-        pos = [t for t in times if t > 0]
-        if len(pos) >= 1:
-            gaps = np.diff(np.concatenate([[0.0], pos]))
-            gaps = gaps[gaps > 0]
-            if gaps.size and dt > gaps.min():
-                raise ConfigError(
-                    f"fine grid step {dt} coarser than min time spacing {gaps.min()}"
-                )
-        n = int(np.ceil(spec.horizon * driver.steps_per_unit_time))
-        pts = np.union1d(np.linspace(0.0, spec.horizon, n + 1), np.asarray(times))
-
-    dt = np.diff(pts)  # (n_int,)
-    n_int = dt.size
-    sqdt = np.sqrt(dt)
-
-    if isinstance(spec, PiecewiseConstantBasis):
-        grid = np.asarray(spec.grid)
-        inv_sqw = 1.0 / np.sqrt(spec.widths)
-        # I_i^t = (B_{min(s_i, t)} - B_{min(s_{i-1}, t)}) / sqrt(delta_i)
-        lo = np.minimum.outer(grid[:-1], np.asarray(times))  # (m, n_t)
-        hi = np.minimum.outer(grid[1:], np.asarray(times))
-        lo_ix = np.searchsorted(pts, lo)
-        hi_ix = np.searchsorted(pts, hi)
-    else:
-        hvals = np.array(
-            [basis_eval(spec, i, pts[:-1]) for i in range(1, m + 1)]
-        )  # left-point values, (m, n_int)
-        t_ix = np.searchsorted(pts, np.asarray(times))
-
     gen = driver.generator(*tags)
+    acc = np.zeros((n_paths, d, m))
     out = np.empty((len(times), n_paths, m * d))
-    done = 0
-    while done < n_paths:
-        nb = min(_PATH_BLOCK, n_paths - done)
-        z = gen.standard_normal((nb, n_int, d))
-        dB = z * sqdt[None, :, None]
-        B = np.concatenate(
-            [np.zeros((nb, 1, d)), np.cumsum(dB, axis=1)], axis=1
-        )  # (nb, n_pts, d)
-        for ti in range(len(times)):
-            if isinstance(spec, PiecewiseConstantBasis):
-                vals = (B[:, hi_ix[:, ti], :] - B[:, lo_ix[:, ti], :]) * inv_sqw[
-                    None, :, None
-                ]  # (nb, m, d)
-            else:
-                k = t_ix[ti]
-                if k == 0:
-                    vals = np.zeros((nb, m, d))
-                else:
-                    vals = np.einsum("pnj,in->pij", dB[:, :k, :], hvals[:, :k])
-            out[ti, done : done + nb] = vals.transpose(0, 2, 1).reshape(nb, m * d)
-        done += nb
+    prev, g_prev = 0.0, gram_tail(spec, 0.0)
+    for ti, t in enumerate(times):
+        if t > prev:
+            g_t = gram_tail(spec, t)
+            root = _interval_root(g_prev - g_t)
+            z = gen.standard_normal((n_paths, d, root.shape[1]))
+            acc += np.einsum("pjr,ir->pji", z, root)
+            prev, g_prev = t, g_t
+        out[ti] = acc.reshape(n_paths, m * d)
     return out

@@ -14,7 +14,7 @@ from chaoscal.bases import (
     gram_tail,
     sample_integrals,
 )
-from chaoscal.errors import ConfigError, ValidationError
+from chaoscal.errors import ValidationError
 
 PW = PiecewiseConstantBasis.uniform(2.0, 4)
 LEG = LegendreBasis(horizon=1.5, size=5)
@@ -116,10 +116,9 @@ class TestSampling:
 
     def test_legendre_terminal_covariance_identity(self):
         # Ito isometry + orthonormality: Cov(I^T) = Gram = identity (4 sigma).
-        # The left-point Ito sum carries an O(dt) covariance bias
-        # ~ h_i h_k |_0^T * dt/2 (~ 3.8e-3 at 1024 steps), kept well under
-        # the statistical band by the choice of resolution vs path count.
-        drv = BrownianDriver(seed=21, steps_per_unit_time=1024)
+        # The draws come from the exact interval covariance G(0) - G(T), so
+        # the only error is Monte Carlo noise.
+        drv = BrownianDriver(seed=21)
         spec = LegendreBasis(horizon=1.0, size=3)
         out = sample_integrals(spec, drv, [1.0], 400_000, d=1)[0]
         cov = np.cov(out.T)
@@ -128,7 +127,7 @@ class TestSampling:
 
     def test_ito_isometry_partial_time(self):
         # Var(int_0^t h_i dB) = 1 - G_ii(t), piecewise and Legendre
-        drv = BrownianDriver(seed=5, steps_per_unit_time=512)
+        drv = BrownianDriver(seed=5)
         for spec in [PW, LegendreBasis(horizon=1.5, size=3)]:
             t = 0.8 * spec.horizon
             out = sample_integrals(spec, drv, [t], 400_000, d=1)[0]
@@ -147,6 +146,25 @@ class TestSampling:
         want = np.diag(gram_tail(PW, t0)) - np.diag(gram_tail(PW, t1))
         assert np.max(np.abs(var - want)) < 4 * np.sqrt(2.0 / out.shape[1])
 
+    def test_legendre_joint_consistency_across_times(self):
+        # The increment I^{t1} - I^{t0} has the full covariance
+        # G(t0) - G(t1) per Brownian component, off-diagonals included, is
+        # uncorrelated across components, and is uncorrelated with I^{t0}.
+        spec = LegendreBasis(horizon=1.5, size=4)
+        t0, t1 = 0.6, 1.1
+        out = sample_integrals(spec, BrownianDriver(seed=17), [t0, t1], 300_000, d=2)
+        n = out.shape[1]
+        past, inc = out[0], out[1] - out[0]
+        c = gram_tail(spec, t0) - gram_tail(spec, t1)
+        want = np.kron(np.eye(2), c)
+        got = inc.T @ inc / n  # both means are 0 by construction
+        var = np.diag(want)
+        se = np.sqrt((np.outer(var, var) + want**2) / n)
+        assert np.all(np.abs(got - want) < 4 * se)
+        var_past = np.diag(np.kron(np.eye(2), np.eye(4) - gram_tail(spec, t0)))
+        cross = inc.T @ past / n
+        assert np.all(np.abs(cross) < 4 * np.sqrt(np.outer(var, var_past) / n))
+
     def test_determinism_and_streams(self):
         drv = BrownianDriver(seed=42, stream=3)
         a = sample_integrals(PW, drv, [1.0], 1000, d=2)
@@ -161,6 +179,13 @@ class TestSampling:
             sample_integrals(PW, drv, [3.0], 10)
         with pytest.raises(ValidationError):
             sample_integrals(PW, drv, [1.0, 0.5], 10)
-        with pytest.raises(ConfigError):
-            coarse = BrownianDriver(seed=1, steps_per_unit_time=4)
-            sample_integrals(LEG, coarse, [0.5, 0.5 + 1e-4], 10)
+
+    def test_short_interval_is_sampled_exactly(self):
+        # An interval of 1e-4 needs no time resolution: its increment
+        # variance is diag(G(0.5) - G(0.5 + 1e-4)), 4 SE per component.
+        t0, t1 = 0.5, 0.5 + 1e-4
+        out = sample_integrals(LEG, BrownianDriver(seed=1), [t0, t1], 100_000)
+        inc = out[1] - out[0]
+        want = np.diag(gram_tail(LEG, t0) - gram_tail(LEG, t1))
+        got = (inc**2).mean(axis=0)  # the increment has mean 0
+        assert np.all(np.abs(got - want) < 4 * want * np.sqrt(2.0 / inc.shape[0]))

@@ -56,7 +56,7 @@ class TestSampleFeatures:
     def test_terminal_legendre_is_phi(self):
         leg = LegendreBasis(horizon=1.0, size=2)
         model = make_model(basis=leg, p=2, d=1)
-        drv = BrownianDriver(seed=4, steps_per_unit_time=64)
+        drv = BrownianDriver(seed=4)
         block = sample_features(model, 1.0, 50, drv)
         from chaoscal.bases import sample_integrals
 
@@ -200,7 +200,7 @@ class TestPathGrid:
     def test_legendre_path_grid_martingale(self):
         leg = LegendreBasis(horizon=1.0, size=2)
         model = make_model(seed=51, scale=1.0, basis=leg, p=2)
-        drv = BrownianDriver(seed=15, steps_per_unit_time=128)
+        drv = BrownianDriver(seed=15)
         paths = path_grid(model, [0.5, 1.0], 100_000, drv)
         for row in paths:
             assert abs(row.mean() - model.s0) < 4 * row.std() / np.sqrt(row.size)

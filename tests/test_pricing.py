@@ -394,14 +394,17 @@ class TestPriceSurface:
 
 # Reductions that c13's 5-strike, CV-MC surface never reaches: a 10-strike MC
 # maturity, 40^3 = 64,000 quadrature nodes (u*d = 3) and the CV R^2, on a
-# model with a terminal spread of about 20.
+# model with a terminal spread of about 20; and the exact interval sampler
+# (eigendecomposition of each interval covariance, einsum with the draws)
+# over 64 times for both bases, plus a Legendre path_grid.
 _THREADS_SCRIPT = textwrap.dedent("""
     import hashlib
     from types import SimpleNamespace
     import numpy as np
-    from chaoscal.bases import BrownianDriver, PiecewiseConstantBasis
+    from chaoscal.bases import (BrownianDriver, LegendreBasis,
+                                PiecewiseConstantBasis, sample_integrals)
     from chaoscal.indices import enumerate_indices
-    from chaoscal.model import ChaosModel, sample_features
+    from chaoscal.model import ChaosModel, path_grid, sample_features
     from chaoscal.pricing import (PricingMethod, PricingSchedule, estimate_cv,
                                   price_surface, quad_call_price)
 
@@ -423,8 +426,16 @@ _THREADS_SCRIPT = textwrap.dedent("""
     quad = quad_call_price(model, 0.6, 100.0, 40)
     block = sample_features(model, 1.0, 10, driver, tags=(8,))
     cv = estimate_cv(model, block, 100.0, 2, driver, 20_000, tags=(9,))
+    times = np.linspace(0.0, 1.0, 65)[1:]
+    leg_ints = sample_integrals(LegendreBasis(1.0, 6), driver, times, 10_000,
+                                d=2, tags=(10,))
+    pw_ints = sample_integrals(PiecewiseConstantBasis.uniform(1.0, 6), driver,
+                               times, 10_000, d=2, tags=(11,))
+    leg = ChaosModel(100.0, 2, 4, 1, LegendreBasis(1.0, 4), theta)
+    leg_paths = path_grid(leg, times[3::4], 20_000, driver, tags=(12,))
     for name, value in (("prices", prices), ("quad", quad),
-                        ("r2", cv.r_squared)):
+                        ("r2", cv.r_squared), ("leg_ints", leg_ints),
+                        ("pw_ints", pw_ints), ("leg_paths", leg_paths)):
         print(name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
 """)
 
@@ -441,5 +452,5 @@ def test_thread_count_does_not_change_bits():
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 3
+    assert len(outputs[0]) == 6
     assert outputs[0] == outputs[1]
