@@ -166,6 +166,16 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
     inside one cell draws one normal per component.  The combination runs in
     numpy's own einsum loop, so the bits do not depend on BLAS threading.
     """
+    walk = _walk_integrals(spec, driver, times, n_paths, d, tags)
+    out = np.empty((len(times), n_paths, spec.size * d))
+    for ti, ints in enumerate(walk):
+        out[ti] = ints
+    return out
+
+
+def _walk_integrals(spec, driver, times, n_paths, d=1, tags=()):
+    """Check the arguments of `sample_integrals`; return an iterator over its
+    draws, I^t per time as a view of the running sum, valid until the next."""
     times = [float(t) for t in times]
     if any(t < 0 or t > spec.horizon for t in times):
         raise ValidationError(f"times must lie in [0, {spec.horizon}]")
@@ -173,17 +183,18 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
         raise ValidationError("times must be sorted ascending")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
-    m = spec.size
-    gen = driver.generator(*tags)
-    acc = np.zeros((n_paths, d, m))
-    out = np.empty((len(times), n_paths, m * d))
-    prev, g_prev = 0.0, gram_tail(spec, 0.0)
-    for ti, t in enumerate(times):
-        if t > prev:
-            g_t = gram_tail(spec, t)
-            root = _interval_root(g_prev - g_t)
-            z = gen.standard_normal((n_paths, d, root.shape[1]))
-            acc += np.einsum("pjr,ir->pji", z, root)
-            prev, g_prev = t, g_t
-        out[ti] = acc.reshape(n_paths, m * d)
-    return out
+
+    def steps():
+        gen = driver.generator(*tags)
+        acc = np.zeros((n_paths, d, spec.size))
+        prev, g_prev = 0.0, gram_tail(spec, 0.0)
+        for t in times:
+            if t > prev:
+                g_t = gram_tail(spec, t)
+                root = _interval_root(g_prev - g_t)
+                z = gen.standard_normal((n_paths, d, root.shape[1]))
+                acc += np.einsum("pjr,ir->pji", z, root)
+                prev, g_prev = t, g_t
+            yield acc.reshape(n_paths, spec.size * d)
+
+    return steps()

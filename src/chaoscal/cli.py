@@ -31,6 +31,7 @@ from .pricing import PricingSchedule, price_surface
 from .quotes import (
     Quote,
     QuoteSurface,
+    _parse_float,
     extract_forward_discount,
     parse_quotes,
     quote_rates,
@@ -110,15 +111,16 @@ def cmd_parity(args):
     spot = None
     by_mat = {}
     for i, rec in enumerate(rows, start=1):
-        try:
-            t = float(rec["maturity_years"])
-            k = float(rec["strike"])
-            mid = float(rec["mid_price"])
-            opt = rec.get("option_type", "C").strip()
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"row {i}: {exc}") from exc
-        if "spot" in rec and rec["spot"].strip():
-            spot = float(rec["spot"])
+        t = _parse_float(rec.get("maturity_years"), i, "maturity_years")
+        k = _parse_float(rec.get("strike"), i, "strike")
+        mid = _parse_float(rec.get("mid_price"), i, "mid_price")
+        opt = (rec.get("option_type") or "C").strip() or "C"
+        if opt not in ("C", "P"):
+            raise ValidationError(f"row {i}: option type must be C or P, got {opt!r}")
+        row_spot = _parse_float(rec.get("spot"), i, "spot", required=False)
+        if row_spot is not None and spot not in (None, row_spot):
+            raise ValidationError(f"row {i}: spot {row_spot} differs from {spot}")
+        spot = row_spot if row_spot is not None else spot
         by_mat.setdefault(t, {"C": [], "P": []})[opt].append((k, mid))
     if spot is None:
         raise ValidationError(f"{args.quotes}: needs a spot column")

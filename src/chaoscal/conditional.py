@@ -1,33 +1,37 @@
 """Conditional expectations E[Phi_a | F_t] of chaos basis elements.
 
-Two routes, cross-validated against each other:
+One kernel serves every basis.  With G = gram_tail(spec, t) expanded
+block-diagonally over components, v = 1 - diag G is the variance each Ito
+integral has accrued by t, and conditioning shifts each Hermite factor to it,
+E[H_n(I_e) | F_t] = H_n(I^t_e; v_e) (see `hermite`).  The off-diagonal of G
+couples positions: with A_t = sum_{i != k} G_ik d_i d_k acting on Hermite
+monomials via H_n' = H_{n-1},
 
-* closed form for the piecewise-constant basis: with t in cell u and
-  tau = (t - s_{u-1}) / delta_u,
+    E[Phi_a | F_t] = sum_{n=0}^{floor(|a|/2)} (1 / (2^n n!)) (A_t)^n f_a,
 
-      E[Phi_a | F_t] = prod_j [ prod_{i<u} H_{a_i^j}(Z_i^j) ]
-                       * tau^{a_u^j / 2} H_{a_u^j}(Ztilde_u^j),
+each monomial evaluated at (I^t; v).  The series terminates and is expanded
+once per (a, t); for the piecewise basis G is diagonal and it is a single
+monomial.  Where v_e = 0 (cells after t) I^t_e = 0 = H_n(0; 0), n > 0, so
+such monomials are skipped as exact zeros.
 
-  where Z_i^j are the normalized full-cell increments and Ztilde_u^j the
-  normalized partial increment of the running cell; the value is 0 whenever
-  any a_i^j > 0 for i > u;
+Oracles for the tests: the Dyson series over all of G with plain Hermite
+polynomials (`dyson_cond_exp`), and the piecewise closed form
+(`cond_exp_piecewise`): with t in cell u and tau = (t - s_{u-1}) / delta_u,
 
-* the Dyson series for any basis: with G = gram_tail(spec, t) expanded
-  block-diagonally over components and A_t = sum_{i,k} G_ik d_i d_k acting on
-  Hermite monomials via H_n' = H_{n-1},
+    E[Phi_a | F_t] = prod_j [ prod_{i<u} H_{a_i^j}(Z_i^j) ]
+                     * tau^{a_u^j / 2} H_{a_u^j}(Ztilde_u^j),
 
-      E[Phi_a | F_t] = sum_{n=0}^{floor(|a|/2)} (1 / (2^n n!)) (A_t)^n f_a (I^t).
-
-The series terminates because each application of A_t lowers total degree
-by two.  The symbolic expansion is run once per (a, t) and the resulting
-polynomial combination is evaluated across all paths.
+Z_i^j the normalized full-cell increments and Ztilde_u^j the normalized
+partial increment of the running cell; 0 if any a_i^j > 0 for i > u.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .bases import cell_index
+from .bases import cell_index, gram_tail
 from .errors import ValidationError
 from .hermite import hermite_upto
 
@@ -37,9 +41,6 @@ class HermitePolyCombo:
     """Sparse linear combination sum_b c_b * prod_e H_{b_e}(x_e)."""
 
     terms: dict  # exponent tuple -> coefficient
-
-    def scaled(self, c):
-        return HermitePolyCombo({b: c * v for b, v in self.terms.items()})
 
     def add_into(self, other, c=1.0):
         for b, v in other.terms.items():
@@ -109,11 +110,7 @@ def evaluate_combo(combo, x):
 
 def expand_gram(g, d):
     """Block-diagonal expansion of an M x M Gram matrix to M*d positions."""
-    m = g.shape[0]
-    full = np.zeros((m * d, m * d))
-    for j in range(d):
-        full[j * m : (j + 1) * m, j * m : (j + 1) * m] = g
-    return full
+    return block_diag(*[g] * d)
 
 
 def dyson_cond_exp(a, t, integrals, g):
@@ -166,56 +163,65 @@ def cond_exp_piecewise(spec, a, t, increments, d=1):
 def piecewise_features(spec, indices, t, z, d=1):
     """Matrix of E[Phi_a | F_t] values for many indices at once.
 
-    z: (n_paths, M*d) normalized increments as in cond_exp_piecewise.
-    Returns (n_paths, len(indices)), column-major; columns of indices
-    annihilated at t (some a_i^j > 0 with i > u) are exact zeros.
+    z: (n_paths, M*d) normalized increments as in cond_exp_piecewise, which
+    are I^t / sqrt(v) on the cells up to t's.  Returns (n_paths,
+    len(indices)), column-major; columns of indices annihilated at t (some
+    a_i^j > 0 with i > u) are exact zeros.
     """
-    u = cell_index(spec, t)
-    m = spec.size
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    tau = (t - spec.grid[u - 1]) / spec.widths[u - 1]
-    n_max = max(max(a.exponents) for a in indices)
-    table = hermite_upto(n_max, z)  # (n_max+1, n_paths, m*d)
-    out = np.zeros((z.shape[0], len(indices)), order="F")
-    for col, a in enumerate(indices):
-        pow_u = 0
-        dead = False
-        acc = None
-        for e, n in enumerate(a.exponents):
-            if n == 0:
-                continue
-            i = (e % m) + 1
-            if i > u:
-                dead = True
-                break
-            acc = table[n][:, e] if acc is None else acc * table[n][:, e]
-            if i == u:
-                pow_u += n
-        if not dead:
-            out[:, col] = acc * tau ** (0.5 * pow_u)
-    return out
+    g = expand_gram(gram_tail(spec, t), d)
+    return _hermite_products(indices, g, z, normalized=True)
 
 
 def dyson_features(indices, g, integrals):
-    """Like piecewise_features but via the Dyson series (any basis).
+    """Matrix of E[Phi_a | F_t] values for many indices at once, any basis.
 
-    g: Gram tail already expanded to the M*d layout; integrals: (n_paths, M*d).
-    Returns (n_paths, len(indices)), column-major.
+    g: Gram tail G(t) expanded to the M*d layout; integrals: (n_paths, M*d)
+    samples of I^t.  Returns (n_paths, len(indices)), column-major; columns
+    that vanish at t are exact zeros.
     """
-    x = np.atleast_2d(np.asarray(integrals, dtype=float))
+    return _hermite_products(indices, np.asarray(g, dtype=float), integrals,
+                             normalized=False)
+
+
+def _hermite_products(indices, g, x, normalized):
+    """Columns sum_b c_b prod_e v_e^{b_e/2} H_{b_e}(y_e) over the Dyson combo
+    of each index in the off-diagonal of g; y = x if `normalized`, else
+    x / sqrt(v).  The table holds positions with v > 0 only, positions
+    leading.  Products form in place in the output column: a fresh temporary
+    per column made every `path_grid` step page-fault.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    v = 1.0 - np.diag(g)
+    live = np.flatnonzero(v > 0.0)
+    slot = {e: s for s, e in enumerate(live)}  # table row of each live position
+    off = g - np.diag(np.diag(g))
+    columns = []  # per index: [(coefficient * scale, [(table slot, order)])]
+    n_max = 0
+    for a in indices:
+        terms = []
+        for b, c in dyson_combo(a, off).terms.items():
+            factors = [(slot.get(e), n) for e, n in enumerate(b) if n > 0]
+            if all(s is not None for s, _ in factors):
+                scale = math.prod(v[e] ** (0.5 * n) for e, n in enumerate(b) if n > 0)
+                terms.append((c * scale, factors))
+                n_max = max([n_max] + [n for _, n in factors])
+        columns.append(terms)
+    rows = x.T[live]  # a copy
+    if not normalized:
+        rows /= np.sqrt(v[live])[:, None]
+    table = hermite_upto(n_max, rows)
     out = np.empty((x.shape[0], len(indices)), order="F")
-    combos = [dyson_combo(a, g) for a in indices]
-    n_max = max(
-        (max(b) for c in combos for b in c.terms if c.terms), default=0
-    )
-    table = hermite_upto(max(n_max, 1), x)
-    for col, combo in enumerate(combos):
-        acc = np.zeros(x.shape[0])
-        for b, cf in combo.terms.items():
-            term = np.full(x.shape[0], cf)
-            for pos, n in enumerate(b):
-                if n > 0:
-                    term = term * table[n][:, pos]
-            acc += term
-        out[:, col] = acc
+    tmp = np.empty(x.shape[0])
+    for col, terms in enumerate(columns):
+        if not terms:
+            out[:, col] = 0.0
+        for k, (c, factors) in enumerate(terms):
+            acc = tmp if k else out[:, col]
+            acc[:] = table[factors[0][1], factors[0][0]] if factors else c
+            for s, n in factors[1:]:
+                acc *= table[n, s]
+            if factors and c != 1.0:
+                acc *= c
+            if k:
+                out[:, col] += acc
     return out

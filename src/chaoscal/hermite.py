@@ -9,6 +9,10 @@ With this scaling the family satisfies
 and for Z ~ N(0,1): E[H_m(Z) H_n(Z)] = delta_{mn} / n!, so sqrt(n!) H_n(Z)
 is orthonormal in L^2.  All chaos-expansion code in this package uses this
 normalization exclusively.
+
+For a Gaussian martingale X, X_T ~ N(0,1), with variance v accrued by t,
+E[H_n(X_T) | F_t] = H_n(X_t; v) = v^{n/2} H_n(X_t / sqrt(v)): the shifted
+family, (n+1) H_{n+1} = x H_n - v H_{n-1}, generating exp(t x - v t^2/2).
 """
 
 import numpy as np

@@ -8,11 +8,11 @@ S_0 + features @ coefficients, and gradients in the coefficients are exact.
 
 For the piecewise-constant basis the second moment is closed-form:
 
-    E[(S_T)^2] = S_0^2 + sum_a d_a^2 * tau^(a_u^1 + ... + a_u^d) / a!,
+    E[(S_T)^2] = S_0^2 + sum_a d_a^2 * prod_e v_e^{a_e} / a!,
 
-tau = (T - s_{u-1})/delta_u, the sum running over indices supported on cells
-<= u (others are annihilated at T).  Negative sample paths are permitted by
-construction; nothing clamps them.
+v = 1 - diag G(T) the variance each Ito integral has accrued by T (0 after
+T's cell, which annihilates indices supported there).  Negative sample paths
+are permitted by construction; nothing clamps them.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import PiecewiseConstantBasis, cell_index, gram_tail, sample_integrals
+from .bases import PiecewiseConstantBasis, _walk_integrals, gram_tail, sample_integrals
 from .conditional import dyson_features, expand_gram, piecewise_features
 from .errors import ValidationError
 from .indices import enumerate_indices, index_space_dim
@@ -103,32 +103,17 @@ def terminal_values(model, block):
 def second_moment_coeffs(model, t):
     """Per-index weights c_a with E[(S_t)^2] = S_0^2 + sum_a d_a^2 c_a.
 
-    c_a = tau^(sum_j a_u^j) / a! for indices alive at t, 0 for annihilated
-    ones.  Piecewise-constant basis only.
+    c_a = prod_e v_e^{a_e} / a! with v = 1 - diag G(t) over the M*d layout;
+    0 for indices annihilated at t.  Piecewise-constant basis only: the
+    formula needs a diagonal Gram tail.
     """
     if not isinstance(model.basis, PiecewiseConstantBasis):
         raise ValidationError("second moment in closed form needs the piecewise basis")
     if not 0.0 < t <= model.horizon:
         raise ValidationError(f"t={t} outside (0, {model.horizon}]")
-    spec = model.basis
-    u = cell_index(spec, t)
-    tau = (t - spec.grid[u - 1]) / spec.widths[u - 1]
-    m = spec.size
-    out = np.empty(len(model.indices))
-    for col, a in enumerate(model.indices):
-        pow_u = 0
-        alive = True
-        for e, n in enumerate(a.exponents):
-            if n == 0:
-                continue
-            i = (e % m) + 1
-            if i > u:
-                alive = False
-                break
-            if i == u:
-                pow_u += n
-        out[col] = tau**pow_u / a.factorial if alive else 0.0
-    return out
+    v = np.tile(1.0 - np.diag(gram_tail(model.basis, t)), model.d)
+    exps = np.array([a.exponents for a in model.indices])
+    return np.prod(v**exps, axis=1) / [a.factorial for a in model.indices]
 
 
 def second_moment(model, t):
@@ -141,25 +126,15 @@ def path_grid(model, times, n_paths, driver, tags=()):
     """Jointly consistent S_t samples on a time grid, shape (n_times, n_paths).
 
     All times share one Brownian path per path index (needed for exotics).
+    The integrals are drawn as `sample_integrals` draws them, but one time
+    at a time, so only one time's slice is held.
     """
     times = [float(t) for t in times]
     if any(not 0.0 < t <= model.horizon for t in times):
         raise ValidationError(f"times must lie in (0, {model.horizon}]")
-    spec = model.basis
-    ints = sample_integrals(spec, driver, times, n_paths, model.d, tags=tags)
+    walk = _walk_integrals(model.basis, driver, times, n_paths, model.d, tags)
     out = np.empty((len(times), n_paths))
-    for ti, t in enumerate(times):
-        if isinstance(spec, PiecewiseConstantBasis):
-            u = cell_index(spec, t)
-            tau = (t - spec.grid[u - 1]) / spec.widths[u - 1]
-            z = ints[ti].copy()
-            # Ito integral at the running cell is sqrt(tau) * normalized
-            # partial increment; undo the scaling for the closed form.
-            cols = [j * model.m + (u - 1) for j in range(model.d)]
-            z[:, cols] /= np.sqrt(tau)
-            feats = piecewise_features(spec, model.indices, t, z, model.d)
-        else:
-            g = expand_gram(gram_tail(spec, t), model.d)
-            feats = dyson_features(model.indices, g, ints[ti])
-        out[ti] = model.s0 + feats @ model.coefficients
+    for ti, (t, ints) in enumerate(zip(times, walk)):
+        g = expand_gram(gram_tail(model.basis, t), model.d)
+        out[ti] = model.s0 + dyson_features(model.indices, g, ints) @ model.coefficients
     return out

@@ -162,6 +162,22 @@ class TestParity:
         assert main(["parity", "--quotes", str(path),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("row, cause", [
+        ("1.0,100.0,X,5.0,100.0", "option type"),
+        ("1.0,100.0,C", "mid_price"),
+        ("1.0,nan,C,5.0,100.0", "strike"),
+        ("1.0,100.0,C,5.0,250.0", "spot"),
+    ], ids=["unknown-option-type", "short-row", "nan-strike", "conflicting-spot"])
+    def test_bad_row_exits_2_naming_the_row(self, tmp_path, capsys, row, cause):
+        raw = self.write_raw(tmp_path / "raw.csv")  # 20 good rows
+        with open(raw, "a") as handle:
+            handle.write(row + "\n")
+        out = tmp_path / "o.csv"
+        assert main(["parity", "--quotes", raw, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "row 21" in err and cause in err
+        assert not out.exists()
+
 
 class TestCalibrateCli:
     def test_full_run_writes_model_and_history(self, calibrated):

@@ -22,6 +22,7 @@ from chaoscal.conditional import (
     cond_exp_piecewise,
     dyson_combo,
     dyson_cond_exp,
+    dyson_features,
     dyson_operator_apply,
     evaluate_combo,
     expand_gram,
@@ -183,6 +184,42 @@ class TestEquivalence:
         y = ea_s * eb_s
         diff = x - y
         assert abs(diff.mean()) < 4 * diff.std() / np.sqrt(n)
+
+
+class TestKernelBeforeMaturity:
+    """dyson_features at t < T against both oracles, cross terms included."""
+
+    def test_legendre_matches_full_dyson_series(self):
+        spec = LegendreBasis(horizon=1.0, size=3)
+        idx = enumerate_indices(3, 3, 2)
+        times = [0.2, 0.55, 0.9]
+        ints = sample_integrals(spec, BrownianDriver(seed=61), times, 40, d=2)
+        for ti, t in enumerate(times):
+            g = expand_gram(gram_tail(spec, t), 2)
+            assert np.any(g - np.diag(np.diag(g)) != 0.0)  # cross terms live
+            feats = dyson_features(idx, g, ints[ti])
+            for col, a in enumerate(idx):
+                want = dyson_cond_exp(a, t, ints[ti], g)
+                np.testing.assert_allclose(feats[:, col], want, rtol=0, atol=1e-13)
+
+    def test_piecewise_matches_closed_form_with_exact_zeros(self):
+        spec = PiecewiseConstantBasis.uniform(2.0, 4)
+        idx = enumerate_indices(3, 4, 2)
+        for t in [0.3, 0.5, 1.1, 1.75]:
+            u = cell_index(spec, t)
+            ints = sample_integrals(spec, BrownianDriver(seed=62), [t], 30, d=2)[0]
+            v = np.tile(1.0 - np.diag(gram_tail(spec, t)), 2)
+            # normalized increments; entries after the running cell are ignored
+            z = np.where(v > 0.0, ints / np.sqrt(np.where(v > 0.0, v, 1.0)), 99.0)
+            feats = dyson_features(idx, expand_gram(gram_tail(spec, t), 2), ints)
+            for col, a in enumerate(idx):
+                dead = any(n > 0 and e % 4 + 1 > u for e, n in enumerate(a.exponents))
+                want = cond_exp_piecewise(spec, a, t, z, d=2)
+                if dead:
+                    assert np.all(feats[:, col] == 0.0)
+                else:
+                    assert np.all(feats[:, col] != 0.0)
+                    np.testing.assert_allclose(feats[:, col], want, rtol=0, atol=1e-13)
 
 
 class TestComboEvaluation:

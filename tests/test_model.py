@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis
+from chaoscal.bases import (
+    BrownianDriver,
+    LegendreBasis,
+    PiecewiseConstantBasis,
+    cell_index,
+    gram_tail,
+    sample_integrals,
+)
+from chaoscal.conditional import dyson_features, expand_gram
 from chaoscal.errors import ValidationError
 from chaoscal.indices import enumerate_indices, phi_eval
 from chaoscal.model import (
@@ -58,8 +66,6 @@ class TestSampleFeatures:
         model = make_model(basis=leg, p=2, d=1)
         drv = BrownianDriver(seed=4)
         block = sample_features(model, 1.0, 50, drv)
-        from chaoscal.bases import sample_integrals
-
         ints = sample_integrals(leg, drv, [1.0], 50, d=1)[0]
         for col, a in enumerate(model.indices):
             np.testing.assert_allclose(block.features[:, col], phi_eval(a, ints), atol=1e-12)
@@ -156,6 +162,19 @@ class TestSecondMoment:
             ) / (2 * eps)
             assert fd == pytest.approx(2 * model.coefficients[k] * c[k], abs=1e-6)
 
+    def test_coeffs_match_per_cell_form(self):
+        # reference: tau^(exponents on t's cell) / a!, 0 if supported after it
+        model = make_model(d=2)
+        for t in [0.3, 0.5, 1.1, 1.9, 2.0]:
+            u = cell_index(PW, t)
+            tau = (t - PW.grid[u - 1]) / PW.widths[u - 1]
+            want = []
+            for a in model.indices:
+                cells = [(e % 4 + 1, n) for e, n in enumerate(a.exponents) if n > 0]
+                dead = any(i > u for i, _ in cells)
+                want.append(0.0 if dead else tau ** sum(n for i, n in cells if i == u) / a.factorial)
+            np.testing.assert_allclose(second_moment_coeffs(model, t), want, rtol=1e-14, atol=0)
+
     def test_legendre_unsupported(self):
         leg = LegendreBasis(horizon=1.0, size=2)
         model = make_model(basis=leg)
@@ -204,6 +223,20 @@ class TestPathGrid:
         paths = path_grid(model, [0.5, 1.0], 100_000, drv)
         for row in paths:
             assert abs(row.mean() - model.s0) < 4 * row.std() / np.sqrt(row.size)
+
+    @pytest.mark.parametrize("basis", [PiecewiseConstantBasis.uniform(2.0, 3),
+                                       LegendreBasis(horizon=2.0, size=3)],
+                             ids=["piecewise", "legendre"])
+    def test_streamed_grid_is_the_kernel_on_sampled_integrals(self, basis):
+        model = make_model(seed=61, d=2, basis=basis)
+        times = [0.3, 2.0 / 3.0, 1.0, 1.0, 1.9, 2.0]
+        drv = BrownianDriver(seed=16)
+        paths = path_grid(model, times, 300, drv, tags=(5,))
+        ints = sample_integrals(basis, drv, times, 300, d=2, tags=(5,))
+        for ti, t in enumerate(times):
+            g = expand_gram(gram_tail(basis, t), 2)
+            want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
+            np.testing.assert_array_equal(paths[ti], want)
 
     def test_times_domain(self):
         model = make_model()
