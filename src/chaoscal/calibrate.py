@@ -146,11 +146,12 @@ def _live_columns(features):
     return tuple(slice(a, b) for a, b in zip(edges[::2], edges[1::2]))
 
 
-def build_workspace(model, quotes, weights, schedule, driver, tags=()):
+def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=None):
     """Freeze streams, features and CV betas for a stretch of iterations.
 
     CV betas are estimated at the model's current coefficients and treated
-    as constants until the next resimulation.
+    as constants until the next resimulation.  `nodes` caches quadrature
+    nodes across builds for one model structure (`pricing._maturity_groups`).
     """
     qs = quotes.quotes
     weights = np.asarray(weights, dtype=float)
@@ -161,7 +162,7 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=()):
     ws = CalibrationWorkspace(model.s0, len(model.coefficients))
     spot = getattr(quotes, "spot", model.s0)
     prefix = tuple(tags) + (_CAL_TAG,)
-    for g in _maturity_groups(model, quotes, schedule, driver, prefix):
+    for g in _maturity_groups(model, quotes, schedule, driver, prefix, nodes):
         targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
         gweights = weights[g.rows] * g.scale**2
         ws.groups.append(replace(g, targets=targets, gweights=gweights,
@@ -276,6 +277,7 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
     history = []
     start = time.perf_counter()
     ws = None
+    nodes = {}  # quadrature nodes, built at the first resimulation only
     anchor_loss = np.inf
     anchor_it = 0
     try:
@@ -285,7 +287,7 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
                 ws = None  # release the old feature blocks before resampling
                 ws = build_workspace(
                     work.with_coefficients(state.theta), quotes, weights,
-                    schedule, driver, tags=(it // cfg.resim_every,),
+                    schedule, driver, tags=(it // cfg.resim_every,), nodes=nodes,
                 )
             loss_val, grad = workspace_loss(ws, state.theta, with_gradient=True)
             if not np.isfinite(loss_val):

@@ -64,22 +64,40 @@ def _floats(text):
         raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _heston_from_json(path):
+def _read_json(path):
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _heston_from_json(path):
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object of parameters")
     alpha = data.pop("alpha", None)
     known = set(HestonParams.__dataclass_fields__)
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValidationError(f"{path}: unknown parameter keys {unknown}")
+    missing = [f.name for f in dataclasses.fields(HestonParams)
+               if f.default is dataclasses.MISSING and f.name not in data]
+    if missing:
+        raise ValidationError(f"{path}: missing parameter keys {missing}")
     return HestonParams(**data), alpha
 
 
 def cmd_gen_surface(args):
     params, alpha = _heston_from_json(args.params)
     maturities = _floats(args.maturities)
-    moneyness = _floats(args.moneyness)
+    strikes = [m * params.s0 for m in _floats(args.moneyness)]
     if args.model == "heston":
+        if alpha not in (None, 1.0):
+            raise ValidationError(
+                f"{args.params}: key 'alpha' = {alpha} needs --model rough-heston; "
+                "--model heston prices classical Heston (alpha = 1)"
+            )
         price = lambda k, t: heston_lewis_price(params, k, t)
     else:
         rp = RoughHestonParams(params, 0.75 if alpha is None else alpha)
@@ -89,9 +107,8 @@ def cmd_gen_surface(args):
     for t in maturities:
         df = float(np.exp(-params.r * t))
         fwd = float(params.s0 * np.exp((params.r - params.q) * t))
-        for m in moneyness:
-            k = m * params.s0
-            c = price(k, t)
+        for k, c in zip(strikes, price(np.array(strikes), t)):
+            c = float(c)
             iv = implied_vol(c, params.s0, k, t, params.r, params.q)
             quotes.append(Quote(t, k, "C", c, iv, df, fwd))
     write_quotes(QuoteSurface(quotes, params.s0), args.out)
@@ -282,9 +299,10 @@ def _refine(times, max_step):
 def cmd_exotics(args):
     import csv
 
+    if args.paths < 1:
+        raise ValidationError(f"--paths must be at least 1, got {args.paths}")
     model = load_model(args.model)
-    with open(args.spec, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(args.spec)
     contracts = data["contracts"] if isinstance(data, dict) else data
     steps = data.get("monitoring_steps", 64) if isinstance(data, dict) else 64
     specs = [_exotic_spec(c) for c in contracts]

@@ -227,12 +227,17 @@ class _Group:
     live: tuple = None  # calibration: slices of the nonzero feature columns
 
 
-def _maturity_groups(model, quotes, schedule, driver, prefix):
+def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None):
     """Yield one `_Group` per quoted maturity, in ascending maturity order.
 
     Strikes map to the zero-rate world as K S_0 / F; model prices map back
     to market units by DF F / S_0.  CV betas are estimated at the model's
     coefficients for every strike from one beta block per maturity.
+
+    Quadrature nodes depend on neither the coefficients nor the streams.
+    They are looked up in, and added to, `nodes`, a dict keyed by
+    (maturity, node count), so that builds for models of one structure can
+    share them.
 
     Stream tags: the maturity at sorted position mi draws its feature block
     under prefix + (mi, 0) and its CV beta block under prefix + (mi, 1);
@@ -242,6 +247,7 @@ def _maturity_groups(model, quotes, schedule, driver, prefix):
     (resim, 3233, mi, 0|1), so the two never share a stream.
     """
     qs = quotes.quotes
+    nodes = {} if nodes is None else nodes
     mats = sorted({q.maturity for q in qs})
     bad = [t for t in mats if t > model.horizon + 1e-12]
     if bad:
@@ -252,8 +258,10 @@ def _maturity_groups(model, quotes, schedule, driver, prefix):
         strikes = np.array([qs[i].strike * model.s0 / qs[i].forward for i in rows])
         method = schedule.for_maturity(t)
         if method.kind == "quad":
-            w, feats = quad_nodes_features(model, t, method.n_nodes)
-            yield _Group(t, model.s0, rows, strikes, scale, w, feats)
+            key = (t, method.n_nodes)
+            if key not in nodes:
+                nodes[key] = quad_nodes_features(model, t, method.n_nodes)
+            yield _Group(t, model.s0, rows, strikes, scale, *nodes[key])
             continue
         block = sample_features(model, t, method.n_paths, driver, tags=prefix + (mi, 0))
         w = np.full(method.n_paths, 1.0 / method.n_paths)

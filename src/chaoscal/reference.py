@@ -10,11 +10,17 @@ calibrated against.  Four pieces:
 
 * the Lewis call-price formula driven by any log-price characteristic
   function, integrated with an adaptive panel Gauss-Legendre rule and
-  doubling truncation;
+  doubling truncation.  All strikes of a maturity are priced in one
+  integration: every refinement level makes one CF call for all of them,
+  and each strike keeps its own panels, so its price has the bits it has
+  when priced alone;
 
 * the rough-Heston characteristic function via a fractional-Adams
   (predictor-corrector) solution of the Caputo Riccati equation
-  D^alpha psi = R(w, psi), reduced exactly to classical Heston at alpha = 1;
+  D^alpha psi = R(w, psi), reduced exactly to classical Heston at alpha = 1.
+  The Adams history sums run in numpy's own einsum loop, not BLAS, so the
+  CF is bit-identical across BLAS thread counts and each frequency's value
+  does not depend on the others in its batch;
 
 * full-truncation Euler simulation of (X, V) and exotic payoff averaging on
   simulated paths.  Discrete monitoring of barriers/minima carries an
@@ -109,78 +115,114 @@ def heston_second_moment_finite(p):
     return bool(delta2 >= 0.0 and chi2 < 0.0)
 
 
-def _panel_estimates(f, lo, hi, x, w):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ w)
+_GL10 = np.polynomial.legendre.leggauss(10)
+_GL21 = np.polynomial.legendre.leggauss(21)
 
 
 def adaptive_panel_integral(f, a, b, tol, max_panels=4096):
-    """Integral of vectorized real f over [a, b] by adaptive Gauss-Legendre.
+    """Integral over [a, b] of a vectorized real f by adaptive Gauss-Legendre.
 
-    Each panel is estimated at 10 and 21 nodes; panels whose estimates
-    disagree by more than their share of tol are bisected.
+    f maps a 1-d array of points to values of shape (n_pts,), giving a float,
+    or to (n_out, n_pts) for n_out integrands that share their evaluations,
+    giving an array of n_out integrals.  Each panel is estimated at 10 and 21
+    nodes; a panel whose estimates disagree by more than its share of tol is
+    bisected.  Every integrand keeps its own open panels, acceptance test and
+    running sum, so it gets the bits it would get alone.  f is called once
+    per refinement level, on the nodes of both rules for the union of all
+    integrands' open panels.
     """
-    x10, w10 = np.polynomial.legendre.leggauss(10)
-    x21, w21 = np.polynomial.legendre.leggauss(21)
-    lo = np.array([a], dtype=float)
+    (x10, w10), (x21, w21) = _GL10, _GL21
+    lo = np.array([a], dtype=float)  # open panels, union over the integrands
     hi = np.array([b], dtype=float)
-    total = 0.0
-    n_done = 0
+    owned = None  # per integrand: positions of its open panels in (lo, hi)
     while lo.size:
-        if n_done + lo.size > max_panels:
-            raise IntegrationError(
-                f"integral did not converge within {max_panels} panels"
-            )
-        coarse = _panel_estimates(f, lo, hi, x10, w10)
-        fine = _panel_estimates(f, lo, hi, x21, w21)
-        err = np.abs(fine - coarse)
-        budget = tol * (hi - lo) / (b - a)
-        ok = err <= budget
-        total += float(fine[ok].sum())
-        n_done += int(ok.sum())
-        lo, hi = lo[~ok], hi[~ok]
         mid = 0.5 * (lo + hi)
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-    return total
+        half = 0.5 * (hi - lo)
+        n = lo.size
+        pts = np.concatenate([(mid[:, None] + half[:, None] * x).ravel()
+                              for x in (x10, x21)])
+        vals = np.asarray(f(pts), dtype=float)
+        if owned is None:  # every integrand starts on the one panel [a, b]
+            scalar = vals.ndim == 1
+            n_out = 1 if scalar else len(vals)
+            owned = [np.zeros(1, dtype=int)] * n_out
+            totals = [0.0] * n_out
+            n_done = [0] * n_out
+        vals = vals.reshape(len(owned), pts.size)
+        coarse_vals = vals[:, : 10 * n].reshape(-1, n, 10)
+        fine_vals = vals[:, 10 * n :].reshape(-1, n, 21)
+        new_lo, new_hi = [], []
+        for j, pos in enumerate(owned):
+            p_lo, p_hi = lo[pos], hi[pos]
+            coarse = half[pos] * (coarse_vals[j, pos] @ w10)
+            fine = half[pos] * (fine_vals[j, pos] @ w21)
+            err = np.abs(fine - coarse)
+            budget = tol * (p_hi - p_lo) / (b - a)
+            ok = err <= budget
+            totals[j] += float(fine[ok].sum())
+            n_done[j] += int(ok.sum())
+            p_lo, p_hi = p_lo[~ok], p_hi[~ok]
+            p_mid = 0.5 * (p_lo + p_hi)
+            new_lo.append(np.concatenate([p_lo, p_mid]))
+            new_hi.append(np.concatenate([p_mid, p_hi]))
+            if n_done[j] + new_lo[-1].size > max_panels:
+                raise IntegrationError(
+                    f"integral did not converge within {max_panels} panels"
+                )
+        # a panel is the complex number lo + i hi, so a 1-d unique merges them
+        spans = np.concatenate(new_lo) + 1j * np.concatenate(new_hi)
+        spans, inverse = np.unique(spans, return_inverse=True)
+        lo, hi = spans.real, spans.imag
+        owned = np.split(inverse, np.cumsum([x.size for x in new_lo])[:-1])
+    return totals[0] if scalar else np.array(totals)
 
 
 def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0, tol=1e-10, u_max=200.0):
-    """Call price from a log-price characteristic function handle.
+    """Call prices from a log-price characteristic function handle.
 
         C = S_0 e^{-qT} - (sqrt(K) e^{-rT} / pi)
             * int_0^inf Re[e^{-iu log K} cf(u - i/2, T)] / (u^2 + 1/4) du
 
-    cf(u, t) must accept a complex numpy array u.  The ray is truncated at
-    u_max and doubled until the last block contributes less than tol.
+    cf(u, t) must accept a complex numpy array u.  k is a strike or a 1-d
+    array of strikes; a scalar gives a float and an array gives an array.
+    The CF does not depend on the strike, so all strikes share one
+    integration: each refinement level calls cf once, on the union of the
+    strikes' open panels, while every strike keeps its own panels and sum and
+    gets the price it would get alone.  The ray is truncated at u_max and
+    doubled, strikes sharing each block [upper, 2 upper], until a strike's
+    last block contributes less than tol.
     """
-    if s0 <= 0 or k <= 0 or t <= 0:
+    strikes = np.asarray(k, dtype=float)
+    if strikes.ndim > 1 or strikes.size == 0:
+        raise ValidationError("strike must be a number or a non-empty 1-d array")
+    if s0 <= 0 or t <= 0 or np.any(strikes <= 0):
         raise ValidationError("spot, strike and maturity must be positive")
-    log_k = math.log(k)
+    log_k = np.array([math.log(x) for x in strikes.ravel()])
 
-    def integrand(u):
+    def integrand(u, lk):
         phi = cf(u - 0.5j, t)
-        return np.real(np.exp(-1j * u * log_k) * phi) / (u**2 + 0.25)
+        return np.real(np.exp(-1j * u * lk[:, None]) * phi) / (u**2 + 0.25)
 
-    total = adaptive_panel_integral(integrand, 0.0, u_max, tol)
+    total = adaptive_panel_integral(lambda u: integrand(u, log_k), 0.0, u_max, tol)
+    live = np.arange(log_k.size)  # strikes whose tail has not yet decayed
     upper = u_max
-    while True:
-        block = adaptive_panel_integral(integrand, upper, 2.0 * upper, tol)
-        total += block
+    while live.size:
+        block = adaptive_panel_integral(
+            lambda u: integrand(u, log_k[live]), upper, 2.0 * upper, tol
+        )
+        total[live] += block
         upper *= 2.0
-        if abs(block) < tol:
-            break
-        if upper > 1e7:
+        live = live[~(np.abs(block) < tol)]
+        if live.size and upper > 1e7:
             raise IntegrationError("integration tail did not decay")
-    price = s0 * math.exp(-q * t) - math.sqrt(k) * math.exp(-r * t) / math.pi * total
-    return price
+    price = s0 * math.exp(-q * t) - (
+        np.sqrt(strikes) * math.exp(-r * t) / math.pi * total
+    )
+    return float(price[0]) if strikes.ndim == 0 else price
 
 
 def heston_lewis_price(p, k, t, **kw):
-    """Lewis price under Heston parameters (convenience wrapper)."""
+    """Lewis price(s) under Heston parameters; k is a strike or a 1-d array."""
     return lewis_call_price(
         lambda u, s: heston_cf(u, s, p), p.s0, k, t, p.r, p.q, **kw
     )
@@ -189,6 +231,17 @@ def heston_lewis_price(p, k, t, **kw):
 def _riccati_rhs(w, psi, p):
     return (w**2 - w) / 2.0 - (p.kappa - w * p.rho * p.eps) * psi \
         + (p.eps**2 / 2.0) * psi**2
+
+
+def _lag_sum(weights, hist):
+    """sum_j weights[j] hist[j] for real weights and a complex history.
+
+    The history is read as float pairs, so numpy's own einsum loop does one
+    real sum per entry: the bits depend neither on the BLAS thread count nor
+    on which other frequencies share the batch.
+    """
+    flat = hist.reshape(len(hist), -1).view(float)
+    return np.einsum("k,kn->n", weights, flat).view(complex).reshape(hist.shape[1:])
 
 
 def rough_riccati_solve(u, rp, t_grid, explosion_threshold=1e8):
@@ -225,7 +278,7 @@ def rough_riccati_solve(u, rp, t_grid, explosion_threshold=1e8):
     for k in range(1, n + 1):
         hist = rhs[:k]
         # predictor: sum_j b_{k-j} f_j
-        pred = c_pred * np.tensordot(b_lag[:k][::-1], hist, axes=(0, 0))
+        pred = c_pred * _lag_sum(b_lag[:k][::-1], hist)
         f_pred = _riccati_rhs(w, pred, p)
         # corrector: oldest-point weight + interior lags + new point
         a0 = (
@@ -235,7 +288,7 @@ def rough_riccati_solve(u, rp, t_grid, explosion_threshold=1e8):
         )
         corr = a0 * rhs[0]
         if k > 1:
-            corr = corr + np.tensordot(a_lag[: k - 1][::-1], hist[1:], axes=(0, 0))
+            corr = corr + _lag_sum(a_lag[: k - 1][::-1], hist[1:])
         psi[k] = corr + c_corr * f_pred
         rhs[k] = _riccati_rhs(w, psi[k], p)
         mag = np.abs(psi[k])

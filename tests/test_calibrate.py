@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -462,6 +463,33 @@ class TestCalibrate:
         assert [r.loss for r in h1] == [r.loss for r in h2]
         assert [r.best_loss for r in h1] == [r.best_loss for r in h2]
         assert [r.resimulated for r in h1] == [r.resimulated for r in h2]
+        np.testing.assert_array_equal(fit1.coefficients, fit2.coefficients)
+
+    def test_quadrature_nodes_are_built_once_per_fit(self, monkeypatch):
+        # the nodes depend on neither theta nor the streams: resimulations
+        # reuse them, and the fit is bit for bit a fit that rebuilds them
+        truth = make_model([10.0, 3.0, -1.0, 0.5, 2.0])
+        quotes = surface_from_model(truth, [0.5, 1.0], [95.0, 105.0], QUAD,
+                                    BrownianDriver(31))
+        mixed = PricingSchedule(
+            default=PricingMethod("mc", n_paths=2000, beta_samples=2000),
+            entries=((0.5, PricingMethod("quad", n_nodes=40)),),
+        )
+        cfg = CalibrationConfig(max_iterations=60, resim_every=20, seed=7)
+        model0 = truth.with_coefficients(initial_coefficients(5, cfg) * truth.s0)
+        built = []
+        real_nodes = pricing.quad_nodes_features
+        monkeypatch.setattr(pricing, "quad_nodes_features",
+                            lambda m, t, n: built.append(t) or real_nodes(m, t, n))
+        fit1, h1 = calibrate(model0, quotes, cfg, mixed)
+        assert built == [0.5]
+        module = sys.modules["chaoscal.calibrate"]
+        real_build = module.build_workspace
+        monkeypatch.setattr(module, "build_workspace",
+                            lambda *a, nodes=None, **kw: real_build(*a, **kw))
+        fit2, h2 = calibrate(model0, quotes, cfg, mixed)
+        assert built == [0.5] * 4  # rebuilt at each of the 3 resimulations
+        assert [r.loss for r in h1] == [r.loss for r in h2]
         np.testing.assert_array_equal(fit1.coefficients, fit2.coefficients)
 
     def test_seed_changes_the_streams(self):

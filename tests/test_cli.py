@@ -413,6 +413,56 @@ class TestExotics:
         assert rc == 2
 
 
+class TestBadInput:
+    """Bad files and counts end in exit 2 with a message naming the cause."""
+
+    LOOKBACK = json.dumps({"contracts": [{"type": "lookback", "maturity": 1.0}]})
+    CASES = {
+        # case: (subcommand, {input: bad content}, named in the message)
+        "exotics negative paths": ("exotics", {"paths": "-5"}, "--paths"),
+        "exotics zero paths": ("exotics", {"paths": "0"}, "--paths"),
+        "exotics empty spec": ("exotics", {"spec": ""}, "spec.json"),
+        "exotics malformed spec": ("exotics", {"spec": '{"contracts": ['}, "spec.json"),
+        "exotics empty reference": ("exotics", {"reference": ""}, "ref.json"),
+        "exotics malformed reference": ("exotics", {"reference": "{'s0': 100}"},
+                                        "ref.json"),
+        "gen-surface empty params": ("gen-surface", {"params": ""}, "p.json"),
+        "gen-surface malformed params": ("gen-surface", {"params": '{"s0": 100,'},
+                                         "p.json"),
+        "gen-surface params not an object": ("gen-surface", {"params": "[100.0]"},
+                                             "p.json"),
+        "gen-surface params missing a key": (
+            "gen-surface", {"params": json.dumps({"s0": 100.0, "kappa": 1.5})}, "v0"),
+        "gen-surface heston with alpha": (
+            "gen-surface", {"params": json.dumps(dict(HESTON, alpha=0.75))}, "alpha"),
+    }
+
+    def argv(self, tmp_path, command, bad):
+        if command == "gen-surface":
+            params = tmp_path / "p.json"
+            params.write_text(bad["params"])
+            return ["gen-surface", "--model", "heston", "--params", str(params),
+                    "--maturities", "1.0", "--moneyness", "1.0",
+                    "--out", str(tmp_path / "o.csv")]
+        model = tmp_path / "truth.json"
+        serialize_model(truth_model(), model)
+        spec = tmp_path / "spec.json"
+        spec.write_text(bad.get("spec", self.LOOKBACK))
+        argv = ["exotics", "--model", str(model), "--spec", str(spec),
+                "--out", str(tmp_path / "x.csv"), "--paths", bad.get("paths", "500")]
+        if "reference" in bad:
+            ref = tmp_path / "ref.json"
+            ref.write_text(bad["reference"])
+            argv += ["--reference", str(ref)]
+        return argv
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_cause(self, tmp_path, capsys, case):
+        command, bad, named = self.CASES[case]
+        assert main(self.argv(tmp_path, command, bad)) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestParser:
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -407,6 +407,7 @@ _THREADS_SCRIPT = textwrap.dedent("""
     from chaoscal.model import ChaosModel, path_grid, sample_features
     from chaoscal.pricing import (PricingMethod, PricingSchedule, estimate_cv,
                                   price_surface, quad_call_price)
+    from chaoscal.reference import HestonParams, RoughHestonParams, rough_heston_cf
 
     n = len(enumerate_indices(2, 4, 1))
     theta = 20.0 * np.random.default_rng(5).standard_normal(n) / np.sqrt(n)
@@ -433,9 +434,12 @@ _THREADS_SCRIPT = textwrap.dedent("""
                                times, 10_000, d=2, tags=(11,))
     leg = ChaosModel(100.0, 2, 4, 1, LegendreBasis(1.0, 4), theta)
     leg_paths = path_grid(leg, times[3::4], 20_000, driver, tags=(12,))
+    rough = RoughHestonParams(HestonParams(100.0, 1.5, 0.04, 0.3, -0.7, 0.04), 0.75)
+    rough_cf = rough_heston_cf(np.linspace(0.1, 50.0, 210) - 0.5j, 1.0, rough)
     for name, value in (("prices", prices), ("quad", quad),
                         ("r2", cv.r_squared), ("leg_ints", leg_ints),
-                        ("pw_ints", pw_ints), ("leg_paths", leg_paths)):
+                        ("pw_ints", pw_ints), ("leg_paths", leg_paths),
+                        ("rough_cf", rough_cf)):
         print(name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
 """)
 
@@ -452,5 +456,5 @@ def test_thread_count_does_not_change_bits():
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 6
+    assert len(outputs[0]) == 7
     assert outputs[0] == outputs[1]

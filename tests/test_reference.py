@@ -209,6 +209,73 @@ class TestLewis:
         assert got == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-11)
 
 
+def p_cf(u, t):
+    return heston_cf(u, t, P)
+
+
+def recording(cf, calls):
+    """cf that appends every frequency array it is called on to calls."""
+    def wrapped(u, t):
+        calls.append(np.array(u))
+        return cf(u, t)
+    return wrapped
+
+
+class TestStrikeBatching:
+    """A strike array prices in one integration, bit for bit as strike by strike."""
+
+    def assert_batch_is_per_strike(self, cf, strikes, t, r=0.0, q=0.0):
+        batch = lewis_call_price(cf, 100.0, np.array(strikes), t, r=r, q=q)
+        single = [lewis_call_price(cf, 100.0, k, t, r=r, q=q) for k in strikes]
+        assert isinstance(single[0], float)
+        assert batch.shape == (len(strikes),)
+        np.testing.assert_array_equal(batch, single)
+
+    def test_black_scholes_oracle(self):
+        cf = lambda u, t: bs_cf(u, t, sigma=0.2, r=0.01, q=0.03)
+        self.assert_batch_is_per_strike(cf, [80.0, 100.0, 125.0], 1.0, 0.01, 0.03)
+
+    def test_heston(self):
+        self.assert_batch_is_per_strike(p_cf, [90.0, 95.0, 100.0, 105.0, 110.0], 1.0)
+        assert heston_lewis_price(P, np.array([100.0]), 1.0)[0] == \
+            heston_lewis_price(P, 100.0, 1.0)
+
+    def test_strikes_with_different_panel_sequences(self):
+        # short maturity, wings far apart: each strike refines its own panels
+        # and reaches the tail's stopping rule at its own doubling
+        strikes, t = [40.0, 100.0, 250.0], 0.1
+        sequences = []
+        for k in strikes:
+            calls = []
+            lewis_call_price(recording(p_cf, calls), 100.0, k, t)
+            sequences.append([u.size for u in calls])
+        assert len({tuple(seq) for seq in sequences}) == len(strikes)
+        self.assert_batch_is_per_strike(p_cf, strikes, t)
+
+    def test_one_cf_call_per_level_for_all_strikes(self):
+        one, five = [], []
+        lewis_call_price(recording(p_cf, one), 100.0, 100.0, 1.0)
+        lewis_call_price(recording(p_cf, five), 100.0,
+                         np.array([90.0, 95.0, 100.0, 105.0, 110.0]), 1.0)
+        assert len(five) == len(one)
+
+    def test_strike_shape_validated(self):
+        cf = lambda u, t: bs_cf(u, t)
+        for bad in (np.array([]), np.ones((2, 2)) * 100.0, [100.0, -5.0]):
+            with pytest.raises(ValidationError):
+                lewis_call_price(cf, 100.0, bad, 1.0)
+
+    def test_vector_integrand(self):
+        fs = (np.sin, lambda x: np.exp(-x * x), lambda x: x**3)
+        got = adaptive_panel_integral(
+            lambda x: np.stack([f(x) for f in fs]), 0.0, math.pi, 1e-12
+        )
+        alone = [adaptive_panel_integral(f, 0.0, math.pi, 1e-12) for f in fs]
+        np.testing.assert_array_equal(got, alone)
+        want = [2.0, math.sqrt(math.pi) / 2.0 * math.erf(math.pi), math.pi**4 / 4.0]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+
+
 def riccati_rhs_ivp(t, y, w, p):
     psi = y[0] + 1j * y[1]
     v = (w * w - w) / 2.0 - (p.kappa - w * p.rho * p.eps) * psi \
@@ -314,6 +381,16 @@ class TestRoughHestonCf:
         rp = RoughHestonParams(p, alpha=0.7)
         fwd = 100.0 * math.exp(0.03)
         assert rough_heston_cf(-1j, 1.0, rp).real == pytest.approx(fwd, rel=1e-9)
+
+
+    def test_batch_prefix_is_bit_identical(self):
+        # the batched Lewis pricer calls the CF on concatenated node sets, so
+        # each frequency's value must not depend on what else is in the batch
+        rp = RoughHestonParams(P, alpha=0.75)
+        u = np.linspace(0.1, 50.0, 93) - 0.5j
+        full = rough_heston_cf(u, 0.5, rp)
+        for m in (1, 31, 62):
+            np.testing.assert_array_equal(rough_heston_cf(u[:m], 0.5, rp), full[:m])
 
 
 class TestHestonSimulate:
