@@ -11,6 +11,7 @@ construction.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import InversionError, NumericError, ValidationError
 from .indices import index_space_dim
 from .model import ChaosModel, path_grid
 from .modelio import (
+    _read_json,
     load_config,
     load_model,
     load_schedule,
@@ -64,18 +66,18 @@ def _floats(text):
         raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _read_json(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+def _check_numbers(where, data):
+    """Every value of `data` must be a finite real number (a bool is not)."""
+    for key, value in data.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValidationError(f"{where}: key {key!r} must be a finite number, "
+                                  f"got {value!r}")
 
 
 def _heston_from_json(path):
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object of parameters")
+    _check_numbers(path, data)
     alpha = data.pop("alpha", None)
     known = set(HestonParams.__dataclass_fields__)
     unknown = sorted(set(data) - known)
@@ -274,26 +276,42 @@ def cmd_evaluate(args):
           f"{report['n_quotes']} quotes -> {args.report}")
 
 
-def _exotic_spec(data):
+# contract type -> (class, required keys, optional keys)
+_CONTRACTS = {
+    "forward_start": (ForwardStartCall, ("tau", "maturity"), ("strike_ratio", "strike")),
+    "down_and_out": (DownAndOutCall, ("maturity", "strike", "barrier"), ()),
+    "lookback": (LookbackCall, ("maturity",), ()),
+}
+
+
+def _exotic_spec(path, i, data):
+    where = f"{path}: contract {i}"
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {data!r}")
     kind = data.get("type")
-    if kind == "forward_start":
-        keys = {"tau", "maturity", "strike_ratio", "strike"}
-        return ForwardStartCall(**{k: v for k, v in data.items() if k in keys})
-    if kind == "down_and_out":
-        return DownAndOutCall(data["maturity"], data["strike"], data["barrier"])
-    if kind == "lookback":
-        return LookbackCall(data["maturity"])
-    raise ValidationError(f"unknown exotic type {kind!r}")
+    if kind not in _CONTRACTS:
+        raise ValidationError(f"{where}: unknown exotic type {kind!r}")
+    cls, required, optional = _CONTRACTS[kind]
+    missing = [k for k in required if data.get(k) is None]
+    if missing:
+        raise ValidationError(f"{where} ({kind}): missing keys {missing}")
+    fields = {k: data[k] for k in required + optional if data.get(k) is not None}
+    _check_numbers(f"{where} ({kind})", fields)
+    return cls(**fields)
 
 
-def _refine(times, max_step):
-    """Insert points so no interval exceeds max_step; keeps originals exact."""
-    out = [times[0]]
-    for lo, hi in zip(times, times[1:]):
-        n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
-        out.extend(lo + (hi - lo) * (i + 1) / n for i in range(n - 1))
-        out.append(hi)
-    return np.array(out)
+def _read_exotics_spec(path):
+    """(contracts as JSON objects, parsed specs, monitoring steps)."""
+    data = _read_json(path)
+    contracts = data.get("contracts")
+    if not isinstance(contracts, list) or not contracts:
+        raise ValidationError(f"{path}: key 'contracts' must be a non-empty list")
+    steps = data.get("monitoring_steps", 64)
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
+        raise ValidationError(
+            f"{path}: key 'monitoring_steps' must be a nonnegative integer, got {steps!r}"
+        )
+    return contracts, [_exotic_spec(path, i, c) for i, c in enumerate(contracts)], steps
 
 
 def cmd_exotics(args):
@@ -302,33 +320,13 @@ def cmd_exotics(args):
     if args.paths < 1:
         raise ValidationError(f"--paths must be at least 1, got {args.paths}")
     model = load_model(args.model)
-    data = _read_json(args.spec)
-    contracts = data["contracts"] if isinstance(data, dict) else data
-    steps = data.get("monitoring_steps", 64) if isinstance(data, dict) else 64
-    specs = [_exotic_spec(c) for c in contracts]
-    if not specs:
-        raise ValidationError(f"{args.spec}: no contracts")
+    contracts, specs, steps = _read_exotics_spec(args.spec)
     t_max = max(s.maturity for s in specs)
     if t_max > model.horizon + 1e-12:
         raise ValidationError(
             f"contract maturity {t_max} beyond model horizon {model.horizon}"
         )
-    special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
-    times = np.unique(np.concatenate([
-        np.linspace(0.0, t_max, steps + 1),
-        np.array(sorted({s.maturity for s in specs} | special)),
-    ]))
-    driver = BrownianDriver(args.seed)
-    # model paths: an S_0 column at t = 0, joint samples after; transpose to
-    # the (n_paths, n_times) layout the exotic estimator expects
-    grid_pos = times[times > 0.0]
-    model_paths = np.vstack([
-        np.full((1, args.paths), model.s0),
-        path_grid(model, grid_pos, args.paths, driver, tags=(7001,)),
-    ]).T
-    model_times = np.concatenate([[0.0], grid_pos])
-
-    ref = None
+    params = None
     if args.reference:
         params, alpha = _heston_from_json(args.reference)
         if alpha not in (None, 1.0):
@@ -339,10 +337,17 @@ def cmd_exotics(args):
                 "in its zero-rate world, and exotic payoffs do not convert "
                 "between worlds by a discount factor"
             )
-        fine = _refine(model_times, 1.0 / 250.0)
-        ref_paths = heston_simulate(params, fine, args.paths, driver, tags=(7002,))
-        keep = np.searchsorted(fine, model_times)
-        ref = (params, ref_paths[:, keep])
+
+    special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
+    times = np.unique(np.concatenate([
+        np.linspace(0.0, t_max, steps + 1),
+        np.array(sorted({s.maturity for s in specs} | special)),
+    ]))
+    driver = BrownianDriver(args.seed)
+    # both simulators return (n_paths, n_times) at exactly these times
+    model_paths = path_grid(model, times, args.paths, driver, tags=(7001,)).T
+    if params is not None:
+        ref_paths = heston_simulate(params, times, args.paths, driver, tags=(7002,))
 
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -351,7 +356,7 @@ def cmd_exotics(args):
                          "model_iv_multiple_roots", "ref_price", "ref_se",
                          "ref_iv"])
         for spec, raw in zip(specs, contracts):
-            price, se = exotic_mc_price(model_paths, model_times, spec)
+            price, se = exotic_mc_price(model_paths, times, spec)
             try:
                 iv = exotic_implied_vol(price, spec, model.s0)
                 iv_sigma, iv_multi = repr(iv.sigma), int(iv.multiple_roots)
@@ -364,9 +369,8 @@ def cmd_exotics(args):
                 raw.get("barrier", ""),
                 repr(price), repr(se), iv_sigma, iv_multi,
             ]
-            if ref is not None:
-                params, ref_paths = ref
-                ref_price, ref_se = exotic_mc_price(ref_paths, model_times, spec)
+            if params is not None:
+                ref_price, ref_se = exotic_mc_price(ref_paths, times, spec)
                 row.extend([repr(ref_price), repr(ref_se)])
                 try:
                     ref_iv = exotic_implied_vol(ref_price, spec, params.s0,
@@ -444,6 +448,9 @@ def main(argv=None):
     try:
         args.func(args)
     except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a missing or unreadable file; the text names it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -123,18 +123,22 @@ def second_moment(model, t):
 
 
 def path_grid(model, times, n_paths, driver, tags=()):
-    """Jointly consistent S_t samples on a time grid, shape (n_times, n_paths).
+    """Jointly consistent S_t samples at the given times, shape (n_times, n_paths).
 
     All times share one Brownian path per path index (needed for exotics).
     The integrals are drawn as `sample_integrals` draws them, but one time
-    at a time, so only one time's slice is held.
+    at a time, so only one time's slice is held.  Time 0 draws nothing and
+    its row is exactly S_0, so the other rows are those of the grid without it.
     """
     times = [float(t) for t in times]
-    if any(not 0.0 < t <= model.horizon for t in times):
-        raise ValidationError(f"times must lie in (0, {model.horizon}]")
+    if any(not 0.0 <= t <= model.horizon for t in times):
+        raise ValidationError(f"times must lie in [0, {model.horizon}]")
     walk = _walk_integrals(model.basis, driver, times, n_paths, model.d, tags)
     out = np.empty((len(times), n_paths))
     for ti, (t, ints) in enumerate(zip(times, walk)):
+        if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
+            out[ti] = model.s0
+            continue
         g = expand_gram(gram_tail(model.basis, t), model.d)
         out[ti] = model.s0 + dyson_features(model.indices, g, ints) @ model.coefficients
     return out

@@ -20,6 +20,18 @@ from .pricing import PricingMethod, PricingSchedule
 MODEL_SCHEMA_VERSION = 1
 
 
+def _read_json(path):
+    """The JSON object in a file; anything else is a ValidationError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return data
+
+
 def index_order_hash(p, m, d):
     """Digest of the enumeration order of the (P, M, d) multi-index set."""
     text = ";".join(
@@ -62,8 +74,7 @@ def serialize_model(model, path):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     version = data.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValidationError(
@@ -98,8 +109,7 @@ def load_config(path):
     A `model` section ({p, m, d, horizon}) may ride along to define the model
     shape for a fresh calibration; it is returned separately.
     """
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     model_spec = data.pop("model", None)
     known = set(CalibrationConfig.__dataclass_fields__)
     unknown = sorted(set(data) - known)
@@ -121,8 +131,7 @@ def _method_from_json(data):
 
 def load_schedule(path):
     """PricingSchedule from JSON: {"default": {...}, "entries": [[T, {...}]]}."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     default = _method_from_json(data.get("default", {"kind": "mc"}))
     entries = tuple(
         (float(t), _method_from_json(method))

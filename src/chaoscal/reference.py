@@ -23,9 +23,11 @@ calibrated against.  Four pieces:
   does not depend on the others in its batch;
 
 * full-truncation Euler simulation of (X, V) and exotic payoff averaging on
-  simulated paths.  Discrete monitoring of barriers/minima carries an
-  O(sqrt(dt)) bias; comparisons against the chaos model use the same
-  monitoring grid on both sides, so that bias cancels in the comparison.
+  simulated paths.  The simulation takes the monitoring times, steps at most
+  1/250 between them, and stores S only at those times.  Discrete monitoring
+  of barriers/minima carries an O(sqrt(dt)) bias; comparisons against the
+  chaos model use the same monitoring times on both sides, so that bias
+  cancels in the comparison.
 
 Complex conventions: the characteristic function is E[exp(iuX_t)] for the
 full log price (spot and rate drift included); the Riccati/CF algebra is
@@ -324,17 +326,26 @@ def rough_heston_cf(u, t, rp, steps_per_unit_time=500):
     return out if out.shape else complex(out)
 
 
+def _refine(times, max_step):
+    """Insert points so no interval exceeds max_step; keeps originals exact."""
+    out = [times[0]]
+    for lo, hi in zip(times, times[1:]):
+        n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
+        out.extend(lo + (hi - lo) * (i + 1) / n for i in range(n - 1))
+        out.append(hi)
+    return np.array(out)
+
+
 def heston_simulate(
     p,
-    grid,
+    times,
     n_paths,
     driver,
     tags=(),
-    terminal_only=False,
     return_variance=False,
     max_step=1.0 / 250.0,
 ):
-    """Full-truncation Euler paths of S on the given grid.
+    """Full-truncation Euler paths of S, returned at the requested times.
 
     The variance uses V^+ in drift and diffusion and is driven by the same
     Brownian increment that carries weight rho in the log-price, matching
@@ -342,27 +353,27 @@ def heston_simulate(
     conditional on V: X += (r - q - V^+/2) dt + sqrt(V^+ dt) (rho Z1 +
     sqrt(1-rho^2) Z2).
 
-    Returns S with shape (n_paths, len(grid)), or (n_paths,) of terminal
-    values when terminal_only (the full-path array for 10^6 paths would not
-    fit in memory).  With return_variance, returns (S, V) path arrays.
+    `times` (starting at 0) are the monitoring times.  Each interval between
+    them is split into equal Euler steps of at most max_step, but S is
+    stored only at the requested times: returns shape (n_paths, len(times)),
+    so a terminal value is `heston_simulate(p, [0.0, T], ...)[:, 1]`.  With
+    return_variance, returns (S, V) arrays of that shape.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or grid[0] != 0.0:
-        raise ValidationError("grid must be 1-d, start at 0, have >= 2 points")
-    steps = np.diff(grid)
-    if np.any(steps <= 0):
-        raise ValidationError("grid must be strictly increasing")
-    if steps.max() > max_step + 1e-12:
-        raise ConfigError(
-            f"grid step {steps.max():.6g} exceeds max_step {max_step:.6g}"
-        )
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
+        raise ValidationError("times must be 1-d, start at 0, have >= 2 points")
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError("times must be strictly increasing")
+    if not max_step > 0:
+        raise ValidationError(f"max_step must be positive, got {max_step}")
     if n_paths < 1:
         raise ValidationError("need at least one path")
-    if terminal_only and return_variance:
-        raise ValidationError("variance paths need the full-path mode")
+    fine = _refine(times, max_step)
+    slot = np.full(fine.size, -1)  # output column of each Euler step's end
+    slot[np.searchsorted(fine, times)] = np.arange(times.size)
     rho_c = math.sqrt(1.0 - p.rho**2)
-    out = np.empty(n_paths if terminal_only else (n_paths, grid.size))
-    var_out = np.empty((n_paths, grid.size)) if return_variance else None
+    out = np.empty((n_paths, times.size))
+    var_out = np.empty((n_paths, times.size)) if return_variance else None
     start = 0
     block_id = 0
     while start < n_paths:
@@ -370,11 +381,10 @@ def heston_simulate(
         gen = driver.generator(*tags, block_id)
         x = np.full(nb, math.log(p.s0))
         v = np.full(nb, p.v0)
-        if not terminal_only:
-            out[start : start + nb, 0] = p.s0
+        out[start : start + nb, 0] = p.s0
         if return_variance:
             var_out[start : start + nb, 0] = p.v0
-        for k, dt in enumerate(steps):
+        for k, dt in enumerate(np.diff(fine), start=1):
             z = gen.standard_normal((nb, 2))
             vp = np.maximum(v, 0.0)
             sq = np.sqrt(vp * dt)
@@ -382,12 +392,10 @@ def heston_simulate(
                 p.rho * z[:, 0] + rho_c * z[:, 1]
             )
             v = v + p.kappa * (p.vbar - vp) * dt + p.eps * sq * z[:, 0]
-            if not terminal_only:
-                out[start : start + nb, k + 1] = np.exp(x)
-            if return_variance:
-                var_out[start : start + nb, k + 1] = v
-        if terminal_only:
-            out[start : start + nb] = np.exp(x)
+            if slot[k] >= 0:
+                out[start : start + nb, slot[k]] = np.exp(x)
+                if return_variance:
+                    var_out[start : start + nb, slot[k]] = v
         start += nb
         block_id += 1
     if return_variance:

@@ -264,9 +264,8 @@ def test_c05_heston_lewis_vs_euler_mc():
         delta2 = chi2**2 - 2.0 * HESTON.eps**2
         moment_ok = (heston_second_moment_finite(HESTON)
                      and abs(chi2 + 2.2) < 1e-12 and abs(delta2 - 4.34) < 1e-12)
-        grid = np.linspace(0.0, 1.0, 501)
-        s_t = heston_simulate(HESTON, grid, 1_000_000, BrownianDriver(17),
-                              tags=(50,), terminal_only=True)
+        s_t = heston_simulate(HESTON, [0.0, 1.0], 1_000_000, BrownianDriver(17),
+                              tags=(50,), max_step=1.0 / 500.0)[:, 1]  # 500 steps
         worst_z = 0.0
         for k in (80.0, 100.0, 120.0):
             pay = np.maximum(s_t - k, 0.0)
@@ -475,9 +474,7 @@ def test_c12_exotic_limits_and_round_trips():
     with criterion(12, "exotic degenerate limits + implied-vol round trip") as res:
         model = truth_model()
         times = np.linspace(0.0, 1.0, 65)
-        grid = path_grid(model, times[1:], 200_000, BrownianDriver(912),
-                         tags=(120,))
-        paths = np.vstack([np.full((1, grid.shape[1]), model.s0), grid]).T
+        paths = path_grid(model, times, 200_000, BrownianDriver(912), tags=(120,)).T
 
         s_t = paths[:, -1]
         vanilla_105 = float(np.maximum(s_t - 105.0, 0.0).mean())

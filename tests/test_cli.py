@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from chaoscal import cli
 from chaoscal.bases import PiecewiseConstantBasis
 from chaoscal.cli import main
 from chaoscal.model import ChaosModel
@@ -417,15 +418,42 @@ class TestBadInput:
     """Bad files and counts end in exit 2 with a message naming the cause."""
 
     LOOKBACK = json.dumps({"contracts": [{"type": "lookback", "maturity": 1.0}]})
+    GOOD = {  # content of the good JSON inputs; model and quote files are written
+        "params": json.dumps(HESTON),
+        "config": json.dumps({"max_iterations": 1,
+                              "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0}}),
+        "spec": LOOKBACK,
+    }
+    FILES = {  # subcommand: its required input files, flag -> file name
+        "gen-surface": {"params": "p.json"},
+        "parity": {"quotes": "q.csv"},
+        "calibrate": {"quotes": "q.csv", "config": "config.json"},
+        "price": {"model": "truth.json", "quotes": "q.csv"},
+        "evaluate": {"model": "truth.json", "quotes": "q.csv"},
+        "exotics": {"model": "truth.json", "spec": "spec.json"},
+    }
+    OPTIONAL = {"init": "init.json", "schedule": "schedule.json",
+                "reference": "ref.json"}
     CASES = {
-        # case: (subcommand, {input: bad content}, named in the message)
+        # case: (subcommand, {input: bad content, None = no such file},
+        #        named in the message)
         "exotics negative paths": ("exotics", {"paths": "-5"}, "--paths"),
         "exotics zero paths": ("exotics", {"paths": "0"}, "--paths"),
         "exotics empty spec": ("exotics", {"spec": ""}, "spec.json"),
         "exotics malformed spec": ("exotics", {"spec": '{"contracts": ['}, "spec.json"),
+        "exotics spec without contracts": (
+            "exotics", {"spec": json.dumps({"monitoring_steps": 8})}, "'contracts'"),
+        "exotics barrier without strike": (
+            "exotics", {"spec": json.dumps({"contracts": [
+                {"type": "down_and_out", "maturity": 1.0, "barrier": 85.0}]})},
+            "down_and_out): missing keys ['strike']"),
+        "exotics negative monitoring steps": (
+            "exotics", {"spec": json.dumps({"monitoring_steps": -3, "contracts": [
+                {"type": "lookback", "maturity": 1.0}]})}, "'monitoring_steps'"),
         "exotics empty reference": ("exotics", {"reference": ""}, "ref.json"),
         "exotics malformed reference": ("exotics", {"reference": "{'s0': 100}"},
                                         "ref.json"),
+        "exotics missing spec": ("exotics", {"spec": None}, "spec.json"),
         "gen-surface empty params": ("gen-surface", {"params": ""}, "p.json"),
         "gen-surface malformed params": ("gen-surface", {"params": '{"s0": 100,'},
                                          "p.json"),
@@ -435,25 +463,44 @@ class TestBadInput:
             "gen-surface", {"params": json.dumps({"s0": 100.0, "kappa": 1.5})}, "v0"),
         "gen-surface heston with alpha": (
             "gen-surface", {"params": json.dumps(dict(HESTON, alpha=0.75))}, "alpha"),
+        "gen-surface params value not a number": (
+            "gen-surface", {"params": json.dumps(dict(HESTON, s0="abc"))},
+            "p.json: key 's0'"),
+        "gen-surface missing params": ("gen-surface", {"params": None}, "p.json"),
+        "parity missing quotes": ("parity", {"quotes": None}, "q.csv"),
+        "calibrate empty config": ("calibrate", {"config": ""}, "config.json"),
+        "calibrate config not an object": ("calibrate", {"config": "[]"},
+                                           "config.json"),
+        "calibrate malformed init": ("calibrate", {"init": '{"s0": '}, "init.json"),
+        "calibrate missing quotes": ("calibrate", {"quotes": None}, "q.csv"),
+        "price missing model": ("price", {"model": None}, "truth.json"),
+        "evaluate malformed model": ("evaluate", {"model": "{"}, "truth.json"),
+        "evaluate schedule not an object": ("evaluate", {"schedule": "[]"},
+                                            "schedule.json"),
+        "evaluate missing quotes": ("evaluate", {"quotes": None}, "q.csv"),
     }
 
     def argv(self, tmp_path, command, bad):
+        argv = [command, "--report" if command == "evaluate" else "--out",
+                str(tmp_path / "out")]
         if command == "gen-surface":
-            params = tmp_path / "p.json"
-            params.write_text(bad["params"])
-            return ["gen-surface", "--model", "heston", "--params", str(params),
-                    "--maturities", "1.0", "--moneyness", "1.0",
-                    "--out", str(tmp_path / "o.csv")]
-        model = tmp_path / "truth.json"
-        serialize_model(truth_model(), model)
-        spec = tmp_path / "spec.json"
-        spec.write_text(bad.get("spec", self.LOOKBACK))
-        argv = ["exotics", "--model", str(model), "--spec", str(spec),
-                "--out", str(tmp_path / "x.csv"), "--paths", bad.get("paths", "500")]
-        if "reference" in bad:
-            ref = tmp_path / "ref.json"
-            ref.write_text(bad["reference"])
-            argv += ["--reference", str(ref)]
+            argv += ["--model", "heston", "--maturities", "1.0", "--moneyness", "1.0"]
+        if command == "exotics":
+            argv += ["--paths", bad.get("paths", "500")]
+        files = dict(self.FILES[command])
+        files.update((flag, self.OPTIONAL[flag]) for flag in bad if flag in self.OPTIONAL)
+        for flag, name in files.items():
+            path = tmp_path / name
+            if flag in bad:
+                if bad[flag] is not None:
+                    path.write_text(bad[flag])
+            elif flag == "model":
+                serialize_model(truth_model(), path)
+            elif flag == "quotes":
+                write_truth_quotes(path)
+            else:
+                path.write_text(self.GOOD[flag])
+            argv += ["--" + flag, str(path)]
         return argv
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -461,6 +508,18 @@ class TestBadInput:
         command, bad, named = self.CASES[case]
         assert main(self.argv(tmp_path, command, bad)) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference", ["{'s0': 100}", json.dumps(HESTON)],
+                             ids=["malformed", "with rates"])
+    def test_exotics_inputs_checked_before_simulating(self, tmp_path, monkeypatch,
+                                                      reference):
+        def simulate(*args, **kwargs):
+            raise AssertionError("paths simulated before the inputs were checked")
+
+        monkeypatch.setattr(cli, "path_grid", simulate)
+        monkeypatch.setattr(cli, "heston_simulate", simulate)
+        argv = self.argv(tmp_path, "exotics", {"reference": reference})
+        assert main(argv) == 2
 
 
 class TestParser:

@@ -238,7 +238,22 @@ class TestPathGrid:
             want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
             np.testing.assert_array_equal(paths[ti], want)
 
+    @pytest.mark.parametrize("basis", [PiecewiseConstantBasis.uniform(2.0, 3),
+                                       LegendreBasis(horizon=2.0, size=3)],
+                             ids=["piecewise", "legendre"])
+    def test_time_zero_row_is_spot(self, basis):
+        # time 0 draws nothing: its row is S_0 and the rest keep their bits;
+        # a small spot shows any round-off left in the features at 0
+        model = make_model(seed=71, d=2, basis=basis, s0=0.01)
+        times = [0.3, 1.0, 2.0]
+        with_zero = path_grid(model, [0.0] + times, 300, BrownianDriver(seed=17),
+                              tags=(6,))
+        without = path_grid(model, times, 300, BrownianDriver(seed=17), tags=(6,))
+        np.testing.assert_array_equal(with_zero[0], model.s0)
+        np.testing.assert_array_equal(with_zero[1:], without)
+
     def test_times_domain(self):
         model = make_model()
-        with pytest.raises(ValidationError):
-            path_grid(model, [0.0, 1.0], 10, BrownianDriver(seed=1))
+        for bad in ([-0.1, 1.0], [1.0, 2.5]):
+            with pytest.raises(ValidationError):
+                path_grid(model, bad, 10, BrownianDriver(seed=1))

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.special import gamma as gamma_fn
 
+from chaoscal import reference
 from chaoscal.bases import BrownianDriver
 from chaoscal.errors import (
     ConfigError,
@@ -400,21 +401,42 @@ class TestHestonSimulate:
             heston_simulate(P, np.array([0.1, 0.2]), 10, d)
         with pytest.raises(ValidationError):
             heston_simulate(P, np.array([0.0, 0.2, 0.1]), 10, d)
-        with pytest.raises(ConfigError):
-            heston_simulate(P, np.array([0.0, 0.5, 1.0]), 10, d)  # step > 1/250
+        with pytest.raises(ValidationError):
+            heston_simulate(P, np.array([0.0, 0.2]), 10, d, max_step=0.0)
 
     def test_martingale(self):
-        grid = np.linspace(0.0, 1.0, 251)
-        st = heston_simulate(P, grid, 100_000, BrownianDriver(3), terminal_only=True)
+        st = heston_simulate(P, [0.0, 1.0], 100_000, BrownianDriver(3))[:, 1]
         se = st.std(ddof=1) / math.sqrt(st.size)
         assert abs(st.mean() - 100.0) < 4 * se
 
-    def test_terminal_only_matches_paths(self):
-        grid = np.linspace(0.0, 0.5, 126)
+    def test_requested_columns_match_the_refined_run(self, monkeypatch):
+        # the Euler steps run on the refined grid either way; only the
+        # requested times are stored, with the bits of the full-grid run
+        monkeypatch.setattr(reference, "_PATH_BLOCK", 64)  # three path blocks
+        times = np.array([0.0, 0.13, 0.5, 0.51, 1.0])
+        fine = reference._refine(times, 1.0 / 250.0)
+        assert fine.size == 1 + 33 + 93 + 3 + 123  # ceil(250 * interval) steps each
+        assert np.diff(fine).max() <= 1.0 / 250.0 + 1e-15
         d = BrownianDriver(4)
-        paths = heston_simulate(P, grid, 2_000, d, tags=(0,))
-        term = heston_simulate(P, grid, 2_000, d, tags=(0,), terminal_only=True)
-        np.testing.assert_array_equal(paths[:, -1], term)
+        s, v = heston_simulate(P, times, 150, d, tags=(0,), return_variance=True)
+        s_fine, v_fine = heston_simulate(P, fine, 150, d, tags=(0,),
+                                         return_variance=True)
+        keep = np.searchsorted(fine, times)
+        np.testing.assert_array_equal(fine[keep], times)
+        np.testing.assert_array_equal(s, s_fine[:, keep])
+        np.testing.assert_array_equal(v, v_fine[:, keep])
+
+    def test_coarse_request_is_refined(self):
+        # two monitoring times half a year apart still step at most 1/250:
+        # with eps -> 0 the variance follows the ODE to the O(dt) step error
+        p = HestonParams(100.0, 2.0, 0.04, 1e-10, -0.5, 0.09)
+        times = [0.0, 0.5, 1.0]
+        _, v = heston_simulate(p, times, 10, BrownianDriver(5), return_variance=True)
+        ode = 0.04 + (0.09 - 0.04) * np.exp(-2.0 * np.array(times))
+        assert np.abs(v - ode).max() < 2e-4
+        _, v_coarse = heston_simulate(p, times, 10, BrownianDriver(5),
+                                      return_variance=True, max_step=0.5)
+        assert np.abs(v_coarse - ode).max() > 1e-2  # two raw steps miss it
 
     def test_vanishing_vol_of_vol_variance_ode(self):
         # eps -> 0: V is deterministic, V' = kappa (vbar - V)
@@ -426,8 +448,7 @@ class TestHestonSimulate:
         assert np.abs(v - v[0]).max() < 1e-8  # same across paths
 
     def test_lewis_agreement(self):
-        grid = np.linspace(0.0, 1.0, 251)
-        st = heston_simulate(P, grid, 200_000, BrownianDriver(6), terminal_only=True)
+        st = heston_simulate(P, [0.0, 1.0], 200_000, BrownianDriver(6))[:, 1]
         for k in (80.0, 100.0, 120.0):
             pay = np.maximum(st - k, 0.0)
             se = pay.std(ddof=1) / math.sqrt(pay.size)
@@ -438,11 +459,8 @@ class TestHestonSimulate:
         lw = heston_lewis_price(P, 100.0, 0.5)
         errs = {}
         for i, n in enumerate((12, 100)):
-            grid = np.linspace(0.0, 0.5, n + 1)
-            st = heston_simulate(
-                P, grid, 400_000, BrownianDriver(8), tags=(i,),
-                terminal_only=True, max_step=1.0,
-            )
+            st = heston_simulate(P, [0.0, 0.5], 400_000, BrownianDriver(8), tags=(i,),
+                                 max_step=0.5 / n)[:, 1]
             pay = np.maximum(st - 100.0, 0.0)
             errs[n] = (pay.mean() - lw, pay.std(ddof=1) / math.sqrt(pay.size))
         assert abs(errs[12][0]) > 3 * errs[12][1]
