@@ -28,7 +28,7 @@ reproduces its draws bit-for-bit regardless of what else was sampled.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre, roots_legendre
+from numpy.polynomial.legendre import leggauss, legval
 
 from .errors import ValidationError
 
@@ -107,7 +107,9 @@ def basis_eval(spec, i, s):
         val = ((s > lo) & (s <= hi)) / np.sqrt(spec.widths[i - 1])
         return float(val) if val.ndim == 0 else val
     x = 2.0 * np.asarray(s, dtype=float) / spec.horizon - 1.0
-    val = np.sqrt((2 * i - 1) / spec.horizon) * eval_legendre(i - 1, x)
+    unit = np.zeros(i)
+    unit[-1] = 1.0  # L_{i-1} in the Legendre series
+    val = np.sqrt((2 * i - 1) / spec.horizon) * legval(x, unit)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -116,9 +118,11 @@ def gram_tail(spec, t):
     if not 0.0 <= t <= spec.horizon:
         raise ValidationError(f"t={t} outside [0, {spec.horizon}]")
     m = spec.size
+    if t == 0.0:
+        # both families are orthonormal on [0, T]; an exact identity keeps
+        # the (degenerate) factor of G(0) - G(T) free of quadrature round-off
+        return np.eye(m)
     if isinstance(spec, PiecewiseConstantBasis):
-        if t == 0.0:
-            return np.eye(m)
         u = cell_index(spec, t)
         diag = np.ones(m)
         diag[: u - 1] = 0.0
@@ -127,7 +131,7 @@ def gram_tail(spec, t):
     if t == spec.horizon:
         return np.zeros((m, m))
     # Polynomial integrand of degree <= 2(M-1): an M-node rule is exact.
-    x, w = roots_legendre(m)
+    x, w = leggauss(m)
     s = 0.5 * (spec.horizon - t) * (x + 1.0) + t
     w = 0.5 * (spec.horizon - t) * w
     vals = np.array([basis_eval(spec, i, s) for i in range(1, m + 1)])

@@ -28,6 +28,7 @@ through `price_surface` come from streams the optimizer never saw.
 """
 
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -259,6 +260,8 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
     near-the-money quote, or nonzero rates with a tiny init_std), the payoff
     indicators are constant at the starting point, the gradient vanishes
     identically (features are centered), and AdamW takes no step at all.
+    A gradient that is exactly zero at iteration 0 while the loss is not
+    raises a RuntimeWarning naming this cause.
     """
     if cfg.max_iterations == 0:
         return model0, []
@@ -292,6 +295,14 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
             loss_val, grad = workspace_loss(ws, state.theta, with_gradient=True)
             if not np.isfinite(loss_val):
                 raise OptimizerError(f"non-finite loss at iteration {it}")
+            if it == 0 and loss_val > 0.0 and not grad.any():
+                warnings.warn(
+                    "gradient is exactly zero at iteration 0: every mapped strike "
+                    "lies outside the starting spread of S_T (init_std = "
+                    f"{cfg.init_std}), so no payoff indicator changes and the fit "
+                    "cannot move",
+                    RuntimeWarning,
+                )
             if loss_val < state.best_loss:
                 state.best_loss = loss_val
                 state.best_theta = state.theta.copy()

@@ -11,7 +11,6 @@ construction.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import InversionError, NumericError, ValidationError
 from .indices import index_space_dim
 from .model import ChaosModel, path_grid
 from .modelio import (
+    _field,
     _read_json,
     load_config,
     load_model,
@@ -68,11 +68,8 @@ def _floats(text):
 
 def _check_numbers(where, data):
     """Every value of `data` must be a finite real number (a bool is not)."""
-    for key, value in data.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ValidationError(f"{where}: key {key!r} must be a finite number, "
-                                  f"got {value!r}")
+    for key in data:
+        _field(where, data, key, "number")
 
 
 def _heston_from_json(path):

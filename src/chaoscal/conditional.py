@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .bases import cell_index, gram_tail
 from .errors import ValidationError
@@ -110,7 +109,12 @@ def evaluate_combo(combo, x):
 
 def expand_gram(g, d):
     """Block-diagonal expansion of an M x M Gram matrix to M*d positions."""
-    return block_diag(*[g] * d)
+    g = np.asarray(g, dtype=float)
+    m = g.shape[0]
+    out = np.zeros((m * d, m * d))
+    for j in range(d):
+        out[j * m:(j + 1) * m, j * m:(j + 1) * m] = g
+    return out
 
 
 def dyson_cond_exp(a, t, integrals, g):

@@ -9,11 +9,12 @@ bit-exactly (json uses shortest repr, which Python parses back exactly).
 import csv
 import hashlib
 import json
+import math
 
 from .bases import LegendreBasis, PiecewiseConstantBasis
 from .calibrate import CalibrationConfig
 from .errors import ValidationError
-from .indices import enumerate_indices
+from .indices import enumerate_indices, index_space_dim
 from .model import ChaosModel
 from .pricing import PricingMethod, PricingSchedule
 
@@ -32,6 +33,33 @@ def _read_json(path):
     return data
 
 
+def _is_number(value):
+    """A finite real number; a bool is not one."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
+_KINDS = {  # kind: (test, description)
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+                "an integer"),
+    "number": (_is_number, "a finite number"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                "a list of finite numbers"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+def _field(where, data, key, kind):
+    """data[key], checked to be present and of a kind in `_KINDS`."""
+    if key not in data:
+        raise ValidationError(f"{where}: missing key {key!r}")
+    test, text = _KINDS[kind]
+    if not test(data[key]):
+        raise ValidationError(f"{where}: key {key!r} must be {text}, "
+                              f"got {data[key]!r:.60}")
+    return data[key]
+
+
 def index_order_hash(p, m, d):
     """Digest of the enumeration order of the (P, M, d) multi-index set."""
     text = ";".join(
@@ -48,13 +76,14 @@ def _basis_to_json(basis):
     raise ValidationError(f"cannot serialize basis of type {type(basis).__name__}")
 
 
-def _basis_from_json(data):
+def _basis_from_json(where, data):
     kind = data.get("kind")
     if kind == "piecewise":
-        return PiecewiseConstantBasis(tuple(data["grid"]))
+        return PiecewiseConstantBasis(tuple(_field(where, data, "grid", "numbers")))
     if kind == "legendre":
-        return LegendreBasis(data["horizon"], data["size"])
-    raise ValidationError(f"unknown basis kind {kind!r}")
+        return LegendreBasis(_field(where, data, "horizon", "number"),
+                             _field(where, data, "size", "integer"))
+    raise ValidationError(f"{where}: unknown basis kind {kind!r}")
 
 
 def serialize_model(model, path):
@@ -73,12 +102,25 @@ def serialize_model(model, path):
         handle.write("\n")
 
 
+_MODEL_KEYS = (("s0", "number"), ("p", "integer"), ("m", "integer"),
+               ("d", "integer"), ("basis", "object"), ("coefficients", "numbers"))
+
+
 def load_model(path):
     data = _read_json(path)
     version = data.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValidationError(
             f"{path}: schema version {version}, expected {MODEL_SCHEMA_VERSION}"
+        )
+    for key, kind in _MODEL_KEYS:
+        _field(path, data, key, kind)
+    # the coefficient list bounds the index enumeration behind the hash
+    n = index_space_dim(data["p"], data["m"], data["d"]) - 1
+    if len(data["coefficients"]) != n:
+        raise ValidationError(
+            f"{path}: key 'coefficients' has {len(data['coefficients'])} values; "
+            f"(p, m, d) = ({data['p']}, {data['m']}, {data['d']}) needs {n}"
         )
     want = index_order_hash(data["p"], data["m"], data["d"])
     if data.get("index_order_hash") != want:
@@ -87,7 +129,7 @@ def load_model(path):
             f"does not match this build's order ({want}); coefficients would "
             "be misaligned"
         )
-    basis = _basis_from_json(data["basis"])
+    basis = _basis_from_json(f"{path}: basis", data["basis"])
     return ChaosModel(data["s0"], data["p"], data["m"], data["d"], basis,
                       data["coefficients"])
 
@@ -121,20 +163,36 @@ def load_config(path):
     return CalibrationConfig(**data), model_spec
 
 
-def _method_from_json(data):
-    known = set(PricingMethod.__dataclass_fields__)
-    unknown = sorted(set(data) - known)
+def _method_from_json(where, data):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(PricingMethod.__dataclass_fields__))
     if unknown:
-        raise ValidationError(f"unknown pricing-method keys {unknown}")
-    return PricingMethod(**data)
+        raise ValidationError(f"{where}: unknown pricing-method keys {unknown}")
+    if "kind" not in data:
+        raise ValidationError(f"{where}: missing key 'kind'")
+    try:
+        return PricingMethod(**data)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_schedule(path):
     """PricingSchedule from JSON: {"default": {...}, "entries": [[T, {...}]]}."""
     data = _read_json(path)
-    default = _method_from_json(data.get("default", {"kind": "mc"}))
-    entries = tuple(
-        (float(t), _method_from_json(method))
-        for t, method in data.get("entries", [])
-    )
-    return PricingSchedule(default=default, entries=entries)
+    unknown = sorted(set(data) - {"default", "entries"})
+    if unknown:
+        raise ValidationError(f"{path}: unknown schedule keys {unknown}")
+    default = _method_from_json(f"{path}: key 'default'",
+                                data.get("default", {"kind": "mc"}))
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValidationError(f"{path}: key 'entries' must be a list, got {entries!r}")
+    methods = []
+    for i, entry in enumerate(entries):
+        where = f"{path}: entry {i}"
+        if not (isinstance(entry, list) and len(entry) == 2 and _is_number(entry[0])):
+            raise ValidationError(
+                f"{where}: expected a [maturity, {{method}}] pair, got {entry!r}")
+        methods.append((float(entry[0]), _method_from_json(where, entry[1])))
+    return PricingSchedule(default=default, entries=tuple(methods))

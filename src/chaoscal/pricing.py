@@ -49,6 +49,7 @@ from .errors import ConfigError, ValidationError
 from .model import sample_features, second_moment, second_moment_coeffs, terminal_values
 
 QUAD_DIM_CAP = 4
+QUAD_MAX_BYTES = 256 << 20  # cap on `_quad_node_bytes` for one node build
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,10 @@ class PricingMethod:
     def __post_init__(self):
         if self.kind not in ("mc", "quad"):
             raise ValidationError(f"unknown pricing method {self.kind!r}")
+        for key in ("n_paths", "cv_degree", "beta_samples", "n_nodes"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"key {key!r} must be an integer, got {value!r}")
         if self.cv_degree not in (0, 1, 2):
             raise ValidationError("cv_degree must be 0, 1, or 2")
         if self.n_paths < 1 or self.beta_samples < 1 or not 1 <= self.n_nodes <= 128:
@@ -100,12 +105,23 @@ def gauss_hermite_rule(n):
     return z, w / np.sqrt(2.0 * np.pi)
 
 
+def _quad_node_bytes(n, dims, width, n_indices, p):
+    """Peak bytes of the float64 arrays `quad_nodes_features` holds at once
+    over its n^dims rows, in columns: the node and weight meshgrids and their
+    stacked copies (4 dims), the weights (1), the nodes in the M*d layout
+    (width), the feature build's copy of the live nodes, their Hermite table
+    up to order p and a scratch column ((p + 2) dims + 1), and the features
+    (n_indices)."""
+    return 8 * n**dims * (4 * dims + 1 + width + (p + 2) * dims + 1 + n_indices)
+
+
 def quad_nodes_features(model, t, n):
     """Tensor-product quadrature nodes embedded as feature rows.
 
     Returns (weights, features) with features shaped (n^(u*d), n_indices);
     reusable across strikes and calibration iterations since nodes do not
-    depend on the coefficients.
+    depend on the coefficients.  A build that would allocate more than
+    QUAD_MAX_BYTES raises ConfigError before allocating.
     """
     if not isinstance(model.basis, PiecewiseConstantBasis):
         raise ConfigError("quadrature pricing needs the piecewise-constant basis")
@@ -114,6 +130,12 @@ def quad_nodes_features(model, t, n):
     if dims > QUAD_DIM_CAP:
         raise ConfigError(
             f"active dimension u*d = {dims} exceeds quadrature cap {QUAD_DIM_CAP}"
+        )
+    need = _quad_node_bytes(n, dims, model.m * model.d, len(model.indices), model.p)
+    if need > QUAD_MAX_BYTES:
+        raise ConfigError(
+            f"quadrature with n_nodes = {n} at u*d = {dims} would allocate "
+            f"{need} bytes, above the {QUAD_MAX_BYTES}-byte cap"
         )
     z, w = gauss_hermite_rule(n)
     grids = np.meshgrid(*([z] * dims), indexing="ij")

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import (
     ConfigError,
@@ -273,10 +272,10 @@ def rough_riccati_solve(u, rp, t_grid, explosion_threshold=1e8):
     a_lag = (
         (j[2:] ** (alpha + 1) - 2 * j[1:-1] ** (alpha + 1) + j[:-2] ** (alpha + 1))
         * h**alpha
-        / gamma_fn(alpha + 2)
+        / math.gamma(alpha + 2)
     )  # lag 1..n-1 (weight of f_{k-lag} in the step to k, interior points)
-    c_pred = 1.0 / gamma_fn(alpha)
-    c_corr = h**alpha / gamma_fn(alpha + 2)
+    c_pred = 1.0 / math.gamma(alpha)
+    c_corr = h**alpha / math.gamma(alpha + 2)
     for k in range(1, n + 1):
         hist = rhs[:k]
         # predictor: sum_j b_{k-j} f_j
@@ -286,7 +285,7 @@ def rough_riccati_solve(u, rp, t_grid, explosion_threshold=1e8):
         a0 = (
             ((k - 1) ** (alpha + 1) - (k - 1 - alpha) * k**alpha)
             * h**alpha
-            / gamma_fn(alpha + 2)
+            / math.gamma(alpha + 2)
         )
         corr = a0 * rhs[0]
         if k > 1:

@@ -18,21 +18,85 @@ Exotic closed forms (constant rates r, q):
   g2 = T^2(phi(m)/(12m) + m^2 Phi(-m)/3 - m phi(m)/3), value g0+g1 b+g2 b^2),
   which matches the exact branch to ~1e-12 at the threshold.
 
-Exotic implied vols use bracketed bisection; the barrier price map need not
-be monotone in sigma, so multiple roots are detected by a grid scan and
-flagged rather than silently resolved.
+The normal distribution needs only the standard library:
+Phi(x) = erfc(-x / sqrt 2) / 2 by `math.erfc`, elementwise through
+`np.frompyfunc`, and phi(x) = exp(-x^2 / 2) / sqrt(2 pi).  Rounding
+-x / sqrt 2 would move Phi by a relative x^2 eps (about 1500 ulp near
+x = -37); an error-free product recovers that rounding and one Taylor step
+of erfc removes it, so Phi stays within a few ulp of the exact value
+wherever it is a normal float.
+
+Implied vols, vanilla and exotic, end in one bracketed bisection
+(`_bisect`): it halves a sign-changing bracket until it is no wider than
+1e-14 in sigma.  The barrier price map need not be monotone in sigma, so
+multiple exotic roots are detected by a grid scan and flagged rather than
+silently resolved.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from .errors import InversionError, ValidationError
 
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 5.0
+_XTOL = 1e-14  # width of the final bisection bracket in sigma
+
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_ERR = -4.833646656726457e-17  # sqrt(1/2) - _SQRT_HALF
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp split into 26-bit halves
+_SQRT_HALF_HI = _SPLIT * _SQRT_HALF - (_SPLIT * _SQRT_HALF - _SQRT_HALF)
+_SQRT_HALF_LO = _SQRT_HALF - _SQRT_HALF_HI
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _ncdf(x):
+    """Phi(x) for one float: erfc(z) / 2 at z = -x / sqrt 2, corrected for
+    the rounding of z by erfc(z + delta) = erfc(z) - 2 delta e^{-z^2} / sqrt pi."""
+    z = -x * _SQRT_HALF
+    if not (math.isfinite(x) and -40.0 < x < 40.0):  # Phi is 0, 1 or nan
+        return 0.5 * math.erfc(z)
+    x_hi = _SPLIT * x - (_SPLIT * x - x)
+    x_lo = x - x_hi
+    # Dekker's two-product: the exact error of the rounded product -x * c
+    err = (((-x_hi * _SQRT_HALF_HI - z) - x_hi * _SQRT_HALF_LO)
+           - x_lo * _SQRT_HALF_HI) - x_lo * _SQRT_HALF_LO
+    delta = err - x * _SQRT_HALF_ERR
+    return 0.5 * math.erfc(z) - delta * math.exp(-z * z) * _INV_SQRT_PI
+
+
+_ncdf_elementwise = np.frompyfunc(_ncdf, 1, 1)
+
+
+def _norm_cdf(x):
+    """Standard normal cdf, elementwise; a 0-d input returns a float."""
+    out = _ncdf_elementwise(np.asarray(x, dtype=float))
+    return out if isinstance(out, float) else out.astype(float)
+
+
+def _norm_pdf(x):
+    """Standard normal density exp(-x^2 / 2) / sqrt(2 pi), elementwise."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
+
+
+def _bisect(f, lo, hi):
+    """Root of f in [lo, hi], where f(lo) and f(hi) differ in sign: halve the
+    bracket, keeping the sign change, until it is at most _XTOL wide."""
+    f_lo = f(lo)
+    while hi - lo > _XTOL:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def bs_call(s, k, t, sigma, r=0.0, q=0.0):
@@ -46,7 +110,7 @@ def bs_call(s, k, t, sigma, r=0.0, q=0.0):
         d2 = d1 - vol
     price = np.where(
         vol > 0,
-        s * df_q * norm.cdf(d1) - k * df_r * norm.cdf(d2),
+        s * df_q * _norm_cdf(d1) - k * df_r * _norm_cdf(d2),
         np.maximum(s * df_q - k * df_r, 0.0),
     )
     return float(price) if price.ndim == 0 else price
@@ -65,12 +129,14 @@ def bs_vega(s, k, t, sigma, r=0.0, q=0.0):
     vol = sigma * np.sqrt(t)
     with np.errstate(divide="ignore", invalid="ignore"):
         d1 = (np.log(s / k) + (r - q) * t) / vol + 0.5 * vol
-    out = np.where(vol > 0, s * np.exp(-q * t) * np.sqrt(t) * norm.pdf(d1), 0.0)
+    out = np.where(vol > 0, s * np.exp(-q * t) * np.sqrt(t) * _norm_pdf(d1), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def implied_vol(price, s, k, t, r=0.0, q=0.0, with_flag=False):
-    """Invert bs_call in sigma: Newton with bisection fallback on [1e-4, 5].
+    """Invert bs_call in sigma: Newton from 0.25, falling back to bisection
+    of the whole bracket [1e-4, 5] down to a 1e-14 width (`_bisect`) when a
+    step leaves the bracket, the vega vanishes or 20 steps do not converge.
 
     Raises InversionError when the price violates the no-arbitrage bounds
     (S e^{-qT} - K e^{-rT})_+ <= C <= S e^{-qT}.  With with_flag=True returns
@@ -104,9 +170,7 @@ def implied_vol(price, s, k, t, r=0.0, q=0.0, with_flag=False):
         if not SIGMA_MIN < nxt < SIGMA_MAX:
             break
         sigma = nxt
-    sigma = brentq(
-        lambda v: bs_call(s, k, t, v, r, q) - price, SIGMA_MIN, SIGMA_MAX, xtol=1e-14
-    )
+    sigma = _bisect(lambda v: bs_call(s, k, t, v, r, q) - price, SIGMA_MIN, SIGMA_MAX)
     return (sigma, "interior") if with_flag else sigma
 
 
@@ -157,7 +221,7 @@ def _lookback_drift_factor(b, t, sigma):
     # g(b) = sigma^2/(2b) (Phi(-d1) - e^{-bT} Phi(-d3)); removable at b=0
     if abs(b) < 1e-6:
         m = 0.5 * sigma * np.sqrt(t)
-        ph, big_phi = norm.pdf(m), norm.cdf(-m)
+        ph, big_phi = _norm_pdf(m), _norm_cdf(-m)
         g0 = 2 * m * m * big_phi - 2 * m * ph
         g1 = t * (m * ph - m * m * big_phi)
         g2 = t * t * (ph / (12 * m) + m * m * big_phi / 3 - m * ph / 3)
@@ -165,7 +229,7 @@ def _lookback_drift_factor(b, t, sigma):
     srt = sigma * np.sqrt(t)
     d1 = (b + 0.5 * sigma**2) * t / srt
     d3 = d1 - 2 * b * np.sqrt(t) / sigma
-    return sigma**2 / (2 * b) * (norm.cdf(-d1) - np.exp(-b * t) * norm.cdf(-d3))
+    return sigma**2 / (2 * b) * (_norm_cdf(-d1) - np.exp(-b * t) * _norm_cdf(-d3))
 
 
 def exotic_bs_price(spec, sigma, s0, r=0.0, q=0.0):
@@ -210,8 +274,9 @@ def exotic_implied_vol(price, spec, s0, r=0.0, q=0.0):
     """Invert exotic_bs_price in sigma by bracketed bisection on [1e-4, 5].
 
     The barrier price map can be non-monotone in sigma; the bracket is scanned
-    on a grid, the root in the first sign-change cell is returned, and
-    multiple sign changes raise the multiple_roots flag.
+    on a 129-point grid, the first sign-change cell is bisected down to a
+    1e-14 width (`_bisect`), and multiple sign changes raise the
+    multiple_roots flag.
     """
     grid = np.linspace(SIGMA_MIN, SIGMA_MAX, 129)
     vals = np.array([exotic_bs_price(spec, v, s0, r, q) - price for v in grid])
@@ -226,10 +291,6 @@ def exotic_implied_vol(price, spec, s0, r=0.0, q=0.0):
             f"[{SIGMA_MIN}, {SIGMA_MAX}] (range [{vals.min() + price}, {vals.max() + price}])"
         )
     k = hits[0]
-    root = brentq(
-        lambda v: exotic_bs_price(spec, v, s0, r, q) - price,
-        grid[k],
-        grid[k + 1],
-        xtol=1e-14,
-    )
+    root = _bisect(lambda v: exotic_bs_price(spec, v, s0, r, q) - price,
+                   grid[k], grid[k + 1])
     return ExoticIvResult(float(root), bool(hits.size > 1))

@@ -2,8 +2,11 @@
 
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_legendre
 
 from chaoscal.bases import (
     BrownianDriver,
@@ -63,6 +66,30 @@ class TestEval:
             PiecewiseConstantBasis((0.0, 0.5, 0.5, 1.0))
         with pytest.raises(ValidationError):
             PiecewiseConstantBasis((0.1, 0.5, 1.0))
+
+
+class TestNumpyLegendre:
+    """numpy's Gauss-Legendre rule and series in place of scipy's."""
+
+    @pytest.mark.parametrize("m", range(1, 16))
+    def test_rule_matches_roots_legendre(self, m):
+        x, w = leggauss(m)
+        x_ref, w_ref = roots_legendre(m)
+        assert np.abs(x - x_ref).max() <= 2e-15
+        assert np.abs(w - w_ref).max() <= 2e-15
+
+    def test_basis_values_match_exact_polynomials(self):
+        # mpmath evaluates L_{i-1} exactly at the same double x; scipy's
+        # eval_legendre is itself 5e-15 off by degree 11, so it is no oracle
+        spec = LegendreBasis(horizon=2.0, size=12)
+        s = np.linspace(0.0, 2.0, 201)
+        x = 2.0 * s / spec.horizon - 1.0
+        for i in range(1, spec.size + 1):
+            scale = np.sqrt((2 * i - 1) / spec.horizon)
+            exact = scale * np.array([float(mpmath.legendre(i - 1, float(v)))
+                                      for v in x])
+            err = np.abs(basis_eval(spec, i, s) - exact)
+            assert np.all(err <= 2e-15 * scale + np.spacing(np.abs(exact)))
 
 
 class TestGramTail:

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -564,6 +565,29 @@ class TestCalibrate:
             calibrate(model0, quotes, cfg, QUAD)
         assert len(err.value.history) >= 1
         assert "iteration" in str(err.value)
+
+    def test_frozen_gradient_warns_at_iteration_0(self):
+        # strikes 20-30% out of the money, a start spread of 1e-8 of spot:
+        # every payoff is zero at the start, so the gradient is exactly zero
+        cfg = CalibrationConfig(max_iterations=3, init_std=1e-8, seed=1)
+        model0 = make_model(initial_coefficients(5, cfg) * 100.0)
+        quotes = _Surface([_Quote(t, k, forward=100.0, implied_vol=0.2, mid_price=1.0)
+                           for t in (0.5, 1.0) for k in (120.0, 130.0)])
+        mc = PricingSchedule(default=PricingMethod("mc", n_paths=2000, cv_degree=0))
+        with pytest.warns(RuntimeWarning, match=r"exactly zero at iteration 0: every "
+                                                r"mapped strike.*init_std = 1e-08"):
+            calibrate(model0, quotes, cfg, mc)
+
+    def test_moving_start_does_not_warn(self):
+        cfg = CalibrationConfig(max_iterations=3, seed=1)
+        model0 = make_model(initial_coefficients(5, cfg) * 100.0)
+        quotes = _Surface([_Quote(1.0, 100.0, forward=100.0, implied_vol=0.2,
+                                  mid_price=8.0)])
+        mc = PricingSchedule(default=PricingMethod("mc", n_paths=2000, cv_degree=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, history = calibrate(model0, quotes, cfg, mc)
+        assert len(history) == 3
 
     def test_normalization_returns_market_scale_coefficients(self):
         truth = make_model([12.0, 3.0, -2.0, 1.0, 2.5])

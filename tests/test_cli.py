@@ -2,15 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chaoscal
 from chaoscal import cli
-from chaoscal.bases import PiecewiseConstantBasis
+from chaoscal.bases import LegendreBasis, PiecewiseConstantBasis
 from chaoscal.cli import main
 from chaoscal.model import ChaosModel
-from chaoscal.modelio import load_model, serialize_model
+from chaoscal.modelio import index_order_hash, load_model, serialize_model
 from chaoscal.pricing import quad_call_price
 from chaoscal.quotes import parse_quotes
 from chaoscal.reference import HestonParams, heston_lewis_price
@@ -35,6 +39,16 @@ def read_rows(path):
 def truth_model():
     return ChaosModel(100.0, 2, 2, 1, PiecewiseConstantBasis.uniform(1.0, 2),
                       TRUTH_THETA)
+
+
+def model_text(basis=None, **changes):
+    """The truth model's JSON with keys replaced; a value of None drops it."""
+    data = {"schema_version": 1, "s0": 100.0, "p": 2, "m": 2, "d": 1,
+            "basis": basis or {"kind": "piecewise", "grid": [0.0, 0.5, 1.0]},
+            "index_order_hash": index_order_hash(2, 2, 1),
+            "coefficients": TRUTH_THETA}
+    data.update(changes)
+    return json.dumps({k: v for k, v in data.items() if v is not None})
 
 
 def write_truth_quotes(path, maturities=(0.5, 1.0), strikes=(90.0, 100.0, 110.0)):
@@ -478,6 +492,67 @@ class TestBadInput:
         "evaluate schedule not an object": ("evaluate", {"schedule": "[]"},
                                             "schedule.json"),
         "evaluate missing quotes": ("evaluate", {"quotes": None}, "q.csv"),
+        "evaluate model without p": (
+            "evaluate", {"model": model_text(p=None)}, "truth.json: missing key 'p'"),
+        "evaluate model p not an integer": (
+            "evaluate", {"model": model_text(p="2")},
+            "truth.json: key 'p' must be an integer"),
+        "evaluate model d a bool": (
+            "evaluate", {"model": model_text(d=True)},
+            "truth.json: key 'd' must be an integer"),
+        "evaluate model s0 not a number": (
+            "evaluate", {"model": model_text(s0="100")},
+            "truth.json: key 's0' must be a finite number"),
+        "evaluate model without coefficients": (
+            "evaluate", {"model": model_text(coefficients=None)},
+            "truth.json: missing key 'coefficients'"),
+        "evaluate model coefficients not numbers": (
+            "evaluate", {"model": model_text(coefficients=["8.0"] * 5)},
+            "truth.json: key 'coefficients' must be a list of finite numbers"),
+        "evaluate model coefficients of the wrong length": (
+            "evaluate", {"model": model_text(coefficients=TRUTH_THETA[:4])},
+            "truth.json: key 'coefficients' has 4 values"),
+        "evaluate model p beyond its coefficients": (
+            "evaluate", {"model": model_text(p=5, m=10, d=2)},
+            "truth.json: key 'coefficients' has 5 values"),
+        "price model basis not an object": (
+            "price", {"model": model_text(basis="piecewise")},
+            "truth.json: key 'basis' must be a JSON object"),
+        "price model basis without grid": (
+            "price", {"model": model_text(basis={"kind": "piecewise"})},
+            "truth.json: basis: missing key 'grid'"),
+        "exotics legendre model without size": (
+            "exotics",
+            {"model": model_text(basis={"kind": "legendre", "horizon": 1.0})},
+            "truth.json: basis: missing key 'size'"),
+        "calibrate init without m": (
+            "calibrate", {"init": model_text(m=None)}, "init.json: missing key 'm'"),
+        "evaluate schedule entry not a pair": (
+            "evaluate", {"schedule": json.dumps({"entries": [[1.0]]})},
+            "schedule.json: entry 0: expected a [maturity, {method}] pair"),
+        "evaluate schedule entries not a list": (
+            "evaluate", {"schedule": json.dumps({"entries": {"1.0": {"kind": "mc"}}})},
+            "schedule.json: key 'entries' must be a list"),
+        "evaluate schedule method not an object": (
+            "evaluate", {"schedule": json.dumps({"default": "mc"})},
+            "schedule.json: key 'default': expected a JSON object"),
+        "evaluate schedule entry method not an object": (
+            "evaluate", {"schedule": json.dumps({"entries": [[1.0, "quad"]]})},
+            "schedule.json: entry 0: expected a JSON object"),
+        "evaluate schedule method without kind": (
+            "evaluate", {"schedule": json.dumps({"default": {"n_paths": 1000}})},
+            "schedule.json: key 'default': missing key 'kind'"),
+        "evaluate schedule size a string": (
+            "evaluate", {"schedule": json.dumps(
+                {"default": {"kind": "mc", "n_paths": "1000"}})},
+            "schedule.json: key 'default': key 'n_paths' must be an integer"),
+        "evaluate schedule size a bool": (
+            "evaluate", {"schedule": json.dumps(
+                {"entries": [[0.5, {"kind": "quad", "n_nodes": True}]]})},
+            "schedule.json: entry 0: key 'n_nodes' must be an integer"),
+        "evaluate schedule unknown key": (
+            "evaluate", {"schedule": json.dumps({"entrys": []})},
+            "schedule.json: unknown schedule keys ['entrys']"),
     }
 
     def argv(self, tmp_path, command, bad):
@@ -520,6 +595,71 @@ class TestBadInput:
         monkeypatch.setattr(cli, "heston_simulate", simulate)
         argv = self.argv(tmp_path, "exotics", {"reference": reference})
         assert main(argv) == 2
+
+
+# One fresh interpreter runs every subcommand on small inputs, then lists the
+# scipy modules it holds: the runtime needs numpy and the standard library only.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from chaoscal.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def run_fresh(self, code, *args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chaoscal.__file__)))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        code = ("import json, sys, chaoscal.cli\n"
+                "print(json.dumps([m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy']))")
+        assert self.run_fresh(code) == []
+
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        params = write_json(tmp_path / "p.json", HESTON)
+        rough = write_json(tmp_path / "rough.json", dict(HESTON, eps=0.3, alpha=0.75))
+        reference = write_json(tmp_path / "ref.json", dict(HESTON, r=0.0, q=0.0))
+        quotes = write_truth_quotes(tmp_path / "q.csv")
+        raw = TestParity().write_raw(tmp_path / "raw.csv")
+        truth = tmp_path / "truth.json"
+        serialize_model(truth_model(), truth)
+        legendre = tmp_path / "legendre.json"
+        serialize_model(ChaosModel(100.0, 2, 2, 1, LegendreBasis(1.0, 2), TRUTH_THETA),
+                        legendre)
+        config = write_json(tmp_path / "config.json", {
+            "max_iterations": 3, "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0}})
+        schedule = write_json(tmp_path / "schedule.json", {"default": {
+            "kind": "mc", "n_paths": 500, "cv_degree": 1, "beta_samples": 500}})
+        spec = write_json(tmp_path / "spec.json", {"monitoring_steps": 4, "contracts": [
+            {"type": "forward_start", "tau": 0.5, "maturity": 1.0, "strike_ratio": 1.0},
+            {"type": "down_and_out", "maturity": 1.0, "strike": 100.0, "barrier": 85.0},
+            {"type": "lookback", "maturity": 1.0}]})
+        out = str(tmp_path / "out")
+        surface = ["--maturities", "0.5", "--moneyness", "1.0", "--out", out]
+        argvs = [
+            ["gen-surface", "--model", "heston", "--params", params] + surface,
+            ["gen-surface", "--model", "rough-heston", "--params", rough] + surface,
+            ["parity", "--quotes", raw, "--out", out],
+            ["calibrate", "--quotes", quotes, "--config", config, "--schedule",
+             schedule, "--out", out],
+            ["price", "--model", str(truth), "--quotes", quotes, "--schedule",
+             schedule, "--out", out],
+            ["evaluate", "--model", str(legendre), "--quotes", quotes, "--schedule",
+             schedule, "--report", out],
+            ["exotics", "--model", str(truth), "--spec", spec, "--reference",
+             reference, "--paths", "500", "--out", out],
+        ]
+        assert self.run_fresh(_NO_SCIPY_SCRIPT, json.dumps(argvs)) == []
 
 
 class TestParser:

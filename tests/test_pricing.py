@@ -136,6 +136,20 @@ class TestQuadCallPrice:
         t2 = basis.grid[2]  # cell 2, u*d = 4: allowed
         quad_call_price(model, t2, 100.0, 5)
 
+    def test_node_build_bounded_in_bytes(self, monkeypatch):
+        # 128 nodes at u*d = 4 are 128^4 = 2.7e8 rows: refused from the byte
+        # count alone, before any node array exists
+        basis = PiecewiseConstantBasis.uniform(1.0, 4)
+        model = make_model(basis, 2, 1, np.zeros(len(enumerate_indices(2, 4, 1))))
+
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("node arrays built before the byte check")
+
+        monkeypatch.setattr(np, "meshgrid", no_nodes)
+        with pytest.raises(ConfigError, match=r"n_nodes = 128 at u\*d = 4 would "
+                                              r"allocate \d+ bytes"):
+            quad_nodes_features(model, 1.0, 128)
+
     def test_legendre_rejected(self):
         basis = LegendreBasis(1.0, 3)
         model = make_model(basis, 2, 1, np.zeros(len(enumerate_indices(2, 3, 1))))
@@ -390,6 +404,10 @@ class TestPriceSurface:
             PricingMethod("mc", cv_degree=3)
         with pytest.raises(ValidationError):
             PricingMethod("quad", n_nodes=0)
+        for size in ("n_paths", "cv_degree", "beta_samples", "n_nodes"):
+            for bad in (True, 2.0, "2"):
+                with pytest.raises(ValidationError, match=f"'{size}' must be an integer"):
+                    PricingMethod("mc", **{size: bad})
 
 
 # Reductions that c13's 5-strike, CV-MC surface never reaches: a 10-strike MC

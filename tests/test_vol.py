@@ -6,13 +6,19 @@ crossing probabilities for the barrier, bridge-minimum sampling for the
 lookback), so the tests discriminate the closed forms sharply.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
+from chaoscal import vol
 from chaoscal.errors import InversionError, ValidationError
 from chaoscal.vol import (
+    SIGMA_MAX,
+    SIGMA_MIN,
     DownAndOutCall,
     ForwardStartCall,
     LookbackCall,
@@ -23,6 +29,96 @@ from chaoscal.vol import (
     exotic_implied_vol,
     implied_vol,
 )
+
+
+EPS = np.finfo(float).eps
+
+
+class TestNormal:
+    """The erfc-based Phi and the closed-form phi against scipy and mpmath."""
+
+    def test_cdf_within_4_ulp_of_exact(self):
+        # mpmath at 60 digits is the exact value of Phi at each double x
+        xs = np.concatenate([np.linspace(-38.0, -5.0, 331),
+                             np.linspace(-5.0, 9.0, 141)])
+        with mpmath.workdps(60):
+            exact = np.array([float(mpmath.ncdf(mpmath.mpf(float(x)))) for x in xs])
+        keep = exact > 1e-300
+        got = vol._norm_cdf(xs[keep])
+        ulps = np.abs(got - exact[keep]) / np.spacing(exact[keep])
+        assert ulps.max() <= 4.0
+
+    def test_cdf_agrees_with_ndtr(self):
+        # ndtr rounds x / sqrt 2 before its erfc, which moves its value by a
+        # relative x^2 eps (about 1500 ulp near x = -37); the bound allows
+        # 4 ulp times that conditioning and nothing more
+        xs = np.linspace(-38.0, 9.0, 200_001)
+        want = ndtr(xs)
+        keep = want > 1e-300
+        got = vol._norm_cdf(xs[keep])
+        bound = 4.0 * np.spacing(want[keep]) * (1.0 + xs[keep] ** 2)
+        assert np.all(np.abs(got - want[keep]) <= bound)
+        core = keep & (np.abs(xs) <= 0.5)  # well-conditioned: plain 4 ulp
+        assert np.all(np.abs(vol._norm_cdf(xs[core]) - want[core])
+                      <= 4.0 * np.spacing(want[core]))
+
+    def test_cdf_shapes_and_limits(self):
+        assert isinstance(vol._norm_cdf(0.3), float)
+        assert vol._norm_cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert vol._norm_cdf(0.0) == 0.5
+        assert vol._norm_cdf(np.inf) == 1.0
+        assert vol._norm_cdf(-np.inf) == 0.0
+        assert np.isnan(vol._norm_cdf(np.nan))
+
+    def test_pdf_matches_scipy(self):
+        xs = np.linspace(-38.0, 38.0, 10_001)
+        np.testing.assert_allclose(vol._norm_pdf(xs), norm.pdf(xs), rtol=2 * EPS,
+                                   atol=0.0)
+
+
+class TestBisection:
+    """`_bisect` stops within 1e-14 of the root brentq finds at xtol 1e-14."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real = vol._bisect
+
+        def record(f, lo, hi):
+            root = real(f, lo, hi)
+            calls.append((f, lo, hi, root))
+            return root
+
+        monkeypatch.setattr(vol, "_bisect", record)
+        return calls
+
+    @pytest.mark.parametrize("s,k,t,sig,r,q", [
+        (100.0, 250.0, 0.25, 1.0, 0.0, 0.0),  # vega ~ 0 at the Newton start
+        (100.0, 40.0, 2.0, 2.5, 0.02, 0.01),  # Newton steps past SIGMA_MAX
+        (100.0, 300.0, 0.1, 3.0, 0.0, 0.0),
+    ])
+    def test_implied_vol_fallback(self, monkeypatch, s, k, t, sig, r, q):
+        calls = self.spy(monkeypatch)
+        got = implied_vol(bs_call(s, k, t, sig, r, q), s, k, t, r, q)
+        assert len(calls) == 1  # Newton gave up: this is the fallback path
+        f, lo, hi, root = calls[0]
+        assert (lo, hi) == (SIGMA_MIN, SIGMA_MAX) and got == root
+        assert abs(root - brentq(f, lo, hi, xtol=1e-14)) <= 1e-14
+        assert root == pytest.approx(sig, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        ForwardStartCall(0.5, 1.0, strike_ratio=1.0),
+        DownAndOutCall(1.0, 100.0, 85.0),
+        LookbackCall(1.0),
+    ], ids=["forward_start", "down_and_out", "lookback"])
+    @pytest.mark.parametrize("sig", [0.1, 0.25, 0.6])
+    def test_exotic_root(self, monkeypatch, spec, sig):
+        calls = self.spy(monkeypatch)
+        res = exotic_implied_vol(exotic_bs_price(spec, sig, 100.0), spec, 100.0)
+        f, lo, hi, root = calls[0]
+        assert hi - lo == pytest.approx((SIGMA_MAX - SIGMA_MIN) / 128)
+        assert res.sigma == root
+        assert abs(root - brentq(f, lo, hi, xtol=1e-14)) <= 1e-14
 
 
 class TestVanilla:
