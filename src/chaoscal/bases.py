@@ -83,6 +83,14 @@ class BrownianDriver:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for key in ("seed", "stream"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 0):
+                raise ValidationError(f"{key} must be a nonnegative integer, "
+                                      f"got {value!r}")
+
     def generator(self, *tags):
         return np.random.Generator(
             np.random.Philox(np.random.SeedSequence((self.seed, self.stream) + tags))

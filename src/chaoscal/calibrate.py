@@ -13,7 +13,7 @@ prices to C S_0 / (DF F), and the weights pick up the inverse Jacobian
 definition.
 
 Calibration itself runs on a spot-normalized copy of the model (S_0 -> 1,
-coefficients divided by S_0; on by default).  Decoupled weight decay
+coefficients divided by S_0).  Decoupled weight decay
 contracts theta by lr * lambda * theta per step while the bias-corrected Adam
 step moves each coordinate by at most about lr, so the representable
 coefficient scale is capped near 1/lambda.  At S_0 = 100 a 20%-vol surface
@@ -58,13 +58,14 @@ class CalibrationConfig:
     beta2: float = 0.999
     eps_adam: float = 1e-8
     seed: int = 0
-    normalize_spot: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
         if self.max_iterations < 0:
             raise ValidationError("max iterations must be nonnegative")
+        if self.seed < 0:  # initial_coefficients seeds before any driver exists
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.weight_decay < 0:
             raise ValidationError("weight decay must be nonnegative")
         if self.resim_every < 1 or self.patience < 1:
@@ -269,13 +270,8 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
         driver = BrownianDriver(cfg.seed)
     weights = vega_weights(quotes)
 
-    factor = model0.s0 if cfg.normalize_spot else 1.0
-    work = model0
-    if factor != 1.0:
-        work = ChaosModel(
-            1.0, model0.p, model0.m, model0.d, model0.basis,
-            model0.coefficients / factor,
-        )
+    work = ChaosModel(1.0, model0.p, model0.m, model0.d, model0.basis,
+                      model0.coefficients / model0.s0)
     state = OptimizerState.fresh(work.coefficients)
     history = []
     start = time.perf_counter()
@@ -320,5 +316,5 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
     except Exception as exc:
         exc.history = history
         raise
-    best = model0.with_coefficients(state.best_theta * factor)
+    best = model0.with_coefficients(state.best_theta * model0.s0)
     return best, history

@@ -22,7 +22,9 @@ from .indices import index_space_dim
 from .model import ChaosModel, path_grid
 from .modelio import (
     _field,
+    _object,
     _read_json,
+    _record,
     load_config,
     load_model,
     load_schedule,
@@ -33,7 +35,7 @@ from .pricing import PricingSchedule, price_surface
 from .quotes import (
     Quote,
     QuoteSurface,
-    _parse_float,
+    _read_quotes,
     extract_forward_discount,
     parse_quotes,
     quote_rates,
@@ -59,38 +61,29 @@ from .vol import (
 _EVAL_STREAM = 0  # tag layout: pricing._maturity_groups
 
 
-def _floats(text):
+def _floats(flag, text):
+    """The finite numbers of a comma-separated flag value; at least one."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _check_numbers(where, data):
-    """Every value of `data` must be a finite real number (a bool is not)."""
-    for key in data:
-        _field(where, data, key, "number")
+        values = []
+    if not values or not np.isfinite(values).all():
+        raise ValidationError(
+            f"{flag} must be comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _heston_from_json(path):
     data = _read_json(path)
-    _check_numbers(path, data)
-    alpha = data.pop("alpha", None)
-    known = set(HestonParams.__dataclass_fields__)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValidationError(f"{path}: unknown parameter keys {unknown}")
-    missing = [f.name for f in dataclasses.fields(HestonParams)
-               if f.default is dataclasses.MISSING and f.name not in data]
-    if missing:
-        raise ValidationError(f"{path}: missing parameter keys {missing}")
-    return HestonParams(**data), alpha
+    alpha = _field(path, data, "alpha", "number") if "alpha" in data else None
+    data.pop("alpha", None)
+    return _record(path, HestonParams, data), alpha
 
 
 def cmd_gen_surface(args):
     params, alpha = _heston_from_json(args.params)
-    maturities = _floats(args.maturities)
-    strikes = [m * params.s0 for m in _floats(args.moneyness)]
+    maturities = _floats("--maturities", args.maturities)
+    strikes = [m * params.s0 for m in _floats("--moneyness", args.moneyness)]
     if args.model == "heston":
         if alpha not in (None, 1.0):
             raise ValidationError(
@@ -115,46 +108,22 @@ def cmd_gen_surface(args):
 
 
 def cmd_parity(args):
-    import csv
-
-    with open(args.quotes, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{args.quotes}: empty file")
-        rows = list(reader)
-    if not rows:
+    quotes, spot = _read_quotes(args.quotes, raw=True)
+    if not quotes:
         raise ValidationError(f"{args.quotes}: no quote rows")
-    spot = None
-    by_mat = {}
-    for i, rec in enumerate(rows, start=1):
-        t = _parse_float(rec.get("maturity_years"), i, "maturity_years")
-        k = _parse_float(rec.get("strike"), i, "strike")
-        mid = _parse_float(rec.get("mid_price"), i, "mid_price")
-        opt = (rec.get("option_type") or "C").strip() or "C"
-        if opt not in ("C", "P"):
-            raise ValidationError(f"row {i}: option type must be C or P, got {opt!r}")
-        row_spot = _parse_float(rec.get("spot"), i, "spot", required=False)
-        if row_spot is not None and spot not in (None, row_spot):
-            raise ValidationError(f"row {i}: spot {row_spot} differs from {spot}")
-        spot = row_spot if row_spot is not None else spot
-        by_mat.setdefault(t, {"C": [], "P": []})[opt].append((k, mid))
     if spot is None:
         raise ValidationError(f"{args.quotes}: needs a spot column")
-    curves = {}
-    for t, sides in sorted(by_mat.items()):
-        fit = extract_forward_discount(sides["C"], sides["P"])
-        curves[t] = fit
+    enriched = []
+    for t in sorted({q.maturity for q in quotes}):
+        calls = [q for q in quotes if q.maturity == t and q.option_type == "C"]
+        puts = [q for q in quotes if q.maturity == t and q.option_type == "P"]
+        fit = extract_forward_discount(calls, puts)
         print(f"T={t}: DF={fit.discount_factor:.6f} F={fit.forward:.4f} "
               f"parity rmse={fit.rmse:.2e} ({len(fit.strikes)} strikes)")
-    quotes = []
-    for t, sides in sorted(by_mat.items()):
-        fit = curves[t]
-        for opt in ("C", "P"):
-            for k, mid in sides[opt]:
-                quotes.append(Quote(t, k, opt, mid, None,
-                                    fit.discount_factor, fit.forward))
-    write_quotes(QuoteSurface(quotes, spot), args.out)
-    print(f"wrote {len(quotes)} enriched quotes to {args.out}")
+        enriched += [dataclasses.replace(q, discount_factor=fit.discount_factor,
+                                         forward=fit.forward) for q in calls + puts]
+    write_quotes(QuoteSurface(enriched, spot), args.out)
+    print(f"wrote {len(enriched)} enriched quotes to {args.out}")
 
 
 def _build_model0(model_spec, spot, cfg):
@@ -162,9 +131,6 @@ def _build_model0(model_spec, spot, cfg):
         raise ValidationError(
             "config needs a 'model' section {p, m, d, horizon} (or pass --init)"
         )
-    for key in ("p", "m", "d", "horizon"):
-        if key not in model_spec:
-            raise ValidationError(f"model section missing {key!r}")
     basis = PiecewiseConstantBasis.uniform(model_spec["horizon"], model_spec["m"])
     n = index_space_dim(model_spec["p"], model_spec["m"], model_spec["d"]) - 1
     theta0 = initial_coefficients(n, cfg) * spot
@@ -273,41 +239,31 @@ def cmd_evaluate(args):
           f"{report['n_quotes']} quotes -> {args.report}")
 
 
-# contract type -> (class, required keys, optional keys)
-_CONTRACTS = {
-    "forward_start": (ForwardStartCall, ("tau", "maturity"), ("strike_ratio", "strike")),
-    "down_and_out": (DownAndOutCall, ("maturity", "strike", "barrier"), ()),
-    "lookback": (LookbackCall, ("maturity",), ()),
-}
+_CONTRACTS = {"forward_start": ForwardStartCall, "down_and_out": DownAndOutCall,
+              "lookback": LookbackCall}
 
 
 def _exotic_spec(path, i, data):
     where = f"{path}: contract {i}"
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {data!r}")
-    kind = data.get("type")
+    kind = data.get("type") if isinstance(data, dict) else None
     if kind not in _CONTRACTS:
-        raise ValidationError(f"{where}: unknown exotic type {kind!r}")
-    cls, required, optional = _CONTRACTS[kind]
-    missing = [k for k in required if data.get(k) is None]
-    if missing:
-        raise ValidationError(f"{where} ({kind}): missing keys {missing}")
-    fields = {k: data[k] for k in required + optional if data.get(k) is not None}
-    _check_numbers(f"{where} ({kind})", fields)
-    return cls(**fields)
+        raise ValidationError(f"{where}: expected an object with a 'type' in "
+                              f"{sorted(_CONTRACTS)}, got {data!r:.60}")
+    fields = {k: v for k, v in data.items() if k != "type"}
+    return _record(f"{where} ({kind})", _CONTRACTS[kind], fields)
 
 
 def _read_exotics_spec(path):
     """(contracts as JSON objects, parsed specs, monitoring steps)."""
-    data = _read_json(path)
+    data = _object(path, _read_json(path), ("contracts", "monitoring_steps"))
     contracts = data.get("contracts")
     if not isinstance(contracts, list) or not contracts:
         raise ValidationError(f"{path}: key 'contracts' must be a non-empty list")
-    steps = data.get("monitoring_steps", 64)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 0:
-        raise ValidationError(
-            f"{path}: key 'monitoring_steps' must be a nonnegative integer, got {steps!r}"
-        )
+    data.setdefault("monitoring_steps", 64)
+    steps = _field(path, data, "monitoring_steps", "integer")
+    if steps < 0:
+        raise ValidationError(f"{path}: key 'monitoring_steps' must be nonnegative, "
+                              f"got {steps}")
     return contracts, [_exotic_spec(path, i, c) for i, c in enumerate(contracts)], steps
 
 

@@ -7,6 +7,7 @@ bit-exactly (json uses shortest repr, which Python parses back exactly).
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -46,7 +47,10 @@ _KINDS = {  # kind: (test, description)
     "numbers": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
                 "a list of finite numbers"),
     "object": (lambda v: isinstance(v, dict), "a JSON object"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+    "string": (lambda v: isinstance(v, str), "a string"),
 }
+_TYPE_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
 
 
 def _field(where, data, key, kind):
@@ -58,6 +62,36 @@ def _field(where, data, key, kind):
         raise ValidationError(f"{where}: key {key!r} must be {text}, "
                               f"got {data[key]!r:.60}")
     return data[key]
+
+
+def _object(where, data, keys):
+    """data, checked to be a JSON object with no key outside `keys`."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where}: expected a JSON object, got {data!r:.60}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {unknown}")
+    return data
+
+
+def _record(where, cls, data):
+    """The dataclass `cls` built from a JSON object; its fields are the keys.
+
+    A null value counts as missing; each value is checked against the kind of
+    its field's annotation before the constructor runs.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    given = {k: v for k, v in _object(where, data, fields).items() if v is not None}
+    missing = [k for k, f in fields.items()
+               if k not in given and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValidationError(f"{where}: missing keys {missing}")
+    for key in given:
+        _field(where, given, key, _TYPE_KINDS[fields[key].type])
+    try:
+        return cls(**given)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def index_order_hash(p, m, d):
@@ -145,6 +179,10 @@ def write_history(history, path):
                              repr(row.wall_seconds), int(row.resimulated)])
 
 
+_MODEL_SECTION = {"p": "integer", "m": "integer", "d": "integer",
+                  "horizon": "number"}
+
+
 def load_config(path):
     """CalibrationConfig from JSON; unknown keys are rejected.
 
@@ -153,28 +191,12 @@ def load_config(path):
     """
     data = _read_json(path)
     model_spec = data.pop("model", None)
-    known = set(CalibrationConfig.__dataclass_fields__)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys {unknown}")
-    unknown = sorted(set(model_spec or ()) - {"p", "m", "d", "horizon"})
-    if unknown:
-        raise ValidationError(f"{path}: unknown model-section keys {unknown}")
-    return CalibrationConfig(**data), model_spec
-
-
-def _method_from_json(where, data):
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {data!r}")
-    unknown = sorted(set(data) - set(PricingMethod.__dataclass_fields__))
-    if unknown:
-        raise ValidationError(f"{where}: unknown pricing-method keys {unknown}")
-    if "kind" not in data:
-        raise ValidationError(f"{where}: missing key 'kind'")
-    try:
-        return PricingMethod(**data)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    if model_spec is not None:
+        where = f"{path}: model section"
+        _object(where, model_spec, _MODEL_SECTION)
+        for key, kind in _MODEL_SECTION.items():
+            _field(where, model_spec, key, kind)
+    return _record(path, CalibrationConfig, data), model_spec
 
 
 def load_schedule(path):
@@ -183,8 +205,8 @@ def load_schedule(path):
     unknown = sorted(set(data) - {"default", "entries"})
     if unknown:
         raise ValidationError(f"{path}: unknown schedule keys {unknown}")
-    default = _method_from_json(f"{path}: key 'default'",
-                                data.get("default", {"kind": "mc"}))
+    default = _record(f"{path}: key 'default'", PricingMethod,
+                      data.get("default", {"kind": "mc"}))
     entries = data.get("entries", [])
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: key 'entries' must be a list, got {entries!r}")
@@ -194,5 +216,5 @@ def load_schedule(path):
         if not (isinstance(entry, list) and len(entry) == 2 and _is_number(entry[0])):
             raise ValidationError(
                 f"{where}: expected a [maturity, {{method}}] pair, got {entry!r}")
-        methods.append((float(entry[0]), _method_from_json(where, entry[1])))
+        methods.append((float(entry[0]), _record(where, PricingMethod, entry[1])))
     return PricingSchedule(default=default, entries=tuple(methods))

@@ -69,7 +69,10 @@ class PricingMethod:
                 raise ValidationError(f"key {key!r} must be an integer, got {value!r}")
         if self.cv_degree not in (0, 1, 2):
             raise ValidationError("cv_degree must be 0, 1, or 2")
-        if self.n_paths < 1 or self.beta_samples < 1 or not 1 <= self.n_nodes <= 128:
+        if self.beta_samples < 2:  # the CV covariance has ddof 1
+            raise ValidationError(f"key 'beta_samples' must be at least 2, "
+                                  f"got {self.beta_samples}")
+        if self.n_paths < 1 or not 1 <= self.n_nodes <= 128:
             raise ValidationError("invalid pricing-method sizes")
 
 

@@ -106,8 +106,8 @@ def _complete_quote(quote, spot, row):
     return quote
 
 
-def _parse_float(text, row, column, required=True):
-    text = (text or "").strip()
+def _parse_float(rec, row, column, required=True):
+    text = (rec.get(column) or "").strip()
     if not text:
         if required:
             raise ValidationError(f"row {row}: missing value for {column}")
@@ -121,24 +121,26 @@ def _parse_float(text, row, column, required=True):
     return value
 
 
-def parse_quotes(path):
-    """Read a quote CSV into a validated QuoteSurface.
+def _read_quotes(path, raw=False):
+    """(quotes, spot) of a quote CSV; a bad row raises naming its number.
 
-    Derives the missing price/vol side per row; an empty body is a valid,
-    empty surface.
+    A raw file (the `parity` command's input) carries mid prices and no curve
+    columns, and its spot may be blank on all but one row; its quotes keep
+    the default curve and no implied vol.  Otherwise each quote is completed
+    by `_complete_quote`.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValidationError(f"{path}: empty file, expected a header row")
         header = set(reader.fieldnames)
-        needed = {"maturity_years", "strike", "spot"}
+        needed = {"maturity_years", "strike", "mid_price" if raw else "spot"}
         missing = sorted(needed - header)
         if missing:
             raise ValidationError(f"{path}: missing columns {missing}")
-        if not {"mid_price", "implied_vol"} & header:
+        if not raw and not {"mid_price", "implied_vol"} & header:
             raise ValidationError(f"{path}: need a mid_price or implied_vol column")
-        if not {"discount_factor", "forward"} <= header:
+        if not raw and not {"discount_factor", "forward"} <= header:
             raise ValidationError(
                 f"{path}: missing discount_factor/forward columns; run "
                 "extract_forward_discount (the `parity` command) on the raw "
@@ -146,38 +148,43 @@ def parse_quotes(path):
             )
         quotes = []
         spot = None
-        for row_no, rec in enumerate(reader, start=1):
-            t = _parse_float(rec.get("maturity_years"), row_no, "maturity_years")
-            k = _parse_float(rec.get("strike"), row_no, "strike")
-            row_spot = _parse_float(rec.get("spot"), row_no, "spot")
-            if spot is None:
-                spot = row_spot
-            elif row_spot != spot:
-                raise ValidationError(
-                    f"row {row_no}: spot {row_spot} differs from {spot}"
-                )
-            df = _parse_float(rec.get("discount_factor"), row_no, "discount_factor")
-            fwd = _parse_float(rec.get("forward"), row_no, "forward")
-            if df <= 0 or fwd <= 0:
-                raise ValidationError(
-                    f"row {row_no}: discount factor and forward must be positive"
-                )
-            mid = _parse_float(rec.get("mid_price"), row_no, "mid_price", required=False)
-            vol = _parse_float(rec.get("implied_vol"), row_no, "implied_vol", required=False)
+        for row, rec in enumerate(reader, start=1):
+            t = _parse_float(rec, row, "maturity_years")
+            k = _parse_float(rec, row, "strike")
+            row_spot = _parse_float(rec, row, "spot", required=not raw)
+            if row_spot is not None and spot not in (None, row_spot):
+                raise ValidationError(f"row {row}: spot {row_spot} differs from {spot}")
+            spot = spot if row_spot is None else row_spot
+            curve = {}
+            if not raw:
+                curve = {"discount_factor": _parse_float(rec, row, "discount_factor"),
+                         "forward": _parse_float(rec, row, "forward")}
+                if min(curve.values()) <= 0:
+                    raise ValidationError(
+                        f"row {row}: discount factor and forward must be positive"
+                    )
+            mid = _parse_float(rec, row, "mid_price", required=raw)
+            vol = None if raw else _parse_float(rec, row, "implied_vol", required=False)
             if mid is None and vol is None:
-                raise ValidationError(
-                    f"row {row_no}: mid_price and implied_vol both blank"
-                )
+                raise ValidationError(f"row {row}: mid_price and implied_vol both blank")
             opt = (rec.get("option_type") or "C").strip() or "C"
             try:
-                quote = Quote(t, k, opt, mid, vol, df, fwd)
-                _complete_quote(quote, spot, row_no)
+                quote = Quote(t, k, opt, mid, vol, **curve)
+                quotes.append(quote if raw else _complete_quote(quote, spot, row))
             except ValidationError as exc:
-                if f"row {row_no}" in str(exc):
+                if f"row {row}" in str(exc):
                     raise
-                raise ValidationError(f"row {row_no}: {exc}") from exc
-            quotes.append(quote)
-    return QuoteSurface(quotes, spot)
+                raise ValidationError(f"row {row}: {exc}") from exc
+    return quotes, spot
+
+
+def parse_quotes(path):
+    """Read a quote CSV into a validated QuoteSurface.
+
+    Derives the missing price/vol side per row; an empty body is a valid,
+    empty surface.
+    """
+    return QuoteSurface(*_read_quotes(path))
 
 
 def write_quotes(surface, path):

@@ -207,6 +207,11 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_integrals(PW, drv, [1.0, 0.5], 10)
 
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -2), (1.5, 0), (True, 0)])
+    def test_driver_keys_are_nonnegative_integers(self, seed, stream):
+        with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+            BrownianDriver(seed, stream)
+
     def test_short_interval_is_sampled_exactly(self):
         # An interval of 1e-4 needs no time resolution: its increment
         # variance is diag(G(0.5) - G(0.5 + 1e-4)), 4 SE per component.

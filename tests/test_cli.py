@@ -51,6 +51,13 @@ def model_text(basis=None, **changes):
     return json.dumps({k: v for k, v in data.items() if v is not None})
 
 
+def config_text(**changes):
+    """A one-iteration calibrate config with keys replaced."""
+    data = {"max_iterations": 1, "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0}}
+    data.update(changes)
+    return json.dumps(data)
+
+
 def write_truth_quotes(path, maturities=(0.5, 1.0), strikes=(90.0, 100.0, 110.0)):
     """Exact quadrature surface of the known model, in market CSV form."""
     model = truth_model()
@@ -182,7 +189,9 @@ class TestParity:
         ("1.0,100.0,C", "mid_price"),
         ("1.0,nan,C,5.0,100.0", "strike"),
         ("1.0,100.0,C,5.0,250.0", "spot"),
-    ], ids=["unknown-option-type", "short-row", "nan-strike", "conflicting-spot"])
+        ("1.0,-90.0,C,5.0,100.0", "strike must be positive"),
+    ], ids=["unknown-option-type", "short-row", "nan-strike", "conflicting-spot",
+            "negative-strike"])
     def test_bad_row_exits_2_naming_the_row(self, tmp_path, capsys, row, cause):
         raw = self.write_raw(tmp_path / "raw.csv")  # 20 good rows
         with open(raw, "a") as handle:
@@ -434,8 +443,7 @@ class TestBadInput:
     LOOKBACK = json.dumps({"contracts": [{"type": "lookback", "maturity": 1.0}]})
     GOOD = {  # content of the good JSON inputs; model and quote files are written
         "params": json.dumps(HESTON),
-        "config": json.dumps({"max_iterations": 1,
-                              "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0}}),
+        "config": config_text(),
         "spec": LOOKBACK,
     }
     FILES = {  # subcommand: its required input files, flag -> file name
@@ -541,7 +549,7 @@ class TestBadInput:
             "schedule.json: entry 0: expected a JSON object"),
         "evaluate schedule method without kind": (
             "evaluate", {"schedule": json.dumps({"default": {"n_paths": 1000}})},
-            "schedule.json: key 'default': missing key 'kind'"),
+            "schedule.json: key 'default': missing keys ['kind']"),
         "evaluate schedule size a string": (
             "evaluate", {"schedule": json.dumps(
                 {"default": {"kind": "mc", "n_paths": "1000"}})},
@@ -553,15 +561,66 @@ class TestBadInput:
         "evaluate schedule unknown key": (
             "evaluate", {"schedule": json.dumps({"entrys": []})},
             "schedule.json: unknown schedule keys ['entrys']"),
+        "calibrate config learning rate a string": (
+            "calibrate", {"config": config_text(learning_rate="abc")},
+            "config.json: key 'learning_rate' must be a finite number"),
+        "calibrate config max iterations a float": (
+            "calibrate", {"config": config_text(max_iterations=2.5)},
+            "config.json: key 'max_iterations' must be an integer"),
+        "calibrate config resim period a string": (
+            "calibrate", {"config": config_text(resim_every="5")},
+            "config.json: key 'resim_every' must be an integer"),
+        "calibrate config tol overflows": (
+            "calibrate", {"config": config_text().replace("{", '{"tol": 1e400, ', 1)},
+            "config.json: key 'tol' must be a finite number"),
+        "calibrate config negative seed": (
+            "calibrate", {"config": config_text(seed=-1)},
+            "config.json: seed must be nonnegative"),
+        "calibrate model section m a string": (
+            "calibrate", {"config": config_text(model={"p": 2, "m": "2", "d": 1,
+                                                       "horizon": 1.0})},
+            "config.json: model section: key 'm' must be an integer"),
+        "calibrate model section a list": (
+            "calibrate", {"config": config_text(model=[2, 2, 1, 1.0])},
+            "config.json: model section: expected a JSON object"),
+        "calibrate negative seed": ("calibrate", {"seed": "-1"}, "seed must be"),
+        "price negative seed": ("price", {"seed": "-1"}, "seed must be"),
+        "evaluate negative seed": ("evaluate", {"seed": "-1"}, "seed must be"),
+        "exotics negative seed": ("exotics", {"seed": "-1"}, "seed must be"),
+        "evaluate schedule one beta sample": (
+            "evaluate", {"schedule": json.dumps({"default": {
+                "kind": "mc", "cv_degree": 2, "beta_samples": 1}})},
+            "schedule.json: key 'default': key 'beta_samples' must be at least 2"),
+        "gen-surface maturities nan": ("gen-surface", {"maturities": "nan"},
+                                       "--maturities"),
+        "gen-surface maturities inf": ("gen-surface", {"maturities": "0.5,inf"},
+                                       "--maturities"),
+        "gen-surface maturities empty": ("gen-surface", {"maturities": ","},
+                                         "--maturities"),
+        "gen-surface moneyness nan": ("gen-surface", {"moneyness": "1.0,nan"},
+                                      "--moneyness"),
+        "gen-surface moneyness empty": ("gen-surface", {"moneyness": ""},
+                                        "--moneyness"),
+        "exotics spec unknown key": (
+            "exotics", {"spec": json.dumps({"monitoring_step": 4, "contracts": [
+                {"type": "lookback", "maturity": 1.0}]})},
+            "spec.json: unknown keys ['monitoring_step']"),
+        "exotics contract unknown key": (
+            "exotics", {"spec": json.dumps({"contracts": [
+                {"type": "lookback", "maturity": 1.0, "strik": 100.0}]})},
+            "spec.json: contract 0 (lookback): unknown keys ['strik']"),
     }
 
     def argv(self, tmp_path, command, bad):
         argv = [command, "--report" if command == "evaluate" else "--out",
                 str(tmp_path / "out")]
         if command == "gen-surface":
-            argv += ["--model", "heston", "--maturities", "1.0", "--moneyness", "1.0"]
+            argv += ["--model", "heston", "--maturities", bad.get("maturities", "1.0"),
+                     "--moneyness", bad.get("moneyness", "1.0")]
         if command == "exotics":
             argv += ["--paths", bad.get("paths", "500")]
+        if "seed" in bad:
+            argv += ["--seed", bad["seed"]]
         files = dict(self.FILES[command])
         files.update((flag, self.OPTIONAL[flag]) for flag in bad if flag in self.OPTIONAL)
         for flag, name in files.items():

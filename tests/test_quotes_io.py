@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from chaoscal.calibrate import CalibrationConfig
 from chaoscal.errors import ValidationError
 from chaoscal.model import ChaosModel
 from chaoscal.modelio import (
+    _record,
     index_order_hash,
     load_config,
     load_model,
@@ -311,3 +314,26 @@ class TestConfigSchedule:
         path.write_text(json.dumps({"default": {"kind": "mc", "npaths": 1}}))
         with pytest.raises(ValidationError, match="npaths"):
             load_schedule(path)
+
+    def test_record_checks_each_field_against_its_annotation(self):
+        @dataclass(frozen=True)
+        class Record:
+            name: str
+            size: int
+            scale: float = 1.0
+            flag: bool = False
+
+        assert _record("r", Record, {"name": "a", "size": 2, "scale": None}) == \
+            Record("a", 2)
+        for bad, text in (
+            ([], "expected a JSON object"),
+            ({"name": "a", "size": 2, "extra": 0}, "unknown keys ['extra']"),
+            ({"scale": 2.0}, "missing keys ['name', 'size']"),
+            ({"name": None, "size": 2}, "missing keys ['name']"),
+            ({"name": 3, "size": 2}, "key 'name' must be a string"),
+            ({"name": "a", "size": 2.0}, "key 'size' must be an integer"),
+            ({"name": "a", "size": 2, "scale": True}, "key 'scale' must be a finite"),
+            ({"name": "a", "size": 2, "flag": 1}, "key 'flag' must be true or false"),
+        ):
+            with pytest.raises(ValidationError, match=re.escape(f"r: {text}")):
+                _record("r", Record, bad)
