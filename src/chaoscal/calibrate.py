@@ -1,4 +1,4 @@
-"""Vega-weighted surface calibration with AdamW and stream resimulation.
+"""Vega-weighted surface calibration by damped Gauss-Newton or AdamW.
 
 The model is linear in its coefficients, so per-sample payoff gradients are
 exact: d/d theta of (S - K)_+ is 1{S > K} * features, with control-variate
@@ -13,18 +13,45 @@ prices to C S_0 / (DF F), and the weights pick up the inverse Jacobian
 definition.
 
 Calibration itself runs on a spot-normalized copy of the model (S_0 -> 1,
-coefficients divided by S_0).  Decoupled weight decay
-contracts theta by lr * lambda * theta per step while the bias-corrected Adam
-step moves each coordinate by at most about lr, so the representable
-coefficient scale is capped near 1/lambda.  At S_0 = 100 a 20%-vol surface
-needs coefficients an order of magnitude above that cap; in normalized units
-they are O(0.1) and the default lambda = 1 acts as a mild shrinkage.
+coefficients divided by S_0), where a 20%-vol surface needs coefficients of
+O(0.1).
 
-Feature matrices are sampled once per resimulation event and reused across
-iterations; streams are redrawn (and CV betas re-estimated on independent
-samples) every `resim_every` iterations.  Optimization streams carry a
-constant tag (layout in `pricing._maturity_groups`), so metrics computed
-through `price_surface` come from streams the optimizer never saw.
+Feature matrices are sampled once per workspace and reused across passes:
+both optimizers draw ceil(max_iterations / resim_every) workspaces, redrawing
+the streams and re-estimating the CV betas on independent samples at the
+current coefficients.  Optimization streams carry a constant tag (layout in
+`pricing._maturity_groups`), so metrics computed through `price_surface`
+come from streams the optimizer never saw.  Every pass over a workspace is
+one history row, and max_iterations also caps the rows.  A fit in which no
+pass improved on the starting loss warns that it returns its start.
+
+* "gauss_newton" (default) minimizes the ridge objective
+  L(theta) + mu |theta|^2, mu = 1e-3 * weight_decay, by Levenberg-Marquardt
+  steps.  From the price Jacobian J (`pricing._group_jacobian`), the weights
+  Gamma and the residuals r it solves
+
+      (H + lambda D) delta = J^T Gamma r - mu theta,
+      H = J^T Gamma J + mu I,  D = diag(H) + 1e-4 max(diag(H)) I,
+
+  and prices theta + delta with one loss pass: a step that lowers the ridge
+  objective is accepted and lambda divided by 3, otherwise lambda is
+  multiplied by 4.  The floor in D bounds the step of a coefficient whose
+  curvature is tiny (one that few quotes see, with no ridge), where
+  Marquardt's diag(H) alone lets it run away.  lambda starts at 1e-3 on
+  each workspace, which takes three accepted steps, or fewer once lambda
+  passes 1e3.  The returned coefficients are the best by the loss of each
+  workspace's first pass, which prices them on streams they were not fitted
+  to; coefficients that moved on the last workspace are priced on one more,
+  so a fit's last row can be one beyond max_iterations.  J^T Gamma J and
+  J^T Gamma r are einsum reductions; the small solve goes through LAPACK,
+  whose bits acceptance criterion c13 checks across BLAS thread counts.
+* "adamw" takes one AdamW step per pass, resim_every steps per workspace,
+  and returns the best coefficients by the loss of any pass.  Decoupled
+  weight decay contracts theta by lr * lambda * theta per step while the
+  bias-corrected Adam step moves each coordinate by at most about lr, so the
+  representable coefficient scale is capped near 1/lambda; in normalized
+  units the default lambda = 1 acts as a mild shrinkage.  learning_rate,
+  beta1, beta2 and eps_adam are AdamW's alone.
 """
 
 import time
@@ -36,13 +63,25 @@ import numpy as np
 from .bases import BrownianDriver
 from .errors import OptimizerError, ValidationError, WeightingError
 from .model import ChaosModel
-from .pricing import _group_prices, _maturity_groups
+from .pricing import (_add_price_gradient, _group_jacobian, _group_prices,
+                      _maturity_groups)
 from .quotes import quote_rates
 from .vol import bs_call, bs_vega
 
 # Stream tag after the resimulation count in optimization draws; the tag
 # layout is documented in `pricing._maturity_groups`.
 _CAL_TAG = 3233
+
+# Gauss-Newton: ridge per unit weight decay, accepted steps per workspace,
+# the damping at the start of a workspace and where it gives up, and the
+# damping floor relative to the largest curvature.
+_GN_RIDGE = 1e-3
+_GN_STEPS = 3
+_GN_DAMPING = 1e-3
+_GN_DAMPING_CAP = 1e3
+_GN_FLOOR = 1e-4
+_OPTIMIZERS = ("gauss_newton", "adamw")
+_ADAMW_KEYS = ("learning_rate", "beta1", "beta2", "eps_adam")
 
 
 @dataclass(frozen=True)
@@ -58,8 +97,12 @@ class CalibrationConfig:
     beta2: float = 0.999
     eps_adam: float = 1e-8
     seed: int = 0
+    optimizer: str = "gauss_newton"
 
     def __post_init__(self):
+        if self.optimizer not in _OPTIMIZERS:
+            raise ValidationError(f"key 'optimizer' must be one of {_OPTIMIZERS}, "
+                                  f"got {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise ValidationError("learning rate must be positive")
         if self.max_iterations < 0:
@@ -82,9 +125,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     iteration: int = 0
-    best_theta: np.ndarray = None
-    best_loss: float = np.inf
-    best_iteration: int = -1
 
     @classmethod
     def fresh(cls, theta):
@@ -184,23 +224,11 @@ def workspace_loss(ws, theta, with_gradient=False):
     grad = np.zeros(ws.n_coefficients) if with_gradient else None
     for g in ws.groups:
         s, pay, prices = _group_prices(g, theta)
-        b2u = 0.0
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
-        if not with_gradient:
-            continue
-        u = -2.0 * g.gweights * resid
-        coef = (pay > 0.0).T.astype(float) @ u
-        if g.beta1 is not None:
-            coef -= float(u @ g.beta1)
-            if g.m2c is not None:
-                b2u = float(u @ g.beta2)
-                coef -= 2.0 * b2u * s
-        v = g.weights * coef
-        for cols in g.live:
-            grad[cols] += np.einsum("ij,i->j", g.features[:, cols], v)
-        if g.m2c is not None:
-            grad += 2.0 * b2u * (g.m2c * theta)
+        if with_gradient:
+            _add_price_gradient(grad, g, s, (pay > 0.0).T.astype(float),
+                                -2.0 * g.gweights * resid, theta)
     return (total, grad) if with_gradient else total
 
 
@@ -246,75 +274,196 @@ class HistoryRow:
     resimulated: bool
 
 
+class _FitLog:
+    """History rows, the best candidate and the stopping rule of one fit."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.history = []
+        self.best_loss = np.inf
+        self.best_theta = None
+        self.anchor_loss = np.inf
+        self.anchor_it = 0
+        self.start = time.perf_counter()
+
+    def record(self, loss_val, theta, resimulated, candidate):
+        """Append one pass; False once patience or max_iterations ends the fit.
+
+        Only `candidate` passes can become the returned coefficients.
+        """
+        it = len(self.history)
+        if not np.isfinite(loss_val):
+            raise OptimizerError(f"non-finite loss at iteration {it}")
+        if candidate and loss_val < self.best_loss:
+            self.best_loss = loss_val
+            self.best_theta = theta.copy()
+        self.history.append(HistoryRow(it, loss_val, self.best_loss,
+                                       time.perf_counter() - self.start,
+                                       resimulated))
+        if loss_val < self.anchor_loss - self.cfg.tol:
+            self.anchor_loss = loss_val
+            self.anchor_it = it
+        elif it - self.anchor_it >= self.cfg.patience:
+            return False
+        return it + 1 < self.cfg.max_iterations
+
+
+def _warn_if_frozen(loss_val, slope, cfg):
+    """The iteration-0 check for a start whose prices cannot move."""
+    if loss_val > 0.0 and not slope.any():
+        warnings.warn(
+            "gradient is exactly zero at iteration 0: every mapped strike "
+            "lies outside the starting spread of S_T (init_std = "
+            f"{cfg.init_std}), so no payoff indicator changes and the fit "
+            "cannot move",
+            RuntimeWarning,
+        )
+
+
+def _adamw(workspace, theta, cfg, log):
+    """AdamW on workspaces redrawn every `resim_every` iterations; every pass
+    is a candidate."""
+    state = OptimizerState.fresh(theta)
+    ws = None
+    for it in range(cfg.max_iterations):
+        resim = it % cfg.resim_every == 0
+        if resim:
+            ws = None  # release the old feature blocks before resampling
+            ws = workspace(it // cfg.resim_every, state.theta)
+        loss_val, grad = workspace_loss(ws, state.theta, with_gradient=True)
+        if it == 0:
+            _warn_if_frozen(loss_val, grad, cfg)
+        if not log.record(loss_val, state.theta, resim, True):
+            return
+        adamw_step(state, grad, cfg)
+
+
+def _normal_equations(ws, theta):
+    """(loss, J^T Gamma J, J^T Gamma r) of the workspace at theta, with J the
+    price Jacobian and r the residuals; the loss is `workspace_loss`'s, bit
+    for bit."""
+    total = 0.0
+    a = np.zeros((len(theta), len(theta)))
+    b = np.zeros(len(theta))
+    for g in ws.groups:
+        prices, jac = _group_jacobian(g, theta)
+        resid = g.targets - prices
+        total += float(g.gweights @ resid**2)
+        a += np.einsum("ki,k,kj->ij", jac, g.gweights, jac)
+        b += np.einsum("ki,k->i", jac, g.gweights * resid)
+    return total, a, b
+
+
+def _gauss_newton_round(ws, theta, loss_val, a, b, mu, log):
+    """Levenberg-Marquardt steps on one workspace from its first pass (loss
+    and normal equations at theta); returns (theta, moved, go), where go is
+    False once the log ends the fit."""
+    eye = np.eye(len(theta))
+    objective = loss_val + mu * float(theta @ theta)
+    lam, accepted = _GN_DAMPING, 0
+    while lam <= _GN_DAMPING_CAP:
+        hess = a + mu * eye
+        curv = np.diag(hess)
+        # with no curvature at all (a frozen start, no ridge) any floor will do
+        damp = curv + _GN_FLOOR * (curv.max() or 1.0)
+        trial = theta + np.linalg.solve(hess + lam * np.diag(damp), b - mu * theta)
+        trial_loss = workspace_loss(ws, trial)
+        go = log.record(trial_loss, trial, False, False)
+        trial_objective = trial_loss + mu * float(trial @ trial)
+        if trial_objective < objective:
+            theta, objective, lam = trial, trial_objective, lam / 3.0
+            accepted += 1
+            if accepted == _GN_STEPS or not go:
+                break
+            loss_val, a, b = _normal_equations(ws, theta)
+            go = log.record(loss_val, theta, False, False)
+        else:
+            lam *= 4.0
+        if not go:
+            break
+    return theta, accepted > 0, go
+
+
+def _gauss_newton(workspace, theta, cfg, log):
+    """Damped Gauss-Newton on the ridge objective.  Each workspace's first
+    pass prices theta on streams it was not fitted to and is the only
+    candidate pass; a theta that moved after its last such pass is priced on
+    one more workspace."""
+    mu = _GN_RIDGE * cfg.weight_decay
+    moved = False
+    for r in range(-(-cfg.max_iterations // cfg.resim_every)):
+        ws = None  # release the old feature blocks before resampling
+        ws = workspace(r, theta)
+        loss_val, a, b = _normal_equations(ws, theta)
+        if r == 0:
+            _warn_if_frozen(loss_val, a, cfg)
+        if not log.record(loss_val, theta, True, True):
+            return
+        theta, moved, go = _gauss_newton_round(ws, theta, loss_val, a, b, mu, log)
+        if not go:
+            break
+    if moved:
+        ws = None
+        ws = workspace(r + 1, theta)
+        log.record(workspace_loss(ws, theta), theta, True, True)
+
+
 def calibrate(model0, quotes, cfg, schedule, driver=None):
     """Fit the coefficients to the quote surface; returns (model*, history).
 
-    The loop is price -> loss -> gradient -> AdamW step, with streams redrawn
-    and CV betas re-estimated every `cfg.resim_every` iterations.  The
-    returned model carries the best-by-loss coefficients; stopping is by
-    patience (no improvement beyond cfg.tol, absolute, within cfg.patience
-    iterations) or max_iterations.  On error the partial history is attached
-    to the exception as `.history`.
+    `cfg.optimizer` picks damped Gauss-Newton (default) or AdamW (see the
+    module docstring).  Both draw ceil(max_iterations / resim_every)
+    workspaces, tagged (r,), at the current coefficients, and write one
+    history row per pass over a workspace.  A fit stops after max_iterations
+    rows, after the last workspace, or by patience (no improvement beyond
+    cfg.tol, absolute, within cfg.patience rows); Gauss-Newton then prices
+    coefficients that moved since their last candidate pass on workspace
+    (r + 1,).  On error the partial history is attached to the exception as
+    `.history`.
 
     The starting spread must reach the quoted strikes: when every mapped
     strike K S_0 / F sits several init-std spreads away from S_0 (no
     near-the-money quote, or nonzero rates with a tiny init_std), the payoff
-    indicators are constant at the starting point, the gradient vanishes
-    identically (features are centered), and AdamW takes no step at all.
-    A gradient that is exactly zero at iteration 0 while the loss is not
-    raises a RuntimeWarning naming this cause.
+    indicators are constant at the starting point and the price gradients
+    vanish identically (features are centered), so neither optimizer can fit
+    the surface.  A gradient or Jacobian that is exactly zero at iteration 0
+    while the loss is not raises a RuntimeWarning naming this cause.  So do
+    AdamW settings away from their defaults under Gauss-Newton, which does
+    not read them.
     """
+    unused = [k for k in _ADAMW_KEYS if cfg.optimizer == "gauss_newton"
+              and getattr(cfg, k) != getattr(CalibrationConfig, k)]
+    if unused:
+        warnings.warn(f"{unused} set, but only optimizer 'adamw' uses them",
+                      RuntimeWarning)
     if cfg.max_iterations == 0:
         return model0, []
     if driver is None:
         driver = BrownianDriver(cfg.seed)
     weights = vega_weights(quotes)
-
     work = ChaosModel(1.0, model0.p, model0.m, model0.d, model0.basis,
                       model0.coefficients / model0.s0)
-    state = OptimizerState.fresh(work.coefficients)
-    history = []
-    start = time.perf_counter()
-    ws = None
     nodes = {}  # quadrature nodes, built at the first resimulation only
-    anchor_loss = np.inf
-    anchor_it = 0
+
+    def workspace(r, theta):
+        return build_workspace(work.with_coefficients(theta), quotes, weights,
+                               schedule, driver, tags=(r,), nodes=nodes)
+
+    fit = _gauss_newton if cfg.optimizer == "gauss_newton" else _adamw
+    log = _FitLog(cfg)
     try:
-        for it in range(cfg.max_iterations):
-            resim = it % cfg.resim_every == 0
-            if resim:
-                ws = None  # release the old feature blocks before resampling
-                ws = build_workspace(
-                    work.with_coefficients(state.theta), quotes, weights,
-                    schedule, driver, tags=(it // cfg.resim_every,), nodes=nodes,
-                )
-            loss_val, grad = workspace_loss(ws, state.theta, with_gradient=True)
-            if not np.isfinite(loss_val):
-                raise OptimizerError(f"non-finite loss at iteration {it}")
-            if it == 0 and loss_val > 0.0 and not grad.any():
-                warnings.warn(
-                    "gradient is exactly zero at iteration 0: every mapped strike "
-                    "lies outside the starting spread of S_T (init_std = "
-                    f"{cfg.init_std}), so no payoff indicator changes and the fit "
-                    "cannot move",
-                    RuntimeWarning,
-                )
-            if loss_val < state.best_loss:
-                state.best_loss = loss_val
-                state.best_theta = state.theta.copy()
-                state.best_iteration = it
-            history.append(
-                HistoryRow(it, loss_val, state.best_loss,
-                           time.perf_counter() - start, resim)
-            )
-            if loss_val < anchor_loss - cfg.tol:
-                anchor_loss = loss_val
-                anchor_it = it
-            elif it - anchor_it >= cfg.patience:
-                break
-            adamw_step(state, grad, cfg)
+        fit(workspace, work.coefficients, cfg, log)
     except Exception as exc:
-        exc.history = history
+        exc.history = log.history
         raise
-    best = model0.with_coefficients(state.best_theta * model0.s0)
-    return best, history
+    first = log.history[0].loss
+    if len(log.history) > 1 and 0.0 < first == log.history[-1].best_loss:
+        warnings.warn(
+            f"no pass improved on the starting loss {first:.6g} in "
+            f"{len(log.history)} passes, so the fit returns its start: the "
+            "prices may barely move there (strikes many starting spreads of "
+            f"S_T away from the money, init_std = {cfg.init_std})",
+            RuntimeWarning,
+        )
+    best = model0.with_coefficients(log.best_theta * model0.s0)
+    return best, log.history

@@ -73,8 +73,9 @@ def index_space_dim(p, m, d):
 
     Stars and bars: sum_{k<=p} C(M*d + k - 1, k) = C(M*d + p, p).
     """
-    if p < 0 or m < 1 or d < 1:
-        raise ValidationError(f"require p >= 0 and m, d >= 1, got ({p}, {m}, {d})")
+    for key, value, low in (("p", p, 0), ("m", m, 1), ("d", d, 1)):
+        if value < low:
+            raise ValidationError(f"key {key!r} must be at least {low}, got {value}")
     return math.comb(m * d + p, p)
 
 

@@ -36,6 +36,8 @@ class ChaosModel:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        if not (np.isfinite(self.s0) and self.s0 > 0):
+            raise ValidationError(f"key 's0' must be a finite number > 0, got {self.s0!r}")
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         want = index_space_dim(self.p, self.m, self.d) - 1
         if self.coefficients.shape != (want,):

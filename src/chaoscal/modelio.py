@@ -88,8 +88,13 @@ def _record(where, cls, data):
         raise ValidationError(f"{where}: missing keys {missing}")
     for key in given:
         _field(where, given, key, _TYPE_KINDS[fields[key].type])
+    return _construct(where, cls, **given)
+
+
+def _construct(where, build, *args, **kwargs):
+    """build(*args, **kwargs), with `where` in front of its ValidationError."""
     try:
-        return cls(**given)
+        return build(*args, **kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -150,7 +155,7 @@ def load_model(path):
     for key, kind in _MODEL_KEYS:
         _field(path, data, key, kind)
     # the coefficient list bounds the index enumeration behind the hash
-    n = index_space_dim(data["p"], data["m"], data["d"]) - 1
+    n = _construct(path, index_space_dim, data["p"], data["m"], data["d"]) - 1
     if len(data["coefficients"]) != n:
         raise ValidationError(
             f"{path}: key 'coefficients' has {len(data['coefficients'])} values; "
@@ -164,8 +169,8 @@ def load_model(path):
             "be misaligned"
         )
     basis = _basis_from_json(f"{path}: basis", data["basis"])
-    return ChaosModel(data["s0"], data["p"], data["m"], data["d"], basis,
-                      data["coefficients"])
+    return _construct(path, ChaosModel, data["s0"], data["p"], data["m"], data["d"],
+                      basis, data["coefficients"])
 
 
 def write_history(history, path):
@@ -179,8 +184,19 @@ def write_history(history, path):
                              repr(row.wall_seconds), int(row.resimulated)])
 
 
-_MODEL_SECTION = {"p": "integer", "m": "integer", "d": "integer",
-                  "horizon": "number"}
+@dataclasses.dataclass(frozen=True)
+class _ModelSection:
+    """A config's `model` section: the shape of a fresh piecewise model."""
+
+    p: int
+    m: int
+    d: int
+    horizon: float
+
+    def __post_init__(self):
+        index_space_dim(self.p, self.m, self.d)  # names a p, m or d out of range
+        if self.horizon <= 0:
+            raise ValidationError(f"key 'horizon' must be positive, got {self.horizon}")
 
 
 def load_config(path):
@@ -192,10 +208,7 @@ def load_config(path):
     data = _read_json(path)
     model_spec = data.pop("model", None)
     if model_spec is not None:
-        where = f"{path}: model section"
-        _object(where, model_spec, _MODEL_SECTION)
-        for key, kind in _MODEL_SECTION.items():
-            _field(where, model_spec, key, kind)
+        _record(f"{path}: model section", _ModelSection, model_spec)
     return _record(path, CalibrationConfig, data), model_spec
 
 

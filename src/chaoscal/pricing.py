@@ -27,8 +27,8 @@ therefore runs in numpy's own single-threaded loops:
   cancels to O(spread) and the loss stays smooth enough for the
   finite-difference gradient check;
 * `np.einsum` without `optimize` for the prices (sums of nonnegative terms,
-  which need no pairwise order), the CV moments and the feature gradient
-  in `calibrate.workspace_loss`.
+  which need no pairwise order), the CV moments and the price gradients
+  of `_add_price_gradient` (the loss gradient and the price Jacobian).
 
 The terminal values `features @ theta` stay on BLAS: there the split runs
 over the output rows and each row's short dot product is computed whole, so
@@ -72,8 +72,10 @@ class PricingMethod:
         if self.beta_samples < 2:  # the CV covariance has ddof 1
             raise ValidationError(f"key 'beta_samples' must be at least 2, "
                                   f"got {self.beta_samples}")
-        if self.n_paths < 1 or not 1 <= self.n_nodes <= 128:
-            raise ValidationError("invalid pricing-method sizes")
+        if self.n_paths < 1:
+            raise ValidationError(f"key 'n_paths' must be at least 1, got {self.n_paths}")
+        if not 1 <= self.n_nodes <= 128:
+            raise ValidationError(f"key 'n_nodes' must lie in [1, 128], got {self.n_nodes}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,11 @@ def gauss_hermite_rule(n):
 
 def _quad_node_bytes(n, dims, width, n_indices, p):
     """Peak bytes of the float64 arrays `quad_nodes_features` holds at once
-    over its n^dims rows, in columns: the node and weight meshgrids and their
-    stacked copies (4 dims), the weights (1), the nodes in the M*d layout
-    (width), the feature build's copy of the live nodes, their Hermite table
-    up to order p and a scratch column ((p + 2) dims + 1), and the features
-    (n_indices)."""
-    return 8 * n**dims * (4 * dims + 1 + width + (p + 2) * dims + 1 + n_indices)
+    over its n^dims rows, in columns: the weights (1), the nodes in the M*d
+    layout (width), the feature build's copy of the live nodes, their Hermite
+    table up to order p, a scratch column and one column for the small arrays
+    around them ((p + 2) dims + 2), and the features (n_indices)."""
+    return 8 * n**dims * (1 + width + (p + 2) * dims + 2 + n_indices)
 
 
 def quad_nodes_features(model, t, n):
@@ -141,19 +142,21 @@ def quad_nodes_features(model, t, n):
             f"{need} bytes, above the {QUAD_MAX_BYTES}-byte cap"
         )
     z, w = gauss_hermite_rule(n)
-    grids = np.meshgrid(*([z] * dims), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)  # (n^dims, dims)
-    wgrids = np.meshgrid(*([w] * dims), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    # scatter node coordinates into the flat M*d layout (cells 1..u per component)
-    zfull = np.zeros((pts.shape[0], model.m * model.d))
-    col = 0
-    for j in range(model.d):
-        for i in range(u):
-            zfull[:, j * model.m + i] = pts[:, col]
-            col += 1
+    # Row r is the node whose coordinate on axis a has index r // n^(dims-1-a)
+    # % n (the first axis slowest): each axis is broadcast straight into its
+    # column of the M*d layout (cells 1..u per component), and the weights
+    # are the product over the axes in axis order.
+    grid = (n,) * dims
+    weights = np.ones(grid)
+    zfull = np.zeros(grid + (model.m * model.d,))
+    for a in range(dims):
+        axis = (1,) * a + (n,) + (1,) * (dims - 1 - a)
+        j, i = divmod(a, u)
+        zfull[..., j * model.m + i] = z.reshape(axis)
+        weights *= w.reshape(axis)
+    zfull = zfull.reshape(n**dims, -1)
     feats = piecewise_features(model.basis, model.indices, t, zfull, model.d)
-    return weights, feats
+    return weights.ravel(), feats
 
 
 def quad_call_price(model, t, k, n):
@@ -323,6 +326,44 @@ def _group_prices(g, theta):
                   - float(g.m2c @ theta**2))
             prices = prices - g.beta2 * x2
     return s, pay, prices
+
+
+def _add_price_gradient(out, g, s, itm, u, theta):
+    """out += sum_k u_k J_k, with J_k the gradient in theta of strike k's
+    price from `_group_prices` (terminal samples s; itm, paths by strikes, is
+    1.0 where the payoff is positive) and the CV betas frozen:
+
+        J_k = sum_p w_p (1{s_p > K_k} - beta1_k - 2 beta2_k s_p) f_p
+              + 2 beta2_k (m2c * theta).
+
+    The sum over the paths is one reduction per span of live columns
+    (`g.live`), in numpy's own loop, so its bits do not depend on the BLAS
+    thread count.
+    """
+    coef = itm @ u
+    b2u = 0.0
+    if g.beta1 is not None:
+        coef -= float(u @ g.beta1)
+        if g.m2c is not None:
+            b2u = float(u @ g.beta2)
+            coef -= 2.0 * b2u * s
+    v = g.weights * coef
+    for cols in g.live:
+        out[cols] += np.einsum("ij,i->j", g.features[:, cols], v)
+    if g.m2c is not None:
+        out += 2.0 * b2u * (g.m2c * theta)
+
+
+def _group_jacobian(g, theta):
+    """(prices, jac): `_group_prices`' prices of a calibration group and
+    their gradients in theta, one row per strike (`_add_price_gradient`
+    with a unit u)."""
+    s, pay, prices = _group_prices(g, theta)
+    itm = (pay > 0.0).T.astype(float)
+    jac = np.zeros((len(g.strikes), len(theta)))
+    for row, unit in zip(jac, np.eye(len(g.strikes))):
+        _add_price_gradient(row, g, s, itm, unit, theta)
+    return prices, jac
 
 
 def price_surface(model, quotes, schedule, driver, stream_tag=0):

@@ -308,13 +308,15 @@ def test_c07_desk_scale_heston_calibration(desk_fit):
                       f"{desk_fit['wall']:.0f}s")
 
 
-def test_c08_self_consistency_recovery():
-    with criterion(8, "known-model recalibration: MAE < 5 bp") as res:
+@pytest.mark.parametrize("optimizer", ["gauss_newton", "adamw"])
+def test_c08_self_consistency_recovery(optimizer):
+    with criterion(8, f"known-model recalibration ({optimizer}): MAE < 5 bp") as res:
         truth = truth_model()
         quad = PricingSchedule(default=PricingMethod("quad", n_nodes=40))
         quotes = surface_from_chaos(truth, (0.5, 1.0), (90.0, 100.0, 110.0))
         cfg = CalibrationConfig(learning_rate=3e-3, max_iterations=4000,
-                                weight_decay=0.0, tol=1e-12, seed=22)
+                                weight_decay=0.0, tol=1e-12, seed=22,
+                                optimizer=optimizer)
         model0 = truth.with_coefficients(initial_coefficients(5, cfg) * truth.s0)
         fitted, _ = calibrate(model0, quotes, cfg, quad)
         errs = [abs(implied_vol(quad_call_price(fitted, q.maturity, q.strike, 40),
@@ -508,6 +510,7 @@ def test_c12_exotic_limits_and_round_trips():
 
 _DETERMINISM_SCRIPT = textwrap.dedent("""
     import hashlib
+    import sys
     import numpy as np
     from chaoscal.bases import BrownianDriver, PiecewiseConstantBasis
     from chaoscal.calibrate import CalibrationConfig, calibrate, initial_coefficients
@@ -529,7 +532,7 @@ _DETERMINISM_SCRIPT = textwrap.dedent("""
     surface = QuoteSurface(quotes, 100.0)
     cfg = CalibrationConfig(learning_rate=3e-3, max_iterations=300,
                             weight_decay=1.0, resim_every=50, seed=0,
-                            tol=1e-12, patience=10_000)
+                            tol=1e-12, patience=10_000, optimizer=sys.argv[1])
     sched = PricingSchedule(default=PricingMethod("mc", n_paths=50_000,
                                                   cv_degree=2,
                                                   beta_samples=20_000))
@@ -549,19 +552,24 @@ _DETERMINISM_SCRIPT = textwrap.dedent("""
 
 def test_c13_bit_determinism_across_thread_counts(desk_fit):
     with criterion(13, "histories and prices bit-identical across threads") as res:
-        digests = []
-        for threads in ("1", "4"):
-            env = dict(os.environ,
-                       OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads)
-            proc = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT],
-                                  capture_output=True, text=True, env=env,
-                                  timeout=600)
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.strip())
+        digests = {}
+        for optimizer in ("gauss_newton", "adamw"):
+            for threads in ("1", "4"):
+                env = dict(os.environ,
+                           OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
+                proc = subprocess.run(
+                    [sys.executable, "-c", _DETERMINISM_SCRIPT, optimizer],
+                    capture_output=True, text=True, env=env, timeout=600)
+                assert proc.returncode == 0, proc.stderr
+                digests[optimizer, threads] = proc.stdout.strip()
         # the in-process run must also have been deterministic input to this
         # point: its history is finite and fully populated
         histories_ok = all(np.isfinite(r.loss) for r in desk_fit["history"])
-        res.ok = digests[0] == digests[1] != "" and histories_ok
-        res.detail = f"sha256 {digests[0][:12]}… under 1 and 4 BLAS threads"
+        same = all(digests[o, "1"] == digests[o, "4"] != ""
+                   for o in ("gauss_newton", "adamw"))
+        res.ok = same and histories_ok
+        res.detail = (f"sha256 {digests['gauss_newton', '1'][:12]}… (gauss_newton), "
+                      f"{digests['adamw', '1'][:12]}… (adamw) under 1 and 4 BLAS "
+                      "threads")

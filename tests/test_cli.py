@@ -71,15 +71,13 @@ def write_truth_quotes(path, maturities=(0.5, 1.0), strikes=(90.0, 100.0, 110.0)
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def calibrated(tmp_path_factory):
-    """One full CLI calibration, shared by the price/evaluate tests."""
-    tmp = tmp_path_factory.mktemp("calib")
+def cli_fit(tmp, **changes):
+    """One full CLI quadrature calibration to the truth surface."""
     quotes = write_truth_quotes(tmp / "quotes.csv")
     config = write_json(tmp / "config.json", {
         "learning_rate": 3e-3, "max_iterations": 4000, "weight_decay": 0.0,
         "tol": 1e-12, "seed": 22,
-        "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0},
+        "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0}, **changes,
     })
     schedule = write_json(tmp / "schedule.json",
                           {"default": {"kind": "quad", "n_nodes": 40}})
@@ -90,6 +88,12 @@ def calibrated(tmp_path_factory):
                "--history", history])
     return {"rc": rc, "quotes": quotes, "schedule": schedule,
             "model": model_out, "history": history, "tmp": tmp}
+
+
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    """One full CLI AdamW calibration, shared by the price/evaluate tests."""
+    return cli_fit(tmp_path_factory.mktemp("calib"), optimizer="adamw")
 
 
 class TestGenSurface:
@@ -215,6 +219,18 @@ class TestCalibrateCli:
         assert last < 1e-10 * first
         assert [r["iteration"] for r in rows[:3]] == ["0", "1", "2"]
 
+    def test_full_gauss_newton_run_writes_model_and_history(self, tmp_path):
+        run = cli_fit(tmp_path)  # the default optimizer
+        assert run["rc"] == 0
+        fitted = load_model(run["model"])
+        assert fitted.s0 == 100.0
+        assert len(fitted.coefficients) == 5
+        rows = read_rows(run["history"])
+        assert sum(r["resimulated"] == "1" for r in rows) == 80  # 4000 / 50
+        first, last = float(rows[0]["loss"]), float(rows[-1]["best_loss"])
+        assert last < 1e-10 * first
+        assert [r["iteration"] for r in rows[:3]] == ["0", "1", "2"]
+
     def test_warm_start_at_the_truth_is_already_converged(self, calibrated, tmp_path):
         truth_path = tmp_path / "truth.json"
         serialize_model(truth_model(), truth_path)
@@ -282,6 +298,7 @@ class TestCalibrateCli:
         config = write_json(tmp_path / "c.json", {
             "learning_rate": 1e160, "weight_decay": 0.0, "max_iterations": 50,
             "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0},
+            "optimizer": "adamw",
         })
         history = tmp_path / "partial.csv"
         with np.errstate(over="ignore"):
@@ -292,6 +309,29 @@ class TestCalibrateCli:
         assert rc == 3
         assert "numeric error" in capsys.readouterr().err
         assert len(read_rows(history)) >= 1
+
+    def test_gauss_newton_failure_exits_3_and_keeps_partial_history(
+            self, calibrated, tmp_path, capsys, monkeypatch):
+        # the second trial step prices to NaN, after three good passes
+        module = sys.modules["chaoscal.calibrate"]
+        real_loss = module.workspace_loss
+        calls = []
+
+        def failing(ws, theta, with_gradient=False):
+            calls.append(theta)
+            return np.nan if len(calls) == 2 else real_loss(ws, theta, with_gradient)
+
+        monkeypatch.setattr(module, "workspace_loss", failing)
+        config = write_json(tmp_path / "c.json", {
+            "max_iterations": 50, "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0},
+        })
+        history = tmp_path / "partial.csv"
+        rc = main(["calibrate", "--quotes", calibrated["quotes"],
+                   "--config", config, "--schedule", calibrated["schedule"],
+                   "--out", str(tmp_path / "m.json"), "--history", str(history)])
+        assert rc == 3
+        assert "non-finite loss at iteration 3" in capsys.readouterr().err
+        assert len(read_rows(history)) == 3
 
 
 class TestPriceEvaluate:
@@ -609,6 +649,38 @@ class TestBadInput:
             "exotics", {"spec": json.dumps({"contracts": [
                 {"type": "lookback", "maturity": 1.0, "strik": 100.0}]})},
             "spec.json: contract 0 (lookback): unknown keys ['strik']"),
+        "evaluate model s0 zero": (
+            "evaluate", {"model": model_text(s0=0.0)},
+            "truth.json: key 's0' must be a finite number > 0"),
+        "evaluate model s0 negative": (
+            "evaluate", {"model": model_text(s0=-5.0)},
+            "truth.json: key 's0' must be a finite number > 0"),
+        "evaluate model m zero": (
+            "evaluate", {"model": model_text(m=0)},
+            "truth.json: key 'm' must be at least 1"),
+        "calibrate model section m zero": (
+            "calibrate", {"config": config_text(model={"p": 2, "m": 0, "d": 1,
+                                                       "horizon": 1.0})},
+            "config.json: model section: key 'm' must be at least 1"),
+        "calibrate model section d zero": (
+            "calibrate", {"config": config_text(model={"p": 2, "m": 2, "d": 0,
+                                                       "horizon": 1.0})},
+            "config.json: model section: key 'd' must be at least 1"),
+        "calibrate model section negative horizon": (
+            "calibrate", {"config": config_text(model={"p": 2, "m": 2, "d": 1,
+                                                       "horizon": -1.0})},
+            "config.json: model section: key 'horizon' must be positive"),
+        "evaluate schedule zero paths": (
+            "evaluate", {"schedule": json.dumps({"default": {"kind": "mc",
+                                                             "n_paths": 0}})},
+            "schedule.json: key 'default': key 'n_paths' must be at least 1"),
+        "evaluate schedule zero nodes": (
+            "evaluate", {"schedule": json.dumps(
+                {"entries": [[0.5, {"kind": "quad", "n_nodes": 0}]]})},
+            "schedule.json: entry 0: key 'n_nodes' must lie in [1, 128]"),
+        "calibrate config unknown optimizer": (
+            "calibrate", {"config": config_text(optimizer="sgd")},
+            "config.json: key 'optimizer' must be one of"),
     }
 
     def argv(self, tmp_path, command, bad):

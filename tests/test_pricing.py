@@ -4,13 +4,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import chaoscal
-from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis
+from chaoscal import pricing
+from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis, cell_index
+from chaoscal.conditional import piecewise_features
 from chaoscal.errors import ConfigError, ValidationError
 from chaoscal.indices import MultiIndex, enumerate_indices
 from chaoscal.model import ChaosModel, sample_features, second_moment, terminal_values
@@ -145,10 +148,41 @@ class TestQuadCallPrice:
         def no_nodes(*args, **kwargs):
             raise AssertionError("node arrays built before the byte check")
 
-        monkeypatch.setattr(np, "meshgrid", no_nodes)
+        monkeypatch.setattr(pricing, "gauss_hermite_rule", no_nodes)
         with pytest.raises(ConfigError, match=r"n_nodes = 128 at u\*d = 4 would "
                                               r"allocate \d+ bytes"):
             quad_nodes_features(model, 1.0, 128)
+
+    @pytest.mark.parametrize("p, m, d, t, n", [
+        (3, 4, 1, 1.0, 12),  # the bench's quadrature fit
+        (2, 4, 1, 0.75, 40),
+        (2, 4, 2, 0.5, 10),
+        (2, 2, 2, 1.0, 9),
+    ])
+    def test_node_build_peak_within_its_byte_count(self, p, m, d, t, n):
+        model = make_model(PiecewiseConstantBasis.uniform(1.0, m), p, d,
+                           np.zeros(len(enumerate_indices(p, m, d))))
+        quad_nodes_features(model, t, n)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            weights, feats = quad_nodes_features(model, t, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        u = cell_index(model.basis, t)
+        assert peak <= pricing._quad_node_bytes(n, u * d, m * d, len(model.indices), p)
+        # reference: the meshgrid build of nodes and weights, bit for bit
+        z, w = gauss_hermite_rule(n)
+        mesh = lambda x: np.stack([g.ravel() for g in np.meshgrid(
+            *([x] * (u * d)), indexing="ij")], axis=1)
+        pts = mesh(z)
+        zfull = np.zeros((len(pts), m * d))
+        for a in range(u * d):
+            j, i = divmod(a, u)
+            zfull[:, j * m + i] = pts[:, a]
+        np.testing.assert_array_equal(weights, np.prod(mesh(w), axis=1))
+        np.testing.assert_array_equal(
+            feats, piecewise_features(model.basis, model.indices, t, zfull, d))
 
     def test_legendre_rejected(self):
         basis = LegendreBasis(1.0, 3)
