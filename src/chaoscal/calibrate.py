@@ -46,12 +46,13 @@ pass improved on the starting loss warns that it returns its start.
   J^T Gamma r are einsum reductions; the small solve goes through LAPACK,
   whose bits acceptance criterion c13 checks across BLAS thread counts.
 * "adamw" takes one AdamW step per pass, resim_every steps per workspace,
-  and returns the best coefficients by the loss of any pass.  Decoupled
-  weight decay contracts theta by lr * lambda * theta per step while the
-  bias-corrected Adam step moves each coordinate by at most about lr, so the
-  representable coefficient scale is capped near 1/lambda; in normalized
-  units the default lambda = 1 acts as a mild shrinkage.  learning_rate,
-  beta1, beta2 and eps_adam are AdamW's alone.
+  along the gradient -2 J^T Gamma r of the same Jacobian, and returns the
+  best coefficients by the loss of any pass.  Decoupled weight decay
+  contracts theta by lr * lambda * theta per step while the bias-corrected
+  Adam step moves each coordinate by at most about lr, so the representable
+  coefficient scale is capped near 1/lambda; in normalized units the default
+  lambda = 1 acts as a mild shrinkage.  learning_rate is AdamW's alone; the
+  moment rates (0.9, 0.999) and epsilon (1e-8) are fixed.
 """
 
 import time
@@ -63,8 +64,7 @@ import numpy as np
 from .bases import BrownianDriver
 from .errors import OptimizerError, ValidationError, WeightingError
 from .model import ChaosModel
-from .pricing import (_add_price_gradient, _group_jacobian, _group_prices,
-                      _maturity_groups)
+from .pricing import _group_jacobian, _group_prices, _maturity_groups
 from .quotes import quote_rates
 from .vol import bs_call, bs_vega
 
@@ -81,7 +81,10 @@ _GN_DAMPING = 1e-3
 _GN_DAMPING_CAP = 1e3
 _GN_FLOOR = 1e-4
 _OPTIMIZERS = ("gauss_newton", "adamw")
-_ADAMW_KEYS = ("learning_rate", "beta1", "beta2", "eps_adam")
+# AdamW: the moment decay rates and the denominator's epsilon
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,6 @@ class CalibrationConfig:
     patience: int = 1000
     tol: float = 1e-7
     init_std: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     seed: int = 0
     optimizer: str = "gauss_newton"
 
@@ -113,10 +113,8 @@ class CalibrationConfig:
             raise ValidationError("weight decay must be nonnegative")
         if self.resim_every < 1 or self.patience < 1:
             raise ValidationError("resimulation period and patience must be >= 1")
-        if self.tol <= 0 or self.init_std <= 0 or self.eps_adam <= 0:
-            raise ValidationError("tolerance, init std and eps_adam must be positive")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValidationError("AdamW betas must lie in (0, 1)")
+        if self.tol <= 0 or self.init_std <= 0:
+            raise ValidationError("tolerance and init std must be positive")
 
 
 @dataclass
@@ -172,7 +170,6 @@ def _call_target(quote, spot):
 @dataclass
 class CalibrationWorkspace:
     s0: float
-    n_coefficients: int
     groups: list = field(default_factory=list)
 
 
@@ -201,7 +198,7 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
         raise ValidationError(
             f"weights shape {weights.shape} != number of quotes ({len(qs)},)"
         )
-    ws = CalibrationWorkspace(model.s0, len(model.coefficients))
+    ws = CalibrationWorkspace(model.s0)
     spot = getattr(quotes, "spot", model.s0)
     prefix = tuple(tags) + (_CAL_TAG,)
     for g in _maturity_groups(model, quotes, schedule, driver, prefix, nodes):
@@ -213,23 +210,37 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
 
 
 def workspace_loss(ws, theta, with_gradient=False):
-    """Loss (and gradient) of the frozen workspace at coefficients theta.
+    """Loss (and its gradient) of the frozen workspace at coefficients theta.
 
-    One fused pass per maturity: terminal values once, payoffs for all
-    strikes, per-sample gradient weights folded into one reduction over the
-    nonzero feature columns (numpy's own loop, see `pricing` on determinism).
+    The loss alone is one pricing pass per maturity; the gradient is
+    -2 J^T Gamma r from `_normal_equations`, the price Jacobian that
+    Gauss-Newton steps with.
     """
     theta = np.asarray(theta, dtype=float)
+    if with_gradient:
+        total, _, b = _normal_equations(ws, theta)
+        return total, -2.0 * b
     total = 0.0
-    grad = np.zeros(ws.n_coefficients) if with_gradient else None
     for g in ws.groups:
-        s, pay, prices = _group_prices(g, theta)
+        resid = g.targets - _group_prices(g, theta)[2]
+        total += float(g.gweights @ resid**2)
+    return total
+
+
+def _normal_equations(ws, theta):
+    """(loss, J^T Gamma J, J^T Gamma r) of the workspace at theta, with J the
+    price Jacobian and r the residuals; the loss is `workspace_loss`'s, bit
+    for bit."""
+    total = 0.0
+    a = np.zeros((len(theta), len(theta)))
+    b = np.zeros(len(theta))
+    for g in ws.groups:
+        prices, jac = _group_jacobian(g, theta)
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
-        if with_gradient:
-            _add_price_gradient(grad, g, s, (pay > 0.0).T.astype(float),
-                                -2.0 * g.gweights * resid, theta)
-    return (total, grad) if with_gradient else total
+        a += np.einsum("ki,k,kj->ij", jac, g.gweights, jac)
+        b += np.einsum("ki,k->i", jac, g.gweights * resid)
+    return total, a, b
 
 
 def loss(model, quotes, weights, schedule, driver, tags=()):
@@ -254,12 +265,12 @@ def adamw_step(state, grad, cfg):
     if not np.all(np.isfinite(grad)):
         raise OptimizerError(f"non-finite gradient at iteration {state.iteration}")
     t = state.iteration + 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad**2
-    m_hat = state.m / (1.0 - cfg.beta1**t)
-    v_hat = state.v / (1.0 - cfg.beta2**t)
+    state.m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
+    state.v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grad**2
+    m_hat = state.m / (1.0 - _ADAM_BETA1**t)
+    v_hat = state.v / (1.0 - _ADAM_BETA2**t)
     state.theta = state.theta - cfg.learning_rate * (
-        cfg.weight_decay * state.theta + m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+        cfg.weight_decay * state.theta + m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     )
     state.iteration = t
     return state, state.theta
@@ -338,22 +349,6 @@ def _adamw(workspace, theta, cfg, log):
         adamw_step(state, grad, cfg)
 
 
-def _normal_equations(ws, theta):
-    """(loss, J^T Gamma J, J^T Gamma r) of the workspace at theta, with J the
-    price Jacobian and r the residuals; the loss is `workspace_loss`'s, bit
-    for bit."""
-    total = 0.0
-    a = np.zeros((len(theta), len(theta)))
-    b = np.zeros(len(theta))
-    for g in ws.groups:
-        prices, jac = _group_jacobian(g, theta)
-        resid = g.targets - prices
-        total += float(g.gweights @ resid**2)
-        a += np.einsum("ki,k,kj->ij", jac, g.gweights, jac)
-        b += np.einsum("ki,k->i", jac, g.gweights * resid)
-    return total, a, b
-
-
 def _gauss_newton_round(ws, theta, loss_val, a, b, mu, log):
     """Levenberg-Marquardt steps on one workspace from its first pass (loss
     and normal equations at theta); returns (theta, moved, go), where go is
@@ -427,14 +422,13 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
     indicators are constant at the starting point and the price gradients
     vanish identically (features are centered), so neither optimizer can fit
     the surface.  A gradient or Jacobian that is exactly zero at iteration 0
-    while the loss is not raises a RuntimeWarning naming this cause.  So do
-    AdamW settings away from their defaults under Gauss-Newton, which does
-    not read them.
+    while the loss is not raises a RuntimeWarning naming this cause.  So does
+    a learning_rate off its default under Gauss-Newton, which does not read
+    it.
     """
-    unused = [k for k in _ADAMW_KEYS if cfg.optimizer == "gauss_newton"
-              and getattr(cfg, k) != getattr(CalibrationConfig, k)]
-    if unused:
-        warnings.warn(f"{unused} set, but only optimizer 'adamw' uses them",
+    if (cfg.optimizer == "gauss_newton"
+            and cfg.learning_rate != CalibrationConfig.learning_rate):
+        warnings.warn("learning_rate is set, but only optimizer 'adamw' uses it",
                       RuntimeWarning)
     if cfg.max_iterations == 0:
         return model0, []

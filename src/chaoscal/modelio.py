@@ -115,14 +115,20 @@ def _basis_to_json(basis):
     raise ValidationError(f"cannot serialize basis of type {type(basis).__name__}")
 
 
+_BASIS_KEYS = {"piecewise": ("kind", "grid"),
+               "legendre": ("kind", "horizon", "size")}
+
+
 def _basis_from_json(where, data):
     kind = data.get("kind")
+    if kind not in _BASIS_KEYS:
+        raise ValidationError(f"{where}: unknown basis kind {kind!r}")
+    _object(where, data, _BASIS_KEYS[kind])
     if kind == "piecewise":
-        return PiecewiseConstantBasis(tuple(_field(where, data, "grid", "numbers")))
-    if kind == "legendre":
-        return LegendreBasis(_field(where, data, "horizon", "number"),
-                             _field(where, data, "size", "integer"))
-    raise ValidationError(f"{where}: unknown basis kind {kind!r}")
+        return _construct(where, PiecewiseConstantBasis,
+                          tuple(_field(where, data, "grid", "numbers")))
+    return _construct(where, LegendreBasis, _field(where, data, "horizon", "number"),
+                      _field(where, data, "size", "integer"))
 
 
 def serialize_model(model, path):
@@ -152,6 +158,7 @@ def load_model(path):
         raise ValidationError(
             f"{path}: schema version {version}, expected {MODEL_SCHEMA_VERSION}"
         )
+    _object(path, data, ("schema_version", "index_order_hash", *dict(_MODEL_KEYS)))
     for key, kind in _MODEL_KEYS:
         _field(path, data, key, kind)
     # the coefficient list bounds the index enumeration behind the hash

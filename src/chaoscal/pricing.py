@@ -27,8 +27,8 @@ therefore runs in numpy's own single-threaded loops:
   cancels to O(spread) and the loss stays smooth enough for the
   finite-difference gradient check;
 * `np.einsum` without `optimize` for the prices (sums of nonnegative terms,
-  which need no pairwise order), the CV moments and the price gradients
-  of `_add_price_gradient` (the loss gradient and the price Jacobian).
+  which need no pairwise order), the CV moments and the price Jacobian
+  of `_group_jacobian`, from which every loss gradient is assembled.
 
 The terminal values `features @ theta` stay on BLAS: there the split runs
 over the output rows and each row's short dot product is computed whole, so
@@ -328,10 +328,9 @@ def _group_prices(g, theta):
     return s, pay, prices
 
 
-def _add_price_gradient(out, g, s, itm, u, theta):
-    """out += sum_k u_k J_k, with J_k the gradient in theta of strike k's
-    price from `_group_prices` (terminal samples s; itm, paths by strikes, is
-    1.0 where the payoff is positive) and the CV betas frozen:
+def _group_jacobian(g, theta):
+    """(prices, jac): `_group_prices`' prices of a calibration group and
+    their gradients in theta with the CV betas frozen, one row per strike:
 
         J_k = sum_p w_p (1{s_p > K_k} - beta1_k - 2 beta2_k s_p) f_p
               + 2 beta2_k (m2c * theta).
@@ -340,29 +339,19 @@ def _add_price_gradient(out, g, s, itm, u, theta):
     (`g.live`), in numpy's own loop, so its bits do not depend on the BLAS
     thread count.
     """
-    coef = itm @ u
-    b2u = 0.0
-    if g.beta1 is not None:
-        coef -= float(u @ g.beta1)
-        if g.m2c is not None:
-            b2u = float(u @ g.beta2)
-            coef -= 2.0 * b2u * s
-    v = g.weights * coef
-    for cols in g.live:
-        out[cols] += np.einsum("ij,i->j", g.features[:, cols], v)
-    if g.m2c is not None:
-        out += 2.0 * b2u * (g.m2c * theta)
-
-
-def _group_jacobian(g, theta):
-    """(prices, jac): `_group_prices`' prices of a calibration group and
-    their gradients in theta, one row per strike (`_add_price_gradient`
-    with a unit u)."""
     s, pay, prices = _group_prices(g, theta)
-    itm = (pay > 0.0).T.astype(float)
     jac = np.zeros((len(g.strikes), len(theta)))
-    for row, unit in zip(jac, np.eye(len(g.strikes))):
-        _add_price_gradient(row, g, s, itm, unit, theta)
+    for k, row in enumerate(jac):
+        coef = (pay[k] > 0.0).astype(float)
+        if g.beta1 is not None:
+            coef -= g.beta1[k]
+            if g.m2c is not None:
+                coef -= 2.0 * g.beta2[k] * s
+        v = g.weights * coef
+        for cols in g.live:
+            row[cols] += np.einsum("ij,i->j", g.features[:, cols], v)
+        if g.m2c is not None:
+            row += 2.0 * g.beta2[k] * (g.m2c * theta)
     return prices, jac
 
 

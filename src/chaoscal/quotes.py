@@ -152,6 +152,8 @@ def _read_quotes(path, raw=False):
             t = _parse_float(rec, row, "maturity_years")
             k = _parse_float(rec, row, "strike")
             row_spot = _parse_float(rec, row, "spot", required=not raw)
+            if row_spot is not None and row_spot <= 0:
+                raise ValidationError(f"row {row}: spot must be positive")
             if row_spot is not None and spot not in (None, row_spot):
                 raise ValidationError(f"row {row}: spot {row_spot} differs from {spot}")
             spot = spot if row_spot is None else row_spot

@@ -1,6 +1,6 @@
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -75,8 +75,14 @@ class TestCalibrationConfig:
         assert cfg.patience == 1000
         assert cfg.tol == 1e-7
         assert cfg.init_std == 1e-4
-        assert (cfg.beta1, cfg.beta2, cfg.eps_adam) == (0.9, 0.999, 1e-8)
+        assert cfg.seed == 0
         assert cfg.optimizer == "gauss_newton"
+        assert [f.name for f in fields(CalibrationConfig)] == [
+            "learning_rate", "max_iterations", "weight_decay", "resim_every",
+            "patience", "tol", "init_std", "seed", "optimizer"]
+        module = sys.modules["chaoscal.calibrate"]
+        assert (module._ADAM_BETA1, module._ADAM_BETA2, module._ADAM_EPS) == (
+            0.9, 0.999, 1e-8)
 
     @pytest.mark.parametrize(
         "kw",
@@ -88,9 +94,7 @@ class TestCalibrationConfig:
             dict(patience=0),
             dict(tol=0.0),
             dict(init_std=0.0),
-            dict(beta1=1.0),
-            dict(beta2=0.0),
-            dict(eps_adam=0.0),
+            dict(seed=-1),
             dict(optimizer="sgd"),
         ],
     )
@@ -369,6 +373,34 @@ class TestLossGradient:
                                            err_msg=f"T={g.maturity}, coordinate {i}")
                 checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("schedule", [
+        PricingSchedule(default=PricingMethod("mc", n_paths=4000, cv_degree=2,
+                                              beta_samples=4000)),
+        PricingSchedule(default=PricingMethod("quad", n_nodes=25)),
+    ], ids=["mc-cv2", "quad"])
+    def test_gradient_is_minus_two_jacobian_transpose_weighted_residuals(self, schedule):
+        # the loss gradient is -2 sum_g J_g^T Gamma_g r_g, with J_g the price
+        # Jacobian that Gauss-Newton steps with
+        rng = np.random.default_rng(79)
+        theta = 4.0 * rng.standard_normal(9)
+        model = make_model(theta, m=3, horizon=1.2)
+        quotes = _Surface([
+            _Quote(t, k, forward=100.0, implied_vol=0.2, mid_price=5.0)
+            for t in (0.3, 0.8, 1.2) for k in (95.0, 100.0, 105.0)
+        ])
+        ws = build_workspace(model, quotes, np.linspace(0.5, 1.5, 9), schedule,
+                             BrownianDriver(13), tags=(0,))
+        if schedule.default.kind == "mc":
+            assert all(g.m2c is not None for g in ws.groups)
+        val, got = workspace_loss(ws, theta, with_gradient=True)
+        want = np.zeros_like(theta)
+        for g in ws.groups:
+            prices, jac = pricing._group_jacobian(g, theta)
+            want -= 2.0 * jac.T @ (g.gweights * (g.targets - prices))
+        assert val == workspace_loss(ws, theta)
+        assert np.abs(want).max() > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
     def test_skipping_zero_columns_changes_no_bits(self):
         # T = 0.3 lies in the first of two cells, which annihilates every
@@ -746,8 +778,8 @@ class TestCalibrate:
         np.testing.assert_array_equal(fitted.coefficients, model0.coefficients)
 
     def test_adamw_settings_under_gauss_newton_warn(self):
-        cfg = CalibrationConfig(max_iterations=0, learning_rate=3e-3, beta2=0.99)
-        with pytest.warns(RuntimeWarning, match=r"\['learning_rate', 'beta2'\] set, "
+        cfg = CalibrationConfig(max_iterations=0, learning_rate=3e-3)
+        with pytest.warns(RuntimeWarning, match=r"learning_rate is set, "
                                                 r"but only optimizer 'adamw'"):
             calibrate(make_model(np.zeros(5)), _Surface([]), cfg, QUAD)
 

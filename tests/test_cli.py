@@ -58,6 +58,12 @@ def config_text(**changes):
     return json.dumps(data)
 
 
+def one_quote_text(spot):
+    """A one-call quote CSV with the given spot column."""
+    return ("maturity_years,strike,option_type,mid_price,implied_vol,"
+            f"discount_factor,forward,spot\n1.0,100.0,C,8.0,,1.0,100.0,{spot}\n")
+
+
 def write_truth_quotes(path, maturities=(0.5, 1.0), strikes=(90.0, 100.0, 110.0)):
     """Exact quadrature surface of the known model, in market CSV form."""
     model = truth_model()
@@ -681,6 +687,35 @@ class TestBadInput:
         "calibrate config unknown optimizer": (
             "calibrate", {"config": config_text(optimizer="sgd")},
             "config.json: key 'optimizer' must be one of"),
+        "calibrate config sets beta1": (
+            "calibrate", {"config": config_text(beta1=0.9)},
+            "config.json: unknown keys ['beta1']"),
+        "calibrate quotes spot zero": (
+            "calibrate", {"quotes": one_quote_text(0.0)}, "row 1: spot must be positive"),
+        "calibrate quotes spot negative": (
+            "calibrate", {"quotes": one_quote_text(-100.0)},
+            "row 1: spot must be positive"),
+        "evaluate quotes spot zero": (
+            "evaluate", {"quotes": one_quote_text(0.0)}, "row 1: spot must be positive"),
+        "evaluate quotes spot negative": (
+            "evaluate", {"quotes": one_quote_text(-100.0)},
+            "row 1: spot must be positive"),
+        "parity quotes spot zero": (
+            "parity", {"quotes": one_quote_text(0.0)}, "row 1: spot must be positive"),
+        "evaluate model unknown key": (
+            "evaluate", {"model": model_text(foo=1)}, "truth.json: unknown keys ['foo']"),
+        "evaluate model grid not increasing": (
+            "evaluate", {"model": model_text(basis={"kind": "piecewise",
+                                                    "grid": [0.0, 0.5, 0.5]})},
+            "truth.json: basis: grid must be strictly increasing"),
+        "exotics legendre model size zero": (
+            "exotics", {"model": model_text(basis={"kind": "legendre", "horizon": 1.0,
+                                                   "size": 0})},
+            "truth.json: basis: need horizon > 0 and size >= 1"),
+        "price model piecewise basis with size": (
+            "price", {"model": model_text(basis={"kind": "piecewise", "size": 2,
+                                                 "grid": [0.0, 0.5, 1.0]})},
+            "truth.json: basis: unknown keys ['size']"),
     }
 
     def argv(self, tmp_path, command, bad):
