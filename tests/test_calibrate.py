@@ -95,6 +95,8 @@ class TestCalibrationConfig:
             dict(tol=0.0),
             dict(init_std=0.0),
             dict(seed=-1),
+            dict(learning_rate=-1e-3),
+            dict(init_std=-1e-4),
             dict(optimizer="sgd"),
         ],
     )
