@@ -403,7 +403,7 @@ def _gauss_newton(workspace, theta, cfg, log):
         log.record(workspace_loss(ws, theta), theta, True, True)
 
 
-def calibrate(model0, quotes, cfg, schedule, driver=None):
+def calibrate(model0, quotes, cfg, schedule):
     """Fit the coefficients to the quote surface; returns (model*, history).
 
     `cfg.optimizer` picks damped Gauss-Newton (default) or AdamW (see the
@@ -432,8 +432,7 @@ def calibrate(model0, quotes, cfg, schedule, driver=None):
                       RuntimeWarning)
     if cfg.max_iterations == 0:
         return model0, []
-    if driver is None:
-        driver = BrownianDriver(cfg.seed)
+    driver = BrownianDriver(cfg.seed)
     weights = vega_weights(quotes)
     work = ChaosModel(1.0, model0.p, model0.m, model0.d, model0.basis,
                       model0.coefficients / model0.s0)

@@ -270,8 +270,8 @@ def _read_exotics_spec(path):
 def cmd_exotics(args):
     import csv
 
-    if args.paths < 1:
-        raise ValidationError(f"--paths must be at least 1, got {args.paths}")
+    if args.paths < 2:  # a standard error needs two paths
+        raise ValidationError(f"--paths must be at least 2, got {args.paths}")
     model = load_model(args.model)
     contracts, specs, steps = _read_exotics_spec(args.spec)
     t_max = max(s.maturity for s in specs)

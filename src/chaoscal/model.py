@@ -68,7 +68,6 @@ class ChaosModel:
 class FeatureBlock:
     maturity: float
     features: np.ndarray  # (n_paths, n_indices), columns in enumeration order
-    stream_tag: tuple
 
 
 def sample_features(model, t, n_paths, driver, tags=()):
@@ -89,7 +88,7 @@ def sample_features(model, t, n_paths, driver, tags=()):
         ints = sample_integrals(model.basis, driver, [t], n_paths, model.d, tags=tags)[0]
         g = expand_gram(gram_tail(model.basis, t), model.d)
         feats = dyson_features(model.indices, g, ints)
-    return FeatureBlock(float(t), feats, (driver.seed, driver.stream) + tuple(tags))
+    return FeatureBlock(float(t), feats)
 
 
 def terminal_values(model, block):

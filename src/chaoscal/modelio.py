@@ -50,7 +50,8 @@ _KINDS = {  # kind: (test, description)
     "boolean": (lambda v: isinstance(v, bool), "true or false"),
     "string": (lambda v: isinstance(v, str), "a string"),
 }
-_TYPE_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
+_TYPE_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string",
+               tuple: "numbers"}
 
 
 def _field(where, data, key, kind):
@@ -107,28 +108,23 @@ def index_order_hash(p, m, d):
     return hashlib.sha256(f"{p}|{m}|{d}|{text}".encode()).hexdigest()[:16]
 
 
+_BASES = {"piecewise": PiecewiseConstantBasis, "legendre": LegendreBasis}
+
+
 def _basis_to_json(basis):
-    if isinstance(basis, PiecewiseConstantBasis):
-        return {"kind": "piecewise", "grid": list(basis.grid)}
-    if isinstance(basis, LegendreBasis):
-        return {"kind": "legendre", "horizon": basis.horizon, "size": basis.size}
+    """{"kind": kind, **fields}: the basis dataclass's fields are the keys."""
+    for kind, cls in _BASES.items():
+        if isinstance(basis, cls):
+            return {"kind": kind, **dataclasses.asdict(basis)}
     raise ValidationError(f"cannot serialize basis of type {type(basis).__name__}")
-
-
-_BASIS_KEYS = {"piecewise": ("kind", "grid"),
-               "legendre": ("kind", "horizon", "size")}
 
 
 def _basis_from_json(where, data):
     kind = data.get("kind")
-    if kind not in _BASIS_KEYS:
+    if kind not in _BASES:
         raise ValidationError(f"{where}: unknown basis kind {kind!r}")
-    _object(where, data, _BASIS_KEYS[kind])
-    if kind == "piecewise":
-        return _construct(where, PiecewiseConstantBasis,
-                          tuple(_field(where, data, "grid", "numbers")))
-    return _construct(where, LegendreBasis, _field(where, data, "horizon", "number"),
-                      _field(where, data, "size", "integer"))
+    fields = {k: v for k, v in data.items() if k != "kind"}
+    return _record(where, _BASES[kind], fields)
 
 
 def serialize_model(model, path):
@@ -221,10 +217,7 @@ def load_config(path):
 
 def load_schedule(path):
     """PricingSchedule from JSON: {"default": {...}, "entries": [[T, {...}]]}."""
-    data = _read_json(path)
-    unknown = sorted(set(data) - {"default", "entries"})
-    if unknown:
-        raise ValidationError(f"{path}: unknown schedule keys {unknown}")
+    data = _object(path, _read_json(path), ("default", "entries"))
     default = _record(f"{path}: key 'default'", PricingMethod,
                       data.get("default", {"kind": "mc"}))
     entries = data.get("entries", [])
@@ -237,4 +230,4 @@ def load_schedule(path):
             raise ValidationError(
                 f"{where}: expected a [maturity, {{method}}] pair, got {entry!r}")
         methods.append((float(entry[0]), _record(where, PricingMethod, entry[1])))
-    return PricingSchedule(default=default, entries=tuple(methods))
+    return _construct(path, PricingSchedule, default, tuple(methods))

@@ -48,8 +48,8 @@ from .conditional import piecewise_features
 from .errors import ConfigError, ValidationError
 from .model import sample_features, second_moment, second_moment_coeffs, terminal_values
 
-QUAD_DIM_CAP = 4
 QUAD_MAX_BYTES = 256 << 20  # cap on `_quad_node_bytes` for one node build
+_SAME_MATURITY = 1e-9  # schedule maturities closer than this are one maturity
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,22 @@ class PricingMethod:
 
 @dataclass(frozen=True)
 class PricingSchedule:
-    """Per-maturity engine choice with a default fallback."""
+    """Per-maturity engine choice with a default fallback; no two entries may
+    name one maturity."""
 
     default: PricingMethod = PricingMethod("mc")
     entries: tuple = ()  # ((maturity, PricingMethod), ...)
 
+    def __post_init__(self):
+        for i, (t, _) in enumerate(self.entries):
+            for j, (prior, _) in enumerate(self.entries[:i]):
+                if abs(prior - t) < _SAME_MATURITY:
+                    raise ValidationError(
+                        f"entries {j} and {i} both name maturity {t}")
+
     def for_maturity(self, t):
         for mat, method in self.entries:
-            if abs(mat - t) < 1e-9:
+            if abs(mat - t) < _SAME_MATURITY:
                 return method
         return self.default
 
@@ -96,10 +104,7 @@ class PricingSchedule:
 class CvState:
     degree: int
     beta: np.ndarray
-    sigma_x: np.ndarray
-    sigma_yx: np.ndarray
     r_squared: float
-    stream_tag: tuple
 
 
 def gauss_hermite_rule(n):
@@ -131,10 +136,6 @@ def quad_nodes_features(model, t, n):
         raise ConfigError("quadrature pricing needs the piecewise-constant basis")
     u = cell_index(model.basis, t)
     dims = u * model.d
-    if dims > QUAD_DIM_CAP:
-        raise ConfigError(
-            f"active dimension u*d = {dims} exceeds quadrature cap {QUAD_DIM_CAP}"
-        )
     need = _quad_node_bytes(n, dims, model.m * model.d, len(model.indices), model.p)
     if need > QUAD_MAX_BYTES:
         raise ConfigError(
@@ -197,18 +198,18 @@ def _cv_draw(model, t, degree, driver, beta_samples, tags):
     return s, xc, sigma_x, bad
 
 
-def _cv_solve(draw, k, tags):
+def _cv_solve(draw, k):
     """CvState for strike k on a `_cv_draw` sample."""
     s, xc, sigma_x, bad = draw
+    if bad:
+        return CvState(0, np.zeros(0), 0.0)
     y = np.maximum(s - k, 0.0)
     yc = y - y.mean()
     sigma_yx = np.einsum("ij,i->j", xc, yc) / (len(y) - 1)
-    if bad:
-        return CvState(0, np.zeros(0), sigma_x, sigma_yx, 0.0, tuple(tags))
     beta = np.linalg.solve(sigma_x, sigma_yx)
     var_y = float((yc * yc).sum() / (len(y) - 1))
     r2 = float(sigma_yx @ beta / var_y) if var_y > 0 else 0.0
-    return CvState(xc.shape[1], beta, sigma_x, sigma_yx, r2, tuple(tags))
+    return CvState(xc.shape[1], beta, r2)
 
 
 def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):
@@ -217,7 +218,7 @@ def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):
     Degenerate Sigma_X (e.g. theta = 0) degrades to degree 0 with a warning.
     """
     draw = _cv_draw(model, block.maturity, degree, driver, beta_samples, tags)
-    return _cv_solve(draw, k, tags)
+    return _cv_solve(draw, k)
 
 
 def mc_call_price(model, block, k, cv=None):
@@ -231,8 +232,10 @@ def mc_call_price(model, block, k, cv=None):
         y = y - cv.beta[0] * (s - model.s0)
         if cv.degree == 2:
             y = y - cv.beta[1] * (s**2 - second_moment(model, block.maturity))
+    if y.size < 2:
+        raise ValidationError("a standard error needs at least 2 samples")
     price = float(y.mean())
-    se = float(y.std(ddof=1) / np.sqrt(y.size)) if y.size > 1 else 0.0
+    se = float(y.std(ddof=1) / np.sqrt(y.size))
     return price, se
 
 
@@ -295,12 +298,11 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None):
         w = np.full(method.n_paths, 1.0 / method.n_paths)
         b1 = b2 = m2c = None
         if method.cv_degree >= 1:
-            cv_tags = prefix + (mi, 1)
             draw = _cv_draw(model, t, method.cv_degree, driver,
-                            method.beta_samples, cv_tags)
+                            method.beta_samples, prefix + (mi, 1))
             betas = np.zeros((2, len(rows)))  # zeros where degraded
             for j, k in enumerate(strikes):
-                cv = _cv_solve(draw, k, cv_tags)
+                cv = _cv_solve(draw, k)
                 betas[:cv.degree, j] = cv.beta
             b1, b2 = betas
             if method.cv_degree == 2:

@@ -222,21 +222,12 @@ class ParityFit:
 def extract_forward_discount(calls, puts):
     """(DF, F) from the parity line across common strikes at one maturity.
 
-    `calls` and `puts` are (strike, mid) pairs (or Quote objects).  Least
-    squares of C - P on K: slope = -DF, intercept = DF*F.  Residual
-    diagnostics ride along on the returned ParityFit.
+    `calls` and `puts` are Quote objects.  Least squares of C - P on K:
+    slope = -DF, intercept = DF*F.  Residual diagnostics ride along on the
+    returned ParityFit.
     """
-    def as_map(side):
-        out = {}
-        for item in side:
-            if hasattr(item, "strike"):
-                out[float(item.strike)] = float(item.mid_price)
-            else:
-                k, price = item
-                out[float(k)] = float(price)
-        return out
-
-    cmap, pmap = as_map(calls), as_map(puts)
+    cmap = {float(q.strike): float(q.mid_price) for q in calls}
+    pmap = {float(q.strike): float(q.mid_price) for q in puts}
     common = sorted(set(cmap) & set(pmap))
     if len(common) < 2:
         raise ValidationError(

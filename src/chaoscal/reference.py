@@ -49,6 +49,11 @@ from .errors import (
 from .vol import DownAndOutCall, ForwardStartCall, LookbackCall
 
 _PATH_BLOCK = 1 << 16
+_MAX_PANELS = 4096
+_LEWIS_TOL = 1e-10
+_LEWIS_U_MAX = 200.0
+_EXPLOSION_THRESHOLD = 1e8
+_STEPS_PER_UNIT_TIME = 500
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ _GL10 = np.polynomial.legendre.leggauss(10)
 _GL21 = np.polynomial.legendre.leggauss(21)
 
 
-def adaptive_panel_integral(f, a, b, tol, max_panels=4096):
+def adaptive_panel_integral(f, a, b, tol):
     """Integral over [a, b] of a vectorized real f by adaptive Gauss-Legendre.
 
     f maps a 1-d array of points to values of shape (n_pts,), giving a float,
@@ -166,9 +171,9 @@ def adaptive_panel_integral(f, a, b, tol, max_panels=4096):
             p_mid = 0.5 * (p_lo + p_hi)
             new_lo.append(np.concatenate([p_lo, p_mid]))
             new_hi.append(np.concatenate([p_mid, p_hi]))
-            if n_done[j] + new_lo[-1].size > max_panels:
+            if n_done[j] + new_lo[-1].size > _MAX_PANELS:
                 raise IntegrationError(
-                    f"integral did not converge within {max_panels} panels"
+                    f"integral did not converge within {_MAX_PANELS} panels"
                 )
         # a panel is the complex number lo + i hi, so a 1-d unique merges them
         spans = np.concatenate(new_lo) + 1j * np.concatenate(new_hi)
@@ -178,7 +183,7 @@ def adaptive_panel_integral(f, a, b, tol, max_panels=4096):
     return totals[0] if scalar else np.array(totals)
 
 
-def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0, tol=1e-10, u_max=200.0):
+def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0):
     """Call prices from a log-price characteristic function handle.
 
         C = S_0 e^{-qT} - (sqrt(K) e^{-rT} / pi)
@@ -189,9 +194,9 @@ def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0, tol=1e-10, u_max=200.0):
     The CF does not depend on the strike, so all strikes share one
     integration: each refinement level calls cf once, on the union of the
     strikes' open panels, while every strike keeps its own panels and sum and
-    gets the price it would get alone.  The ray is truncated at u_max and
-    doubled, strikes sharing each block [upper, 2 upper], until a strike's
-    last block contributes less than tol.
+    gets the price it would get alone.  The ray is truncated at _LEWIS_U_MAX
+    and doubled, strikes sharing each block [upper, 2 upper], until a
+    strike's last block contributes less than _LEWIS_TOL.
     """
     strikes = np.asarray(k, dtype=float)
     if strikes.ndim > 1 or strikes.size == 0:
@@ -204,16 +209,18 @@ def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0, tol=1e-10, u_max=200.0):
         phi = cf(u - 0.5j, t)
         return np.real(np.exp(-1j * u * lk[:, None]) * phi) / (u**2 + 0.25)
 
-    total = adaptive_panel_integral(lambda u: integrand(u, log_k), 0.0, u_max, tol)
+    total = adaptive_panel_integral(
+        lambda u: integrand(u, log_k), 0.0, _LEWIS_U_MAX, _LEWIS_TOL
+    )
     live = np.arange(log_k.size)  # strikes whose tail has not yet decayed
-    upper = u_max
+    upper = _LEWIS_U_MAX
     while live.size:
         block = adaptive_panel_integral(
-            lambda u: integrand(u, log_k[live]), upper, 2.0 * upper, tol
+            lambda u: integrand(u, log_k[live]), upper, 2.0 * upper, _LEWIS_TOL
         )
         total[live] += block
         upper *= 2.0
-        live = live[~(np.abs(block) < tol)]
+        live = live[~(np.abs(block) < _LEWIS_TOL)]
         if live.size and upper > 1e7:
             raise IntegrationError("integration tail did not decay")
     price = s0 * math.exp(-q * t) - (
@@ -222,11 +229,9 @@ def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0, tol=1e-10, u_max=200.0):
     return float(price[0]) if strikes.ndim == 0 else price
 
 
-def heston_lewis_price(p, k, t, **kw):
+def heston_lewis_price(p, k, t):
     """Lewis price(s) under Heston parameters; k is a strike or a 1-d array."""
-    return lewis_call_price(
-        lambda u, s: heston_cf(u, s, p), p.s0, k, t, p.r, p.q, **kw
-    )
+    return lewis_call_price(lambda u, s: heston_cf(u, s, p), p.s0, k, t, p.r, p.q)
 
 
 def _riccati_rhs(w, psi, p):
@@ -245,7 +250,7 @@ def _lag_sum(weights, hist):
     return np.einsum("k,kn->n", weights, flat).view(complex).reshape(hist.shape[1:])
 
 
-def rough_riccati_solve(u, rp, t_grid, explosion_threshold=1e8):
+def rough_riccati_solve(u, rp, t_grid):
     """Fractional-Adams solution of D^alpha psi = R(w, psi), psi(0) = 0.
 
     u may be a scalar or an array; the history convolution is shared across
@@ -293,14 +298,14 @@ def rough_riccati_solve(u, rp, t_grid, explosion_threshold=1e8):
         psi[k] = corr + c_corr * f_pred
         rhs[k] = _riccati_rhs(w, psi[k], p)
         mag = np.abs(psi[k])
-        if not np.all(np.isfinite(mag)) or np.any(mag > explosion_threshold):
+        if not np.all(np.isfinite(mag)) or np.any(mag > _EXPLOSION_THRESHOLD):
             raise ExplosionError(
                 f"Riccati solution exploded at t = {t_grid[k]:.6g}"
             )
     return psi
 
 
-def rough_heston_cf(u, t, rp, steps_per_unit_time=500):
+def rough_heston_cf(u, t, rp):
     """E[exp(iu log S_t)] for rough Heston via the Volterra Riccati equation.
 
     exp(iu x0 + kappa vbar int_0^t psi + V_0 int_0^t R(w, psi)), both
@@ -313,7 +318,7 @@ def rough_heston_cf(u, t, rp, steps_per_unit_time=500):
     if t == 0:
         out = np.exp(1j * u * math.log(p.s0))
         return out if out.shape else complex(out)
-    n = max(100, int(math.ceil(steps_per_unit_time * t)))
+    n = max(100, int(math.ceil(_STEPS_PER_UNIT_TIME * t)))
     t_grid = np.linspace(0.0, t, n + 1)
     psi = rough_riccati_solve(u, rp, t_grid)
     w = 1j * u
@@ -434,6 +439,8 @@ def exotic_mc_price(paths, times, spec):
         payoff = s_t - paths[:, : i_mat + 1].min(axis=1)
     else:
         raise ValidationError(f"unknown exotic spec {type(spec).__name__}")
+    if payoff.size < 2:
+        raise ValidationError("a standard error needs at least 2 paths")
     price = float(payoff.mean())
-    se = float(payoff.std(ddof=1) / math.sqrt(payoff.size)) if payoff.size > 1 else 0.0
+    se = float(payoff.std(ddof=1) / math.sqrt(payoff.size))
     return price, se

@@ -133,15 +133,15 @@ def bs_vega(s, k, t, sigma, r=0.0, q=0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def implied_vol(price, s, k, t, r=0.0, q=0.0, with_flag=False):
+def implied_vol(price, s, k, t, r=0.0, q=0.0):
     """Invert bs_call in sigma: Newton from 0.25, falling back to bisection
     of the whole bracket [1e-4, 5] down to a 1e-14 width (`_bisect`) when a
     step leaves the bracket, the vega vanishes or 20 steps do not converge.
 
     Raises InversionError when the price violates the no-arbitrage bounds
-    (S e^{-qT} - K e^{-rT})_+ <= C <= S e^{-qT}.  With with_flag=True returns
-    (sigma, flag), flag in {"interior", "lower", "upper"} marking bracket
-    saturation.
+    (S e^{-qT} - K e^{-rT})_+ <= C <= S e^{-qT}.  A price at or beyond the
+    Black-Scholes price at either end of the bracket returns that end,
+    SIGMA_MIN or SIGMA_MAX.
     """
     lower = max(s * np.exp(-q * t) - k * np.exp(-r * t), 0.0)
     upper = s * np.exp(-q * t)
@@ -153,15 +153,15 @@ def implied_vol(price, s, k, t, r=0.0, q=0.0, with_flag=False):
         )
     lo, hi = bs_call(s, k, t, SIGMA_MIN, r, q), bs_call(s, k, t, SIGMA_MAX, r, q)
     if price <= lo:
-        return (SIGMA_MIN, "lower") if with_flag else SIGMA_MIN
+        return SIGMA_MIN
     if price >= hi:
-        return (SIGMA_MAX, "upper") if with_flag else SIGMA_MAX
+        return SIGMA_MAX
 
     sigma = 0.25
     for _ in range(20):
         diff = bs_call(s, k, t, sigma, r, q) - price
         if abs(diff) < tol:
-            return (sigma, "interior") if with_flag else sigma
+            return sigma
         vega = bs_vega(s, k, t, sigma, r, q)
         if vega < 1e-12:
             break
@@ -171,7 +171,7 @@ def implied_vol(price, s, k, t, r=0.0, q=0.0, with_flag=False):
             break
         sigma = nxt
     sigma = _bisect(lambda v: bs_call(s, k, t, v, r, q) - price, SIGMA_MIN, SIGMA_MAX)
-    return (sigma, "interior") if with_flag else sigma
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -574,11 +574,11 @@ class TestBadInput:
             "truth.json: key 'basis' must be a JSON object"),
         "price model basis without grid": (
             "price", {"model": model_text(basis={"kind": "piecewise"})},
-            "truth.json: basis: missing key 'grid'"),
+            "truth.json: basis: missing keys ['grid']"),
         "exotics legendre model without size": (
             "exotics",
             {"model": model_text(basis={"kind": "legendre", "horizon": 1.0})},
-            "truth.json: basis: missing key 'size'"),
+            "truth.json: basis: missing keys ['size']"),
         "calibrate init without m": (
             "calibrate", {"init": model_text(m=None)}, "init.json: missing key 'm'"),
         "evaluate schedule entry not a pair": (
@@ -606,7 +606,7 @@ class TestBadInput:
             "schedule.json: entry 0: key 'n_nodes' must be an integer"),
         "evaluate schedule unknown key": (
             "evaluate", {"schedule": json.dumps({"entrys": []})},
-            "schedule.json: unknown schedule keys ['entrys']"),
+            "schedule.json: unknown keys ['entrys']"),
         "calibrate config learning rate a string": (
             "calibrate", {"config": config_text(learning_rate="abc")},
             "config.json: key 'learning_rate' must be a finite number"),
@@ -716,6 +716,11 @@ class TestBadInput:
             "price", {"model": model_text(basis={"kind": "piecewise", "size": 2,
                                                  "grid": [0.0, 0.5, 1.0]})},
             "truth.json: basis: unknown keys ['size']"),
+        "evaluate schedule duplicate maturity": (
+            "evaluate", {"schedule": json.dumps({"entries": [[0.5, {"kind": "mc"}],
+                                                             [0.5, {"kind": "quad"}]]})},
+            "schedule.json: entries 0 and 1 both name maturity 0.5"),
+        "exotics one path": ("exotics", {"paths": "1"}, "--paths must be at least 2"),
     }
 
     def argv(self, tmp_path, command, bad):

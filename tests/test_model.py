@@ -118,7 +118,7 @@ class TestTerminalValues:
 
     def test_shape_mismatch(self):
         model = make_model()
-        bad = FeatureBlock(1.0, np.zeros((10, 3)), (0,))
+        bad = FeatureBlock(1.0, np.zeros((10, 3)))
         with pytest.raises(ValidationError):
             terminal_values(model, bad)
 

@@ -134,10 +134,12 @@ class TestQuadCallPrice:
         n = len(enumerate_indices(2, 7, 2))
         model = make_model(basis, 2, 2, np.zeros(n))
         t3 = basis.grid[3] - 1e-3  # cell 3, u*d = 6
-        with pytest.raises(ConfigError):
-            quad_call_price(model, t3, 100.0, 5)
-        t2 = basis.grid[2]  # cell 2, u*d = 4: allowed
-        quad_call_price(model, t2, 100.0, 5)
+        # the build is bounded in bytes, not in dimension: 40^6 rows are
+        # refused, 5^6 = 15,625 rows price
+        with pytest.raises(ConfigError, match=r"n_nodes = 40 at u\*d = 6 would "
+                                              r"allocate \d+ bytes"):
+            quad_call_price(model, t3, 100.0, 40)
+        assert quad_call_price(model, t3, 100.0, 5) == pytest.approx(0.0, abs=1e-12)
 
     def test_node_build_bounded_in_bytes(self, monkeypatch):
         # 128 nodes at u*d = 4 are 128^4 = 2.7e8 rows: refused from the byte
@@ -267,6 +269,13 @@ class TestMcCallPrice:
         price, se = mc_call_price(model, block, 90.0)
         assert price == 10.0
         assert se == 0.0
+
+    def test_one_sample_has_no_standard_error(self):
+        basis = PiecewiseConstantBasis.uniform(1.0, 2)
+        model = make_model(basis, 2, 1, np.zeros(len(enumerate_indices(2, 2, 1))))
+        block = sample_features(model, 1.0, 1, BrownianDriver(0), tags=(0,))
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            mc_call_price(model, block, 90.0)
 
     def test_half_normal_within_3se(self):
         basis = PiecewiseConstantBasis.uniform(1.0, 2)
@@ -423,6 +432,13 @@ class TestPriceSurface:
         prices = price_surface(model, quotes, sched, BrownianDriver(32))
         assert prices[0] == quad_call_price(model, 0.5, 100.0, 40)
         assert prices[1] != prices[0]
+
+    def test_schedule_rejects_one_maturity_twice(self):
+        mc, quad = PricingMethod("mc"), PricingMethod("quad")
+        with pytest.raises(ValidationError, match="entries 0 and 2 both name maturity"):
+            PricingSchedule(entries=((0.5, mc), (1.0, mc), (0.5 + 1e-10, quad)))
+        sched = PricingSchedule(entries=((0.5, mc), (0.5 + 1e-8, quad)))
+        assert sched.for_maturity(0.5 + 1e-8) is quad
 
     def test_maturity_beyond_horizon_lists_offenders(self):
         model = self.zero_model()

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -28,6 +29,32 @@ from chaoscal.quotes import (
     write_quotes,
 )
 from chaoscal.vol import bs_call, bs_put, implied_vol
+
+DESK_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "bench", "desk_model.json")
+
+# A Legendre model file exactly as serialize_model writes it
+LEGENDRE_MODEL_TEXT = """{
+  "schema_version": 1,
+  "s0": 100.0,
+  "p": 2,
+  "m": 2,
+  "d": 1,
+  "basis": {
+    "kind": "legendre",
+    "horizon": 2.0,
+    "size": 2
+  },
+  "index_order_hash": "31e1c12d7f3d608b",
+  "coefficients": [
+    0.5,
+    -0.25,
+    0.125,
+    0.001,
+    3.0
+  ]
+}
+"""
 
 HEADER = ("maturity_years,strike,option_type,mid_price,implied_vol,"
           "discount_factor,forward,spot")
@@ -168,13 +195,19 @@ class TestWriteQuotes:
         assert parse_quotes(out).quotes == []
 
 
+def parity_quotes(option_type, pairs):
+    """Maturity-1 quotes of one type from (strike, mid) pairs."""
+    return [Quote(1.0, float(k), option_type, float(mid)) for k, mid in pairs]
+
+
 class TestExtractForwardDiscount:
     def test_exact_parity_line_is_recovered_exactly(self):
         df, fwd = 0.99, 101.0
         strikes = [85.0, 95.0, 100.0, 105.0, 120.0]
         calls = [(k, df * max(fwd - k, 0.0) + 2.0 + 0.01 * k) for k in strikes]
         puts = [(k, c - df * (fwd - k)) for (k, c) in calls]
-        fit = extract_forward_discount(calls, puts)
+        fit = extract_forward_discount(parity_quotes("C", calls),
+                                       parity_quotes("P", puts))
         assert fit.discount_factor == pytest.approx(df, rel=1e-12)
         assert fit.forward == pytest.approx(fwd, rel=1e-12)
         assert fit.rmse < 1e-12
@@ -187,7 +220,8 @@ class TestExtractForwardDiscount:
                  for k in strikes]
         puts = [(k, df * max(fwd - k, 0.0) + 2.0 - df * (fwd - k)
                  + rng.uniform(-1e-4, 1e-4)) for k in strikes]
-        fit = extract_forward_discount(calls, puts)
+        fit = extract_forward_discount(parity_quotes("C", calls),
+                                       parity_quotes("P", puts))
         assert abs(fit.discount_factor - df) < 1e-3
         assert abs(fit.forward - fwd) < 1e-3 * fwd
         assert fit.rmse < 5e-4
@@ -203,12 +237,15 @@ class TestExtractForwardDiscount:
 
     def test_single_common_strike_is_an_error(self):
         with pytest.raises(ValidationError, match="2 common strikes"):
-            extract_forward_discount([(100.0, 5.0)], [(100.0, 4.0)])
+            extract_forward_discount(
+                parity_quotes("C", [(100.0, 5.0)]), parity_quotes("P", [(100.0, 4.0)])
+            )
 
     def test_disjoint_strikes_are_an_error(self):
         with pytest.raises(ValidationError, match="common strikes"):
             extract_forward_discount(
-                [(90.0, 5.0), (95.0, 4.0)], [(100.0, 4.0), (105.0, 5.0)]
+                parity_quotes("C", [(90.0, 5.0), (95.0, 4.0)]),
+                parity_quotes("P", [(100.0, 4.0), (105.0, 5.0)]),
             )
 
 
@@ -233,6 +270,22 @@ class TestModelIo:
         path = tmp_path / "model.json"
         serialize_model(model, path)
         assert load_model(path).basis == LegendreBasis(2.0, 4)
+
+    def test_piecewise_model_file_is_rewritten_byte_for_byte(self, tmp_path):
+        # the stored desk fit, read and written again, is the same file
+        path = tmp_path / "model.json"
+        serialize_model(load_model(DESK_MODEL), path)
+        with open(DESK_MODEL, "rb") as handle:
+            assert path.read_bytes() == handle.read()
+
+    def test_legendre_model_file_text_is_fixed(self, tmp_path):
+        model = ChaosModel(100.0, 2, 2, 1, LegendreBasis(2.0, 2),
+                           [0.5, -0.25, 0.125, 1e-3, 3.0])
+        path = tmp_path / "model.json"
+        serialize_model(model, path)
+        assert path.read_text() == LEGENDRE_MODEL_TEXT
+        serialize_model(load_model(path), path)
+        assert path.read_text() == LEGENDRE_MODEL_TEXT
 
     def test_tampered_order_hash_is_rejected(self, tmp_path):
         path = tmp_path / "model.json"

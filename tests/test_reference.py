@@ -519,6 +519,11 @@ class TestExoticMc:
         want = exotic_bs_price(DownAndOutCall(1.0, 100.0, l_adj), 0.2, 100.0)
         assert abs(pr - want) < 3 * se + 0.02
 
+    def test_one_path_has_no_standard_error(self, gbm_paths):
+        grid, paths = gbm_paths
+        with pytest.raises(ValidationError, match="at least 2 paths"):
+            exotic_mc_price(paths[:1], grid, LookbackCall(1.0))
+
     def test_lookback_dominates_atm_vanilla(self, gbm_paths):
         grid, paths = gbm_paths
         pr, _ = exotic_mc_price(paths, grid, LookbackCall(1.0))

@@ -173,15 +173,11 @@ class TestImpliedVol:
         )
 
     def test_intrinsic_hits_lower_bound(self):
-        sigma, flag = implied_vol(20.0, 100, 80, 1.0, with_flag=True)
-        assert flag == "lower"
-        assert sigma == pytest.approx(1e-4)
+        assert implied_vol(20.0, 100, 80, 1.0) == vol.SIGMA_MIN
 
     def test_saturation_hits_upper_bound(self):
         price = 100.0 - 1e-9
-        sigma, flag = implied_vol(price, 100, 100, 1.0, with_flag=True)
-        assert flag == "upper"
-        assert sigma == pytest.approx(5.0)
+        assert implied_vol(price, 100, 100, 1.0) == vol.SIGMA_MAX
 
     def test_out_of_bounds_raises(self):
         with pytest.raises(InversionError):
