@@ -178,16 +178,19 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
     inside one cell draws one normal per component.  The combination runs in
     numpy's own einsum loop, so the bits do not depend on BLAS threading.
     """
-    walk = _walk_integrals(spec, driver, times, n_paths, d, tags)
+    walk = _walk_integrals(spec, driver.generator(*tags), times, n_paths, d)
     out = np.empty((len(times), n_paths, spec.size * d))
     for ti, ints in enumerate(walk):
         out[ti] = ints
     return out
 
 
-def _walk_integrals(spec, driver, times, n_paths, d=1, tags=()):
+def _walk_integrals(spec, gen, times, n_paths, d=1):
     """Check the arguments of `sample_integrals`; return an iterator over its
-    draws, I^t per time as a view of the running sum, valid until the next."""
+    draws from the generator gen, I^t per time as a view of the running sum,
+    valid until the next.  A time's normals are drawn path-major, so
+    one-time walks over consecutive row blocks from one generator give the
+    rows of a single walk over all of them."""
     times = [float(t) for t in times]
     if any(t < 0 or t > spec.horizon for t in times):
         raise ValidationError(f"times must lie in [0, {spec.horizon}]")
@@ -197,7 +200,6 @@ def _walk_integrals(spec, driver, times, n_paths, d=1, tags=()):
         raise ValidationError("n_paths must be >= 1")
 
     def steps():
-        gen = driver.generator(*tags)
         acc = np.zeros((n_paths, d, spec.size))
         prev, g_prev = 0.0, gram_tail(spec, 0.0)
         for t in times:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .bases import BrownianDriver
 from .errors import OptimizerError, ValidationError, WeightingError
-from .model import ChaosModel
+from .model import ChaosModel, _feature_plan
 from .pricing import _group_jacobian, _group_prices, _maturity_groups
 from .quotes import quote_rates
 from .vol import bs_call, bs_vega
@@ -173,18 +173,6 @@ class CalibrationWorkspace:
     groups: list = field(default_factory=list)
 
 
-def _live_columns(features):
-    """Slices covering the feature columns that are not identically zero.
-
-    Indices supported beyond the maturity's cell are annihilated there (47
-    of the desk fit's 132 columns), and their gradient entries are exact
-    zeros that need no pass over the paths.
-    """
-    live = np.concatenate(([0], features.any(axis=0), [0])).astype(np.int8)
-    edges = np.flatnonzero(np.diff(live))
-    return tuple(slice(a, b) for a, b in zip(edges[::2], edges[1::2]))
-
-
 def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=None):
     """Freeze streams, features and CV betas for a stretch of iterations.
 
@@ -201,11 +189,15 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
     ws = CalibrationWorkspace(model.s0)
     spot = getattr(quotes, "spot", model.s0)
     prefix = tuple(tags) + (_CAL_TAG,)
-    for g in _maturity_groups(model, quotes, schedule, driver, prefix, nodes):
+    for g in _maturity_groups(model, quotes, schedule, driver, prefix, nodes,
+                              features=True):
         targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
         gweights = weights[g.rows] * g.scale**2
+        # indices supported beyond the maturity's cell are annihilated there
+        # (47 of the desk fit's 132 columns): their gradient entries are
+        # exact zeros that need no pass over the paths
         ws.groups.append(replace(g, targets=targets, gweights=gweights,
-                                 live=_live_columns(g.features)))
+                                 live=_feature_plan(model, g.maturity).live))
     return ws
 
 

@@ -297,10 +297,39 @@ def cmd_exotics(args):
         np.array(sorted({s.maturity for s in specs} | special)),
     ]))
     driver = BrownianDriver(args.seed)
-    # both simulators return (n_paths, n_times) at exactly these times
+    # both simulators return (n_paths, n_times) at exactly these times; the
+    # model's paths are dropped before the reference's are simulated
     model_paths = path_grid(model, times, args.paths, driver, tags=(7001,)).T
+    rows = []
+    for spec, raw in zip(specs, contracts):
+        price, se = exotic_mc_price(model_paths, times, spec)
+        try:
+            iv = exotic_implied_vol(price, spec, model.s0)
+            iv_sigma, iv_multi = repr(iv.sigma), int(iv.multiple_roots)
+        except InversionError:
+            iv_sigma, iv_multi = "", ""
+        rows.append([
+            raw.get("type"),
+            raw.get("tau", ""), repr(spec.maturity),
+            raw.get("strike", ""), raw.get("strike_ratio", ""),
+            raw.get("barrier", ""),
+            repr(price), repr(se), iv_sigma, iv_multi,
+        ])
+    del model_paths
+    ref_paths = None
     if params is not None:
         ref_paths = heston_simulate(params, times, args.paths, driver, tags=(7002,))
+    for spec, row in zip(specs, rows):
+        if ref_paths is None:
+            row.extend(["", "", ""])
+            continue
+        ref_price, ref_se = exotic_mc_price(ref_paths, times, spec)
+        try:
+            ref_iv = repr(exotic_implied_vol(ref_price, spec, params.s0, params.r,
+                                             params.q).sigma)
+        except InversionError:
+            ref_iv = ""
+        row.extend([repr(ref_price), repr(ref_se), ref_iv])
 
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -308,32 +337,7 @@ def cmd_exotics(args):
                          "barrier", "model_price", "model_se", "model_iv",
                          "model_iv_multiple_roots", "ref_price", "ref_se",
                          "ref_iv"])
-        for spec, raw in zip(specs, contracts):
-            price, se = exotic_mc_price(model_paths, times, spec)
-            try:
-                iv = exotic_implied_vol(price, spec, model.s0)
-                iv_sigma, iv_multi = repr(iv.sigma), int(iv.multiple_roots)
-            except InversionError:
-                iv_sigma, iv_multi = "", ""
-            row = [
-                raw.get("type"),
-                raw.get("tau", ""), repr(spec.maturity),
-                raw.get("strike", ""), raw.get("strike_ratio", ""),
-                raw.get("barrier", ""),
-                repr(price), repr(se), iv_sigma, iv_multi,
-            ]
-            if params is not None:
-                ref_price, ref_se = exotic_mc_price(ref_paths, times, spec)
-                row.extend([repr(ref_price), repr(ref_se)])
-                try:
-                    ref_iv = exotic_implied_vol(ref_price, spec, params.s0,
-                                                params.r, params.q)
-                    row.append(repr(ref_iv.sigma))
-                except InversionError:
-                    row.append("")
-            else:
-                row.extend(["", "", ""])
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"wrote {len(specs)} exotic prices to {args.out}")
 
 

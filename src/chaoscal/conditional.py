@@ -172,8 +172,8 @@ def piecewise_features(spec, indices, t, z, d=1):
     len(indices)), column-major; columns of indices annihilated at t (some
     a_i^j > 0 with i > u) are exact zeros.
     """
-    g = expand_gram(gram_tail(spec, t), d)
-    return _hermite_products(indices, g, z, normalized=True)
+    plan = _column_plan(indices, expand_gram(gram_tail(spec, t), d))
+    return _plan_rows(plan, z, normalized=True)
 
 
 def dyson_features(indices, g, integrals):
@@ -183,40 +183,78 @@ def dyson_features(indices, g, integrals):
     samples of I^t.  Returns (n_paths, len(indices)), column-major; columns
     that vanish at t are exact zeros.
     """
-    return _hermite_products(indices, np.asarray(g, dtype=float), integrals,
-                             normalized=False)
+    plan = _column_plan(indices, np.asarray(g, dtype=float))
+    return _plan_rows(plan, integrals, normalized=False)
 
 
-def _hermite_products(indices, g, x, normalized):
-    """Columns sum_b c_b prod_e v_e^{b_e/2} H_{b_e}(y_e) over the Dyson combo
-    of each index in the off-diagonal of g; y = x if `normalized`, else
-    x / sqrt(v).  The table holds positions with v > 0 only, positions
-    leading.  Products form in place in the output column: a fresh temporary
-    per column made every `path_grid` step page-fault.
+@dataclass(frozen=True)
+class _ColumnPlan:
+    """The Hermite products of E[Phi_a | F_t] at one (indices, Gram tail).
+
+    Column `col` is sum_b c_b prod_e v_e^{b_e/2} H_{b_e}(y_e) over the Dyson
+    combo of its index in the off-diagonal of the Gram tail; `columns[col]`
+    holds its terms as (c_b * scale, ((table row, order), ...)).  The table
+    rows are the positions with v > 0 (`positions`, whose sqrt(v) is
+    `root_v`); a column without terms is an exact zero.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+
+    positions: np.ndarray
+    root_v: np.ndarray
+    columns: tuple
+    n_max: int
+
+    @property
+    def live(self):
+        """Slices covering the columns that have terms, the only ones that
+        can be nonzero."""
+        mask = [0] + [1 if terms else 0 for terms in self.columns] + [0]
+        edges = np.flatnonzero(np.diff(mask))
+        return tuple(slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2]))
+
+
+def _column_plan(indices, g):
+    """The `_ColumnPlan` of `indices` at the expanded Gram tail g; it depends on
+    neither the paths nor the coefficients, so one plan serves every row
+    block of a maturity."""
     v = 1.0 - np.diag(g)
-    live = np.flatnonzero(v > 0.0)
-    slot = {e: s for s, e in enumerate(live)}  # table row of each live position
+    positions = np.flatnonzero(v > 0.0)
+    slot = {e: s for s, e in enumerate(positions)}  # table row of each live position
     off = g - np.diag(np.diag(g))
-    columns = []  # per index: [(coefficient * scale, [(table slot, order)])]
+    columns = []
     n_max = 0
     for a in indices:
         terms = []
         for b, c in dyson_combo(a, off).terms.items():
-            factors = [(slot.get(e), n) for e, n in enumerate(b) if n > 0]
+            factors = tuple((slot.get(e), n) for e, n in enumerate(b) if n > 0)
             if all(s is not None for s, _ in factors):
                 scale = math.prod(v[e] ** (0.5 * n) for e, n in enumerate(b) if n > 0)
                 terms.append((c * scale, factors))
                 n_max = max([n_max] + [n for _, n in factors])
-        columns.append(terms)
-    rows = x.T[live]  # a copy
+        columns.append(tuple(terms))
+    root_v = np.sqrt(v[positions])
+    for arr in (positions, root_v):  # a cached plan is shared by its callers
+        arr.setflags(write=False)
+    return _ColumnPlan(positions, root_v, tuple(columns), n_max)
+
+
+def _plan_rows(plan, x, normalized, out=None):
+    """Feature rows of `plan` at the samples x, (n_rows, M*d): x are the
+    normalized values y if `normalized`, else I^t, divided here by sqrt(v).
+    Returns (n_rows, len(columns)), column-major, written into `out` if
+    given (rows of a column-major matrix).  Every row is computed on its
+    own, so a block of rows gives the bits of the same rows of a larger
+    call.  Products form in place in the output column: a fresh temporary
+    per column made every `path_grid` step page-fault.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rows = x.T[plan.positions]  # a copy
     if not normalized:
-        rows /= np.sqrt(v[live])[:, None]
-    table = hermite_upto(n_max, rows)
-    out = np.empty((x.shape[0], len(indices)), order="F")
+        rows /= plan.root_v[:, None]
+    table = hermite_upto(plan.n_max, rows)
+    if out is None:
+        out = np.empty((x.shape[0], len(plan.columns)), order="F")
     tmp = np.empty(x.shape[0])
-    for col, terms in enumerate(columns):
+    for col, terms in enumerate(plan.columns):
         if not terms:
             out[:, col] = 0.0
         for k, (c, factors) in enumerate(terms):

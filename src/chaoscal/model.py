@@ -2,9 +2,27 @@
 
 The terminal value is S_T = S_0 + sum_a d_a Phi_a over the truncated index
 set, and the price process is the martingale S_t = E[S_T | F_t].  Everything
-downstream (pricing, calibration) works with per-path *feature matrices*
-whose columns are samples of E[Phi_a | F_T]; S_T is then an affine function
+downstream (pricing, calibration) works with per-path *feature rows* whose
+columns are samples of E[Phi_a | F_T]; S_T is then an affine function
 S_0 + features @ coefficients, and gradients in the coefficients are exact.
+
+Feature rows are built in row blocks (`_feature_blocks`) from one Hermite
+column plan per (indices, Gram tail).  Calibration writes the blocks into
+one matrix (`sample_features`), since its price Jacobian needs every row.
+Everything else reduces each block to S_T at once (`_sample_terminal`,
+`path_grid`), so it holds at most _BLOCK_BYTES of feature rows whatever
+the path count.
+
+Every product `features @ coefficients` runs over row blocks that start at
+multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
+blocks alike).  OpenBLAS splits the rows of a matrix-vector product across
+its threads, and at odd row counts the split moved the last bits: at 100003
+paths, the desk model's terminal values hashed one way under 1 thread and
+another under 2 and 4 (at 100000 they agreed).  Products over such aligned
+blocks reproduced the 1-thread bits under 1 to 4 threads at 100003, 200001
+and 1000003 rows; blocks of 32768 and 65536 rows did not always.  So the
+blocks change no bits at the path counts where threads agreed before, and
+remove the thread dependence at the others.
 
 For the piecewise-constant basis the second moment is closed-form:
 
@@ -16,14 +34,18 @@ are permitted by construction; nothing clamps them.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bases import PiecewiseConstantBasis, _walk_integrals, gram_tail, sample_integrals
-from .conditional import dyson_features, expand_gram, piecewise_features
+from .bases import PiecewiseConstantBasis, _walk_integrals, gram_tail
+from .conditional import _column_plan, _plan_rows, expand_gram
 from .errors import ValidationError
 from .indices import enumerate_indices, index_space_dim
+
+_BLOCK_BYTES = 8 << 20  # cap on one block of feature rows and its scratch
+_ROW_ALIGN = 1024  # every row block starts at a multiple of this
+_MAX_BLOCK_ROWS = 16 * _ROW_ALIGN
 
 
 @dataclass
@@ -70,25 +92,91 @@ class FeatureBlock:
     features: np.ndarray  # (n_paths, n_indices), columns in enumeration order
 
 
-def sample_features(model, t, n_paths, driver, tags=()):
-    """Sample E[Phi_a | F_t] for every index; the offline matrix reused across
-    calibration iterations.
+def _block_rows(model):
+    """Rows per feature block: as many as fit in _BLOCK_BYTES with their
+    features, normals, the copy of the live positions, its Hermite table up
+    to order p and a scratch column, rounded down to a multiple of
+    _ROW_ALIGN, and within [_ROW_ALIGN, _MAX_BLOCK_ROWS]."""
+    row_bytes = 8 * (len(model.indices) + (model.p + 3) * model.m * model.d + 1)
+    rows = _BLOCK_BYTES // row_bytes // _ROW_ALIGN * _ROW_ALIGN
+    return min(_MAX_BLOCK_ROWS, max(_ROW_ALIGN, rows))
+
+
+def _spans(n_rows, block):
+    """(first, stop) row spans of length `block`, the last one shorter."""
+    return [(a, min(a + block, n_rows)) for a in range(0, n_rows, block)]
+
+
+def _row_dot(features, theta):
+    """features @ theta in row blocks of _MAX_BLOCK_ROWS: the 1-thread BLAS
+    bits at any thread count (see the module docstring)."""
+    out = np.empty(features.shape[0])
+    for a, b in _spans(len(out), _MAX_BLOCK_ROWS):
+        out[a:b] = features[a:b] @ theta
+    return out
+
+
+@lru_cache(maxsize=256)
+def _plan(p, m, d, basis, t):
+    return _column_plan(enumerate_indices(p, m, d), expand_gram(gram_tail(basis, t), d))
+
+
+def _feature_plan(model, t):
+    """The Hermite column plan of the model's features at t, built once per
+    model structure and time; its `live` slices are the columns that are
+    not exact zeros at t."""
+    return _plan(model.p, model.m, model.d, model.basis, float(t))
+
+
+def _feature_blocks(model, t, n_paths, driver, tags=(), out=None):
+    """Check the arguments; return an iterator over (first row, rows) blocks
+    of the E[Phi_a | F_t] matrix that `sample_features` returns, each
+    written into its rows of `out` if given.
 
     Piecewise basis: exact, from iid standard normals (full-cell increments
     below the running cell, the normalized partial increment at it).  Other
-    bases: Dyson series on sampled Ito integrals.
+    bases: the Dyson series on exactly drawn Ito integrals I^t.  Every block
+    draws after the one before from one generator, so the blocks are the
+    rows of a single draw, bit for bit.
     """
     if not 0.0 < t <= model.horizon:
         raise ValidationError(f"maturity {t} outside (0, {model.horizon}]")
-    if isinstance(model.basis, PiecewiseConstantBasis):
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
+    plan = _feature_plan(model, t)
+    piecewise = isinstance(model.basis, PiecewiseConstantBasis)
+
+    def blocks():
         gen = driver.generator(*tags)
-        z = gen.standard_normal((n_paths, model.m * model.d))
-        feats = piecewise_features(model.basis, model.indices, t, z, model.d)
-    else:
-        ints = sample_integrals(model.basis, driver, [t], n_paths, model.d, tags=tags)[0]
-        g = expand_gram(gram_tail(model.basis, t), model.d)
-        feats = dyson_features(model.indices, g, ints)
+        for a, b in _spans(n_paths, _block_rows(model)):
+            if piecewise:
+                x = gen.standard_normal((b - a, model.m * model.d))
+            else:
+                x = next(_walk_integrals(model.basis, gen, [t], b - a, model.d))
+            rows = None if out is None else out[a:b]
+            yield a, _plan_rows(plan, x, normalized=piecewise, out=rows)
+
+    return blocks()
+
+
+def sample_features(model, t, n_paths, driver, tags=()):
+    """Sample E[Phi_a | F_t] for every index; the offline matrix reused across
+    calibration iterations, written block by block (`_feature_blocks`)."""
+    # a bad n_paths is reported by _feature_blocks, not by numpy
+    feats = np.empty((max(n_paths, 0), len(model.indices)), order="F")
+    for _ in _feature_blocks(model, t, n_paths, driver, tags, out=feats):
+        pass  # each block writes its rows into feats
     return FeatureBlock(float(t), feats)
+
+
+def _sample_terminal(model, t, n_paths, driver, tags=()):
+    """S_t samples on the streams of `sample_features`, bit for bit its
+    `terminal_values`, holding one block of feature rows at a time."""
+    blocks = _feature_blocks(model, t, n_paths, driver, tags)
+    s = np.empty(n_paths)
+    for a, rows in blocks:
+        s[a:a + len(rows)] = model.s0 + rows @ model.coefficients
+    return s
 
 
 def terminal_values(model, block):
@@ -98,7 +186,7 @@ def terminal_values(model, block):
             f"block has {block.features.shape[1]} columns, model "
             f"{model.coefficients.shape[0]} coefficients"
         )
-    return model.s0 + block.features @ model.coefficients
+    return model.s0 + _row_dot(block.features, model.coefficients)
 
 
 def second_moment_coeffs(model, t):
@@ -128,18 +216,24 @@ def path_grid(model, times, n_paths, driver, tags=()):
 
     All times share one Brownian path per path index (needed for exotics).
     The integrals are drawn as `sample_integrals` draws them, but one time
-    at a time, so only one time's slice is held.  Time 0 draws nothing and
-    its row is exactly S_0, so the other rows are those of the grid without it.
+    at a time, so only one time's slice is held; each time's feature rows
+    are built from its column plan and reduced to S_t one row block at a
+    time.  Time 0 draws nothing and its row is exactly S_0, so the other
+    rows are those of the grid without it.
     """
     times = [float(t) for t in times]
     if any(not 0.0 <= t <= model.horizon for t in times):
         raise ValidationError(f"times must lie in [0, {model.horizon}]")
-    walk = _walk_integrals(model.basis, driver, times, n_paths, model.d, tags)
+    walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
+                           model.d)
+    spans = _spans(n_paths, _block_rows(model))
     out = np.empty((len(times), n_paths))
     for ti, (t, ints) in enumerate(zip(times, walk)):
         if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
             out[ti] = model.s0
             continue
-        g = expand_gram(gram_tail(model.basis, t), model.d)
-        out[ti] = model.s0 + dyson_features(model.indices, g, ints) @ model.coefficients
+        plan = _feature_plan(model, t)
+        for a, b in spans:
+            rows = _plan_rows(plan, ints[a:b], normalized=False)
+            out[ti, a:b] = model.s0 + rows @ model.coefficients
     return out

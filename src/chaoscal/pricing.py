@@ -30,11 +30,21 @@ therefore runs in numpy's own single-threaded loops:
   which need no pairwise order), the CV moments and the price Jacobian
   of `_group_jacobian`, from which every loss gradient is assembled.
 
-The terminal values `features @ theta` stay on BLAS: there the split runs
-over the output rows and each row's short dot product is computed whole, so
-the bits do not move.  Feature matrices are column-major, which keeps the
-einsum gradient a contiguous pass per column.  Acceptance criterion c13 and
+The terminal values `features @ theta` stay on BLAS, whose split runs over
+the output rows, but only in row blocks that start at multiples of 1024 rows
+and hold at most 16384 (`model._row_dot`, `model._feature_blocks`).  An
+unaligned split at an odd row count moved the last bits: at 100003 paths
+the desk model's terminal values hashed one way under 1 thread and another
+under 2 and 4, while aligned blocks of at most 16384 rows reproduced the
+1-thread bits under 1 to 4 threads at 100003, 200001 and 1000003 rows
+(blocks of 32768 and 65536 did not always).  Feature matrices are
+column-major, which keeps the einsum gradient a contiguous pass per column.
+Acceptance criterion c13 and
 `tests/test_pricing.py::test_thread_count_does_not_change_bits` enforce this.
+
+Outside calibration no MC feature matrix is held whole: the rows of a
+maturity's draw, and of its CV draw, are reduced to S_T block by block, so
+memory grows with the path count only through S_T and the payoff matrix.
 """
 
 import warnings
@@ -46,7 +56,14 @@ from numpy.polynomial.hermite_e import hermegauss
 from .bases import PiecewiseConstantBasis, cell_index
 from .conditional import piecewise_features
 from .errors import ConfigError, ValidationError
-from .model import sample_features, second_moment, second_moment_coeffs, terminal_values
+from .model import (
+    _row_dot,
+    _sample_terminal,
+    sample_features,
+    second_moment,
+    second_moment_coeffs,
+    terminal_values,
+)
 
 QUAD_MAX_BYTES = 256 << 20  # cap on `_quad_node_bytes` for one node build
 _SAME_MATURITY = 1e-9  # schedule maturities closer than this are one maturity
@@ -163,7 +180,7 @@ def quad_nodes_features(model, t, n):
 def quad_call_price(model, t, k, n):
     """Gauss-Hermite tensor price of (S_0 + g_theta(z) - K)_+."""
     weights, feats = quad_nodes_features(model, t, n)
-    s = model.s0 + feats @ model.coefficients
+    s = model.s0 + _row_dot(feats, model.coefficients)
     return float(np.einsum("i,i->", weights, np.maximum(s - k, 0.0)))
 
 
@@ -176,8 +193,7 @@ def _cv_draw(model, t, degree, driver, beta_samples, tags):
     """
     if degree not in (1, 2):
         raise ValidationError("cv degree must be 1 or 2 when estimating")
-    est_block = sample_features(model, t, beta_samples, driver, tags=tags)
-    s = terminal_values(model, est_block)
+    s = _sample_terminal(model, t, beta_samples, driver, tags=tags)
     xs = [s - model.s0]
     if degree == 2:
         xs.append(s**2 - second_moment(model, t))
@@ -249,21 +265,26 @@ class _Group:
     strikes: np.ndarray  # model-world strikes K S_0 / F
     scale: np.ndarray  # model-to-market price factor DF F / S_0
     weights: np.ndarray  # sample weights (uniform for MC, GH for quadrature)
-    features: np.ndarray  # (n_samples, n_coefficients)
+    features: np.ndarray = None  # (n_samples, n_coefficients); None for MC evaluation
+    terminal: np.ndarray = None  # MC evaluation: S_T at the model's coefficients
     beta1: np.ndarray = None  # per-strike CV coefficients, zeros if degraded
     beta2: np.ndarray = None
     m2c: np.ndarray = None  # second-moment coefficient vector, if degree 2
     targets: np.ndarray = None  # calibration: model-world targets C S_0 / (DF F)
     gweights: np.ndarray = None  # calibration: weights gamma (DF F / S_0)^2
-    live: tuple = None  # calibration: slices of the nonzero feature columns
+    live: tuple = None  # calibration: slices of the columns that can be nonzero
 
 
-def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None):
+def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
+                     features=False):
     """Yield one `_Group` per quoted maturity, in ascending maturity order.
 
     Strikes map to the zero-rate world as K S_0 / F; model prices map back
     to market units by DF F / S_0.  CV betas are estimated at the model's
-    coefficients for every strike from one beta block per maturity.
+    coefficients for every strike from one beta block per maturity.  An MC
+    group carries its feature matrix only if `features` (calibration, whose
+    price Jacobian needs it); otherwise it carries S_T at the model's
+    coefficients, sampled one block of feature rows at a time.
 
     Quadrature nodes depend on neither the coefficients nor the streams.
     They are looked up in, and added to, `nodes`, a dict keyed by
@@ -294,7 +315,12 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None):
                 nodes[key] = quad_nodes_features(model, t, method.n_nodes)
             yield _Group(t, model.s0, rows, strikes, scale, *nodes[key])
             continue
-        block = sample_features(model, t, method.n_paths, driver, tags=prefix + (mi, 0))
+        tags = prefix + (mi, 0)
+        feats = terminal = None
+        if features:
+            feats = sample_features(model, t, method.n_paths, driver, tags=tags).features
+        else:
+            terminal = _sample_terminal(model, t, method.n_paths, driver, tags=tags)
         w = np.full(method.n_paths, 1.0 / method.n_paths)
         b1 = b2 = m2c = None
         if method.cv_degree >= 1:
@@ -307,26 +333,32 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None):
             b1, b2 = betas
             if method.cv_degree == 2:
                 m2c = second_moment_coeffs(model, t)
-        yield _Group(t, model.s0, rows, strikes, scale, w, block.features,
+        yield _Group(t, model.s0, rows, strikes, scale, w, feats, terminal,
                      b1, b2, m2c)
 
 
 def _group_prices(g, theta):
     """(s, pay, prices): terminal samples, per-strike payoffs and model-world
-    CV-adjusted call prices of group g at coefficients theta."""
-    s = g.s0 + g.features @ theta
-    pay = s - g.strikes[:, None]
-    np.maximum(pay, 0.0, out=pay)
-    prices = np.einsum("ij,j->i", pay, g.weights)
+    CV-adjusted call prices of group g at coefficients theta (a group that
+    carries S_T was sampled at them).
+
+    The control-variate sums come before the payoff matrix, so their
+    path-length temporaries are gone before it is allocated."""
+    s = g.terminal if g.features is None else g.s0 + _row_dot(g.features, theta)
+    cv = []  # per control variate: beta times its sample mean
     if g.beta1 is not None:
         # centred: w.s - S_0 would cancel two O(S_0) numbers to O(spread)
         ds = s - g.s0
-        x1 = float((g.weights * ds).sum())
-        prices = prices - g.beta1 * x1
+        cv.append(g.beta1 * float((g.weights * ds).sum()))
         if g.m2c is not None:
-            x2 = (float((g.weights * (ds * (s + g.s0))).sum())
-                  - float(g.m2c @ theta**2))
-            prices = prices - g.beta2 * x2
+            cv.append(g.beta2 * (float((g.weights * (ds * (s + g.s0))).sum())
+                                 - float(g.m2c @ theta**2)))
+        del ds
+    pay = s - g.strikes[:, None]
+    np.maximum(pay, 0.0, out=pay)
+    prices = np.einsum("ij,j->i", pay, g.weights)
+    for term in cv:
+        prices = prices - term
     return s, pay, prices
 
 
@@ -362,9 +394,10 @@ def price_surface(model, quotes, schedule, driver, stream_tag=0):
 
     Quotes are converted to the model's zero-rate world through their
     (discount factor, forward): strike K~ = K S_0 / F prices to C~, and the
-    market price is C = C~ DF F / S_0.  One feature block (and one
-    independent CV block) is sampled per MC maturity and shared across its
-    strikes.  Returns a price array aligned with quotes.
+    market price is C = C~ DF F / S_0.  One draw of S_T (and one independent
+    CV draw) per MC maturity, each reduced from its feature rows block by
+    block, is shared across its strikes.  Returns a price array aligned with
+    quotes.
     """
     out = np.empty(len(quotes.quotes))
     for g in _maturity_groups(model, quotes, schedule, driver, (stream_tag,)):

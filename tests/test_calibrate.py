@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from chaoscal import model as model_module
 from chaoscal import pricing
 from chaoscal.bases import BrownianDriver, PiecewiseConstantBasis
 from chaoscal.calibrate import (
@@ -21,7 +22,7 @@ from chaoscal.calibrate import (
     workspace_loss,
 )
 from chaoscal.errors import OptimizerError, ValidationError, WeightingError
-from chaoscal.model import ChaosModel, sample_features
+from chaoscal.model import ChaosModel, sample_features, terminal_values
 from chaoscal.pricing import PricingMethod, PricingSchedule, estimate_cv, price_surface
 from chaoscal.vol import bs_call, bs_vega, implied_vol
 
@@ -244,22 +245,27 @@ class TestSharedPricingPath:
         return model, quotes
 
     def test_one_feature_and_one_cv_draw_per_maturity(self, monkeypatch):
+        # every draw of feature rows, whole or reduced to S_T, goes through
+        # the block sampler: 2000 paths for prices, 1000 for the CV betas
         model, quotes = self.case()
         drawn = []
-        real = pricing.sample_features
+        real = model_module._feature_blocks
 
-        def counting(model, t, *args, **kwargs):
-            drawn.append(t)
-            return real(model, t, *args, **kwargs)
+        def counting(model, t, n_paths, *args, **kwargs):
+            drawn.append((t, n_paths))
+            return real(model, t, n_paths, *args, **kwargs)
 
-        monkeypatch.setattr(pricing, "sample_features", counting)
+        monkeypatch.setattr(model_module, "_feature_blocks", counting)
+        want = sorted([(t, 2000) for t in self.MATS] + [(t, 1000) for t in self.MATS])
         price_surface(model, quotes, self.MC, BrownianDriver(5))
-        assert sorted(drawn) == sorted(self.MATS * 2)
+        assert sorted(drawn) == want
         drawn.clear()
         build_workspace(model, quotes, np.ones(15), self.MC, BrownianDriver(5))
-        assert sorted(drawn) == sorted(self.MATS * 2)
+        assert sorted(drawn) == want
 
     def test_group_betas_are_estimate_cv_on_the_same_tags(self):
+        # calibration groups carry the feature matrix, evaluation groups
+        # only its terminal values; both draw on the tags of sample_features
         model, quotes = self.case()
         driver = BrownianDriver(5)
         ws = build_workspace(model, quotes, np.ones(15), self.MC, driver, tags=(4,))
@@ -268,7 +274,13 @@ class TestSharedPricingPath:
             for mi, g in enumerate(groups):
                 block = sample_features(model, g.maturity, 2000, driver,
                                         tags=prefix + (mi, 0))
-                np.testing.assert_array_equal(block.features, g.features)
+                if prefix == (7,):
+                    assert g.features is None
+                    np.testing.assert_array_equal(terminal_values(model, block),
+                                                  g.terminal)
+                else:
+                    assert g.terminal is None
+                    np.testing.assert_array_equal(block.features, g.features)
                 for j, k in enumerate(g.strikes):
                     cv = estimate_cv(model, block, k, 2, driver, 1000,
                                      tags=prefix + (mi, 1))

@@ -5,18 +5,26 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import chaoscal
+from chaoscal import model as model_module
 from chaoscal import pricing
 from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis, cell_index
 from chaoscal.conditional import piecewise_features
 from chaoscal.errors import ConfigError, ValidationError
 from chaoscal.indices import MultiIndex, enumerate_indices
-from chaoscal.model import ChaosModel, sample_features, second_moment, terminal_values
+from chaoscal.model import (
+    ChaosModel,
+    path_grid,
+    sample_features,
+    second_moment,
+    terminal_values,
+)
 from chaoscal.pricing import (
     PricingMethod,
     PricingSchedule,
@@ -27,6 +35,9 @@ from chaoscal.pricing import (
     quad_call_price,
     quad_nodes_features,
 )
+
+DESK_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "bench", "desk_model.json")
 
 
 def make_model(basis, p, d, theta, s0=100.0):
@@ -460,19 +471,97 @@ class TestPriceSurface:
                     PricingMethod("mc", **{size: bad})
 
 
+def block_model(kind):
+    """(model, CV degree): a 44-coefficient piecewise model (p=2, m=4, d=2)
+    with degree 2, or a 14-coefficient Legendre one (p=2, m=4, d=1) with
+    degree 1, the most its basis allows; terminal spread about 20."""
+    rng = np.random.default_rng(31)
+    if kind == "piecewise":
+        basis, d, degree = PiecewiseConstantBasis.uniform(1.0, 4), 2, 2
+    else:
+        basis, d, degree = LegendreBasis(1.0, 4), 1, 1
+    n = len(enumerate_indices(2, 4, d))
+    return make_model(basis, 2, d, 20.0 * rng.standard_normal(n) / np.sqrt(n)), degree
+
+
+def strike_quotes(maturities, strikes):
+    return SimpleNamespace(quotes=[
+        SimpleNamespace(maturity=t, strike=k, discount_factor=1.0, forward=100.0)
+        for t in maturities for k in strikes])
+
+
+class TestRowBlocks:
+    """Feature rows are drawn, built and reduced in row blocks; the blocks
+    change no bits, and no whole feature matrix is held outside calibration."""
+
+    N = 5003  # an odd path count: the last block is short
+
+    def outputs(self, model, degree):
+        driver = BrownianDriver(41)
+        quotes = strike_quotes((0.6, 1.0), (90.0, 100.0, 110.0))
+        sched = PricingSchedule(PricingMethod("mc", n_paths=self.N, cv_degree=degree,
+                                              beta_samples=self.N))
+        groups = list(pricing._maturity_groups(model, quotes, sched, driver, (3,)))
+        return {
+            "prices": price_surface(model, quotes, sched, driver),
+            "terminal": [g.terminal for g in groups],
+            "betas": [(g.beta1, g.beta2) for g in groups],
+            "features": sample_features(model, 0.6, self.N, driver, tags=(1,)).features,
+            "paths": path_grid(model, np.linspace(0.0, 1.0, 9), self.N, driver,
+                               tags=(2,)),
+        }
+
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_blocks_of_1024_rows_change_no_bits(self, monkeypatch, kind):
+        model, degree = block_model(kind)
+        assert model_module._block_rows(model) > self.N  # one block by default
+        whole = self.outputs(model, degree)
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 1)
+        assert model_module._block_rows(model) == 1024  # five blocks, the last short
+        blocked = self.outputs(model, degree)
+        for key, value in whole.items():
+            np.testing.assert_array_equal(np.asarray(value), np.asarray(blocked[key]),
+                                          err_msg=key)
+
+    def test_price_surface_peak_grows_by_terminal_values_and_payoffs_only(self):
+        # the 44 feature columns (8 * 44 bytes a path) are never held whole:
+        # per added path the peak grows by less than S_T, the sample weights,
+        # one payoff per strike and one temporary
+        model, _ = block_model("piecewise")
+        strikes = (90.0, 95.0, 100.0, 105.0, 110.0)
+        quotes = strike_quotes((1.0,), strikes)
+
+        def peak(n_paths):
+            sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, cv_degree=2,
+                                                  beta_samples=10_000))
+            tracemalloc.start()
+            try:
+                price_surface(model, quotes, sched, BrownianDriver(3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = (peak(400_000) - peak(100_000)) / 300_000
+        assert growth < 8 * (len(strikes) + 3)
+
+
 # Reductions that c13's 5-strike, CV-MC surface never reaches: a 10-strike MC
 # maturity, 40^3 = 64,000 quadrature nodes (u*d = 3) and the CV R^2, on a
 # model with a terminal spread of about 20; and the exact interval sampler
 # (eigendecomposition of each interval covariance, einsum with the draws)
-# over 64 times for both bases, plus a Legendre path_grid.
+# over 64 times for both bases, plus a Legendre path_grid.  The desk model
+# (argv[1]) prices 100003 paths, where an unaligned OpenBLAS row split of
+# features @ theta moved the last bits between 1 and 2 or 4 threads.
 _THREADS_SCRIPT = textwrap.dedent("""
     import hashlib
+    import sys
     from types import SimpleNamespace
     import numpy as np
     from chaoscal.bases import (BrownianDriver, LegendreBasis,
                                 PiecewiseConstantBasis, sample_integrals)
     from chaoscal.indices import enumerate_indices
-    from chaoscal.model import ChaosModel, path_grid, sample_features
+    from chaoscal.model import ChaosModel, path_grid, sample_features, terminal_values
+    from chaoscal.modelio import load_model
     from chaoscal.pricing import (PricingMethod, PricingSchedule, estimate_cv,
                                   price_surface, quad_call_price)
     from chaoscal.reference import HestonParams, RoughHestonParams, rough_heston_cf
@@ -504,10 +593,16 @@ _THREADS_SCRIPT = textwrap.dedent("""
     leg_paths = path_grid(leg, times[3::4], 20_000, driver, tags=(12,))
     rough = RoughHestonParams(HestonParams(100.0, 1.5, 0.04, 0.3, -0.7, 0.04), 0.75)
     rough_cf = rough_heston_cf(np.linspace(0.1, 50.0, 210) - 0.5j, 1.0, rough)
+    desk = load_model(sys.argv[1])
+    desk_s = terminal_values(desk, sample_features(desk, 1.0, 100_003, BrownianDriver(0),
+                                                   tags=(0, 4, 0)))
+    desk_paths = path_grid(desk, np.linspace(0.0, 1.0, 5), 100_003, BrownianDriver(0),
+                           tags=(7001,))
     for name, value in (("prices", prices), ("quad", quad),
                         ("r2", cv.r_squared), ("leg_ints", leg_ints),
                         ("pw_ints", pw_ints), ("leg_paths", leg_paths),
-                        ("rough_cf", rough_cf)):
+                        ("rough_cf", rough_cf), ("desk_s", desk_s),
+                        ("desk_paths", desk_paths)):
         print(name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
 """)
 
@@ -519,10 +614,10 @@ def test_thread_count_does_not_change_bits():
     for threads in ("1", "4"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, DESK_MODEL],
                               capture_output=True, text=True, env=env,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 7
+    assert len(outputs[0]) == 9
     assert outputs[0] == outputs[1]
