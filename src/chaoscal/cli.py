@@ -21,6 +21,7 @@ from .errors import InversionError, NumericError, ValidationError
 from .indices import index_space_dim
 from .model import ChaosModel, path_grid
 from .modelio import (
+    _construct,
     _field,
     _object,
     _read_json,
@@ -62,14 +63,14 @@ _EVAL_STREAM = 0  # tag layout: pricing._maturity_groups
 
 
 def _floats(flag, text):
-    """The finite numbers of a comma-separated flag value; at least one."""
+    """The positive finite numbers of a comma-separated flag; at least one."""
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         values = []
-    if not values or not np.isfinite(values).all():
+    if not values or not all(0 < v < np.inf for v in values):  # NaN fails too
         raise ValidationError(
-            f"{flag} must be comma-separated finite numbers, got {text!r}")
+            f"{flag} must be comma-separated finite numbers > 0, got {text!r}")
     return values
 
 
@@ -117,7 +118,8 @@ def cmd_parity(args):
     for t in sorted({q.maturity for q in quotes}):
         calls = [q for q in quotes if q.maturity == t and q.option_type == "C"]
         puts = [q for q in quotes if q.maturity == t and q.option_type == "P"]
-        fit = extract_forward_discount(calls, puts)
+        fit = _construct(f"{args.quotes}: maturity {t}", extract_forward_discount,
+                         calls, puts)
         print(f"T={t}: DF={fit.discount_factor:.6f} F={fit.forward:.4f} "
               f"parity rmse={fit.rmse:.2e} ({len(fit.strikes)} strikes)")
         enriched += [dataclasses.replace(q, discount_factor=fit.discount_factor,
@@ -267,6 +269,19 @@ def _read_exotics_spec(path):
     return contracts, [_exotic_spec(path, i, c) for i, c in enumerate(contracts)], steps
 
 
+def _exotic_cells(paths, times, specs, s0):
+    """Per contract: price, SE, implied vol (r = q = 0) and multiple-roots cells."""
+    cells = []
+    for spec in specs:
+        price, se = exotic_mc_price(paths, times, spec)
+        try:
+            iv = exotic_implied_vol(price, spec, s0)
+            cells.append([repr(price), repr(se), repr(iv.sigma), int(iv.multiple_roots)])
+        except InversionError:
+            cells.append([repr(price), repr(se), "", ""])
+    return cells
+
+
 def cmd_exotics(args):
     import csv
 
@@ -297,39 +312,19 @@ def cmd_exotics(args):
         np.array(sorted({s.maturity for s in specs} | special)),
     ]))
     driver = BrownianDriver(args.seed)
-    # both simulators return (n_paths, n_times) at exactly these times; the
-    # model's paths are dropped before the reference's are simulated
-    model_paths = path_grid(model, times, args.paths, driver, tags=(7001,)).T
-    rows = []
-    for spec, raw in zip(specs, contracts):
-        price, se = exotic_mc_price(model_paths, times, spec)
-        try:
-            iv = exotic_implied_vol(price, spec, model.s0)
-            iv_sigma, iv_multi = repr(iv.sigma), int(iv.multiple_roots)
-        except InversionError:
-            iv_sigma, iv_multi = "", ""
-        rows.append([
-            raw.get("type"),
-            raw.get("tau", ""), repr(spec.maturity),
-            raw.get("strike", ""), raw.get("strike_ratio", ""),
-            raw.get("barrier", ""),
-            repr(price), repr(se), iv_sigma, iv_multi,
-        ])
-    del model_paths
-    ref_paths = None
+    # both simulators return (len(times), n_paths) at exactly these times; the
+    # model's paths are released before the reference's are simulated
+    model_cells = _exotic_cells(
+        path_grid(model, times, args.paths, driver, tags=(7001,)), times, specs, model.s0)
+    ref_cells = [["", "", ""]] * len(specs)
     if params is not None:
-        ref_paths = heston_simulate(params, times, args.paths, driver, tags=(7002,))
-    for spec, row in zip(specs, rows):
-        if ref_paths is None:
-            row.extend(["", "", ""])
-            continue
-        ref_price, ref_se = exotic_mc_price(ref_paths, times, spec)
-        try:
-            ref_iv = repr(exotic_implied_vol(ref_price, spec, params.s0, params.r,
-                                             params.q).sigma)
-        except InversionError:
-            ref_iv = ""
-        row.extend([repr(ref_price), repr(ref_se), ref_iv])
+        ref_cells = [c[:3] for c in _exotic_cells(
+            heston_simulate(params, times, args.paths, driver, tags=(7002,)),
+            times, specs, params.s0)]
+    rows = [[raw.get("type"), raw.get("tau", ""), repr(spec.maturity),
+             raw.get("strike", ""), raw.get("strike_ratio", ""), raw.get("barrier", ""),
+             *model_c, *ref_c]
+            for spec, raw, model_c, ref_c in zip(specs, contracts, model_cells, ref_cells)]
 
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

@@ -59,8 +59,7 @@ def enumerate_indices(p, m, d):
     Deterministic order: graded by |a|, then ascending lexicographic on the
     flat tuple. The constant (empty) index is excluded; models house it as S_0.
     """
-    if p < 1 or m < 1 or d < 1:
-        raise ValidationError(f"require p, m, d >= 1, got ({p}, {m}, {d})")
+    index_space_dim(p, m, d)  # the range check: p, m and d are at least 1
     n = m * d
     out = []
     for k in range(1, p + 1):
@@ -71,11 +70,12 @@ def enumerate_indices(p, m, d):
 def index_space_dim(p, m, d):
     """Count of indices with 0 <= |a| <= p (constant term included).
 
-    Stars and bars: sum_{k<=p} C(M*d + k - 1, k) = C(M*d + p, p).
+    Stars and bars: sum_{k<=p} C(M*d + k - 1, k) = C(M*d + p, p).  p, m
+    and d must each be at least 1.
     """
-    for key, value, low in (("p", p, 0), ("m", m, 1), ("d", d, 1)):
-        if value < low:
-            raise ValidationError(f"key {key!r} must be at least {low}, got {value}")
+    for key, value in (("p", p), ("m", m), ("d", d)):
+        if value < 1:
+            raise ValidationError(f"key {key!r} must be at least 1, got {value}")
     return math.comb(m * d + p, p)
 
 

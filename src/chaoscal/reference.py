@@ -359,9 +359,10 @@ def heston_simulate(
 
     `times` (starting at 0) are the monitoring times.  Each interval between
     them is split into equal Euler steps of at most max_step, but S is
-    stored only at the requested times: returns shape (n_paths, len(times)),
-    so a terminal value is `heston_simulate(p, [0.0, T], ...)[:, 1]`.  With
-    return_variance, returns (S, V) arrays of that shape.
+    stored only at the requested times: returns shape (len(times), n_paths),
+    one row per time like `model.path_grid`, so a terminal value is
+    `heston_simulate(p, [0.0, T], ...)[1]`.  With return_variance, returns
+    (S, V) arrays of that shape.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
@@ -373,21 +374,20 @@ def heston_simulate(
     if n_paths < 1:
         raise ValidationError("need at least one path")
     fine = _refine(times, max_step)
-    slot = np.full(fine.size, -1)  # output column of each Euler step's end
+    slot = np.full(fine.size, -1)  # output row of each Euler step's end
     slot[np.searchsorted(fine, times)] = np.arange(times.size)
     rho_c = math.sqrt(1.0 - p.rho**2)
-    out = np.empty((n_paths, times.size))
-    var_out = np.empty((n_paths, times.size)) if return_variance else None
-    start = 0
-    block_id = 0
-    while start < n_paths:
+    out = np.empty((times.size, n_paths))
+    var_out = np.empty((times.size, n_paths)) if return_variance else None
+    for block_id, start in enumerate(range(0, n_paths, _PATH_BLOCK)):
         nb = min(_PATH_BLOCK, n_paths - start)
+        cols = slice(start, start + nb)
         gen = driver.generator(*tags, block_id)
         x = np.full(nb, math.log(p.s0))
         v = np.full(nb, p.v0)
-        out[start : start + nb, 0] = p.s0
+        out[0, cols] = p.s0
         if return_variance:
-            var_out[start : start + nb, 0] = p.v0
+            var_out[0, cols] = p.v0
         for k, dt in enumerate(np.diff(fine), start=1):
             z = gen.standard_normal((nb, 2))
             vp = np.maximum(v, 0.0)
@@ -397,11 +397,9 @@ def heston_simulate(
             )
             v = v + p.kappa * (p.vbar - vp) * dt + p.eps * sq * z[:, 0]
             if slot[k] >= 0:
-                out[start : start + nb, slot[k]] = np.exp(x)
+                out[slot[k], cols] = np.exp(x)
                 if return_variance:
-                    var_out[start : start + nb, slot[k]] = v
-        start += nb
-        block_id += 1
+                    var_out[slot[k], cols] = v
     if return_variance:
         return out, var_out
     return out
@@ -417,26 +415,28 @@ def _grid_position(times, t, what):
 def exotic_mc_price(paths, times, spec):
     """Mean payoff and standard error of an exotic on simulated paths.
 
-    paths has shape (n_paths, len(times)); monitoring (barrier crossing,
-    running minimum) is discrete on exactly these times.
+    paths has shape (len(times), n_paths), one row per monitoring time as
+    `heston_simulate` and `model.path_grid` return them; monitoring (barrier
+    crossing, running minimum) is discrete on exactly these times.
     """
     paths = np.asarray(paths, dtype=float)
     times = np.asarray(times, dtype=float)
-    if paths.ndim != 2 or paths.shape[1] != times.size:
-        raise ValidationError("paths must be (n_paths, len(times))")
+    if paths.ndim != 2 or paths.shape[0] != times.size:
+        raise ValidationError(f"paths must be (len(times), n_paths) with "
+                              f"{times.size} times, got shape {paths.shape}")
     i_mat = _grid_position(times, spec.maturity, "maturity")
-    s_t = paths[:, i_mat]
+    s_t = paths[i_mat]
     if isinstance(spec, ForwardStartCall):
         if spec.strike is not None:
             payoff = np.maximum(s_t - spec.strike, 0.0)
         else:
             i_tau = _grid_position(times, spec.tau, "start date")
-            payoff = np.maximum(s_t - spec.strike_ratio * paths[:, i_tau], 0.0)
+            payoff = np.maximum(s_t - spec.strike_ratio * paths[i_tau], 0.0)
     elif isinstance(spec, DownAndOutCall):
-        alive = paths[:, : i_mat + 1].min(axis=1) > spec.barrier
+        alive = paths[: i_mat + 1].min(axis=0) > spec.barrier
         payoff = np.maximum(s_t - spec.strike, 0.0) * alive
     elif isinstance(spec, LookbackCall):
-        payoff = s_t - paths[:, : i_mat + 1].min(axis=1)
+        payoff = s_t - paths[: i_mat + 1].min(axis=0)
     else:
         raise ValidationError(f"unknown exotic spec {type(spec).__name__}")
     if payoff.size < 2:

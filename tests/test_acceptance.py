@@ -265,7 +265,7 @@ def test_c05_heston_lewis_vs_euler_mc():
         moment_ok = (heston_second_moment_finite(HESTON)
                      and abs(chi2 + 2.2) < 1e-12 and abs(delta2 - 4.34) < 1e-12)
         s_t = heston_simulate(HESTON, [0.0, 1.0], 1_000_000, BrownianDriver(17),
-                              tags=(50,), max_step=1.0 / 500.0)[:, 1]  # 500 steps
+                              tags=(50,), max_step=1.0 / 500.0)[1]  # 500 steps
         worst_z = 0.0
         for k in (80.0, 100.0, 120.0):
             pay = np.maximum(s_t - k, 0.0)
@@ -476,9 +476,9 @@ def test_c12_exotic_limits_and_round_trips():
     with criterion(12, "exotic degenerate limits + implied-vol round trip") as res:
         model = truth_model()
         times = np.linspace(0.0, 1.0, 65)
-        paths = path_grid(model, times, 200_000, BrownianDriver(912), tags=(120,)).T
+        paths = path_grid(model, times, 200_000, BrownianDriver(912), tags=(120,))
 
-        s_t = paths[:, -1]
+        s_t = paths[-1]
         vanilla_105 = float(np.maximum(s_t - 105.0, 0.0).mean())
         vanilla_100 = float(np.maximum(s_t - 100.0, 0.0).mean())
         fs0, _ = exotic_mc_price(paths, times,

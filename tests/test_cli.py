@@ -11,14 +11,27 @@ import pytest
 
 import chaoscal
 from chaoscal import cli
-from chaoscal.bases import LegendreBasis, PiecewiseConstantBasis
+from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis
 from chaoscal.cli import main
-from chaoscal.model import ChaosModel
+from chaoscal.model import ChaosModel, path_grid
 from chaoscal.modelio import index_order_hash, load_model, serialize_model
 from chaoscal.pricing import quad_call_price
 from chaoscal.quotes import parse_quotes
-from chaoscal.reference import HestonParams, heston_lewis_price
-from chaoscal.vol import bs_call, bs_put, implied_vol
+from chaoscal.reference import (
+    HestonParams,
+    exotic_mc_price,
+    heston_lewis_price,
+    heston_simulate,
+)
+from chaoscal.vol import (
+    DownAndOutCall,
+    ForwardStartCall,
+    LookbackCall,
+    bs_call,
+    bs_put,
+    exotic_implied_vol,
+    implied_vol,
+)
 
 HESTON = {"s0": 100.0, "kappa": 1.2, "vbar": 0.04, "eps": 0.4,
           "rho": -0.6, "v0": 0.045, "r": 0.02, "q": 0.01}
@@ -435,6 +448,38 @@ class TestExotics:
         assert float(rows[3]["model_price"]) >= vanilla - 1e-12
         assert rows[3]["model_iv"] != ""
 
+    def test_cells_are_the_library_on_both_simulators(self, tmp_path):
+        # the command prices the simulators' (len(times), n_paths) arrays as
+        # they come, at its seed and stream tags: 7001 model, 7002 reference
+        contracts = [
+            {"type": "forward_start", "tau": 0.5, "maturity": 1.0, "strike_ratio": 1.0},
+            {"type": "down_and_out", "maturity": 1.0, "strike": 100.0, "barrier": 90.0},
+            {"type": "lookback", "maturity": 1.0},
+        ]
+        specs = [ForwardStartCall(0.5, 1.0, strike_ratio=1.0),
+                 DownAndOutCall(1.0, 100.0, 90.0), LookbackCall(1.0)]
+        reference = dict(HESTON, r=0.0, q=0.0)
+        rc, out = self.run_exotics(tmp_path, contracts, reference=reference, paths=3000)
+        assert rc == 0
+        times = np.linspace(0.0, 1.0, 33)  # 32 steps put 0.5 and 1.0 on the grid
+        driver = BrownianDriver(5)
+        sides = {
+            "model": path_grid(truth_model(), times, 3000, driver, tags=(7001,)),
+            "ref": heston_simulate(HestonParams(**reference), times, 3000, driver,
+                                   tags=(7002,)),
+        }
+        rows = read_rows(out)
+        assert len(rows) == len(specs)
+        for row, spec in zip(rows, specs):
+            for side, paths in sides.items():
+                price, se = exotic_mc_price(paths, times, spec)
+                iv = exotic_implied_vol(price, spec, 100.0)
+                assert row[f"{side}_price"] == repr(price)
+                assert row[f"{side}_se"] == repr(se)
+                assert row[f"{side}_iv"] == repr(iv.sigma)
+                if side == "model":
+                    assert row["model_iv_multiple_roots"] == str(int(iv.multiple_roots))
+
     def test_reference_columns_blank_without_reference(self, tmp_path):
         rc, out = self.run_exotics(
             tmp_path, [{"type": "lookback", "maturity": 1.0}], paths=2000
@@ -487,6 +532,11 @@ class TestBadInput:
     """Bad files and counts end in exit 2 with a message naming the cause."""
 
     LOOKBACK = json.dumps({"contracts": [{"type": "lookback", "maturity": 1.0}]})
+    ONE_COMMON_STRIKE = (  # raw mids: T = 0.5 has two common strikes, T = 1.0 one
+        "maturity_years,strike,option_type,mid_price,spot\n"
+        "0.5,95.0,C,7.0,100.0\n0.5,95.0,P,2.0,100.0\n"
+        "0.5,105.0,C,2.0,100.0\n0.5,105.0,P,7.0,100.0\n"
+        "1.0,100.0,C,8.0,100.0\n1.0,100.0,P,8.0,100.0\n1.0,110.0,C,4.0,100.0\n")
     GOOD = {  # content of the good JSON inputs; model and quote files are written
         "params": json.dumps(HESTON),
         "config": config_text(),
@@ -721,6 +771,22 @@ class TestBadInput:
                                                              [0.5, {"kind": "quad"}]]})},
             "schedule.json: entries 0 and 1 both name maturity 0.5"),
         "exotics one path": ("exotics", {"paths": "1"}, "--paths must be at least 2"),
+        "calibrate model section p zero": (
+            "calibrate", {"config": config_text(model={"p": 0, "m": 2, "d": 1,
+                                                       "horizon": 1.0})},
+            "config.json: model section: key 'p' must be at least 1, got 0"),
+        "evaluate model p zero": (
+            "evaluate", {"model": model_text(p=0)},
+            "truth.json: key 'p' must be at least 1, got 0"),
+        "gen-surface maturities zero": ("gen-surface", {"maturities": "0"},
+                                        "--maturities must be comma-separated "
+                                        "finite numbers > 0"),
+        "gen-surface moneyness negative": ("gen-surface", {"moneyness": "-1"},
+                                           "--moneyness must be comma-separated "
+                                           "finite numbers > 0"),
+        "parity maturity with one common strike": (
+            "parity", {"quotes": ONE_COMMON_STRIKE},
+            "q.csv: maturity 1.0: parity extraction needs >= 2 common strikes, got 1"),
     }
 
     def argv(self, tmp_path, command, bad):

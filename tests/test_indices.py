@@ -31,7 +31,8 @@ class TestEnumeration:
     def test_dim_examples(self):
         assert index_space_dim(2, 12, 2) == 325
         assert index_space_dim(2, 7, 2) == 120
-        assert index_space_dim(0, 5, 3) == 1
+        with pytest.raises(ValidationError, match="key 'p' must be at least 1, got 0"):
+            index_space_dim(0, 5, 3)  # the constant alone is no model
 
     def test_graded_lex_order(self):
         idx = [a.exponents for a in enumerate_indices(2, 2, 1)]

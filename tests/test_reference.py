@@ -405,7 +405,7 @@ class TestHestonSimulate:
             heston_simulate(P, np.array([0.0, 0.2]), 10, d, max_step=0.0)
 
     def test_martingale(self):
-        st = heston_simulate(P, [0.0, 1.0], 100_000, BrownianDriver(3))[:, 1]
+        st = heston_simulate(P, [0.0, 1.0], 100_000, BrownianDriver(3))[1]
         se = st.std(ddof=1) / math.sqrt(st.size)
         assert abs(st.mean() - 100.0) < 4 * se
 
@@ -423,8 +423,8 @@ class TestHestonSimulate:
                                          return_variance=True)
         keep = np.searchsorted(fine, times)
         np.testing.assert_array_equal(fine[keep], times)
-        np.testing.assert_array_equal(s, s_fine[:, keep])
-        np.testing.assert_array_equal(v, v_fine[:, keep])
+        np.testing.assert_array_equal(s, s_fine[keep])
+        np.testing.assert_array_equal(v, v_fine[keep])
 
     def test_coarse_request_is_refined(self):
         # two monitoring times half a year apart still step at most 1/250:
@@ -432,7 +432,7 @@ class TestHestonSimulate:
         p = HestonParams(100.0, 2.0, 0.04, 1e-10, -0.5, 0.09)
         times = [0.0, 0.5, 1.0]
         _, v = heston_simulate(p, times, 10, BrownianDriver(5), return_variance=True)
-        ode = 0.04 + (0.09 - 0.04) * np.exp(-2.0 * np.array(times))
+        ode = 0.04 + (0.09 - 0.04) * np.exp(-2.0 * np.array(times))[:, None]
         assert np.abs(v - ode).max() < 2e-4
         _, v_coarse = heston_simulate(p, times, 10, BrownianDriver(5),
                                       return_variance=True, max_step=0.5)
@@ -444,11 +444,11 @@ class TestHestonSimulate:
         grid = np.linspace(0.0, 1.0, 251)
         _, v = heston_simulate(p, grid, 100, BrownianDriver(5), return_variance=True)
         ode = 0.04 + (0.09 - 0.04) * np.exp(-2.0 * grid)
-        assert np.abs(v[0] - ode).max() < 2e-4  # O(dt) step error
-        assert np.abs(v - v[0]).max() < 1e-8  # same across paths
+        assert np.abs(v[:, 0] - ode).max() < 2e-4  # O(dt) step error
+        assert np.abs(v - v[:, :1]).max() < 1e-8  # same across paths
 
     def test_lewis_agreement(self):
-        st = heston_simulate(P, [0.0, 1.0], 200_000, BrownianDriver(6))[:, 1]
+        st = heston_simulate(P, [0.0, 1.0], 200_000, BrownianDriver(6))[1]
         for k in (80.0, 100.0, 120.0):
             pay = np.maximum(st - k, 0.0)
             se = pay.std(ddof=1) / math.sqrt(pay.size)
@@ -460,7 +460,7 @@ class TestHestonSimulate:
         errs = {}
         for i, n in enumerate((12, 100)):
             st = heston_simulate(P, [0.0, 0.5], 400_000, BrownianDriver(8), tags=(i,),
-                                 max_step=0.5 / n)[:, 1]
+                                 max_step=0.5 / n)[1]
             pay = np.maximum(st - 100.0, 0.0)
             errs[n] = (pay.mean() - lw, pay.std(ddof=1) / math.sqrt(pay.size))
         assert abs(errs[12][0]) > 3 * errs[12][1]
@@ -488,14 +488,14 @@ class TestExoticMc:
         grid, paths = gbm_paths
         spec = ForwardStartCall(0.0, 1.0, strike_ratio=1.05)
         pr, _ = exotic_mc_price(paths, grid, spec)
-        vanilla = np.maximum(paths[:, -1] - 105.0, 0.0).mean()
+        vanilla = np.maximum(paths[-1] - 105.0, 0.0).mean()
         assert pr == vanilla
 
     def test_forward_start_absolute_strike(self, gbm_paths):
         grid, paths = gbm_paths
         spec = ForwardStartCall(0.5, 1.0, strike=103.0)
         pr, _ = exotic_mc_price(paths, grid, spec)
-        assert pr == np.maximum(paths[:, -1] - 103.0, 0.0).mean()
+        assert pr == np.maximum(paths[-1] - 103.0, 0.0).mean()
 
     def test_forward_start_matches_closed_form(self, gbm_paths):
         grid, paths = gbm_paths
@@ -507,7 +507,7 @@ class TestExoticMc:
     def test_barrier_never_hit_is_vanilla(self, gbm_paths):
         grid, paths = gbm_paths
         pr, _ = exotic_mc_price(paths, grid, DownAndOutCall(1.0, 100.0, 1e-6))
-        assert pr == np.maximum(paths[:, -1] - 100.0, 0.0).mean()
+        assert pr == np.maximum(paths[-1] - 100.0, 0.0).mean()
 
     def test_barrier_against_adjusted_closed_form(self, gbm_paths):
         # discrete monitoring vs the continuity-corrected barrier
@@ -522,12 +522,12 @@ class TestExoticMc:
     def test_one_path_has_no_standard_error(self, gbm_paths):
         grid, paths = gbm_paths
         with pytest.raises(ValidationError, match="at least 2 paths"):
-            exotic_mc_price(paths[:1], grid, LookbackCall(1.0))
+            exotic_mc_price(paths[:, :1], grid, LookbackCall(1.0))
 
     def test_lookback_dominates_atm_vanilla(self, gbm_paths):
         grid, paths = gbm_paths
         pr, _ = exotic_mc_price(paths, grid, LookbackCall(1.0))
-        atm = np.maximum(paths[:, -1] - 100.0, 0.0).mean()
+        atm = np.maximum(paths[-1] - 100.0, 0.0).mean()
         assert pr >= atm  # pathwise: min <= S_0
 
     def test_lookback_between_discrete_and_continuous(self, gbm_paths):
@@ -547,5 +547,8 @@ class TestExoticMc:
 
     def test_shape_mismatch_rejected(self, gbm_paths):
         grid, paths = gbm_paths
-        with pytest.raises(ValidationError):
-            exotic_mc_price(paths[:, :-1], grid, LookbackCall(1.0))
+        with pytest.raises(ValidationError, match=r"\(len\(times\), n_paths\)"):
+            exotic_mc_price(paths[:-1], grid, LookbackCall(1.0))
+        # five paths laid out (n_paths, len(times)): that layout is refused
+        with pytest.raises(ValidationError, match=r"\(len\(times\), n_paths\)"):
+            exotic_mc_price(np.full((5, grid.size), 100.0), grid, LookbackCall(1.0))
