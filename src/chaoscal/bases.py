@@ -21,8 +21,8 @@ exactly for both families, so sampled paths carry no time-discretization
 error.
 
 BrownianDriver wraps the counter-based Philox generator: streams are keyed by
-(seed, stream, *tags) through SeedSequence, so any (seed, stream, tag) triple
-reproduces its draws bit-for-bit regardless of what else was sampled.
+(seed, 0, *tags) through SeedSequence, so any (seed, tags) pair reproduces its
+draws bit-for-bit regardless of what else was sampled.
 """
 
 from dataclasses import dataclass
@@ -74,26 +74,24 @@ class LegendreBasis:
 
 @dataclass(frozen=True)
 class BrownianDriver:
-    """Counter-based Gaussian source keyed by (seed, stream, *tags).
+    """Counter-based Gaussian source keyed by (seed, *tags).
 
     It has no time resolution: every basis is sampled exactly from the
     interval covariances of its Ito integrals (see `sample_integrals`).
     """
 
     seed: int
-    stream: int = 0
 
     def __post_init__(self):
-        for key in ("seed", "stream"):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < 0):
-                raise ValidationError(f"{key} must be a nonnegative integer, "
-                                      f"got {value!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
 
     def generator(self, *tags):
+        # the 0 after the seed is part of every stream's key, so every seeded
+        # result depends on it
         return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((self.seed, self.stream) + tags))
+            np.random.Philox(np.random.SeedSequence((self.seed, 0) + tags))
         )
 
 

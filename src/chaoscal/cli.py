@@ -32,7 +32,7 @@ from .modelio import (
     serialize_model,
     write_history,
 )
-from .pricing import PricingSchedule, price_surface
+from .pricing import MC_MAX_BYTES, PricingSchedule, price_surface
 from .quotes import (
     Quote,
     QuoteSurface,
@@ -128,16 +128,30 @@ def cmd_parity(args):
     print(f"wrote {len(enriched)} enriched quotes to {args.out}")
 
 
-def _build_model0(model_spec, spot, cfg):
+def _check_feature_bytes(where, p, m, d, surface, schedule):
+    """The coefficient count, once every MC maturity's feature matrix (n_paths
+    doubles per coefficient) is known to fit in MC_MAX_BYTES."""
+    n = index_space_dim(p, m, d) - 1
+    for t in sorted({q.maturity for q in surface.quotes}):
+        method = schedule.for_maturity(t)
+        if method.kind == "mc" and 8 * method.n_paths * n > MC_MAX_BYTES:
+            raise ValidationError(
+                f"{where}: {n} coefficients at n_paths = {method.n_paths} (maturity "
+                f"{t}) need {8 * method.n_paths * n} bytes, above the "
+                f"{MC_MAX_BYTES}-byte feature-matrix cap")
+    return n
+
+
+def _build_model0(path, model_spec, surface, cfg, schedule):
     if model_spec is None:
         raise ValidationError(
             "config needs a 'model' section {p, m, d, horizon} (or pass --init)"
         )
-    basis = PiecewiseConstantBasis.uniform(model_spec["horizon"], model_spec["m"])
-    n = index_space_dim(model_spec["p"], model_spec["m"], model_spec["d"]) - 1
-    theta0 = initial_coefficients(n, cfg) * spot
-    return ChaosModel(spot, model_spec["p"], model_spec["m"], model_spec["d"],
-                      basis, theta0)
+    p, m, d = model_spec["p"], model_spec["m"], model_spec["d"]
+    n = _check_feature_bytes(f"{path}: model section", p, m, d, surface, schedule)
+    basis = PiecewiseConstantBasis.uniform(model_spec["horizon"], m)
+    theta0 = initial_coefficients(n, cfg) * surface.spot
+    return ChaosModel(surface.spot, p, m, d, basis, theta0)
 
 
 def cmd_calibrate(args):
@@ -150,8 +164,9 @@ def cmd_calibrate(args):
     schedule = load_schedule(args.schedule) if args.schedule else PricingSchedule()
     if args.init:
         model0 = load_model(args.init)
+        _check_feature_bytes(args.init, model0.p, model0.m, model0.d, surface, schedule)
     else:
-        model0 = _build_model0(model_spec, surface.spot, cfg)
+        model0 = _build_model0(args.config, model_spec, surface, cfg, schedule)
     bad = [q.maturity for q in surface.quotes if q.maturity > model0.horizon + 1e-12]
     if bad:
         raise ValidationError(
@@ -270,16 +285,26 @@ def _read_exotics_spec(path):
 
 
 def _exotic_cells(paths, times, specs, s0):
-    """Per contract: price, SE, implied vol (r = q = 0) and multiple-roots cells."""
+    """Per contract: price, SE and implied-vol cells; the vol is blank where
+    the zero-rate closed form does not attain the price."""
     cells = []
     for spec in specs:
         price, se = exotic_mc_price(paths, times, spec)
         try:
-            iv = exotic_implied_vol(price, spec, s0)
-            cells.append([repr(price), repr(se), repr(iv.sigma), int(iv.multiple_roots)])
+            iv = repr(exotic_implied_vol(price, spec, s0))
         except InversionError:
-            cells.append([repr(price), repr(se), "", ""])
+            iv = ""
+        cells.append([repr(price), repr(se), iv])
     return cells
+
+
+def _check_barriers(path, specs, spot, source):
+    for i, spec in enumerate(specs):
+        if isinstance(spec, DownAndOutCall) and spec.barrier >= spot:
+            raise ValidationError(
+                f"{path}: contract {i} (down_and_out): barrier {spec.barrier} >= "
+                f"spot {spot} of {source}: knocked out at inception"
+            )
 
 
 def cmd_exotics(args):
@@ -294,6 +319,7 @@ def cmd_exotics(args):
         raise ValidationError(
             f"contract maturity {t_max} beyond model horizon {model.horizon}"
         )
+    _check_barriers(args.spec, specs, model.s0, args.model)
     params = None
     if args.reference:
         params, alpha = _heston_from_json(args.reference)
@@ -305,6 +331,7 @@ def cmd_exotics(args):
                 "in its zero-rate world, and exotic payoffs do not convert "
                 "between worlds by a discount factor"
             )
+        _check_barriers(args.spec, specs, params.s0, args.reference)
 
     special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
     times = np.unique(np.concatenate([
@@ -318,9 +345,9 @@ def cmd_exotics(args):
         path_grid(model, times, args.paths, driver, tags=(7001,)), times, specs, model.s0)
     ref_cells = [["", "", ""]] * len(specs)
     if params is not None:
-        ref_cells = [c[:3] for c in _exotic_cells(
+        ref_cells = _exotic_cells(
             heston_simulate(params, times, args.paths, driver, tags=(7002,)),
-            times, specs, params.s0)]
+            times, specs, params.s0)
     rows = [[raw.get("type"), raw.get("tau", ""), repr(spec.maturity),
              raw.get("strike", ""), raw.get("strike_ratio", ""), raw.get("barrier", ""),
              *model_c, *ref_c]
@@ -330,8 +357,7 @@ def cmd_exotics(args):
         writer = csv.writer(handle)
         writer.writerow(["type", "tau", "maturity", "strike", "strike_ratio",
                          "barrier", "model_price", "model_se", "model_iv",
-                         "model_iv_multiple_roots", "ref_price", "ref_se",
-                         "ref_iv"])
+                         "ref_price", "ref_se", "ref_iv"])
         writer.writerows(rows)
     print(f"wrote {len(specs)} exotic prices to {args.out}")
 

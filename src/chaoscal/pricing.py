@@ -16,7 +16,7 @@ Two engines:
   normal density, done with the probabilists' rule (weights sum to 1).
 
 Prices, CV betas and calibration gradients are deterministic functions of
-(seed, stream, tag), bit for bit across BLAS thread counts.  OpenBLAS splits
+(seed, tags), bit for bit across BLAS thread counts.  OpenBLAS splits
 the reduction axis of a matrix-vector or dot product across threads, so its
 last bits depend on the thread count.  Every reduction over paths or nodes
 therefore runs in numpy's own single-threaded loops:
@@ -66,6 +66,7 @@ from .model import (
 )
 
 QUAD_MAX_BYTES = 256 << 20  # cap on `_quad_node_bytes` for one node build
+MC_MAX_BYTES = 1 << 30  # cap on a fit's n_paths x coefficients feature matrix
 _SAME_MATURITY = 1e-9  # schedule maturities closer than this are one maturity
 
 

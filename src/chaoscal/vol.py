@@ -1,22 +1,22 @@
 """Black-Scholes toolkit: vanilla price/vega, implied vol, exotic closed forms.
 
-Exotic closed forms (constant rates r, q):
+Exotic closed forms at zero rates, the model's world (its discounted asset
+is the martingale), and why each is monotone in sigma, so that one bracketed
+inversion finds any attainable price (m = sigma sqrt(T) / 2):
 
-* forward start, relative strike k: value of (S_T - k S_tau)_+ equals
-  e^{-q tau} C_BS(S_0, k S_0, T - tau) by spatial homogeneity;
-* down-and-out call with barrier L < S_0 (continuous monitoring, L <= K):
-  C_BS(S_0, K, T) - (L/S_0)^{2(r-q-sigma^2/2)/sigma^2} C_BS(L^2/S_0, K, T)
-  (in-out parity with the reflected start L^2/S_0);
-* floating-strike lookback call (continuous running minimum from S_0):
-  C_BS(S_0, S_0, T) - (S_0 e^{-qT} sigma^2 / (2(r-q))) *
-  (Phi(-d1) - e^{-(r-q)T} Phi(-d3)),
-  d1 = (r - q + sigma^2/2) T / (sigma sqrt(T)), d3 = d1 - 2(r-q) sqrt(T)/sigma.
-  The (r-q) -> 0 singularity is removable; below |r-q| = 1e-6 the factor is
-  evaluated by its second-order series in b = r - q (coefficients derived
-  symbolically; with m = sigma sqrt(T)/2:
-  g0 = 2m^2 Phi(-m) - 2m phi(m), g1 = T(m phi(m) - m^2 Phi(-m)),
-  g2 = T^2(phi(m)/(12m) + m^2 Phi(-m)/3 - m phi(m)/3), value g0+g1 b+g2 b^2),
-  which matches the exact branch to ~1e-12 at the threshold.
+* forward start, relative strike k: (S_T - k S_tau)_+ is worth
+  C_BS(S_0, k S_0, T - tau) by spatial homogeneity, an absolute strike K the
+  vanilla C_BS(S_0, K, T); increasing, flat for a relative strike at tau = T;
+* lookback, floating strike on the continuous minimum from S_0:
+  C_BS(S_0, S_0, T) - S_0 (2 m^2 Phi(-m) - 2 m phi(m)); increasing, since
+  dP/dm = 4 S_0 (phi(m) - m Phi(-m)) > 0 (Mills' ratio);
+* down-and-out call, barrier L < S_0, continuous monitoring.  For L < K it
+  is C_BS(S_0, K, T) - (S_0/L) C_BS(L^2/S_0, K, T) by reflection, whose vega
+  is the vanilla's times 1 - (S_0/L)^{2 ln(L/K) / (sigma^2 T)} >= 0.  For
+  L >= K the surviving payoff splits into S_T - L, worth S_0 - L (S - L
+  stopped at L is a martingale), and L - K times the survival probability:
+  (S_0 - L) + (L - K) (Phi(d2) - (S_0/L) Phi(-d1)), d1 and d2 at strike L.
+  That is flat at L = K and decreasing for L > K, as survival falls in sigma.
 
 The normal distribution needs only the standard library:
 Phi(x) = erfc(-x / sqrt 2) / 2 by `math.erfc`, elementwise through
@@ -28,9 +28,8 @@ wherever it is a normal float.
 
 Implied vols, vanilla and exotic, end in one bracketed bisection
 (`_bisect`): it halves a sign-changing bracket until it is no wider than
-1e-14 in sigma.  The barrier price map need not be monotone in sigma, so
-multiple exotic roots are detected by a grid scan and flagged rather than
-silently resolved.
+1e-14 in sigma.  An exotic inverts on the whole bracket [1e-4, 5]; a flat
+price map has no implied vol.
 """
 
 import math
@@ -84,9 +83,11 @@ def _norm_pdf(x):
 
 
 def _bisect(f, lo, hi):
-    """Root of f in [lo, hi], where f(lo) and f(hi) differ in sign: halve the
-    bracket, keeping the sign change, until it is at most _XTOL wide."""
+    """Root of f in [lo, hi], where f(lo) is 0 or differs in sign from f(hi):
+    halve the bracket, keeping the sign change, until it is at most _XTOL wide."""
     f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
     while hi - lo > _XTOL:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
@@ -217,80 +218,50 @@ class LookbackCall:
             raise ValidationError("maturity must be positive")
 
 
-def _lookback_drift_factor(b, t, sigma):
-    # g(b) = sigma^2/(2b) (Phi(-d1) - e^{-bT} Phi(-d3)); removable at b=0
-    if abs(b) < 1e-6:
-        m = 0.5 * sigma * np.sqrt(t)
-        ph, big_phi = _norm_pdf(m), _norm_cdf(-m)
-        g0 = 2 * m * m * big_phi - 2 * m * ph
-        g1 = t * (m * ph - m * m * big_phi)
-        g2 = t * t * (ph / (12 * m) + m * m * big_phi / 3 - m * ph / 3)
-        return g0 + g1 * b + g2 * b * b
-    srt = sigma * np.sqrt(t)
-    d1 = (b + 0.5 * sigma**2) * t / srt
-    d3 = d1 - 2 * b * np.sqrt(t) / sigma
-    return sigma**2 / (2 * b) * (_norm_cdf(-d1) - np.exp(-b * t) * _norm_cdf(-d3))
-
-
-def exotic_bs_price(spec, sigma, s0, r=0.0, q=0.0):
-    """Closed-form Black-Scholes price of one of the three exotic contracts."""
+def exotic_bs_price(spec, sigma, s0):
+    """Closed-form zero-rate Black-Scholes price of one of the three exotics."""
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
     if isinstance(spec, ForwardStartCall):
         if spec.strike is not None:
-            return bs_call(s0, spec.strike, spec.maturity, sigma, r, q)
-        k_eff = spec.strike_ratio * s0
-        return np.exp(-q * spec.tau) * bs_call(
-            s0, k_eff, spec.maturity - spec.tau, sigma, r, q
-        )
+            return bs_call(s0, spec.strike, spec.maturity, sigma)
+        return bs_call(s0, spec.strike_ratio * s0, spec.maturity - spec.tau, sigma)
     if isinstance(spec, DownAndOutCall):
         if spec.barrier >= s0:
             raise ValidationError(
                 f"barrier {spec.barrier} >= spot {s0}: knocked out at inception"
             )
         t, k, lb = spec.maturity, spec.strike, spec.barrier
-        power = 2.0 * (r - q - 0.5 * sigma**2) / sigma**2
-        vanilla = bs_call(s0, k, t, sigma, r, q)
-        reflected = bs_call(lb**2 / s0, k, t, sigma, r, q)
-        if reflected <= 0.0:
-            return vanilla
-        # combine in log space: the power blows up as sigma -> 0 while the
-        # reflected price vanishes; exp(sum of logs) keeps the product finite
-        return vanilla - np.exp(power * np.log(lb / s0) + np.log(reflected))
+        if lb < k:
+            return bs_call(s0, k, t, sigma) - s0 / lb * bs_call(lb**2 / s0, k, t, sigma)
+        vol = sigma * np.sqrt(t)
+        d1 = np.log(s0 / lb) / vol + 0.5 * vol
+        survival = _norm_cdf(d1 - vol) - s0 / lb * _norm_cdf(-d1)
+        return (s0 - lb) + (lb - k) * survival
     if isinstance(spec, LookbackCall):
         t = spec.maturity
-        g = _lookback_drift_factor(r - q, t, sigma)
-        return bs_call(s0, s0, t, sigma, r, q) - s0 * np.exp(-q * t) * g
+        m = 0.5 * sigma * np.sqrt(t)
+        g = 2 * m * m * _norm_cdf(-m) - 2 * m * _norm_pdf(m)
+        return bs_call(s0, s0, t, sigma) - s0 * g
     raise ValidationError(f"unknown exotic spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class ExoticIvResult:
-    sigma: float
-    multiple_roots: bool
+def exotic_implied_vol(price, spec, s0):
+    """Invert exotic_bs_price in sigma by bisection of the whole bracket
+    [1e-4, 5] down to a 1e-14 width (`_bisect`); every zero-rate map is
+    monotone there (module docstring).
 
-
-def exotic_implied_vol(price, spec, s0, r=0.0, q=0.0):
-    """Invert exotic_bs_price in sigma by bracketed bisection on [1e-4, 5].
-
-    The barrier price map can be non-monotone in sigma; the bracket is scanned
-    on a 129-point grid, the first sign-change cell is bisected down to a
-    1e-14 width (`_bisect`), and multiple sign changes raise the
-    multiple_roots flag.
+    Raises InversionError when the map is flat, or when the price lies
+    outside [f(1e-4), f(5)] (or [f(5), f(1e-4)] for a decreasing map).
     """
-    grid = np.linspace(SIGMA_MIN, SIGMA_MAX, 129)
-    vals = np.array([exotic_bs_price(spec, v, s0, r, q) - price for v in grid])
-    signs = np.sign(vals)
-    hits = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    exact = np.nonzero(vals == 0.0)[0]
-    if exact.size:
-        return ExoticIvResult(float(grid[exact[0]]), bool(hits.size > 1))
-    if not hits.size:
+    f = lambda v: exotic_bs_price(spec, v, s0) - price
+    f_lo, f_hi = f(SIGMA_MIN), f(SIGMA_MAX)
+    if f_lo == f_hi:
+        raise InversionError(f"the price of {spec!r} does not depend on sigma")
+    if min(f_lo, f_hi) > 0.0 or max(f_lo, f_hi) < 0.0:
         raise InversionError(
-            f"no sign change for price {price} on sigma bracket "
-            f"[{SIGMA_MIN}, {SIGMA_MAX}] (range [{vals.min() + price}, {vals.max() + price}])"
+            f"price {price} outside [{min(f_lo, f_hi) + price}, "
+            f"{max(f_lo, f_hi) + price}], the prices of {spec!r} on the sigma "
+            f"bracket [{SIGMA_MIN}, {SIGMA_MAX}]"
         )
-    k = hits[0]
-    root = _bisect(lambda v: exotic_bs_price(spec, v, s0, r, q) - price,
-                   grid[k], grid[k + 1])
-    return ExoticIvResult(float(root), bool(hits.size > 1))
+    return _bisect(f, SIGMA_MIN, SIGMA_MAX)

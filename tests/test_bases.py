@@ -193,11 +193,11 @@ class TestSampling:
         assert np.all(np.abs(cross) < 4 * np.sqrt(np.outer(var, var_past) / n))
 
     def test_determinism_and_streams(self):
-        drv = BrownianDriver(seed=42, stream=3)
-        a = sample_integrals(PW, drv, [1.0], 1000, d=2)
-        b = sample_integrals(PW, drv, [1.0], 1000, d=2)
+        drv = BrownianDriver(seed=42)
+        a = sample_integrals(PW, drv, [1.0], 1000, d=2, tags=(3,))
+        b = sample_integrals(PW, drv, [1.0], 1000, d=2, tags=(3,))
         assert hashlib.sha256(a.tobytes()).digest() == hashlib.sha256(b.tobytes()).digest()
-        c = sample_integrals(PW, BrownianDriver(seed=42, stream=4), [1.0], 1000, d=2)
+        c = sample_integrals(PW, drv, [1.0], 1000, d=2, tags=(4,))
         assert not np.array_equal(a, c)
 
     def test_validation(self):
@@ -207,10 +207,11 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_integrals(PW, drv, [1.0, 0.5], 10)
 
-    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -2), (1.5, 0), (True, 0)])
-    def test_driver_keys_are_nonnegative_integers(self, seed, stream):
-        with pytest.raises(ValidationError, match="must be a nonnegative integer"):
-            BrownianDriver(seed, stream)
+    @pytest.mark.parametrize("seed, tag", [(-1, 0), (0, -2), (1.5, 0), (True, 0)])
+    def test_driver_keys_are_nonnegative_integers(self, seed, tag):
+        # the seed is checked when the driver is built, a tag by SeedSequence
+        with pytest.raises((ValidationError, ValueError), match="non-?negative integer"):
+            BrownianDriver(seed).generator(tag)
 
     def test_short_interval_is_sampled_exactly(self):
         # An interval of 1e-4 needs no time resolution: its increment

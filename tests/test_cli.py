@@ -476,9 +476,7 @@ class TestExotics:
                 iv = exotic_implied_vol(price, spec, 100.0)
                 assert row[f"{side}_price"] == repr(price)
                 assert row[f"{side}_se"] == repr(se)
-                assert row[f"{side}_iv"] == repr(iv.sigma)
-                if side == "model":
-                    assert row["model_iv_multiple_roots"] == str(int(iv.multiple_roots))
+                assert row[f"{side}_iv"] == repr(iv)
 
     def test_reference_columns_blank_without_reference(self, tmp_path):
         rc, out = self.run_exotics(
@@ -532,6 +530,9 @@ class TestBadInput:
     """Bad files and counts end in exit 2 with a message naming the cause."""
 
     LOOKBACK = json.dumps({"contracts": [{"type": "lookback", "maturity": 1.0}]})
+    BARRIER_AT_100 = json.dumps({"contracts": [
+        {"type": "lookback", "maturity": 1.0},
+        {"type": "down_and_out", "maturity": 1.0, "strike": 100.0, "barrier": 100.0}]})
     ONE_COMMON_STRIKE = (  # raw mids: T = 0.5 has two common strikes, T = 1.0 one
         "maturity_years,strike,option_type,mid_price,spot\n"
         "0.5,95.0,C,7.0,100.0\n0.5,95.0,P,2.0,100.0\n"
@@ -784,6 +785,25 @@ class TestBadInput:
         "gen-surface moneyness negative": ("gen-surface", {"moneyness": "-1"},
                                            "--moneyness must be comma-separated "
                                            "finite numbers > 0"),
+        "exotics barrier at the model spot": (
+            "exotics", {"spec": BARRIER_AT_100},
+            "spec.json: contract 1 (down_and_out): barrier 100.0 >= spot 100.0 of "),
+        "exotics barrier above the reference spot": (
+            "exotics", {"reference": json.dumps(dict(HESTON, s0=90.0, r=0.0, q=0.0)),
+                        "spec": json.dumps({"contracts": [{
+                            "type": "down_and_out", "maturity": 1.0, "strike": 90.0,
+                            "barrier": 95.0}]})},
+            "spec.json: contract 0 (down_and_out): barrier 95.0 >= spot 90.0 of "),
+        "calibrate model section too many coefficients": (
+            "calibrate", {"config": config_text(model={"p": 50, "m": 10, "d": 2,
+                                                       "horizon": 1.0})},
+            "config.json: model section: 161884603662657875 coefficients at "
+            "n_paths = 100000"),
+        "calibrate init with too many coefficients": (
+            "calibrate", {"init": model_text(),
+                          "schedule": json.dumps({"default": {"kind": "mc",
+                                                              "n_paths": 40_000_000}})},
+            "init.json: 5 coefficients at n_paths = 40000000"),
         "parity maturity with one common strike": (
             "parity", {"quotes": ONE_COMMON_STRIKE},
             "q.csv: maturity 1.0: parity extraction needs >= 2 common strikes, got 1"),
@@ -821,16 +841,17 @@ class TestBadInput:
         assert main(self.argv(tmp_path, command, bad)) == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("reference", ["{'s0': 100}", json.dumps(HESTON)],
-                             ids=["malformed", "with rates"])
-    def test_exotics_inputs_checked_before_simulating(self, tmp_path, monkeypatch,
-                                                      reference):
+    @pytest.mark.parametrize("bad", [{"reference": "{'s0': 100}"},
+                                     {"reference": json.dumps(HESTON)},
+                                     {"spec": BARRIER_AT_100}],
+                             ids=["malformed", "with rates", "barrier at spot"])
+    def test_exotics_inputs_checked_before_simulating(self, tmp_path, monkeypatch, bad):
         def simulate(*args, **kwargs):
             raise AssertionError("paths simulated before the inputs were checked")
 
         monkeypatch.setattr(cli, "path_grid", simulate)
         monkeypatch.setattr(cli, "heston_simulate", simulate)
-        argv = self.argv(tmp_path, "exotics", {"reference": reference})
+        argv = self.argv(tmp_path, "exotics", bad)
         assert main(argv) == 2
 
 

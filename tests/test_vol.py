@@ -114,10 +114,9 @@ class TestBisection:
     @pytest.mark.parametrize("sig", [0.1, 0.25, 0.6])
     def test_exotic_root(self, monkeypatch, spec, sig):
         calls = self.spy(monkeypatch)
-        res = exotic_implied_vol(exotic_bs_price(spec, sig, 100.0), spec, 100.0)
+        got = exotic_implied_vol(exotic_bs_price(spec, sig, 100.0), spec, 100.0)
         f, lo, hi, root = calls[0]
-        assert hi - lo == pytest.approx((SIGMA_MAX - SIGMA_MIN) / 128)
-        assert res.sigma == root
+        assert (lo, hi) == (SIGMA_MIN, SIGMA_MAX) and got == root
         assert abs(root - brentq(f, lo, hi, xtol=1e-14)) <= 1e-14
 
 
@@ -186,10 +185,11 @@ class TestImpliedVol:
             implied_vol(19.0, 100, 80, 1.0)  # below intrinsic
 
 
-def gbm_paths(rng, s0, sig, t, r, q, n, steps):
+def gbm_paths(rng, s0, sig, t, n, steps):
+    """Zero-rate GBM log paths, (n, steps + 1), and the step."""
     dt = t / steps
     z = rng.standard_normal((n, steps))
-    x = np.log(s0) + np.cumsum((r - q - 0.5 * sig**2) * dt + sig * np.sqrt(dt) * z, axis=1)
+    x = np.log(s0) + np.cumsum(-0.5 * sig**2 * dt + sig * np.sqrt(dt) * z, axis=1)
     return np.concatenate([np.full((n, 1), np.log(s0)), x], axis=1), dt
 
 
@@ -202,22 +202,20 @@ class TestForwardStart:
 
     def test_absolute_strike_is_vanilla(self):
         spec = ForwardStartCall(0.4, 1.0, strike=105.0)
-        assert exotic_bs_price(spec, 0.25, 100.0, r=0.02) == pytest.approx(
-            bs_call(100.0, 105.0, 1.0, 0.25, r=0.02)
-        )
+        assert exotic_bs_price(spec, 0.25, 100.0) == bs_call(100.0, 105.0, 1.0, 0.25)
 
     def test_relative_strike_mc_oracle(self):
-        s0, sig, r, q = 100.0, 0.25, 0.03, 0.01
+        s0, sig = 100.0, 0.25
         spec = ForwardStartCall(0.5, 1.25, strike_ratio=1.05)
         rng = np.random.default_rng(10)
         n = 2_000_000
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)
-        mu = r - q - 0.5 * sig**2
+        mu = -0.5 * sig**2
         s_tau = s0 * np.exp(mu * 0.5 + sig * np.sqrt(0.5) * z1)
         s_t = s_tau * np.exp(mu * 0.75 + sig * np.sqrt(0.75) * z2)
-        pay = np.exp(-r * 1.25) * np.maximum(s_t - 1.05 * s_tau, 0.0)
-        got = exotic_bs_price(spec, sig, s0, r, q)
+        pay = np.maximum(s_t - 1.05 * s_tau, 0.0)
+        got = exotic_bs_price(spec, sig, s0)
         assert abs(pay.mean() - got) < 3 * pay.std() / np.sqrt(n)
 
     def test_validation(self):
@@ -245,22 +243,23 @@ class TestDownAndOut:
             spec = DownAndOutCall(1.0, 100.0, lb)
             assert exotic_bs_price(spec, 0.2, 100.0) <= bs_call(100, 100, 1.0, 0.2) + 1e-12
 
-    @pytest.mark.parametrize("r,q", [(0.0, 0.0), (0.03, 0.01)])
-    def test_bridge_mc_oracle(self, r, q):
+    @pytest.mark.parametrize("k,lb", [(100.0, 90.0), (80.0, 90.0)])
+    def test_bridge_mc_oracle(self, k, lb):
         # continuous monitoring enforced exactly via Brownian-bridge
-        # crossing probabilities: P(hit in step) = exp(-2 a b / sig^2 dt)
-        s0, k, lb, sig, t = 100.0, 100.0, 90.0, 0.2, 1.0
+        # crossing probabilities: P(hit in step) = exp(-2 a b / sig^2 dt);
+        # a barrier above the strike has a closed form of its own
+        s0, sig, t = 100.0, 0.2, 1.0
         spec = DownAndOutCall(t, k, lb)
         rng = np.random.default_rng(5)
         n, steps = 1_000_000, 64
-        x, dt = gbm_paths(rng, s0, sig, t, r, q, n, steps)
+        x, dt = gbm_paths(rng, s0, sig, t, n, steps)
         a = x[:, :-1] - np.log(lb)
         b = x[:, 1:] - np.log(lb)
         alive = (a.min(axis=1) > 0) & (b.min(axis=1) > 0)
         pcross = np.exp(-2 * np.clip(a, 0, None) * np.clip(b, 0, None) / (sig**2 * dt))
         surv = np.where(alive, np.prod(1 - pcross, axis=1), 0.0)
-        pay = np.exp(-r * t) * np.maximum(np.exp(x[:, -1]) - k, 0.0) * surv
-        got = exotic_bs_price(spec, sig, s0, r, q)
+        pay = np.maximum(np.exp(x[:, -1]) - k, 0.0) * surv
+        got = exotic_bs_price(spec, sig, s0)
         assert abs(pay.mean() - got) < 3 * pay.std() / np.sqrt(n)
 
 
@@ -273,76 +272,84 @@ class TestLookback:
 
     def test_bridge_min_mc_oracle(self):
         # exact continuous minimum via bridge-minimum sampling per step
-        s0, sig, t, r, q = 100.0, 0.2, 1.0, 0.0, 0.0
+        s0, sig, t = 100.0, 0.2, 1.0
         rng = np.random.default_rng(6)
         n, steps = 1_000_000, 64
-        x, dt = gbm_paths(rng, s0, sig, t, r, q, n, steps)
+        x, dt = gbm_paths(rng, s0, sig, t, n, steps)
         a, b = x[:, :-1], x[:, 1:]
         u = rng.uniform(size=a.shape)
         bridge_min = 0.5 * (a + b - np.sqrt((a - b) ** 2 - 2 * sig**2 * dt * np.log(u)))
         m = np.exp(bridge_min.min(axis=1))
         pay = np.exp(x[:, -1]) - np.minimum(m, s0)
-        got = exotic_bs_price(LookbackCall(t), sig, s0, r, q)
+        got = exotic_bs_price(LookbackCall(t), sig, s0)
         assert abs(pay.mean() - got) < 3 * pay.std() / np.sqrt(n)
-
-    def test_limit_branch_continuity(self):
-        # the series branch (active for |r-q| < 1e-6) agrees with the exact
-        # expression evaluated at the same drift, so the switch is seamless
-        from chaoscal.vol import _lookback_drift_factor
-
-        for sig, t in [(0.2, 1.0), (0.5, 0.1), (0.05, 2.0)]:
-            for b in [9e-7, -9e-7, 5e-7]:
-                d1 = (b + 0.5 * sig**2) * t / (sig * np.sqrt(t))
-                d3 = d1 - 2 * b * np.sqrt(t) / sig
-                exact = (
-                    sig**2 / (2 * b) * (norm.cdf(-d1) - np.exp(-b * t) * norm.cdf(-d3))
-                )
-                assert _lookback_drift_factor(b, t, sig) == pytest.approx(
-                    exact, abs=2e-11
-                )
-
-    def test_r_equal_q_nonzero(self):
-        # branch is exercised whenever r == q, not only at zero rates
-        v = exotic_bs_price(LookbackCall(1.0), 0.2, 100.0, r=0.03, q=0.03)
-        assert np.isfinite(v)
-        assert v > bs_call(100, 100, 1.0, 0.2, r=0.03, q=0.03)
 
 
 class TestExoticImpliedVol:
     def test_forward_start_round_trip(self):
         spec = ForwardStartCall(0.3, 1.0, strike_ratio=1.0)
         price = exotic_bs_price(spec, 0.25, 100.0)
-        res = exotic_implied_vol(price, spec, 100.0)
-        assert res.sigma == pytest.approx(0.25, abs=1e-8)
-        assert not res.multiple_roots
+        got = exotic_implied_vol(price, spec, 100.0)
+        assert isinstance(got, float)
+        assert got == pytest.approx(0.25, abs=1e-8)
 
     def test_lookback_round_trip(self):
         spec = LookbackCall(0.75)
         price = exotic_bs_price(spec, 0.25, 100.0)
-        res = exotic_implied_vol(price, spec, 100.0)
-        assert res.sigma == pytest.approx(0.25, abs=1e-8)
+        assert exotic_implied_vol(price, spec, 100.0) == pytest.approx(0.25, abs=1e-8)
 
     def test_barrier_monotone_round_trip(self):
-        spec = DownAndOutCall(1.0, 100.0, 40.0)  # barrier far below: monotone
+        spec = DownAndOutCall(1.0, 100.0, 40.0)  # barrier far below the strike
         price = exotic_bs_price(spec, 0.25, 100.0)
-        res = exotic_implied_vol(price, spec, 100.0)
-        assert res.sigma == pytest.approx(0.25, abs=1e-8)
-        assert not res.multiple_roots
+        assert exotic_implied_vol(price, spec, 100.0) == pytest.approx(0.25, abs=1e-8)
 
-    def test_barrier_non_monotone_flagged(self):
-        # this configuration's price map rises to a peak near sigma ~ 3.3
-        # and falls after it, so interior prices are attained twice
-        spec = DownAndOutCall(1.0, 120.0, 95.0)
-        r = 0.05
-        peak = exotic_bs_price(spec, 3.29, 100.0, r=r)
-        lo = exotic_bs_price(spec, 5.0, 100.0, r=r)
-        price = 0.5 * (peak + lo)
-        res = exotic_implied_vol(price, spec, 100.0, r=r)
-        assert res.multiple_roots
-        assert exotic_bs_price(spec, res.sigma, 100.0, r=r) == pytest.approx(
-            price, abs=1e-8
-        )
+    def test_barrier_above_strike_round_trip(self):
+        # a barrier above the strike makes the price fall as sigma grows
+        spec = DownAndOutCall(1.0, 80.0, 90.0)
+        price = exotic_bs_price(spec, 0.2, 100.0)
+        assert exotic_bs_price(spec, 0.3, 100.0) < price
+        assert exotic_implied_vol(price, spec, 100.0) == pytest.approx(0.2, abs=1e-8)
+
+    # (spec, direction of the zero-rate price map in sigma: +1, 0 flat, -1)
+    MAPS = {
+        "forward_start": (ForwardStartCall(0.5, 1.0, strike_ratio=1.05), 1),
+        "lookback": (LookbackCall(0.75), 1),
+        "barrier_below_strike": (DownAndOutCall(1.0, 100.0, 85.0), 1),
+        "barrier_at_strike": (DownAndOutCall(1.0, 90.0, 90.0), 0),
+        "forward_start_at_maturity": (ForwardStartCall(1.0, 1.0, strike_ratio=0.9), 0),
+        "barrier_above_strike": (DownAndOutCall(1.0, 80.0, 90.0), -1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MAPS))
+    def test_price_is_monotone_in_sigma(self, case):
+        # dense over the whole bracket: never against the direction, and
+        # strictly with it once the price leaves its sigma -> 0 limit
+        spec, direction = self.MAPS[case]
+        sigmas = np.geomspace(SIGMA_MIN, SIGMA_MAX, 2001)
+        steps = direction * np.diff([exotic_bs_price(spec, v, 100.0) for v in sigmas])
+        if direction == 0:
+            assert np.all(steps == 0.0)
+        else:
+            assert np.all(steps >= 0.0)
+            assert np.all(steps[sigmas[1:] > 0.05] > 0.0)
+
+    @pytest.mark.parametrize("case", ["barrier_at_strike", "forward_start_at_maturity"])
+    def test_flat_map_has_no_implied_vol(self, case):
+        spec, _ = self.MAPS[case]
+        with pytest.raises(InversionError, match="does not depend on sigma"):
+            exotic_implied_vol(exotic_bs_price(spec, 0.3, 100.0), spec, 100.0)
+
+    @pytest.mark.parametrize("spec", [ForwardStartCall(0.0, 1.0, strike=50.0),
+                                      DownAndOutCall(1.0, 80.0, 90.0)],
+                             ids=["deep_in_the_money", "barrier_above_strike"])
+    def test_price_reached_at_the_lower_end(self, spec):
+        # both maps are pinned at their sigma -> 0 value near the lower end of
+        # the bracket; that value inverts to SIGMA_MIN, as in implied_vol
+        price = exotic_bs_price(spec, SIGMA_MIN, 100.0)
+        assert exotic_implied_vol(price, spec, 100.0) == SIGMA_MIN
 
     def test_unattainable_price(self):
         with pytest.raises(InversionError):
             exotic_implied_vol(99.0, LookbackCall(0.5), 100.0)
+        with pytest.raises(InversionError):  # above the price at sigma -> 0
+            exotic_implied_vol(20.5, DownAndOutCall(1.0, 80.0, 90.0), 100.0)
