@@ -99,7 +99,7 @@ def cell_index(spec, t):
     """Cell u with t in (s_{u-1}, s_u], for t in (0, horizon]."""
     grid = np.asarray(spec.grid)
     if not 0.0 < t <= spec.horizon:
-        raise ValidationError(f"t={t} outside (0, {spec.horizon}]")
+        raise ValidationError(f"t={t} outside (0, horizon {spec.horizon}]")
     return int(np.searchsorted(grid, t, side="left"))
 
 

@@ -9,6 +9,7 @@ construction.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -19,7 +20,7 @@ from .bases import BrownianDriver, PiecewiseConstantBasis
 from .calibrate import calibrate, initial_coefficients
 from .errors import InversionError, NumericError, ValidationError
 from .indices import index_space_dim
-from .model import ChaosModel, path_grid
+from .model import ChaosModel, _grid_bytes, path_grid
 from .modelio import (
     _construct,
     _field,
@@ -32,7 +33,7 @@ from .modelio import (
     serialize_model,
     write_history,
 )
-from .pricing import MC_MAX_BYTES, PricingSchedule, price_surface
+from .pricing import MAX_BYTES, PricingSchedule, _check_bytes, price_surface
 from .quotes import (
     Quote,
     QuoteSurface,
@@ -128,50 +129,28 @@ def cmd_parity(args):
     print(f"wrote {len(enriched)} enriched quotes to {args.out}")
 
 
-def _check_feature_bytes(where, p, m, d, surface, schedule):
-    """The coefficient count, once every MC maturity's feature matrix (n_paths
-    doubles per coefficient) is known to fit in MC_MAX_BYTES."""
-    n = index_space_dim(p, m, d) - 1
-    for t in sorted({q.maturity for q in surface.quotes}):
-        method = schedule.for_maturity(t)
-        if method.kind == "mc" and 8 * method.n_paths * n > MC_MAX_BYTES:
-            raise ValidationError(
-                f"{where}: {n} coefficients at n_paths = {method.n_paths} (maturity "
-                f"{t}) need {8 * method.n_paths * n} bytes, above the "
-                f"{MC_MAX_BYTES}-byte feature-matrix cap")
-    return n
-
-
-def _build_model0(path, model_spec, surface, cfg, schedule):
-    if model_spec is None:
-        raise ValidationError(
-            "config needs a 'model' section {p, m, d, horizon} (or pass --init)"
-        )
-    p, m, d = model_spec["p"], model_spec["m"], model_spec["d"]
-    n = _check_feature_bytes(f"{path}: model section", p, m, d, surface, schedule)
-    basis = PiecewiseConstantBasis.uniform(model_spec["horizon"], m)
-    theta0 = initial_coefficients(n, cfg) * surface.spot
-    return ChaosModel(surface.spot, p, m, d, basis, theta0)
-
-
 def cmd_calibrate(args):
     surface = parse_quotes(args.quotes)
     if not surface.quotes:
         raise ValidationError(f"{args.quotes}: empty surface")
-    cfg, model_spec = load_config(args.config)
+    cfg, spec = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     schedule = load_schedule(args.schedule) if args.schedule else PricingSchedule()
     if args.init:
         model0 = load_model(args.init)
-        _check_feature_bytes(args.init, model0.p, model0.m, model0.d, surface, schedule)
-    else:
-        model0 = _build_model0(args.config, model_spec, surface, cfg, schedule)
-    bad = [q.maturity for q in surface.quotes if q.maturity > model0.horizon + 1e-12]
-    if bad:
+        shape = model0.p, model0.m, model0.d, model0.basis
+    elif spec is None:
         raise ValidationError(
-            f"quotes beyond the model horizon {model0.horizon}: {sorted(set(bad))}"
-        )
+            "config needs a 'model' section {p, m, d, horizon} (or pass --init)")
+    else:
+        shape = (spec["p"], spec["m"], spec["d"],
+                 PiecewiseConstantBasis.uniform(spec["horizon"], spec["m"]))
+    _construct(args.init or f"{args.config}: model section", _check_bytes, *shape,
+               surface, schedule, args.schedule or "default schedule", True)
+    if not args.init:
+        theta0 = initial_coefficients(index_space_dim(*shape[:3]) - 1, cfg)
+        model0 = ChaosModel(surface.spot, *shape, theta0 * surface.spot)
     try:
         fitted, history = calibrate(model0, surface, cfg, schedule)
     except Exception as exc:
@@ -189,8 +168,14 @@ def cmd_calibrate(args):
           f"best loss {best:.6e}; model -> {args.out}")
 
 
-def _priced_rows(model, surface, schedule, seed):
-    driver = BrownianDriver(seed)
+def _priced_rows(args):
+    """(spot, rows): each quote, its model price (puts by parity), vol and error."""
+    model = load_model(args.model)
+    surface = parse_quotes(args.quotes)
+    schedule = load_schedule(args.schedule) if args.schedule else PricingSchedule()
+    _construct(args.model, _check_bytes, model.p, model.m, model.d, model.basis,
+               surface, schedule, args.schedule or "default schedule", False)
+    driver = BrownianDriver(args.seed)
     prices = price_surface(model, surface, schedule, driver, stream_tag=_EVAL_STREAM)
     rows = []
     for q, c in zip(surface.quotes, prices):
@@ -200,17 +185,14 @@ def _priced_rows(model, surface, schedule, seed):
             err_bp = abs(iv - q.implied_vol) * 1e4
         except InversionError:
             iv, err_bp = None, None
+        if q.option_type == "P":  # parity: P = C - DF (F - K)
+            c = c - q.discount_factor * (q.forward - q.strike)
         rows.append((q, float(c), iv, err_bp))
-    return rows
+    return surface.spot, rows
 
 
 def cmd_price(args):
-    import csv
-
-    model = load_model(args.model)
-    surface = parse_quotes(args.quotes)
-    schedule = load_schedule(args.schedule) if args.schedule else PricingSchedule()
-    rows = _priced_rows(model, surface, schedule, args.seed)
+    spot, rows = _priced_rows(args)
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["maturity_years", "strike", "option_type", "mid_price",
@@ -220,7 +202,7 @@ def cmd_price(args):
             writer.writerow([
                 repr(q.maturity), repr(q.strike), q.option_type,
                 repr(q.mid_price), repr(q.implied_vol),
-                repr(q.discount_factor), repr(q.forward), repr(surface.spot),
+                repr(q.discount_factor), repr(q.forward), repr(spot),
                 repr(c),
                 "" if iv is None else repr(iv),
                 "" if err_bp is None else repr(err_bp),
@@ -229,20 +211,14 @@ def cmd_price(args):
 
 
 def cmd_evaluate(args):
-    model = load_model(args.model)
-    surface = parse_quotes(args.quotes)
-    schedule = load_schedule(args.schedule) if args.schedule else PricingSchedule()
-    rows = _priced_rows(model, surface, schedule, args.seed)
+    rows = _priced_rows(args)[1]
     per_mat = {}
-    skipped = 0
     for q, _, _, err_bp in rows:
-        if err_bp is None:
-            skipped += 1
-            continue
-        per_mat.setdefault(q.maturity, []).append(err_bp)
+        if err_bp is not None:
+            per_mat.setdefault(q.maturity, []).append(err_bp)
     report = {
         "n_quotes": len(rows),
-        "n_inversion_failures": skipped,
+        "n_inversion_failures": sum(err_bp is None for *_, err_bp in rows),
         "per_maturity_mae_bp": {
             repr(t): float(np.mean(errs)) for t, errs in sorted(per_mat.items())
         },
@@ -308,17 +284,18 @@ def _check_barriers(path, specs, spot, source):
 
 
 def cmd_exotics(args):
-    import csv
-
     if args.paths < 2:  # a standard error needs two paths
         raise ValidationError(f"--paths must be at least 2, got {args.paths}")
     model = load_model(args.model)
     contracts, specs, steps = _read_exotics_spec(args.spec)
-    t_max = max(s.maturity for s in specs)
-    if t_max > model.horizon + 1e-12:
+    special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
+    dates = sorted({s.maturity for s in specs} | special)
+    need = _construct(args.spec, _grid_bytes, model, dates[-1], steps + 1 + len(dates),
+                      args.paths)
+    if need > MAX_BYTES:
         raise ValidationError(
-            f"contract maturity {t_max} beyond model horizon {model.horizon}"
-        )
+            f"--paths {args.paths} with {args.spec}: key 'monitoring_steps' = {steps} "
+            f"need {need} bytes of paths, above the {MAX_BYTES}-byte cap")
     _check_barriers(args.spec, specs, model.s0, args.model)
     params = None
     if args.reference:
@@ -333,11 +310,8 @@ def cmd_exotics(args):
             )
         _check_barriers(args.spec, specs, params.s0, args.reference)
 
-    special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
-    times = np.unique(np.concatenate([
-        np.linspace(0.0, t_max, steps + 1),
-        np.array(sorted({s.maturity for s in specs} | special)),
-    ]))
+    times = np.unique(np.concatenate([np.linspace(0.0, dates[-1], steps + 1),
+                                      np.array(dates)]))
     driver = BrownianDriver(args.seed)
     # both simulators return (len(times), n_paths) at exactly these times; the
     # model's paths are released before the reference's are simulated
@@ -425,10 +399,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing or unreadable file; the text names it
+    except (ValidationError, OSError) as exc:  # an OSError's text names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -35,19 +35,9 @@ from .errors import ValidationError
 from .hermite import hermite_upto
 
 
-@dataclass
-class HermitePolyCombo:
-    """Sparse linear combination sum_b c_b * prod_e H_{b_e}(x_e)."""
-
-    terms: dict  # exponent tuple -> coefficient
-
-    def add_into(self, other, c=1.0):
-        for b, v in other.terms.items():
-            self.terms[b] = self.terms.get(b, 0.0) + c * v
-
-
 def dyson_operator_apply(f, g):
-    """One application of A = sum_{i,k} G_ik d_i d_k to a Hermite combo.
+    """One application of A = sum_{i,k} G_ik d_i d_k to a Hermite combo, a
+    dict {exponent tuple b: c_b} for sum_b c_b * prod_e H_{b_e}(x_e).
 
     On a monomial with exponents b, the pair (i, k), i != k, contributes
     G_ik * (b with b_i - 1, b_k - 1) twice (once per ordering), and i = k
@@ -57,36 +47,27 @@ def dyson_operator_apply(f, g):
     g = np.asarray(g)
     nz = [(i, k) for i in range(g.shape[0]) for k in range(i, g.shape[1]) if g[i, k] != 0.0]
     out = {}
-    for b, c in f.terms.items():
+    for b, c in f.items():
         for i, k in nz:
-            mult = g[i, k] if i == k else 2.0 * g[i, k]
-            if i == k:
-                if b[i] < 2:
-                    continue
-                nb = list(b)
-                nb[i] -= 2
-            else:
-                if b[i] < 1 or b[k] < 1:
-                    continue
-                nb = list(b)
-                nb[i] -= 1
-                nb[k] -= 1
-            nb = tuple(nb)
-            out[nb] = out.get(nb, 0.0) + c * mult
-    return HermitePolyCombo(out)
+            nb = list(b)
+            nb[i] -= 1
+            nb[k] -= 1  # i == k takes 2 from one position
+            if nb[i] >= 0 and nb[k] >= 0:
+                nb = tuple(nb)
+                out[nb] = out.get(nb, 0.0) + c * (g[i, k] if i == k else 2.0 * g[i, k])
+    return out
 
 
 def dyson_combo(a, g):
     """The full (terminating) Dyson series of Phi_a as one Hermite combo."""
-    total = HermitePolyCombo({tuple(a.exponents): 1.0})
-    current = HermitePolyCombo(dict(total.terms))
+    total = {tuple(a.exponents): 1.0}
+    current = dict(total)
     fact = 1.0
     for n in range(1, a.order // 2 + 1):
         current = dyson_operator_apply(current, g)
-        if not current.terms:
-            break
         fact *= 2.0 * n
-        total.add_into(current, 1.0 / fact)
+        for b, v in current.items():
+            total[b] = total.get(b, 0.0) + 1.0 / fact * v
     return total
 
 
@@ -94,15 +75,12 @@ def evaluate_combo(combo, x):
     """Evaluate a Hermite combo at x with basis positions on the last axis."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1])
-    if not combo.terms:
-        return out if out.ndim else 0.0
-    n_max = max(max(b) for b in combo.terms)
+    n_max = max((max(b) for b in combo), default=0)
     table = hermite_upto(n_max, x)  # (n_max+1, ..., n_pos)
-    for b, c in combo.terms.items():
+    for b, c in combo.items():
         term = np.full(x.shape[:-1], c)
         for pos, n in enumerate(b):
-            if n > 0:
-                term = term * table[n][..., pos]
+            term = term * table[n][..., pos]  # H_0 = 1 exactly
         out += term
     return out if out.ndim else float(out)
 
@@ -224,7 +202,7 @@ def _column_plan(indices, g):
     n_max = 0
     for a in indices:
         terms = []
-        for b, c in dyson_combo(a, off).terms.items():
+        for b, c in dyson_combo(a, off).items():
             factors = tuple((slot.get(e), n) for e, n in enumerate(b) if n > 0)
             if all(s is not None for s, _ in factors):
                 scale = math.prod(v[e] ** (0.5 * n) for e, n in enumerate(b) if n > 0)

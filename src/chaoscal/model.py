@@ -10,8 +10,8 @@ Feature rows are built in row blocks (`_feature_blocks`) from one Hermite
 column plan per (indices, Gram tail).  Calibration writes the blocks into
 one matrix (`sample_features`), since its price Jacobian needs every row.
 Everything else reduces each block to S_T at once (`_sample_terminal`,
-`path_grid`), so it holds at most _BLOCK_BYTES of feature rows whatever
-the path count.
+`path_grid`), so it holds one block of feature rows whatever the path
+count: at most _BLOCK_BYTES, or _ROW_ALIGN rows if those are more.
 
 Every product `features @ coefficients` runs over row blocks that start at
 multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
@@ -92,14 +92,22 @@ class FeatureBlock:
     features: np.ndarray  # (n_paths, n_indices), columns in enumeration order
 
 
-def _block_rows(model):
-    """Rows per feature block: as many as fit in _BLOCK_BYTES with their
-    features, normals, the copy of the live positions, its Hermite table up
-    to order p and a scratch column, rounded down to a multiple of
-    _ROW_ALIGN, and within [_ROW_ALIGN, _MAX_BLOCK_ROWS]."""
-    row_bytes = 8 * (len(model.indices) + (model.p + 3) * model.m * model.d + 1)
-    rows = _BLOCK_BYTES // row_bytes // _ROW_ALIGN * _ROW_ALIGN
+def _row_bytes(p, m, d):
+    """Bytes per block row: features, scratch, normals, their copy, Hermite table."""
+    return 8 * (index_space_dim(p, m, d) + (p + 3) * m * d)
+
+
+def _block_rows(p, m, d):
+    """Rows per feature block: as many as fit in _BLOCK_BYTES, rounded down to
+    a multiple of _ROW_ALIGN, and within [_ROW_ALIGN, _MAX_BLOCK_ROWS]."""
+    rows = _BLOCK_BYTES // _row_bytes(p, m, d) // _ROW_ALIGN * _ROW_ALIGN
     return min(_MAX_BLOCK_ROWS, max(_ROW_ALIGN, rows))
+
+
+def _block_bytes(p, m, d, n_rows):
+    """Bytes of the largest block of n_rows rows, with 2 m d + 2 temporaries."""
+    row = _row_bytes(p, m, d) + 8 * (2 * m * d + 2)
+    return row * min(n_rows, _block_rows(p, m, d))
 
 
 def _spans(n_rows, block):
@@ -148,7 +156,7 @@ def _feature_blocks(model, t, n_paths, driver, tags=(), out=None):
 
     def blocks():
         gen = driver.generator(*tags)
-        for a, b in _spans(n_paths, _block_rows(model)):
+        for a, b in _spans(n_paths, _block_rows(model.p, model.m, model.d)):
             if piecewise:
                 x = gen.standard_normal((b - a, model.m * model.d))
             else:
@@ -176,6 +184,7 @@ def _sample_terminal(model, t, n_paths, driver, tags=()):
     s = np.empty(n_paths)
     for a, rows in blocks:
         s[a:a + len(rows)] = model.s0 + rows @ model.coefficients
+        del rows  # freed before the next block is built
     return s
 
 
@@ -211,6 +220,15 @@ def second_moment(model, t):
     return model.s0**2 + float(c @ (model.coefficients**2))
 
 
+def _grid_bytes(model, t_end, n_times, n_paths):
+    """Bytes `path_grid` holds for n_times times up to t_end (in the horizon): its
+    output, a feature block, and the walk's sum, normals and their combination."""
+    if t_end > model.horizon + 1e-12:
+        raise ValidationError(f"maturity {t_end} beyond model horizon {model.horizon}")
+    p, m, d = model.p, model.m, model.d
+    return 8 * n_paths * (n_times + 3 * m * d) + _block_bytes(p, m, d, n_paths)
+
+
 def path_grid(model, times, n_paths, driver, tags=()):
     """Jointly consistent S_t samples at the given times, shape (n_times, n_paths).
 
@@ -221,19 +239,16 @@ def path_grid(model, times, n_paths, driver, tags=()):
     time.  Time 0 draws nothing and its row is exactly S_0, so the other
     rows are those of the grid without it.
     """
-    times = [float(t) for t in times]
-    if any(not 0.0 <= t <= model.horizon for t in times):
-        raise ValidationError(f"times must lie in [0, {model.horizon}]")
     walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
-                           model.d)
-    spans = _spans(n_paths, _block_rows(model))
+                           model.d)  # checks the times and n_paths
+    spans = _spans(n_paths, _block_rows(model.p, model.m, model.d))
     out = np.empty((len(times), n_paths))
     for ti, (t, ints) in enumerate(zip(times, walk)):
         if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
             out[ti] = model.s0
             continue
         plan = _feature_plan(model, t)
-        for a, b in spans:
-            rows = _plan_rows(plan, ints[a:b], normalized=False)
-            out[ti, a:b] = model.s0 + rows @ model.coefficients
+        for a, b in spans:  # each block is freed before the next is built
+            ds = _plan_rows(plan, ints[a:b], normalized=False) @ model.coefficients
+            out[ti, a:b] = model.s0 + ds
     return out

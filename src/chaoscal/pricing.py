@@ -56,7 +56,9 @@ from numpy.polynomial.hermite_e import hermegauss
 from .bases import PiecewiseConstantBasis, cell_index
 from .conditional import piecewise_features
 from .errors import ConfigError, ValidationError
+from .indices import index_space_dim
 from .model import (
+    _block_bytes,
     _row_dot,
     _sample_terminal,
     sample_features,
@@ -65,8 +67,7 @@ from .model import (
     terminal_values,
 )
 
-QUAD_MAX_BYTES = 256 << 20  # cap on `_quad_node_bytes` for one node build
-MC_MAX_BYTES = 1 << 30  # cap on a fit's n_paths x coefficients feature matrix
+MAX_BYTES = 1 << 30  # cap on the arrays one command holds at once
 _SAME_MATURITY = 1e-9  # schedule maturities closer than this are one maturity
 
 
@@ -106,6 +107,8 @@ class PricingSchedule:
 
     def __post_init__(self):
         for i, (t, _) in enumerate(self.entries):
+            if not t > 0:
+                raise ValidationError(f"entry {i}: maturity must be positive, got {t}")
             for j, (prior, _) in enumerate(self.entries[:i]):
                 if abs(prior - t) < _SAME_MATURITY:
                     raise ValidationError(
@@ -142,23 +145,27 @@ def _quad_node_bytes(n, dims, width, n_indices, p):
     return 8 * n**dims * (1 + width + (p + 2) * dims + 2 + n_indices)
 
 
+def _quad_dims(basis, t, d):
+    """u*d, the Gaussian coordinates a quadrature maturity t integrates over."""
+    if not isinstance(basis, PiecewiseConstantBasis):
+        raise ConfigError("quadrature pricing needs the piecewise-constant basis")
+    return cell_index(basis, t) * d
+
+
 def quad_nodes_features(model, t, n):
     """Tensor-product quadrature nodes embedded as feature rows.
 
     Returns (weights, features) with features shaped (n^(u*d), n_indices);
     reusable across strikes and calibration iterations since nodes do not
     depend on the coefficients.  A build that would allocate more than
-    QUAD_MAX_BYTES raises ConfigError before allocating.
+    MAX_BYTES raises ConfigError before allocating.
     """
-    if not isinstance(model.basis, PiecewiseConstantBasis):
-        raise ConfigError("quadrature pricing needs the piecewise-constant basis")
-    u = cell_index(model.basis, t)
-    dims = u * model.d
+    dims = _quad_dims(model.basis, t, model.d)
     need = _quad_node_bytes(n, dims, model.m * model.d, len(model.indices), model.p)
-    if need > QUAD_MAX_BYTES:
+    if need > MAX_BYTES:
         raise ConfigError(
             f"quadrature with n_nodes = {n} at u*d = {dims} would allocate "
-            f"{need} bytes, above the {QUAD_MAX_BYTES}-byte cap"
+            f"{need} bytes, above the {MAX_BYTES}-byte cap"
         )
     z, w = gauss_hermite_rule(n)
     # Row r is the node whose coordinate on axis a has index r // n^(dims-1-a)
@@ -170,12 +177,41 @@ def quad_nodes_features(model, t, n):
     zfull = np.zeros(grid + (model.m * model.d,))
     for a in range(dims):
         axis = (1,) * a + (n,) + (1,) * (dims - 1 - a)
-        j, i = divmod(a, u)
+        j, i = divmod(a, dims // model.d)  # axis a is cell i + 1 of component j
         zfull[..., j * model.m + i] = z.reshape(axis)
         weights *= w.reshape(axis)
     zfull = zfull.reshape(n**dims, -1)
     feats = piecewise_features(model.basis, model.indices, t, zfull, model.d)
     return weights.ravel(), feats
+
+
+def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
+    """Raise ValidationError if pricing the quotes with a model of shape (p, m,
+    d, basis) may hold over MAX_BYTES: per maturity its quadrature nodes, or a
+    feature block, a CV draw (8 arrays) and a fit's feature matrix; then S_T,
+    5 temporaries and a payoff per strike; and a fit's 8 n x n matrices."""
+    n = index_space_dim(p, m, d) - 1  # counted, never enumerated
+    need = {}
+    for t in sorted({q.maturity for q in quotes.quotes}):
+        method = schedule.for_maturity(t)
+        if method.kind == "quad":
+            dims = _quad_dims(basis, t, d)
+            rows, sizes = method.n_nodes**dims, f"n_nodes = {method.n_nodes}"
+            held = _quad_node_bytes(method.n_nodes, dims, m * d, n, p)
+        else:
+            rows = method.n_paths
+            sizes = f"n_paths = {rows}, beta_samples = {method.beta_samples}"
+            cv = method.beta_samples if method.cv_degree else 0
+            held = (_block_bytes(p, m, d, max(rows, cv)) + 64 * cv
+                    + (8 * rows * n if features else 0))
+        strikes = sum(q.maturity == t for q in quotes.quotes)
+        need[sizes, t] = held + 8 * rows * (strikes + 6)
+    total = sum(need.values()) + (64 * n * n if features else 0)
+    if total > MAX_BYTES:
+        sizes, t = max(need, key=need.get)
+        raise ValidationError(
+            f"{n} coefficients at {sizes} ({schedule_name}, maturity {t}) need "
+            f"{total} bytes, above the {MAX_BYTES}-byte cap")
 
 
 def quad_call_price(model, t, k, n):

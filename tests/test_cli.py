@@ -399,6 +399,30 @@ class TestPriceEvaluate:
         assert run(3, "a") == run(3, "b")
         assert run(3, "c") != run(4, "d")
 
+    def test_put_row_gets_the_model_put_price(self, tmp_path):
+        # a call and a put at one strike, off the zero-rate world: by parity
+        # the model's put is its call less DF (F - K), at the call's vol
+        df, fwd, k = 0.98, 101.0, 90.0
+        call = quad_call_price(truth_model(), 1.0, k * 100.0 / fwd, 40) * df * fwd / 100
+        put = call - df * (fwd - k)
+        quotes = tmp_path / "q.csv"
+        quotes.write_text(
+            "maturity_years,strike,option_type,mid_price,implied_vol,"
+            "discount_factor,forward,spot\n"
+            f"1.0,{k!r},C,{call!r},,{df!r},{fwd!r},100.0\n"
+            f"1.0,{k!r},P,{put!r},,{df!r},{fwd!r},100.0\n")
+        model = tmp_path / "truth.json"
+        serialize_model(truth_model(), model)
+        schedule = write_json(tmp_path / "s.json",
+                              {"default": {"kind": "quad", "n_nodes": 40}})
+        out = tmp_path / "priced.csv"
+        assert main(["price", "--model", str(model), "--quotes", str(quotes),
+                     "--schedule", schedule, "--out", str(out)]) == 0
+        call_row, put_row = read_rows(out)
+        assert float(call_row["model_price"]) == pytest.approx(call, abs=1e-9)
+        assert float(put_row["model_price"]) == pytest.approx(put, abs=1e-9)
+        assert put_row["model_implied_vol"] == call_row["model_implied_vol"]
+
 
 class TestExotics:
     def run_exotics(self, tmp_path, contracts, reference=None, paths=20_000,
@@ -538,6 +562,8 @@ class TestBadInput:
         "0.5,95.0,C,7.0,100.0\n0.5,95.0,P,2.0,100.0\n"
         "0.5,105.0,C,2.0,100.0\n0.5,105.0,P,7.0,100.0\n"
         "1.0,100.0,C,8.0,100.0\n1.0,100.0,P,8.0,100.0\n1.0,110.0,C,4.0,100.0\n")
+    BIG_CV_DRAW = json.dumps({"default": {"kind": "mc", "n_paths": 1000,
+                                          "beta_samples": 10**15}})
     GOOD = {  # content of the good JSON inputs; model and quote files are written
         "params": json.dumps(HESTON),
         "config": config_text(),
@@ -555,7 +581,7 @@ class TestBadInput:
                 "reference": "ref.json"}
     CASES = {
         # case: (subcommand, {input: bad content, None = no such file},
-        #        named in the message)
+        #        named in the message: one text, or a tuple of texts)
         "exotics negative paths": ("exotics", {"paths": "-5"}, "--paths"),
         "exotics zero paths": ("exotics", {"paths": "0"}, "--paths"),
         "exotics empty spec": ("exotics", {"spec": ""}, "spec.json"),
@@ -804,6 +830,45 @@ class TestBadInput:
                           "schedule": json.dumps({"default": {"kind": "mc",
                                                               "n_paths": 40_000_000}})},
             "init.json: 5 coefficients at n_paths = 40000000"),
+        "evaluate schedule entry at a negative maturity": (
+            "evaluate",
+            {"schedule": json.dumps({"entries": [[-1.0, {"kind": "quad"}]]})},
+            "schedule.json: entry 0: maturity must be positive, got -1.0"),
+        # the byte cap: sizes numpy refuses outright, refused before any draw
+        "calibrate model section quadrature above the byte cap": (
+            "calibrate", {"config": config_text(model={"p": 50, "m": 10, "d": 2,
+                                                       "horizon": 1.0}),
+                          "schedule": json.dumps({"default": {"kind": "quad",
+                                                              "n_nodes": 4}})},
+            ("config.json: model section: 161884603662657875 coefficients at "
+             "n_nodes = 4 (", "schedule.json, maturity 1.0) need")),
+        "calibrate beta samples above the byte cap": (
+            "calibrate", {"schedule": BIG_CV_DRAW},
+            ("config.json: model section: 5 coefficients at n_paths = 1000, "
+             "beta_samples = 1000000000000000 (", "schedule.json, maturity 0.5)")),
+        "evaluate paths above the byte cap": (
+            "evaluate", {"schedule": json.dumps({"default": {"kind": "mc",
+                                                             "n_paths": 10**15}})},
+            ("truth.json: 5 coefficients at n_paths = 1000000000000000, ",
+             "schedule.json, maturity 0.5)")),
+        "evaluate beta samples above the byte cap": (
+            "evaluate", {"schedule": BIG_CV_DRAW},
+            ("truth.json: 5 coefficients at n_paths = 1000, "
+             "beta_samples = 1000000000000000 (", "schedule.json, maturity 0.5)")),
+        "price paths above the byte cap": (
+            "price", {"schedule": json.dumps({"default": {"kind": "mc",
+                                                          "n_paths": 10**15}})},
+            ("truth.json: 5 coefficients at n_paths = 1000000000000000, ",
+             "schedule.json, maturity 0.5)")),
+        "exotics paths above the byte cap": (
+            "exotics", {"paths": str(10**15)},
+            ("--paths 1000000000000000 with ",
+             "spec.json: key 'monitoring_steps' = 64 need")),
+        "exotics monitoring steps above the byte cap": (
+            "exotics", {"spec": json.dumps({"monitoring_steps": 10**15, "contracts": [
+                {"type": "lookback", "maturity": 1.0}]})},
+            ("--paths 500 with ",
+             "spec.json: key 'monitoring_steps' = 1000000000000000 need")),
         "parity maturity with one common strike": (
             "parity", {"quotes": ONE_COMMON_STRIKE},
             "q.csv: maturity 1.0: parity extraction needs >= 2 common strikes, got 1"),
@@ -839,7 +904,9 @@ class TestBadInput:
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, case):
         command, bad, named = self.CASES[case]
         assert main(self.argv(tmp_path, command, bad)) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for text in [named] if isinstance(named, str) else named:
+            assert text in err
 
     @pytest.mark.parametrize("bad", [{"reference": "{'s0': 100}"},
                                      {"reference": json.dumps(HESTON)},

@@ -18,7 +18,6 @@ from chaoscal.bases import (
     sample_integrals,
 )
 from chaoscal.conditional import (
-    HermitePolyCombo,
     cond_exp_piecewise,
     dyson_combo,
     dyson_cond_exp,
@@ -34,22 +33,22 @@ from chaoscal.indices import MultiIndex, enumerate_indices, phi_eval
 
 class TestOperator:
     def test_h2_single_variable(self):
-        f = HermitePolyCombo({(2,): 1.0})
+        f = {(2,): 1.0}
         g = np.array([[0.3]])
         out = dyson_operator_apply(f, g)
-        assert out.terms == {(0,): pytest.approx(0.3)}
+        assert out == {(0,): pytest.approx(0.3)}
 
     def test_mixed_first_order_pair(self):
-        f = HermitePolyCombo({(1, 1): 1.0})
+        f = {(1, 1): 1.0}
         g = np.array([[0.5, 0.2], [0.2, 0.7]])
         out = dyson_operator_apply(f, g)
         # (i,k) = (1,2) and (2,1) both contribute g12
-        assert out.terms == {(0, 0): pytest.approx(0.4)}
+        assert out == {(0, 0): pytest.approx(0.4)}
 
     def test_linear_term_annihilated(self):
-        f = HermitePolyCombo({(1,): 1.0})
+        f = {(1,): 1.0}
         out = dyson_operator_apply(f, np.array([[2.0]]))
-        assert out.terms == {}
+        assert out == {}
 
 
 class TestH2Gate:
@@ -224,7 +223,7 @@ class TestKernelBeforeMaturity:
 
 class TestComboEvaluation:
     def test_evaluate_combo_vectorized(self):
-        combo = HermitePolyCombo({(2, 0): 1.5, (0, 1): -2.0, (0, 0): 0.25})
+        combo = {(2, 0): 1.5, (0, 1): -2.0, (0, 0): 0.25}
         x = np.random.default_rng(4).standard_normal((10, 2))
         want = 1.5 * (x[:, 0] ** 2 - 1) / 2 - 2.0 * x[:, 1] + 0.25
         np.testing.assert_allclose(evaluate_combo(combo, x), want, atol=1e-14)
@@ -234,5 +233,5 @@ class TestComboEvaluation:
         g = np.array([[0.2, 0.1], [0.1, 0.6]])
         combo = dyson_combo(a, g)
         # orders present: 4 (n=0) and 2 (n=1) and 0 (n=2)
-        orders = {sum(b) for b in combo.terms}
+        orders = {sum(b) for b in combo}
         assert orders == {4, 2, 0}

@@ -514,10 +514,11 @@ class TestRowBlocks:
     @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
     def test_blocks_of_1024_rows_change_no_bits(self, monkeypatch, kind):
         model, degree = block_model(kind)
-        assert model_module._block_rows(model) > self.N  # one block by default
+        shape = model.p, model.m, model.d
+        assert model_module._block_rows(*shape) > self.N  # one block by default
         whole = self.outputs(model, degree)
         monkeypatch.setattr(model_module, "_BLOCK_BYTES", 1)
-        assert model_module._block_rows(model) == 1024  # five blocks, the last short
+        assert model_module._block_rows(*shape) == 1024  # five blocks, the last short
         blocked = self.outputs(model, degree)
         for key, value in whole.items():
             np.testing.assert_array_equal(np.asarray(value), np.asarray(blocked[key]),
@@ -605,6 +606,76 @@ _THREADS_SCRIPT = textwrap.dedent("""
                         ("desk_paths", desk_paths)):
         print(name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
 """)
+
+
+class TestByteBound:
+    """The pre-flight byte counts bound what pricing and `path_grid` hold."""
+
+    @staticmethod
+    def peak(run):
+        run()  # column plans and lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def assert_bound_covers(monkeypatch, model, quotes, sched, peak, features):
+        # the bound must exceed a cap one byte under the measured peak
+        monkeypatch.setattr(pricing, "MAX_BYTES", peak - 1)
+        with pytest.raises(ValidationError, match=r"need \d+ bytes"):
+            pricing._check_bytes(model.p, model.m, model.d, model.basis, quotes, sched,
+                                 "schedule", features)
+
+    # one maturity, the tightest case for a bound summed over maturities;
+    # 3000 paths are one block, 30000 several
+    @pytest.mark.parametrize("n_paths", [3_000, 30_000])
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_price_surface_peak_within_the_bound(self, monkeypatch, kind, n_paths):
+        model, degree = block_model(kind)
+        quotes = strike_quotes((1.0,), (90.0, 100.0, 110.0))
+        sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, cv_degree=degree,
+                                              beta_samples=2_000))
+        peak = self.peak(lambda: price_surface(model, quotes, sched, BrownianDriver(3)))
+        self.assert_bound_covers(monkeypatch, model, quotes, sched, peak, False)
+
+    @pytest.mark.parametrize("n_paths", [3_000, 30_000])
+    def test_fit_workspace_peak_within_the_bound(self, monkeypatch, n_paths):
+        from chaoscal.calibrate import _normal_equations, build_workspace
+
+        model, _ = block_model("piecewise")
+        quotes = strike_quotes((1.0,), (90.0, 100.0, 110.0))
+        for q in quotes.quotes:
+            q.mid_price = 5.0
+        sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, beta_samples=2_000))
+
+        def fit_pass():
+            ws = build_workspace(model, quotes, np.ones(3), sched, BrownianDriver(3))
+            _normal_equations(ws, model.coefficients)
+
+        self.assert_bound_covers(monkeypatch, model, quotes, sched, self.peak(fit_pass),
+                                 True)
+
+    @pytest.mark.parametrize("n_paths", [3_000, 30_000])
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_path_grid_peak_within_the_bound(self, kind, n_paths):
+        model, _ = block_model(kind)
+        times = np.linspace(0.0, 1.0, 65)
+        peak = self.peak(lambda: path_grid(model, times, n_paths, BrownianDriver(3)))
+        assert peak <= model_module._grid_bytes(model, 1.0, len(times), n_paths)
+
+    def test_feature_block_of_a_large_model_is_counted(self):
+        # a block holds at least 1024 rows: 2.6 GB for 316,250 coefficients
+        # at any path count, counted without enumerating the coefficients
+        basis = PiecewiseConstantBasis.uniform(1.0, 4)
+        quotes = strike_quotes((1.0,), (100.0,))
+        sched = PricingSchedule(PricingMethod("mc", n_paths=2000, cv_degree=0))
+        with pytest.raises(ValidationError,
+                           match=r"316250 coefficients at n_paths = 2000, "):
+            pricing._check_bytes(50, 4, 1, basis, quotes, sched, "schedule", False)
+        pricing._check_bytes(2, 4, 1, basis, quotes, sched, "schedule", False)
 
 
 def test_thread_count_does_not_change_bits():
