@@ -20,7 +20,7 @@ from .bases import BrownianDriver, PiecewiseConstantBasis
 from .calibrate import calibrate, initial_coefficients
 from .errors import InversionError, NumericError, ValidationError
 from .indices import index_space_dim
-from .model import ChaosModel, _grid_bytes, path_grid
+from .model import ChaosModel, _check_grid, path_grid
 from .modelio import (
     _construct,
     _field,
@@ -33,7 +33,7 @@ from .modelio import (
     serialize_model,
     write_history,
 )
-from .pricing import MAX_BYTES, PricingSchedule, _check_bytes, price_surface
+from .pricing import PricingSchedule, _check_bytes, price_surface
 from .quotes import (
     Quote,
     QuoteSurface,
@@ -290,12 +290,8 @@ def cmd_exotics(args):
     contracts, specs, steps = _read_exotics_spec(args.spec)
     special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
     dates = sorted({s.maturity for s in specs} | special)
-    need = _construct(args.spec, _grid_bytes, model, dates[-1], steps + 1 + len(dates),
-                      args.paths)
-    if need > MAX_BYTES:
-        raise ValidationError(
-            f"--paths {args.paths} with {args.spec}: key 'monitoring_steps' = {steps} "
-            f"need {need} bytes of paths, above the {MAX_BYTES}-byte cap")
+    _construct(f"{args.spec}: key 'monitoring_steps' = {steps} with --paths {args.paths}",
+               _check_grid, model, dates[-1], steps + 1 + len(dates), args.paths)
     _check_barriers(args.spec, specs, model.s0, args.model)
     params = None
     if args.reference:
@@ -310,8 +306,7 @@ def cmd_exotics(args):
             )
         _check_barriers(args.spec, specs, params.s0, args.reference)
 
-    times = np.unique(np.concatenate([np.linspace(0.0, dates[-1], steps + 1),
-                                      np.array(dates)]))
+    times = np.union1d(np.linspace(0.0, dates[-1], steps + 1), dates)
     driver = BrownianDriver(args.seed)
     # both simulators return (len(times), n_paths) at exactly these times; the
     # model's paths are released before the reference's are simulated
@@ -366,21 +361,16 @@ def build_parser():
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("price", help="price quotes with a fitted model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--quotes", required=True)
-    p.add_argument("--schedule")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_price)
-
-    p = sub.add_parser("evaluate", help="implied-vol MAE report on a surface")
-    p.add_argument("--model", required=True)
-    p.add_argument("--quotes", required=True)
-    p.add_argument("--schedule")
-    p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_evaluate)
+    for name, text, out, func in (
+            ("price", "price quotes with a fitted model", "--out", cmd_price),
+            ("evaluate", "implied-vol MAE report on a surface", "--report", cmd_evaluate)):
+        p = sub.add_parser(name, help=text)  # both read their inputs by _priced_rows
+        p.add_argument("--model", required=True)
+        p.add_argument("--quotes", required=True)
+        p.add_argument("--schedule")
+        p.add_argument(out, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("exotics", help="price path-dependent contracts")
     p.add_argument("--model", required=True)

@@ -65,6 +65,8 @@ def dyson_combo(a, g):
     fact = 1.0
     for n in range(1, a.order // 2 + 1):
         current = dyson_operator_apply(current, g)
+        if not current:
+            break
         fact *= 2.0 * n
         for b, v in current.items():
             total[b] = total.get(b, 0.0) + 1.0 / fact * v
@@ -80,7 +82,8 @@ def evaluate_combo(combo, x):
     for b, c in combo.items():
         term = np.full(x.shape[:-1], c)
         for pos, n in enumerate(b):
-            term = term * table[n][..., pos]  # H_0 = 1 exactly
+            if n > 0:
+                term = term * table[n][..., pos]
         out += term
     return out if out.ndim else float(out)
 

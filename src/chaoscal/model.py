@@ -43,6 +43,7 @@ from .conditional import _column_plan, _plan_rows, expand_gram
 from .errors import ValidationError
 from .indices import enumerate_indices, index_space_dim
 
+MAX_BYTES = 1 << 30  # cap on the arrays one command holds at once
 _BLOCK_BYTES = 8 << 20  # cap on one block of feature rows and its scratch
 _ROW_ALIGN = 1024  # every row block starts at a multiple of this
 _MAX_BLOCK_ROWS = 16 * _ROW_ALIGN
@@ -220,13 +221,16 @@ def second_moment(model, t):
     return model.s0**2 + float(c @ (model.coefficients**2))
 
 
-def _grid_bytes(model, t_end, n_times, n_paths):
-    """Bytes `path_grid` holds for n_times times up to t_end (in the horizon): its
-    output, a feature block, and the walk's sum, normals and their combination."""
+def _check_grid(model, t_end, n_times, n_paths):
+    """Raise ValidationError if t_end is beyond the horizon, or if `path_grid`
+    would hold over MAX_BYTES: its output, a feature block and 3 walk arrays."""
     if t_end > model.horizon + 1e-12:
         raise ValidationError(f"maturity {t_end} beyond model horizon {model.horizon}")
     p, m, d = model.p, model.m, model.d
-    return 8 * n_paths * (n_times + 3 * m * d) + _block_bytes(p, m, d, n_paths)
+    need = 8 * n_paths * (n_times + 3 * m * d) + _block_bytes(p, m, d, n_paths)
+    if need > MAX_BYTES:
+        raise ValidationError(f"n_paths = {n_paths} at n_times = {n_times} need "
+                              f"{need} bytes, above the {MAX_BYTES}-byte cap")
 
 
 def path_grid(model, times, n_paths, driver, tags=()):

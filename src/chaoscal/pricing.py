@@ -58,6 +58,7 @@ from .conditional import piecewise_features
 from .errors import ConfigError, ValidationError
 from .indices import index_space_dim
 from .model import (
+    MAX_BYTES,
     _block_bytes,
     _row_dot,
     _sample_terminal,
@@ -67,7 +68,6 @@ from .model import (
     terminal_values,
 )
 
-MAX_BYTES = 1 << 30  # cap on the arrays one command holds at once
 _SAME_MATURITY = 1e-9  # schedule maturities closer than this are one maturity
 
 
@@ -187,28 +187,31 @@ def quad_nodes_features(model, t, n):
 
 def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
     """Raise ValidationError if pricing the quotes with a model of shape (p, m,
-    d, basis) may hold over MAX_BYTES: per maturity its quadrature nodes, or a
-    feature block, a CV draw (8 arrays) and a fit's feature matrix; then S_T,
-    5 temporaries and a payoff per strike; and a fit's 8 n x n matrices."""
+    d, basis) may hold over MAX_BYTES: to the end, each maturity's quadrature
+    nodes and a fit's feature matrices, weights and 8 n x n matrices; for the
+    largest maturity, a feature block, a CV draw (8 arrays), S_T, 5 temporaries,
+    a payoff per strike, and the S_T and CV draw (3 arrays) left by another."""
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
-    need = {}
+    need = {}  # (sizes, maturity) -> (held to the end, freed after it, left alive)
     for t in sorted({q.maturity for q in quotes.quotes}):
         method = schedule.for_maturity(t)
         if method.kind == "quad":
             dims = _quad_dims(basis, t, d)
             rows, sizes = method.n_nodes**dims, f"n_nodes = {method.n_nodes}"
-            held = _quad_node_bytes(method.n_nodes, dims, m * d, n, p)
+            held, freed, alive = _quad_node_bytes(method.n_nodes, dims, m * d, n, p), 0, 0
         else:
             rows = method.n_paths
             sizes = f"n_paths = {rows}, beta_samples = {method.beta_samples}"
             cv = method.beta_samples if method.cv_degree else 0
-            held = (_block_bytes(p, m, d, max(rows, cv)) + 64 * cv
-                    + (8 * rows * n if features else 0))
+            held = 8 * rows * (n + 1) if features else 0
+            freed = _block_bytes(p, m, d, max(rows, cv)) + 64 * cv
+            alive = 8 * (rows + 3 * cv)
         strikes = sum(q.maturity == t for q in quotes.quotes)
-        need[sizes, t] = held + 8 * rows * (strikes + 6)
-    total = sum(need.values()) + (64 * n * n if features else 0)
+        need[sizes, t] = held, freed + 8 * rows * (strikes + 6), alive
+    held, freed, alive = zip(*need.values(), (0, 0, 0))  # a surface may be empty
+    total = sum(held) + max(freed) + max(alive) + (64 * n * n if features else 0)
     if total > MAX_BYTES:
-        sizes, t = max(need, key=need.get)
+        sizes, t = max(need, key=lambda key: sum(need[key]))
         raise ValidationError(
             f"{n} coefficients at {sizes} ({schedule_name}, maturity {t}) need "
             f"{total} bytes, above the {MAX_BYTES}-byte cap")

@@ -383,6 +383,17 @@ class TestPriceEvaluate:
         assert set(report["per_maturity_mae_bp"]) == {"0.5", "1.0"}
         assert report["overall_mae_bp"] < 1e-6
 
+    def test_evaluate_on_an_empty_surface_reports_no_quotes(self, tmp_path):
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("maturity_years,strike,option_type,mid_price,implied_vol,"
+                          "discount_factor,forward,spot\n")
+        model = tmp_path / "truth.json"
+        serialize_model(truth_model(), model)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--model", str(model), "--quotes", str(quotes),
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["n_quotes"] == 0
+
     def test_mc_pricing_respects_the_seed(self, calibrated, tmp_path):
         schedule = write_json(tmp_path / "mc.json", {
             "default": {"kind": "mc", "n_paths": 4000, "beta_samples": 4000},
@@ -862,13 +873,13 @@ class TestBadInput:
              "schedule.json, maturity 0.5)")),
         "exotics paths above the byte cap": (
             "exotics", {"paths": str(10**15)},
-            ("--paths 1000000000000000 with ",
-             "spec.json: key 'monitoring_steps' = 64 need")),
+            ("spec.json: key 'monitoring_steps' = 64 with --paths 1000000000000000: "
+             "n_paths = 1000000000000000 at n_times = 66 need")),
         "exotics monitoring steps above the byte cap": (
             "exotics", {"spec": json.dumps({"monitoring_steps": 10**15, "contracts": [
                 {"type": "lookback", "maturity": 1.0}]})},
-            ("--paths 500 with ",
-             "spec.json: key 'monitoring_steps' = 1000000000000000 need")),
+            ("spec.json: key 'monitoring_steps' = 1000000000000000 with --paths 500: "
+             "n_paths = 500 at n_times = 1000000000000002 need")),
         "parity maturity with one common strike": (
             "parity", {"quotes": ONE_COMMON_STRIKE},
             "q.csv: maturity 1.0: parity extraction needs >= 2 common strikes, got 1"),

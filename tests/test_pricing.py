@@ -629,30 +629,34 @@ class TestByteBound:
             pricing._check_bytes(model.p, model.m, model.d, model.basis, quotes, sched,
                                  "schedule", features)
 
-    # one maturity, the tightest case for a bound summed over maturities;
-    # 3000 paths are one block, 30000 several
+    # 3000 paths are one block, 30000 several; with one maturity nothing of
+    # another is alive, with three the last one's arrays are
+    @pytest.mark.parametrize("maturities", [(1.0,), (0.4, 0.7, 1.0)])
     @pytest.mark.parametrize("n_paths", [3_000, 30_000])
     @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
-    def test_price_surface_peak_within_the_bound(self, monkeypatch, kind, n_paths):
+    def test_price_surface_peak_within_the_bound(self, monkeypatch, kind, n_paths,
+                                                 maturities):
         model, degree = block_model(kind)
-        quotes = strike_quotes((1.0,), (90.0, 100.0, 110.0))
+        quotes = strike_quotes(maturities, (90.0, 100.0, 110.0))
         sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, cv_degree=degree,
                                               beta_samples=2_000))
         peak = self.peak(lambda: price_surface(model, quotes, sched, BrownianDriver(3)))
         self.assert_bound_covers(monkeypatch, model, quotes, sched, peak, False)
 
+    @pytest.mark.parametrize("maturities", [(1.0,), (0.4, 0.7, 1.0)])
     @pytest.mark.parametrize("n_paths", [3_000, 30_000])
-    def test_fit_workspace_peak_within_the_bound(self, monkeypatch, n_paths):
+    def test_fit_workspace_peak_within_the_bound(self, monkeypatch, n_paths, maturities):
         from chaoscal.calibrate import _normal_equations, build_workspace
 
         model, _ = block_model("piecewise")
-        quotes = strike_quotes((1.0,), (90.0, 100.0, 110.0))
+        quotes = strike_quotes(maturities, (90.0, 100.0, 110.0))
         for q in quotes.quotes:
             q.mid_price = 5.0
         sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, beta_samples=2_000))
 
         def fit_pass():
-            ws = build_workspace(model, quotes, np.ones(3), sched, BrownianDriver(3))
+            ws = build_workspace(model, quotes, np.ones(len(quotes.quotes)), sched,
+                                 BrownianDriver(3))
             _normal_equations(ws, model.coefficients)
 
         self.assert_bound_covers(monkeypatch, model, quotes, sched, self.peak(fit_pass),
@@ -660,11 +664,20 @@ class TestByteBound:
 
     @pytest.mark.parametrize("n_paths", [3_000, 30_000])
     @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
-    def test_path_grid_peak_within_the_bound(self, kind, n_paths):
+    def test_path_grid_peak_within_the_bound(self, monkeypatch, kind, n_paths):
         model, _ = block_model(kind)
         times = np.linspace(0.0, 1.0, 65)
         peak = self.peak(lambda: path_grid(model, times, n_paths, BrownianDriver(3)))
-        assert peak <= model_module._grid_bytes(model, 1.0, len(times), n_paths)
+        monkeypatch.setattr(model_module, "MAX_BYTES", peak - 1)
+        with pytest.raises(ValidationError, match=r"need \d+ bytes"):
+            model_module._check_grid(model, 1.0, len(times), n_paths)
+
+    def test_evaluation_counts_one_maturity_at_a_time(self):
+        # 40 maturities x 40 strikes under the default schedule: about 44 MB
+        # for one maturity, 1.7 GB if every maturity were held at once
+        basis = PiecewiseConstantBasis.uniform(1.0, 4)
+        quotes = strike_quotes(np.linspace(0.025, 1.0, 40), np.linspace(80.0, 119.0, 40))
+        pricing._check_bytes(2, 4, 1, basis, quotes, PricingSchedule(), "schedule", False)
 
     def test_feature_block_of_a_large_model_is_counted(self):
         # a block holds at least 1024 rows: 2.6 GB for 316,250 coefficients
