@@ -169,7 +169,6 @@ def _call_target(quote, spot):
 
 @dataclass
 class CalibrationWorkspace:
-    s0: float
     groups: list = field(default_factory=list)
 
 
@@ -186,7 +185,7 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
         raise ValidationError(
             f"weights shape {weights.shape} != number of quotes ({len(qs)},)"
         )
-    ws = CalibrationWorkspace(model.s0)
+    ws = CalibrationWorkspace()
     spot = getattr(quotes, "spot", model.s0)
     prefix = tuple(tags) + (_CAL_TAG,)
     for g in _maturity_groups(model, quotes, schedule, driver, prefix, nodes,

@@ -34,19 +34,20 @@ are permitted by construction; nothing clamps them.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .bases import PiecewiseConstantBasis, _walk_integrals, gram_tail
 from .conditional import _column_plan, _plan_rows, expand_gram
 from .errors import ValidationError
-from .indices import enumerate_indices, index_space_dim
+from .indices import _set_bytes, enumerate_indices, index_space_dim
 
 MAX_BYTES = 1 << 30  # cap on the arrays one command holds at once
 _BLOCK_BYTES = 8 << 20  # cap on one block of feature rows and its scratch
 _ROW_ALIGN = 1024  # every row block starts at a multiple of this
 _MAX_BLOCK_ROWS = 16 * _ROW_ALIGN
+_PLANS = 256  # column plans `_plan` keeps
 
 
 @dataclass
@@ -79,7 +80,7 @@ class ChaosModel:
     def horizon(self):
         return self.basis.horizon
 
-    @cached_property
+    @property
     def indices(self):
         return enumerate_indices(self.p, self.m, self.d)
 
@@ -125,9 +126,21 @@ def _row_dot(features, theta):
     return out
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_PLANS)
 def _plan(p, m, d, basis, t):
     return _column_plan(enumerate_indices(p, m, d), expand_gram(gram_tail(basis, t), d))
+
+
+def _index_bytes(p, m, d, n_plans):
+    """Bytes the index layer may hold with n_plans column plans cached: the
+    enumerated set (`_set_bytes`), at most 512 bytes a column per plan, and
+    the larger of a plan build's 4 dense M*d x M*d matrices (the Gram tail
+    and its expansion, diagonal and off-diagonal part) and the n x M*d
+    exponent and power tables of `second_moment_coeffs`."""
+    n = index_space_dim(p, m, d) - 1
+    md = m * d
+    plans = 64 * n * min(n_plans, _PLANS)
+    return _set_bytes(p, m, d) + 8 * (plans + max(4 * md * md, 2 * n * md))
 
 
 def _feature_plan(model, t):
@@ -223,11 +236,13 @@ def second_moment(model, t):
 
 def _check_grid(model, t_end, n_times, n_paths):
     """Raise ValidationError if t_end is beyond the horizon, or if `path_grid`
-    would hold over MAX_BYTES: its output, a feature block and 3 walk arrays."""
+    would hold over MAX_BYTES: its output, a feature block, 3 walk arrays and
+    the index layer with a plan per time."""
     if t_end > model.horizon + 1e-12:
         raise ValidationError(f"maturity {t_end} beyond model horizon {model.horizon}")
     p, m, d = model.p, model.m, model.d
-    need = 8 * n_paths * (n_times + 3 * m * d) + _block_bytes(p, m, d, n_paths)
+    need = (8 * n_paths * (n_times + 3 * m * d) + _block_bytes(p, m, d, n_paths)
+            + _index_bytes(p, m, d, n_times))
     if need > MAX_BYTES:
         raise ValidationError(f"n_paths = {n_paths} at n_times = {n_times} need "
                               f"{need} bytes, above the {MAX_BYTES}-byte cap")

@@ -15,8 +15,8 @@ import math
 from .bases import LegendreBasis, PiecewiseConstantBasis
 from .calibrate import CalibrationConfig
 from .errors import ValidationError
-from .indices import enumerate_indices, index_space_dim
-from .model import ChaosModel
+from .indices import _set_bytes, enumerate_indices, index_space_dim
+from .model import MAX_BYTES, ChaosModel
 from .pricing import PricingMethod, PricingSchedule
 
 MODEL_SCHEMA_VERSION = 1
@@ -101,11 +101,15 @@ def _construct(where, build, *args, **kwargs):
 
 
 def index_order_hash(p, m, d):
-    """Digest of the enumeration order of the (P, M, d) multi-index set."""
-    text = ";".join(
-        ",".join(map(str, a.exponents)) for a in enumerate_indices(p, m, d)
-    )
-    return hashlib.sha256(f"{p}|{m}|{d}|{text}".encode()).hexdigest()[:16]
+    """Digest of the enumeration order of the (P, M, d) multi-index set: the
+    sha256 of "p|m|d|" and the indices' exponents, comma-separated within an
+    index and semicolon-separated between them, fed one index at a time."""
+    digest = hashlib.sha256(f"{p}|{m}|{d}|".encode())
+    for i, a in enumerate(enumerate_indices(p, m, d)):
+        if i:
+            digest.update(b";")
+        digest.update(",".join(map(str, a.exponents)).encode())
+    return digest.hexdigest()[:16]
 
 
 _BASES = {"piecewise": PiecewiseConstantBasis, "legendre": LegendreBasis}
@@ -157,13 +161,19 @@ def load_model(path):
     _object(path, data, ("schema_version", "index_order_hash", *dict(_MODEL_KEYS)))
     for key, kind in _MODEL_KEYS:
         _field(path, data, key, kind)
-    # the coefficient list bounds the index enumeration behind the hash
+    # the coefficient list bounds the index count, and the byte check the
+    # entries of the index set, before the hash enumerates it
     n = _construct(path, index_space_dim, data["p"], data["m"], data["d"]) - 1
     if len(data["coefficients"]) != n:
         raise ValidationError(
             f"{path}: key 'coefficients' has {len(data['coefficients'])} values; "
             f"(p, m, d) = ({data['p']}, {data['m']}, {data['d']}) needs {n}"
         )
+    need = _set_bytes(data["p"], data["m"], data["d"])
+    if need > MAX_BYTES:
+        raise ValidationError(
+            f"{path}: the {n} indices of (p, m, d) = ({data['p']}, {data['m']}, "
+            f"{data['d']}) need {need} bytes, above the {MAX_BYTES}-byte cap")
     want = index_order_hash(data["p"], data["m"], data["d"])
     if data.get("index_order_hash") != want:
         raise ValidationError(

@@ -30,16 +30,11 @@ therefore runs in numpy's own single-threaded loops:
   which need no pairwise order), the CV moments and the price Jacobian
   of `_group_jacobian`, from which every loss gradient is assembled.
 
-The terminal values `features @ theta` stay on BLAS, whose split runs over
-the output rows, but only in row blocks that start at multiples of 1024 rows
-and hold at most 16384 (`model._row_dot`, `model._feature_blocks`).  An
-unaligned split at an odd row count moved the last bits: at 100003 paths
-the desk model's terminal values hashed one way under 1 thread and another
-under 2 and 4, while aligned blocks of at most 16384 rows reproduced the
-1-thread bits under 1 to 4 threads at 100003, 200001 and 1000003 rows
-(blocks of 32768 and 65536 did not always).  Feature matrices are
-column-major, which keeps the einsum gradient a contiguous pass per column.
-Acceptance criterion c13 and
+The terminal values `features @ theta` stay on BLAS, but only in row
+blocks that start at multiples of 1024 rows and hold at most 16384
+(`model._row_dot`, `model._feature_blocks`; the `model` module docstring
+says why).  Feature matrices are column-major, which keeps the einsum
+gradient a contiguous pass per column.  Acceptance criterion c13 and
 `tests/test_pricing.py::test_thread_count_does_not_change_bits` enforce this.
 
 Outside calibration no MC feature matrix is held whole: the rows of a
@@ -54,12 +49,14 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .bases import PiecewiseConstantBasis, cell_index
-from .conditional import piecewise_features
+from .conditional import _plan_rows
 from .errors import ConfigError, ValidationError
 from .indices import index_space_dim
 from .model import (
     MAX_BYTES,
     _block_bytes,
+    _feature_plan,
+    _index_bytes,
     _row_dot,
     _sample_terminal,
     sample_features,
@@ -180,17 +177,18 @@ def quad_nodes_features(model, t, n):
         j, i = divmod(a, dims // model.d)  # axis a is cell i + 1 of component j
         zfull[..., j * model.m + i] = z.reshape(axis)
         weights *= w.reshape(axis)
-    zfull = zfull.reshape(n**dims, -1)
-    feats = piecewise_features(model.basis, model.indices, t, zfull, model.d)
+    feats = _plan_rows(_feature_plan(model, t), zfull.reshape(n**dims, -1),
+                       normalized=True)
     return weights.ravel(), feats
 
 
 def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
     """Raise ValidationError if pricing the quotes with a model of shape (p, m,
     d, basis) may hold over MAX_BYTES: to the end, each maturity's quadrature
-    nodes and a fit's feature matrices, weights and 8 n x n matrices; for the
-    largest maturity, a feature block, a CV draw (8 arrays), S_T, 5 temporaries,
-    a payoff per strike, and the S_T and CV draw (3 arrays) left by another."""
+    nodes and a fit's feature matrices, weights and 8 n x n matrices, and the
+    index layer with a plan per maturity; for the largest maturity, a feature
+    block, a CV draw (8 arrays), S_T, 5 temporaries, a payoff per strike, and
+    the S_T and CV draw (3 arrays) left by another."""
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
     need = {}  # (sizes, maturity) -> (held to the end, freed after it, left alive)
     for t in sorted({q.maturity for q in quotes.quotes}):
@@ -209,7 +207,8 @@ def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
         strikes = sum(q.maturity == t for q in quotes.quotes)
         need[sizes, t] = held, freed + 8 * rows * (strikes + 6), alive
     held, freed, alive = zip(*need.values(), (0, 0, 0))  # a surface may be empty
-    total = sum(held) + max(freed) + max(alive) + (64 * n * n if features else 0)
+    total = (sum(held) + max(freed) + max(alive) + (64 * n * n if features else 0)
+             + _index_bytes(p, m, d, len(need)))
     if total > MAX_BYTES:
         sizes, t = max(need, key=lambda key: sum(need[key]))
         raise ValidationError(

@@ -330,16 +330,6 @@ def rough_heston_cf(u, t, rp):
     return out if out.shape else complex(out)
 
 
-def _refine(times, max_step):
-    """Insert points so no interval exceeds max_step; keeps originals exact."""
-    out = [times[0]]
-    for lo, hi in zip(times, times[1:]):
-        n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
-        out.extend(lo + (hi - lo) * (i + 1) / n for i in range(n - 1))
-        out.append(hi)
-    return np.array(out)
-
-
 def heston_simulate(
     p,
     times,
@@ -357,12 +347,14 @@ def heston_simulate(
     conditional on V: X += (r - q - V^+/2) dt + sqrt(V^+ dt) (rho Z1 +
     sqrt(1-rho^2) Z2).
 
-    `times` (starting at 0) are the monitoring times.  Each interval between
-    them is split into equal Euler steps of at most max_step, but S is
-    stored only at the requested times: returns shape (len(times), n_paths),
-    one row per time like `model.path_grid`, so a terminal value is
-    `heston_simulate(p, [0.0, T], ...)[1]`.  With return_variance, returns
-    (S, V) arrays of that shape.
+    `times` (starting at 0) are the monitoring times.  Each interval [lo, hi]
+    between them is split into n = ceil((hi - lo) / max_step) equal Euler
+    steps, the i-th ending at lo + (hi - lo) i / n, the last exactly at hi.
+    Each step's end is computed as it is taken, so memory does not grow with
+    the step count, and S is stored only at the requested times: returns
+    shape (len(times), n_paths), one row per time like `model.path_grid`, so
+    a terminal value is `heston_simulate(p, [0.0, T], ...)[1]`.  With
+    return_variance, returns (S, V) arrays of that shape.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
@@ -373,9 +365,6 @@ def heston_simulate(
         raise ValidationError(f"max_step must be positive, got {max_step}")
     if n_paths < 1:
         raise ValidationError("need at least one path")
-    fine = _refine(times, max_step)
-    slot = np.full(fine.size, -1)  # output row of each Euler step's end
-    slot[np.searchsorted(fine, times)] = np.arange(times.size)
     rho_c = math.sqrt(1.0 - p.rho**2)
     out = np.empty((times.size, n_paths))
     var_out = np.empty((times.size, n_paths)) if return_variance else None
@@ -388,18 +377,23 @@ def heston_simulate(
         out[0, cols] = p.s0
         if return_variance:
             var_out[0, cols] = p.v0
-        for k, dt in enumerate(np.diff(fine), start=1):
-            z = gen.standard_normal((nb, 2))
-            vp = np.maximum(v, 0.0)
-            sq = np.sqrt(vp * dt)
-            x += (p.r - p.q - 0.5 * vp) * dt + sq * (
-                p.rho * z[:, 0] + rho_c * z[:, 1]
-            )
-            v = v + p.kappa * (p.vbar - vp) * dt + p.eps * sq * z[:, 0]
-            if slot[k] >= 0:
-                out[slot[k], cols] = np.exp(x)
-                if return_variance:
-                    var_out[slot[k], cols] = v
+        for row, (lo, hi) in enumerate(zip(times, times[1:]), start=1):
+            n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
+            prev = lo
+            for i in range(1, n + 1):
+                end = hi if i == n else lo + (hi - lo) * i / n
+                dt = end - prev
+                prev = end
+                z = gen.standard_normal((nb, 2))
+                vp = np.maximum(v, 0.0)
+                sq = np.sqrt(vp * dt)
+                x += (p.r - p.q - 0.5 * vp) * dt + sq * (
+                    p.rho * z[:, 0] + rho_c * z[:, 1]
+                )
+                v = v + p.kappa * (p.vbar - vp) * dt + p.eps * sq * z[:, 0]
+            out[row, cols] = np.exp(x)
+            if return_variance:
+                var_out[row, cols] = v
     if return_variance:
         return out, var_out
     return out

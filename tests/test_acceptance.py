@@ -454,7 +454,7 @@ def test_c11_gradient_matches_finite_differences():
         for i in range(len(theta)):
             flips = 0.0
             for g in ws.groups:
-                s = ws.s0 + g.features @ theta
+                s = g.s0 + g.features @ theta
                 near = (np.abs(s[None, :] - g.strikes[:, None])
                         <= h * np.abs(g.features[:, i])[None, :])
                 flips = max(flips, near.mean(axis=1).max())

@@ -303,7 +303,7 @@ class TestLossGradient:
         ws = build_workspace(model, quotes, w, mc, driver, tags=(0,))
         got_loss, got = workspace_loss(ws, model.coefficients, with_gradient=True)
         g = ws.groups[0]
-        s = ws.s0 + g.features @ model.coefficients
+        s = g.s0 + g.features @ model.coefficients
         assert (s[None, :] > g.strikes[:, None]).all()
         prices = np.maximum(s[None, :] - g.strikes[:, None], 0.0) @ g.weights
         u = -2.0 * g.gweights * (g.targets - prices)
@@ -337,7 +337,7 @@ class TestLossGradient:
         for i in range(len(theta)):
             flips = 0.0
             for g in ws.groups:
-                s = ws.s0 + g.features @ theta
+                s = g.s0 + g.features @ theta
                 near = (
                     np.abs(s[None, :] - g.strikes[:, None])
                     <= h * np.abs(g.features[:, i])[None, :]
@@ -373,7 +373,7 @@ class TestLossGradient:
         for g in ws.groups:
             prices, jac = pricing._group_jacobian(g, theta)
             np.testing.assert_array_equal(prices, pricing._group_prices(g, theta)[2])
-            s = ws.s0 + g.features @ theta
+            s = g.s0 + g.features @ theta
             for i in range(len(theta)):
                 near = (np.abs(s[None, :] - g.strikes[:, None])
                         <= h * np.abs(g.features[:, i])[None, :])

@@ -283,6 +283,26 @@ class TestCalibrateCli:
         assert a1 == a2  # same seed, bit-identical losses
         assert a1 != b   # the init draw moved
 
+    def test_a_thousand_cells_calibrate_evaluate_and_price_exotics(self, tmp_path):
+        # p 1 on m 1000 cells: 1000 coefficients whose indices have 1000
+        # entries each, one recursion level per entry for a recursive
+        # enumeration
+        quotes = write_truth_quotes(tmp_path / "q.csv")
+        config = write_json(tmp_path / "c.json", {
+            "max_iterations": 1, "model": {"p": 1, "m": 1000, "d": 1, "horizon": 1.0}})
+        schedule = write_json(tmp_path / "s.json", {"default": {
+            "kind": "mc", "n_paths": 2000, "beta_samples": 500}})
+        spec = write_json(tmp_path / "spec.json", {"monitoring_steps": 4, "contracts": [
+            {"type": "lookback", "maturity": 1.0}]})
+        model = str(tmp_path / "m.json")
+        assert main(["calibrate", "--quotes", quotes, "--config", config,
+                     "--schedule", schedule, "--out", model]) == 0
+        assert load_model(model).coefficients.shape == (1000,)
+        assert main(["evaluate", "--model", model, "--quotes", quotes, "--schedule",
+                     schedule, "--report", str(tmp_path / "report.json")]) == 0
+        assert main(["exotics", "--model", model, "--spec", spec, "--paths", "500",
+                     "--out", str(tmp_path / "exotics.csv")]) == 0
+
     def test_quote_beyond_horizon_exits_2(self, calibrated, tmp_path, capsys):
         quotes = write_truth_quotes(tmp_path / "q.csv", maturities=(0.5,))
         with open(quotes, "a") as handle:
@@ -575,6 +595,9 @@ class TestBadInput:
         "1.0,100.0,C,8.0,100.0\n1.0,100.0,P,8.0,100.0\n1.0,110.0,C,4.0,100.0\n")
     BIG_CV_DRAW = json.dumps({"default": {"kind": "mc", "n_paths": 1000,
                                           "beta_samples": 10**15}})
+    WIDE_MODEL = model_text(p=1, m=20000, coefficients=[0.0] * 20000, basis={
+        "kind": "piecewise", "grid": [i / 20000 for i in range(20001)]})
+    TEN_PATHS = json.dumps({"default": {"kind": "mc", "n_paths": 10, "beta_samples": 10}})
     GOOD = {  # content of the good JSON inputs; model and quote files are written
         "params": json.dumps(HESTON),
         "config": config_text(),
@@ -880,6 +903,14 @@ class TestBadInput:
                 {"type": "lookback", "maturity": 1.0}]})},
             ("spec.json: key 'monitoring_steps' = 1000000000000000 with --paths 500: "
              "n_paths = 500 at n_times = 1000000000000002 need")),
+        # the index set of a model file is bounded in bytes before its hash
+        # enumerates it: 20000 indices of 20000 entries each
+        "evaluate model with too many index entries": (
+            "evaluate", {"model": WIDE_MODEL, "schedule": TEN_PATHS},
+            "truth.json: the 20000 indices of (p, m, d) = (1, 20000, 1) need "),
+        "exotics model with too many index entries": (
+            "exotics", {"model": WIDE_MODEL, "paths": "10"},
+            "truth.json: the 20000 indices of (p, m, d) = (1, 20000, 1) need "),
         "parity maturity with one common strike": (
             "parity", {"quotes": ONE_COMMON_STRIKE},
             "q.csv: maturity 1.0: parity extraction needs >= 2 common strikes, got 1"),

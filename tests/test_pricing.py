@@ -17,7 +17,7 @@ from chaoscal import pricing
 from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis, cell_index
 from chaoscal.conditional import piecewise_features
 from chaoscal.errors import ConfigError, ValidationError
-from chaoscal.indices import MultiIndex, enumerate_indices
+from chaoscal.indices import MultiIndex, _set_bytes, enumerate_indices
 from chaoscal.model import (
     ChaosModel,
     path_grid,
@@ -689,6 +689,43 @@ class TestByteBound:
                            match=r"316250 coefficients at n_paths = 2000, "):
             pricing._check_bytes(50, 4, 1, basis, quotes, sched, "schedule", False)
         pricing._check_bytes(2, 4, 1, basis, quotes, sched, "schedule", False)
+
+    @pytest.mark.parametrize("kind,p,m,d", [
+        ("piecewise", 1, 300, 1), ("piecewise", 2, 40, 2), ("piecewise", 3, 10, 2),
+        ("legendre", 1, 100, 1), ("legendre", 3, 8, 2)])
+    def test_index_layer_peak_within_the_bound(self, kind, p, m, d):
+        # with the index set held (`_set_bytes`), a fresh column-plan build
+        # and the second-moment tables each stay within the rest of the bound
+        basis = (PiecewiseConstantBasis.uniform(1.0, m) if kind == "piecewise"
+                 else LegendreBasis(1.0, m))
+        model = make_model(basis, p, d, np.zeros(len(enumerate_indices(p, m, d))))
+        bound = model_module._index_bytes(p, m, d, 1) - _set_bytes(p, m, d)
+        runs = [lambda: model_module._feature_plan(model, 0.3)]
+        if kind == "piecewise":
+            runs.append(lambda: model_module.second_moment_coeffs(model, 0.3))
+        for run in runs:
+            model_module._plan.cache_clear()
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+    def test_index_layer_of_a_wide_model_is_counted(self):
+        # p 1, m 8000: 8000 coefficients, but a column plan's 8000 x 8000
+        # Gram matrices alone are 2 GB
+        basis = PiecewiseConstantBasis.uniform(1.0, 8000)
+        model = make_model(basis, 1, 1, np.zeros(8000))
+        quotes = strike_quotes((1.0,), (100.0,))
+        sched = PricingSchedule(PricingMethod("mc", n_paths=10, beta_samples=10))
+        with pytest.raises(ValidationError, match=r"8000 coefficients at n_paths = 10, "):
+            pricing._check_bytes(1, 8000, 1, basis, quotes, sched, "schedule", False)
+        with pytest.raises(ValidationError, match=r"need \d+ bytes"):
+            model_module._check_grid(model, 1.0, 2, 10)
+        pricing._check_bytes(1, 1000, 1, PiecewiseConstantBasis.uniform(1.0, 1000), quotes,
+                             sched, "schedule", False)
 
 
 def test_thread_count_does_not_change_bits():

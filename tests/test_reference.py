@@ -1,6 +1,7 @@
 """Reference models: Heston CF/Lewis, rough-Heston Riccati, simulation, exotics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,7 +415,11 @@ class TestHestonSimulate:
         # requested times are stored, with the bits of the full-grid run
         monkeypatch.setattr(reference, "_PATH_BLOCK", 64)  # three path blocks
         times = np.array([0.0, 0.13, 0.5, 0.51, 1.0])
-        fine = reference._refine(times, 1.0 / 250.0)
+        fine = [times[0]]  # each interval in ceil(width / step) equal steps
+        for lo, hi in zip(times, times[1:]):
+            n = max(1, int(np.ceil((hi - lo) / (1.0 / 250.0) - 1e-12)))
+            fine += [lo + (hi - lo) * i / n for i in range(1, n)] + [hi]
+        fine = np.array(fine)
         assert fine.size == 1 + 33 + 93 + 3 + 123  # ceil(250 * interval) steps each
         assert np.diff(fine).max() <= 1.0 / 250.0 + 1e-15
         d = BrownianDriver(4)
@@ -425,6 +430,20 @@ class TestHestonSimulate:
         np.testing.assert_array_equal(fine[keep], times)
         np.testing.assert_array_equal(s, s_fine[keep])
         np.testing.assert_array_equal(v, v_fine[keep])
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # 1000 and 10000 Euler steps hold the same arrays; with the refined
+        # grid held as a list, the peaks were 41.6 KB and 406 KB
+        def peak(horizon):
+            heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6))  # warm-up
+            tracemalloc.start()
+            try:
+                heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40.0) <= peak(4.0) + 1024
 
     def test_coarse_request_is_refined(self):
         # two monitoring times half a year apart still step at most 1/250:
