@@ -146,6 +146,8 @@ def cmd_calibrate(args):
     else:
         shape = (spec["p"], spec["m"], spec["d"],
                  PiecewiseConstantBasis.uniform(spec["horizon"], spec["m"]))
+    _check_horizon(args.quotes, [q.maturity for q in surface.quotes], shape[3].horizon,
+                   args.init or f"the model section of {args.config}")
     _construct(args.init or f"{args.config}: model section", _check_bytes, *shape,
                surface, schedule, args.schedule or "default schedule", True)
     if not args.init:
@@ -173,6 +175,8 @@ def _priced_rows(args):
     model = load_model(args.model)
     surface = parse_quotes(args.quotes)
     schedule = load_schedule(args.schedule) if args.schedule else PricingSchedule()
+    _check_horizon(args.quotes, [q.maturity for q in surface.quotes], model.horizon,
+                   args.model)
     _construct(args.model, _check_bytes, model.p, model.m, model.d, model.basis,
                surface, schedule, args.schedule or "default schedule", False)
     driver = BrownianDriver(args.seed)
@@ -274,6 +278,12 @@ def _exotic_cells(paths, times, specs, s0):
     return cells
 
 
+def _check_horizon(path, maturities, horizon, source):
+    bad = sorted({t for t in maturities if t > horizon + 1e-12})
+    if bad:
+        raise ValidationError(f"{path}: maturities beyond horizon {horizon} of {source}: {bad}")
+
+
 def _check_barriers(path, specs, spot, source):
     for i, spec in enumerate(specs):
         if isinstance(spec, DownAndOutCall) and spec.barrier >= spot:
@@ -290,9 +300,12 @@ def cmd_exotics(args):
     contracts, specs, steps = _read_exotics_spec(args.spec)
     special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
     dates = sorted({s.maturity for s in specs} | special)
-    _construct(f"{args.spec}: key 'monitoring_steps' = {steps} with --paths {args.paths}",
-               _check_grid, model, dates[-1], steps + 1 + len(dates), args.paths)
+    for i, (raw, spec) in enumerate(zip(contracts, specs)):
+        _check_horizon(f"{args.spec}: contract {i} ({raw['type']})", [spec.maturity],
+                       model.horizon, args.model)
     _check_barriers(args.spec, specs, model.s0, args.model)
+    _construct(f"{args.spec}: key 'monitoring_steps' = {steps} with --paths {args.paths}",
+               _check_grid, model, steps + 1 + len(dates), args.paths)
     params = None
     if args.reference:
         params, alpha = _heston_from_json(args.reference)

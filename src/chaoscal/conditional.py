@@ -1,6 +1,6 @@
 """Conditional expectations E[Phi_a | F_t] of chaos basis elements.
 
-One kernel serves every basis.  With G = gram_tail(spec, t) expanded
+One kernel serves every basis.  With G = gram_tail(spec, t) taken
 block-diagonally over components, v = 1 - diag G is the variance each Ito
 integral has accrued by t, and conditioning shifts each Hermite factor to it,
 E[H_n(I_e) | F_t] = H_n(I^t_e; v_e) (see `hermite`).  The off-diagonal of G
@@ -9,9 +9,9 @@ monomials via H_n' = H_{n-1},
 
     E[Phi_a | F_t] = sum_{n=0}^{floor(|a|/2)} (1 / (2^n n!)) (A_t)^n f_a,
 
-each monomial evaluated at (I^t; v).  The series terminates and is expanded
-once per (a, t); for the piecewise basis G is diagonal and it is a single
-monomial.  Where v_e = 0 (cells after t) I^t_e = 0 = H_n(0; 0), n > 0, so
+each monomial evaluated at (I^t; v).  The series terminates; it runs over
+the couplings G_ik != 0, i < k, listed once per plan from the M x M tail,
+none for the diagonal piecewise G.  Where v_e = 0 (cells after t) I^t_e = 0 = H_n(0; 0), n > 0, so
 such monomials are skipped as exact zeros.
 
 Oracles for the tests: the Dyson series over all of G with plain Hermite
@@ -35,36 +35,48 @@ from .errors import ValidationError
 from .hermite import hermite_upto
 
 
-def dyson_operator_apply(f, g):
-    """One application of A = sum_{i,k} G_ik d_i d_k to a Hermite combo, a
-    dict {exponent tuple b: c_b} for sum_b c_b * prod_e H_{b_e}(x_e).
+def _couplings(g, d=1, diagonal=False):
+    """The nonzero terms of the M x M Gram tail g over the block-diagonal M*d
+    layout, as arrays (i, k, w) in row-major order: w = 2 G_ik for i < k,
+    and G_ii on the diagonal if `diagonal`."""
+    g = np.asarray(g, dtype=float)
+    i, k = np.nonzero(np.triu(g, 0 if diagonal else 1))
+    w = g[i, k]
+    w[i != k] *= 2.0
+    shift = g.shape[0] * np.arange(d)[:, None]  # row j: block j
+    return (i + shift).ravel(), (k + shift).ravel(), np.tile(w, d)
+
+
+def dyson_operator_apply(f, couplings):
+    """One application of A = sum_{i,k} G_ik d_i d_k, G by its `_couplings`, to
+    a Hermite combo {exponent tuple b: c_b}, sum_b c_b * prod_e H_{b_e}(x_e).
 
     On a monomial with exponents b, the pair (i, k), i != k, contributes
     G_ik * (b with b_i - 1, b_k - 1) twice (once per ordering), and i = k
     contributes G_ii * (b with b_i - 2); exponents driven negative kill the
     term.
     """
-    g = np.asarray(g)
-    nz = [(i, k) for i in range(g.shape[0]) for k in range(i, g.shape[1]) if g[i, k] != 0.0]
+    i, k, w = couplings
     out = {}
     for b, c in f.items():
-        for i, k in nz:
+        on = np.array(b) > 0
+        for s in np.flatnonzero(on[i] & on[k]):  # the pairs b can lose
             nb = list(b)
-            nb[i] -= 1
-            nb[k] -= 1  # i == k takes 2 from one position
-            if nb[i] >= 0 and nb[k] >= 0:
+            nb[i[s]] -= 1
+            nb[k[s]] -= 1  # i == k takes 2 from one position
+            if nb[i[s]] >= 0 and nb[k[s]] >= 0:
                 nb = tuple(nb)
-                out[nb] = out.get(nb, 0.0) + c * (g[i, k] if i == k else 2.0 * g[i, k])
+                out[nb] = out.get(nb, 0.0) + c * w[s]
     return out
 
 
-def dyson_combo(a, g):
-    """The full (terminating) Dyson series of Phi_a as one Hermite combo."""
+def dyson_combo(a, couplings):
+    """The full (terminating) Dyson series of Phi_a over `_couplings`."""
     total = {tuple(a.exponents): 1.0}
-    current = dict(total)
+    current = dict(total) if len(couplings[0]) else {}  # no couplings: Phi_a alone
     fact = 1.0
     for n in range(1, a.order // 2 + 1):
-        current = dyson_operator_apply(current, g)
+        current = dyson_operator_apply(current, couplings)
         if not current:
             break
         fact *= 2.0 * n
@@ -88,21 +100,11 @@ def evaluate_combo(combo, x):
     return out if out.ndim else float(out)
 
 
-def expand_gram(g, d):
-    """Block-diagonal expansion of an M x M Gram matrix to M*d positions."""
-    g = np.asarray(g, dtype=float)
-    m = g.shape[0]
-    out = np.zeros((m * d, m * d))
-    for j in range(d):
-        out[j * m:(j + 1) * m, j * m:(j + 1) * m] = g
-    return out
-
-
 def dyson_cond_exp(a, t, integrals, g):
-    """E[Phi_a | F_t] via the Dyson series; g must be gram_tail at t, expanded
-    to the M*d layout when d > 1."""
+    """E[Phi_a | F_t] via the Dyson series over all of g, which must be
+    gram_tail at t, expanded block-diagonally to the M*d layout when d > 1."""
     del t  # the time dependence is entirely inside g and integrals
-    return evaluate_combo(dyson_combo(a, g), integrals)
+    return evaluate_combo(dyson_combo(a, _couplings(g, diagonal=True)), integrals)
 
 
 def cond_exp_piecewise(spec, a, t, increments, d=1):
@@ -153,8 +155,7 @@ def piecewise_features(spec, indices, t, z, d=1):
     len(indices)), column-major; columns of indices annihilated at t (some
     a_i^j > 0 with i > u) are exact zeros.
     """
-    plan = _column_plan(indices, expand_gram(gram_tail(spec, t), d))
-    return _plan_rows(plan, z, normalized=True)
+    return _plan_rows(_column_plan(indices, gram_tail(spec, t), d), z, normalized=True)
 
 
 def dyson_features(indices, g, integrals):
@@ -164,8 +165,7 @@ def dyson_features(indices, g, integrals):
     samples of I^t.  Returns (n_paths, len(indices)), column-major; columns
     that vanish at t are exact zeros.
     """
-    plan = _column_plan(indices, np.asarray(g, dtype=float))
-    return _plan_rows(plan, integrals, normalized=False)
+    return _plan_rows(_column_plan(indices, g, 1), integrals, normalized=False)
 
 
 @dataclass(frozen=True)
@@ -193,19 +193,19 @@ class _ColumnPlan:
         return tuple(slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2]))
 
 
-def _column_plan(indices, g):
-    """The `_ColumnPlan` of `indices` at the expanded Gram tail g; it depends on
-    neither the paths nor the coefficients, so one plan serves every row
-    block of a maturity."""
-    v = 1.0 - np.diag(g)
+def _column_plan(indices, g, d):
+    """The `_ColumnPlan` of `indices` at the M x M Gram tail g, taken
+    block-diagonally over d components; it depends on neither the paths nor
+    the coefficients, so one plan serves every row block of a maturity."""
+    v = np.tile(1.0 - np.diag(g), d)
     positions = np.flatnonzero(v > 0.0)
     slot = {e: s for s, e in enumerate(positions)}  # table row of each live position
-    off = g - np.diag(np.diag(g))
+    couplings = _couplings(g, d)  # listed once for every index
     columns = []
     n_max = 0
     for a in indices:
         terms = []
-        for b, c in dyson_combo(a, off).items():
+        for b, c in dyson_combo(a, couplings).items():
             factors = tuple((slot.get(e), n) for e, n in enumerate(b) if n > 0)
             if all(s is not None for s, _ in factors):
                 scale = math.prod(v[e] ** (0.5 * n) for e, n in enumerate(b) if n > 0)

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bases import PiecewiseConstantBasis, _walk_integrals, gram_tail
-from .conditional import _column_plan, _plan_rows, expand_gram
+from .conditional import _column_plan, _plan_rows
 from .errors import ValidationError
 from .indices import _set_bytes, enumerate_indices, index_space_dim
 
@@ -128,19 +128,19 @@ def _row_dot(features, theta):
 
 @lru_cache(maxsize=_PLANS)
 def _plan(p, m, d, basis, t):
-    return _column_plan(enumerate_indices(p, m, d), expand_gram(gram_tail(basis, t), d))
+    return _column_plan(enumerate_indices(p, m, d), gram_tail(basis, t), d)
 
 
 def _index_bytes(p, m, d, n_plans):
     """Bytes the index layer may hold with n_plans column plans cached: the
     enumerated set (`_set_bytes`), at most 512 bytes a column per plan, and
-    the larger of a plan build's 4 dense M*d x M*d matrices (the Gram tail
-    and its expansion, diagonal and off-diagonal part) and the n x M*d
-    exponent and power tables of `second_moment_coeffs`."""
+    the larger of a plan build's M x M matrices (4 in the Legendre `gram_tail`)
+    and couplings, within M^2 + 3 (d + 1) q words for q = M (M + 1) / 2, and
+    the n x M*d exponent and power tables of `second_moment_coeffs`."""
     n = index_space_dim(p, m, d) - 1
-    md = m * d
     plans = 64 * n * min(n_plans, _PLANS)
-    return _set_bytes(p, m, d) + 8 * (plans + max(4 * md * md, 2 * n * md))
+    build = m * m + 3 * (d + 1) * m * (m + 1) // 2
+    return _set_bytes(p, m, d) + 8 * (plans + max(build, 2 * n * m * d))
 
 
 def _feature_plan(model, t):
@@ -234,12 +234,10 @@ def second_moment(model, t):
     return model.s0**2 + float(c @ (model.coefficients**2))
 
 
-def _check_grid(model, t_end, n_times, n_paths):
-    """Raise ValidationError if t_end is beyond the horizon, or if `path_grid`
-    would hold over MAX_BYTES: its output, a feature block, 3 walk arrays and
-    the index layer with a plan per time."""
-    if t_end > model.horizon + 1e-12:
-        raise ValidationError(f"maturity {t_end} beyond model horizon {model.horizon}")
+def _check_grid(model, n_times, n_paths):
+    """Raise ValidationError if `path_grid` would hold over MAX_BYTES: its
+    output, a feature block, 3 walk arrays and the index layer with a plan
+    per time."""
     p, m, d = model.p, model.m, model.d
     need = (8 * n_paths * (n_times + 3 * m * d) + _block_bytes(p, m, d, n_paths)
             + _index_bytes(p, m, d, n_times))

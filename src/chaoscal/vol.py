@@ -134,16 +134,29 @@ def bs_vega(s, k, t, sigma, r=0.0, q=0.0):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_finite(price):
+    # every comparison with NaN is false: it would pass the bounds checks and
+    # bisect to the top of the bracket
+    if not math.isfinite(price):
+        raise InversionError(f"price {price} is not finite")
+
+
 def implied_vol(price, s, k, t, r=0.0, q=0.0):
     """Invert bs_call in sigma: Newton from 0.25, falling back to bisection
     of the whole bracket [1e-4, 5] down to a 1e-14 width (`_bisect`) when a
     step leaves the bracket, the vega vanishes or 20 steps do not converge.
 
-    Raises InversionError when the price violates the no-arbitrage bounds
-    (S e^{-qT} - K e^{-rT})_+ <= C <= S e^{-qT}.  A price at or beyond the
-    Black-Scholes price at either end of the bracket returns that end,
-    SIGMA_MIN or SIGMA_MAX.
+    Newton stops where the price error is below 1e-10 S and pins either sigma
+    (1e-8 times the vega) or the price (1e-8 relative): a deep out-of-the-money
+    price is within 1e-10 S of zero at any sigma, so that test alone took
+    the start.
+
+    Raises InversionError when the price is not finite or violates the
+    no-arbitrage bounds (S e^{-qT} - K e^{-rT})_+ <= C <= S e^{-qT}.  A price
+    at or beyond the Black-Scholes price at either end of the bracket returns
+    that end, SIGMA_MIN or SIGMA_MAX.
     """
+    _check_finite(price)
     lower = max(s * np.exp(-q * t) - k * np.exp(-r * t), 0.0)
     upper = s * np.exp(-q * t)
     tol = 1e-10 * s
@@ -161,9 +174,9 @@ def implied_vol(price, s, k, t, r=0.0, q=0.0):
     sigma = 0.25
     for _ in range(20):
         diff = bs_call(s, k, t, sigma, r, q) - price
-        if abs(diff) < tol:
-            return sigma
         vega = bs_vega(s, k, t, sigma, r, q)
+        if abs(diff) < min(tol, 1e-8 * max(vega, price)):
+            return sigma
         if vega < 1e-12:
             break
         step = diff / vega
@@ -194,6 +207,9 @@ class ForwardStartCall:
             raise ValidationError(f"need 0 <= tau <= T, got ({self.tau}, {self.maturity})")
         if (self.strike_ratio is None) == (self.strike is None):
             raise ValidationError("give exactly one of strike_ratio, strike")
+        k = self.strike if self.strike_ratio is None else self.strike_ratio
+        if not (k > 0 and self.maturity > 0):
+            raise ValidationError("strike (or strike_ratio), maturity must be positive")
 
 
 @dataclass(frozen=True)
@@ -251,9 +267,11 @@ def exotic_implied_vol(price, spec, s0):
     [1e-4, 5] down to a 1e-14 width (`_bisect`); every zero-rate map is
     monotone there (module docstring).
 
-    Raises InversionError when the map is flat, or when the price lies
-    outside [f(1e-4), f(5)] (or [f(5), f(1e-4)] for a decreasing map).
+    Raises InversionError when the price is not finite, when the map is
+    flat, or when the price lies outside [f(1e-4), f(5)] (or [f(5), f(1e-4)]
+    for a decreasing map).
     """
+    _check_finite(price)
     f = lambda v: exotic_bs_price(spec, v, s0) - price
     f_lo, f_hi = f(SIGMA_MIN), f(SIGMA_MAX)
     if f_lo == f_hi:

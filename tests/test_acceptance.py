@@ -18,6 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from chaoscal.bases import (
     BrownianDriver,
@@ -37,7 +38,6 @@ from chaoscal.calibrate import (
 from chaoscal.conditional import (
     cond_exp_piecewise,
     dyson_cond_exp,
-    expand_gram,
     piecewise_features,
 )
 from chaoscal.indices import MultiIndex, enumerate_indices, index_space_dim, phi_eval
@@ -221,7 +221,7 @@ def test_c02_closed_form_vs_dyson_on_1000_random_cases():
             for j in range(d):
                 ints[j * m + (u - 1)] = z[j * m + (u - 1)] * np.sqrt(tau)
                 ints[j * m + u:][: m - u] = 0.0
-            g = expand_gram(gram_tail(spec, t), d)
+            g = block_diag(*[gram_tail(spec, t)] * d)
             closed = cond_exp_piecewise(spec, a, t, z, d)
             dyson = dyson_cond_exp(a, t, ints, g)
             worst = max(worst, abs(closed - dyson))

@@ -911,6 +911,42 @@ class TestBadInput:
         "exotics model with too many index entries": (
             "exotics", {"model": WIDE_MODEL, "paths": "10"},
             "truth.json: the 20000 indices of (p, m, d) = (1, 20000, 1) need "),
+        "exotics forward start negative strike ratio": (
+            "exotics", {"spec": json.dumps({"contracts": [{
+                "type": "forward_start", "tau": 0.5, "maturity": 1.0,
+                "strike_ratio": -1.0}]})},
+            "spec.json: contract 0 (forward_start): strike (or strike_ratio), maturity "
+            "must be positive"),
+        "exotics forward start negative strike": (
+            "exotics", {"spec": json.dumps({"contracts": [{
+                "type": "forward_start", "tau": 0.5, "maturity": 1.0, "strike": -5.0}]})},
+            "spec.json: contract 0 (forward_start): strike (or strike_ratio), maturity "
+            "must be positive"),
+        "exotics forward start at maturity zero": (
+            "exotics", {"spec": json.dumps({"contracts": [{
+                "type": "forward_start", "tau": 0.0, "maturity": 0.0,
+                "strike_ratio": 1.0}]})},
+            "spec.json: contract 0 (forward_start): strike (or strike_ratio), maturity "
+            "must be positive"),
+        # a maturity past the horizon names the contract or quotes and the model
+        "exotics maturity beyond the model horizon": (
+            "exotics", {"spec": json.dumps({"contracts": [
+                {"type": "lookback", "maturity": 1.0},
+                {"type": "lookback", "maturity": 3.0}]})},
+            ("spec.json: contract 1 (lookback): maturities beyond horizon 1.0 of ",
+             "truth.json: [3.0]")),
+        "evaluate quotes beyond the model horizon": (
+            "evaluate", {"quotes": one_quote_text(100.0).replace("\n1.0,", "\n2.0,")},
+            ("q.csv: maturities beyond horizon 1.0 of ", "truth.json: [2.0]")),
+        "calibrate quotes beyond the model section horizon": (
+            "calibrate", {"config": config_text(model={"p": 2, "m": 2, "d": 1,
+                                                       "horizon": 0.7})},
+            ("q.csv: maturities beyond horizon 0.7 of the model section of ",
+             "config.json: [1.0]")),
+        "calibrate quotes beyond the init model horizon": (
+            "calibrate", {"init": model_text(basis={"kind": "piecewise",
+                                                    "grid": [0.0, 0.35, 0.7]})},
+            ("q.csv: maturities beyond horizon 0.7 of ", "init.json: [1.0]")),
         "parity maturity with one common strike": (
             "parity", {"quotes": ONE_COMMON_STRIKE},
             "q.csv: maturity 1.0: parity extraction needs >= 2 common strikes, got 1"),

@@ -8,7 +8,9 @@ is trusted (it is re-run in the acceptance suite).
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
+from chaoscal import conditional
 from chaoscal.bases import (
     BrownianDriver,
     LegendreBasis,
@@ -18,13 +20,14 @@ from chaoscal.bases import (
     sample_integrals,
 )
 from chaoscal.conditional import (
+    _column_plan,
+    _couplings,
     cond_exp_piecewise,
     dyson_combo,
     dyson_cond_exp,
     dyson_features,
     dyson_operator_apply,
     evaluate_combo,
-    expand_gram,
     piecewise_features,
 )
 from chaoscal.errors import ValidationError
@@ -35,19 +38,19 @@ class TestOperator:
     def test_h2_single_variable(self):
         f = {(2,): 1.0}
         g = np.array([[0.3]])
-        out = dyson_operator_apply(f, g)
+        out = dyson_operator_apply(f, _couplings(g, diagonal=True))
         assert out == {(0,): pytest.approx(0.3)}
 
     def test_mixed_first_order_pair(self):
         f = {(1, 1): 1.0}
         g = np.array([[0.5, 0.2], [0.2, 0.7]])
-        out = dyson_operator_apply(f, g)
+        out = dyson_operator_apply(f, _couplings(g, diagonal=True))
         # (i,k) = (1,2) and (2,1) both contribute g12
         assert out == {(0, 0): pytest.approx(0.4)}
 
     def test_linear_term_annihilated(self):
         f = {(1,): 1.0}
-        out = dyson_operator_apply(f, np.array([[2.0]]))
+        out = dyson_operator_apply(f, _couplings(np.array([[2.0]]), diagonal=True))
         assert out == {}
 
 
@@ -144,7 +147,7 @@ class TestEquivalence:
             for j in range(d):
                 ints[j * m + (u - 1)] = z[j * m + (u - 1)] * np.sqrt(tau)
                 ints[j * m + u :][: m - u] = 0.0
-            g = expand_gram(gram_tail(spec, t), d)
+            g = block_diag(*[gram_tail(spec, t)] * d)
             closed = cond_exp_piecewise(spec, a, t, z, d)
             dyson = dyson_cond_exp(a, t, ints, g)
             assert abs(closed - dyson) < 1e-10
@@ -194,7 +197,7 @@ class TestKernelBeforeMaturity:
         times = [0.2, 0.55, 0.9]
         ints = sample_integrals(spec, BrownianDriver(seed=61), times, 40, d=2)
         for ti, t in enumerate(times):
-            g = expand_gram(gram_tail(spec, t), 2)
+            g = block_diag(*[gram_tail(spec, t)] * 2)
             assert np.any(g - np.diag(np.diag(g)) != 0.0)  # cross terms live
             feats = dyson_features(idx, g, ints[ti])
             for col, a in enumerate(idx):
@@ -210,7 +213,7 @@ class TestKernelBeforeMaturity:
             v = np.tile(1.0 - np.diag(gram_tail(spec, t)), 2)
             # normalized increments; entries after the running cell are ignored
             z = np.where(v > 0.0, ints / np.sqrt(np.where(v > 0.0, v, 1.0)), 99.0)
-            feats = dyson_features(idx, expand_gram(gram_tail(spec, t), 2), ints)
+            feats = dyson_features(idx, block_diag(*[gram_tail(spec, t)] * 2), ints)
             for col, a in enumerate(idx):
                 dead = any(n > 0 and e % 4 + 1 > u for e, n in enumerate(a.exponents))
                 want = cond_exp_piecewise(spec, a, t, z, d=2)
@@ -231,7 +234,43 @@ class TestComboEvaluation:
     def test_dyson_combo_terminates(self):
         a = MultiIndex((3, 1))
         g = np.array([[0.2, 0.1], [0.1, 0.6]])
-        combo = dyson_combo(a, g)
+        combo = dyson_combo(a, _couplings(g, diagonal=True))
         # orders present: 4 (n=0) and 2 (n=1) and 0 (n=2)
         orders = {sum(b) for b in combo}
         assert orders == {4, 2, 0}
+
+
+class TestCouplings:
+    """Column plans read the M x M Gram tail and list its couplings once."""
+
+    @pytest.mark.parametrize("spec,p,d", [
+        (PiecewiseConstantBasis.uniform(1.0, 4), 3, 2),
+        (LegendreBasis(horizon=1.0, size=3), 3, 2),
+        (LegendreBasis(horizon=1.0, size=3), 2, 3)],
+        ids=["piecewise-d2", "legendre-d2", "legendre-d3"])
+    def test_plan_of_the_tail_is_the_plan_of_its_expansion(self, spec, p, d):
+        # the dense block-diagonal expansion, read as a tail with d = 1
+        idx = enumerate_indices(p, spec.size, d)
+        for t in [0.2, 0.55, 0.9]:
+            g = gram_tail(spec, t)
+            got = _column_plan(idx, g, d)
+            want = _column_plan(idx, block_diag(*[g] * d), 1)
+            assert got.columns == want.columns
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.root_v, want.root_v)
+            assert got.n_max == want.n_max
+
+    def test_couplings_listed_once_per_plan(self, monkeypatch):
+        calls = []
+        listing = conditional._couplings
+        monkeypatch.setattr(conditional, "_couplings",
+                            lambda *args: calls.append(args) or listing(*args))
+        spec = LegendreBasis(horizon=1.0, size=3)
+        plan = _column_plan(enumerate_indices(3, 3, 2), gram_tail(spec, 0.4), 2)
+        assert len(calls) == 1
+        assert any(len(terms) > 1 for terms in plan.columns)  # cross terms used
+
+    def test_piecewise_tail_has_no_couplings(self):
+        spec = PiecewiseConstantBasis.uniform(1.0, 4)
+        i, k, w = _couplings(gram_tail(spec, 0.3), 3)
+        assert len(i) == len(k) == len(w) == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from chaoscal.bases import (
     BrownianDriver,
@@ -11,7 +12,7 @@ from chaoscal.bases import (
     gram_tail,
     sample_integrals,
 )
-from chaoscal.conditional import dyson_features, expand_gram
+from chaoscal.conditional import dyson_features
 from chaoscal.errors import ValidationError
 from chaoscal.indices import enumerate_indices, phi_eval
 from chaoscal.model import (
@@ -234,7 +235,7 @@ class TestPathGrid:
         paths = path_grid(model, times, 300, drv, tags=(5,))
         ints = sample_integrals(basis, drv, times, 300, d=2, tags=(5,))
         for ti, t in enumerate(times):
-            g = expand_gram(gram_tail(basis, t), 2)
+            g = block_diag(*[gram_tail(basis, t)] * 2)
             want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
             np.testing.assert_array_equal(paths[ti], want)
 

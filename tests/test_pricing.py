@@ -670,7 +670,7 @@ class TestByteBound:
         peak = self.peak(lambda: path_grid(model, times, n_paths, BrownianDriver(3)))
         monkeypatch.setattr(model_module, "MAX_BYTES", peak - 1)
         with pytest.raises(ValidationError, match=r"need \d+ bytes"):
-            model_module._check_grid(model, 1.0, len(times), n_paths)
+            model_module._check_grid(model, len(times), n_paths)
 
     def test_evaluation_counts_one_maturity_at_a_time(self):
         # 40 maturities x 40 strikes under the default schedule: about 44 MB
@@ -692,7 +692,7 @@ class TestByteBound:
 
     @pytest.mark.parametrize("kind,p,m,d", [
         ("piecewise", 1, 300, 1), ("piecewise", 2, 40, 2), ("piecewise", 3, 10, 2),
-        ("legendre", 1, 100, 1), ("legendre", 3, 8, 2)])
+        ("legendre", 1, 100, 1), ("legendre", 3, 8, 2), ("legendre", 2, 20, 3)])
     def test_index_layer_peak_within_the_bound(self, kind, p, m, d):
         # with the index set held (`_set_bytes`), a fresh column-plan build
         # and the second-moment tables each stay within the rest of the bound
@@ -723,7 +723,7 @@ class TestByteBound:
         with pytest.raises(ValidationError, match=r"8000 coefficients at n_paths = 10, "):
             pricing._check_bytes(1, 8000, 1, basis, quotes, sched, "schedule", False)
         with pytest.raises(ValidationError, match=r"need \d+ bytes"):
-            model_module._check_grid(model, 1.0, 2, 10)
+            model_module._check_grid(model, 2, 10)
         pricing._check_bytes(1, 1000, 1, PiecewiseConstantBasis.uniform(1.0, 1000), quotes,
                              sched, "schedule", False)
 

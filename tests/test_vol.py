@@ -184,6 +184,19 @@ class TestImpliedVol:
         with pytest.raises(InversionError):
             implied_vol(19.0, 100, 80, 1.0)  # below intrinsic
 
+    # deep out of the money, every price is within 1e-10 S of zero; Newton's
+    # start 0.25 met the price test alone
+    @pytest.mark.parametrize("sigma,t,k", [(0.5, 0.01, 500.0), (1.0, 0.01, 500.0),
+                                           (2.0, 0.01, 500.0), (0.3, 0.05, 160.0)])
+    def test_deep_out_of_the_money_round_trip(self, sigma, t, k):
+        price = bs_call(100.0, k, t, sigma)
+        assert 0.0 < price < 1e-8
+        assert implied_vol(price, 100.0, k, t) == pytest.approx(sigma, rel=1e-10)
+
+    def test_nan_price_raises(self):
+        with pytest.raises(InversionError, match="not finite"):
+            implied_vol(float("nan"), 100, 100, 1.0)
+
 
 def gbm_paths(rng, s0, sig, t, n, steps):
     """Zero-rate GBM log paths, (n, steps + 1), and the step."""
@@ -225,6 +238,13 @@ class TestForwardStart:
             ForwardStartCall(0.5, 1.0)
         with pytest.raises(ValidationError):
             ForwardStartCall(0.5, 1.0, strike_ratio=1.0, strike=100.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"strike_ratio": -1.0}, {"strike_ratio": 0.0}, {"strike": -5.0},
+        {"strike_ratio": 1.0, "maturity": 0.0, "tau": 0.0}])
+    def test_nonpositive_strike_or_maturity_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="must be positive"):
+            ForwardStartCall(**{"tau": 0.5, "maturity": 1.0, **kwargs})
 
 
 class TestDownAndOut:
@@ -292,6 +312,10 @@ class TestExoticImpliedVol:
         got = exotic_implied_vol(price, spec, 100.0)
         assert isinstance(got, float)
         assert got == pytest.approx(0.25, abs=1e-8)
+
+    def test_nan_price_raises(self):
+        with pytest.raises(InversionError, match="not finite"):
+            exotic_implied_vol(float("nan"), LookbackCall(1.0), 100.0)
 
     def test_lookback_round_trip(self):
         spec = LookbackCall(0.75)
