@@ -63,7 +63,7 @@ import numpy as np
 
 from .bases import BrownianDriver
 from .errors import OptimizerError, ValidationError, WeightingError
-from .model import ChaosModel, _feature_plan
+from .model import ChaosModel
 from .pricing import _group_jacobian, _group_prices, _maturity_groups
 from .quotes import quote_rates
 from .vol import bs_call, bs_vega
@@ -192,11 +192,7 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
                               features=True):
         targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
         gweights = weights[g.rows] * g.scale**2
-        # indices supported beyond the maturity's cell are annihilated there
-        # (47 of the desk fit's 132 columns): their gradient entries are
-        # exact zeros that need no pass over the paths
-        ws.groups.append(replace(g, targets=targets, gweights=gweights,
-                                 live=_feature_plan(model, g.maturity).live))
+        ws.groups.append(replace(g, targets=targets, gweights=gweights))
     return ws
 
 

@@ -102,7 +102,12 @@ def cmd_gen_surface(args):
         df = float(np.exp(-params.r * t))
         fwd = float(params.s0 * np.exp((params.r - params.q) * t))
         for k, c in zip(strikes, price(np.array(strikes), t)):
-            c = float(c)
+            c, bound = float(c), df * max(fwd - k, 0.0)
+            if c < bound:
+                raise NumericError(
+                    f"maturity {t}, strike {k}: price {c!r} is below the no-arbitrage "
+                    f"bound {bound!r}, within the Lewis integral's error; "
+                    f"{args.out} not written")
             iv = implied_vol(c, params.s0, k, t, params.r, params.q)
             quotes.append(Quote(t, k, "C", c, iv, df, fwd))
     write_quotes(QuoteSurface(quotes, params.s0), args.out)

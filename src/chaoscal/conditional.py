@@ -184,14 +184,6 @@ class _ColumnPlan:
     columns: tuple
     n_max: int
 
-    @property
-    def live(self):
-        """Slices covering the columns that have terms, the only ones that
-        can be nonzero."""
-        mask = [0] + [1 if terms else 0 for terms in self.columns] + [0]
-        edges = np.flatnonzero(np.diff(mask))
-        return tuple(slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2]))
-
 
 def _column_plan(indices, g, d):
     """The `_ColumnPlan` of `indices` at the M x M Gram tail g, taken

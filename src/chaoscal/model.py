@@ -145,8 +145,7 @@ def _index_bytes(p, m, d, n_plans):
 
 def _feature_plan(model, t):
     """The Hermite column plan of the model's features at t, built once per
-    model structure and time; its `live` slices are the columns that are
-    not exact zeros at t."""
+    model structure and time."""
     return _plan(model.p, model.m, model.d, model.basis, float(t))
 
 

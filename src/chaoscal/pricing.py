@@ -18,8 +18,8 @@ Two engines:
 Prices, CV betas and calibration gradients are deterministic functions of
 (seed, tags), bit for bit across BLAS thread counts.  OpenBLAS splits
 the reduction axis of a matrix-vector or dot product across threads, so its
-last bits depend on the thread count.  Every reduction over paths or nodes
-therefore runs in numpy's own single-threaded loops:
+last bits depend on the thread count.  A reduction over paths or nodes
+therefore runs either in numpy's own single-threaded loops:
 
 * pairwise `(a * w).sum()` for the control variates and the CV variance;
   the control variates are summed centred, as w.(S - S_0) and
@@ -27,15 +27,17 @@ therefore runs in numpy's own single-threaded loops:
   cancels to O(spread) and the loss stays smooth enough for the
   finite-difference gradient check;
 * `np.einsum` without `optimize` for the prices (sums of nonnegative terms,
-  which need no pairwise order), the CV moments and the price Jacobian
-  of `_group_jacobian`, from which every loss gradient is assembled.
+  which need no pairwise order) and the CV moments;
 
-The terminal values `features @ theta` stay on BLAS, but only in row
-blocks that start at multiples of 1024 rows and hold at most 16384
-(`model._row_dot`, `model._feature_blocks`; the `model` module docstring
-says why).  Feature matrices are column-major, which keeps the einsum
-gradient a contiguous pass per column.  Acceptance criterion c13 and
-`tests/test_pricing.py::test_thread_count_does_not_change_bits` enforce this.
+or on BLAS, but only over row blocks that start at multiples of 1024 rows,
+whose products keep their 1-thread bits (the `model` module docstring says
+why): the terminal values `features @ theta` in blocks of at most 16384 rows
+(`model._row_dot`, `model._feature_blocks`), and the price Jacobian of
+`_group_jacobian`, from which every loss gradient is assembled, in blocks of
+1024 added in block order.  Feature matrices are column-major, so that
+`conditional._plan_rows` writes each column contiguously.  Acceptance
+criterion c13, `tests/test_pricing.py::test_thread_count_does_not_change_bits`
+and `test_thread_count_does_not_change_jacobian_bits` enforce this.
 
 Outside calibration no MC feature matrix is held whole: the rows of a
 maturity's draw, and of its CV draw, are reduced to S_T block by block, so
@@ -54,11 +56,13 @@ from .errors import ConfigError, ValidationError
 from .indices import index_space_dim
 from .model import (
     MAX_BYTES,
+    _ROW_ALIGN,
     _block_bytes,
     _feature_plan,
     _index_bytes,
     _row_dot,
     _sample_terminal,
+    _spans,
     sample_features,
     second_moment,
     second_moment_coeffs,
@@ -183,16 +187,25 @@ def quad_nodes_features(model, t, n):
 
 
 def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
-    """Raise ValidationError if pricing the quotes with a model of shape (p, m,
-    d, basis) may hold over MAX_BYTES: to the end, each maturity's quadrature
-    nodes and a fit's feature matrices, weights and 8 n x n matrices, and the
-    index layer with a plan per maturity; for the largest maturity, a feature
-    block, a CV draw (8 arrays), S_T, 5 temporaries, a payoff per strike, and
-    the S_T and CV draw (3 arrays) left by another."""
+    """Raise ValidationError if the schedule prices a quoted maturity by
+    quadrature or a degree-2 CV on a basis other than the piecewise-constant
+    one, whose closed forms they need, or if pricing the quotes with a model
+    of shape (p, m, d, basis) may hold over MAX_BYTES: to the end, each
+    maturity's quadrature nodes and a fit's feature matrices, weights and
+    8 n x n matrices, and the index layer with a plan per maturity; for the
+    largest maturity, a feature block, a CV draw (8 arrays), S_T, 5
+    temporaries, a payoff per strike, and the S_T and CV draw (3 arrays) left
+    by another."""
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
     need = {}  # (sizes, maturity) -> (held to the end, freed after it, left alive)
     for t in sorted({q.maturity for q in quotes.quotes}):
         method = schedule.for_maturity(t)
+        if ((method.kind == "quad" or method.cv_degree == 2)
+                and not isinstance(basis, PiecewiseConstantBasis)):
+            key = "'kind' = 'quad'" if method.kind == "quad" else "'cv_degree' = 2"
+            raise ValidationError(
+                f"key {key} ({schedule_name}, maturity {t}) needs the "
+                f"piecewise-constant basis, not {type(basis).__name__}")
         if method.kind == "quad":
             dims = _quad_dims(basis, t, d)
             rows, sizes = method.n_nodes**dims, f"n_nodes = {method.n_nodes}"
@@ -311,7 +324,6 @@ class _Group:
     m2c: np.ndarray = None  # second-moment coefficient vector, if degree 2
     targets: np.ndarray = None  # calibration: model-world targets C S_0 / (DF F)
     gweights: np.ndarray = None  # calibration: weights gamma (DF F / S_0)^2
-    live: tuple = None  # calibration: slices of the columns that can be nonzero
 
 
 def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
@@ -408,23 +420,25 @@ def _group_jacobian(g, theta):
         J_k = sum_p w_p (1{s_p > K_k} - beta1_k - 2 beta2_k s_p) f_p
               + 2 beta2_k (m2c * theta).
 
-    The sum over the paths is one reduction per span of live columns
-    (`g.live`), in numpy's own loop, so its bits do not depend on the BLAS
-    thread count.
+    The bracketed weights form a strikes x paths matrix V, built in place in
+    the payoff matrix.  The sum over the paths is one BLAS product V_b F_b
+    per block of `model._ROW_ALIGN` rows, added in block order, so its bits
+    do not depend on the BLAS thread count (`_row_dot`'s 16384-row blocks
+    kept them too, but took twice as long on 5 strikes at 2 threads).
+    Columns annihilated at the maturity are exact zeros in F, and so in J.
     """
-    s, pay, prices = _group_prices(g, theta)
-    jac = np.zeros((len(g.strikes), len(theta)))
-    for k, row in enumerate(jac):
-        coef = (pay[k] > 0.0).astype(float)
-        if g.beta1 is not None:
-            coef -= g.beta1[k]
-            if g.m2c is not None:
-                coef -= 2.0 * g.beta2[k] * s
-        v = g.weights * coef
-        for cols in g.live:
-            row[cols] += np.einsum("ij,i->j", g.features[:, cols], v)
+    s, v, prices = _group_prices(g, theta)
+    np.greater(v, 0.0, out=v)  # 1{s > K}, in place of the payoffs
+    if g.beta1 is not None:
+        v -= g.beta1[:, None]
         if g.m2c is not None:
-            row += 2.0 * g.beta2[k] * (g.m2c * theta)
+            v -= 2.0 * g.beta2[:, None] * s
+    v *= g.weights
+    jac = np.zeros((len(g.strikes), len(theta)))
+    for a, b in _spans(len(s), _ROW_ALIGN):
+        jac += v[:, a:b] @ g.features[a:b]
+    if g.m2c is not None:
+        jac += 2.0 * g.beta2[:, None] * (g.m2c * theta)
     return prices, jac
 
 

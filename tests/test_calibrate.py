@@ -1,6 +1,6 @@
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -416,9 +416,10 @@ class TestLossGradient:
         assert np.abs(want).max() > 0.0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
-    def test_skipping_zero_columns_changes_no_bits(self):
+    def test_annihilated_columns_have_zero_gradients(self):
         # T = 0.3 lies in the first of two cells, which annihilates every
-        # index with a second-cell exponent; the gradient skips those columns
+        # index with a second-cell exponent: their feature columns, and so
+        # their Jacobian entries, are exact zeros
         model = make_model([8.0, 10.0, 2.0, 1.5, -2.0])
         quotes = _Surface([
             _Quote(t, k, mid_price=5.0, implied_vol=0.2, forward=100.0)
@@ -427,13 +428,24 @@ class TestLossGradient:
         mc = PricingSchedule(default=PricingMethod("mc", n_paths=2000, cv_degree=2,
                                                    beta_samples=1000))
         ws = build_workspace(model, quotes, np.ones(4), mc, BrownianDriver(5))
-        assert len(ws.groups[0].live) == 2
-        assert ws.groups[1].live == (slice(0, 5),)
-        _, got = workspace_loss(ws, model.coefficients, with_gradient=True)
-        full = replace(ws, groups=[replace(g, live=(slice(None),))
-                                   for g in ws.groups])
-        _, want = workspace_loss(full, model.coefficients, with_gradient=True)
-        np.testing.assert_array_equal(got, want)
+        theta = model.coefficients
+        dead = np.array([a.exponents[1] > 0 for a in model.indices])
+        assert 0 < dead.sum() < len(dead)
+        jacs = []
+        for g in ws.groups:
+            jac = pricing._group_jacobian(g, theta)[1]
+            # the plain per-strike form: features^T v_k plus the CV moment term
+            s, pay = pricing._group_prices(g, theta)[:2]
+            want = np.array([
+                g.features.T @ (g.weights * ((pay[k] > 0.0) - g.beta1[k]
+                                             - 2.0 * g.beta2[k] * s))
+                + 2.0 * g.beta2[k] * (g.m2c * theta)
+                for k in range(len(g.strikes))])
+            np.testing.assert_allclose(jac, want, rtol=1e-12)
+            jacs.append(jac)
+        assert np.all(jacs[0][:, dead] == 0.0)
+        assert np.all(jacs[0][:, ~dead] != 0.0)
+        assert np.all(jacs[1] != 0.0)
 
     def test_zero_model_otm_strikes_zero_gradient(self):
         model = make_model(np.zeros(5))

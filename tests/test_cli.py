@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chaoscal
-from chaoscal import cli
+from chaoscal import cli, pricing
 from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis
 from chaoscal.cli import main
 from chaoscal.model import ChaosModel, path_grid
@@ -156,6 +156,19 @@ class TestGenSurface:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "xi" in capsys.readouterr().err
+
+    def test_price_below_the_bound_exits_3_writing_nothing(self, tmp_path, capsys):
+        # far out of the money at T = 0.01 the Lewis integral returns
+        # -9.27e-11 and -8.5e-14: prices lost in its error, below the bound 0
+        params = write_json(tmp_path / "p.json", dict(HESTON, r=0.0, q=0.0))
+        out = tmp_path / "o.csv"
+        rc = main(["gen-surface", "--model", "heston", "--params", params,
+                   "--maturities", "0.01", "--moneyness", "5,1.6", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "maturity 0.01, strike 500.0: price -9.27" in err
+        assert "below the no-arbitrage bound 0.0, within the Lewis integral's error" in err
 
     def test_malformed_maturity_list_exits_2(self, tmp_path):
         params = write_json(tmp_path / "p.json", HESTON)
@@ -598,6 +611,9 @@ class TestBadInput:
     WIDE_MODEL = model_text(p=1, m=20000, coefficients=[0.0] * 20000, basis={
         "kind": "piecewise", "grid": [i / 20000 for i in range(20001)]})
     TEN_PATHS = json.dumps({"default": {"kind": "mc", "n_paths": 10, "beta_samples": 10}})
+    LEGENDRE = model_text(basis={"kind": "legendre", "horizon": 1.0, "size": 2})
+    LEGENDRE_QUAD = json.dumps({"default": {"kind": "mc", "cv_degree": 1},
+                                "entries": [[1.0, {"kind": "quad"}]]})
     GOOD = {  # content of the good JSON inputs; model and quote files are written
         "params": json.dumps(HESTON),
         "config": config_text(),
@@ -947,6 +963,28 @@ class TestBadInput:
             "calibrate", {"init": model_text(basis={"kind": "piecewise",
                                                     "grid": [0.0, 0.35, 0.7]})},
             ("q.csv: maturities beyond horizon 0.7 of ", "init.json: [1.0]")),
+        # closed forms of the piecewise basis, asked of a Legendre model
+        "evaluate legendre model under the default schedule": (
+            "evaluate", {"model": LEGENDRE},
+            "truth.json: key 'cv_degree' = 2 (default schedule, maturity 0.5) needs "
+            "the piecewise-constant basis, not LegendreBasis"),
+        "price legendre model under the default schedule": (
+            "price", {"model": LEGENDRE},
+            "truth.json: key 'cv_degree' = 2 (default schedule, maturity 0.5) needs "),
+        "calibrate legendre init under the default schedule": (
+            "calibrate", {"init": LEGENDRE},
+            "init.json: key 'cv_degree' = 2 (default schedule, maturity 0.5) needs "),
+        "evaluate legendre model with a degree-2 schedule": (
+            "evaluate", {"model": LEGENDRE, "schedule": json.dumps(
+                {"default": {"kind": "mc", "cv_degree": 2}})},
+            ("truth.json: key 'cv_degree' = 2 (", "schedule.json, maturity 0.5) needs ")),
+        "evaluate legendre model with quadrature": (
+            "evaluate", {"model": LEGENDRE, "schedule": LEGENDRE_QUAD},
+            ("truth.json: key 'kind' = 'quad' (", "schedule.json, maturity 1.0) needs "
+             "the piecewise-constant basis, not LegendreBasis")),
+        "calibrate legendre init with quadrature": (
+            "calibrate", {"init": LEGENDRE, "schedule": LEGENDRE_QUAD},
+            ("init.json: key 'kind' = 'quad' (", "schedule.json, maturity 1.0) needs ")),
         "parity maturity with one common strike": (
             "parity", {"quotes": ONE_COMMON_STRIKE},
             "q.csv: maturity 1.0: parity extraction needs >= 2 common strikes, got 1"),
@@ -998,6 +1036,17 @@ class TestBadInput:
         monkeypatch.setattr(cli, "heston_simulate", simulate)
         argv = self.argv(tmp_path, "exotics", bad)
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("command,flag", [("evaluate", "model"), ("price", "model"),
+                                              ("calibrate", "init")])
+    def test_legendre_schedule_checked_before_sampling(self, tmp_path, monkeypatch,
+                                                       command, flag):
+        def sample(*args, **kwargs):
+            raise AssertionError("paths drawn before the schedule was checked")
+
+        monkeypatch.setattr(pricing, "_sample_terminal", sample)
+        monkeypatch.setattr(pricing, "sample_features", sample)
+        assert main(self.argv(tmp_path, command, {flag: self.LEGENDRE})) == 2
 
 
 # One fresh interpreter runs every subcommand on small inputs, then lists the

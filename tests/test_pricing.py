@@ -742,3 +742,47 @@ def test_thread_count_does_not_change_bits():
         outputs.append(proc.stdout.splitlines())
     assert len(outputs[0]) == 9
     assert outputs[0] == outputs[1]
+
+
+# The price Jacobian of the desk model, with a single-strike maturity, at
+# 100003 paths: the last 1024-row block of each reduction is partial.
+_JACOBIAN_THREADS_SCRIPT = textwrap.dedent("""
+    import hashlib
+    import sys
+    from types import SimpleNamespace
+    import numpy as np
+    from chaoscal.bases import BrownianDriver
+    from chaoscal.modelio import load_model
+    from chaoscal.pricing import (PricingMethod, PricingSchedule, _group_jacobian,
+                                  _maturity_groups)
+
+    model = load_model(sys.argv[1])
+    quotes = [SimpleNamespace(maturity=t, strike=k, discount_factor=1.0,
+                              forward=model.s0)
+              for t, ks in ((0.3, (100.0,)), (1.0, (90.0, 95.0, 100.0, 105.0, 110.0)))
+              for k in ks]
+    sched = PricingSchedule(PricingMethod("mc", n_paths=100_003, cv_degree=2,
+                                          beta_samples=5_000))
+    for g in _maturity_groups(model, SimpleNamespace(quotes=quotes), sched,
+                              BrownianDriver(3), (0,), features=True):
+        prices, jac = _group_jacobian(g, model.coefficients)
+        print(len(g.strikes), int((jac != 0.0).sum()),
+              hashlib.sha256(prices.tobytes() + jac.tobytes()).hexdigest())
+""")
+
+
+def test_thread_count_does_not_change_jacobian_bits():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chaoscal.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2", "4"):  # one child at a time
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _JACOBIAN_THREADS_SCRIPT,
+                               DESK_MODEL], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    # T = 0.3 annihilates 30 of the 44 columns; T = 1.0 none
+    assert outputs[0][:2] == ["1", "14"] and outputs[0][3:5] == ["5", "220"]
+    assert outputs[0] == outputs[1] == outputs[2]
