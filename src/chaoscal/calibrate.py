@@ -19,7 +19,10 @@ O(0.1).
 Feature matrices are sampled once per workspace and reused across passes:
 both optimizers draw ceil(max_iterations / resim_every) workspaces, redrawing
 the streams and re-estimating the CV betas on independent samples at the
-current coefficients.  Optimization streams carry a constant tag (layout in
+current coefficients.  A fit allocates each MC maturity's feature matrix
+once, at its first workspace, with only the columns alive at the maturity,
+and redraws it in place at every resimulation, after the old workspace is
+dropped.  Optimization streams carry a constant tag (layout in
 `pricing._maturity_groups`), so metrics computed through `price_surface`
 come from streams the optimizer never saw.  Every pass over a workspace is
 one history row, and max_iterations also caps the rows.  A fit in which no
@@ -35,14 +38,17 @@ pass improved on the starting loss warns that it returns its start.
 
   and prices theta + delta with one loss pass: a step that lowers the ridge
   objective is accepted and lambda divided by 3, otherwise lambda is
-  multiplied by 4.  The floor in D bounds the step of a coefficient whose
-  curvature is tiny (one that few quotes see, with no ridge), where
-  Marquardt's diag(H) alone lets it run away.  lambda starts at 1e-3 on
-  each workspace, which takes three accepted steps, or fewer once lambda
-  passes 1e3.  The returned coefficients are the best by the loss of each
-  workspace's first pass, which prices them on streams they were not fitted
-  to; coefficients that moved on the last workspace are priced on one more,
-  so a fit's last row can be one beyond max_iterations.  J^T Gamma J and
+  multiplied by 4.  The loss pass keeps each maturity's S_T, so the
+  Jacobian at an accepted step reads them rather than recomputing
+  features @ theta; it still writes its own history row.  The floor in D
+  bounds the step of a coefficient whose curvature is tiny (one that few
+  quotes see, with no ridge), where Marquardt's diag(H) alone lets it run
+  away.  lambda starts at 1e-3 on each workspace, which takes three
+  accepted steps, or fewer once lambda passes 1e3.  The returned
+  coefficients are the best by the loss of each workspace's first pass,
+  which prices them on streams they were not fitted to; coefficients that
+  moved on the last workspace are priced on one more, so a fit's last row
+  can be one beyond max_iterations.  J^T Gamma J and
   J^T Gamma r are einsum reductions; the small solve goes through LAPACK,
   whose bits acceptance criterion c13 checks across BLAS thread counts.
 * "adamw" takes one AdamW step per pass, resim_every steps per workspace,
@@ -170,14 +176,18 @@ def _call_target(quote, spot):
 @dataclass
 class CalibrationWorkspace:
     groups: list = field(default_factory=list)
+    priced: tuple = None  # (theta, S_T per group) of the last loss pass
 
 
-def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=None):
+def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=None,
+                    buffers=None):
     """Freeze streams, features and CV betas for a stretch of iterations.
 
     CV betas are estimated at the model's current coefficients and treated
     as constants until the next resimulation.  `nodes` caches quadrature
-    nodes across builds for one model structure (`pricing._maturity_groups`).
+    nodes, and `buffers` the feature matrices redrawn in place, across
+    builds for one model structure (`pricing._maturity_groups`); a build on
+    `buffers` overwrites the features of the workspace built on them before.
     """
     qs = quotes.quotes
     weights = np.asarray(weights, dtype=float)
@@ -189,7 +199,7 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
     spot = getattr(quotes, "spot", model.s0)
     prefix = tuple(tags) + (_CAL_TAG,)
     for g in _maturity_groups(model, quotes, schedule, driver, prefix, nodes,
-                              features=True):
+                              features=True, buffers=buffers):
         targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
         gweights = weights[g.rows] * g.scale**2
         ws.groups.append(replace(g, targets=targets, gweights=gweights))
@@ -199,30 +209,40 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
 def workspace_loss(ws, theta, with_gradient=False):
     """Loss (and its gradient) of the frozen workspace at coefficients theta.
 
-    The loss alone is one pricing pass per maturity; the gradient is
-    -2 J^T Gamma r from `_normal_equations`, the price Jacobian that
-    Gauss-Newton steps with.
+    The loss alone is one pricing pass per maturity, which keeps each
+    maturity's S_T in `ws.priced` for `_normal_equations` at the same theta;
+    the gradient is -2 J^T Gamma r from `_normal_equations`, the price
+    Jacobian that Gauss-Newton steps with.
     """
     theta = np.asarray(theta, dtype=float)
     if with_gradient:
         total, _, b = _normal_equations(ws, theta)
         return total, -2.0 * b
-    total = 0.0
+    ws.priced = None  # the last pass's S_T go before this pass draws its own
+    total, kept = 0.0, []
     for g in ws.groups:
-        resid = g.targets - _group_prices(g, theta)[2]
+        s, pay, prices = _group_prices(g, theta)
+        del pay  # freed before the next maturity's payoffs
+        kept.append(s)
+        resid = g.targets - prices
         total += float(g.gweights @ resid**2)
+    ws.priced = theta.copy(), kept
     return total
 
 
 def _normal_equations(ws, theta):
     """(loss, J^T Gamma J, J^T Gamma r) of the workspace at theta, with J the
     price Jacobian and r the residuals; the loss is `workspace_loss`'s, bit
-    for bit."""
+    for bit.  The S_T of a loss pass at this very theta are reused, since
+    recomputing them would give the same bits."""
     total = 0.0
     a = np.zeros((len(theta), len(theta)))
     b = np.zeros(len(theta))
-    for g in ws.groups:
-        prices, jac = _group_jacobian(g, theta)
+    kept = [None] * len(ws.groups)
+    if ws.priced is not None and np.array_equal(ws.priced[0], theta):
+        kept = ws.priced[1]
+    for g, s in zip(ws.groups, kept):
+        prices, jac = _group_jacobian(g, theta, s)
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
         a += np.einsum("ki,k,kj->ij", jac, g.gweights, jac)
@@ -423,11 +443,12 @@ def calibrate(model0, quotes, cfg, schedule):
     weights = vega_weights(quotes)
     work = ChaosModel(1.0, model0.p, model0.m, model0.d, model0.basis,
                       model0.coefficients / model0.s0)
-    nodes = {}  # quadrature nodes, built at the first resimulation only
+    nodes, buffers = {}, {}  # allocated at the first workspace only
 
     def workspace(r, theta):
         return build_workspace(work.with_coefficients(theta), quotes, weights,
-                               schedule, driver, tags=(r,), nodes=nodes)
+                               schedule, driver, tags=(r,), nodes=nodes,
+                               buffers=buffers)
 
     fit = _gauss_newton if cfg.optimizer == "gauss_newton" else _adamw
     log = _FitLog(cfg)

@@ -210,24 +210,27 @@ def _column_plan(indices, g, d):
     return _ColumnPlan(positions, root_v, tuple(columns), n_max)
 
 
-def _plan_rows(plan, x, normalized, out=None):
+def _plan_rows(plan, x, normalized, out=None, live=False):
     """Feature rows of `plan` at the samples x, (n_rows, M*d): x are the
     normalized values y if `normalized`, else I^t, divided here by sqrt(v).
-    Returns (n_rows, len(columns)), column-major, written into `out` if
-    given (rows of a column-major matrix).  Every row is computed on its
-    own, so a block of rows gives the bits of the same rows of a larger
-    call.  Products form in place in the output column: a fresh temporary
-    per column made every `path_grid` step page-fault.
+    Returns (n_rows, len(columns)), column-major, or only the columns with
+    terms, in column order, if `live`; written into `out` if given (rows of
+    a column-major matrix).  Every row and column is computed on its own, so
+    a block of rows gives the bits of the same rows of a larger call, and a
+    live column the bits of its column in the full matrix.  Products form in
+    place in the output column: a fresh temporary per column made every
+    `path_grid` step page-fault.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     rows = x.T[plan.positions]  # a copy
     if not normalized:
         rows /= plan.root_v[:, None]
     table = hermite_upto(plan.n_max, rows)
+    columns = [terms for terms in plan.columns if terms] if live else plan.columns
     if out is None:
-        out = np.empty((x.shape[0], len(plan.columns)), order="F")
+        out = np.empty((x.shape[0], len(columns)), order="F")
     tmp = np.empty(x.shape[0])
-    for col, terms in enumerate(plan.columns):
+    for col, terms in enumerate(columns):
         if not terms:
             out[:, col] = 0.0
         for k, (c, factors) in enumerate(terms):

@@ -8,7 +8,10 @@ S_0 + features @ coefficients, and gradients in the coefficients are exact.
 
 Feature rows are built in row blocks (`_feature_blocks`) from one Hermite
 column plan per (indices, Gram tail).  Calibration writes the blocks into
-one matrix (`sample_features`), since its price Jacobian needs every row.
+one matrix (`sample_features`), since its price Jacobian needs every row;
+it keeps only the columns that can be nonzero at the maturity
+(`_live_columns`) and redraws one such matrix in place at each
+resimulation.
 Everything else reduces each block to S_T at once (`_sample_terminal`,
 `path_grid`), so it holds one block of feature rows whatever the path
 count: at most _BLOCK_BYTES, or _ROW_ALIGN rows if those are more.
@@ -91,7 +94,7 @@ class ChaosModel:
 @dataclass(frozen=True)
 class FeatureBlock:
     maturity: float
-    features: np.ndarray  # (n_paths, n_indices), columns in enumeration order
+    features: np.ndarray  # (n_paths, n_indices), or the live columns; enumeration order
 
 
 def _row_bytes(p, m, d):
@@ -149,10 +152,19 @@ def _feature_plan(model, t):
     return _plan(model.p, model.m, model.d, model.basis, float(t))
 
 
-def _feature_blocks(model, t, n_paths, driver, tags=(), out=None):
+def _live_columns(model, t):
+    """Enumeration positions of the feature columns at t that can be nonzero:
+    those with terms in the column plan.  The piecewise basis annihilates
+    every index with an exponent in a cell after t's, which leaves
+    index_space_dim(p, u, d) - 1 of them at t in cell u."""
+    return np.flatnonzero([bool(terms) for terms in _feature_plan(model, t).columns])
+
+
+def _feature_blocks(model, t, n_paths, driver, tags=(), out=None, live=False):
     """Check the arguments; return an iterator over (first row, rows) blocks
-    of the E[Phi_a | F_t] matrix that `sample_features` returns, each
-    written into its rows of `out` if given.
+    of the E[Phi_a | F_t] matrix that `sample_features` returns (its
+    `_live_columns` only if `live`), each written into its rows of `out` if
+    given.
 
     Piecewise basis: exact, from iid standard normals (full-cell increments
     below the running cell, the normalized partial increment at it).  Other
@@ -175,19 +187,22 @@ def _feature_blocks(model, t, n_paths, driver, tags=(), out=None):
             else:
                 x = next(_walk_integrals(model.basis, gen, [t], b - a, model.d))
             rows = None if out is None else out[a:b]
-            yield a, _plan_rows(plan, x, normalized=piecewise, out=rows)
+            yield a, _plan_rows(plan, x, normalized=piecewise, out=rows, live=live)
 
     return blocks()
 
 
-def sample_features(model, t, n_paths, driver, tags=()):
-    """Sample E[Phi_a | F_t] for every index; the offline matrix reused across
-    calibration iterations, written block by block (`_feature_blocks`)."""
-    # a bad n_paths is reported by _feature_blocks, not by numpy
-    feats = np.empty((max(n_paths, 0), len(model.indices)), order="F")
-    for _ in _feature_blocks(model, t, n_paths, driver, tags, out=feats):
-        pass  # each block writes its rows into feats
-    return FeatureBlock(float(t), feats)
+def sample_features(model, t, n_paths, driver, tags=(), live=False, out=None):
+    """Sample E[Phi_a | F_t] for every index, or for the `_live_columns` at t
+    only if `live`; the offline matrix reused across calibration iterations,
+    written block by block (`_feature_blocks`) into `out` if given, a
+    column-major matrix of the same shape, so a fit redraws one buffer."""
+    if out is None:  # a bad n_paths is reported by _feature_blocks, not by numpy
+        width = len(_live_columns(model, t)) if live else len(model.indices)
+        out = np.empty((max(n_paths, 0), width), order="F")
+    for _ in _feature_blocks(model, t, n_paths, driver, tags, out=out, live=live):
+        pass  # each block writes its rows into out
+    return FeatureBlock(float(t), out)
 
 
 def _sample_terminal(model, t, n_paths, driver, tags=()):

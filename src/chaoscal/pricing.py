@@ -42,6 +42,7 @@ and `test_thread_count_does_not_change_jacobian_bits` enforce this.
 Outside calibration no MC feature matrix is held whole: the rows of a
 maturity's draw, and of its CV draw, are reduced to S_T block by block, so
 memory grows with the path count only through S_T and the payoff matrix.
+Calibration holds each MC maturity's live feature columns (`_Group`).
 """
 
 import warnings
@@ -60,6 +61,7 @@ from .model import (
     _block_bytes,
     _feature_plan,
     _index_bytes,
+    _live_columns,
     _row_dot,
     _sample_terminal,
     _spans,
@@ -186,26 +188,34 @@ def quad_nodes_features(model, t, n):
     return weights.ravel(), feats
 
 
+def _check_method(basis, t, method, schedule_name="schedule"):
+    """Raise ValidationError if `method` prices maturity t by quadrature or a
+    degree-2 CV on a basis other than the piecewise-constant one, whose
+    closed forms they need."""
+    if ((method.kind == "quad" or method.cv_degree == 2)
+            and not isinstance(basis, PiecewiseConstantBasis)):
+        key = "'kind' = 'quad'" if method.kind == "quad" else "'cv_degree' = 2"
+        raise ValidationError(
+            f"key {key} ({schedule_name}, maturity {t}) needs the "
+            f"piecewise-constant basis, not {type(basis).__name__}")
+
+
 def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
-    """Raise ValidationError if the schedule prices a quoted maturity by
-    quadrature or a degree-2 CV on a basis other than the piecewise-constant
-    one, whose closed forms they need, or if pricing the quotes with a model
-    of shape (p, m, d, basis) may hold over MAX_BYTES: to the end, each
-    maturity's quadrature nodes and a fit's feature matrices, weights and
-    8 n x n matrices, and the index layer with a plan per maturity; for the
-    largest maturity, a feature block, a CV draw (8 arrays), S_T, 5
-    temporaries, a payoff per strike, and the S_T and CV draw (3 arrays) left
-    by another."""
+    """Raise ValidationError if a quoted maturity's method fails
+    `_check_method`, or if pricing the quotes with a model of shape
+    (p, m, d, basis) may hold over MAX_BYTES: to the end, each maturity's
+    quadrature nodes and, for a fit, its live feature columns, weights and
+    the S_T a loss pass keeps, and 8 n x n matrices, and the index layer
+    with a plan per maturity; for the largest maturity, a feature block, a
+    CV draw (8 arrays), S_T, 5 temporaries, a payoff per strike, and the S_T
+    and CV draw (3 arrays) left by another.  A quadrature maturity's kept
+    S_T fits in its node build's temporaries."""
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
+    piecewise = isinstance(basis, PiecewiseConstantBasis)
     need = {}  # (sizes, maturity) -> (held to the end, freed after it, left alive)
     for t in sorted({q.maturity for q in quotes.quotes}):
         method = schedule.for_maturity(t)
-        if ((method.kind == "quad" or method.cv_degree == 2)
-                and not isinstance(basis, PiecewiseConstantBasis)):
-            key = "'kind' = 'quad'" if method.kind == "quad" else "'cv_degree' = 2"
-            raise ValidationError(
-                f"key {key} ({schedule_name}, maturity {t}) needs the "
-                f"piecewise-constant basis, not {type(basis).__name__}")
+        _check_method(basis, t, method, schedule_name)
         if method.kind == "quad":
             dims = _quad_dims(basis, t, d)
             rows, sizes = method.n_nodes**dims, f"n_nodes = {method.n_nodes}"
@@ -214,7 +224,8 @@ def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
             rows = method.n_paths
             sizes = f"n_paths = {rows}, beta_samples = {method.beta_samples}"
             cv = method.beta_samples if method.cv_degree else 0
-            held = 8 * rows * (n + 1) if features else 0
+            live = index_space_dim(p, cell_index(basis, t), d) - 1 if piecewise else n
+            held = 8 * rows * (live + 2) if features else 0
             freed = _block_bytes(p, m, d, max(rows, cv)) + 64 * cv
             alive = 8 * (rows + 3 * cv)
         strikes = sum(q.maturity == t for q in quotes.quotes)
@@ -309,7 +320,13 @@ def mc_call_price(model, block, k, cv=None):
 
 @dataclass(frozen=True)
 class _Group:
-    """One maturity's frozen pricing inputs, built by `_maturity_groups`."""
+    """One maturity's frozen pricing inputs, built by `_maturity_groups`.
+
+    A group that carries features prices theta through the columns `live`
+    of theta: S_T = S_0 + features @ theta[live].  Quadrature features hold
+    every column; a calibration MC group holds only the columns alive at
+    its maturity (`model._live_columns`), since the others are exact zeros.
+    """
 
     maturity: float
     s0: float
@@ -317,7 +334,8 @@ class _Group:
     strikes: np.ndarray  # model-world strikes K S_0 / F
     scale: np.ndarray  # model-to-market price factor DF F / S_0
     weights: np.ndarray  # sample weights (uniform for MC, GH for quadrature)
-    features: np.ndarray = None  # (n_samples, n_coefficients); None for MC evaluation
+    features: np.ndarray = None  # (n_samples, len(live)); None for MC evaluation
+    live: np.ndarray = None  # the coefficients the feature columns belong to
     terminal: np.ndarray = None  # MC evaluation: S_T at the model's coefficients
     beta1: np.ndarray = None  # per-strike CV coefficients, zeros if degraded
     beta2: np.ndarray = None
@@ -327,20 +345,25 @@ class _Group:
 
 
 def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
-                     features=False):
+                     features=False, buffers=None):
     """Yield one `_Group` per quoted maturity, in ascending maturity order.
 
-    Strikes map to the zero-rate world as K S_0 / F; model prices map back
-    to market units by DF F / S_0.  CV betas are estimated at the model's
-    coefficients for every strike from one beta block per maturity.  An MC
-    group carries its feature matrix only if `features` (calibration, whose
-    price Jacobian needs it); otherwise it carries S_T at the model's
-    coefficients, sampled one block of feature rows at a time.
+    Every maturity's method is checked against the basis (`_check_method`)
+    before the first draw.  Strikes map to the zero-rate world as K S_0 / F;
+    model prices map back to market units by DF F / S_0.  CV betas are
+    estimated at the model's coefficients for every strike from one beta
+    block per maturity.  An MC group carries its live feature columns only
+    if `features` (calibration, whose price Jacobian needs them); otherwise
+    it carries S_T at the model's coefficients, sampled one block of feature
+    rows at a time.
 
     Quadrature nodes depend on neither the coefficients nor the streams.
     They are looked up in, and added to, `nodes`, a dict keyed by
     (maturity, node count), so that builds for models of one structure can
-    share them.
+    share them.  Likewise the live feature columns are drawn into the matrix
+    that `buffers`, a dict keyed by (maturity, path count), holds from an
+    earlier build, or into one added to it: each build redraws it in place,
+    so only the latest group on a buffer holds valid features.
 
     Stream tags: the maturity at sorted position mi draws its feature block
     under prefix + (mi, 0) and its CV beta block under prefix + (mi, 1);
@@ -355,6 +378,9 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
     bad = [t for t in mats if t > model.horizon + 1e-12]
     if bad:
         raise ValidationError(f"maturities beyond model horizon {model.horizon}: {bad}")
+    for t in mats:
+        _check_method(model.basis, t, schedule.for_maturity(t))
+    buffers = {} if buffers is None else buffers
     for mi, t in enumerate(mats):
         rows = np.array([i for i, q in enumerate(qs) if q.maturity == t])
         scale = np.array([qs[i].discount_factor * qs[i].forward / model.s0 for i in rows])
@@ -364,12 +390,17 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
             key = (t, method.n_nodes)
             if key not in nodes:
                 nodes[key] = quad_nodes_features(model, t, method.n_nodes)
-            yield _Group(t, model.s0, rows, strikes, scale, *nodes[key])
+            yield _Group(t, model.s0, rows, strikes, scale, *nodes[key],
+                         np.arange(len(model.coefficients)))
             continue
         tags = prefix + (mi, 0)
-        feats = terminal = None
+        feats = live = terminal = None
         if features:
-            feats = sample_features(model, t, method.n_paths, driver, tags=tags).features
+            key = (t, method.n_paths)
+            feats = buffers[key] = sample_features(
+                model, t, method.n_paths, driver, tags=tags, live=True,
+                out=buffers.get(key)).features
+            live = _live_columns(model, t)
         else:
             terminal = _sample_terminal(model, t, method.n_paths, driver, tags=tags)
         w = np.full(method.n_paths, 1.0 / method.n_paths)
@@ -384,18 +415,21 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
             b1, b2 = betas
             if method.cv_degree == 2:
                 m2c = second_moment_coeffs(model, t)
-        yield _Group(t, model.s0, rows, strikes, scale, w, feats, terminal,
+        yield _Group(t, model.s0, rows, strikes, scale, w, feats, live, terminal,
                      b1, b2, m2c)
 
 
-def _group_prices(g, theta):
+def _group_prices(g, theta, s=None):
     """(s, pay, prices): terminal samples, per-strike payoffs and model-world
     CV-adjusted call prices of group g at coefficients theta (a group that
-    carries S_T was sampled at them).
+    carries S_T was sampled at them).  `s`, if given, is this function's s
+    of an earlier call at the same theta, which it then does not recompute.
 
     The control-variate sums come before the payoff matrix, so their
     path-length temporaries are gone before it is allocated."""
-    s = g.terminal if g.features is None else g.s0 + _row_dot(g.features, theta)
+    if s is None:
+        s = (g.terminal if g.features is None
+             else g.s0 + _row_dot(g.features, theta[g.live]))
     cv = []  # per control variate: beta times its sample mean
     if g.beta1 is not None:
         # centred: w.s - S_0 would cancel two O(S_0) numbers to O(spread)
@@ -413,30 +447,35 @@ def _group_prices(g, theta):
     return s, pay, prices
 
 
-def _group_jacobian(g, theta):
+def _group_jacobian(g, theta, s=None):
     """(prices, jac): `_group_prices`' prices of a calibration group and
     their gradients in theta with the CV betas frozen, one row per strike:
 
         J_k = sum_p w_p (1{s_p > K_k} - beta1_k - 2 beta2_k s_p) f_p
               + 2 beta2_k (m2c * theta).
 
-    The bracketed weights form a strikes x paths matrix V, built in place in
-    the payoff matrix.  The sum over the paths is one BLAS product V_b F_b
-    per block of `model._ROW_ALIGN` rows, added in block order, so its bits
-    do not depend on the BLAS thread count (`_row_dot`'s 16384-row blocks
-    kept them too, but took twice as long on 5 strikes at 2 threads).
-    Columns annihilated at the maturity are exact zeros in F, and so in J.
+    `s` is passed on to `_group_prices`.  The bracketed weights form a
+    strikes x paths matrix V, built in place in the payoff matrix.  The sum
+    over the paths is one BLAS product V_b F_b per block of
+    `model._ROW_ALIGN` rows, added in block order, so its bits do not depend
+    on the BLAS thread count (`_row_dot`'s 16384-row blocks kept them too,
+    but took twice as long on 5 strikes at 2 threads).  It runs over the
+    group's `live` columns and is scattered into them; the columns a
+    calibration group drops are annihilated at its maturity, and their
+    entries of J stay exact zeros.
     """
-    s, v, prices = _group_prices(g, theta)
+    s, v, prices = _group_prices(g, theta, s)
     np.greater(v, 0.0, out=v)  # 1{s > K}, in place of the payoffs
     if g.beta1 is not None:
         v -= g.beta1[:, None]
         if g.m2c is not None:
             v -= 2.0 * g.beta2[:, None] * s
     v *= g.weights
-    jac = np.zeros((len(g.strikes), len(theta)))
+    sums = np.zeros((len(g.strikes), g.features.shape[1]))
     for a, b in _spans(len(s), _ROW_ALIGN):
-        jac += v[:, a:b] @ g.features[a:b]
+        sums += v[:, a:b] @ g.features[a:b]
+    jac = np.zeros((len(g.strikes), len(theta)))
+    jac[:, g.live] = sums
     if g.m2c is not None:
         jac += 2.0 * g.beta2[:, None] * (g.m2c * theta)
     return prices, jac

@@ -12,6 +12,7 @@ from chaoscal.bases import BrownianDriver, PiecewiseConstantBasis
 from chaoscal.calibrate import (
     CalibrationConfig,
     OptimizerState,
+    _normal_equations,
     adamw_step,
     build_workspace,
     calibrate,
@@ -246,26 +247,28 @@ class TestSharedPricingPath:
 
     def test_one_feature_and_one_cv_draw_per_maturity(self, monkeypatch):
         # every draw of feature rows, whole or reduced to S_T, goes through
-        # the block sampler: 2000 paths for prices, 1000 for the CV betas
+        # the block sampler: 2000 paths for prices, 1000 for the CV betas;
+        # only calibration's price draw keeps its rows, at the live columns
         model, quotes = self.case()
         drawn = []
         real = model_module._feature_blocks
 
         def counting(model, t, n_paths, *args, **kwargs):
-            drawn.append((t, n_paths))
+            drawn.append((t, n_paths, kwargs.get("live", False)))
             return real(model, t, n_paths, *args, **kwargs)
 
         monkeypatch.setattr(model_module, "_feature_blocks", counting)
-        want = sorted([(t, 2000) for t in self.MATS] + [(t, 1000) for t in self.MATS])
+        cv = [(t, 1000, False) for t in self.MATS]
         price_surface(model, quotes, self.MC, BrownianDriver(5))
-        assert sorted(drawn) == want
+        assert sorted(drawn) == sorted([(t, 2000, False) for t in self.MATS] + cv)
         drawn.clear()
         build_workspace(model, quotes, np.ones(15), self.MC, BrownianDriver(5))
-        assert sorted(drawn) == want
+        assert sorted(drawn) == sorted([(t, 2000, True) for t in self.MATS] + cv)
 
     def test_group_betas_are_estimate_cv_on_the_same_tags(self):
-        # calibration groups carry the feature matrix, evaluation groups
-        # only its terminal values; both draw on the tags of sample_features
+        # calibration groups carry the feature matrix's live columns,
+        # evaluation groups only its terminal values; both draw on the tags
+        # of sample_features, and the columns left out are exact zeros
         model, quotes = self.case()
         driver = BrownianDriver(5)
         ws = build_workspace(model, quotes, np.ones(15), self.MC, driver, tags=(4,))
@@ -280,12 +283,106 @@ class TestSharedPricingPath:
                                                   g.terminal)
                 else:
                     assert g.terminal is None
-                    np.testing.assert_array_equal(block.features, g.features)
+                    np.testing.assert_array_equal(block.features[:, g.live], g.features)
+                    assert not np.delete(block.features, g.live, axis=1).any()
                 for j, k in enumerate(g.strikes):
                     cv = estimate_cv(model, block, k, 2, driver, 1000,
                                      tags=prefix + (mi, 1))
                     assert cv.degree == 2
                     assert (g.beta1[j], g.beta2[j]) == tuple(cv.beta)
+
+
+class TestFitBuffers:
+    """A fit redraws one live-column feature matrix per maturity in place, and
+    the Jacobian at an accepted step reads the S_T its loss pass kept."""
+
+    MC = PricingSchedule(default=PricingMethod("mc", n_paths=3000, cv_degree=2,
+                                               beta_samples=1000))
+    MATS = (0.3, 1.0)
+
+    def case(self):
+        model = make_model([8.0, 10.0, 2.0, 1.5, -2.0])
+        quotes = _Surface([
+            _Quote(t, k, mid_price=5.0, implied_vol=0.2, forward=100.0)
+            for t in self.MATS for k in (95.0, 100.0, 105.0)
+        ])
+        return model, quotes
+
+    @staticmethod
+    def count_products(monkeypatch):
+        # every S_T = S_0 + features @ theta of a calibration group
+        products = []
+        real = pricing._row_dot
+        monkeypatch.setattr(pricing, "_row_dot",
+                            lambda f, theta: products.append(len(f)) or real(f, theta))
+        return products
+
+    def test_normal_equations_reuse_s_t_only_at_the_loss_pass_theta(self, monkeypatch):
+        model, quotes = self.case()
+        theta = model.coefficients
+
+        def fresh():
+            return build_workspace(model, quotes, np.ones(6), self.MC, BrownianDriver(5))
+
+        want = {step: _normal_equations(fresh(), theta + step) for step in (0.0, 0.5)}
+        products = self.count_products(monkeypatch)
+        moved = theta.copy()
+        # (theta of the loss pass, theta of the normal equations, its shift
+        # from the model's, S_T products they need)
+        for prior, at, step, n_products in ((theta, theta, 0.0, 0),
+                                            (theta + 0.5, theta, 0.0, 2),
+                                            (moved, moved, 0.5, 2)):
+            ws = fresh()
+            workspace_loss(ws, prior)
+            if prior is moved:
+                moved += 0.5  # in place: the pass must have kept a copy
+            products.clear()
+            got = _normal_equations(ws, at)
+            assert len(products) == n_products
+            for a, b in zip(got, want[step]):
+                np.testing.assert_array_equal(a, b)
+
+    def test_gauss_newton_prices_each_accepted_step_once(self, monkeypatch):
+        # each row is a loss pass, a workspace's first Jacobian, or the
+        # Jacobian at an accepted step, which repeats the step's loss row and
+        # reads its S_T
+        truth = make_model([10.0, 3.0, -1.0, 0.5, 2.0])
+        quotes = surface_from_model(truth, self.MATS, [95.0, 100.0, 105.0], QUAD,
+                                    BrownianDriver(31))
+        cfg = CalibrationConfig(max_iterations=45, resim_every=15, seed=7)
+        model0 = truth.with_coefficients(initial_coefficients(5, cfg) * truth.s0)
+        products = self.count_products(monkeypatch)
+        _, history = calibrate(model0, quotes, cfg, self.MC)
+        repeats = sum(not (a.resimulated or b.resimulated) and a.loss == b.loss
+                      for a, b in zip(history, history[1:]))
+        assert repeats > 0
+        assert len(products) == (len(history) - repeats) * len(self.MATS)
+
+    def test_successive_workspaces_redraw_one_buffer(self, monkeypatch):
+        truth, quotes = self.case()
+        module = sys.modules["chaoscal.calibrate"]
+        real_build = module.build_workspace
+        seen = []
+
+        def spy(*args, tags=(), **kwargs):
+            ws = real_build(*args, tags=tags, **kwargs)
+            seen.append((tags, [(g.features, g.features.copy(), g.live)
+                                for g in ws.groups]))
+            return ws
+
+        monkeypatch.setattr(module, "build_workspace", spy)
+        cfg = CalibrationConfig(max_iterations=30, resim_every=10, seed=7)
+        calibrate(truth.with_coefficients(truth.coefficients * 1.1), quotes, cfg, self.MC)
+        assert len(seen) >= 3
+        for (_, before), (_, after) in zip(seen, seen[1:]):
+            for (held, _, _), (redrawn, _, _) in zip(before, after):
+                assert np.shares_memory(held, redrawn)
+        for tags, groups in seen:
+            for mi, (t, (_, drawn, live)) in enumerate(zip(self.MATS, groups)):
+                full = sample_features(truth, t, 3000, BrownianDriver(cfg.seed),
+                                       tags=tags + (3233, mi, 0)).features
+                np.testing.assert_array_equal(full[:, live], drawn)
+        assert [f.shape[1] for _, f, _ in seen[0][1]] == [2, 5]  # T 0.3 drops 3
 
 
 class TestLossGradient:
@@ -418,8 +515,8 @@ class TestLossGradient:
 
     def test_annihilated_columns_have_zero_gradients(self):
         # T = 0.3 lies in the first of two cells, which annihilates every
-        # index with a second-cell exponent: their feature columns, and so
-        # their Jacobian entries, are exact zeros
+        # index with a second-cell exponent: the group drops their feature
+        # columns, and their Jacobian entries are exact zeros
         model = make_model([8.0, 10.0, 2.0, 1.5, -2.0])
         quotes = _Surface([
             _Quote(t, k, mid_price=5.0, implied_vol=0.2, forward=100.0)
@@ -431,14 +528,19 @@ class TestLossGradient:
         theta = model.coefficients
         dead = np.array([a.exponents[1] > 0 for a in model.indices])
         assert 0 < dead.sum() < len(dead)
+        np.testing.assert_array_equal(ws.groups[0].live, np.flatnonzero(~dead))
+        np.testing.assert_array_equal(ws.groups[1].live, np.arange(len(dead)))
         jacs = []
         for g in ws.groups:
             jac = pricing._group_jacobian(g, theta)[1]
-            # the plain per-strike form: features^T v_k plus the CV moment term
+            # the plain per-strike form: features^T v_k plus the CV moment
+            # term, on the full-width feature matrix
             s, pay = pricing._group_prices(g, theta)[:2]
+            full = np.zeros((len(s), len(theta)))
+            full[:, g.live] = g.features
             want = np.array([
-                g.features.T @ (g.weights * ((pay[k] > 0.0) - g.beta1[k]
-                                             - 2.0 * g.beta2[k] * s))
+                full.T @ (g.weights * ((pay[k] > 0.0) - g.beta1[k]
+                                       - 2.0 * g.beta2[k] * s))
                 + 2.0 * g.beta2[k] * (g.m2c * theta)
                 for k in range(len(g.strikes))])
             np.testing.assert_allclose(jac, want, rtol=1e-12)

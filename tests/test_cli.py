@@ -894,8 +894,9 @@ class TestBadInput:
              "n_nodes = 4 (", "schedule.json, maturity 1.0) need")),
         "calibrate beta samples above the byte cap": (
             "calibrate", {"schedule": BIG_CV_DRAW},
+            # a fit holds T = 1.0's five feature columns, T = 0.5's two
             ("config.json: model section: 5 coefficients at n_paths = 1000, "
-             "beta_samples = 1000000000000000 (", "schedule.json, maturity 0.5)")),
+             "beta_samples = 1000000000000000 (", "schedule.json, maturity 1.0)")),
         "evaluate paths above the byte cap": (
             "evaluate", {"schedule": json.dumps({"default": {"kind": "mc",
                                                              "n_paths": 10**15}})},

@@ -490,6 +490,36 @@ def strike_quotes(maturities, strikes):
         for t in maturities for k in strikes])
 
 
+class TestBasisCheckedBeforeDrawing:
+    """Every maturity's method is checked against the basis before the first
+    draw: here the first maturity is priceable, the second is not."""
+
+    @pytest.mark.parametrize("entry,key", [
+        (PricingMethod("mc", cv_degree=2), "'cv_degree' = 2"),
+        (PricingMethod("quad", n_nodes=8), "'kind' = 'quad'"),
+    ], ids=["cv_degree", "quad"])
+    def test_legendre_schedule_raises_before_any_draw(self, monkeypatch, entry, key):
+        from chaoscal.calibrate import CalibrationConfig, calibrate
+
+        def draw(*args, **kwargs):
+            raise AssertionError("paths drawn before the schedule was checked")
+
+        for module in (model_module, pricing):
+            monkeypatch.setattr(module, "_sample_terminal", draw)
+        monkeypatch.setattr(model_module, "_feature_blocks", draw)
+        model, _ = block_model("legendre")
+        sched = PricingSchedule(PricingMethod("mc", cv_degree=1),
+                                entries=((1.0, entry),))
+        quotes = SimpleNamespace(spot=100.0, quotes=[
+            SimpleNamespace(maturity=t, strike=100.0, discount_factor=1.0,
+                            forward=100.0, mid_price=5.0, implied_vol=0.2)
+            for t in (0.5, 1.0)])
+        with pytest.raises(ValidationError, match=f"key {key} .*maturity 1.0"):
+            price_surface(model, quotes, sched, BrownianDriver(3))
+        with pytest.raises(ValidationError, match=f"key {key} .*maturity 1.0"):
+            calibrate(model, quotes, CalibrationConfig(max_iterations=3), sched)
+
+
 class TestRowBlocks:
     """Feature rows are drawn, built and reduced in row blocks; the blocks
     change no bits, and no whole feature matrix is held outside calibration."""
@@ -646,7 +676,7 @@ class TestByteBound:
     @pytest.mark.parametrize("maturities", [(1.0,), (0.4, 0.7, 1.0)])
     @pytest.mark.parametrize("n_paths", [3_000, 30_000])
     def test_fit_workspace_peak_within_the_bound(self, monkeypatch, n_paths, maturities):
-        from chaoscal.calibrate import _normal_equations, build_workspace
+        from chaoscal.calibrate import _normal_equations, build_workspace, workspace_loss
 
         model, _ = block_model("piecewise")
         quotes = strike_quotes(maturities, (90.0, 100.0, 110.0))
@@ -654,9 +684,11 @@ class TestByteBound:
             q.mid_price = 5.0
         sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, beta_samples=2_000))
 
-        def fit_pass():
+        def fit_pass():  # a trial's loss pass keeps S_T for the Jacobian after it
             ws = build_workspace(model, quotes, np.ones(len(quotes.quotes)), sched,
                                  BrownianDriver(3))
+            _normal_equations(ws, model.coefficients)
+            workspace_loss(ws, model.coefficients)
             _normal_equations(ws, model.coefficients)
 
         self.assert_bound_covers(monkeypatch, model, quotes, sched, self.peak(fit_pass),
