@@ -68,8 +68,10 @@ class LegendreBasis:
     size: int
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.size < 1:
-            raise ValidationError("need horizon > 0 and size >= 1")
+        if not self.horizon > 0:
+            raise ValidationError(f"key 'horizon' must be positive, got {self.horizon}")
+        if self.size < 1:
+            raise ValidationError(f"key 'size' must be at least 1, got {self.size}")
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,13 @@ the streams and re-estimating the CV betas on independent samples at the
 current coefficients.  A fit allocates each MC maturity's feature matrix
 once, at its first workspace, with only the columns alive at the maturity,
 and redraws it in place at every resimulation, after the old workspace is
-dropped.  Optimization streams carry a constant tag (layout in
-`pricing._maturity_groups`), so metrics computed through `price_surface`
-come from streams the optimizer never saw.  Every pass over a workspace is
-one history row, and max_iterations also caps the rows.  A fit in which no
-pass improved on the starting loss warns that it returns its start.
+dropped; these matrices and the quadrature nodes live in one cache per
+fit, keyed by (maturity, PricingMethod).  Optimization streams carry a
+constant tag (layout in `pricing._maturity_groups`), so metrics computed
+through `price_surface` come from streams the optimizer never saw.  Every
+pass over a workspace is one history row, and max_iterations also caps the
+rows.  A fit in which no pass improved on the starting loss warns that it
+returns its start.
 
 * "gauss_newton" (default) minimizes the ridge objective
   L(theta) + mu |theta|^2, mu = 1e-3 * weight_decay, by Levenberg-Marquardt
@@ -109,18 +111,18 @@ class CalibrationConfig:
         if self.optimizer not in _OPTIMIZERS:
             raise ValidationError(f"key 'optimizer' must be one of {_OPTIMIZERS}, "
                                   f"got {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
-        if self.max_iterations < 0:
-            raise ValidationError("max iterations must be nonnegative")
-        if self.seed < 0:  # initial_coefficients seeds before any driver exists
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-        if self.weight_decay < 0:
-            raise ValidationError("weight decay must be nonnegative")
-        if self.resim_every < 1 or self.patience < 1:
-            raise ValidationError("resimulation period and patience must be >= 1")
-        if self.tol <= 0 or self.init_std <= 0:
-            raise ValidationError("tolerance and init std must be positive")
+        for key, ok, rule in (
+                ("learning_rate", self.learning_rate > 0, "positive"),
+                ("max_iterations", self.max_iterations >= 0, "nonnegative"),
+                # initial_coefficients seeds before any driver exists
+                ("seed", self.seed >= 0, "nonnegative"),
+                ("weight_decay", self.weight_decay >= 0, "nonnegative"),
+                ("resim_every", self.resim_every >= 1, "at least 1"),
+                ("patience", self.patience >= 1, "at least 1"),
+                ("tol", self.tol > 0, "positive"),
+                ("init_std", self.init_std > 0, "positive")):
+            if not ok:
+                raise ValidationError(f"key {key!r} must be {rule}, got {getattr(self, key)}")
 
 
 @dataclass
@@ -179,15 +181,15 @@ class CalibrationWorkspace:
     priced: tuple = None  # (theta, S_T per group) of the last loss pass
 
 
-def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=None,
-                    buffers=None):
+def build_workspace(model, quotes, weights, schedule, driver, tags=(), cache=None):
     """Freeze streams, features and CV betas for a stretch of iterations.
 
     CV betas are estimated at the model's current coefficients and treated
-    as constants until the next resimulation.  `nodes` caches quadrature
-    nodes, and `buffers` the feature matrices redrawn in place, across
+    as constants until the next resimulation.  The surface is checked
+    (`pricing._check_surface`) before anything is drawn.  `cache` keeps the
+    quadrature nodes, and the feature matrices redrawn in place, across
     builds for one model structure (`pricing._maturity_groups`); a build on
-    `buffers` overwrites the features of the workspace built on them before.
+    it overwrites the features of the workspace built on it before.
     """
     qs = quotes.quotes
     weights = np.asarray(weights, dtype=float)
@@ -198,8 +200,8 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), nodes=Non
     ws = CalibrationWorkspace()
     spot = getattr(quotes, "spot", model.s0)
     prefix = tuple(tags) + (_CAL_TAG,)
-    for g in _maturity_groups(model, quotes, schedule, driver, prefix, nodes,
-                              features=True, buffers=buffers):
+    for g in _maturity_groups(model, quotes, schedule, driver, prefix, cache,
+                              features=True):
         targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
         gweights = weights[g.rows] * g.scale**2
         ws.groups.append(replace(g, targets=targets, gweights=gweights))
@@ -443,12 +445,11 @@ def calibrate(model0, quotes, cfg, schedule):
     weights = vega_weights(quotes)
     work = ChaosModel(1.0, model0.p, model0.m, model0.d, model0.basis,
                       model0.coefficients / model0.s0)
-    nodes, buffers = {}, {}  # allocated at the first workspace only
+    cache = {}  # allocated at the first workspace only
 
     def workspace(r, theta):
         return build_workspace(work.with_coefficients(theta), quotes, weights,
-                               schedule, driver, tags=(r,), nodes=nodes,
-                               buffers=buffers)
+                               schedule, driver, tags=(r,), cache=cache)
 
     fit = _gauss_newton if cfg.optimizer == "gauss_newton" else _adamw
     log = _FitLog(cfg)

@@ -33,7 +33,7 @@ from .modelio import (
     serialize_model,
     write_history,
 )
-from .pricing import PricingSchedule, _check_bytes, price_surface
+from .pricing import PricingSchedule, _check_horizon, _check_surface, price_surface
 from .quotes import (
     Quote,
     QuoteSurface,
@@ -94,7 +94,8 @@ def cmd_gen_surface(args):
             )
         price = lambda k, t: heston_lewis_price(params, k, t)
     else:
-        rp = RoughHestonParams(params, 0.75 if alpha is None else alpha)
+        rp = _construct(args.params, RoughHestonParams, params,
+                        0.75 if alpha is None else alpha)
         cf = lambda u, t: rough_heston_cf(u, t, rp)
         price = lambda k, t: lewis_call_price(cf, params.s0, k, t, params.r, params.q)
     quotes = []
@@ -151,10 +152,9 @@ def cmd_calibrate(args):
     else:
         shape = (spec["p"], spec["m"], spec["d"],
                  PiecewiseConstantBasis.uniform(spec["horizon"], spec["m"]))
-    _check_horizon(args.quotes, [q.maturity for q in surface.quotes], shape[3].horizon,
-                   args.init or f"the model section of {args.config}")
-    _construct(args.init or f"{args.config}: model section", _check_bytes, *shape,
-               surface, schedule, args.schedule or "default schedule", True)
+    source = args.init or f"{args.config}: model section"
+    _construct(f"{args.quotes} with {source}", _check_surface, *shape, surface,
+               schedule, args.schedule or "default schedule", True)
     if not args.init:
         theta0 = initial_coefficients(index_space_dim(*shape[:3]) - 1, cfg)
         model0 = ChaosModel(surface.spot, *shape, theta0 * surface.spot)
@@ -180,10 +180,9 @@ def _priced_rows(args):
     model = load_model(args.model)
     surface = parse_quotes(args.quotes)
     schedule = load_schedule(args.schedule) if args.schedule else PricingSchedule()
-    _check_horizon(args.quotes, [q.maturity for q in surface.quotes], model.horizon,
-                   args.model)
-    _construct(args.model, _check_bytes, model.p, model.m, model.d, model.basis,
-               surface, schedule, args.schedule or "default schedule", False)
+    _construct(f"{args.quotes} with {args.model}", _check_surface, model.p, model.m,
+               model.d, model.basis, surface, schedule,
+               args.schedule or "default schedule", False)
     driver = BrownianDriver(args.seed)
     prices = price_surface(model, surface, schedule, driver, stream_tag=_EVAL_STREAM)
     rows = []
@@ -283,12 +282,6 @@ def _exotic_cells(paths, times, specs, s0):
     return cells
 
 
-def _check_horizon(path, maturities, horizon, source):
-    bad = sorted({t for t in maturities if t > horizon + 1e-12})
-    if bad:
-        raise ValidationError(f"{path}: maturities beyond horizon {horizon} of {source}: {bad}")
-
-
 def _check_barriers(path, specs, spot, source):
     for i, spec in enumerate(specs):
         if isinstance(spec, DownAndOutCall) and spec.barrier >= spot:
@@ -306,8 +299,8 @@ def cmd_exotics(args):
     special = {s.tau for s in specs if isinstance(s, ForwardStartCall)}
     dates = sorted({s.maturity for s in specs} | special)
     for i, (raw, spec) in enumerate(zip(contracts, specs)):
-        _check_horizon(f"{args.spec}: contract {i} ({raw['type']})", [spec.maturity],
-                       model.horizon, args.model)
+        _construct(f"{args.spec}: contract {i} ({raw['type']}) with {args.model}",
+                   _check_horizon, [spec.maturity], model.horizon)
     _check_barriers(args.spec, specs, model.s0, args.model)
     _construct(f"{args.spec}: key 'monitoring_steps' = {steps} with --paths {args.paths}",
                _check_grid, model, steps + 1 + len(dates), args.paths)
@@ -315,13 +308,14 @@ def cmd_exotics(args):
     if args.reference:
         params, alpha = _heston_from_json(args.reference)
         if alpha not in (None, 1.0):
-            raise ValidationError("reference simulation is classical Heston (alpha=1)")
-        if params.r != 0.0 or params.q != 0.0:
-            raise ValidationError(
-                "exotic reference must have r = q = 0: the fitted model prices "
-                "in its zero-rate world, and exotic payoffs do not convert "
-                "between worlds by a discount factor"
-            )
+            raise ValidationError(f"{args.reference}: key 'alpha' must be 1, got {alpha}: "
+                                  "the reference simulation is classical Heston")
+        for key in ("r", "q"):
+            if getattr(params, key) != 0.0:
+                raise ValidationError(
+                    f"{args.reference}: key {key!r} must be 0, got {getattr(params, key)}: "
+                    "the fitted model prices exotics at r = q = 0, and their payoffs "
+                    "do not convert between rate worlds by a discount factor")
         _check_barriers(args.spec, specs, params.s0, args.reference)
 
     times = np.union1d(np.linspace(0.0, dates[-1], steps + 1), dates)

@@ -268,8 +268,9 @@ def path_grid(model, times, n_paths, driver, tags=()):
     at a time, so only one time's slice is held; each time's feature rows
     are built from its column plan and reduced to S_t one row block at a
     time.  Time 0 draws nothing and its row is exactly S_0, so the other
-    rows are those of the grid without it.
+    rows are those of the grid without it.  `_check_grid` runs first.
     """
+    _check_grid(model, len(times), n_paths)
     walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
                            model.d)  # checks the times and n_paths
     spans = _spans(n_paths, _block_rows(model.p, model.m, model.d))

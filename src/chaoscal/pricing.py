@@ -43,6 +43,10 @@ Outside calibration no MC feature matrix is held whole: the rows of a
 maturity's draw, and of its CV draw, are reduced to S_T block by block, so
 memory grows with the path count only through S_T and the payoff matrix.
 Calibration holds each MC maturity's live feature columns (`_Group`).
+
+Every rule a surface must pass before a draw (horizon, method against
+basis, byte cap) is stated once, in `_check_surface`, which
+`_maturity_groups` runs before its first draw.
 """
 
 import warnings
@@ -188,34 +192,37 @@ def quad_nodes_features(model, t, n):
     return weights.ravel(), feats
 
 
-def _check_method(basis, t, method, schedule_name="schedule"):
-    """Raise ValidationError if `method` prices maturity t by quadrature or a
-    degree-2 CV on a basis other than the piecewise-constant one, whose
-    closed forms they need."""
-    if ((method.kind == "quad" or method.cv_degree == 2)
-            and not isinstance(basis, PiecewiseConstantBasis)):
-        key = "'kind' = 'quad'" if method.kind == "quad" else "'cv_degree' = 2"
-        raise ValidationError(
-            f"key {key} ({schedule_name}, maturity {t}) needs the "
-            f"piecewise-constant basis, not {type(basis).__name__}")
+def _check_horizon(maturities, horizon):
+    """Raise ValidationError listing every maturity past `horizon`.  The rule
+    has no slack: every maturity it passes can be drawn."""
+    bad = sorted({t for t in maturities if t > horizon})
+    if bad:
+        raise ValidationError(f"maturities {bad} beyond horizon {horizon}")
 
 
-def _check_bytes(p, m, d, basis, quotes, schedule, schedule_name, features):
-    """Raise ValidationError if a quoted maturity's method fails
-    `_check_method`, or if pricing the quotes with a model of shape
-    (p, m, d, basis) may hold over MAX_BYTES: to the end, each maturity's
-    quadrature nodes and, for a fit, its live feature columns, weights and
-    the S_T a loss pass keeps, and 8 n x n matrices, and the index layer
-    with a plan per maturity; for the largest maturity, a feature block, a
-    CV draw (8 arrays), S_T, 5 temporaries, a payoff per strike, and the S_T
-    and CV draw (3 arrays) left by another.  A quadrature maturity's kept
-    S_T fits in its node build's temporaries."""
+def _check_surface(p, m, d, basis, quotes, schedule, schedule_name, features):
+    """Raise ValidationError unless a model of shape (p, m, d, basis) can
+    price the quotes: each maturity within the horizon (`_check_horizon`);
+    quadrature or a degree-2 CV only on the piecewise-constant basis, whose
+    closed forms they need; and at most MAX_BYTES held: to the end, each
+    maturity's quadrature nodes and, for a fit, its live feature columns,
+    weights and the S_T a loss pass keeps, and 8 n x n matrices, and the
+    index layer with a plan per maturity; for the largest maturity, a
+    feature block, a CV draw (8 arrays), S_T, 5 temporaries, a payoff per
+    strike, and the S_T and CV draw (3 arrays) left by another.  A
+    quadrature maturity's kept S_T fits in its node build's temporaries."""
+    mats = sorted({q.maturity for q in quotes.quotes})
+    _check_horizon(mats, basis.horizon)
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
     piecewise = isinstance(basis, PiecewiseConstantBasis)
     need = {}  # (sizes, maturity) -> (held to the end, freed after it, left alive)
-    for t in sorted({q.maturity for q in quotes.quotes}):
+    for t in mats:
         method = schedule.for_maturity(t)
-        _check_method(basis, t, method, schedule_name)
+        if (method.kind == "quad" or method.cv_degree == 2) and not piecewise:
+            key = "'kind' = 'quad'" if method.kind == "quad" else "'cv_degree' = 2"
+            raise ValidationError(
+                f"key {key} ({schedule_name}, maturity {t}) needs the "
+                f"piecewise-constant basis, not {type(basis).__name__}")
         if method.kind == "quad":
             dims = _quad_dims(basis, t, d)
             rows, sizes = method.n_nodes**dims, f"n_nodes = {method.n_nodes}"
@@ -344,26 +351,23 @@ class _Group:
     gweights: np.ndarray = None  # calibration: weights gamma (DF F / S_0)^2
 
 
-def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
-                     features=False, buffers=None):
+def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
+                     features=False):
     """Yield one `_Group` per quoted maturity, in ascending maturity order.
 
-    Every maturity's method is checked against the basis (`_check_method`)
-    before the first draw.  Strikes map to the zero-rate world as K S_0 / F;
-    model prices map back to market units by DF F / S_0.  CV betas are
-    estimated at the model's coefficients for every strike from one beta
-    block per maturity.  An MC group carries its live feature columns only
-    if `features` (calibration, whose price Jacobian needs them); otherwise
-    it carries S_T at the model's coefficients, sampled one block of feature
-    rows at a time.
+    The surface passes `_check_surface` before the first draw.  Strikes map
+    to the zero-rate world as K S_0 / F; model prices map back to market
+    units by DF F / S_0.  CV betas are estimated at the model's coefficients
+    for every strike from one beta block per maturity.  An MC group carries
+    its live feature columns only if `features` (calibration, whose price
+    Jacobian needs them); otherwise it carries S_T at the model's
+    coefficients, sampled one block of feature rows at a time.
 
-    Quadrature nodes depend on neither the coefficients nor the streams.
-    They are looked up in, and added to, `nodes`, a dict keyed by
-    (maturity, node count), so that builds for models of one structure can
-    share them.  Likewise the live feature columns are drawn into the matrix
-    that `buffers`, a dict keyed by (maturity, path count), holds from an
-    earlier build, or into one added to it: each build redraws it in place,
-    so only the latest group on a buffer holds valid features.
+    `cache`, a dict keyed by (maturity, PricingMethod), carries arrays
+    across builds for models of one structure: quadrature nodes, which
+    depend on neither the coefficients nor the streams, and the live
+    feature columns, which each build redraws in place, so only the latest
+    group on a matrix holds valid features.
 
     Stream tags: the maturity at sorted position mi draws its feature block
     under prefix + (mi, 0) and its CV beta block under prefix + (mi, 1);
@@ -372,34 +376,29 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, nodes=None,
     (`calibrate.build_workspace`) passes (resim, 3233), giving 4-tuples
     (resim, 3233, mi, 0|1), so the two never share a stream.
     """
+    _check_surface(model.p, model.m, model.d, model.basis, quotes, schedule,
+                   "schedule", features)
     qs = quotes.quotes
-    nodes = {} if nodes is None else nodes
     mats = sorted({q.maturity for q in qs})
-    bad = [t for t in mats if t > model.horizon + 1e-12]
-    if bad:
-        raise ValidationError(f"maturities beyond model horizon {model.horizon}: {bad}")
-    for t in mats:
-        _check_method(model.basis, t, schedule.for_maturity(t))
-    buffers = {} if buffers is None else buffers
+    cache = {} if cache is None else cache
     for mi, t in enumerate(mats):
         rows = np.array([i for i, q in enumerate(qs) if q.maturity == t])
         scale = np.array([qs[i].discount_factor * qs[i].forward / model.s0 for i in rows])
         strikes = np.array([qs[i].strike * model.s0 / qs[i].forward for i in rows])
         method = schedule.for_maturity(t)
+        key = (t, method)
         if method.kind == "quad":
-            key = (t, method.n_nodes)
-            if key not in nodes:
-                nodes[key] = quad_nodes_features(model, t, method.n_nodes)
-            yield _Group(t, model.s0, rows, strikes, scale, *nodes[key],
+            if key not in cache:
+                cache[key] = quad_nodes_features(model, t, method.n_nodes)
+            yield _Group(t, model.s0, rows, strikes, scale, *cache[key],
                          np.arange(len(model.coefficients)))
             continue
         tags = prefix + (mi, 0)
         feats = live = terminal = None
         if features:
-            key = (t, method.n_paths)
-            feats = buffers[key] = sample_features(
+            feats = cache[key] = sample_features(
                 model, t, method.n_paths, driver, tags=tags, live=True,
-                out=buffers.get(key)).features
+                out=cache.get(key)).features
             live = _live_columns(model, t)
         else:
             terminal = _sample_terminal(model, t, method.n_paths, driver, tags=tags)

@@ -68,14 +68,13 @@ class HestonParams:
     q: float = 0.0
 
     def __post_init__(self):
-        if self.s0 <= 0:
-            raise ValidationError("spot must be positive")
-        if self.kappa <= 0 or self.vbar <= 0 or self.eps <= 0:
-            raise ValidationError("kappa, vbar, eps must be positive")
+        for key in ("s0", "kappa", "vbar", "eps"):
+            if not getattr(self, key) > 0:
+                raise ValidationError(f"key {key!r} must be positive, got {getattr(self, key)}")
         if not -1.0 < self.rho < 1.0:
-            raise ValidationError("rho must lie in (-1, 1)")
-        if self.v0 < 0:
-            raise ValidationError("initial variance must be nonnegative")
+            raise ValidationError(f"key 'rho' must lie in (-1, 1), got {self.rho}")
+        if not self.v0 >= 0:
+            raise ValidationError(f"key 'v0' must be nonnegative, got {self.v0}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class RoughHestonParams:
 
     def __post_init__(self):
         if not 0.5 < self.alpha <= 1.0:
-            raise ValidationError("roughness exponent must lie in (1/2, 1]")
+            raise ValidationError(f"key 'alpha' must lie in (1/2, 1], got {self.alpha}")
 
 
 def heston_cf(u, t, p):

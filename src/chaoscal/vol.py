@@ -219,8 +219,9 @@ class DownAndOutCall:
     barrier: float
 
     def __post_init__(self):
-        if self.barrier <= 0 or self.strike <= 0 or self.maturity <= 0:
-            raise ValidationError("barrier, strike, maturity must be positive")
+        for key in ("barrier", "strike", "maturity"):
+            if not getattr(self, key) > 0:
+                raise ValidationError(f"key {key!r} must be positive, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

@@ -748,7 +748,7 @@ class TestBadInput:
             "config.json: key 'tol' must be a finite number"),
         "calibrate config negative seed": (
             "calibrate", {"config": config_text(seed=-1)},
-            "config.json: seed must be nonnegative"),
+            "config.json: key 'seed' must be nonnegative, got -1"),
         "calibrate model section m a string": (
             "calibrate", {"config": config_text(model={"p": 2, "m": "2", "d": 1,
                                                        "horizon": 1.0})},
@@ -756,7 +756,8 @@ class TestBadInput:
         "calibrate model section a list": (
             "calibrate", {"config": config_text(model=[2, 2, 1, 1.0])},
             "config.json: model section: expected a JSON object"),
-        "calibrate negative seed": ("calibrate", {"seed": "-1"}, "seed must be"),
+        "calibrate negative seed": ("calibrate", {"seed": "-1"},
+                                    "key 'seed' must be nonnegative, got -1"),
         "price negative seed": ("price", {"seed": "-1"}, "seed must be"),
         "evaluate negative seed": ("evaluate", {"seed": "-1"}, "seed must be"),
         "exotics negative seed": ("exotics", {"seed": "-1"}, "seed must be"),
@@ -838,7 +839,7 @@ class TestBadInput:
         "exotics legendre model size zero": (
             "exotics", {"model": model_text(basis={"kind": "legendre", "horizon": 1.0,
                                                    "size": 0})},
-            "truth.json: basis: need horizon > 0 and size >= 1"),
+            "truth.json: basis: key 'size' must be at least 1, got 0"),
         "price model piecewise basis with size": (
             "price", {"model": model_text(basis={"kind": "piecewise", "size": 2,
                                                  "grid": [0.0, 0.5, 1.0]})},
@@ -945,25 +946,46 @@ class TestBadInput:
                 "strike_ratio": 1.0}]})},
             "spec.json: contract 0 (forward_start): strike (or strike_ratio), maturity "
             "must be positive"),
-        # a maturity past the horizon names the contract or quotes and the model
+        # a maturity past the horizon, by any margin, names the contract or
+        # quotes and the model
         "exotics maturity beyond the model horizon": (
             "exotics", {"spec": json.dumps({"contracts": [
                 {"type": "lookback", "maturity": 1.0},
                 {"type": "lookback", "maturity": 3.0}]})},
-            ("spec.json: contract 1 (lookback): maturities beyond horizon 1.0 of ",
-             "truth.json: [3.0]")),
+            ("spec.json: contract 1 (lookback) with ",
+             "truth.json: maturities [3.0] beyond horizon 1.0")),
+        "exotics maturity just past the model horizon": (
+            "exotics", {"spec": json.dumps({"contracts": [
+                {"type": "lookback", "maturity": 1.0 + 5e-13}]})},
+            ("spec.json: contract 0 (lookback) with ",
+             "truth.json: maturities [1.0000000000005] beyond horizon 1.0")),
         "evaluate quotes beyond the model horizon": (
             "evaluate", {"quotes": one_quote_text(100.0).replace("\n1.0,", "\n2.0,")},
-            ("q.csv: maturities beyond horizon 1.0 of ", "truth.json: [2.0]")),
+            ("q.csv with ", "truth.json: maturities [2.0] beyond horizon 1.0")),
+        "evaluate quotes just past the model horizon": (
+            "evaluate",
+            {"quotes": one_quote_text(100.0).replace("\n1.0,", "\n1.0000000000005,")},
+            ("q.csv with ", "truth.json: maturities [1.0000000000005] beyond horizon 1.0")),
         "calibrate quotes beyond the model section horizon": (
             "calibrate", {"config": config_text(model={"p": 2, "m": 2, "d": 1,
                                                        "horizon": 0.7})},
-            ("q.csv: maturities beyond horizon 0.7 of the model section of ",
-             "config.json: [1.0]")),
+            ("q.csv with ", "config.json: model section: maturities [1.0] beyond "
+             "horizon 0.7")),
         "calibrate quotes beyond the init model horizon": (
             "calibrate", {"init": model_text(basis={"kind": "piecewise",
                                                     "grid": [0.0, 0.35, 0.7]})},
-            ("q.csv: maturities beyond horizon 0.7 of ", "init.json: [1.0]")),
+            ("q.csv with ", "init.json: maturities [1.0] beyond horizon 0.7")),
+        # parameter ranges checked outside the file readers name file and key
+        "gen-surface rough heston alpha out of range": (
+            "gen-surface", {"model": "rough-heston",
+                            "params": json.dumps(dict(HESTON, alpha=0.3))},
+            "p.json: key 'alpha' must lie in (1/2, 1], got 0.3"),
+        "exotics rough reference": (
+            "exotics", {"reference": json.dumps(dict(HESTON, alpha=0.8))},
+            "ref.json: key 'alpha' must be 1, got 0.8"),
+        "exotics reference with rates": (
+            "exotics", {"reference": json.dumps(dict(HESTON, r=0.01, q=0.0))},
+            "ref.json: key 'r' must be 0, got 0.01"),
         # closed forms of the piecewise basis, asked of a Legendre model
         "evaluate legendre model under the default schedule": (
             "evaluate", {"model": LEGENDRE},
@@ -995,7 +1017,8 @@ class TestBadInput:
         argv = [command, "--report" if command == "evaluate" else "--out",
                 str(tmp_path / "out")]
         if command == "gen-surface":
-            argv += ["--model", "heston", "--maturities", bad.get("maturities", "1.0"),
+            argv += ["--model", bad.get("model", "heston"),
+                     "--maturities", bad.get("maturities", "1.0"),
                      "--moneyness", bad.get("moneyness", "1.0")]
         if command == "exotics":
             argv += ["--paths", bad.get("paths", "500")]

@@ -520,6 +520,64 @@ class TestBasisCheckedBeforeDrawing:
             calibrate(model, quotes, CalibrationConfig(max_iterations=3), sched)
 
 
+class TestPreflightBeforeDrawing:
+    """Called from Python, every pricing entry point refuses what the
+    commands refuse, before its first draw: a maturity past the horizon by
+    any margin, or sizes over the byte cap."""
+
+    SCHED = PricingSchedule(PricingMethod("mc", n_paths=3000, beta_samples=2000))
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw(*args, **kwargs):
+            raise AssertionError("paths drawn before the pre-flight")
+
+        monkeypatch.setattr(model_module, "_feature_blocks", draw)
+        monkeypatch.setattr(model_module, "_walk_integrals", draw)
+
+    @staticmethod
+    def run(entry, maturities):
+        from chaoscal.calibrate import CalibrationConfig, build_workspace, calibrate, loss
+
+        model, _ = block_model("piecewise")
+        quotes = SimpleNamespace(spot=100.0, quotes=[
+            SimpleNamespace(maturity=t, strike=100.0, discount_factor=1.0,
+                            forward=100.0, mid_price=5.0, implied_vol=0.2)
+            for t in maturities])
+        args = model, quotes, np.ones(len(maturities)), TestPreflightBeforeDrawing.SCHED
+        driver = BrownianDriver(3)
+        if entry == "price_surface":
+            price_surface(model, quotes, args[3], driver)
+        elif entry == "build_workspace":
+            build_workspace(*args, driver)
+        elif entry == "loss":
+            loss(*args, driver)
+        else:
+            calibrate(model, quotes, CalibrationConfig(max_iterations=3), args[3])
+
+    ENTRIES = ["price_surface", "build_workspace", "loss", "calibrate"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_quote_just_past_the_horizon(self, entry):
+        with pytest.raises(ValidationError,
+                           match=r"^maturities \[1.0000000000005\] beyond horizon 1.0$"):
+            self.run(entry, (0.5, 1.0 + 5e-13))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_surface_over_the_byte_cap(self, monkeypatch, entry):
+        monkeypatch.setattr(pricing, "MAX_BYTES", 100_000)
+        with pytest.raises(ValidationError, match=r"^44 coefficients at n_paths = 3000, .*"
+                                                  r"\(schedule, maturity (0.5|1.0)\) need "
+                                                  r"\d+ bytes, above the 100000-byte cap$"):
+            self.run(entry, (0.5, 1.0))
+
+    def test_path_grid_over_the_byte_cap(self, monkeypatch):
+        monkeypatch.setattr(model_module, "MAX_BYTES", 100_000)
+        model, _ = block_model("piecewise")
+        with pytest.raises(ValidationError, match=r"n_paths = 3000 at n_times = 5 need"):
+            path_grid(model, np.linspace(0.0, 1.0, 5), 3000, BrownianDriver(3))
+
+
 class TestRowBlocks:
     """Feature rows are drawn, built and reduced in row blocks; the blocks
     change no bits, and no whole feature matrix is held outside calibration."""
@@ -656,7 +714,7 @@ class TestByteBound:
         # the bound must exceed a cap one byte under the measured peak
         monkeypatch.setattr(pricing, "MAX_BYTES", peak - 1)
         with pytest.raises(ValidationError, match=r"need \d+ bytes"):
-            pricing._check_bytes(model.p, model.m, model.d, model.basis, quotes, sched,
+            pricing._check_surface(model.p, model.m, model.d, model.basis, quotes, sched,
                                  "schedule", features)
 
     # 3000 paths are one block, 30000 several; with one maturity nothing of
@@ -709,7 +767,7 @@ class TestByteBound:
         # for one maturity, 1.7 GB if every maturity were held at once
         basis = PiecewiseConstantBasis.uniform(1.0, 4)
         quotes = strike_quotes(np.linspace(0.025, 1.0, 40), np.linspace(80.0, 119.0, 40))
-        pricing._check_bytes(2, 4, 1, basis, quotes, PricingSchedule(), "schedule", False)
+        pricing._check_surface(2, 4, 1, basis, quotes, PricingSchedule(), "schedule", False)
 
     def test_feature_block_of_a_large_model_is_counted(self):
         # a block holds at least 1024 rows: 2.6 GB for 316,250 coefficients
@@ -719,8 +777,8 @@ class TestByteBound:
         sched = PricingSchedule(PricingMethod("mc", n_paths=2000, cv_degree=0))
         with pytest.raises(ValidationError,
                            match=r"316250 coefficients at n_paths = 2000, "):
-            pricing._check_bytes(50, 4, 1, basis, quotes, sched, "schedule", False)
-        pricing._check_bytes(2, 4, 1, basis, quotes, sched, "schedule", False)
+            pricing._check_surface(50, 4, 1, basis, quotes, sched, "schedule", False)
+        pricing._check_surface(2, 4, 1, basis, quotes, sched, "schedule", False)
 
     @pytest.mark.parametrize("kind,p,m,d", [
         ("piecewise", 1, 300, 1), ("piecewise", 2, 40, 2), ("piecewise", 3, 10, 2),
@@ -753,10 +811,10 @@ class TestByteBound:
         quotes = strike_quotes((1.0,), (100.0,))
         sched = PricingSchedule(PricingMethod("mc", n_paths=10, beta_samples=10))
         with pytest.raises(ValidationError, match=r"8000 coefficients at n_paths = 10, "):
-            pricing._check_bytes(1, 8000, 1, basis, quotes, sched, "schedule", False)
+            pricing._check_surface(1, 8000, 1, basis, quotes, sched, "schedule", False)
         with pytest.raises(ValidationError, match=r"need \d+ bytes"):
             model_module._check_grid(model, 2, 10)
-        pricing._check_bytes(1, 1000, 1, PiecewiseConstantBasis.uniform(1.0, 1000), quotes,
+        pricing._check_surface(1, 1000, 1, PiecewiseConstantBasis.uniform(1.0, 1000), quotes,
                              sched, "schedule", False)
 
 

@@ -58,19 +58,19 @@ def gatheral_cf(u, t, p):
 
 class TestHestonParams:
     def test_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"key 's0' must be positive, got -1.0"):
             HestonParams(-1.0, 1.5, 0.04, 0.5, -0.7, 0.04)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"key 'kappa' must be positive, got 0.0"):
             HestonParams(100.0, 0.0, 0.04, 0.5, -0.7, 0.04)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"key 'rho' must lie in \(-1, 1\), got -1.0"):
             HestonParams(100.0, 1.5, 0.04, 0.5, -1.0, 0.04)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"key 'v0' must be nonnegative, got -0.1"):
             HestonParams(100.0, 1.5, 0.04, 0.5, -0.7, -0.1)
 
     def test_alpha_range(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"key 'alpha' must lie in .*, got 0.5"):
             RoughHestonParams(P, alpha=0.5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"key 'alpha' must lie in .*, got 1.01"):
             RoughHestonParams(P, alpha=1.01)
         RoughHestonParams(P, alpha=0.51)
 
