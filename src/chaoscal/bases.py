@@ -87,7 +87,7 @@ class BrownianDriver:
     def __post_init__(self):
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+            raise ValidationError(f"key 'seed' must be a nonnegative integer, got {seed!r}")
 
     def generator(self, *tags):
         # the 0 after the seed is part of every stream's key, so every seeded

@@ -20,7 +20,7 @@ from .bases import BrownianDriver, PiecewiseConstantBasis
 from .calibrate import calibrate, initial_coefficients
 from .errors import InversionError, NumericError, ValidationError
 from .indices import index_space_dim
-from .model import ChaosModel, _check_grid, path_grid
+from .model import ChaosModel, _path_rows
 from .modelio import (
     _construct,
     _field,
@@ -46,9 +46,10 @@ from .quotes import (
 from .reference import (
     HestonParams,
     RoughHestonParams,
-    exotic_mc_price,
+    _check_fold,
+    _exotic_fold,
+    _heston_rows,
     heston_lewis_price,
-    heston_simulate,
     lewis_call_price,
     rough_heston_cf,
 )
@@ -268,12 +269,12 @@ def _read_exotics_spec(path):
     return contracts, [_exotic_spec(path, i, c) for i, c in enumerate(contracts)], steps
 
 
-def _exotic_cells(paths, times, specs, s0):
-    """Per contract: price, SE and implied-vol cells; the vol is blank where
-    the zero-rate closed form does not attain the price."""
+def _exotic_cells(rows, times, specs, s0):
+    """Per contract: price, SE and implied-vol cells from a fold of the rows;
+    the vol is blank where the zero-rate closed form does not attain the
+    price."""
     cells = []
-    for spec in specs:
-        price, se = exotic_mc_price(paths, times, spec)
+    for spec, (price, se) in zip(specs, _exotic_fold(rows, times, specs)):
         try:
             iv = repr(exotic_implied_vol(price, spec, s0))
         except InversionError:
@@ -303,7 +304,8 @@ def cmd_exotics(args):
                    _check_horizon, [spec.maturity], model.horizon)
     _check_barriers(args.spec, specs, model.s0, args.model)
     _construct(f"{args.spec}: key 'monitoring_steps' = {steps} with --paths {args.paths}",
-               _check_grid, model, steps + 1 + len(dates), args.paths)
+               _check_fold, model, steps + 1 + len(dates), args.paths, specs,
+               bool(args.reference))
     params = None
     if args.reference:
         params, alpha = _heston_from_json(args.reference)
@@ -320,14 +322,14 @@ def cmd_exotics(args):
 
     times = np.union1d(np.linspace(0.0, dates[-1], steps + 1), dates)
     driver = BrownianDriver(args.seed)
-    # both simulators return (len(times), n_paths) at exactly these times; the
-    # model's paths are released before the reference's are simulated
+    # both simulators yield S at exactly these times, one row at a time; the
+    # model's fold is done before the reference is simulated
     model_cells = _exotic_cells(
-        path_grid(model, times, args.paths, driver, tags=(7001,)), times, specs, model.s0)
+        _path_rows(model, times, args.paths, driver, tags=(7001,)), times, specs, model.s0)
     ref_cells = [["", "", ""]] * len(specs)
     if params is not None:
         ref_cells = _exotic_cells(
-            heston_simulate(params, times, args.paths, driver, tags=(7002,)),
+            _heston_rows(params, times, args.paths, driver, tags=(7002,)),
             times, specs, params.s0)
     rows = [[raw.get("type"), raw.get("tau", ""), repr(spec.maturity),
              raw.get("strike", ""), raw.get("strike_ratio", ""), raw.get("barrier", ""),

@@ -13,8 +13,10 @@ it keeps only the columns that can be nonzero at the maturity
 (`_live_columns`) and redraws one such matrix in place at each
 resimulation.
 Everything else reduces each block to S_T at once (`_sample_terminal`,
-`path_grid`), so it holds one block of feature rows whatever the path
+`_path_rows`), so it holds one block of feature rows whatever the path
 count: at most _BLOCK_BYTES, or _ROW_ALIGN rows if those are more.
+`_path_rows` yields S_t one time at a time, for the exotics fold in
+`reference`; `path_grid` collects its rows into the (n_times, n_paths) grid.
 
 Every product `features @ coefficients` runs over row blocks that start at
 multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
@@ -248,39 +250,72 @@ def second_moment(model, t):
     return model.s0**2 + float(c @ (model.coefficients**2))
 
 
-def _check_grid(model, n_times, n_paths):
-    """Raise ValidationError if `path_grid` would hold over MAX_BYTES: its
-    output, a feature block, 3 walk arrays and the index layer with a plan
-    per time."""
+def _rows_bytes(model, n_times, n_paths):
+    """Bytes `_path_rows` holds: the row it builds and the one its caller
+    still holds, 3 walk arrays, a feature block and the index layer with a
+    plan per time."""
     p, m, d = model.p, model.m, model.d
-    need = (8 * n_paths * (n_times + 3 * m * d) + _block_bytes(p, m, d, n_paths)
+    return (8 * n_paths * (2 + 3 * m * d) + _block_bytes(p, m, d, n_paths)
             + _index_bytes(p, m, d, n_times))
+
+
+def _check_held(need, n_times, n_paths):
+    """Raise ValidationError if need bytes for n_times rows of n_paths paths
+    are over MAX_BYTES."""
     if need > MAX_BYTES:
         raise ValidationError(f"n_paths = {n_paths} at n_times = {n_times} need "
                               f"{need} bytes, above the {MAX_BYTES}-byte cap")
+
+
+def _check_grid(model, n_times, n_paths):
+    """Raise ValidationError if `path_grid` would hold over MAX_BYTES: its
+    output and what `_path_rows` holds."""
+    _check_held(8 * n_paths * n_times + _rows_bytes(model, n_times, n_paths), n_times,
+                n_paths)
+
+
+def _path_rows(model, times, n_paths, driver, tags=()):
+    """Check the times and n_paths; return an iterator over the rows of
+    `path_grid` in time order, S_t at each time as a new array.
+
+    The integrals are drawn as `sample_integrals` draws them, but one time
+    at a time, so only one time's slice is held; each time's feature rows
+    are built from its column plan and reduced to S_t one row block at a
+    time, every block in one buffer: a fresh block per time let the heap
+    shrink and grow again at each time (15k minor page faults per
+    legendre_paths `exotics` against 1.2k).  Time 0 draws nothing and its
+    row is exactly S_0, so the other rows are those of the grid without it.
+    It holds `_rows_bytes`, never the grid.
+    """
+    walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
+                           model.d)
+    spans = _spans(n_paths, _block_rows(model.p, model.m, model.d))
+
+    def rows():
+        block = np.empty((spans[0][1], len(model.coefficients)), order="F")
+        for t, ints in zip(times, walk):
+            if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
+                yield np.full(n_paths, model.s0)
+                continue
+            plan = _feature_plan(model, t)
+            row = np.empty(n_paths)
+            for a, b in spans:  # every block is built in the one buffer
+                feats = _plan_rows(plan, ints[a:b], normalized=False, out=block[:b - a])
+                row[a:b] = model.s0 + feats @ model.coefficients
+            yield row
+
+    return rows()
 
 
 def path_grid(model, times, n_paths, driver, tags=()):
     """Jointly consistent S_t samples at the given times, shape (n_times, n_paths).
 
     All times share one Brownian path per path index (needed for exotics).
-    The integrals are drawn as `sample_integrals` draws them, but one time
-    at a time, so only one time's slice is held; each time's feature rows
-    are built from its column plan and reduced to S_t one row block at a
-    time.  Time 0 draws nothing and its row is exactly S_0, so the other
-    rows are those of the grid without it.  `_check_grid` runs first.
+    The rows are those of `_path_rows`, collected; `_check_grid` runs first.
     """
     _check_grid(model, len(times), n_paths)
-    walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
-                           model.d)  # checks the times and n_paths
-    spans = _spans(n_paths, _block_rows(model.p, model.m, model.d))
+    rows = _path_rows(model, times, n_paths, driver, tags)  # checks the times and n_paths
     out = np.empty((len(times), n_paths))
-    for ti, (t, ints) in enumerate(zip(times, walk)):
-        if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
-            out[ti] = model.s0
-            continue
-        plan = _feature_plan(model, t)
-        for a, b in spans:  # each block is freed before the next is built
-            ds = _plan_rows(plan, ints[a:b], normalized=False) @ model.coefficients
-            out[ti, a:b] = model.s0 + ds
+    for ti, row in enumerate(rows):
+        out[ti] = row
     return out

@@ -24,10 +24,13 @@ calibrated against.  Four pieces:
 
 * full-truncation Euler simulation of (X, V) and exotic payoff averaging on
   simulated paths.  The simulation takes the monitoring times, steps at most
-  1/250 between them, and stores S only at those times.  Discrete monitoring
-  of barriers/minima carries an O(sqrt(dt)) bias; comparisons against the
-  chaos model use the same monitoring times on both sides, so that bias
-  cancels in the comparison.
+  1/250 between them, and yields S at each of them in turn (`_heston_rows`).
+  `_exotic_fold` folds such rows, from it or from `model._path_rows`, into
+  every contract's payoff as they come, so exotics hold a few rows, never
+  the (n_times, n_paths) array.  Discrete monitoring of barriers/minima
+  carries an O(sqrt(dt)) bias; comparisons against the chaos model use the
+  same monitoring times on both sides, so that bias cancels in the
+  comparison.
 
 Complex conventions: the characteristic function is E[exp(iuX_t)] for the
 full log price (spot and rate drift included); the Riccati/CF algebra is
@@ -46,6 +49,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
+from .model import _check_held, _rows_bytes, _spans
 from .vol import DownAndOutCall, ForwardStartCall, LookbackCall
 
 _PATH_BLOCK = 1 << 16
@@ -329,6 +333,68 @@ def rough_heston_cf(u, t, rp):
     return out if out.shape else complex(out)
 
 
+def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
+                 max_step=1.0 / 250.0):
+    """Check the arguments of `heston_simulate`; return an iterator over its
+    rows in time order: S at each time as a new array, or (S, V) with
+    return_variance.
+
+    Each block of _PATH_BLOCK paths keeps its own generator, log price and
+    variance, and every block is stepped to the next time before the row is
+    yielded.  A block's generator draws as it would alone, so the rows are
+    those of `heston_simulate`, bit for bit, whatever the block count.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
+        raise ValidationError("times must be 1-d, start at 0, have >= 2 points")
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError("times must be strictly increasing")
+    if not max_step > 0:
+        raise ValidationError(f"max_step must be positive, got {max_step}")
+    if n_paths < 1:
+        raise ValidationError("need at least one path")
+    rho_c = math.sqrt(1.0 - p.rho**2)
+
+    def rows():
+        blocks = [(slice(a, b), driver.generator(*tags, block_id),
+                   np.full(b - a, math.log(p.s0)), np.full(b - a, p.v0))
+                  for block_id, (a, b) in enumerate(_spans(n_paths, _PATH_BLOCK))]
+        s = np.full(n_paths, p.s0)
+        yield (s, np.full(n_paths, p.v0)) if return_variance else s
+        for lo, hi in zip(times, times[1:]):
+            n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
+            s = np.empty(n_paths)
+            var = np.empty(n_paths) if return_variance else None
+            for cols, gen, x, v in blocks:
+                prev = lo
+                for i in range(1, n + 1):
+                    end = hi if i == n else lo + (hi - lo) * i / n
+                    dt = end - prev
+                    prev = end
+                    z = gen.standard_normal((len(x), 2))
+                    vp = np.maximum(v, 0.0)
+                    sq = np.sqrt(vp * dt)
+                    x += (p.r - p.q - 0.5 * vp) * dt + sq * (
+                        p.rho * z[:, 0] + rho_c * z[:, 1]
+                    )
+                    # two adds: v + drift + noise rounds as (v + drift) + noise
+                    v += p.kappa * (p.vbar - vp) * dt
+                    v += p.eps * sq * z[:, 0]
+                s[cols] = np.exp(x)
+                if return_variance:
+                    var[cols] = v
+            yield (s, var) if return_variance else s
+
+    return rows()
+
+
+def _heston_bytes(n_paths):
+    """Bytes `_heston_rows` holds without return_variance: the row it builds
+    and the one its caller still holds, every block's log price and
+    variance, and one block's normals and step temporaries."""
+    return 8 * (4 * n_paths + 16 * min(n_paths, _PATH_BLOCK))
+
+
 def heston_simulate(
     p,
     times,
@@ -350,52 +416,16 @@ def heston_simulate(
     between them is split into n = ceil((hi - lo) / max_step) equal Euler
     steps, the i-th ending at lo + (hi - lo) i / n, the last exactly at hi.
     Each step's end is computed as it is taken, so memory does not grow with
-    the step count, and S is stored only at the requested times: returns
-    shape (len(times), n_paths), one row per time like `model.path_grid`, so
-    a terminal value is `heston_simulate(p, [0.0, T], ...)[1]`.  With
+    the step count.  The rows are those of `_heston_rows`, collected: shape
+    (len(times), n_paths), one row per time like `model.path_grid`, so a
+    terminal value is `heston_simulate(p, [0.0, T], ...)[1]`.  With
     return_variance, returns (S, V) arrays of that shape.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
-        raise ValidationError("times must be 1-d, start at 0, have >= 2 points")
-    if np.any(np.diff(times) <= 0):
-        raise ValidationError("times must be strictly increasing")
-    if not max_step > 0:
-        raise ValidationError(f"max_step must be positive, got {max_step}")
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
-    rho_c = math.sqrt(1.0 - p.rho**2)
-    out = np.empty((times.size, n_paths))
-    var_out = np.empty((times.size, n_paths)) if return_variance else None
-    for block_id, start in enumerate(range(0, n_paths, _PATH_BLOCK)):
-        nb = min(_PATH_BLOCK, n_paths - start)
-        cols = slice(start, start + nb)
-        gen = driver.generator(*tags, block_id)
-        x = np.full(nb, math.log(p.s0))
-        v = np.full(nb, p.v0)
-        out[0, cols] = p.s0
-        if return_variance:
-            var_out[0, cols] = p.v0
-        for row, (lo, hi) in enumerate(zip(times, times[1:]), start=1):
-            n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
-            prev = lo
-            for i in range(1, n + 1):
-                end = hi if i == n else lo + (hi - lo) * i / n
-                dt = end - prev
-                prev = end
-                z = gen.standard_normal((nb, 2))
-                vp = np.maximum(v, 0.0)
-                sq = np.sqrt(vp * dt)
-                x += (p.r - p.q - 0.5 * vp) * dt + sq * (
-                    p.rho * z[:, 0] + rho_c * z[:, 1]
-                )
-                v = v + p.kappa * (p.vbar - vp) * dt + p.eps * sq * z[:, 0]
-            out[row, cols] = np.exp(x)
-            if return_variance:
-                var_out[row, cols] = v
-    if return_variance:
-        return out, var_out
-    return out
+    rows = _heston_rows(p, times, n_paths, driver, tags, return_variance, max_step)
+    out = np.empty((1 + return_variance, len(times), n_paths))  # S, then V
+    for i, row in enumerate(rows):
+        out[:, i] = row
+    return (out[0], out[1]) if return_variance else out[0]
 
 
 def _grid_position(times, t, what):
@@ -405,35 +435,77 @@ def _grid_position(times, t, what):
     return pos
 
 
+def _check_fold(model, n_times, n_paths, specs, reference):
+    """Raise ValidationError if `_exotic_fold` over n_times rows of n_paths
+    model paths, then of n_paths Heston paths if `reference`, would hold over
+    `model.MAX_BYTES`: the larger simulator's count (`_rows_bytes`,
+    `_heston_bytes`), the fold's running minimum, its start-date rows and a
+    payoff with two temporaries, and 48 bytes a time for the grid and the
+    walk's list of it."""
+    sim = _rows_bytes(model, n_times, n_paths)
+    if reference:
+        sim = max(sim, _heston_bytes(n_paths))
+    starts = {s.tau for s in specs if isinstance(s, ForwardStartCall) and s.strike is None}
+    fold = 8 * n_paths * (4 + len(starts))
+    _check_held(sim + fold + 48 * n_times, n_times, n_paths)
+
+
+def _exotic_fold(rows, times, specs):
+    """Mean payoff and standard error of each exotic, folding the rows of S at
+    `times`, one per time in time order, into the payoffs as they come.
+
+    The fold holds one running minimum for every barrier and lookback, S at
+    each start date a forward start reads, and a contract's payoff at its
+    maturity row, which it reduces to (price, SE) there.
+    Monitoring (barrier crossing, running minimum) is discrete on exactly
+    these times.  Minima are exact, so every payoff is that of the whole
+    path array, bit for bit.
+    """
+    times = np.asarray(times, dtype=float)
+    due = {}  # row -> contracts that mature at it
+    start_row = {}  # forward start with a strike ratio -> its start-date row
+    for j, spec in enumerate(specs):
+        i_mat = _grid_position(times, spec.maturity, "maturity")
+        if not isinstance(spec, (ForwardStartCall, DownAndOutCall, LookbackCall)):
+            raise ValidationError(f"unknown exotic spec {type(spec).__name__}")
+        if isinstance(spec, ForwardStartCall) and spec.strike is None:
+            start_row[j] = _grid_position(times, spec.tau, "start date")
+        due.setdefault(i_mat, []).append(j)
+    out = [None] * len(specs)
+    low, starts = None, {}
+    for i, s_t in enumerate(rows):
+        low = np.array(s_t) if low is None else np.minimum(low, s_t, out=low)
+        if i in start_row.values():
+            starts[i] = s_t
+        for j in due.get(i, ()):
+            spec = specs[j]
+            if isinstance(spec, ForwardStartCall):
+                if spec.strike is not None:
+                    payoff = np.maximum(s_t - spec.strike, 0.0)
+                else:
+                    payoff = np.maximum(s_t - spec.strike_ratio * starts[start_row[j]],
+                                        0.0)
+            elif isinstance(spec, DownAndOutCall):
+                payoff = np.maximum(s_t - spec.strike, 0.0) * (low > spec.barrier)
+            else:
+                payoff = s_t - low
+            if payoff.size < 2:
+                raise ValidationError("a standard error needs at least 2 paths")
+            out[j] = (float(payoff.mean()),
+                      float(payoff.std(ddof=1) / math.sqrt(payoff.size)))
+    return out
+
+
 def exotic_mc_price(paths, times, spec):
     """Mean payoff and standard error of an exotic on simulated paths.
 
     paths has shape (len(times), n_paths), one row per monitoring time as
-    `heston_simulate` and `model.path_grid` return them; monitoring (barrier
-    crossing, running minimum) is discrete on exactly these times.
+    `heston_simulate` and `model.path_grid` return them; the price is that of
+    `_exotic_fold` over its rows.
     """
     paths = np.asarray(paths, dtype=float)
     times = np.asarray(times, dtype=float)
     if paths.ndim != 2 or paths.shape[0] != times.size:
         raise ValidationError(f"paths must be (len(times), n_paths) with "
                               f"{times.size} times, got shape {paths.shape}")
-    i_mat = _grid_position(times, spec.maturity, "maturity")
-    s_t = paths[i_mat]
-    if isinstance(spec, ForwardStartCall):
-        if spec.strike is not None:
-            payoff = np.maximum(s_t - spec.strike, 0.0)
-        else:
-            i_tau = _grid_position(times, spec.tau, "start date")
-            payoff = np.maximum(s_t - spec.strike_ratio * paths[i_tau], 0.0)
-    elif isinstance(spec, DownAndOutCall):
-        alive = paths[: i_mat + 1].min(axis=0) > spec.barrier
-        payoff = np.maximum(s_t - spec.strike, 0.0) * alive
-    elif isinstance(spec, LookbackCall):
-        payoff = s_t - paths[: i_mat + 1].min(axis=0)
-    else:
-        raise ValidationError(f"unknown exotic spec {type(spec).__name__}")
-    if payoff.size < 2:
-        raise ValidationError("a standard error needs at least 2 paths")
-    price = float(payoff.mean())
-    se = float(payoff.std(ddof=1) / math.sqrt(payoff.size))
-    return price, se
+    return _exotic_fold(paths, times, [spec])[0]

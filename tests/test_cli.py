@@ -758,9 +758,12 @@ class TestBadInput:
             "config.json: model section: expected a JSON object"),
         "calibrate negative seed": ("calibrate", {"seed": "-1"},
                                     "key 'seed' must be nonnegative, got -1"),
-        "price negative seed": ("price", {"seed": "-1"}, "seed must be"),
-        "evaluate negative seed": ("evaluate", {"seed": "-1"}, "seed must be"),
-        "exotics negative seed": ("exotics", {"seed": "-1"}, "seed must be"),
+        "price negative seed": ("price", {"seed": "-1"},
+                                "key 'seed' must be a nonnegative integer, got -1"),
+        "evaluate negative seed": ("evaluate", {"seed": "-1"},
+                                   "key 'seed' must be a nonnegative integer, got -1"),
+        "exotics negative seed": ("exotics", {"seed": "-1"},
+                                  "key 'seed' must be a nonnegative integer, got -1"),
         "evaluate schedule one beta sample": (
             "evaluate", {"schedule": json.dumps({"default": {
                 "kind": "mc", "cv_degree": 2, "beta_samples": 1}})},
@@ -1056,8 +1059,8 @@ class TestBadInput:
         def simulate(*args, **kwargs):
             raise AssertionError("paths simulated before the inputs were checked")
 
-        monkeypatch.setattr(cli, "path_grid", simulate)
-        monkeypatch.setattr(cli, "heston_simulate", simulate)
+        monkeypatch.setattr(cli, "_path_rows", simulate)
+        monkeypatch.setattr(cli, "_heston_rows", simulate)
         argv = self.argv(tmp_path, "exotics", bad)
         assert main(argv) == 2
 

@@ -697,7 +697,8 @@ _THREADS_SCRIPT = textwrap.dedent("""
 
 
 class TestByteBound:
-    """The pre-flight byte counts bound what pricing and `path_grid` hold."""
+    """The pre-flight byte counts bound what pricing, `path_grid` and the
+    exotics fold hold."""
 
     @staticmethod
     def peak(run):
@@ -761,6 +762,44 @@ class TestByteBound:
         monkeypatch.setattr(model_module, "MAX_BYTES", peak - 1)
         with pytest.raises(ValidationError, match=r"need \d+ bytes"):
             model_module._check_grid(model, len(times), n_paths)
+
+    # 70000 paths are two blocks of the Heston reference
+    @pytest.mark.parametrize("with_reference", [False, True])
+    @pytest.mark.parametrize("n_paths", [3_000, 70_000])
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_exotics_fold_peak_within_the_bound(self, monkeypatch, kind, n_paths,
+                                                with_reference):
+        from chaoscal import reference
+        from chaoscal.vol import DownAndOutCall, ForwardStartCall, LookbackCall
+
+        model, _ = block_model(kind)
+        params = reference.HestonParams(100.0, 1.5, 0.04, 0.5, -0.7, 0.04)
+        times = np.linspace(0.0, 1.0, 17)
+        specs = [ForwardStartCall(0.5, 1.0, strike_ratio=1.0),
+                 DownAndOutCall(1.0, 100.0, 85.0), LookbackCall(1.0)]
+
+        def run():  # as `exotics` runs them: the model's fold, then the reference's
+            reference._exotic_fold(model_module._path_rows(model, times, n_paths,
+                                                           BrownianDriver(3)), times, specs)
+            if with_reference:
+                reference._exotic_fold(reference._heston_rows(params, times, n_paths,
+                                                              BrownianDriver(3)), times, specs)
+
+        peak = self.peak(run)
+        monkeypatch.setattr(model_module, "MAX_BYTES", peak - 1)
+        with pytest.raises(ValidationError, match=r"need \d+ bytes"):
+            reference._check_fold(model, len(times), n_paths, specs, with_reference)
+
+    def test_exotics_count_does_not_grow_with_the_grid_rows(self):
+        # a year of daily monitoring at 1M paths: 2.9 GB as a path array,
+        # about 0.26 GB as a fold
+        from chaoscal import reference
+        from chaoscal.vol import LookbackCall
+
+        model, _ = block_model("piecewise")
+        reference._check_fold(model, 366, 1_000_000, [LookbackCall(1.0)], True)
+        with pytest.raises(ValidationError, match=r"need \d+ bytes"):
+            model_module._check_grid(model, 366, 1_000_000)
 
     def test_evaluation_counts_one_maturity_at_a_time(self):
         # 40 maturities x 40 strikes under the default schedule: about 44 MB

@@ -9,13 +9,15 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import gamma as gamma_fn
 
 from chaoscal import reference
-from chaoscal.bases import BrownianDriver
+from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis
 from chaoscal.errors import (
     ConfigError,
     ExplosionError,
     IntegrationError,
     ValidationError,
 )
+from chaoscal.indices import enumerate_indices
+from chaoscal.model import ChaosModel, path_grid
 from chaoscal.reference import (
     HestonParams,
     RoughHestonParams,
@@ -571,3 +573,111 @@ class TestExoticMc:
         # five paths laid out (n_paths, len(times)): that layout is refused
         with pytest.raises(ValidationError, match=r"\(len\(times\), n_paths\)"):
             exotic_mc_price(np.full((5, grid.size), 100.0), grid, LookbackCall(1.0))
+
+
+def whole_array_price(paths, times, spec):
+    """(price, SE) from the whole (len(times), n_paths) array: each payoff
+    read off its rows, the minima over every row up to the maturity."""
+    i_mat = int(np.searchsorted(times, spec.maturity))
+    s_t, low = paths[i_mat], paths[: i_mat + 1].min(axis=0)
+    if isinstance(spec, ForwardStartCall) and spec.strike is None:
+        s_tau = paths[int(np.searchsorted(times, spec.tau))]
+        payoff = np.maximum(s_t - spec.strike_ratio * s_tau, 0.0)
+    elif isinstance(spec, ForwardStartCall):
+        payoff = np.maximum(s_t - spec.strike, 0.0)
+    elif isinstance(spec, DownAndOutCall):
+        payoff = np.maximum(s_t - spec.strike, 0.0) * (low > spec.barrier)
+    else:
+        payoff = s_t - low
+    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(payoff.size))
+
+
+def block_major_heston(p, times, n_paths, driver, tags, max_step=1.0 / 250.0):
+    """(S, V) of `heston_simulate` with each block of paths stepped through
+    every time before the next block starts."""
+    s, v_out = np.empty((2, len(times), n_paths))
+    rho_c = math.sqrt(1.0 - p.rho**2)
+    for block_id, start in enumerate(range(0, n_paths, reference._PATH_BLOCK)):
+        cols = slice(start, min(start + reference._PATH_BLOCK, n_paths))
+        gen = driver.generator(*tags, block_id)
+        x = np.full(cols.stop - start, math.log(p.s0))
+        v = np.full(cols.stop - start, p.v0)
+        s[0, cols], v_out[0, cols] = p.s0, p.v0
+        for row, (lo, hi) in enumerate(zip(times, times[1:]), start=1):
+            n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
+            prev = lo
+            for i in range(1, n + 1):
+                end = hi if i == n else lo + (hi - lo) * i / n
+                dt, prev = end - prev, end
+                z = gen.standard_normal((len(x), 2))
+                vp = np.maximum(v, 0.0)
+                sq = np.sqrt(vp * dt)
+                x += (p.r - p.q - 0.5 * vp) * dt + sq * (p.rho * z[:, 0] + rho_c * z[:, 1])
+                v = v + p.kappa * (p.vbar - vp) * dt + p.eps * sq * z[:, 0]
+            s[row, cols], v_out[row, cols] = np.exp(x), v
+    return s, v_out
+
+
+class TestExoticFold:
+    """Exotics fold each simulated row into the payoffs as it comes; every
+    price and SE has the bits of the whole path array."""
+
+    TIMES = np.union1d(np.linspace(0.0, 1.0, 17), [0.3, 0.7])
+    SPECS = [ForwardStartCall(0.3, 0.7, strike_ratio=1.0),
+             ForwardStartCall(0.3, 1.0, strike_ratio=1.05),  # shares the start row
+             ForwardStartCall(0.5, 1.0, strike=101.0),
+             DownAndOutCall(0.7, 100.0, 90.0), DownAndOutCall(1.0, 95.0, 85.0),
+             LookbackCall(0.5), LookbackCall(1.0)]
+
+    @staticmethod
+    def chaos_model(kind):
+        basis, d = ((PiecewiseConstantBasis.uniform(1.0, 4), 2) if kind == "piecewise"
+                    else (LegendreBasis(1.0, 4), 1))
+        n = len(enumerate_indices(2, 4, d))
+        theta = 20.0 * np.random.default_rng(31).standard_normal(n) / np.sqrt(n)
+        return ChaosModel(100.0, 2, 4, d, basis, theta)
+
+    def assert_fold_is_the_array(self, rows, paths):
+        got = reference._exotic_fold(rows, self.TIMES, self.SPECS)
+        want = [whole_array_price(paths, self.TIMES, spec) for spec in self.SPECS]
+        assert got == want
+        assert got == [exotic_mc_price(paths, self.TIMES, spec) for spec in self.SPECS]
+
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_model_rows(self, kind):
+        from chaoscal.model import _path_rows
+
+        model = self.chaos_model(kind)
+        paths = path_grid(model, self.TIMES, 5003, BrownianDriver(8), tags=(7001,))
+        self.assert_fold_is_the_array(
+            _path_rows(model, self.TIMES, 5003, BrownianDriver(8), tags=(7001,)), paths)
+
+    def test_heston_rows_over_two_blocks(self):
+        n = reference._PATH_BLOCK + 1000
+        paths = heston_simulate(P, self.TIMES, n, BrownianDriver(8), tags=(7002,))
+        rows = reference._heston_rows(P, self.TIMES, n, BrownianDriver(8), tags=(7002,))
+        self.assert_fold_is_the_array(rows, paths)
+
+    def test_heston_rows_step_each_block_as_alone(self, monkeypatch):
+        monkeypatch.setattr(reference, "_PATH_BLOCK", 64)  # three blocks, one short
+        s, v = block_major_heston(P, self.TIMES, 150, BrownianDriver(9), (3,))
+        s_sim, v_sim = heston_simulate(P, self.TIMES, 150, BrownianDriver(9), tags=(3,),
+                                       return_variance=True)
+        np.testing.assert_array_equal(s_sim, s)
+        np.testing.assert_array_equal(v_sim, v)
+        np.testing.assert_array_equal(
+            heston_simulate(P, self.TIMES, 150, BrownianDriver(9), tags=(3,)), s)
+        rows = reference._heston_rows(P, self.TIMES, 150, BrownianDriver(9), (3,), True)
+        for i, (s_row, v_row) in enumerate(rows):
+            np.testing.assert_array_equal(s_row, s[i])
+            np.testing.assert_array_equal(v_row, v[i])
+        assert i == len(self.TIMES) - 1
+
+    def test_fold_checks_the_grid_before_reading_a_row(self):
+        def rows():
+            raise AssertionError("a row was read before the grid was checked")
+            yield
+
+        specs = [LookbackCall(1.0), ForwardStartCall(0.2, 1.0, strike_ratio=1.0)]
+        with pytest.raises(ConfigError, match="start date 0.2 "):
+            reference._exotic_fold(rows(), self.TIMES, specs)
