@@ -26,9 +26,9 @@ dropped; these matrices and the quadrature nodes live in one cache per
 fit, keyed by (maturity, PricingMethod).  Optimization streams carry a
 constant tag (layout in `pricing._maturity_groups`), so metrics computed
 through `price_surface` come from streams the optimizer never saw.  Every
-pass over a workspace is one history row, and max_iterations also caps the
-rows.  A fit in which no pass improved on the starting loss warns that it
-returns its start.
+history row is one pass, one pricing of a workspace at one theta, and
+max_iterations and patience count these rows.  A fit in which no pass
+improved on the starting loss warns that it returns its start.
 
 * "gauss_newton" (default) minimizes the ridge objective
   L(theta) + mu |theta|^2, mu = 1e-3 * weight_decay, by Levenberg-Marquardt
@@ -40,9 +40,9 @@ returns its start.
 
   and prices theta + delta with one loss pass: a step that lowers the ridge
   objective is accepted and lambda divided by 3, otherwise lambda is
-  multiplied by 4.  The loss pass keeps each maturity's S_T, so the
-  Jacobian at an accepted step reads them rather than recomputing
-  features @ theta; it still writes its own history row.  The floor in D
+  multiplied by 4.  The loss pass hands each maturity's S_T to the
+  Jacobian at an accepted step, which reads them rather than recomputing
+  features @ theta and writes no row of its own.  The floor in D
   bounds the step of a coefficient whose curvature is tiny (one that few
   quotes see, with no ridge), where Marquardt's diag(H) alone lets it run
   away.  lambda starts at 1e-3 on each workspace, which takes three
@@ -65,7 +65,7 @@ returns its start.
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,14 +175,9 @@ def _call_target(quote, spot):
     return bs_call(spot, quote.strike, quote.maturity, quote.implied_vol, r, div)
 
 
-@dataclass
-class CalibrationWorkspace:
-    groups: list = field(default_factory=list)
-    priced: tuple = None  # (theta, S_T per group) of the last loss pass
-
-
 def build_workspace(model, quotes, weights, schedule, driver, tags=(), cache=None):
-    """Freeze streams, features and CV betas for a stretch of iterations.
+    """Freeze streams, features and CV betas for a stretch of iterations;
+    the workspace is the list of calibration groups, one per maturity.
 
     CV betas are estimated at the model's current coefficients and treated
     as constants until the next resimulation.  The surface is checked
@@ -197,53 +192,44 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), cache=Non
         raise ValidationError(
             f"weights shape {weights.shape} != number of quotes ({len(qs)},)"
         )
-    ws = CalibrationWorkspace()
     spot = getattr(quotes, "spot", model.s0)
     prefix = tuple(tags) + (_CAL_TAG,)
+    ws = []
     for g in _maturity_groups(model, quotes, schedule, driver, prefix, cache,
                               features=True):
         targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
         gweights = weights[g.rows] * g.scale**2
-        ws.groups.append(replace(g, targets=targets, gweights=gweights))
+        ws.append(replace(g, targets=targets, gweights=gweights))
     return ws
 
 
-def workspace_loss(ws, theta, with_gradient=False):
-    """Loss (and its gradient) of the frozen workspace at coefficients theta.
-
-    The loss alone is one pricing pass per maturity, which keeps each
-    maturity's S_T in `ws.priced` for `_normal_equations` at the same theta;
-    the gradient is -2 J^T Gamma r from `_normal_equations`, the price
-    Jacobian that Gauss-Newton steps with.
+def workspace_loss(ws, theta, kept=None):
+    """Loss of the frozen workspace at coefficients theta: one pricing pass
+    per maturity.  Each maturity's S_T is appended to the list `kept`, if
+    one is given, for `_normal_equations` at the same theta.  The gradient
+    is -2 J^T Gamma r from `_normal_equations`.
     """
     theta = np.asarray(theta, dtype=float)
-    if with_gradient:
-        total, _, b = _normal_equations(ws, theta)
-        return total, -2.0 * b
-    ws.priced = None  # the last pass's S_T go before this pass draws its own
-    total, kept = 0.0, []
-    for g in ws.groups:
+    total = 0.0
+    for g in ws:
         s, pay, prices = _group_prices(g, theta)
         del pay  # freed before the next maturity's payoffs
-        kept.append(s)
+        if kept is not None:
+            kept.append(s)
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
-    ws.priced = theta.copy(), kept
     return total
 
 
-def _normal_equations(ws, theta):
+def _normal_equations(ws, theta, kept=None):
     """(loss, J^T Gamma J, J^T Gamma r) of the workspace at theta, with J the
     price Jacobian and r the residuals; the loss is `workspace_loss`'s, bit
-    for bit.  The S_T of a loss pass at this very theta are reused, since
-    recomputing them would give the same bits."""
+    for bit.  `kept`, the S_T that a `workspace_loss` pass at this very
+    theta kept, are read rather than recomputed, with the same bits."""
     total = 0.0
     a = np.zeros((len(theta), len(theta)))
     b = np.zeros(len(theta))
-    kept = [None] * len(ws.groups)
-    if ws.priced is not None and np.array_equal(ws.priced[0], theta):
-        kept = ws.priced[1]
-    for g, s in zip(ws.groups, kept):
+    for g, s in zip(ws, kept or [None] * len(ws)):
         prices, jac = _group_jacobian(g, theta, s)
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
@@ -261,7 +247,7 @@ def loss(model, quotes, weights, schedule, driver, tags=()):
 def loss_gradient(model, quotes, weights, schedule, driver, tags=()):
     """Analytic d loss / d theta on the same streams `loss` would use."""
     ws = build_workspace(model, quotes, weights, schedule, driver, tags=tags)
-    return workspace_loss(ws, model.coefficients, with_gradient=True)[1]
+    return -2.0 * _normal_equations(ws, model.coefficients)[2]
 
 
 def adamw_step(state, grad, cfg):
@@ -348,9 +334,10 @@ def _adamw(workspace, theta, cfg, log):
     for it in range(cfg.max_iterations):
         resim = it % cfg.resim_every == 0
         if resim:
-            ws = None  # release the old feature blocks before resampling
+            ws = None  # the old groups' path weights and CV betas go first
             ws = workspace(it // cfg.resim_every, state.theta)
-        loss_val, grad = workspace_loss(ws, state.theta, with_gradient=True)
+        loss_val, _, b = _normal_equations(ws, state.theta)
+        grad = -2.0 * b
         if it == 0:
             _warn_if_frozen(loss_val, grad, cfg)
         if not log.record(loss_val, state.theta, resim, True):
@@ -371,7 +358,8 @@ def _gauss_newton_round(ws, theta, loss_val, a, b, mu, log):
         # with no curvature at all (a frozen start, no ridge) any floor will do
         damp = curv + _GN_FLOOR * (curv.max() or 1.0)
         trial = theta + np.linalg.solve(hess + lam * np.diag(damp), b - mu * theta)
-        trial_loss = workspace_loss(ws, trial)
+        kept = []
+        trial_loss = workspace_loss(ws, trial, kept)
         go = log.record(trial_loss, trial, False, False)
         trial_objective = trial_loss + mu * float(trial @ trial)
         if trial_objective < objective:
@@ -379,8 +367,7 @@ def _gauss_newton_round(ws, theta, loss_val, a, b, mu, log):
             accepted += 1
             if accepted == _GN_STEPS or not go:
                 break
-            loss_val, a, b = _normal_equations(ws, theta)
-            go = log.record(loss_val, theta, False, False)
+            _, a, b = _normal_equations(ws, theta, kept)
         else:
             lam *= 4.0
         if not go:
@@ -396,7 +383,7 @@ def _gauss_newton(workspace, theta, cfg, log):
     mu = _GN_RIDGE * cfg.weight_decay
     moved = False
     for r in range(-(-cfg.max_iterations // cfg.resim_every)):
-        ws = None  # release the old feature blocks before resampling
+        ws = None  # the old groups' path weights and CV betas go first
         ws = workspace(r, theta)
         loss_val, a, b = _normal_equations(ws, theta)
         if r == 0:
@@ -418,9 +405,11 @@ def calibrate(model0, quotes, cfg, schedule):
     `cfg.optimizer` picks damped Gauss-Newton (default) or AdamW (see the
     module docstring).  Both draw ceil(max_iterations / resim_every)
     workspaces, tagged (r,), at the current coefficients, and write one
-    history row per pass over a workspace.  A fit stops after max_iterations
-    rows, after the last workspace, or by patience (no improvement beyond
-    cfg.tol, absolute, within cfg.patience rows); Gauss-Newton then prices
+    history row per pass, one pricing of a workspace at one theta; the
+    Jacobian at an accepted Gauss-Newton step reads its trial's S_T and
+    writes no row.  A fit stops after max_iterations rows, after the last
+    workspace, or by patience (no improvement beyond cfg.tol, absolute,
+    within cfg.patience rows); Gauss-Newton then prices
     coefficients that moved since their last candidate pass on workspace
     (r + 1,).  On error the partial history is attached to the exception as
     `.history`.

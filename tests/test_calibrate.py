@@ -274,7 +274,7 @@ class TestSharedPricingPath:
         driver = BrownianDriver(5)
         ws = build_workspace(model, quotes, np.ones(15), self.MC, driver, tags=(4,))
         evaluated = pricing._maturity_groups(model, quotes, self.MC, driver, (7,))
-        for prefix, groups in (((4, 3233), ws.groups), ((7,), evaluated)):
+        for prefix, groups in (((4, 3233), ws), ((7,), evaluated)):
             for mi, g in enumerate(groups):
                 block = sample_features(model, g.maturity, 2000, driver,
                                         tags=prefix + (mi, 0))
@@ -318,46 +318,66 @@ class TestFitBuffers:
                             lambda f, theta: products.append(len(f)) or real(f, theta))
         return products
 
-    def test_normal_equations_reuse_s_t_only_at_the_loss_pass_theta(self, monkeypatch):
+    def test_normal_equations_read_the_s_t_a_loss_pass_kept(self, monkeypatch):
+        # handed the S_T that a loss pass at theta kept, the normal equations
+        # at theta form no S_T product and equal fresh ones bit for bit
         model, quotes = self.case()
-        theta = model.coefficients
-
-        def fresh():
-            return build_workspace(model, quotes, np.ones(6), self.MC, BrownianDriver(5))
-
-        want = {step: _normal_equations(fresh(), theta + step) for step in (0.0, 0.5)}
+        ws = build_workspace(model, quotes, np.ones(6), self.MC, BrownianDriver(5))
         products = self.count_products(monkeypatch)
-        moved = theta.copy()
-        # (theta of the loss pass, theta of the normal equations, its shift
-        # from the model's, S_T products they need)
-        for prior, at, step, n_products in ((theta, theta, 0.0, 0),
-                                            (theta + 0.5, theta, 0.0, 2),
-                                            (moved, moved, 0.5, 2)):
-            ws = fresh()
-            workspace_loss(ws, prior)
-            if prior is moved:
-                moved += 0.5  # in place: the pass must have kept a copy
+        for theta in (model.coefficients, model.coefficients + 0.5):
+            want = _normal_equations(ws, theta)
+            kept = []
+            loss_val = workspace_loss(ws, theta, kept)
+            assert len(kept) == len(self.MATS)
             products.clear()
-            got = _normal_equations(ws, at)
-            assert len(products) == n_products
-            for a, b in zip(got, want[step]):
+            got = _normal_equations(ws, theta, kept)
+            assert products == []
+            assert got[0] == loss_val
+            for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
-    def test_gauss_newton_prices_each_accepted_step_once(self, monkeypatch):
-        # each row is a loss pass, a workspace's first Jacobian, or the
-        # Jacobian at an accepted step, which repeats the step's loss row and
-        # reads its S_T
+    def fit_case(self):
         truth = make_model([10.0, 3.0, -1.0, 0.5, 2.0])
         quotes = surface_from_model(truth, self.MATS, [95.0, 100.0, 105.0], QUAD,
                                     BrownianDriver(31))
         cfg = CalibrationConfig(max_iterations=45, resim_every=15, seed=7)
         model0 = truth.with_coefficients(initial_coefficients(5, cfg) * truth.s0)
+        return model0, quotes, cfg, self.MC
+
+    def test_gauss_newton_prices_each_row_once(self, monkeypatch):
+        # each row is one pass, a loss pass or a workspace's first Jacobian;
+        # the Jacobian at an accepted step reads its trial's S_T and writes
+        # no row, so no row repeats the loss of the row before it
+        case = self.fit_case()
         products = self.count_products(monkeypatch)
-        _, history = calibrate(model0, quotes, cfg, self.MC)
-        repeats = sum(not (a.resimulated or b.resimulated) and a.loss == b.loss
-                      for a, b in zip(history, history[1:]))
-        assert repeats > 0
-        assert len(products) == (len(history) - repeats) * len(self.MATS)
+        _, history = calibrate(*case)
+        assert history[-1].best_loss < history[0].loss
+        assert not any(not (a.resimulated or b.resimulated) and a.loss == b.loss
+                       for a, b in zip(history, history[1:]))
+        assert len(products) == len(history) * len(self.MATS)
+
+    def test_every_row_is_a_first_pass_or_a_workspace_loss_call(self, monkeypatch):
+        # what a tracer sees through the module attributes: each row is a
+        # workspace's first normal equations or one workspace_loss call, and
+        # the normal equations at an accepted step take that call's S_T
+        case = self.fit_case()
+        module = sys.modules["chaoscal.calibrate"]
+        real_loss, real_normal = module.workspace_loss, module._normal_equations
+        first, handed, losses = [], [], []
+
+        def counted_loss(ws, theta, kept=None):
+            losses.append(theta)
+            return real_loss(ws, theta, kept)
+
+        def counted_normal(ws, theta, kept=None):
+            (first if kept is None else handed).append(kept)
+            return real_normal(ws, theta, kept)
+
+        monkeypatch.setattr(module, "workspace_loss", counted_loss)
+        monkeypatch.setattr(module, "_normal_equations", counted_normal)
+        _, history = calibrate(*case)
+        assert len(history) == len(first) + len(losses)
+        assert handed and all(len(kept) == len(self.MATS) for kept in handed)
 
     def test_successive_workspaces_redraw_one_buffer(self, monkeypatch):
         truth, quotes = self.case()
@@ -368,7 +388,7 @@ class TestFitBuffers:
         def spy(*args, tags=(), **kwargs):
             ws = real_build(*args, tags=tags, **kwargs)
             seen.append((tags, [(g.features, g.features.copy(), g.live)
-                                for g in ws.groups]))
+                                for g in ws]))
             return ws
 
         monkeypatch.setattr(module, "build_workspace", spy)
@@ -399,8 +419,8 @@ class TestLossGradient:
         )
         w = np.array([0.7, 1.3])
         ws = build_workspace(model, quotes, w, mc, driver, tags=(0,))
-        got_loss, got = workspace_loss(ws, model.coefficients, with_gradient=True)
-        g = ws.groups[0]
+        got = -2.0 * _normal_equations(ws, model.coefficients)[2]
+        g = ws[0]
         s = g.s0 + g.features @ model.coefficients
         assert (s[None, :] > g.strikes[:, None]).all()
         prices = np.maximum(s[None, :] - g.strikes[:, None], 0.0) @ g.weights
@@ -430,11 +450,11 @@ class TestLossGradient:
             q.mid_price = bs_call(100.0, q.strike, q.maturity, 0.2, r, divy)
         w = vega_weights(quotes)
         ws = build_workspace(model, quotes, w, schedule, driver, tags=(0,))
-        val, grad = workspace_loss(ws, theta, with_gradient=True)
+        grad = -2.0 * _normal_equations(ws, theta)[2]
         h = 1e-6
         for i in range(len(theta)):
             flips = 0.0
-            for g in ws.groups:
+            for g in ws:
                 s = g.s0 + g.features @ theta
                 near = (
                     np.abs(s[None, :] - g.strikes[:, None])
@@ -465,10 +485,10 @@ class TestLossGradient:
         ])
         ws = build_workspace(model, quotes, np.ones(9), schedule,
                              BrownianDriver(13), tags=(0,))
-        assert [g.m2c is not None for g in ws.groups] == [False, True, True]
+        assert [g.m2c is not None for g in ws] == [False, True, True]
         h = 1e-6
         checked = 0
-        for g in ws.groups:
+        for g in ws:
             prices, jac = pricing._group_jacobian(g, theta)
             np.testing.assert_array_equal(prices, pricing._group_prices(g, theta)[2])
             s = g.s0 + g.features @ theta
@@ -504,10 +524,11 @@ class TestLossGradient:
         ws = build_workspace(model, quotes, np.linspace(0.5, 1.5, 9), schedule,
                              BrownianDriver(13), tags=(0,))
         if schedule.default.kind == "mc":
-            assert all(g.m2c is not None for g in ws.groups)
-        val, got = workspace_loss(ws, theta, with_gradient=True)
+            assert all(g.m2c is not None for g in ws)
+        val, _, b = _normal_equations(ws, theta)
+        got = -2.0 * b
         want = np.zeros_like(theta)
-        for g in ws.groups:
+        for g in ws:
             prices, jac = pricing._group_jacobian(g, theta)
             want -= 2.0 * jac.T @ (g.gweights * (g.targets - prices))
         assert val == workspace_loss(ws, theta)
@@ -529,10 +550,10 @@ class TestLossGradient:
         theta = model.coefficients
         dead = np.array([a.exponents[1] > 0 for a in model.indices])
         assert 0 < dead.sum() < len(dead)
-        np.testing.assert_array_equal(ws.groups[0].live, np.flatnonzero(~dead))
-        np.testing.assert_array_equal(ws.groups[1].live, np.arange(len(dead)))
+        np.testing.assert_array_equal(ws[0].live, np.flatnonzero(~dead))
+        np.testing.assert_array_equal(ws[1].live, np.arange(len(dead)))
         jacs = []
-        for g in ws.groups:
+        for g in ws:
             jac = pricing._group_jacobian(g, theta)[1]
             # the plain per-strike form: features^T v_k plus the CV moment
             # term, on the full-width feature matrix
@@ -847,7 +868,7 @@ class TestCalibrate:
         theta = np.array([5.0])
         losses = [workspace_loss(ws, theta)]
         for _ in range(300):
-            _, grad = workspace_loss(ws, theta, with_gradient=True)
+            grad = -2.0 * _normal_equations(ws, theta)[2]
             theta = theta - 1000.0 * grad
             losses.append(workspace_loss(ws, theta))
         assert all(b < a + 1e-15 for a, b in zip(losses, losses[1:]))
@@ -875,14 +896,14 @@ class TestCalibrate:
         real_loss = module.workspace_loss
         calls = []
 
-        def failing(ws, theta, with_gradient=False):
+        def failing(ws, theta, kept=None):
             calls.append(theta)
-            return np.nan if len(calls) == 2 else real_loss(ws, theta, with_gradient)
+            return np.nan if len(calls) == 2 else real_loss(ws, theta, kept)
 
         monkeypatch.setattr(module, "workspace_loss", failing)
-        with pytest.raises(OptimizerError, match="non-finite loss at iteration 3") as err:
+        with pytest.raises(OptimizerError, match="non-finite loss at iteration 2") as err:
             calibrate(model0, quotes, cfg, QUAD)
-        assert len(err.value.history) == 3
+        assert len(err.value.history) == 2
 
     def test_frozen_gradient_warns_at_iteration_0(self):
         # strikes 20-30% out of the money, a start spread of 1e-8 of spot:

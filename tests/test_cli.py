@@ -364,14 +364,14 @@ class TestCalibrateCli:
 
     def test_gauss_newton_failure_exits_3_and_keeps_partial_history(
             self, calibrated, tmp_path, capsys, monkeypatch):
-        # the second trial step prices to NaN, after three good passes
+        # the second trial step prices to NaN, after two good passes
         module = sys.modules["chaoscal.calibrate"]
         real_loss = module.workspace_loss
         calls = []
 
-        def failing(ws, theta, with_gradient=False):
+        def failing(ws, theta, kept=None):
             calls.append(theta)
-            return np.nan if len(calls) == 2 else real_loss(ws, theta, with_gradient)
+            return np.nan if len(calls) == 2 else real_loss(ws, theta, kept)
 
         monkeypatch.setattr(module, "workspace_loss", failing)
         config = write_json(tmp_path / "c.json", {
@@ -382,8 +382,8 @@ class TestCalibrateCli:
                    "--config", config, "--schedule", calibrated["schedule"],
                    "--out", str(tmp_path / "m.json"), "--history", str(history)])
         assert rc == 3
-        assert "non-finite loss at iteration 3" in capsys.readouterr().err
-        assert len(read_rows(history)) == 3
+        assert "non-finite loss at iteration 2" in capsys.readouterr().err
+        assert len(read_rows(history)) == 2
 
 
 class TestPriceEvaluate:

@@ -743,12 +743,13 @@ class TestByteBound:
             q.mid_price = 5.0
         sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, beta_samples=2_000))
 
-        def fit_pass():  # a trial's loss pass keeps S_T for the Jacobian after it
+        def fit_pass():  # a trial's loss pass hands its S_T to the Jacobian after it
             ws = build_workspace(model, quotes, np.ones(len(quotes.quotes)), sched,
                                  BrownianDriver(3))
             _normal_equations(ws, model.coefficients)
-            workspace_loss(ws, model.coefficients)
-            _normal_equations(ws, model.coefficients)
+            kept = []
+            workspace_loss(ws, model.coefficients, kept)
+            _normal_equations(ws, model.coefficients, kept)
 
         self.assert_bound_covers(monkeypatch, model, quotes, sched, self.peak(fit_pass),
                                  True)
