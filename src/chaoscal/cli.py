@@ -93,17 +93,18 @@ def cmd_gen_surface(args):
                 f"{args.params}: key 'alpha' = {alpha} needs --model rough-heston; "
                 "--model heston prices classical Heston (alpha = 1)"
             )
-        price = lambda k, t: heston_lewis_price(params, k, t)
+        prices = heston_lewis_price(params, np.array(strikes), np.array(maturities))
     else:
         rp = _construct(args.params, RoughHestonParams, params,
                         0.75 if alpha is None else alpha)
-        cf = lambda u, t: rough_heston_cf(u, t, rp)
-        price = lambda k, t: lewis_call_price(cf, params.s0, k, t, params.r, params.q)
+        prices = lewis_call_price(lambda u, t: rough_heston_cf(u, t, rp), params.s0,
+                                  np.array(strikes), np.array(maturities),
+                                  params.r, params.q)
     quotes = []
-    for t in maturities:
+    for t, row in zip(maturities, prices):
         df = float(np.exp(-params.r * t))
         fwd = float(params.s0 * np.exp((params.r - params.q) * t))
-        for k, c in zip(strikes, price(np.array(strikes), t)):
+        for k, c in zip(strikes, row):
             c, bound = float(c), df * max(fwd - k, 0.0)
             if c < bound:
                 raise NumericError(

@@ -10,17 +10,19 @@ calibrated against.  Four pieces:
 
 * the Lewis call-price formula driven by any log-price characteristic
   function, integrated with an adaptive panel Gauss-Legendre rule and
-  doubling truncation.  All strikes of a maturity are priced in one
-  integration: every refinement level makes one CF call for all of them,
-  and each strike keeps its own panels, so its price has the bits it has
-  when priced alone;
+  doubling truncation.  A whole surface, strikes by maturities, is priced
+  in one integration: every refinement level makes one CF call for all of
+  it, and each (maturity, strike) pair keeps its own panels, so its price
+  has the bits it has when priced alone.  The tail blocks go before the
+  body, so a CF that explodes at high frequency fails at once;
 
 * the rough-Heston characteristic function via a fractional-Adams
   (predictor-corrector) solution of the Caputo Riccati equation
   D^alpha psi = R(w, psi), reduced exactly to classical Heston at alpha = 1.
   The Adams history sums run in numpy's own einsum loop, not BLAS, so the
   CF is bit-identical across BLAS thread counts and each frequency's value
-  does not depend on the others in its batch;
+  does not depend on the others in its batch.  Maturities whose solver
+  grids share a step share one solve, and each reads its prefix;
 
 * full-truncation Euler simulation of (X, V) and exotic payoff averaging on
   simulated paths.  The simulation takes the monitoring times, steps at most
@@ -58,6 +60,7 @@ _LEWIS_TOL = 1e-10
 _LEWIS_U_MAX = 200.0
 _EXPLOSION_THRESHOLD = 1e8
 _STEPS_PER_UNIT_TIME = 500
+_SOLVE_BYTES = 1 << 24  # psi and history of one rough-Heston solve chunk
 
 
 @dataclass(frozen=True)
@@ -192,49 +195,72 @@ def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0):
         C = S_0 e^{-qT} - (sqrt(K) e^{-rT} / pi)
             * int_0^inf Re[e^{-iu log K} cf(u - i/2, T)] / (u^2 + 1/4) du
 
-    cf(u, t) must accept a complex numpy array u.  k is a strike or a 1-d
-    array of strikes; a scalar gives a float and an array gives an array.
-    The CF does not depend on the strike, so all strikes share one
-    integration: each refinement level calls cf once, on the union of the
-    strikes' open panels, while every strike keeps its own panels and sum and
-    gets the price it would get alone.  The ray is truncated at _LEWIS_U_MAX
-    and doubled, strikes sharing each block [upper, 2 upper], until a
-    strike's last block contributes less than _LEWIS_TOL.
+    k is a strike or a 1-d array of strikes, t a maturity or a 1-d array of
+    maturities.  cf gets a complex numpy array u: with a scalar t it is
+    called as cf(u, t); with an array t as cf(u, ts), ts a 1-d array of some
+    of the maturities, and must return shape (len(ts), len(u)).  The price
+    has shape t.shape + k.shape, a float when both are scalars.
+
+    Every (maturity, strike) pair is one integrand of one integration: each
+    refinement level calls cf once, on the union of the pairs' open panels,
+    while every pair keeps its own panels and sum and gets the price it would
+    get alone.  The ray is truncated at _LEWIS_U_MAX and doubled, pairs
+    sharing each block [upper, 2 upper], until a pair's last block
+    contributes less than _LEWIS_TOL; a block's cf call asks only for the
+    maturities that still have such a pair.  The tail blocks are integrated
+    before the body [0, _LEWIS_U_MAX], since a CF that explodes does so at
+    high frequency first, and are added to it in order after it.
     """
     strikes = np.asarray(k, dtype=float)
+    mats = np.asarray(t, dtype=float)
     if strikes.ndim > 1 or strikes.size == 0:
         raise ValidationError("strike must be a number or a non-empty 1-d array")
-    if s0 <= 0 or t <= 0 or np.any(strikes <= 0):
+    if mats.ndim > 1 or mats.size == 0:
+        raise ValidationError("maturity must be a number or a non-empty 1-d array")
+    if s0 <= 0 or np.any(mats <= 0) or np.any(strikes <= 0):
         raise ValidationError("spot, strike and maturity must be positive")
     log_k = np.array([math.log(x) for x in strikes.ravel()])
 
-    def integrand(u, lk):
-        phi = cf(u - 0.5j, t)
-        return np.real(np.exp(-1j * u * lk[:, None]) * phi) / (u**2 + 0.25)
+    def integrand(u, pairs):
+        i_t, i_k = np.divmod(pairs, log_k.size)
+        asked = np.flatnonzero(np.bincount(i_t))  # maturities with a pair here
+        phi = cf(u - 0.5j, t) if mats.ndim == 0 else cf(u - 0.5j, mats[asked])
+        phi = np.reshape(phi, (asked.size, u.size))[np.searchsorted(asked, i_t)]
+        return np.real(np.exp(-1j * u * log_k[i_k, None]) * phi) / (u**2 + 0.25)
 
-    total = adaptive_panel_integral(
-        lambda u: integrand(u, log_k), 0.0, _LEWIS_U_MAX, _LEWIS_TOL
-    )
-    live = np.arange(log_k.size)  # strikes whose tail has not yet decayed
+    every = np.arange(mats.size * log_k.size)  # pair i_t * len(k) + i_k
+    blocks = []  # (pairs whose tail has not yet decayed, their block integrals)
+    live = every
     upper = _LEWIS_U_MAX
     while live.size:
         block = adaptive_panel_integral(
-            lambda u: integrand(u, log_k[live]), upper, 2.0 * upper, _LEWIS_TOL
+            lambda u: integrand(u, live), upper, 2.0 * upper, _LEWIS_TOL
         )
-        total[live] += block
+        blocks.append((live, block))
         upper *= 2.0
         live = live[~(np.abs(block) < _LEWIS_TOL)]
         if live.size and upper > 1e7:
             raise IntegrationError("integration tail did not decay")
-    price = s0 * math.exp(-q * t) - (
-        np.sqrt(strikes) * math.exp(-r * t) / math.pi * total
+    total = adaptive_panel_integral(
+        lambda u: integrand(u, every), 0.0, _LEWIS_U_MAX, _LEWIS_TOL
     )
-    return float(price[0]) if strikes.ndim == 0 else price
+    for pairs, block in blocks:
+        total[pairs] += block
+    price = np.array([
+        s0 * math.exp(-q * x) - (np.sqrt(strikes) * math.exp(-r * x) / math.pi * row)
+        for x, row in zip(mats.ravel(), total.reshape(mats.size, -1))
+    ]).reshape(mats.shape + strikes.shape)
+    return float(price) if price.ndim == 0 else price
 
 
 def heston_lewis_price(p, k, t):
-    """Lewis price(s) under Heston parameters; k is a strike or a 1-d array."""
-    return lewis_call_price(lambda u, s: heston_cf(u, s, p), p.s0, k, t, p.r, p.q)
+    """Lewis price(s) under Heston parameters; k and t as in `lewis_call_price`."""
+    def cf(u, s):
+        if np.ndim(s) == 0:
+            return heston_cf(u, s, p)
+        return np.stack([heston_cf(u, x, p) for x in s])
+
+    return lewis_call_price(cf, p.s0, k, t, p.r, p.q)
 
 
 def _riccati_rhs(w, psi, p):
@@ -257,7 +283,10 @@ def rough_riccati_solve(u, rp, t_grid):
     """Fractional-Adams solution of D^alpha psi = R(w, psi), psi(0) = 0.
 
     u may be a scalar or an array; the history convolution is shared across
-    the batch.  Returns psi with shape (len(t_grid),) + u.shape.
+    the batch, and a scalar is solved as a batch of one, so a frequency gets
+    the same bits in any batch.  Returns psi with shape
+    (len(t_grid),) + u.shape.  psi at grid index k depends only on u, k and
+    the step, so a longer grid with the same step extends a shorter one.
     """
     u = np.asarray(u, dtype=complex)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -269,9 +298,9 @@ def rough_riccati_solve(u, rp, t_grid):
         raise ValidationError("time grid must be uniform and increasing")
     alpha = rp.alpha
     p = rp.heston
-    w = 1j * u
+    w = 1j * np.atleast_1d(u)
     n = t_grid.size - 1
-    psi = np.zeros((n + 1,) + u.shape, dtype=complex)
+    psi = np.zeros((n + 1,) + w.shape, dtype=complex)
     rhs = np.zeros_like(psi)
     rhs[0] = _riccati_rhs(w, psi[0], p)
     # Adams weights: predictor b_j and corrector a_j depend only on the lag
@@ -305,31 +334,63 @@ def rough_riccati_solve(u, rp, t_grid):
             raise ExplosionError(
                 f"Riccati solution exploded at t = {t_grid[k]:.6g}"
             )
-    return psi
+    return psi.reshape((n + 1,) + u.shape)
+
+
+def _trapezoid(y, x):
+    """np.trapezoid(y, x, axis=0) of a C-ordered (len(x), m) array, each
+    column summed in row order whatever m is: numpy's own sum goes pairwise
+    down a single column, and so gives a lone frequency other bits."""
+    v = np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0
+    return np.add.accumulate(v, out=v)[-1].copy()  # not a view that keeps v
 
 
 def rough_heston_cf(u, t, rp):
     """E[exp(iu log S_t)] for rough Heston via the Volterra Riccati equation.
 
     exp(iu x0 + kappa vbar int_0^t psi + V_0 int_0^t R(w, psi)), both
-    integrals by the trapezoid rule on the solver grid.
+    integrals by the trapezoid rule on the maturity's solver grid, n + 1
+    points from 0 to t with n = max(100, ceil(_STEPS_PER_UNIT_TIME t)).
+
+    t is a maturity, giving u.shape, or a 1-d array of them, giving
+    (len(t),) + u.shape.  Maturities whose grids have the same step (the
+    same bits of t_grid[1] - t_grid[0]) share one Riccati solve on the
+    longest of their grids, and each reads psi off its prefix: the bits are
+    those of a maturity priced alone.  The frequencies are solved in chunks,
+    so the solve's psi and right-hand-side history hold at most about
+    _SOLVE_BYTES.
     """
     u = np.asarray(u, dtype=complex)
-    if t < 0:
+    mats = np.asarray(t, dtype=float)
+    if mats.ndim > 1:
+        raise ValidationError("maturity must be a number or a 1-d array")
+    if np.any(mats < 0):
         raise ValidationError("time must be nonnegative")
     p = rp.heston
-    if t == 0:
-        out = np.exp(1j * u * math.log(p.s0))
-        return out if out.shape else complex(out)
-    n = max(100, int(math.ceil(_STEPS_PER_UNIT_TIME * t)))
-    t_grid = np.linspace(0.0, t, n + 1)
-    psi = rough_riccati_solve(u, rp, t_grid)
-    w = 1j * u
-    rhs = _riccati_rhs(w, psi, p)
-    int_psi = np.trapezoid(psi, t_grid, axis=0)
-    int_rhs = np.trapezoid(rhs, t_grid, axis=0)
-    x0 = math.log(p.s0) + (p.r - p.q) * t
-    out = np.exp(1j * u * x0 + p.kappa * p.vbar * int_psi + p.v0 * int_rhs)
+    flat = u.reshape(-1)
+    out = np.empty((mats.size, flat.size), dtype=complex)
+    groups = {}  # Adams step -> [(row of out, maturity, its grid)]
+    for i, x in enumerate(mats.ravel()):
+        if x == 0:
+            out[i] = np.exp(1j * flat * math.log(p.s0))
+            continue
+        grid = np.linspace(0.0, x, max(100, int(math.ceil(_STEPS_PER_UNIT_TIME * x))) + 1)
+        groups.setdefault(float(grid[1] - grid[0]), []).append((i, x, grid))
+    for members in groups.values():
+        longest = max((grid for _, _, grid in members), key=len)
+        chunk = max(1, _SOLVE_BYTES // (32 * longest.size))
+        for lo in range(0, flat.size, chunk):
+            uc = flat[lo : lo + chunk]
+            psi = rough_riccati_solve(uc, rp, longest)
+            rhs = _riccati_rhs(1j * uc, psi, p)
+            for i, x, grid in members:
+                int_psi = _trapezoid(psi[: grid.size], grid)
+                int_rhs = _trapezoid(rhs[: grid.size], grid)
+                x0 = math.log(p.s0) + (p.r - p.q) * x
+                out[i, lo : lo + chunk] = np.exp(
+                    1j * uc * x0 + p.kappa * p.vbar * int_psi + p.v0 * int_rhs
+                )
+    out = out.reshape(mats.shape + u.shape)
     return out if out.shape else complex(out)
 
 

@@ -653,7 +653,8 @@ _THREADS_SCRIPT = textwrap.dedent("""
     from chaoscal.modelio import load_model
     from chaoscal.pricing import (PricingMethod, PricingSchedule, estimate_cv,
                                   price_surface, quad_call_price)
-    from chaoscal.reference import HestonParams, RoughHestonParams, rough_heston_cf
+    from chaoscal.reference import (HestonParams, RoughHestonParams, lewis_call_price,
+                                    rough_heston_cf)
 
     n = len(enumerate_indices(2, 4, 1))
     theta = 20.0 * np.random.default_rng(5).standard_normal(n) / np.sqrt(n)
@@ -682,6 +683,9 @@ _THREADS_SCRIPT = textwrap.dedent("""
     leg_paths = path_grid(leg, times[3::4], 20_000, driver, tags=(12,))
     rough = RoughHestonParams(HestonParams(100.0, 1.5, 0.04, 0.3, -0.7, 0.04), 0.75)
     rough_cf = rough_heston_cf(np.linspace(0.1, 50.0, 210) - 0.5j, 1.0, rough)
+    # 0.5 and 1.0 share the Adams step, so one solve serves the surface
+    rough_surface = lewis_call_price(lambda u, t: rough_heston_cf(u, t, rough), 100.0,
+                                     np.array([95.0, 105.0]), np.array([0.5, 1.0]))
     desk = load_model(sys.argv[1])
     desk_s = terminal_values(desk, sample_features(desk, 1.0, 100_003, BrownianDriver(0),
                                                    tags=(0, 4, 0)))
@@ -690,7 +694,8 @@ _THREADS_SCRIPT = textwrap.dedent("""
     for name, value in (("prices", prices), ("quad", quad),
                         ("r2", cv.r_squared), ("leg_ints", leg_ints),
                         ("pw_ints", pw_ints), ("leg_paths", leg_paths),
-                        ("rough_cf", rough_cf), ("desk_s", desk_s),
+                        ("rough_cf", rough_cf), ("rough_surface", rough_surface),
+                        ("desk_s", desk_s),
                         ("desk_paths", desk_paths)):
         print(name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
 """)
@@ -862,7 +867,7 @@ def test_thread_count_does_not_change_bits():
     src = os.path.dirname(os.path.dirname(os.path.abspath(chaoscal.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "4"):  # one child at a time
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, DESK_MODEL],
@@ -870,8 +875,8 @@ def test_thread_count_does_not_change_bits():
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 9
-    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 10
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # The price Jacobian of the desk model, with a single-strike maturity, at

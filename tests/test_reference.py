@@ -280,6 +280,83 @@ class TestStrikeBatching:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
 
 
+ROUGH_FIT = RoughHestonParams(HestonParams(100.0, 1.5, 0.04, 0.3, -0.7, 0.04), 0.75)
+ROUGH_DESK = RoughHestonParams(P, 0.75)
+DESK_STRIKES = np.array([90.0, 95.0, 100.0, 105.0, 110.0])
+
+
+def rough_cf(rp):
+    return lambda u, t: rough_heston_cf(u, t, rp)
+
+
+def recording_solve(monkeypatch):
+    """Frequency arrays that reference.rough_riccati_solve is called on."""
+    calls = []
+    solve = reference.rough_riccati_solve
+    monkeypatch.setattr(reference, "rough_riccati_solve",
+                        lambda u, *a: calls.append(np.array(u)) or solve(u, *a))
+    return calls
+
+
+class TestMaturityBatching:
+    """A surface prices in one integration, bit for bit as maturity by maturity."""
+
+    def assert_surface_is_per_maturity(self, cf, mats, r=0.0, q=0.0):
+        surface = lewis_call_price(cf, 100.0, DESK_STRIKES, np.array(mats), r=r, q=q)
+        assert surface.shape == (len(mats), DESK_STRIKES.size)
+        for row, t in zip(surface, mats):
+            np.testing.assert_array_equal(
+                row, lewis_call_price(cf, 100.0, DESK_STRIKES, t, r=r, q=q))
+
+    def test_heston_with_rates(self):
+        p = HestonParams(100.0, 1.5, 0.04, 0.5, -0.7, 0.04, r=0.03, q=0.01)
+        mats = [0.1, 0.25, 1.0, 2.0]
+        surface = heston_lewis_price(p, DESK_STRIKES, np.array(mats))
+        for row, t in zip(surface, mats):
+            np.testing.assert_array_equal(row, heston_lewis_price(p, DESK_STRIKES, t))
+
+    def test_rough_one_step_group(self):
+        self.assert_surface_is_per_maturity(rough_cf(ROUGH_FIT), [0.25, 0.5, 0.75, 1.0])
+
+    def test_rough_three_step_groups(self):
+        self.assert_surface_is_per_maturity(rough_cf(ROUGH_FIT), [0.1, 0.333, 1.0])
+
+    def test_shapes(self):
+        one = heston_lewis_price(P, 100.0, np.array([0.5, 1.0]))
+        assert one.shape == (2,)
+        assert one[1] == heston_lewis_price(P, 100.0, 1.0)
+        for bad in (np.array([]), np.ones((2, 2)), [0.5, -1.0]):
+            with pytest.raises(ValidationError):
+                heston_lewis_price(P, 100.0, bad)
+
+    def test_tail_asks_only_live_maturities(self):
+        # a short maturity's tail decays last, so the late blocks ask for it alone
+        asked = []
+
+        def cf(u, ts):
+            asked.append(tuple(ts))
+            return np.stack([heston_cf(u, x, P) for x in ts])
+
+        lewis_call_price(cf, 100.0, DESK_STRIKES, np.array([0.05, 1.0]))
+        assert asked[0] == (0.05, 1.0) and (0.05,) in asked
+
+    def test_rough_desk_explodes_in_the_first_tail_block(self, monkeypatch):
+        for mats in (np.array([0.25, 0.5, 0.75, 1.0]), 0.25):
+            calls = recording_solve(monkeypatch)
+            with pytest.raises(ExplosionError, match="exploded"):
+                lewis_call_price(rough_cf(ROUGH_DESK), 100.0, DESK_STRIKES, mats)
+            assert 200.0 <= calls[0].real.min() and calls[0].real.max() <= 400.0
+
+    def test_surface_solves_as_often_as_its_longest_maturity(self, monkeypatch):
+        calls = recording_solve(monkeypatch)
+        lewis_call_price(rough_cf(ROUGH_FIT), 100.0, DESK_STRIKES, 1.0)
+        alone = len(calls)
+        calls.clear()
+        lewis_call_price(rough_cf(ROUGH_FIT), 100.0, DESK_STRIKES,
+                         np.array([0.25, 0.5, 0.75, 1.0]))
+        assert len(calls) == alone
+
+
 def riccati_rhs_ivp(t, y, w, p):
     psi = y[0] + 1j * y[1]
     v = (w * w - w) / 2.0 - (p.kappa - w * p.rho * p.eps) * psi \
@@ -342,7 +419,15 @@ class TestRoughRiccati:
         batch = rough_riccati_solve(us, rp, grid)
         for i, u in enumerate(us):
             single = rough_riccati_solve(u, rp, grid)
-            np.testing.assert_allclose(batch[:, i], single, rtol=1e-13)
+            assert single.shape == grid.shape
+            np.testing.assert_array_equal(batch[:, i], single)
+
+    def test_longer_grid_with_the_same_step_extends_the_solve(self):
+        rp = RoughHestonParams(P, alpha=0.75)
+        us = np.array([0.5, 9.0, 40.0])
+        short = rough_riccati_solve(us, rp, np.linspace(0.0, 0.25, 126))
+        long = rough_riccati_solve(us, rp, np.linspace(0.0, 1.0, 501))
+        np.testing.assert_array_equal(long[:126], short)
 
 
 class TestRoughHestonCf:
@@ -395,6 +480,30 @@ class TestRoughHestonCf:
         full = rough_heston_cf(u, 0.5, rp)
         for m in (1, 31, 62):
             np.testing.assert_array_equal(rough_heston_cf(u[:m], 0.5, rp), full[:m])
+
+
+    def test_maturity_array_is_each_maturity_alone(self):
+        rp = RoughHestonParams(P, alpha=0.75)
+        u = np.linspace(0.1, 50.0, 7) - 0.5j
+        mats = np.array([1.0, 0.0, 0.25, 0.333, 0.5])
+        got = rough_heston_cf(u, mats, rp)
+        assert got.shape == (5, 7)
+        for row, t in zip(got, mats):
+            np.testing.assert_array_equal(row, rough_heston_cf(u, t, rp))
+        assert rough_heston_cf(2.0, np.array([0.5, 1.0]), rp).shape == (2,)
+        with pytest.raises(ValidationError):
+            rough_heston_cf(u, np.array([0.5, -0.1]), rp)
+
+    def test_chunked_solve_keeps_the_bits(self, monkeypatch):
+        # a budget below one frequency's history solves them one at a time
+        rp = RoughHestonParams(P, alpha=0.75)
+        u = np.linspace(0.1, 50.0, 9) - 0.5j
+        mats = np.array([0.25, 1.0, 0.1])
+        whole = rough_heston_cf(u, mats, rp)
+        calls = recording_solve(monkeypatch)
+        monkeypatch.setattr(reference, "_SOLVE_BYTES", 1)
+        np.testing.assert_array_equal(rough_heston_cf(u, mats, rp), whole)
+        assert [c.size for c in calls] == [1] * 18  # 9 frequencies, 2 step groups
 
 
 class TestHestonSimulate:
