@@ -162,6 +162,13 @@ def _interval_root(c):
     return vec[:, keep] * np.sqrt(lam[keep])
 
 
+def _moved_span(root):
+    """(lo, hi): the rows lo..hi-1 of an interval root span its nonzero rows.
+    A zero row adds exact zeros, so skipping it leaves every sum's bits."""
+    moved = np.flatnonzero(np.any(root != 0.0, axis=1))
+    return (moved[0], moved[-1] + 1) if moved.size else (0, 0)
+
+
 def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
     """Sample I^t = (int_0^t h_1 dB^1, ..., int_0^t h_M dB^d) jointly over times.
 
@@ -173,9 +180,10 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
     the past, N(0, G(t_{k-1}) - G(t_k)) with G the Gram tail.  Each interval
     of positive length draws (n_paths, d, rank) standard normals from the
     driver's generator, in time order, and adds them through a root of that
-    covariance; time 0 and repeated times draw nothing.  For the
-    piecewise-constant family the covariance is diagonal, so an interval
-    inside one cell draws one normal per component.  The combination runs in
+    covariance into the positions its nonzero rows span; time 0 and repeated
+    times draw nothing.  For the piecewise-constant family the covariance is
+    diagonal, so an interval inside one cell draws one normal per component
+    and moves only that cell's position.  The combination runs in
     numpy's own einsum loop, so the bits do not depend on BLAS threading.
     """
     walk = _walk_integrals(spec, driver.generator(*tags), times, n_paths, d)
@@ -207,7 +215,10 @@ def _walk_integrals(spec, gen, times, n_paths, d=1):
                 g_t = gram_tail(spec, t)
                 root = _interval_root(g_prev - g_t)
                 z = gen.standard_normal((n_paths, d, root.shape[1]))
-                acc += np.einsum("pjr,ir->pji", z, root)
+                # only the positions from the first to the last nonzero root
+                # row move: inside a piecewise cell, one position per component
+                lo, hi = _moved_span(root)
+                acc[..., lo:hi] += np.einsum("pjr,ir->pji", z, root[lo:hi])
                 prev, g_prev = t, g_t
             yield acc.reshape(n_paths, spec.size * d)
 

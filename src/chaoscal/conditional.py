@@ -32,7 +32,7 @@ import numpy as np
 
 from .bases import cell_index, gram_tail
 from .errors import ValidationError
-from .hermite import hermite_upto
+from .hermite import _upto, hermite_upto
 
 
 def _couplings(g, d=1, diagonal=False):
@@ -243,3 +243,90 @@ def _plan_rows(plan, x, normalized, out=None, live=False):
             if k:
                 out[:, col] += acc
     return out
+
+
+@dataclass(frozen=True)
+class _CellPlan:
+    """A `_ColumnPlan` at a cell's end split over the cell's running positions
+    (`_cell_plan`): S_t at t in the cell is
+
+        sum_k Q_k prod_j H_{r_kj}(I^t_j; v_j(t)),   j over `running`,
+
+    with r_k = `patterns[k]` (the all-zero pattern first) and Q_k the
+    coefficient-weighted sum of pattern k's terms over the frozen factors,
+    which hold still over the cell (`_collapse`).  `terms[k]` holds those
+    terms as (column, c, ((frozen row, order), ...)), the frozen rows indexing
+    `frozen` (positions) and `root_v`; c is the plan's coefficient over the
+    running factors' v^{n/2} at the cell's end.
+    """
+
+    frozen: np.ndarray
+    root_v: np.ndarray
+    running: np.ndarray
+    patterns: tuple
+    terms: tuple
+    n_max: int
+
+
+def _cell_plan(plan, running):
+    """Split every term of `plan`, built at a cell's end, into its factors at
+    the positions `running` (M*d layout) and its frozen factors: the
+    `_CellPlan` of the cell."""
+    where = {int(e): j for j, e in enumerate(running)}
+    frozen = [s for s, e in enumerate(plan.positions) if int(e) not in where]
+    row = {s: f for f, s in enumerate(frozen)}
+    terms = {(0,) * len(where): []}
+    n_max = 0
+    for col, col_terms in enumerate(plan.columns):
+        for c, factors in col_terms:
+            pattern, fixed = [0] * len(where), []
+            for s, n in factors:
+                j = where.get(int(plan.positions[s]))
+                if j is None:
+                    fixed.append((row[s], n))
+                    n_max = max(n_max, n)
+                else:
+                    pattern[j] = n
+                    c /= plan.root_v[s] ** n
+            terms.setdefault(tuple(pattern), []).append((col, c, tuple(fixed)))
+    frozen = np.asarray(frozen, dtype=int)
+    return _CellPlan(plan.positions[frozen], plan.root_v[frozen],
+                     np.asarray(running), tuple(terms),
+                     tuple(tuple(ts) for ts in terms.values()), n_max)
+
+
+def _collapse(cell, weights, x, out):
+    """Write Q_k = sum of weights[column] * c * frozen factors over pattern k's
+    terms into out[k], (len(patterns), n_rows), at the rows x of I^t
+    (n_rows, M*d) at a time whose frozen positions are complete."""
+    rows = x.T[cell.frozen]  # a copy
+    rows /= cell.root_v[:, None]
+    table = hermite_upto(cell.n_max, rows)
+    tmp = np.empty(x.shape[0])
+    for q, terms in zip(out, cell.terms):
+        q[:] = 0.0
+        for col, c, factors in terms:
+            w = weights[col] * c
+            if not factors:
+                q += w
+                continue
+            np.multiply(table[factors[0][1], factors[0][0]], w, out=tmp)
+            for f, n in factors[1:]:
+                tmp *= table[n, f]
+            q += tmp
+
+
+def _cell_rows(cell, q, x, v, out):
+    """S_t = sum_k q[k] prod_j H_{r_kj}(x_j; v_j) into out: q from
+    `_collapse`, x the rows of I^t (n_rows, M*d) at t in the cell and v the
+    running positions' variance accrued by t."""
+    y = x.T[cell.running]  # a copy
+    table = _upto(max(map(max, cell.patterns)), y, v[:, None])
+    tmp = np.empty(x.shape[0])
+    out[:] = q[0]
+    for qk, pattern in zip(q[1:], cell.patterns[1:]):
+        factors = [(j, n) for j, n in enumerate(pattern) if n]
+        np.multiply(qk, table[factors[0][1], factors[0][0]], out=tmp)
+        for j, n in factors[1:]:
+            tmp *= table[n, j]
+        out += tmp

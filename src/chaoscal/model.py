@@ -13,10 +13,15 @@ it keeps only the columns that can be nonzero at the maturity
 (`_live_columns`) and redraws one such matrix in place at each
 resimulation.
 Everything else reduces each block to S_T at once (`_sample_terminal`,
-`_path_rows`), so it holds one block of feature rows whatever the path
-count: at most _BLOCK_BYTES, or _ROW_ALIGN rows if those are more.
+`_path_rows` on Legendre), so it holds one block of feature rows whatever
+the path count: at most _BLOCK_BYTES, or _ROW_ALIGN rows if those are more.
 `_path_rows` yields S_t one time at a time, for the exotics fold in
 `reference`; `path_grid` collects its rows into the (n_times, n_paths) grid.
+On a piecewise grid of two or more cells it builds no feature rows: inside
+cell u, S_t is a polynomial in the running cell's integrals whose
+coefficients are fixed once cells 1..u-1 have closed, so each cell sums the
+chaos onto that polynomial once and each time evaluates it (see
+`_path_rows`), with no BLAS product.
 
 Every product `features @ coefficients` runs over row blocks that start at
 multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
@@ -38,13 +43,14 @@ T's cell, which annihilates indices supported there).  Negative sample paths
 are permitted by construction; nothing clamps them.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bases import PiecewiseConstantBasis, _walk_integrals, gram_tail
-from .conditional import _column_plan, _plan_rows
+from .bases import PiecewiseConstantBasis, _walk_integrals, cell_index, gram_tail
+from .conditional import _cell_plan, _cell_rows, _collapse, _column_plan, _plan_rows
 from .errors import ValidationError
 from .indices import _set_bytes, enumerate_indices, index_space_dim
 
@@ -250,13 +256,35 @@ def second_moment(model, t):
     return model.s0**2 + float(c @ (model.coefficients**2))
 
 
+def _cell(basis, d, t):
+    """(end, running) of the cell holding t > 0: its end, and the positions
+    (M*d layout) whose integrals move over it, or None if none stays frozen.
+    A piecewise cell moves its own position in each component and freezes
+    the rest, unless the grid has that one cell; a basis without cells is
+    one cell (0, horizon] over which every position moves."""
+    if not isinstance(basis, PiecewiseConstantBasis):
+        return basis.horizon, None
+    u = cell_index(basis, t)
+    moved = np.arange(basis.size) == u - 1
+    if moved.all():
+        return basis.grid[u], None
+    return basis.grid[u], np.flatnonzero(np.tile(moved, d))
+
+
 def _rows_bytes(model, n_times, n_paths):
     """Bytes `_path_rows` holds: the row it builds and the one its caller
-    still holds, 3 walk arrays, a feature block and the index layer with a
-    plan per time."""
+    still holds, 3 walk arrays and the index layer.  Rows that collapse
+    cell by cell add the Q arrays (at most C(p + d, d) of them, base
+    included), a block's frozen-factor table with its copy of the integrals,
+    two recurrence temporaries and a product, and a plan per cell (and one
+    split); the others a feature block and a plan per time."""
     p, m, d = model.p, model.m, model.d
-    return (8 * n_paths * (2 + 3 * m * d) + _block_bytes(p, m, d, n_paths)
-            + _index_bytes(p, m, d, n_times))
+    held = 8 * n_paths * (2 + 3 * m * d)
+    if _cell(model.basis, d, model.horizon)[1] is None:
+        return held + _block_bytes(p, m, d, n_paths) + _index_bytes(p, m, d, n_times)
+    rows = min(n_paths, _block_rows(p, m, d))
+    return (held + 8 * n_paths * math.comb(p + d, d) + 8 * rows * ((p + 4) * m * d + 1)
+            + _index_bytes(p, m, d, min(n_times, m) + 1))
 
 
 def _check_held(need, n_times, n_paths):
@@ -279,26 +307,51 @@ def _path_rows(model, times, n_paths, driver, tags=()):
     `path_grid` in time order, S_t at each time as a new array.
 
     The integrals are drawn as `sample_integrals` draws them, but one time
-    at a time, so only one time's slice is held; each time's feature rows
-    are built from its column plan and reduced to S_t one row block at a
-    time, every block in one buffer: a fresh block per time let the heap
-    shrink and grow again at each time (15k minor page faults per
-    legendre_paths `exotics` against 1.2k).  Time 0 draws nothing and its
-    row is exactly S_0, so the other rows are those of the grid without it.
-    It holds `_rows_bytes`, never the grid.
+    at a time, so only one time's slice is held.  Time 0 draws nothing and
+    its row is exactly S_0, so the other rows are those of the grid without
+    it.  It holds `_rows_bytes`, never the grid.
+
+    Where t's cell freezes some positions (`_cell`: every piecewise cell of
+    a grid of two or more), the chaos sum is a polynomial in the running
+    positions' integrals whose coefficients hold still over the cell: at
+    the cell's first time, the plan at its end is split (`_cell_plan`) and
+    its frozen factors summed into Q arrays (`_collapse`), and each time
+    evaluates that polynomial (`_cell_rows`), block by block.  Elsewhere
+    (Legendre) each time's feature rows are built from its column plan and
+    reduced to S_t one row block at a time, every block in one buffer: a
+    fresh block per time let the heap shrink and grow again at each time
+    (15k minor page faults per legendre_paths `exotics` against 1.2k).
     """
     walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
                            model.d)
     spans = _spans(n_paths, _block_rows(model.p, model.m, model.d))
 
     def rows():
-        block = np.empty((spans[0][1], len(model.coefficients)), order="F")
+        block = q = None
+        end = 0.0
         for t, ints in zip(times, walk):
             if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
                 yield np.full(n_paths, model.s0)
                 continue
-            plan = _feature_plan(model, t)
+            if t > end:  # t opens a cell
+                end, running = _cell(model.basis, model.d, t)
+                if running is not None:
+                    cell = _cell_plan(_feature_plan(model, end), running)
+                    if q is None:  # one pattern per running exponent tuple of degree <= p
+                        q = np.empty((math.comb(model.p + model.d, model.d), n_paths))
+                    for a, b in spans:
+                        _collapse(cell, model.coefficients, ints[a:b], q[:, a:b])
+                    q[0] += model.s0
             row = np.empty(n_paths)
+            if running is not None:
+                v = np.tile(1.0 - np.diag(gram_tail(model.basis, t)), model.d)[running]
+                for a, b in spans:
+                    _cell_rows(cell, q[:, a:b], ints[a:b], v, row[a:b])
+                yield row
+                continue
+            if block is None:
+                block = np.empty((spans[0][1], len(model.coefficients)), order="F")
+            plan = _feature_plan(model, t)
             for a, b in spans:  # every block is built in the one buffer
                 feats = _plan_rows(plan, ints[a:b], normalized=False, out=block[:b - a])
                 row[a:b] = model.s0 + feats @ model.coefficients
@@ -311,7 +364,10 @@ def path_grid(model, times, n_paths, driver, tags=()):
     """Jointly consistent S_t samples at the given times, shape (n_times, n_paths).
 
     All times share one Brownian path per path index (needed for exotics).
-    The rows are those of `_path_rows`, collected; `_check_grid` runs first.
+    The rows are those of `_path_rows`, collected: on a piecewise grid of two
+    or more cells, one column plan per cell and a small polynomial per time;
+    elsewhere a plan and a product with the coefficients per time.
+    `_check_grid` runs first.
     """
     _check_grid(model, len(times), n_paths)
     rows = _path_rows(model, times, n_paths, driver, tags)  # checks the times and n_paths

@@ -12,6 +12,7 @@ from chaoscal.bases import (
     BrownianDriver,
     LegendreBasis,
     PiecewiseConstantBasis,
+    _interval_root,
     basis_eval,
     cell_index,
     gram_tail,
@@ -191,6 +192,29 @@ class TestSampling:
         var_past = np.diag(np.kron(np.eye(2), np.eye(4) - gram_tail(spec, t0)))
         cross = inc.T @ past / n
         assert np.all(np.abs(cross) < 4 * np.sqrt(np.outer(var, var_past) / n))
+
+    @pytest.mark.parametrize("spec", [
+        PiecewiseConstantBasis((0.0, 0.1, 0.25, 0.6, 0.7, 1.3, 2.0)),
+        LegendreBasis(horizon=2.0, size=4)], ids=["piecewise", "legendre"])
+    def test_sparse_walk_is_the_dense_update(self, spec):
+        # each interval adds its draws only into the positions its root rows
+        # span; the dense einsum over every position gives the same bits,
+        # also over intervals that span 3 or more cells (root rank >= 3)
+        times = [0.05, 0.1, 0.1, 0.2, 0.65, 0.65, 1.9, 2.0]
+        got = sample_integrals(spec, BrownianDriver(seed=23), times, 500, d=2, tags=(7,))
+        gen = BrownianDriver(seed=23).generator(7)
+        acc = np.zeros((500, 2, spec.size))
+        prev, g_prev, ranks = 0.0, gram_tail(spec, 0.0), []
+        for ti, t in enumerate(times):
+            if t > prev:
+                g_t = gram_tail(spec, t)
+                root = _interval_root(g_prev - g_t)
+                ranks.append(root.shape[1])
+                acc += np.einsum("pjr,ir->pji", gen.standard_normal((500, 2, root.shape[1])),
+                                 root)
+                prev, g_prev = t, g_t
+            assert got[ti].tobytes() == acc.reshape(500, -1).tobytes()
+        assert max(ranks) >= 3
 
     def test_determinism_and_streams(self):
         drv = BrownianDriver(seed=42)

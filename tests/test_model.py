@@ -12,12 +12,14 @@ from chaoscal.bases import (
     gram_tail,
     sample_integrals,
 )
-from chaoscal.conditional import dyson_features
+from chaoscal import model as model_module
+from chaoscal.conditional import _column_plan, dyson_features
 from chaoscal.errors import ValidationError
 from chaoscal.indices import enumerate_indices, phi_eval
 from chaoscal.model import (
     ChaosModel,
     FeatureBlock,
+    _path_rows,
     path_grid,
     sample_features,
     second_moment,
@@ -26,6 +28,11 @@ from chaoscal.model import (
 )
 
 PW = PiecewiseConstantBasis.uniform(2.0, 4)
+
+
+def assert_ulps(got, want, ulps=4):
+    """got equals want within `ulps` units in the last place of max |want|."""
+    assert np.abs(got - want).max() <= ulps * np.spacing(np.abs(want).max())
 
 
 def make_model(seed=0, scale=0.3, basis=PW, p=2, d=1, s0=100.0):
@@ -229,6 +236,8 @@ class TestPathGrid:
                                        LegendreBasis(horizon=2.0, size=3)],
                              ids=["piecewise", "legendre"])
     def test_streamed_grid_is_the_kernel_on_sampled_integrals(self, basis):
+        # Legendre rows are the kernel's GEMV, bit for bit; piecewise rows
+        # collapse cell by cell and sum in another order, within 4 ulps of S
         model = make_model(seed=61, d=2, basis=basis)
         times = [0.3, 2.0 / 3.0, 1.0, 1.0, 1.9, 2.0]
         drv = BrownianDriver(seed=16)
@@ -237,7 +246,44 @@ class TestPathGrid:
         for ti, t in enumerate(times):
             g = block_diag(*[gram_tail(basis, t)] * 2)
             want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
-            np.testing.assert_array_equal(paths[ti], want)
+            if isinstance(basis, LegendreBasis):
+                np.testing.assert_array_equal(paths[ti], want)
+            else:
+                assert_ulps(paths[ti], want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_collapsed_rows_are_the_kernel_on_sampled_integrals(self, d):
+        # p 3 on an uneven grid: times inside cells, on cell ends (0.2, 0.5,
+        # 1.1), repeated, skipping a cell, and at the horizon
+        basis = PiecewiseConstantBasis((0.0, 0.2, 0.5, 1.1, 2.0))
+        model = make_model(seed=81, scale=0.5, d=d, basis=basis, p=3)
+        times = [0.1, 0.2, 0.2, 0.35, 0.5, 1.7, 1.7, 2.0]
+        drv = BrownianDriver(seed=18)
+        rows = list(_path_rows(model, times, 400, drv, tags=(9,)))
+        ints = sample_integrals(basis, drv, times, 400, d=d, tags=(9,))
+        for ti, t in enumerate(times):
+            g = block_diag(*[gram_tail(basis, t)] * d)
+            want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
+            assert_ulps(rows[ti], want)
+        # every row is its own array: the exotics fold keeps start-date rows
+        assert not any(np.shares_memory(a, b) for a in rows for b in rows if a is not b)
+
+    def test_a_piecewise_pass_builds_a_plan_per_cell(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _column_plan(*args)
+
+        model = make_model(seed=91, d=2)
+        monkeypatch.setattr(model_module, "_column_plan", counted)
+        model_module._plan.cache_clear()
+        try:
+            for _ in _path_rows(model, np.linspace(0.0, 2.0, 65), 50, BrownianDriver(2)):
+                pass
+        finally:
+            model_module._plan.cache_clear()  # no plan of this pass outlives it
+        assert 0 < len(built) <= model.m
 
     @pytest.mark.parametrize("basis", [PiecewiseConstantBasis.uniform(2.0, 3),
                                        LegendreBasis(horizon=2.0, size=3)],
