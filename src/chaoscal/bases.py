@@ -193,17 +193,29 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
     return out
 
 
+def _check_times(times):
+    """times as a float array; ValidationError naming them unless they are a
+    1-d array of finite numbers in ascending order.  Every entry point that
+    takes monitoring times (the walk, the Heston rows, the exotics fold) runs
+    it first: a NaN compares false both ways, so range and order checks
+    alone let it through."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValidationError(f"times must be a 1-d array of finite numbers, got {times}")
+    if np.any(np.diff(times) < 0):
+        raise ValidationError(f"times must be sorted ascending, got {times}")
+    return times
+
+
 def _walk_integrals(spec, gen, times, n_paths, d=1):
     """Check the arguments of `sample_integrals`; return an iterator over its
     draws from the generator gen, I^t per time as a view of the running sum,
     valid until the next.  A time's normals are drawn path-major, so
     one-time walks over consecutive row blocks from one generator give the
     rows of a single walk over all of them."""
-    times = [float(t) for t in times]
+    times = _check_times(times).tolist()
     if any(t < 0 or t > spec.horizon for t in times):
         raise ValidationError(f"times must lie in [0, {spec.horizon}]")
-    if sorted(times) != times:
-        raise ValidationError("times must be sorted ascending")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
 

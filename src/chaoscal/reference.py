@@ -27,12 +27,14 @@ calibrated against.  Four pieces:
 * full-truncation Euler simulation of (X, V) and exotic payoff averaging on
   simulated paths.  The simulation takes the monitoring times, steps at most
   1/250 between them, and yields S at each of them in turn (`_heston_rows`).
-  `_exotic_fold` folds such rows, from it or from `model._path_rows`, into
-  every contract's payoff as they come, so exotics hold a few rows, never
-  the (n_times, n_paths) array.  Discrete monitoring of barriers/minima
-  carries an O(sqrt(dt)) bias; comparisons against the chaos model use the
-  same monitoring times on both sides, so that bias cancels in the
-  comparison.
+  Its blocks of paths each draw from their own Philox stream, so they step
+  each interval at once, one thread a block up to the CPU count, with the
+  bits of one block after another.  `_exotic_fold` folds such rows, from it
+  or from `model._path_rows`, into every contract's payoff as they come, so
+  exotics hold a few rows, never the (n_times, n_paths) array.  Discrete
+  monitoring of barriers/minima carries an O(sqrt(dt)) bias; comparisons
+  against the chaos model use the same monitoring times on both sides, so
+  that bias cancels in the comparison.
 
 Complex conventions: the characteristic function is E[exp(iuX_t)] for the
 full log price (spot and rate drift included); the Riccati/CF algebra is
@@ -40,10 +42,13 @@ written in w = iu, under which the textbook displays become literal code.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bases import _check_times
 from .errors import (
     ConfigError,
     ExplosionError,
@@ -55,6 +60,7 @@ from .model import _check_held, _rows_bytes, _spans
 from .vol import DownAndOutCall, ForwardStartCall, LookbackCall
 
 _PATH_BLOCK = 1 << 16
+_TASK_BYTES = 1 << 14  # Python objects a Heston block or worker adds (about 4 KiB)
 _MAX_PANELS = 4096
 _LEWIS_TOL = 1e-10
 _LEWIS_U_MAX = 200.0
@@ -401,12 +407,17 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
     return_variance.
 
     Each block of _PATH_BLOCK paths keeps its own generator, log price and
-    variance, and every block is stepped to the next time before the row is
-    yielded.  A block's generator draws as it would alone, so the rows are
-    those of `heston_simulate`, bit for bit, whatever the block count.
+    variance.  For each monitoring interval, every block is one task on a
+    thread pool of `_workers` threads: it takes the interval's Euler steps
+    and writes its columns of the row, which is yielded once every task is
+    done.  A block's generator draws as it would alone, only its own task
+    uses it, and the steps are elementwise, so the rows are those of
+    `heston_simulate`, bit for bit, whatever the block or worker count.  The
+    step temporaries go into one scratch set per worker, taken from a free
+    list for a task and put back after it.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or times[0] != 0.0:
+    times = _check_times(times)
+    if times.size < 2 or times[0] != 0.0:
         raise ValidationError("times must be 1-d, start at 0, have >= 2 points")
     if np.any(np.diff(times) <= 0):
         raise ValidationError("times must be strictly increasing")
@@ -415,45 +426,83 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
     if n_paths < 1:
         raise ValidationError("need at least one path")
     rho_c = math.sqrt(1.0 - p.rho**2)
+    workers = _workers(n_paths)
+    free = []  # scratch sets not in use by a task
+
+    def step(block, lo, hi, n, s, var):
+        cols, gen, x, v = block
+        scratch = free.pop()
+        m = len(x)
+        z = scratch[:2].reshape(-1, 2)[:m]  # filled row by row, as (m, 2) normals
+        z0, z1 = z[:, 0], z[:, 1]
+        vp, sq, w1, w2 = scratch[2:, :m]
+        prev = lo
+        for i in range(1, n + 1):
+            end = hi if i == n else lo + (hi - lo) * i / n
+            dt = end - prev
+            prev = end
+            gen.standard_normal(out=z)
+            np.maximum(v, 0.0, out=vp)
+            np.sqrt(np.multiply(vp, dt, out=sq), out=sq)
+            # x += (r - q - 0.5 vp) dt + sq (rho z0 + rho_c z1), rounded as written
+            np.multiply(z0, p.rho, out=w1)
+            np.multiply(z1, rho_c, out=w2)
+            w1 += w2
+            w1 *= sq
+            np.multiply(vp, 0.5, out=w2)
+            np.subtract(p.r - p.q, w2, out=w2)
+            w2 *= dt
+            w2 += w1
+            x += w2
+            # two adds: v + drift + noise rounds as (v + drift) + noise
+            np.subtract(p.vbar, vp, out=w1)
+            w1 *= p.kappa
+            w1 *= dt
+            v += w1
+            np.multiply(sq, p.eps, out=w1)
+            w1 *= z0
+            v += w1
+        np.exp(x, out=s[cols])
+        if var is not None:
+            var[cols] = v
+        free.append(scratch)
 
     def rows():
         blocks = [(slice(a, b), driver.generator(*tags, block_id),
                    np.full(b - a, math.log(p.s0)), np.full(b - a, p.v0))
                   for block_id, (a, b) in enumerate(_spans(n_paths, _PATH_BLOCK))]
+        free.extend(np.empty((6, len(blocks[0][2]))) for _ in range(workers))
         s = np.full(n_paths, p.s0)
         yield (s, np.full(n_paths, p.v0)) if return_variance else s
-        for lo, hi in zip(times, times[1:]):
-            n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
-            s = np.empty(n_paths)
-            var = np.empty(n_paths) if return_variance else None
-            for cols, gen, x, v in blocks:
-                prev = lo
-                for i in range(1, n + 1):
-                    end = hi if i == n else lo + (hi - lo) * i / n
-                    dt = end - prev
-                    prev = end
-                    z = gen.standard_normal((len(x), 2))
-                    vp = np.maximum(v, 0.0)
-                    sq = np.sqrt(vp * dt)
-                    x += (p.r - p.q - 0.5 * vp) * dt + sq * (
-                        p.rho * z[:, 0] + rho_c * z[:, 1]
-                    )
-                    # two adds: v + drift + noise rounds as (v + drift) + noise
-                    v += p.kappa * (p.vbar - vp) * dt
-                    v += p.eps * sq * z[:, 0]
-                s[cols] = np.exp(x)
-                if return_variance:
-                    var[cols] = v
-            yield (s, var) if return_variance else s
+        with ThreadPoolExecutor(workers) as pool:
+            for lo, hi in zip(times, times[1:]):
+                n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
+                s = np.empty(n_paths)
+                var = np.empty(n_paths) if return_variance else None
+                tasks = [pool.submit(step, block, lo, hi, n, s, var) for block in blocks]
+                for task in tasks:
+                    task.result()  # a task's exception is raised here
+                yield (s, var) if return_variance else s
 
     return rows()
+
+
+def _workers(n_paths):
+    """Threads `_heston_rows` steps its blocks on: one a block, at most one
+    a CPU this process may run on."""
+    return min(-(-n_paths // _PATH_BLOCK), len(os.sched_getaffinity(0)))
 
 
 def _heston_bytes(n_paths):
     """Bytes `_heston_rows` holds without return_variance: the row it builds
     and the one its caller still holds, every block's log price and
-    variance, and one block's normals and step temporaries."""
-    return 8 * (4 * n_paths + 16 * min(n_paths, _PATH_BLOCK))
+    variance, each worker's scratch (a block's normals, V+, sqrt(V+ dt) and
+    two work arrays), and _TASK_BYTES a block and a worker for the Python
+    objects around them: generators, tasks, threads."""
+    blocks = -(-n_paths // _PATH_BLOCK)
+    workers = _workers(n_paths)
+    return (8 * (4 * n_paths + 6 * workers * min(n_paths, _PATH_BLOCK))
+            + _TASK_BYTES * (blocks + workers))
 
 
 def heston_simulate(
@@ -522,7 +571,7 @@ def _exotic_fold(rows, times, specs):
     these times.  Minima are exact, so every payoff is that of the whole
     path array, bit for bit.
     """
-    times = np.asarray(times, dtype=float)
+    times = _check_times(times)
     due = {}  # row -> contracts that mature at it
     start_row = {}  # forward start with a strike ratio -> its start-date row
     for j, spec in enumerate(specs):

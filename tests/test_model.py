@@ -304,3 +304,10 @@ class TestPathGrid:
         for bad in ([-0.1, 1.0], [1.0, 2.5]):
             with pytest.raises(ValidationError):
                 path_grid(model, bad, 10, BrownianDriver(seed=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # a NaN time passed the range and order checks and left the cell
+        # of its row unset (UnboundLocalError)
+        with pytest.raises(ValidationError, match=r"finite numbers, got \[ *0\. +(nan|inf)\]"):
+            path_grid(make_model(), [0.0, bad], 10, BrownianDriver(seed=1))

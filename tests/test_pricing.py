@@ -640,7 +640,8 @@ class TestRowBlocks:
 # (eigendecomposition of each interval covariance, einsum with the draws)
 # over 64 times for both bases, plus a Legendre path_grid.  The desk model
 # (argv[1]) prices 100003 paths, where an unaligned OpenBLAS row split of
-# features @ theta moved the last bits between 1 and 2 or 4 threads.
+# features @ theta moved the last bits between 1 and 2 or 4 threads.  The
+# Heston reference steps 3 path blocks, one a worker up to the CPU count.
 _THREADS_SCRIPT = textwrap.dedent("""
     import hashlib
     import sys
@@ -653,8 +654,8 @@ _THREADS_SCRIPT = textwrap.dedent("""
     from chaoscal.modelio import load_model
     from chaoscal.pricing import (PricingMethod, PricingSchedule, estimate_cv,
                                   price_surface, quad_call_price)
-    from chaoscal.reference import (HestonParams, RoughHestonParams, lewis_call_price,
-                                    rough_heston_cf)
+    from chaoscal.reference import (HestonParams, RoughHestonParams, heston_simulate,
+                                    lewis_call_price, rough_heston_cf)
 
     n = len(enumerate_indices(2, 4, 1))
     theta = 20.0 * np.random.default_rng(5).standard_normal(n) / np.sqrt(n)
@@ -686,6 +687,8 @@ _THREADS_SCRIPT = textwrap.dedent("""
     # 0.5 and 1.0 share the Adams step, so one solve serves the surface
     rough_surface = lewis_call_price(lambda u, t: rough_heston_cf(u, t, rough), 100.0,
                                      np.array([95.0, 105.0]), np.array([0.5, 1.0]))
+    heston = heston_simulate(rough.heston, [0.0, 0.1, 0.2], 140_000, driver, tags=(13,),
+                             return_variance=True)
     desk = load_model(sys.argv[1])
     desk_s = terminal_values(desk, sample_features(desk, 1.0, 100_003, BrownianDriver(0),
                                                    tags=(0, 4, 0)))
@@ -695,7 +698,7 @@ _THREADS_SCRIPT = textwrap.dedent("""
                         ("r2", cv.r_squared), ("leg_ints", leg_ints),
                         ("pw_ints", pw_ints), ("leg_paths", leg_paths),
                         ("rough_cf", rough_cf), ("rough_surface", rough_surface),
-                        ("desk_s", desk_s),
+                        ("heston", heston), ("desk_s", desk_s),
                         ("desk_paths", desk_paths)):
         print(name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
 """)
@@ -866,17 +869,21 @@ class TestByteBound:
 def test_thread_count_does_not_change_bits():
     src = os.path.dirname(os.path.dirname(os.path.abspath(chaoscal.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    cpu = min(os.sched_getaffinity(0))
     outputs = []
-    for threads in ("1", "2", "4"):  # one child at a time
+    # one child at a time; the last is pinned to one CPU, so the Heston
+    # reference steps its blocks on one worker
+    for threads, pinned in (("1", False), ("2", False), ("4", False), ("1", True)):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        pin = (lambda: os.sched_setaffinity(0, {cpu})) if pinned else None
         proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, DESK_MODEL],
                               capture_output=True, text=True, env=env,
-                              timeout=300)
+                              timeout=300, preexec_fn=pin)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 10
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == 11
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 # The price Jacobian of the desk model, with a single-strike maturity, at

@@ -1,6 +1,7 @@
 """Reference models: Heston CF/Lewis, rough-Heston Riccati, simulation, exotics."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -516,6 +517,12 @@ class TestHestonSimulate:
         with pytest.raises(ValidationError):
             heston_simulate(P, np.array([0.0, 0.2]), 10, d, max_step=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # NaN reached int(nan) (ValueError), inf int(inf) (OverflowError)
+        with pytest.raises(ValidationError, match=r"finite numbers, got \[ *0\. +(nan|inf)\]"):
+            heston_simulate(P, [0.0, bad], 10, BrownianDriver(1))
+
     def test_martingale(self):
         st = heston_simulate(P, [0.0, 1.0], 100_000, BrownianDriver(3))[1]
         se = st.std(ddof=1) / math.sqrt(st.size)
@@ -555,6 +562,27 @@ class TestHestonSimulate:
                 tracemalloc.stop()
 
         assert peak(40.0) <= peak(4.0) + 1024
+
+    # one worker, and a worker for each of the three blocks (one short)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_peak_within_the_count(self, monkeypatch, workers):
+        monkeypatch.setattr(reference, "_PATH_BLOCK", 4096)
+        monkeypatch.setattr(reference, "_workers", lambda n_paths: workers)
+        n = 3 * 4096 - 1000
+        times = np.linspace(0.0, 0.2, 9)
+
+        def run():
+            for _ in reference._heston_rows(P, times, n, BrownianDriver(6)):
+                pass
+
+        run()  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= reference._heston_bytes(n)
 
     def test_coarse_request_is_refined(self):
         # two monitoring times half a year apart still step at most 1/250:
@@ -675,6 +703,12 @@ class TestExoticMc:
         with pytest.raises(ConfigError):
             exotic_mc_price(paths, grid, LookbackCall(0.7777))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # a NaN time was taken for maturity 1.0, which priced (0.0, 0.0)
+        with pytest.raises(ValidationError, match=r"finite numbers, got \[ *0\. +(nan|inf)\]"):
+            exotic_mc_price(np.ones((2, 3)), [0.0, bad], LookbackCall(1.0))
+
     def test_shape_mismatch_rejected(self, gbm_paths):
         grid, paths = gbm_paths
         with pytest.raises(ValidationError, match=r"\(len\(times\), n_paths\)"):
@@ -781,6 +815,22 @@ class TestExoticFold:
             np.testing.assert_array_equal(s_row, s[i])
             np.testing.assert_array_equal(v_row, v[i])
         assert i == len(self.TIMES) - 1
+
+    def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
+        # eight blocks on four workers, switching threads every microsecond:
+        # a scratch set handed to two tasks at once would move the bits
+        monkeypatch.setattr(reference, "_PATH_BLOCK", 64)
+        monkeypatch.setattr(reference, "_workers", lambda n_paths: 4)
+        s, v = block_major_heston(P, self.TIMES, 500, BrownianDriver(9), (4,))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            s_sim, v_sim = heston_simulate(P, self.TIMES, 500, BrownianDriver(9), tags=(4,),
+                                           return_variance=True)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(s_sim, s)
+        np.testing.assert_array_equal(v_sim, v)
 
     def test_fold_checks_the_grid_before_reading_a_row(self):
         def rows():
