@@ -24,9 +24,10 @@ calibrated against.  Four pieces:
   does not depend on the others in its batch.  Maturities whose solver
   grids share a step share one solve, and each reads its prefix;
 
-* full-truncation Euler simulation of (X, V) and exotic payoff averaging on
-  simulated paths.  The simulation takes the monitoring times, steps at most
-  1/250 between them, and yields S at each of them in turn (`_heston_rows`).
+* simulation of (X, V) by Andersen's quadratic-exponential scheme with the
+  martingale correction (QE-M), and exotic payoff averaging on simulated
+  paths.  The simulation takes the monitoring times, steps at most 1/32
+  between them, and yields S at each of them in turn (`_heston_rows`).
   Its blocks of paths each draw from their own Philox stream, so they step
   each interval at once, one thread a block up to the CPU count, with the
   bits of one block after another.  `_exotic_fold` folds such rows, from it
@@ -59,8 +60,14 @@ from .errors import (
 from .model import _check_held, _rows_bytes, _spans
 from .vol import DownAndOutCall, ForwardStartCall, LookbackCall
 
-_PATH_BLOCK = 1 << 16
+_PATH_BLOCK = 1 << 14
 _TASK_BYTES = 1 << 14  # Python objects a Heston block or worker adds (about 4 KiB)
+_PSI_C = 1.5  # QE switches V's law from quadratic to exponential above this psi
+_STEP_ROWS = 7  # rows of a QE step's own temporaries, at most (6 measured)
+# QE steps of one Heston simulation, summed over its intervals: about 30 s of
+# per-step overhead (30 us a step at two paths, 2 cores); the desk's exotics
+# take 64 and criterion c05 takes 500
+_MAX_STEPS = 1 << 20
 _MAX_PANELS = 4096
 _LEWIS_TOL = 1e-10
 _LEWIS_U_MAX = 200.0
@@ -401,20 +408,23 @@ def rough_heston_cf(u, t, rp):
 
 
 def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
-                 max_step=1.0 / 250.0):
+                 max_step=1.0 / 32.0):
     """Check the arguments of `heston_simulate`; return an iterator over its
     rows in time order: S at each time as a new array, or (S, V) with
     return_variance.
 
-    Each block of _PATH_BLOCK paths keeps its own generator, log price and
-    variance.  For each monitoring interval, every block is one task on a
-    thread pool of `_workers` threads: it takes the interval's Euler steps
+    The check covers the step count: ceil(width / max_step) summed over the
+    intervals may not pass _MAX_STEPS, so an absurd horizon is refused before
+    any draw.  Each block of _PATH_BLOCK paths keeps its own generator, log
+    price and variance.  For each monitoring interval, every block is one task
+    on a thread pool of `_workers` threads: it takes the interval's QE-M steps
     and writes its columns of the row, which is yielded once every task is
     done.  A block's generator draws as it would alone, only its own task
-    uses it, and the steps are elementwise, so the rows are those of
-    `heston_simulate`, bit for bit, whatever the block or worker count.  The
-    step temporaries go into one scratch set per worker, taken from a free
-    list for a task and put back after it.
+    uses it, and a step treats each path on its own (the exponential-law
+    paths are gathered, stepped and scattered back), so the rows are those of
+    `heston_simulate`, bit for bit, whatever the worker count.  The step
+    temporaries go into one scratch set per worker, taken from a free list
+    for a task and put back after it.
     """
     times = _check_times(times)
     if times.size < 2 or times[0] != 0.0:
@@ -425,7 +435,16 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
         raise ValidationError(f"max_step must be positive, got {max_step}")
     if n_paths < 1:
         raise ValidationError("need at least one path")
-    rho_c = math.sqrt(1.0 - p.rho**2)
+    with np.errstate(over="ignore"):  # a count past a float's range is inf, and refused
+        steps = np.maximum(1.0, np.ceil(np.diff(times) / max_step - 1e-12))
+    total = np.cumsum(steps)
+    if total[-1] > _MAX_STEPS:
+        i = int(np.argmax(total > _MAX_STEPS))
+        raise ValidationError(
+            f"max_step {max_step:g} takes {total[i]:.4g} steps through the interval "
+            f"[{times[i]:g}, {times[i + 1]:g}], over the cap of {_MAX_STEPS}")
+    kappa, vbar, eps, rho = p.kappa, p.vbar, p.eps, p.rho
+    q = rho / eps  # the log price's weight on the martingale increment of V
     workers = _workers(n_paths)
     free = []  # scratch sets not in use by a task
 
@@ -433,35 +452,115 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
         cols, gen, x, v = block
         scratch = free.pop()
         m = len(x)
-        z = scratch[:2].reshape(-1, 2)[:m]  # filled row by row, as (m, 2) normals
-        z0, z1 = z[:, 0], z[:, 1]
-        vp, sq, w1, w2 = scratch[2:, :m]
+        z = scratch[:2].reshape(-1)[: 2 * m].reshape(2, m)  # Z_V, then Z_X
+        zv, zx = z
+        u, mean, psi, w1, w2, w3, w4, w5 = scratch[2:, :m]
         prev = lo
         for i in range(1, n + 1):
             end = hi if i == n else lo + (hi - lo) * i / n
             dt = end - prev
             prev = end
             gen.standard_normal(out=z)
-            np.maximum(v, 0.0, out=vp)
-            np.sqrt(np.multiply(vp, dt, out=sq), out=sq)
-            # x += (r - q - 0.5 vp) dt + sq (rho z0 + rho_c z1), rounded as written
-            np.multiply(z0, p.rho, out=w1)
-            np.multiply(z1, rho_c, out=w2)
-            w1 += w2
-            w1 *= sq
-            np.multiply(vp, 0.5, out=w2)
-            np.subtract(p.r - p.q, w2, out=w2)
-            w2 *= dt
-            w2 += w1
-            x += w2
-            # two adds: v + drift + noise rounds as (v + drift) + noise
-            np.subtract(p.vbar, vp, out=w1)
-            w1 *= p.kappa
-            w1 *= dt
-            v += w1
-            np.multiply(sq, p.eps, out=w1)
-            w1 *= z0
-            v += w1
+            gen.random(out=u)
+            decay = math.exp(-kappa * dt)
+            grown = -math.expm1(-kappa * dt)
+            big_a = q * (1.0 + 0.5 * kappa * dt) - 0.25 * rho**2 * dt  # K2 + K4/2
+            # the conditional mean of V' and psi, its variance over mean^2
+            np.multiply(v, decay, out=mean)
+            mean += vbar * grown
+            np.multiply(v, eps**2 * decay * grown / kappa, out=psi)
+            psi += vbar * eps**2 * grown**2 / (2.0 * kappa)
+            np.multiply(mean, mean, out=w1)
+            psi /= w1
+            tail = np.flatnonzero(psi > _PSI_C)  # the paths of the exponential law
+            # quadratic law V' = a (b + Z_V)^2; psi is clipped at psi_c so
+            # that the tail's values, replaced below, stay finite
+            np.minimum(psi, _PSI_C, out=w1)
+            np.divide(2.0, w1, out=w1)
+            np.subtract(w1, 1.0, out=w2)
+            w1 *= w2
+            np.sqrt(w1, out=w1)
+            w1 += w2  # b^2 = 2/psi - 1 + sqrt(2/psi (2/psi - 1))
+            np.add(w1, 1.0, out=w2)
+            np.divide(mean, w2, out=w2)  # a = mean / (1 + b^2)
+            np.sqrt(w1, out=w1)
+            np.add(w1, zv, out=w3)
+            w3 *= w3
+            w3 *= w2  # V'
+            w2 *= 2.0 * big_a  # y = 2 A a; E[exp(A V')] is finite iff y < 1
+            plain = []  # paths where it is not keep Andersen's uncorrected drift
+            if big_a > 0 and w2.max() >= 1.0:  # only at rho > 0 and long steps
+                over = w2 >= 1.0
+                plain.append(np.flatnonzero(over & (psi <= _PSI_C)))
+                w2[over] = 0.0
+            # the log price takes A V' - log E[exp(A V')], which is the
+            # martingale correction's K0* + K1 V + K2 V' + (K3 V + K4 V')/2,
+            # arranged as y Z_V (b + Z_V/2) - (y b)^2 / (2 (1 - y))
+            # + log(1 - y) / 2 so that no term of size rho/eps cancels
+            np.multiply(zv, 0.5, out=w4)
+            w4 += w1
+            w4 *= zv
+            w4 *= w2
+            w1 *= w2
+            w1 *= w1
+            np.subtract(1.0, w2, out=w5)
+            np.log(w5, out=w2)
+            w5 += w5
+            w1 /= w5
+            w4 -= w1
+            w2 *= 0.5
+            w4 += w2
+            if tail.size:
+                # exponential law: V' = 0 with probability pz, else
+                # Exp(beta); U <= pz puts the log's argument at 1.  The tail
+                # is gathered into rows no longer needed (mode "clip" takes
+                # unbuffered; the indices are in range), so a worker
+                # allocates only its index
+                k = tail.size
+                pz, beta, v_new, pz_c, gap = w1[:k], w2[:k], w5[:k], psi[:k], mean[:k]
+                np.take(psi, tail, out=pz, mode="clip")
+                np.take(mean, tail, out=beta, mode="clip")
+                np.take(u, tail, out=v_new, mode="clip")
+                np.add(pz, 1.0, out=pz_c)
+                pz -= 1.0
+                pz /= pz_c
+                np.subtract(1.0, pz, out=pz_c)
+                np.divide(pz_c, beta, out=beta)
+                np.subtract(1.0, v_new, out=v_new)
+                np.divide(pz_c, v_new, out=v_new)
+                np.maximum(v_new, 1.0, out=v_new)
+                np.log(v_new, out=v_new)
+                v_new /= beta
+                w3[tail] = v_new
+                # E[exp(A V')] = pz + (1 - pz) beta / gap where gap = beta - A > 0
+                np.subtract(beta, big_a, out=gap)
+                if big_a > 0 and gap.min() <= 0.0:
+                    over = gap <= 0.0
+                    plain.append(tail[over])
+                    gap[over] = np.inf
+                pz_c *= beta
+                pz_c /= gap
+                pz_c += pz
+                np.log(pz_c, out=pz_c)
+                np.multiply(v_new, big_a, out=gap)
+                gap -= pz_c
+                w4[tail] = gap
+            if plain:
+                # K0 + K1 V + K2 V' + (K3 V + K4 V')/2, K0 = -rho kappa vbar dt / eps
+                plain = np.concatenate(plain)
+                old, new = v[plain], w3[plain]
+                w4[plain] = (q * ((new - old) - kappa * dt * (vbar - 0.5 * (old + new)))
+                             - 0.25 * rho**2 * dt * (old + new))
+            np.add(v, w3, out=w1)
+            w1 *= 0.5 * (1.0 - rho**2) * dt  # K3 V + K4 V'
+            np.sqrt(w1, out=w2)
+            w2 *= zx
+            w1 *= 0.5
+            w4 -= w1
+            w4 += w2
+            w4 += (p.r - p.q) * dt
+            x += w4
+            np.copyto(v, w3)
         np.exp(x, out=s[cols])
         if var is not None:
             var[cols] = v
@@ -471,12 +570,11 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
         blocks = [(slice(a, b), driver.generator(*tags, block_id),
                    np.full(b - a, math.log(p.s0)), np.full(b - a, p.v0))
                   for block_id, (a, b) in enumerate(_spans(n_paths, _PATH_BLOCK))]
-        free.extend(np.empty((6, len(blocks[0][2]))) for _ in range(workers))
+        free.extend(np.empty((10, len(blocks[0][2]))) for _ in range(workers))
         s = np.full(n_paths, p.s0)
         yield (s, np.full(n_paths, p.v0)) if return_variance else s
         with ThreadPoolExecutor(workers) as pool:
-            for lo, hi in zip(times, times[1:]):
-                n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
+            for lo, hi, n in zip(times, times[1:], steps.astype(int)):
                 s = np.empty(n_paths)
                 var = np.empty(n_paths) if return_variance else None
                 tasks = [pool.submit(step, block, lo, hi, n, s, var) for block in blocks]
@@ -496,12 +594,15 @@ def _workers(n_paths):
 def _heston_bytes(n_paths):
     """Bytes `_heston_rows` holds without return_variance: the row it builds
     and the one its caller still holds, every block's log price and
-    variance, each worker's scratch (a block's normals, V+, sqrt(V+ dt) and
-    two work arrays), and _TASK_BYTES a block and a worker for the Python
-    objects around them: generators, tasks, threads."""
+    variance, each worker's scratch (a block's two rows of normals, its
+    uniforms and seven work rows) and what a step allocates beside it (at
+    most _STEP_ROWS rows: the exponential law's index and, on paths where
+    E[exp(A V')] is infinite, the uncorrected drift's temporaries), and
+    _TASK_BYTES a block and a worker for the Python objects around them:
+    generators, tasks, threads."""
     blocks = -(-n_paths // _PATH_BLOCK)
     workers = _workers(n_paths)
-    return (8 * (4 * n_paths + 6 * workers * min(n_paths, _PATH_BLOCK))
+    return (8 * (4 * n_paths + (10 + _STEP_ROWS) * workers * min(n_paths, _PATH_BLOCK))
             + _TASK_BYTES * (blocks + workers))
 
 
@@ -512,24 +613,30 @@ def heston_simulate(
     driver,
     tags=(),
     return_variance=False,
-    max_step=1.0 / 250.0,
+    max_step=1.0 / 32.0,
 ):
-    """Full-truncation Euler paths of S, returned at the requested times.
+    """Paths of S by Andersen's (2008) quadratic-exponential scheme with the
+    martingale correction (QE-M), returned at the requested times.
 
-    The variance uses V^+ in drift and diffusion and is driven by the same
-    Brownian increment that carries weight rho in the log-price, matching
-    the closed-form characteristic function.  The log price steps exactly
-    conditional on V: X += (r - q - V^+/2) dt + sqrt(V^+ dt) (rho Z1 +
-    sqrt(1-rho^2) Z2).
+    Each step draws V' from a law with V's exact conditional mean and
+    variance: a (b + Z_V)^2 while psi = variance / mean^2 is at most 1.5,
+    else 0 with probability p and exponential beyond.  The log price steps
+    as X' = X + (r - q) dt + K0 + K1 V + K2 V' + sqrt(K3 V + K4 V') Z_X in
+    Andersen's notation: V's integral by the trapezoid rule (gamma1 = gamma2
+    = 1/2), the noise V's increment carries, and an independent normal for
+    the rest.  K0 is chosen so that E[S' | S, V] = S e^{(r-q) dt} under the
+    scheme; where that expectation is infinite (long steps at rho > 0) the
+    uncorrected K0 = -rho kappa vbar dt / eps is taken.
 
     `times` (starting at 0) are the monitoring times.  Each interval [lo, hi]
-    between them is split into n = ceil((hi - lo) / max_step) equal Euler
-    steps, the i-th ending at lo + (hi - lo) i / n, the last exactly at hi.
-    Each step's end is computed as it is taken, so memory does not grow with
-    the step count.  The rows are those of `_heston_rows`, collected: shape
-    (len(times), n_paths), one row per time like `model.path_grid`, so a
-    terminal value is `heston_simulate(p, [0.0, T], ...)[1]`.  With
-    return_variance, returns (S, V) arrays of that shape.
+    between them is split into n = ceil((hi - lo) / max_step) equal steps,
+    the i-th ending at lo + (hi - lo) i / n, the last exactly at hi; at most
+    _MAX_STEPS steps in all.  Each step's end is computed as it is taken, so
+    memory does not grow with the step count.  The rows are those of
+    `_heston_rows`, collected: shape (len(times), n_paths), one row per time
+    like `model.path_grid`, so a terminal value is
+    `heston_simulate(p, [0.0, T], ...)[1]`.  With return_variance, returns
+    (S, V) arrays of that shape.
     """
     rows = _heston_rows(p, times, n_paths, driver, tags, return_variance, max_step)
     out = np.empty((1 + return_variance, len(times), n_paths))  # S, then V

@@ -259,8 +259,8 @@ def test_c04_orthonormality_by_quadrature():
         res.detail = f"max |gram - identity| = {worst:.2e}"
 
 
-def test_c05_heston_lewis_vs_euler_mc():
-    with criterion(5, "Heston Lewis within 3 SE of 1e6-path Euler MC") as res:
+def test_c05_heston_lewis_vs_qe_mc():
+    with criterion(5, "Heston Lewis within 3 SE of 1e6-path QE MC") as res:
         chi2 = 2.0 * HESTON.rho * HESTON.eps - HESTON.kappa
         delta2 = chi2**2 - 2.0 * HESTON.eps**2
         moment_ok = (heston_second_moment_finite(HESTON)

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -517,6 +518,21 @@ class TestHestonSimulate:
         with pytest.raises(ValidationError):
             heston_simulate(P, np.array([0.0, 0.2]), 10, d, max_step=0.0)
 
+    def test_step_count_is_capped_before_any_step(self):
+        class NoStreams:
+            def generator(self, *key):
+                raise AssertionError("a stream was opened")
+
+        # 3.2e13 steps ran until killed; the cap counts every interval, and a
+        # step count past a float's range is refused, not converted
+        cases = [([0.0, 1e12], {}, r"3\.2e\+13 steps through the interval \[0, 1e\+12\]"),
+                 ([0.0, 16384.0, 32768.0, 49152.0], {},
+                  r"1\.573e\+06 steps through the interval \[32768, 49152\]"),
+                 ([0.0, 1.0], {"max_step": 1e-320}, r"inf steps through the interval \[0, 1\]")]
+        for times, kwargs, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                heston_simulate(P, times, 2, NoStreams(), **kwargs)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_times_rejected(self, bad):
         # NaN reached int(nan) (ValueError), inf int(inf) (OverflowError)
@@ -529,17 +545,17 @@ class TestHestonSimulate:
         assert abs(st.mean() - 100.0) < 4 * se
 
     def test_requested_columns_match_the_refined_run(self, monkeypatch):
-        # the Euler steps run on the refined grid either way; only the
+        # the QE steps run on the refined grid either way; only the
         # requested times are stored, with the bits of the full-grid run
         monkeypatch.setattr(reference, "_PATH_BLOCK", 64)  # three path blocks
         times = np.array([0.0, 0.13, 0.5, 0.51, 1.0])
         fine = [times[0]]  # each interval in ceil(width / step) equal steps
         for lo, hi in zip(times, times[1:]):
-            n = max(1, int(np.ceil((hi - lo) / (1.0 / 250.0) - 1e-12)))
+            n = max(1, int(np.ceil((hi - lo) / (1.0 / 32.0) - 1e-12)))
             fine += [lo + (hi - lo) * i / n for i in range(1, n)] + [hi]
         fine = np.array(fine)
-        assert fine.size == 1 + 33 + 93 + 3 + 123  # ceil(250 * interval) steps each
-        assert np.diff(fine).max() <= 1.0 / 250.0 + 1e-15
+        assert fine.size == 1 + 5 + 12 + 1 + 16  # ceil(32 * interval) steps each
+        assert np.diff(fine).max() <= 1.0 / 32.0 + 1e-15
         d = BrownianDriver(4)
         s, v = heston_simulate(P, times, 150, d, tags=(0,), return_variance=True)
         s_fine, v_fine = heston_simulate(P, fine, 150, d, tags=(0,),
@@ -550,8 +566,8 @@ class TestHestonSimulate:
         np.testing.assert_array_equal(v, v_fine[keep])
 
     def test_memory_does_not_grow_with_the_step_count(self):
-        # 1000 and 10000 Euler steps hold the same arrays; with the refined
-        # grid held as a list, the peaks were 41.6 KB and 406 KB
+        # 128 and 1280 steps hold the same arrays; with the refined grid held
+        # as a list, the peaks of 1000 and 10000 steps were 41.6 KB and 406 KB
         def peak(horizon):
             heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6))  # warm-up
             tracemalloc.start()
@@ -563,16 +579,15 @@ class TestHestonSimulate:
 
         assert peak(40.0) <= peak(4.0) + 1024
 
-    # one worker, and a worker for each of the three blocks (one short)
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_peak_within_the_count(self, monkeypatch, workers):
+    @staticmethod
+    def assert_peak_within_the_count(monkeypatch, workers, p, horizon, max_step):
         monkeypatch.setattr(reference, "_PATH_BLOCK", 4096)
         monkeypatch.setattr(reference, "_workers", lambda n_paths: workers)
         n = 3 * 4096 - 1000
-        times = np.linspace(0.0, 0.2, 9)
+        times = np.linspace(0.0, horizon, 9)
 
         def run():
-            for _ in reference._heston_rows(P, times, n, BrownianDriver(6)):
+            for _ in reference._heston_rows(p, times, n, BrownianDriver(6), max_step=max_step):
                 pass
 
         run()  # lazy set-up outside the trace
@@ -584,26 +599,50 @@ class TestHestonSimulate:
             tracemalloc.stop()
         assert peak <= reference._heston_bytes(n)
 
+    # one worker, and a worker for each of the three blocks (one short)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_peak_within_the_count(self, monkeypatch, workers):
+        self.assert_peak_within_the_count(monkeypatch, workers, P, 0.2, 1.0 / 32.0)
+
+    # where nearly every path takes the exponential law (V0 = 0, psi at V = 0
+    # is eps^2 / (2 kappa vbar) = 33), and where every path keeps the
+    # uncorrected drift (8-year steps at rho > 0)
+    @pytest.mark.parametrize("p, horizon, max_step", [
+        (HestonParams(100.0, 1.5, 0.04, 2.0, -0.7, 0.0), 0.2, 1.0 / 32.0),
+        (HestonParams(100.0, 5.0, 0.04, 2.0, 0.7, 0.04), 64.0, 8.0),
+    ], ids=["exponential", "uncorrected"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_step_temporaries_within_the_count(self, monkeypatch, workers, p, horizon,
+                                               max_step):
+        self.assert_peak_within_the_count(monkeypatch, workers, p, horizon, max_step)
+
     def test_coarse_request_is_refined(self):
-        # two monitoring times half a year apart still step at most 1/250:
-        # with eps -> 0 the variance follows the ODE to the O(dt) step error
+        # with eps -> 0 every QE step draws V' about its exact conditional
+        # mean, so the variance follows the ODE to eps-sized noise at the
+        # default's 16 steps a half year and at one raw step
         p = HestonParams(100.0, 2.0, 0.04, 1e-10, -0.5, 0.09)
         times = [0.0, 0.5, 1.0]
-        _, v = heston_simulate(p, times, 10, BrownianDriver(5), return_variance=True)
         ode = 0.04 + (0.09 - 0.04) * np.exp(-2.0 * np.array(times))[:, None]
-        assert np.abs(v - ode).max() < 2e-4
-        _, v_coarse = heston_simulate(p, times, 10, BrownianDriver(5),
-                                      return_variance=True, max_step=0.5)
-        assert np.abs(v_coarse - ode).max() > 1e-2  # two raw steps miss it
+        for max_step in (1.0 / 32.0, 0.5):
+            _, v = heston_simulate(p, times, 10, BrownianDriver(5), return_variance=True,
+                                   max_step=max_step)
+            assert np.abs(v - ode).max() < 1e-9
 
     def test_vanishing_vol_of_vol_variance_ode(self):
-        # eps -> 0: V is deterministic, V' = kappa (vbar - V)
+        # eps -> 0: V is deterministic, V' = kappa (vbar - V), and S is
+        # lognormal with the integrated variance: the rho/eps terms of the
+        # log price cancel in the arrangement, not in rounding
         p = HestonParams(100.0, 2.0, 0.04, 1e-10, -0.5, 0.09)
         grid = np.linspace(0.0, 1.0, 251)
         _, v = heston_simulate(p, grid, 100, BrownianDriver(5), return_variance=True)
         ode = 0.04 + (0.09 - 0.04) * np.exp(-2.0 * grid)
-        assert np.abs(v[:, 0] - ode).max() < 2e-4  # O(dt) step error
+        assert np.abs(v[:, 0] - ode).max() < 1e-9
         assert np.abs(v - v[:, :1]).max() < 1e-8  # same across paths
+        total = 0.04 + 0.05 * (1.0 - math.exp(-2.0)) / 2.0  # int_0^1 V dt
+        log_s = np.log(heston_simulate(p, [0.0, 1.0], 100_000, BrownianDriver(5))[1] / 100.0)
+        n = log_s.size
+        assert abs(log_s.mean() + total / 2.0) < 3 * math.sqrt(total / n)
+        assert abs(log_s.var() / total - 1.0) < 3 * math.sqrt(2.0 / n)
 
     def test_lewis_agreement(self):
         st = heston_simulate(P, [0.0, 1.0], 200_000, BrownianDriver(6))[1]
@@ -613,17 +652,49 @@ class TestHestonSimulate:
             assert abs(pay.mean() - heston_lewis_price(P, k, 1.0)) < 3 * se
 
     def test_bias_shrinks_with_step(self):
-        # weak order one: the 12-step bias is visible, the 100-step bias is not
-        lw = heston_lewis_price(P, 100.0, 0.5)
+        # two QE steps to T = 0.5 misprice the 110 call: given V and V', one
+        # long step's log price is normal, and the true one is not; the
+        # default's 16 steps show no bias
+        lw = heston_lewis_price(P, 110.0, 0.5)
         errs = {}
-        for i, n in enumerate((12, 100)):
+        for i, n in enumerate((2, 16)):
             st = heston_simulate(P, [0.0, 0.5], 400_000, BrownianDriver(8), tags=(i,),
                                  max_step=0.5 / n)[1]
-            pay = np.maximum(st - 100.0, 0.0)
+            pay = np.maximum(st - 110.0, 0.0)
             errs[n] = (pay.mean() - lw, pay.std(ddof=1) / math.sqrt(pay.size))
-        assert abs(errs[12][0]) > 3 * errs[12][1]
-        assert abs(errs[100][0]) < 3 * errs[100][1]
-        assert abs(errs[12][0]) > abs(errs[100][0])
+        assert abs(errs[2][0]) > 3 * errs[2][1]
+        assert abs(errs[16][0]) < 3 * errs[16][1]
+        assert abs(errs[2][0]) > abs(errs[16][0])
+
+    @pytest.mark.parametrize("max_step", [1.0 / 32.0, 1.0])
+    def test_positive_correlation_martingale(self, max_step):
+        # rho > 0 is where E[exp(A V')] can be infinite; at these steps it is
+        # finite, and the correction keeps S a martingale
+        p = HestonParams(100.0, 1.5, 0.04, 0.5, 0.7, 0.04)
+        st = heston_simulate(p, [0.0, 1.0], 100_000, BrownianDriver(3), max_step=max_step)[1]
+        assert np.all(np.isfinite(st))
+        assert abs(st.mean() - 100.0) < 4 * st.std(ddof=1) / math.sqrt(st.size)
+
+    @pytest.mark.parametrize("p, horizon", [
+        (P, 1.0),
+        (HestonParams(100.0, 1.5, 0.04, 2.0, -0.7, 0.0), 1.0),  # V0 = 0, mostly exponential
+        (HestonParams(100.0, 2.0, 0.04, 1e-10, -0.5, 0.09), 1.0),  # eps -> 0
+        (HestonParams(100.0, 5.0, 0.04, 2.0, 0.7, 0.04), 8.0),  # A >= beta on the tail
+        (HestonParams(100.0, 10.0, 0.04, 0.5, 0.7, 0.04), 30.0),  # 2 A a >= 1
+    ], ids=["desk", "exponential", "vanishing-eps", "exponential-uncorrected",
+            "quadratic-uncorrected"])
+    def test_no_floating_point_warning(self, p, horizon):
+        # the branch a path does not take is computed on clipped values (the
+        # quadratic law) or not at all (the exponential law and the
+        # uncorrected drift): no sqrt of a negative, log of 0 or division by 0;
+        # the worker threads' warnings reach this filter, which numpy's
+        # per-thread errstate would not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for max_step in (1.0 / 32.0, horizon):
+                s, v = heston_simulate(p, [0.0, horizon], 2000, BrownianDriver(4),
+                                       return_variance=True, max_step=max_step)
+                assert np.all(np.isfinite(s)) and np.all(v >= 0.0)
 
     def test_determinism(self):
         grid = np.linspace(0.0, 0.2, 51)
@@ -642,6 +713,22 @@ def gbm_paths():
 
 
 class TestExoticMc:
+    def test_fixture_is_black_scholes(self, gbm_paths):
+        # eps = 1e-8 with v0 = vbar: GBM with sigma 0.2, on the first step
+        # and at T; QE's rho/eps terms cancel in the arrangement, not in
+        # rounding, so calls at both maturities are Black-Scholes
+        grid, paths = gbm_paths
+        first = np.log(paths[1] / 100.0)
+        dt, n = grid[1], first.size
+        assert abs(first.mean() + 0.02 * dt) < 3 * math.sqrt(0.04 * dt / n)
+        assert abs(first.var() / (0.04 * dt) - 1.0) < 3 * math.sqrt(2.0 / n)
+        for row, t in ((256, 0.5), (512, 1.0)):
+            assert grid[row] == t
+            for k in (90.0, 100.0, 110.0):
+                pay = np.maximum(paths[row] - k, 0.0)
+                se = pay.std(ddof=1) / math.sqrt(n)
+                assert abs(pay.mean() - bs_call(100.0, k, t, 0.2)) < 3 * se
+
     def test_forward_start_tau_zero_is_vanilla(self, gbm_paths):
         grid, paths = gbm_paths
         spec = ForwardStartCall(0.0, 1.0, strike_ratio=1.05)
@@ -735,16 +822,19 @@ def whole_array_price(paths, times, spec):
     return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(payoff.size))
 
 
-def block_major_heston(p, times, n_paths, driver, tags, max_step=1.0 / 250.0):
+def block_major_heston(p, times, n_paths, driver, tags, max_step=1.0 / 32.0):
     """(S, V) of `heston_simulate` with each block of paths stepped through
-    every time before the next block starts."""
+    every time before the next block starts: Andersen's QE-M step with both
+    laws of V' and both drifts formed on every path, each path taking its
+    own by np.where."""
     s, v_out = np.empty((2, len(times), n_paths))
-    rho_c = math.sqrt(1.0 - p.rho**2)
+    q = p.rho / p.eps
     for block_id, start in enumerate(range(0, n_paths, reference._PATH_BLOCK)):
         cols = slice(start, min(start + reference._PATH_BLOCK, n_paths))
+        m = cols.stop - start
         gen = driver.generator(*tags, block_id)
-        x = np.full(cols.stop - start, math.log(p.s0))
-        v = np.full(cols.stop - start, p.v0)
+        x = np.full(m, math.log(p.s0))
+        v = np.full(m, p.v0)
         s[0, cols], v_out[0, cols] = p.s0, p.v0
         for row, (lo, hi) in enumerate(zip(times, times[1:]), start=1):
             n = max(1, int(np.ceil((hi - lo) / max_step - 1e-12)))
@@ -752,11 +842,35 @@ def block_major_heston(p, times, n_paths, driver, tags, max_step=1.0 / 250.0):
             for i in range(1, n + 1):
                 end = hi if i == n else lo + (hi - lo) * i / n
                 dt, prev = end - prev, end
-                z = gen.standard_normal((len(x), 2))
-                vp = np.maximum(v, 0.0)
-                sq = np.sqrt(vp * dt)
-                x += (p.r - p.q - 0.5 * vp) * dt + sq * (p.rho * z[:, 0] + rho_c * z[:, 1])
-                v = v + p.kappa * (p.vbar - vp) * dt + p.eps * sq * z[:, 0]
+                zv, zx = gen.standard_normal((2, m))
+                u = gen.random(m)
+                decay, grown = math.exp(-p.kappa * dt), -math.expm1(-p.kappa * dt)
+                big_a = q * (1.0 + 0.5 * p.kappa * dt) - 0.25 * p.rho**2 * dt
+                mean = v * decay + p.vbar * grown
+                var = (v * (p.eps**2 * decay * grown / p.kappa)
+                       + p.vbar * p.eps**2 * grown**2 / (2.0 * p.kappa))
+                psi = var / (mean * mean)
+                with np.errstate(all="ignore"):  # each law is formed on every path
+                    t = 2.0 / psi
+                    b2 = np.sqrt(t * (t - 1.0)) + (t - 1.0)
+                    a, b = mean / (b2 + 1.0), np.sqrt(b2)
+                    v_quad = (b + zv) * (b + zv) * a
+                    y = a * (2.0 * big_a)
+                    drift_quad = ((zv * 0.5 + b) * zv * y - (b * y) ** 2 / (2.0 * (1.0 - y))
+                                  + np.log(1.0 - y) * 0.5)
+                    pz = (psi - 1.0) / (psi + 1.0)
+                    beta = (1.0 - pz) / mean
+                    v_exp = np.log(np.maximum((1.0 - pz) / (1.0 - u), 1.0)) / beta
+                    drift_exp = big_a * v_exp - np.log(pz + (1.0 - pz) * beta / (beta - big_a))
+                quad = psi <= 1.5
+                v_new = np.where(quad, v_quad, v_exp)
+                drift_k0 = (q * ((v_new - v) - p.kappa * dt * (p.vbar - 0.5 * (v + v_new)))
+                            - 0.25 * p.rho**2 * dt * (v + v_new))
+                drift = np.where(quad, np.where(y < 1.0, drift_quad, drift_k0),
+                                 np.where(beta > big_a, drift_exp, drift_k0))
+                w = (v + v_new) * (0.5 * (1.0 - p.rho**2) * dt)
+                x += drift - w * 0.5 + np.sqrt(w) * zx + (p.r - p.q) * dt
+                v = v_new
             s[row, cols], v_out[row, cols] = np.exp(x), v
     return s, v_out
 
@@ -815,6 +929,22 @@ class TestExoticFold:
             np.testing.assert_array_equal(s_row, s[i])
             np.testing.assert_array_equal(v_row, v[i])
         assert i == len(self.TIMES) - 1
+
+    @pytest.mark.parametrize("p, horizon", [
+        (HestonParams(100.0, 5.0, 0.04, 2.0, 0.7, 0.04), 8.0),
+        (HestonParams(100.0, 10.0, 0.04, 0.5, 0.7, 0.04), 30.0),
+    ], ids=["exponential", "quadratic"])
+    def test_uncorrected_paths_step_as_alone(self, monkeypatch, p, horizon):
+        # one step an interval at rho > 0, where E[exp(A V')] is infinite on
+        # the tail (A >= beta) or on the quadratic law (2 A a >= 1): the
+        # paths that keep Andersen's K0 have the replica's bits too
+        monkeypatch.setattr(reference, "_PATH_BLOCK", 64)
+        times = [0.0, horizon, 2.0 * horizon]
+        s, v = block_major_heston(p, times, 150, BrownianDriver(9), (5,), max_step=horizon)
+        s_sim, v_sim = heston_simulate(p, times, 150, BrownianDriver(9), tags=(5,),
+                                       return_variance=True, max_step=horizon)
+        np.testing.assert_array_equal(s_sim, s)
+        np.testing.assert_array_equal(v_sim, v)
 
     def test_more_workers_than_cores_keep_the_bits(self, monkeypatch):
         # eight blocks on four workers, switching threads every microsecond:
