@@ -14,7 +14,10 @@ calibrated against.  Four pieces:
   in one integration: every refinement level makes one CF call for all of
   it, and each (maturity, strike) pair keeps its own panels, so its price
   has the bits it has when priced alone.  The tail blocks go before the
-  body, so a CF that explodes at high frequency fails at once;
+  body, so a CF that explodes at high frequency fails at once.  The body
+  starts on panels graded toward u = 0, where the integrand peaks, so it
+  needs about one level of bisection, not one for each halving toward the
+  peak;
 
 * the rough-Heston characteristic function via a fractional-Adams
   (predictor-corrector) solution of the Caputo Riccati equation
@@ -71,6 +74,9 @@ _MAX_STEPS = 1 << 20
 _MAX_PANELS = 4096
 _LEWIS_TOL = 1e-10
 _LEWIS_U_MAX = 200.0
+# the Lewis body's first panels: its 1/(u^2 + 1/4) factor varies on the scale
+# 1/2 about u = 0 and flattens away from it, so the panels double from there
+_LEWIS_EDGES = (0.0, 0.5) + tuple(2.0**j for j in range(8)) + (_LEWIS_U_MAX,)
 _EXPLOSION_THRESHOLD = 1e8
 _STEPS_PER_UNIT_TIME = 500
 _SOLVE_BYTES = 1 << 24  # psi and history of one rough-Heston solve chunk
@@ -150,15 +156,38 @@ def adaptive_panel_integral(f, a, b, tol):
     f maps a 1-d array of points to values of shape (n_pts,), giving a float,
     or to (n_out, n_pts) for n_out integrands that share their evaluations,
     giving an array of n_out integrals.  Each panel is estimated at 10 and 21
-    nodes; a panel whose estimates disagree by more than its share of tol is
-    bisected.  Every integrand keeps its own open panels, acceptance test and
-    running sum, so it gets the bits it would get alone.  f is called once
-    per refinement level, on the nodes of both rules for the union of all
-    integrands' open panels.
+    nodes; a panel whose estimates disagree by more than its share of tol,
+    tol (hi - lo) / (b - a), is bisected.  Every integrand keeps its own open
+    panels, acceptance test and running sum, so it gets the bits it would get
+    alone.  f is called once per refinement level, on the nodes of both rules
+    for the union of all integrands' open panels.  The first level is the one
+    panel [a, b]; `lewis_call_price` starts its body on graded panels instead.
+    a and b must be finite and tol finite and positive; a == b gives 0.0 and
+    a > b the integral over [b, a] negated.
     """
+    for key, x in (("a", a), ("b", b)):
+        if not math.isfinite(x):
+            raise ValidationError(f"integration bound {key!r} must be finite, got {x}")
+    if a == b:
+        return 0.0
+    if a > b:
+        return -_panel_integral(f, (b, a), tol)
+    return _panel_integral(f, (a, b), tol)
+
+
+def _panel_integral(f, edges, tol):
+    """`adaptive_panel_integral` over [edges[0], edges[-1]], whose first level
+    is the panels between consecutive edges (finite, strictly increasing)."""
+    edges = np.asarray(edges, dtype=float)
+    if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+            or not np.all(np.diff(edges) > 0)):
+        raise ValidationError(
+            f"panel edges must be finite and strictly increasing, got {edges}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     (x10, w10), (x21, w21) = _GL10, _GL21
-    lo = np.array([a], dtype=float)  # open panels, union over the integrands
-    hi = np.array([b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]  # open panels, union over the integrands
+    width = edges[-1] - edges[0]
     owned = None  # per integrand: positions of its open panels in (lo, hi)
     while lo.size:
         mid = 0.5 * (lo + hi)
@@ -167,10 +196,10 @@ def adaptive_panel_integral(f, a, b, tol):
         pts = np.concatenate([(mid[:, None] + half[:, None] * x).ravel()
                               for x in (x10, x21)])
         vals = np.asarray(f(pts), dtype=float)
-        if owned is None:  # every integrand starts on the one panel [a, b]
+        if owned is None:  # every integrand starts on every panel of the edges
             scalar = vals.ndim == 1
             n_out = 1 if scalar else len(vals)
-            owned = [np.zeros(1, dtype=int)] * n_out
+            owned = [np.arange(n)] * n_out
             totals = [0.0] * n_out
             n_done = [0] * n_out
         vals = vals.reshape(len(owned), pts.size)
@@ -182,7 +211,7 @@ def adaptive_panel_integral(f, a, b, tol):
             coarse = half[pos] * (coarse_vals[j, pos] @ w10)
             fine = half[pos] * (fine_vals[j, pos] @ w21)
             err = np.abs(fine - coarse)
-            budget = tol * (p_hi - p_lo) / (b - a)
+            budget = tol * (p_hi - p_lo) / width
             ok = err <= budget
             totals[j] += float(fine[ok].sum())
             n_done[j] += int(ok.sum())
@@ -222,7 +251,12 @@ def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0):
     contributes less than _LEWIS_TOL; a block's cf call asks only for the
     maturities that still have such a pair.  The tail blocks are integrated
     before the body [0, _LEWIS_U_MAX], since a CF that explodes does so at
-    high frequency first, and are added to it in order after it.
+    high frequency first, and are added to it in order after it.  The body's
+    first level is the panels between _LEWIS_EDGES, 0, 1/2, 1, 2, ..., 128,
+    _LEWIS_U_MAX, graded to the 1/(u^2 + 1/4) factor's scale, so a smooth
+    integrand needs about one bisection of them.  Each panel's share
+    of the tolerance is _LEWIS_TOL times its width over _LEWIS_U_MAX, in the
+    body as in a single panel [0, _LEWIS_U_MAX].
     """
     strikes = np.asarray(k, dtype=float)
     mats = np.asarray(t, dtype=float)
@@ -254,9 +288,7 @@ def lewis_call_price(cf, s0, k, t, r=0.0, q=0.0):
         live = live[~(np.abs(block) < _LEWIS_TOL)]
         if live.size and upper > 1e7:
             raise IntegrationError("integration tail did not decay")
-    total = adaptive_panel_integral(
-        lambda u: integrand(u, every), 0.0, _LEWIS_U_MAX, _LEWIS_TOL
-    )
+    total = _panel_integral(lambda u: integrand(u, every), _LEWIS_EDGES, _LEWIS_TOL)
     for pairs, block in blocks:
         total[pairs] += block
     price = np.array([
@@ -276,20 +308,25 @@ def heston_lewis_price(p, k, t):
     return lewis_call_price(cf, p.s0, k, t, p.r, p.q)
 
 
-def _riccati_rhs(w, psi, p):
-    return (w**2 - w) / 2.0 - (p.kappa - w * p.rho * p.eps) * psi \
-        + (p.eps**2 / 2.0) * psi**2
+def _riccati_terms(w, p):
+    """The coefficients (c0, c1, c2) of R(w, psi) = c0 - c1 psi + c2 psi^2."""
+    return (w**2 - w) / 2.0, p.kappa - w * p.rho * p.eps, p.eps**2 / 2.0
 
 
-def _lag_sum(weights, hist):
-    """sum_j weights[j] hist[j] for real weights and a complex history.
+def _riccati_rhs(terms, psi):
+    c0, c1, c2 = terms
+    return c0 - c1 * psi + c2 * psi**2
 
-    The history is read as float pairs, so numpy's own einsum loop does one
-    real sum per entry: the bits depend neither on the BLAS thread count nor
-    on which other frequencies share the batch.
+
+def _lag_sum(weights, flat):
+    """sum_j weights[j] hist[j] for real weights and a complex history hist,
+    given as `flat`, its (len(hist), 2 n) float view.
+
+    numpy's own einsum loop does one real sum per entry, so the bits depend
+    neither on the BLAS thread count nor on which other frequencies share the
+    batch.
     """
-    flat = hist.reshape(len(hist), -1).view(float)
-    return np.einsum("k,kn->n", weights, flat).view(complex).reshape(hist.shape[1:])
+    return np.einsum("k,kn->n", weights, flat).view(complex)
 
 
 def rough_riccati_solve(u, rp, t_grid):
@@ -311,11 +348,13 @@ def rough_riccati_solve(u, rp, t_grid):
         raise ValidationError("time grid must be uniform and increasing")
     alpha = rp.alpha
     p = rp.heston
-    w = 1j * np.atleast_1d(u)
+    w = 1j * u.reshape(-1)
     n = t_grid.size - 1
-    psi = np.zeros((n + 1,) + w.shape, dtype=complex)
+    terms = _riccati_terms(w, p)
+    psi = np.zeros((n + 1, w.size), dtype=complex)
     rhs = np.zeros_like(psi)
-    rhs[0] = _riccati_rhs(w, psi[0], p)
+    flat = rhs.view(float)  # the history as float pairs, for `_lag_sum`
+    rhs[0] = _riccati_rhs(terms, psi[0])
     # Adams weights: predictor b_j and corrector a_j depend only on the lag
     j = np.arange(n + 1, dtype=float)
     b_lag = (j[1:] ** alpha - j[:-1] ** alpha) * h**alpha / alpha  # lag 1..n
@@ -324,26 +363,26 @@ def rough_riccati_solve(u, rp, t_grid):
         * h**alpha
         / math.gamma(alpha + 2)
     )  # lag 1..n-1 (weight of f_{k-lag} in the step to k, interior points)
+    # the oldest point's weight in the corrector of the step to k
+    a_first = [
+        ((k - 1) ** (alpha + 1) - (k - 1 - alpha) * k**alpha) * h**alpha
+        / math.gamma(alpha + 2)
+        for k in range(1, n + 1)
+    ]
     c_pred = 1.0 / math.gamma(alpha)
     c_corr = h**alpha / math.gamma(alpha + 2)
     for k in range(1, n + 1):
-        hist = rhs[:k]
         # predictor: sum_j b_{k-j} f_j
-        pred = c_pred * _lag_sum(b_lag[:k][::-1], hist)
-        f_pred = _riccati_rhs(w, pred, p)
+        pred = c_pred * _lag_sum(b_lag[:k][::-1], flat[:k])
+        f_pred = _riccati_rhs(terms, pred)
         # corrector: oldest-point weight + interior lags + new point
-        a0 = (
-            ((k - 1) ** (alpha + 1) - (k - 1 - alpha) * k**alpha)
-            * h**alpha
-            / math.gamma(alpha + 2)
-        )
-        corr = a0 * rhs[0]
+        corr = a_first[k - 1] * rhs[0]
         if k > 1:
-            corr = corr + _lag_sum(a_lag[: k - 1][::-1], hist[1:])
+            corr = corr + _lag_sum(a_lag[: k - 1][::-1], flat[1:k])
         psi[k] = corr + c_corr * f_pred
-        rhs[k] = _riccati_rhs(w, psi[k], p)
-        mag = np.abs(psi[k])
-        if not np.all(np.isfinite(mag)) or np.any(mag > _EXPLOSION_THRESHOLD):
+        rhs[k] = _riccati_rhs(terms, psi[k])
+        # the max is NaN if any |psi| is, so this catches NaN and inf too
+        if not np.abs(psi[k]).max(initial=0.0) <= _EXPLOSION_THRESHOLD:
             raise ExplosionError(
                 f"Riccati solution exploded at t = {t_grid[k]:.6g}"
             )
@@ -395,7 +434,7 @@ def rough_heston_cf(u, t, rp):
         for lo in range(0, flat.size, chunk):
             uc = flat[lo : lo + chunk]
             psi = rough_riccati_solve(uc, rp, longest)
-            rhs = _riccati_rhs(1j * uc, psi, p)
+            rhs = _riccati_rhs(_riccati_terms(1j * uc, p), psi)
             for i, x, grid in members:
                 int_psi = _trapezoid(psi[: grid.size], grid)
                 int_rhs = _trapezoid(rhs[: grid.size], grid)

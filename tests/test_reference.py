@@ -214,6 +214,35 @@ class TestLewis:
         got = adaptive_panel_integral(lambda x: np.exp(-x * x), 0.0, 8.0, 1e-12)
         assert got == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-11)
 
+    def test_panel_integrator_zero_width_and_reversed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adaptive_panel_integral(np.sin, 1.0, 1.0, 1e-10) == 0.0
+        assert adaptive_panel_integral(np.sin, math.pi, 0.0, 1e-12) == \
+            -adaptive_panel_integral(np.sin, 0.0, math.pi, 1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_panel_integrator_rejects_tol(self, tol):
+        with pytest.raises(ValidationError, match="tol must be finite and positive"):
+            adaptive_panel_integral(np.sin, 0.0, 1.0, tol)
+
+    @pytest.mark.parametrize("a, b, key", [(0.0, math.inf, "'b'"), (0.0, math.nan, "'b'"),
+                                           (-math.inf, 1.0, "'a'")])
+    def test_panel_integrator_rejects_non_finite_bounds(self, a, b, key):
+        with pytest.raises(ValidationError, match=f"bound {key} must be finite"):
+            adaptive_panel_integral(np.sin, a, b, 1e-10)
+
+    @pytest.mark.parametrize("edges", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, math.inf],
+                                       [0.0, math.nan, 1.0], [1.0]])
+    def test_graded_edges_validated(self, edges):
+        with pytest.raises(ValidationError, match="edges must be finite and strictly"):
+            reference._panel_integral(np.sin, edges, 1e-10)
+
+    def test_graded_edges_integrate_as_one_panel(self):
+        got = reference._panel_integral(lambda x: 1.0 / (x * x + 0.25),
+                                        reference._LEWIS_EDGES, 1e-10)
+        assert got == pytest.approx(2.0 * math.atan(400.0), abs=1e-10)
+
 
 def p_cf(u, t):
     return heston_cf(u, t, P)
@@ -349,6 +378,39 @@ class TestMaturityBatching:
                 lewis_call_price(rough_cf(ROUGH_DESK), 100.0, DESK_STRIKES, mats)
             assert 200.0 <= calls[0].real.min() and calls[0].real.max() <= 400.0
 
+    def test_rough_desk_surface_takes_three_solves(self, monkeypatch):
+        # one for the tail block, one for the body's graded panels, one level
+        # of bisection; bisecting [0, 200] down to the peak took 11
+        calls = recording_solve(monkeypatch)
+        lewis_call_price(rough_cf(ROUGH_FIT), 100.0, DESK_STRIKES,
+                         np.array([0.25, 0.5, 0.75, 1.0]))
+        assert len(calls) <= 3
+
+    def test_heston_desk_surface_takes_four_cf_calls(self):
+        calls = []
+        lewis_call_price(recording(lambda u, ts: np.stack([p_cf(u, t) for t in ts]), calls),
+                         100.0, DESK_STRIKES, np.array([0.25, 0.5, 0.75, 1.0]))
+        assert len(calls) <= 4
+
+    def test_body_starts_on_every_graded_panel(self):
+        calls = []
+        lewis_call_price(recording(p_cf, calls), 100.0, DESK_STRIKES, 1.0)
+        body = next(u.real for u in calls if u.real.min() < reference._LEWIS_U_MAX)
+        edges = reference._LEWIS_EDGES
+        counts, _ = np.histogram(body, bins=edges)
+        np.testing.assert_array_equal(counts, [10 + 21] * (len(edges) - 1))
+
+    def test_black_scholes_surface_wide(self):
+        strikes = np.array([40.0, 60.0, 80.0, 100.0, 125.0, 160.0, 200.0, 250.0])
+        mats = np.array([0.02, 0.1, 0.5, 1.0, 2.0, 5.0])
+
+        def cf(u, ts):
+            return np.stack([bs_cf(u, t) for t in ts])
+
+        got = lewis_call_price(cf, 100.0, strikes, mats)
+        want = [[bs_call(100.0, k, t, 0.2) for k in strikes] for t in mats]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=3e-10)
+
     def test_surface_solves_as_often_as_its_longest_maturity(self, monkeypatch):
         calls = recording_solve(monkeypatch)
         lewis_call_price(rough_cf(ROUGH_FIT), 100.0, DESK_STRIKES, 1.0)
@@ -364,6 +426,58 @@ def riccati_rhs_ivp(t, y, w, p):
     v = (w * w - w) / 2.0 - (p.kappa - w * p.rho * p.eps) * psi \
         + p.eps**2 / 2.0 * psi * psi
     return [v.real, v.imag]
+
+
+def adams_oracle(u, rp, t_grid):
+    """The fractional-Adams loop as first written, with its own right-hand
+    side and lag sum: the oracle `rough_riccati_solve` keeps the bits of."""
+    def riccati_rhs(w, psi, p):
+        return (w**2 - w) / 2.0 - (p.kappa - w * p.rho * p.eps) * psi \
+            + (p.eps**2 / 2.0) * psi**2
+
+    def lag_sum(weights, hist):
+        flat = hist.reshape(len(hist), -1).view(float)
+        return np.einsum("k,kn->n", weights, flat).view(complex).reshape(hist.shape[1:])
+
+    u = np.asarray(u, dtype=complex)
+    t_grid = np.asarray(t_grid, dtype=float)
+    h = np.diff(t_grid)[0]
+    alpha = rp.alpha
+    p = rp.heston
+    w = 1j * np.atleast_1d(u)
+    n = t_grid.size - 1
+    psi = np.zeros((n + 1,) + w.shape, dtype=complex)
+    rhs = np.zeros_like(psi)
+    rhs[0] = riccati_rhs(w, psi[0], p)
+    j = np.arange(n + 1, dtype=float)
+    b_lag = (j[1:] ** alpha - j[:-1] ** alpha) * h**alpha / alpha
+    a_lag = (
+        (j[2:] ** (alpha + 1) - 2 * j[1:-1] ** (alpha + 1) + j[:-2] ** (alpha + 1))
+        * h**alpha
+        / math.gamma(alpha + 2)
+    )
+    c_pred = 1.0 / math.gamma(alpha)
+    c_corr = h**alpha / math.gamma(alpha + 2)
+    for k in range(1, n + 1):
+        hist = rhs[:k]
+        pred = c_pred * lag_sum(b_lag[:k][::-1], hist)
+        f_pred = riccati_rhs(w, pred, p)
+        a0 = (
+            ((k - 1) ** (alpha + 1) - (k - 1 - alpha) * k**alpha)
+            * h**alpha
+            / math.gamma(alpha + 2)
+        )
+        corr = a0 * rhs[0]
+        if k > 1:
+            corr = corr + lag_sum(a_lag[: k - 1][::-1], hist[1:])
+        psi[k] = corr + c_corr * f_pred
+        rhs[k] = riccati_rhs(w, psi[k], p)
+        mag = np.abs(psi[k])
+        if not np.all(np.isfinite(mag)) or np.any(mag > reference._EXPLOSION_THRESHOLD):
+            raise ExplosionError(
+                f"Riccati solution exploded at t = {t_grid[k]:.6g}"
+            )
+    return psi.reshape((n + 1,) + u.shape)
 
 
 class TestRoughRiccati:
@@ -404,8 +518,29 @@ class TestRoughRiccati:
 
     def test_explosion_detected(self):
         rp = RoughHestonParams(P, alpha=1.0)
-        with pytest.raises(ExplosionError):
+        with pytest.raises(ExplosionError, match=r"exploded at t = 1\.108$"):
             rough_riccati_solve(-20j, rp, np.linspace(0.0, 5.0, 2501))
+        with pytest.raises(ExplosionError, match=r"exploded at t = 1\.108$"):
+            adams_oracle(-20j, rp, np.linspace(0.0, 5.0, 2501))
+
+    def test_non_finite_psi_is_an_explosion(self):
+        rp = RoughHestonParams(P, alpha=0.75)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ExplosionError, match=r"exploded at t = 0\.01$"), \
+                    np.errstate(invalid="ignore"):  # i times inf or NaN
+                rough_riccati_solve(np.array([1.0, bad]), rp, np.linspace(0.0, 1.0, 101))
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+    @pytest.mark.parametrize("n_points", [101, 301, 501])
+    def test_step_keeps_the_bits_of_the_first_loop(self, alpha, n_points):
+        rp = RoughHestonParams(P, alpha=alpha)
+        grid = np.linspace(0.0, 1.0, n_points)
+        u = 5.0 - 0.5j
+        batch = np.array([0.0, 0.5 - 0.5j, u, 30.0 - 0.5j])
+        np.testing.assert_array_equal(rough_riccati_solve(u, rp, grid),
+                                      adams_oracle(u, rp, grid))
+        np.testing.assert_array_equal(rough_riccati_solve(batch, rp, grid),
+                                      adams_oracle(batch, rp, grid))
 
     def test_grid_validation(self):
         rp = RoughHestonParams(P, alpha=0.7)
