@@ -270,8 +270,10 @@ class _CellPlan:
 
 def _cell_plan(plan, running):
     """Split every term of `plan`, built at a cell's end, into its factors at
-    the positions `running` (M*d layout) and its frozen factors: the
-    `_CellPlan` of the cell."""
+    the positions `running` (M*d layout, an int array) and its frozen
+    factors: the `_CellPlan` of the cell.  With no running position every
+    term is frozen and the one pattern is (): Q_0 is S_t at the plan's time.
+    With every position running nothing is frozen and Q_k are constants."""
     where = {int(e): j for j, e in enumerate(running)}
     frozen = [s for s, e in enumerate(plan.positions) if int(e) not in where]
     row = {s: f for f, s in enumerate(frozen)}
@@ -321,7 +323,7 @@ def _cell_rows(cell, q, x, v, out):
     `_collapse`, x the rows of I^t (n_rows, M*d) at t in the cell and v the
     running positions' variance accrued by t."""
     y = x.T[cell.running]  # a copy
-    table = _upto(max(map(max, cell.patterns)), y, v[:, None])
+    table = _upto(max(max(r, default=0) for r in cell.patterns), y, v[:, None])
     tmp = np.empty(x.shape[0])
     out[:] = q[0]
     for qk, pattern in zip(q[1:], cell.patterns[1:]):

@@ -12,16 +12,16 @@ one matrix (`sample_features`), since its price Jacobian needs every row;
 it keeps only the columns that can be nonzero at the maturity
 (`_live_columns`) and redraws one such matrix in place at each
 resimulation.
-Everything else reduces each block to S_T at once (`_sample_terminal`,
-`_path_rows` on Legendre), so it holds one block of feature rows whatever
-the path count: at most _BLOCK_BYTES, or _ROW_ALIGN rows if those are more.
+Pricing reduces each block to S_T at once (`_sample_terminal`), so it holds
+one block of feature rows whatever the path count: at most _BLOCK_BYTES, or
+_ROW_ALIGN rows if those are more.
 `_path_rows` yields S_t one time at a time, for the exotics fold in
 `reference`; `path_grid` collects its rows into the (n_times, n_paths) grid.
-On a piecewise grid of two or more cells it builds no feature rows: inside
-cell u, S_t is a polynomial in the running cell's integrals whose
-coefficients are fixed once cells 1..u-1 have closed, so each cell sums the
-chaos onto that polynomial once and each time evaluates it (see
-`_path_rows`), with no BLAS product.
+It builds no feature rows on any basis: over a cell (`_cell`), S_t is a
+polynomial in the running positions' integrals whose coefficients are fixed
+once the other positions are, so each cell sums the chaos onto that
+polynomial once and each time evaluates it, elementwise, with no BLAS
+product.  A Legendre time is a cell of its own with no running position.
 
 Every product `features @ coefficients` runs over row blocks that start at
 multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
@@ -258,33 +258,29 @@ def second_moment(model, t):
 
 def _cell(basis, d, t):
     """(end, running) of the cell holding t > 0: its end, and the positions
-    (M*d layout) whose integrals move over it, or None if none stays frozen.
-    A piecewise cell moves its own position in each component and freezes
-    the rest, unless the grid has that one cell; a basis without cells is
-    one cell (0, horizon] over which every position moves."""
+    (M*d layout) whose integrals move over it.  A piecewise cell moves its
+    own position in each component and freezes the rest (every position on a
+    grid of one cell).  A Legendre basis has no cells on which positions
+    freeze, so each time is a cell of its own, ending at t, over which no
+    position runs."""
     if not isinstance(basis, PiecewiseConstantBasis):
-        return basis.horizon, None
+        return t, np.empty(0, dtype=int)
     u = cell_index(basis, t)
-    moved = np.arange(basis.size) == u - 1
-    if moved.all():
-        return basis.grid[u], None
-    return basis.grid[u], np.flatnonzero(np.tile(moved, d))
+    return basis.grid[u], np.flatnonzero(np.tile(np.arange(basis.size) == u - 1, d))
 
 
 def _rows_bytes(model, n_times, n_paths):
     """Bytes `_path_rows` holds: the row it builds and the one its caller
-    still holds, 3 walk arrays and the index layer.  Rows that collapse
-    cell by cell add the Q arrays (at most C(p + d, d) of them, base
+    still holds, 3 walk arrays, the Q arrays (C(p + d, d) of them, base
     included), a block's frozen-factor table with its copy of the integrals,
-    two recurrence temporaries and a product, and a plan per cell (and one
-    split); the others a feature block and a plan per time."""
+    two recurrence temporaries and a product, and the index layer with a
+    plan per cell and one split: per time on Legendre, per cell on a
+    piecewise grid."""
     p, m, d = model.p, model.m, model.d
-    held = 8 * n_paths * (2 + 3 * m * d)
-    if _cell(model.basis, d, model.horizon)[1] is None:
-        return held + _block_bytes(p, m, d, n_paths) + _index_bytes(p, m, d, n_times)
+    cells = min(n_times, m) if isinstance(model.basis, PiecewiseConstantBasis) else n_times
     rows = min(n_paths, _block_rows(p, m, d))
-    return (held + 8 * n_paths * math.comb(p + d, d) + 8 * rows * ((p + 4) * m * d + 1)
-            + _index_bytes(p, m, d, min(n_times, m) + 1))
+    return (8 * n_paths * (2 + 3 * m * d + math.comb(p + d, d))
+            + 8 * rows * ((p + 4) * m * d + 1) + _index_bytes(p, m, d, cells + 1))
 
 
 def _check_held(need, n_times, n_paths):
@@ -311,23 +307,22 @@ def _path_rows(model, times, n_paths, driver, tags=()):
     its row is exactly S_0, so the other rows are those of the grid without
     it.  It holds `_rows_bytes`, never the grid.
 
-    Where t's cell freezes some positions (`_cell`: every piecewise cell of
-    a grid of two or more), the chaos sum is a polynomial in the running
-    positions' integrals whose coefficients hold still over the cell: at
-    the cell's first time, the plan at its end is split (`_cell_plan`) and
-    its frozen factors summed into Q arrays (`_collapse`), and each time
-    evaluates that polynomial (`_cell_rows`), block by block.  Elsewhere
-    (Legendre) each time's feature rows are built from its column plan and
-    reduced to S_t one row block at a time, every block in one buffer: a
-    fresh block per time let the heap shrink and grow again at each time
-    (15k minor page faults per legendre_paths `exotics` against 1.2k).
+    Over t's cell (`_cell`) the chaos sum is a polynomial in the running
+    positions' integrals whose coefficients hold still: at the cell's first
+    time, the plan at its end is split (`_cell_plan`) and its frozen factors
+    summed into the Q arrays (`_collapse`), and each time evaluates that
+    polynomial (`_cell_rows`), block by block.  On Legendre every time is
+    its own cell and its row is Q_0.  The Q arrays are allocated once a
+    call: allocated at every cell, they raised the peak RSS of the desk_eval
+    benchmark from 60.6 to 64.5 MB (2 CPUs, numpy 2.4).
     """
     walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
                            model.d)
     spans = _spans(n_paths, _block_rows(model.p, model.m, model.d))
 
     def rows():
-        block = q = None
+        # one pattern per running exponent tuple of degree <= p
+        q = np.empty((math.comb(model.p + model.d, model.d), n_paths))
         end = 0.0
         for t, ints in zip(times, walk):
             if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
@@ -335,26 +330,14 @@ def _path_rows(model, times, n_paths, driver, tags=()):
                 continue
             if t > end:  # t opens a cell
                 end, running = _cell(model.basis, model.d, t)
-                if running is not None:
-                    cell = _cell_plan(_feature_plan(model, end), running)
-                    if q is None:  # one pattern per running exponent tuple of degree <= p
-                        q = np.empty((math.comb(model.p + model.d, model.d), n_paths))
-                    for a, b in spans:
-                        _collapse(cell, model.coefficients, ints[a:b], q[:, a:b])
-                    q[0] += model.s0
-            row = np.empty(n_paths)
-            if running is not None:
-                v = np.tile(1.0 - np.diag(gram_tail(model.basis, t)), model.d)[running]
+                cell = _cell_plan(_feature_plan(model, end), running)
                 for a, b in spans:
-                    _cell_rows(cell, q[:, a:b], ints[a:b], v, row[a:b])
-                yield row
-                continue
-            if block is None:
-                block = np.empty((spans[0][1], len(model.coefficients)), order="F")
-            plan = _feature_plan(model, t)
-            for a, b in spans:  # every block is built in the one buffer
-                feats = _plan_rows(plan, ints[a:b], normalized=False, out=block[:b - a])
-                row[a:b] = model.s0 + feats @ model.coefficients
+                    _collapse(cell, model.coefficients, ints[a:b], q[:, a:b])
+                q[0] += model.s0
+            v = np.tile(1.0 - np.diag(gram_tail(model.basis, t)), model.d)[running]
+            row = np.empty(n_paths)
+            for a, b in spans:
+                _cell_rows(cell, q[:, a:b], ints[a:b], v, row[a:b])
             yield row
 
     return rows()
@@ -364,9 +347,8 @@ def path_grid(model, times, n_paths, driver, tags=()):
     """Jointly consistent S_t samples at the given times, shape (n_times, n_paths).
 
     All times share one Brownian path per path index (needed for exotics).
-    The rows are those of `_path_rows`, collected: on a piecewise grid of two
-    or more cells, one column plan per cell and a small polynomial per time;
-    elsewhere a plan and a product with the coefficients per time.
+    The rows are those of `_path_rows`, collected: one column plan per cell
+    (per time on Legendre) and a small polynomial per time.
     `_check_grid` runs first.
     """
     _check_grid(model, len(times), n_paths)

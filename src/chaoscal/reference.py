@@ -66,6 +66,7 @@ from .vol import DownAndOutCall, ForwardStartCall, LookbackCall
 _PATH_BLOCK = 1 << 14
 _TASK_BYTES = 1 << 14  # Python objects a Heston block or worker adds (about 4 KiB)
 _PSI_C = 1.5  # QE switches V's law from quadratic to exponential above this psi
+_PSI_FLOOR = 1e-150  # the quadratic law's psi is at least this; its b^2 then stays finite
 _STEP_ROWS = 7  # rows of a QE step's own temporaries, at most (6 measured)
 # QE steps of one Heston simulation, summed over its intervals: about 30 s of
 # per-step overhead (30 us a step at two paths, 2 cores); the desk's exotics
@@ -513,8 +514,10 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
             psi /= w1
             tail = np.flatnonzero(psi > _PSI_C)  # the paths of the exponential law
             # quadratic law V' = a (b + Z_V)^2; psi is clipped at psi_c so
-            # that the tail's values, replaced below, stay finite
-            np.minimum(psi, _PSI_C, out=w1)
+            # that the tail's values, replaced below, stay finite, and at
+            # _PSI_FLOOR so that (2/psi)(2/psi - 1) does: over an interval of
+            # 1e-200 it overflowed, a was 0 and V' = 0 * inf was NaN
+            np.clip(psi, _PSI_FLOOR, _PSI_C, out=w1)
             np.divide(2.0, w1, out=w1)
             np.subtract(w1, 1.0, out=w2)
             w1 *= w2
@@ -675,9 +678,12 @@ def heston_simulate(
     `_heston_rows`, collected: shape (len(times), n_paths), one row per time
     like `model.path_grid`, so a terminal value is
     `heston_simulate(p, [0.0, T], ...)[1]`.  With return_variance, returns
-    (S, V) arrays of that shape.
+    (S, V) arrays of that shape.  The arrays and what `_heston_rows` holds
+    are checked against `model.MAX_BYTES` before the first draw.
     """
     rows = _heston_rows(p, times, n_paths, driver, tags, return_variance, max_step)
+    _check_held(8 * (1 + return_variance) * len(times) * n_paths + _heston_bytes(n_paths),
+                len(times), n_paths)
     out = np.empty((1 + return_variance, len(times), n_paths))  # S, then V
     for i, row in enumerate(rows):
         out[:, i] = row

@@ -555,6 +555,18 @@ class TestExotics:
         assert row["ref_price"] == ""
         assert row["ref_iv"] == ""
 
+    def test_tiny_maturity_reference_prices_are_finite(self, tmp_path):
+        # over steps of 3e-302 the QE-M step's (2/psi)(2/psi - 1) overflowed
+        # and the reference wrote ref_price nan with exit code 0
+        rc, out = self.run_exotics(tmp_path, [{"type": "lookback", "maturity": 1e-300}],
+                                   reference=dict(HESTON, r=0.0, q=0.0), paths=2000)
+        assert rc == 0
+        row = read_rows(out)[0]
+        for side in ("model", "ref"):
+            price, se = float(row[f"{side}_price"]), float(row[f"{side}_se"])
+            assert np.isfinite(price) and np.isfinite(se)
+            assert 0.0 <= price <= 1e-12 * 100.0
+
     def test_coarse_grid_still_monitors_contract_times(self, tmp_path):
         # seven steps put nothing at t = 0.5; the grid must absorb tau
         contracts = [{"type": "forward_start", "tau": 0.5, "maturity": 1.0,

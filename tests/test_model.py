@@ -236,8 +236,8 @@ class TestPathGrid:
                                        LegendreBasis(horizon=2.0, size=3)],
                              ids=["piecewise", "legendre"])
     def test_streamed_grid_is_the_kernel_on_sampled_integrals(self, basis):
-        # Legendre rows are the kernel's GEMV, bit for bit; piecewise rows
-        # collapse cell by cell and sum in another order, within 4 ulps of S
+        # rows collapse cell by cell (a cell a time on Legendre) and sum in
+        # another order than the feature product, within 4 ulps of S
         model = make_model(seed=61, d=2, basis=basis)
         times = [0.3, 2.0 / 3.0, 1.0, 1.0, 1.9, 2.0]
         drv = BrownianDriver(seed=16)
@@ -246,16 +246,19 @@ class TestPathGrid:
         for ti, t in enumerate(times):
             g = block_diag(*[gram_tail(basis, t)] * 2)
             want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
-            if isinstance(basis, LegendreBasis):
-                np.testing.assert_array_equal(paths[ti], want)
-            else:
-                assert_ulps(paths[ti], want)
+            assert_ulps(paths[ti], want)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_collapsed_rows_are_the_kernel_on_sampled_integrals(self, d):
-        # p 3 on an uneven grid: times inside cells, on cell ends (0.2, 0.5,
-        # 1.1), repeated, skipping a cell, and at the horizon
-        basis = PiecewiseConstantBasis((0.0, 0.2, 0.5, 1.1, 2.0))
+    @pytest.mark.parametrize("d, basis", [
+        (d, basis) for basis in (PiecewiseConstantBasis((0.0, 0.2, 0.5, 1.1, 2.0)),
+                                 LegendreBasis(horizon=2.0, size=3),
+                                 PiecewiseConstantBasis((0.0, 2.0)))
+        for d in (1, 2)], ids=["1", "2", "1-legendre", "2-legendre", "1-one_cell",
+                                "2-one_cell"])
+    def test_collapsed_rows_are_the_kernel_on_sampled_integrals(self, d, basis):
+        # p 3: times inside cells, on the uneven grid's cell ends (0.2, 0.5,
+        # 1.1), repeated, skipping a cell, and at the horizon; each Legendre
+        # time is a cell of no running position, and the one cell runs every
+        # position
         model = make_model(seed=81, scale=0.5, d=d, basis=basis, p=3)
         times = [0.1, 0.2, 0.2, 0.35, 0.5, 1.7, 1.7, 2.0]
         drv = BrownianDriver(seed=18)

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.special import gamma as gamma_fn
 
+from chaoscal import model as model_module
 from chaoscal import reference
 from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis
 from chaoscal.errors import (
@@ -831,6 +832,32 @@ class TestHestonSimulate:
                                        return_variance=True, max_step=max_step)
                 assert np.all(np.isfinite(s)) and np.all(v >= 0.0)
 
+    @pytest.mark.parametrize("horizon", [1e-100, 1e-200, 1e-300])
+    def test_tiny_interval_stays_at_spot(self, horizon):
+        # psi ~ 1e-200 overflowed (2/psi)(2/psi - 1): a was 0 and V' = 0 * inf
+        # made every path NaN; the floor on the quadratic law's psi keeps it
+        # finite, and S within round-off of S_0
+        s, v = heston_simulate(P, [0.0, horizon], 1000, BrownianDriver(1),
+                               return_variance=True)
+        assert np.all(np.isfinite(s)) and np.all(np.isfinite(v))
+        assert np.abs(s[1] - P.s0).max() <= 1e-12 * P.s0
+        assert np.abs(v[1] - P.v0).max() <= 1e-12 * P.v0
+
+    @pytest.mark.parametrize("return_variance", [False, True])
+    def test_array_over_the_byte_cap(self, monkeypatch, return_variance):
+        class NoStreams:
+            def generator(self, *key):
+                raise AssertionError("a stream was opened")
+
+        times, n = np.linspace(0.0, 1.0, 9), 3000
+        need = 8 * (1 + return_variance) * len(times) * n + reference._heston_bytes(n)
+        monkeypatch.setattr(model_module, "MAX_BYTES", need - 1)
+        with pytest.raises(ValidationError, match=rf"n_paths = {n} at n_times = 9 need "
+                                                  rf"{need} bytes"):
+            heston_simulate(P, times, n, NoStreams(), return_variance=return_variance)
+        monkeypatch.setattr(model_module, "MAX_BYTES", need)
+        heston_simulate(P, times, n, BrownianDriver(1), return_variance=return_variance)
+
     def test_determinism(self):
         grid = np.linspace(0.0, 0.2, 51)
         a = heston_simulate(P, grid, 1_000, BrownianDriver(9), tags=(5,))
@@ -838,92 +865,109 @@ class TestHestonSimulate:
         np.testing.assert_array_equal(a, b)
 
 
+# the contracts TestExoticMc prices, all in one fold over the fixture's rows
+GBM_SPECS = (ForwardStartCall(0.0, 1.0, strike_ratio=1.05),
+             ForwardStartCall(0.5, 1.0, strike=103.0),
+             ForwardStartCall(0.5, 1.0, strike_ratio=1.05),
+             DownAndOutCall(1.0, 100.0, 1e-6), DownAndOutCall(1.0, 100.0, 90.0),
+             LookbackCall(1.0))
+
+
 @pytest.fixture(scope="module")
 def gbm_paths():
-    # eps -> 0 with v0 = vbar: exact GBM world, sigma = 0.2
+    """(grid, rows, prices): eps -> 0 with v0 = vbar, an exact GBM world with
+    sigma = 0.2, on 513 times and 100k paths.  The prices are folded from
+    the rows as they come, which gives the bits of the whole path array
+    (`TestExoticFold`); only rows 1, 256 and 512 (T), which the tests read,
+    are kept: the whole array held 400 MB for the module."""
     p = HestonParams(100.0, 1.5, 0.04, 1e-8, -0.5, 0.04)
     grid = np.linspace(0.0, 1.0, 513)
-    paths = heston_simulate(p, grid, 100_000, BrownianDriver(11))
-    return grid, paths
+    kept = {}
+
+    def rows():
+        for i, row in enumerate(reference._heston_rows(p, grid, 100_000,
+                                                       BrownianDriver(11))):
+            if i in (1, 256, 512):
+                kept[i] = row
+            yield row
+
+    prices = dict(zip(GBM_SPECS, reference._exotic_fold(rows(), grid, GBM_SPECS)))
+    return grid, kept, prices
 
 
 class TestExoticMc:
+    SMALL = np.linspace(0.0, 1.0, 9)  # the grid of the error cases' small arrays
+
     def test_fixture_is_black_scholes(self, gbm_paths):
         # eps = 1e-8 with v0 = vbar: GBM with sigma 0.2, on the first step
         # and at T; QE's rho/eps terms cancel in the arrangement, not in
         # rounding, so calls at both maturities are Black-Scholes
-        grid, paths = gbm_paths
-        first = np.log(paths[1] / 100.0)
+        grid, rows, _ = gbm_paths
+        first = np.log(rows[1] / 100.0)
         dt, n = grid[1], first.size
         assert abs(first.mean() + 0.02 * dt) < 3 * math.sqrt(0.04 * dt / n)
         assert abs(first.var() / (0.04 * dt) - 1.0) < 3 * math.sqrt(2.0 / n)
         for row, t in ((256, 0.5), (512, 1.0)):
             assert grid[row] == t
             for k in (90.0, 100.0, 110.0):
-                pay = np.maximum(paths[row] - k, 0.0)
+                pay = np.maximum(rows[row] - k, 0.0)
                 se = pay.std(ddof=1) / math.sqrt(n)
                 assert abs(pay.mean() - bs_call(100.0, k, t, 0.2)) < 3 * se
 
     def test_forward_start_tau_zero_is_vanilla(self, gbm_paths):
-        grid, paths = gbm_paths
-        spec = ForwardStartCall(0.0, 1.0, strike_ratio=1.05)
-        pr, _ = exotic_mc_price(paths, grid, spec)
-        vanilla = np.maximum(paths[-1] - 105.0, 0.0).mean()
+        _, rows, prices = gbm_paths
+        pr, _ = prices[ForwardStartCall(0.0, 1.0, strike_ratio=1.05)]
+        vanilla = np.maximum(rows[512] - 105.0, 0.0).mean()
         assert pr == vanilla
 
     def test_forward_start_absolute_strike(self, gbm_paths):
-        grid, paths = gbm_paths
-        spec = ForwardStartCall(0.5, 1.0, strike=103.0)
-        pr, _ = exotic_mc_price(paths, grid, spec)
-        assert pr == np.maximum(paths[-1] - 103.0, 0.0).mean()
+        _, rows, prices = gbm_paths
+        pr, _ = prices[ForwardStartCall(0.5, 1.0, strike=103.0)]
+        assert pr == np.maximum(rows[512] - 103.0, 0.0).mean()
 
     def test_forward_start_matches_closed_form(self, gbm_paths):
-        grid, paths = gbm_paths
         spec = ForwardStartCall(0.5, 1.0, strike_ratio=1.05)
-        pr, se = exotic_mc_price(paths, grid, spec)
+        pr, se = gbm_paths[2][spec]
         want = exotic_bs_price(spec, 0.2, 100.0)
         assert abs(pr - want) < 3 * se
 
     def test_barrier_never_hit_is_vanilla(self, gbm_paths):
-        grid, paths = gbm_paths
-        pr, _ = exotic_mc_price(paths, grid, DownAndOutCall(1.0, 100.0, 1e-6))
-        assert pr == np.maximum(paths[-1] - 100.0, 0.0).mean()
+        _, rows, prices = gbm_paths
+        pr, _ = prices[DownAndOutCall(1.0, 100.0, 1e-6)]
+        assert pr == np.maximum(rows[512] - 100.0, 0.0).mean()
 
     def test_barrier_against_adjusted_closed_form(self, gbm_paths):
         # discrete monitoring vs the continuity-corrected barrier
         # L exp(-0.5826 sigma sqrt(dt))
-        grid, paths = gbm_paths
-        spec = DownAndOutCall(1.0, 100.0, 90.0)
-        pr, se = exotic_mc_price(paths, grid, spec)
+        pr, se = gbm_paths[2][DownAndOutCall(1.0, 100.0, 90.0)]
         l_adj = 90.0 * math.exp(-0.5826 * 0.2 * math.sqrt(1.0 / 512.0))
         want = exotic_bs_price(DownAndOutCall(1.0, 100.0, l_adj), 0.2, 100.0)
         assert abs(pr - want) < 3 * se + 0.02
 
-    def test_one_path_has_no_standard_error(self, gbm_paths):
-        grid, paths = gbm_paths
+    def test_one_path_has_no_standard_error(self):
         with pytest.raises(ValidationError, match="at least 2 paths"):
-            exotic_mc_price(paths[:, :1], grid, LookbackCall(1.0))
+            exotic_mc_price(np.full((self.SMALL.size, 1), 100.0), self.SMALL,
+                            LookbackCall(1.0))
 
     def test_lookback_dominates_atm_vanilla(self, gbm_paths):
-        grid, paths = gbm_paths
-        pr, _ = exotic_mc_price(paths, grid, LookbackCall(1.0))
-        atm = np.maximum(paths[-1] - 100.0, 0.0).mean()
+        _, rows, prices = gbm_paths
+        pr, _ = prices[LookbackCall(1.0)]
+        atm = np.maximum(rows[512] - 100.0, 0.0).mean()
         assert pr >= atm  # pathwise: min <= S_0
 
     def test_lookback_between_discrete_and_continuous(self, gbm_paths):
-        grid, paths = gbm_paths
-        pr, se = exotic_mc_price(paths, grid, LookbackCall(1.0))
+        pr, se = gbm_paths[2][LookbackCall(1.0)]
         cont = exotic_bs_price(LookbackCall(1.0), 0.2, 100.0)
         bias_cap = 100.0 * 0.5826 * 0.2 * math.sqrt(1.0 / 512.0) * 3.0
         assert pr < cont + 3 * se
         assert pr > cont - bias_cap - 3 * se
 
-    def test_missing_grid_time_rejected(self, gbm_paths):
-        grid, paths = gbm_paths
+    def test_missing_grid_time_rejected(self):
+        paths = np.full((self.SMALL.size, 3), 100.0)
         with pytest.raises(ConfigError):
-            exotic_mc_price(paths, grid, ForwardStartCall(0.1234, 1.0, strike_ratio=1.0))
+            exotic_mc_price(paths, self.SMALL, ForwardStartCall(0.1234, 1.0, strike_ratio=1.0))
         with pytest.raises(ConfigError):
-            exotic_mc_price(paths, grid, LookbackCall(0.7777))
+            exotic_mc_price(paths, self.SMALL, LookbackCall(0.7777))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_times_rejected(self, bad):
@@ -931,13 +975,14 @@ class TestExoticMc:
         with pytest.raises(ValidationError, match=r"finite numbers, got \[ *0\. +(nan|inf)\]"):
             exotic_mc_price(np.ones((2, 3)), [0.0, bad], LookbackCall(1.0))
 
-    def test_shape_mismatch_rejected(self, gbm_paths):
-        grid, paths = gbm_paths
+    def test_shape_mismatch_rejected(self):
+        paths = np.full((self.SMALL.size, 3), 100.0)
         with pytest.raises(ValidationError, match=r"\(len\(times\), n_paths\)"):
-            exotic_mc_price(paths[:-1], grid, LookbackCall(1.0))
+            exotic_mc_price(paths[:-1], self.SMALL, LookbackCall(1.0))
         # five paths laid out (n_paths, len(times)): that layout is refused
         with pytest.raises(ValidationError, match=r"\(len\(times\), n_paths\)"):
-            exotic_mc_price(np.full((5, grid.size), 100.0), grid, LookbackCall(1.0))
+            exotic_mc_price(np.full((5, self.SMALL.size), 100.0), self.SMALL,
+                            LookbackCall(1.0))
 
 
 def whole_array_price(paths, times, spec):
