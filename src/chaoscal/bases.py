@@ -23,14 +23,29 @@ error.
 BrownianDriver wraps the counter-based Philox generator: streams are keyed by
 (seed, 0, *tags) through SeedSequence, so any (seed, tags) pair reproduces its
 draws bit-for-bit regardless of what else was sampled.
+
+The path simulators (`sample_integrals`, `model.path_grid`, the exotics
+fold, `reference.heston_simulate`) step their paths in blocks of
+_PATH_BLOCK: block k draws from its own stream, keyed (*tags, k), and steps
+through every time before it is done.  `_run_blocks` runs each block as one
+task on a pool of `_workers` threads, each task with a scratch set of its
+simulator that no other running task holds, and hands the block's rows to a
+sink, which writes them into the block's columns of an output.  A block
+draws as it would alone and every step is elementwise over its paths, so
+the bits do not depend on the worker count or the order the tasks run in.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
 
 from .errors import ValidationError
+
+_PATH_BLOCK = 1 << 14  # paths of one stream block
+_TASK_BYTES = 1 << 14  # Python objects a block or worker adds (about 4 KiB)
 
 
 @dataclass(frozen=True)
@@ -177,19 +192,38 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
 
     Sampling is exact for every basis.  Over an interval (t_{k-1}, t_k] the
     increment of I^t is, independently for each Brownian component and of
-    the past, N(0, G(t_{k-1}) - G(t_k)) with G the Gram tail.  Each interval
-    of positive length draws (n_paths, d, rank) standard normals from the
-    driver's generator, in time order, and adds them through a root of that
-    covariance into the positions its nonzero rows span; time 0 and repeated
-    times draw nothing.  For the piecewise-constant family the covariance is
-    diagonal, so an interval inside one cell draws one normal per component
-    and moves only that cell's position.  The combination runs in
-    numpy's own einsum loop, so the bits do not depend on BLAS threading.
+    the past, N(0, G(t_{k-1}) - G(t_k)) with G the Gram tail.  Each block of
+    _PATH_BLOCK paths draws from the stream keyed (*tags, block) and walks
+    every time (`_run_blocks`): each interval of positive length draws
+    (paths, d, rank) standard normals, in time order, and adds them through a
+    root of that covariance into the positions its nonzero rows span; time 0
+    and repeated times draw nothing.  For the piecewise-constant family the
+    covariance is diagonal, so an interval inside one cell draws one normal
+    per component and moves only that cell's position.  The combination runs
+    in numpy's own einsum loop, so the bits do not depend on BLAS threading.
+    The output and `_walk_bytes` are checked against `model.MAX_BYTES` before
+    the first draw.
     """
-    walk = _walk_integrals(spec, driver.generator(*tags), times, n_paths, d)
-    out = np.empty((len(times), n_paths, spec.size * d))
-    for ti, ints in enumerate(walk):
-        out[ti] = ints
+    from .model import _check_held  # the model module imports this one
+
+    roots = _interval_roots(spec, times)
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
+    width = spec.size * d
+    _check_held(8 * len(roots) * n_paths * width + _walk_bytes(spec, d, len(roots), n_paths),
+                len(roots), n_paths)
+    out = np.empty((len(roots), n_paths, width))
+
+    def rows(k, cols, scratch):
+        return _block_walk(roots, driver.generator(*tags, k), scratch, cols.stop - cols.start)
+
+    def sink(cols, walk):
+        for ti, acc in enumerate(walk):
+            out[ti, cols] = acc.reshape(-1, width)
+
+    size = min(n_paths, _PATH_BLOCK)
+    blocks = _PathBlocks(n_paths, _PATH_BLOCK, rows, lambda: _walk_scratch(spec, roots, d, size))
+    _run_blocks([(blocks, sink)], _workers(n_paths))
     return out
 
 
@@ -207,31 +241,131 @@ def _check_times(times):
     return times
 
 
-def _walk_integrals(spec, gen, times, n_paths, d=1):
-    """Check the arguments of `sample_integrals`; return an iterator over its
-    draws from the generator gen, I^t per time as a view of the running sum,
-    valid until the next.  A time's normals are drawn path-major, so
-    one-time walks over consecutive row blocks from one generator give the
-    rows of a single walk over all of them."""
+def _interval_roots(spec, times):
+    """Check the times (`_check_times`, within [0, horizon]); per time, None
+    if it draws nothing (time 0, a repeat), else (lo, rows): the rows lo..
+    of its interval root (`_interval_root`) that its moved span covers
+    (`_moved_span`).  One call serves every block of paths."""
     times = _check_times(times).tolist()
     if any(t < 0 or t > spec.horizon for t in times):
         raise ValidationError(f"times must lie in [0, {spec.horizon}]")
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
+    roots = []
+    prev, g_prev = 0.0, gram_tail(spec, 0.0)
+    for t in times:
+        if t > prev:
+            g_t = gram_tail(spec, t)
+            root = _interval_root(g_prev - g_t)
+            lo, hi = _moved_span(root)
+            roots.append((lo, root[lo:hi]))
+            prev, g_prev = t, g_t
+        else:
+            roots.append(None)
+    return roots
 
-    def steps():
-        acc = np.zeros((n_paths, d, spec.size))
-        prev, g_prev = 0.0, gram_tail(spec, 0.0)
-        for t in times:
-            if t > prev:
-                g_t = gram_tail(spec, t)
-                root = _interval_root(g_prev - g_t)
-                z = gen.standard_normal((n_paths, d, root.shape[1]))
-                # only the positions from the first to the last nonzero root
-                # row move: inside a piecewise cell, one position per component
-                lo, hi = _moved_span(root)
-                acc[..., lo:hi] += np.einsum("pjr,ir->pji", z, root[lo:hi])
-                prev, g_prev = t, g_t
-            yield acc.reshape(n_paths, spec.size * d)
 
-    return steps()
+def _walk(roots, gen, acc, z, tmp):
+    """Iterator over I^t at each time of `_interval_roots`, drawn from the
+    generator gen into acc, (n, d, M) zeros: acc itself, valid until the
+    next.  z and tmp are flat scratch for the normals and their combination
+    (`_walk_scratch`).  A time's normals are drawn path-major,
+    so walks over consecutive row blocks from one generator give the rows of
+    a single walk over all of them; only the positions from the first to the
+    last nonzero root row move: inside a piecewise cell, one per component."""
+    n, d, _ = acc.shape
+    for root in roots:
+        if root is not None:
+            lo, rows = root
+            draw = z[: n * d * rows.shape[1]].reshape(n, d, rows.shape[1])
+            gen.standard_normal(out=draw)
+            inc = tmp[: n * d * rows.shape[0]].reshape(n, d, rows.shape[0])
+            np.einsum("pjr,ir->pji", draw, rows, out=inc)
+            acc[..., lo:lo + rows.shape[0]] += inc
+        yield acc
+
+
+def _walk_scratch(spec, roots, d, n):
+    """A walk's arrays for n paths over `_interval_roots` roots: the running
+    sum, and room for the normals of the interval of highest rank and the
+    combination of the widest span (`_walk`); inside a piecewise cell both
+    are one value a path and component."""
+    drawn = [rows for _, rows in filter(None, roots)]
+    rank = max((rows.shape[1] for rows in drawn), default=0)
+    span = max((rows.shape[0] for rows in drawn), default=0)
+    return np.empty((n, d, spec.size)), np.empty(n * d * rank), np.empty(n * d * span)
+
+
+def _block_walk(roots, gen, scratch, n):
+    """`_walk` of n paths from the generator gen, in the leading rows of a
+    `_walk_scratch` set."""
+    acc, z, tmp = scratch
+    acc = acc[:n]
+    acc[:] = 0.0
+    return _walk(roots, gen, acc, z, tmp)
+
+
+def _walk_bytes(spec, d, n_times, n_paths):
+    """Bytes a walk of n_paths paths over n_times times holds on the block
+    runner: each worker's `_walk_scratch` (at most 3 doubles a path and
+    position of a block), the interval roots and the Gram tails and eigendecomposition
+    that build one (M x M each, 4 at once), and `_TASK_BYTES` a block and a
+    worker."""
+    blocks = -(-n_paths // _PATH_BLOCK)
+    workers = _workers(n_paths)
+    m = spec.size
+    return (8 * (3 * workers * min(n_paths, _PATH_BLOCK) * m * d + (n_times + 4) * m * m)
+            + _TASK_BYTES * (blocks + workers))
+
+
+def _spans(n_rows, block):
+    """(first, stop) row spans of length `block`, the last one shorter."""
+    return [(a, min(a + block, n_rows)) for a in range(0, n_rows, block)]
+
+
+def _workers(n_paths):
+    """Threads `_run_blocks` steps n_paths paths on: one a block of
+    _PATH_BLOCK, at most one a CPU this process may run on."""
+    return min(-(-n_paths // _PATH_BLOCK), len(os.sched_getaffinity(0)))
+
+
+@dataclass(frozen=True)
+class _PathBlocks:
+    """A simulator's paths as `_run_blocks` steps them: n_paths columns in
+    blocks of `block` (`_spans`); rows(k, cols, scratch) is an iterator over
+    block k's rows, the columns cols at each time in order, each valid until
+    the next; scratch() makes one worker's scratch set."""
+
+    n_paths: int
+    block: int
+    rows: object
+    scratch: object
+
+
+def _run_blocks(jobs, workers):
+    """Run every block of each (`_PathBlocks`, sink) job as one task on one
+    pool of `workers` threads, and return when all are done.  Each job
+    makes its scratch sets here, one a worker up to its block count, so
+    they come from this thread's heap; a task takes one that no running
+    task holds and calls sink(cols, rows) with the block's columns and row
+    iterator.  The first exception a task raises, in submission order, is
+    raised here, and the tasks not yet started are dropped."""
+
+    def task(blocks, free, sink, k, cols):
+        scratch = free.pop()
+        try:
+            sink(cols, blocks.rows(k, cols, scratch))
+        finally:
+            free.append(scratch)
+
+    runs = []
+    for blocks, sink in jobs:
+        spans = _spans(blocks.n_paths, blocks.block)
+        free = [blocks.scratch() for _ in range(min(workers, len(spans)))]
+        runs += [(blocks, free, sink, k, slice(a, b)) for k, (a, b) in enumerate(spans)]
+    with ThreadPoolExecutor(workers) as pool:
+        tasks = [pool.submit(task, *run) for run in runs]
+        try:
+            for t in tasks:
+                t.result()
+        finally:
+            for t in tasks:
+                t.cancel()

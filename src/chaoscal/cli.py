@@ -47,7 +47,7 @@ from .reference import (
     HestonParams,
     RoughHestonParams,
     _check_fold,
-    _exotic_fold,
+    _fold_exotics,
     _heston_rows,
     heston_lewis_price,
     lewis_call_price,
@@ -270,12 +270,12 @@ def _read_exotics_spec(path):
     return contracts, [_exotic_spec(path, i, c) for i, c in enumerate(contracts)], steps
 
 
-def _exotic_cells(rows, times, specs, s0):
-    """Per contract: price, SE and implied-vol cells from a fold of the rows;
+def _exotic_cells(prices, specs, s0):
+    """Per contract: price, SE and implied-vol cells from its (price, SE);
     the vol is blank where the zero-rate closed form does not attain the
     price."""
     cells = []
-    for spec, (price, se) in zip(specs, _exotic_fold(rows, times, specs)):
+    for spec, (price, se) in zip(specs, prices):
         try:
             iv = repr(exotic_implied_vol(price, spec, s0))
         except InversionError:
@@ -323,15 +323,16 @@ def cmd_exotics(args):
 
     times = np.union1d(np.linspace(0.0, dates[-1], steps + 1), dates)
     driver = BrownianDriver(args.seed)
-    # both simulators yield S at exactly these times, one row at a time; the
-    # model's fold is done before the reference is simulated
-    model_cells = _exotic_cells(
-        _path_rows(model, times, args.paths, driver, tags=(7001,)), times, specs, model.s0)
+    # both simulators yield S at exactly these times, block by block; their
+    # blocks step on one pool
+    sims = [_path_rows(model, times, args.paths, driver, tags=(7001,))]
+    if params is not None:
+        sims.append(_heston_rows(params, times, args.paths, driver, tags=(7002,)))
+    prices = _fold_exotics(sims, times, specs)
+    model_cells = _exotic_cells(prices[0], specs, model.s0)
     ref_cells = [["", "", ""]] * len(specs)
     if params is not None:
-        ref_cells = _exotic_cells(
-            _heston_rows(params, times, args.paths, driver, tags=(7002,)),
-            times, specs, params.s0)
+        ref_cells = _exotic_cells(prices[1], specs, params.s0)
     rows = [[raw.get("type"), raw.get("tau", ""), repr(spec.maturity),
              raw.get("strike", ""), raw.get("strike_ratio", ""), raw.get("barrier", ""),
              *model_c, *ref_c]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bases import cell_index, gram_tail
 from .errors import ValidationError
-from .hermite import _upto, hermite_upto
+from .hermite import hermite_upto
 
 
 def _couplings(g, d=1, diagonal=False):
@@ -297,14 +297,29 @@ def _cell_plan(plan, running):
                      tuple(tuple(ts) for ts in terms.values()), n_max)
 
 
-def _collapse(cell, weights, x, out):
+def _collapse_work(cell, n_rows):
+    """Values of `_collapse`'s work buffer at n_rows rows: its Hermite table
+    of the frozen positions and a product row."""
+    return (cell.n_max + 1) * len(cell.frozen) * n_rows + n_rows
+
+
+def _collapse(cell, weights, x, out, work):
     """Write Q_k = sum of weights[column] * c * frozen factors over pattern k's
     terms into out[k], (len(patterns), n_rows), at the rows x of I^t
-    (n_rows, M*d) at a time whose frozen positions are complete."""
-    rows = x.T[cell.frozen]  # a copy
-    rows /= cell.root_v[:, None]
-    table = hermite_upto(cell.n_max, rows)
-    tmp = np.empty(x.shape[0])
+    (n_rows, M*d) at a time whose frozen positions are complete.  The
+    Hermite table and the products go into work, flat scratch of at least
+    `_collapse_work` values, so the call allocates nothing."""
+    n, f = x.shape[0], len(cell.frozen)
+    table = work[: (cell.n_max + 1) * f * n].reshape(cell.n_max + 1, f, n)
+    tmp = work[(cell.n_max + 1) * f * n:][:n]
+    table[0] = 1.0
+    if cell.n_max >= 1:
+        for i, e in enumerate(cell.frozen):
+            np.divide(x[:, e], cell.root_v[i], out=table[1, i])
+    for k in range(1, cell.n_max):  # (k+1) H_{k+1} = y H_k - H_{k-1}
+        np.multiply(table[1], table[k], out=table[k + 1])
+        table[k + 1] -= table[k - 1]
+        table[k + 1] /= k + 1
     for q, terms in zip(out, cell.terms):
         q[:] = 0.0
         for col, c, factors in terms:
@@ -318,13 +333,35 @@ def _collapse(cell, weights, x, out):
             q += tmp
 
 
-def _cell_rows(cell, q, x, v, out):
+def _cell_work(cell, n_rows):
+    """Values of `_cell_rows`'s work buffer at n_rows rows: its Hermite table
+    of the running positions with a spare row, and a product row."""
+    return (_cell_order(cell) + 2) * len(cell.running) * n_rows + n_rows
+
+
+def _cell_order(cell):
+    """The highest order a running position takes in the cell's patterns."""
+    return max(max(r, default=0) for r in cell.patterns)
+
+
+def _cell_rows(cell, q, x, v, out, work):
     """S_t = sum_k q[k] prod_j H_{r_kj}(x_j; v_j) into out: q from
     `_collapse`, x the rows of I^t (n_rows, M*d) at t in the cell and v the
-    running positions' variance accrued by t."""
-    y = x.T[cell.running]  # a copy
-    table = _upto(max(max(r, default=0) for r in cell.patterns), y, v[:, None])
-    tmp = np.empty(x.shape[0])
+    running positions' variance accrued by t.  The shifted Hermite table and
+    the products go into work, flat scratch of at least `_cell_work` values,
+    so the call allocates nothing."""
+    n, r, n_max = x.shape[0], len(cell.running), _cell_order(cell)
+    table = work[: (n_max + 2) * r * n].reshape(n_max + 2, r, n)  # row -1: spare
+    tmp = work[(n_max + 2) * r * n:][:n]
+    table[0] = 1.0
+    if n_max >= 1:
+        for j, e in enumerate(cell.running):
+            table[1, j] = x[:, e]
+    for k in range(1, n_max):  # (k+1) H_{k+1} = x H_k - v H_{k-1}
+        np.multiply(table[k - 1], v[:, None], out=table[-1])
+        np.multiply(table[1], table[k], out=table[k + 1])
+        table[k + 1] -= table[-1]
+        table[k + 1] /= k + 1
     out[:] = q[0]
     for qk, pattern in zip(q[1:], cell.patterns[1:]):
         factors = [(j, n) for j, n in enumerate(pattern) if n]

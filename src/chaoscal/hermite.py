@@ -40,18 +40,10 @@ def hermite_upto(n_max, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError("hermite_upto: x contains non-finite values")
-    return _upto(n_max, x)
-
-
-def _upto(n_max, x, v=None):
-    """`hermite_upto` unchecked, for callers whose x is finite; with v, the
-    shifted family H_n(x; v) of the module docstring by its recurrence
-    (n+1) H_{n+1} = x H_n - v H_{n-1}, v broadcasting against x."""
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = x
     for n in range(1, n_max):
-        prev = out[n - 1] if v is None else v * out[n - 1]
-        out[n + 1] = (x * out[n] - prev) / (n + 1)
+        out[n + 1] = (x * out[n] - out[n - 1]) / (n + 1)
     return out

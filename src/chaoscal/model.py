@@ -15,13 +15,16 @@ resimulation.
 Pricing reduces each block to S_T at once (`_sample_terminal`), so it holds
 one block of feature rows whatever the path count: at most _BLOCK_BYTES, or
 _ROW_ALIGN rows if those are more.
-`_path_rows` yields S_t one time at a time, for the exotics fold in
-`reference`; `path_grid` collects its rows into the (n_times, n_paths) grid.
-It builds no feature rows on any basis: over a cell (`_cell`), S_t is a
-polynomial in the running positions' integrals whose coefficients are fixed
-once the other positions are, so each cell sums the chaos onto that
-polynomial once and each time evaluates it, elementwise, with no BLAS
-product.  A Legendre time is a cell of its own with no running position.
+`_path_rows` gives the model's paths as blocks for `bases._run_blocks`:
+each block of _PATH_BLOCK paths draws from its own stream, keyed
+(*tags, block), and yields S_t one time at a time, for the exotics fold in
+`reference` or for `path_grid`, which writes them into the (n_times,
+n_paths) grid.  It builds no feature rows on any basis: over a cell
+(`_cell`), S_t is a polynomial in the running positions' integrals whose
+coefficients are fixed once the other positions are, so each cell sums the
+chaos onto that polynomial once and each time evaluates it, elementwise,
+with no BLAS product.  A Legendre time is a cell of its own with no running
+position.
 
 Every product `features @ coefficients` runs over row blocks that start at
 multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
@@ -49,15 +52,40 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bases import PiecewiseConstantBasis, _walk_integrals, cell_index, gram_tail
-from .conditional import _cell_plan, _cell_rows, _collapse, _column_plan, _plan_rows
+from .bases import (
+    _PATH_BLOCK,
+    PiecewiseConstantBasis,
+    _block_walk,
+    _check_times,
+    _interval_roots,
+    _PathBlocks,
+    _run_blocks,
+    _spans,
+    _walk_bytes,
+    _walk_scratch,
+    _workers,
+    cell_index,
+    gram_tail,
+)
+from .conditional import (
+    _cell_plan,
+    _cell_rows,
+    _cell_work,
+    _collapse,
+    _collapse_work,
+    _column_plan,
+    _plan_rows,
+)
 from .errors import ValidationError
 from .indices import _set_bytes, enumerate_indices, index_space_dim
 
 MAX_BYTES = 1 << 30  # cap on the arrays one command holds at once
 _BLOCK_BYTES = 8 << 20  # cap on one block of feature rows and its scratch
+# cap on the Hermite table `_collapse` builds for one chunk of a path block,
+# which every worker holds in its scratch set
+_CHUNK_BYTES = 1 << 20
 _ROW_ALIGN = 1024  # every row block starts at a multiple of this
-_MAX_BLOCK_ROWS = 16 * _ROW_ALIGN
+_MAX_BLOCK_ROWS = _PATH_BLOCK  # 16 * _ROW_ALIGN
 _PLANS = 256  # column plans `_plan` keeps
 
 
@@ -123,11 +151,6 @@ def _block_bytes(p, m, d, n_rows):
     return row * min(n_rows, _block_rows(p, m, d))
 
 
-def _spans(n_rows, block):
-    """(first, stop) row spans of length `block`, the last one shorter."""
-    return [(a, min(a + block, n_rows)) for a in range(0, n_rows, block)]
-
-
 def _row_dot(features, theta):
     """features @ theta in row blocks of _MAX_BLOCK_ROWS: the 1-thread BLAS
     bits at any thread count (see the module docstring)."""
@@ -189,24 +212,39 @@ def _feature_blocks(model, t, n_paths, driver, tags=(), out=None, live=False):
 
     def blocks():
         gen = driver.generator(*tags)
+        roots = None if piecewise else _interval_roots(model.basis, [t])
         for a, b in _spans(n_paths, _block_rows(model.p, model.m, model.d)):
             if piecewise:
                 x = gen.standard_normal((b - a, model.m * model.d))
             else:
-                x = next(_walk_integrals(model.basis, gen, [t], b - a, model.d))
+                # a walk of one time; only its running sum outlives the statement
+                x = next(_block_walk(roots, gen, _walk_scratch(model.basis, roots, model.d,
+                                                               b - a), b - a))
+                x = x.reshape(b - a, -1)
             rows = None if out is None else out[a:b]
             yield a, _plan_rows(plan, x, normalized=piecewise, out=rows, live=live)
 
     return blocks()
 
 
+def _features_bytes(model, n_paths, width):
+    """Bytes `sample_features` holds: its (n_paths, width) matrix, a feature
+    block (`_block_bytes`) and the index layer with one plan."""
+    p, m, d = model.p, model.m, model.d
+    n = max(n_paths, 0)
+    return 8 * n * width + _block_bytes(p, m, d, n) + _index_bytes(p, m, d, 1)
+
+
 def sample_features(model, t, n_paths, driver, tags=(), live=False, out=None):
     """Sample E[Phi_a | F_t] for every index, or for the `_live_columns` at t
     only if `live`; the offline matrix reused across calibration iterations,
     written block by block (`_feature_blocks`) into `out` if given, a
-    column-major matrix of the same shape, so a fit redraws one buffer."""
+    column-major matrix of the same shape, so a fit redraws one buffer.
+    Without `out`, what it holds (`_features_bytes`) is checked against
+    MAX_BYTES before the matrix is allocated."""
     if out is None:  # a bad n_paths is reported by _feature_blocks, not by numpy
         width = len(_live_columns(model, t)) if live else len(model.indices)
+        _check_held(_features_bytes(model, n_paths, width), 1, n_paths)
         out = np.empty((max(n_paths, 0), width), order="F")
     for _ in _feature_blocks(model, t, n_paths, driver, tags, out=out, live=live):
         pass  # each block writes its rows into out
@@ -269,18 +307,39 @@ def _cell(basis, d, t):
     return basis.grid[u], np.flatnonzero(np.tile(np.arange(basis.size) == u - 1, d))
 
 
+def _collapse_rows(p, m, d):
+    """Rows a `_collapse` call takes at once: as many as keep its work
+    (`conditional._collapse_work`, at most (p + 1) M d + 1 values a row)
+    within _CHUNK_BYTES, rounded down to a multiple of _ROW_ALIGN, within
+    [_ROW_ALIGN, _PATH_BLOCK]."""
+    rows = _CHUNK_BYTES // (8 * ((p + 1) * m * d + 1)) // _ROW_ALIGN * _ROW_ALIGN
+    return min(_PATH_BLOCK, max(_ROW_ALIGN, rows))
+
+
+def _patterns(model):
+    """The most patterns a cell of the model's `_cell_plan`s has: the
+    exponent tuples of degree <= p over the d positions a piecewise cell
+    runs, and the one pattern () of a Legendre time, which runs none."""
+    if isinstance(model.basis, PiecewiseConstantBasis):
+        return math.comb(model.p + model.d, model.d)
+    return 1
+
+
 def _rows_bytes(model, n_times, n_paths):
-    """Bytes `_path_rows` holds: the row it builds and the one its caller
-    still holds, 3 walk arrays, the Q arrays (C(p + d, d) of them, base
-    included), a block's frozen-factor table with its copy of the integrals,
-    two recurrence temporaries and a product, and the index layer with a
-    plan per cell and one split: per time on Legendre, per cell on a
-    piecewise grid."""
+    """Bytes `_path_rows` holds on the block runner: the walk
+    (`bases._walk_bytes`); each worker's Q array (`_patterns` rows of a
+    block), row and work buffer, the larger of `_cell_rows`' at a block
+    (at most (p + 2) d + 1 values a path) and `_collapse`'s at a
+    `_collapse_rows` chunk; 256 bytes a time for its place in the schedule;
+    and the index layer with a column plan and its split per cell: per time
+    on Legendre, per cell on a piecewise grid."""
     p, m, d = model.p, model.m, model.d
     cells = min(n_times, m) if isinstance(model.basis, PiecewiseConstantBasis) else n_times
-    rows = min(n_paths, _block_rows(p, m, d))
-    return (8 * n_paths * (2 + 3 * m * d + math.comb(p + d, d))
-            + 8 * rows * ((p + 4) * m * d + 1) + _index_bytes(p, m, d, cells + 1))
+    block, rows = min(n_paths, _PATH_BLOCK), min(n_paths, _collapse_rows(p, m, d))
+    work = max(((p + 2) * d + 1) * block, ((p + 1) * m * d + 1) * rows)
+    return (_walk_bytes(model.basis, d, n_times, n_paths)
+            + 8 * _workers(n_paths) * (block * (_patterns(model) + 1) + work)
+            + 256 * n_times + _index_bytes(p, m, d, 2 * cells))
 
 
 def _check_held(need, n_times, n_paths):
@@ -299,61 +358,92 @@ def _check_grid(model, n_times, n_paths):
 
 
 def _path_rows(model, times, n_paths, driver, tags=()):
-    """Check the times and n_paths; return an iterator over the rows of
-    `path_grid` in time order, S_t at each time as a new array.
+    """Check the times and n_paths; return the `bases._PathBlocks` of
+    `path_grid`: block k of _PATH_BLOCK paths yields S_t at each time in
+    order, into one row of its worker's scratch.
 
-    The integrals are drawn as `sample_integrals` draws them, but one time
-    at a time, so only one time's slice is held.  Time 0 draws nothing and
-    its row is exactly S_0, so the other rows are those of the grid without
-    it.  It holds `_rows_bytes`, never the grid.
+    Each block draws its integrals as `sample_integrals` draws them, from
+    the stream keyed (*tags, k), one time at a time, so only one time's
+    slice is held.  Time 0 draws nothing and its row is exactly S_0, so the
+    other rows are those of the grid without it.  It holds `_rows_bytes`,
+    never the grid.
 
     Over t's cell (`_cell`) the chaos sum is a polynomial in the running
-    positions' integrals whose coefficients hold still: at the cell's first
-    time, the plan at its end is split (`_cell_plan`) and its frozen factors
-    summed into the Q arrays (`_collapse`), and each time evaluates that
-    polynomial (`_cell_rows`), block by block.  On Legendre every time is
-    its own cell and its row is Q_0.  The Q arrays are allocated once a
-    call: allocated at every cell, they raised the peak RSS of the desk_eval
-    benchmark from 60.6 to 64.5 MB (2 CPUs, numpy 2.4).
+    positions' integrals whose coefficients hold still: the plan at each
+    cell's end is split once a call (`_cell_plan`), and at the cell's first
+    time a block sums its frozen factors into the Q arrays (`_collapse`, in
+    `_collapse_rows` chunks); each time evaluates that polynomial over the
+    block (`_cell_rows`).  On Legendre every time is its own cell, its row
+    is Q_0 and no position runs, so it needs neither a Gram tail nor more
+    than one Q row.  The walk, the Q arrays (`_patterns` rows) and both
+    kernels' Hermite tables live in the worker's scratch set, so a block
+    allocates nothing on its thread: with the tables allocated there, each
+    worker thread's heap kept them, and the desk_eval benchmark's peak RSS
+    read 64.5 MB against 59.5 MB (2 CPUs, numpy 2.4).
     """
-    walk = _walk_integrals(model.basis, driver.generator(*tags), times, n_paths,
-                           model.d)
-    spans = _spans(n_paths, _block_rows(model.p, model.m, model.d))
+    times = _check_times(times)
+    roots = _interval_roots(model.basis, times)
+    if n_paths < 1:
+        raise ValidationError("n_paths must be >= 1")
+    d, still = model.d, np.empty(0)
+    schedule, end = [], 0.0  # per time: None at 0, else (cell, opens it, v)
+    for t in times.tolist():
+        if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
+            schedule.append(None)
+            continue
+        opens = t > end
+        if opens:
+            end, running = _cell(model.basis, d, t)
+            cell = _cell_plan(_feature_plan(model, end), running)
+        v = (np.tile(1.0 - np.diag(gram_tail(model.basis, t)), d)[cell.running]
+             if cell.running.size else still)
+        schedule.append((cell, opens, v))
+    chunk = _collapse_rows(model.p, model.m, d)
+    size = min(n_paths, _PATH_BLOCK)
+    cells = [step[0] for step in schedule if step]
+    tables = max([max(_cell_work(cell, size), _collapse_work(cell, min(chunk, size)))
+                  for cell in cells], default=0)
 
-    def rows():
-        # one pattern per running exponent tuple of degree <= p
-        q = np.empty((math.comb(model.p + model.d, model.d), n_paths))
-        end = 0.0
-        for t, ints in zip(times, walk):
-            if t == 0.0:  # every feature vanishes; the Legendre G(0) is I only to round-off
-                yield np.full(n_paths, model.s0)
-                continue
-            if t > end:  # t opens a cell
-                end, running = _cell(model.basis, model.d, t)
-                cell = _cell_plan(_feature_plan(model, end), running)
-                for a, b in spans:
-                    _collapse(cell, model.coefficients, ints[a:b], q[:, a:b])
-                q[0] += model.s0
-            v = np.tile(1.0 - np.diag(gram_tail(model.basis, t)), model.d)[running]
-            row = np.empty(n_paths)
-            for a, b in spans:
-                _cell_rows(cell, q[:, a:b], ints[a:b], v, row[a:b])
+    def scratch():
+        return _walk_scratch(model.basis, roots, d, size) + (
+            np.empty((_patterns(model), size)), np.empty(size), np.empty(tables))
+
+    def rows(k, cols, scratch):
+        n = cols.stop - cols.start
+        walk = _block_walk(roots, driver.generator(*tags, k), scratch[:3], n)
+        q, row, work = scratch[3][:, :n], scratch[4][:n], scratch[5]
+        for acc, step in zip(walk, schedule):
+            if step is None:
+                row[:] = model.s0
+            else:
+                cell, opens, v = step
+                ints = acc.reshape(n, -1)
+                if opens:
+                    for a, b in _spans(n, chunk):
+                        _collapse(cell, model.coefficients, ints[a:b], q[:, a:b], work)
+                    q[0] += model.s0
+                _cell_rows(cell, q, ints, v, row, work)
             yield row
 
-    return rows()
+    return _PathBlocks(n_paths, _PATH_BLOCK, rows, scratch)
 
 
 def path_grid(model, times, n_paths, driver, tags=()):
     """Jointly consistent S_t samples at the given times, shape (n_times, n_paths).
 
     All times share one Brownian path per path index (needed for exotics).
-    The rows are those of `_path_rows`, collected: one column plan per cell
-    (per time on Legendre) and a small polynomial per time.
-    `_check_grid` runs first.
+    The rows are those of `_path_rows`, each block's written into its
+    columns as it steps (`bases._run_blocks`): one column plan per cell (per
+    time on Legendre) and a small polynomial per time.  Block k draws from
+    the stream keyed (*tags, k).  `_check_grid` runs first.
     """
     _check_grid(model, len(times), n_paths)
-    rows = _path_rows(model, times, n_paths, driver, tags)  # checks the times and n_paths
+    blocks = _path_rows(model, times, n_paths, driver, tags)  # checks the times and n_paths
     out = np.empty((len(times), n_paths))
-    for ti, row in enumerate(rows):
-        out[ti] = row
+
+    def sink(cols, rows):
+        for ti, row in enumerate(rows):
+            out[ti, cols] = row
+
+    _run_blocks([(blocks, sink)], _workers(n_paths))
     return out

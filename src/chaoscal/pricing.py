@@ -63,6 +63,7 @@ from .model import (
     MAX_BYTES,
     _ROW_ALIGN,
     _block_bytes,
+    _check_held,
     _feature_plan,
     _index_bytes,
     _live_columns,
@@ -298,11 +299,22 @@ def _cv_solve(draw, k):
     return CvState(xc.shape[1], beta, r2)
 
 
+def _cv_bytes(model, n):
+    """Bytes a CV draw of n paths holds: one feature block, 8 arrays of n
+    (as `_check_surface` counts it) and the index layer with one plan."""
+    p, m, d = model.p, model.m, model.d
+    n = max(n, 0)
+    return _block_bytes(p, m, d, n) + 64 * n + _index_bytes(p, m, d, 1)
+
+
 def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):
     """Estimate control-variate coefficients on an independent sample.
 
     Degenerate Sigma_X (e.g. theta = 0) degrades to degree 0 with a warning.
+    What the draw holds (`_cv_bytes`) is checked against `model.MAX_BYTES`
+    first.
     """
+    _check_held(_cv_bytes(model, beta_samples), 1, beta_samples)
     draw = _cv_draw(model, block.maturity, degree, driver, beta_samples, tags)
     return _cv_solve(draw, k)
 

@@ -31,11 +31,14 @@ calibrated against.  Four pieces:
   martingale correction (QE-M), and exotic payoff averaging on simulated
   paths.  The simulation takes the monitoring times, steps at most 1/32
   between them, and yields S at each of them in turn (`_heston_rows`).
-  Its blocks of paths each draw from their own Philox stream, so they step
-  each interval at once, one thread a block up to the CPU count, with the
-  bits of one block after another.  `_exotic_fold` folds such rows, from it
-  or from `model._path_rows`, into every contract's payoff as they come, so
-  exotics hold a few rows, never the (n_times, n_paths) array.  Discrete
+  Its blocks of paths each draw from their own Philox stream, keyed
+  (*tags, block), and step through every time as one task of
+  `bases._run_blocks`, one thread a block up to the CPU count, with the
+  bits of one block after another.  `_fold_exotics` runs the blocks of
+  `model._path_rows` and of `_heston_rows` on one pool; each block folds its
+  rows into its paths' payoffs as they come (`_payoffs`), and each price is
+  reduced once over the assembled payoffs, so exotics hold a block's rows
+  and the payoffs, never the (n_times, n_paths) array.  Discrete
   monitoring of barriers/minima carries an O(sqrt(dt)) bias; comparisons
   against the chaos model use the same monitoring times on both sides, so
   that bias cancels in the comparison.
@@ -46,13 +49,18 @@ written in w = iu, under which the textbook displays become literal code.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import _check_times
+from .bases import (
+    _PATH_BLOCK,
+    _TASK_BYTES,
+    _check_times,
+    _PathBlocks,
+    _run_blocks,
+    _workers,
+)
 from .errors import (
     ConfigError,
     ExplosionError,
@@ -60,11 +68,9 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .model import _check_held, _rows_bytes, _spans
+from .model import _check_held, _rows_bytes
 from .vol import DownAndOutCall, ForwardStartCall, LookbackCall
 
-_PATH_BLOCK = 1 << 14
-_TASK_BYTES = 1 << 14  # Python objects a Heston block or worker adds (about 4 KiB)
 _PSI_C = 1.5  # QE switches V's law from quadratic to exponential above this psi
 _PSI_FLOOR = 1e-150  # the quadratic law's psi is at least this; its b^2 then stays finite
 _STEP_ROWS = 7  # rows of a QE step's own temporaries, at most (6 measured)
@@ -449,22 +455,20 @@ def rough_heston_cf(u, t, rp):
 
 def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
                  max_step=1.0 / 32.0):
-    """Check the arguments of `heston_simulate`; return an iterator over its
-    rows in time order: S at each time as a new array, or (S, V) with
-    return_variance.
+    """Check the arguments of `heston_simulate`; return its
+    `bases._PathBlocks`: block k of _PATH_BLOCK paths yields S at each time
+    in order, or (S, V) with return_variance, into rows of its worker's
+    scratch.
 
     The check covers the step count: ceil(width / max_step) summed over the
     intervals may not pass _MAX_STEPS, so an absurd horizon is refused before
-    any draw.  Each block of _PATH_BLOCK paths keeps its own generator, log
-    price and variance.  For each monitoring interval, every block is one task
-    on a thread pool of `_workers` threads: it takes the interval's QE-M steps
-    and writes its columns of the row, which is yielded once every task is
-    done.  A block's generator draws as it would alone, only its own task
-    uses it, and a step treats each path on its own (the exponential-law
-    paths are gathered, stepped and scattered back), so the rows are those of
-    `heston_simulate`, bit for bit, whatever the worker count.  The step
-    temporaries go into one scratch set per worker, taken from a free list
-    for a task and put back after it.
+    any draw.  Each block draws from its own generator, keyed (*tags, k),
+    and keeps its log price and variance in its worker's scratch while it
+    takes every interval's QE-M steps in turn (`bases._run_blocks`).  A
+    block's generator draws as it would alone and a step treats each path on
+    its own (the exponential-law paths are gathered, stepped and scattered
+    back), so the rows are those of `heston_simulate`, bit for bit, whatever
+    the worker count.
     """
     times = _check_times(times)
     if times.size < 2 or times[0] != 0.0:
@@ -485,16 +489,13 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
             f"[{times[i]:g}, {times[i + 1]:g}], over the cap of {_MAX_STEPS}")
     kappa, vbar, eps, rho = p.kappa, p.vbar, p.eps, p.rho
     q = rho / eps  # the log price's weight on the martingale increment of V
-    workers = _workers(n_paths)
-    free = []  # scratch sets not in use by a task
 
-    def step(block, lo, hi, n, s, var):
-        cols, gen, x, v = block
-        scratch = free.pop()
-        m = len(x)
+    def step(gen, scratch, m, lo, hi, n):
+        """n QE-M steps over [lo, hi] of the log price x and variance v of
+        the block's m paths, in place."""
         z = scratch[:2].reshape(-1)[: 2 * m].reshape(2, m)  # Z_V, then Z_X
         zv, zx = z
-        u, mean, psi, w1, w2, w3, w4, w5 = scratch[2:, :m]
+        u, mean, psi, w1, w2, w3, w4, w5, x, v = scratch[2:12, :m]
         prev = lo
         for i in range(1, n + 1):
             end = hi if i == n else lo + (hi - lo) * i / n
@@ -603,48 +604,35 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
             w4 += (p.r - p.q) * dt
             x += w4
             np.copyto(v, w3)
-        np.exp(x, out=s[cols])
-        if var is not None:
-            var[cols] = v
-        free.append(scratch)
 
-    def rows():
-        blocks = [(slice(a, b), driver.generator(*tags, block_id),
-                   np.full(b - a, math.log(p.s0)), np.full(b - a, p.v0))
-                  for block_id, (a, b) in enumerate(_spans(n_paths, _PATH_BLOCK))]
-        free.extend(np.empty((10, len(blocks[0][2]))) for _ in range(workers))
-        s = np.full(n_paths, p.s0)
-        yield (s, np.full(n_paths, p.v0)) if return_variance else s
-        with ThreadPoolExecutor(workers) as pool:
-            for lo, hi, n in zip(times, times[1:], steps.astype(int)):
-                s = np.empty(n_paths)
-                var = np.empty(n_paths) if return_variance else None
-                tasks = [pool.submit(step, block, lo, hi, n, s, var) for block in blocks]
-                for task in tasks:
-                    task.result()  # a task's exception is raised here
-                yield (s, var) if return_variance else s
+    def rows(k, cols, scratch):
+        m = cols.stop - cols.start
+        gen = driver.generator(*tags, k)
+        x, v, s = scratch[10:, :m]
+        x[:] = math.log(p.s0)
+        v[:] = p.v0
+        s[:] = p.s0
+        yield (s, v) if return_variance else s
+        for lo, hi, n in zip(times, times[1:], steps.astype(int)):
+            step(gen, scratch, m, lo, hi, n)
+            np.exp(x, out=s)
+            yield (s, v) if return_variance else s
 
-    return rows()
-
-
-def _workers(n_paths):
-    """Threads `_heston_rows` steps its blocks on: one a block, at most one
-    a CPU this process may run on."""
-    return min(-(-n_paths // _PATH_BLOCK), len(os.sched_getaffinity(0)))
+    size = min(n_paths, _PATH_BLOCK)
+    return _PathBlocks(n_paths, _PATH_BLOCK, rows, lambda: np.empty((13, size)))
 
 
 def _heston_bytes(n_paths):
-    """Bytes `_heston_rows` holds without return_variance: the row it builds
-    and the one its caller still holds, every block's log price and
-    variance, each worker's scratch (a block's two rows of normals, its
-    uniforms and seven work rows) and what a step allocates beside it (at
-    most _STEP_ROWS rows: the exponential law's index and, on paths where
+    """Bytes `_heston_rows` holds on the block runner: each worker's scratch
+    (a block's two rows of normals, its uniforms, seven work rows, its log
+    price, variance and S) and what a step allocates beside it (at most
+    _STEP_ROWS rows: the exponential law's index and, on paths where
     E[exp(A V')] is infinite, the uncorrected drift's temporaries), and
     _TASK_BYTES a block and a worker for the Python objects around them:
     generators, tasks, threads."""
     blocks = -(-n_paths // _PATH_BLOCK)
     workers = _workers(n_paths)
-    return (8 * (4 * n_paths + (10 + _STEP_ROWS) * workers * min(n_paths, _PATH_BLOCK))
+    return (8 * (13 + _STEP_ROWS) * workers * min(n_paths, _PATH_BLOCK)
             + _TASK_BYTES * (blocks + workers))
 
 
@@ -674,19 +662,26 @@ def heston_simulate(
     between them is split into n = ceil((hi - lo) / max_step) equal steps,
     the i-th ending at lo + (hi - lo) i / n, the last exactly at hi; at most
     _MAX_STEPS steps in all.  Each step's end is computed as it is taken, so
-    memory does not grow with the step count.  The rows are those of
-    `_heston_rows`, collected: shape (len(times), n_paths), one row per time
-    like `model.path_grid`, so a terminal value is
+    memory does not grow with the step count.  Each block of `_heston_rows`
+    writes its rows into its columns as it steps (`bases._run_blocks`), and
+    block k of _PATH_BLOCK paths draws from the stream keyed (*tags, k).
+    The shape is (len(times), n_paths), one row per time like
+    `model.path_grid`, so a terminal value is
     `heston_simulate(p, [0.0, T], ...)[1]`.  With return_variance, returns
     (S, V) arrays of that shape.  The arrays and what `_heston_rows` holds
     are checked against `model.MAX_BYTES` before the first draw.
     """
-    rows = _heston_rows(p, times, n_paths, driver, tags, return_variance, max_step)
+    blocks = _heston_rows(p, times, n_paths, driver, tags, return_variance, max_step)
     _check_held(8 * (1 + return_variance) * len(times) * n_paths + _heston_bytes(n_paths),
                 len(times), n_paths)
     out = np.empty((1 + return_variance, len(times), n_paths))  # S, then V
-    for i, row in enumerate(rows):
-        out[:, i] = row
+
+    def sink(cols, rows):
+        for i, row in enumerate(rows):
+            for plane, values in zip(out, row if return_variance else (row,)):
+                plane[i, cols] = values
+
+    _run_blocks([(blocks, sink)], _workers(n_paths))
     return (out[0], out[1]) if return_variance else out[0]
 
 
@@ -697,65 +692,114 @@ def _grid_position(times, t, what):
     return pos
 
 
-def _check_fold(model, n_times, n_paths, specs, reference):
-    """Raise ValidationError if `_exotic_fold` over n_times rows of n_paths
-    model paths, then of n_paths Heston paths if `reference`, would hold over
-    `model.MAX_BYTES`: the larger simulator's count (`_rows_bytes`,
-    `_heston_bytes`), the fold's running minimum, its start-date rows and a
-    payoff with two temporaries, and 48 bytes a time for the grid and the
-    walk's list of it."""
+def _fold_bytes(model, n_times, n_paths, specs, reference):
+    """Bytes `_fold_exotics` holds over n_times rows of n_paths model paths,
+    and of n_paths Heston paths if `reference`: both simulators' counts
+    (`_rows_bytes`, `_heston_bytes`), since their blocks share one pool;
+    each simulator's payoffs, which hold the fold's state; a row a worker
+    for a barrier's mask; and 48 bytes a time for the grid."""
     sim = _rows_bytes(model, n_times, n_paths)
     if reference:
-        sim = max(sim, _heston_bytes(n_paths))
-    starts = {s.tau for s in specs if isinstance(s, ForwardStartCall) and s.strike is None}
-    fold = 8 * n_paths * (4 + len(starts))
-    _check_held(sim + fold + 48 * n_times, n_times, n_paths)
+        sim += _heston_bytes(n_paths)
+    masks = _workers(n_paths) * min(n_paths, _PATH_BLOCK)
+    return sim + 8 * (n_paths * len(specs) * (1 + reference) + masks) + 48 * n_times
+
+
+def _check_fold(model, n_times, n_paths, specs, reference):
+    """Raise ValidationError if `_fold_bytes` is over `model.MAX_BYTES`."""
+    _check_held(_fold_bytes(model, n_times, n_paths, specs, reference), n_times, n_paths)
+
+
+def _fold_plan(times, specs):
+    """Per contract, (maturity row, start-date row) on the grid `times` for
+    `_payoffs`; the start row is None but for a forward start with a strike
+    ratio.  ConfigError unless every date is on the grid."""
+    times = _check_times(times)
+    plan = []
+    for spec in specs:
+        i_mat = _grid_position(times, spec.maturity, "maturity")
+        if not isinstance(spec, (ForwardStartCall, DownAndOutCall, LookbackCall)):
+            raise ValidationError(f"unknown exotic spec {type(spec).__name__}")
+        ratio = isinstance(spec, ForwardStartCall) and spec.strike is None
+        plan.append((i_mat, _grid_position(times, spec.tau, "start date") if ratio else None))
+    return plan
+
+
+def _payoffs(rows, plan, specs, out=None):
+    """Fold `rows`, S at each time of the `_fold_plan` plan in time order,
+    into each contract's payoff on their paths, written into out[j] (made
+    at the first row if None) as the rows come, and return out.  A row may
+    be overwritten once the next is asked for.
+
+    Until its maturity, a contract's row of out holds what its payoff
+    reads: the running minimum of S for a barrier or lookback, S at its
+    start date for a forward start with a strike ratio.  Monitoring
+    (barrier crossing, running minimum) is discrete on exactly these times.
+    Minima are exact and every step elementwise, so each payoff has the bits
+    of the whole path array's, on any block of its paths; a barrier's mask
+    is all the fold allocates.
+    """
+    for i, s_t in enumerate(rows):
+        if out is None:
+            out = np.empty((len(specs), len(s_t)))
+        for spec, (i_mat, i_start), state in zip(specs, plan, out):
+            if i > i_mat:
+                continue
+            if isinstance(spec, ForwardStartCall):
+                if i == i_start:
+                    state[:] = s_t
+                if i == i_mat:
+                    if spec.strike is None:
+                        np.multiply(state, spec.strike_ratio, out=state)
+                        np.subtract(s_t, state, out=state)
+                    else:
+                        np.subtract(s_t, spec.strike, out=state)
+                    np.maximum(state, 0.0, out=state)
+                continue
+            if i == 0:  # float, also from an integer spot
+                state[:] = s_t
+            else:
+                np.minimum(state, s_t, out=state)
+            if i == i_mat and isinstance(spec, DownAndOutCall):
+                alive = state > spec.barrier
+                np.subtract(s_t, spec.strike, out=state)
+                np.maximum(state, 0.0, out=state)
+                state *= alive
+            elif i == i_mat:
+                np.subtract(s_t, state, out=state)
+    return out
+
+
+def _price(payoff):
+    """Mean payoff and its standard error."""
+    if payoff.size < 2:
+        raise ValidationError("a standard error needs at least 2 paths")
+    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(payoff.size))
 
 
 def _exotic_fold(rows, times, specs):
     """Mean payoff and standard error of each exotic, folding the rows of S at
-    `times`, one per time in time order, into the payoffs as they come.
+    `times`, one per time in time order, into the payoffs as they come
+    (`_payoffs`).  The grid is checked before the first row is read."""
+    return [_price(payoff) for payoff in _payoffs(rows, _fold_plan(times, specs), specs)]
 
-    The fold holds one running minimum for every barrier and lookback, S at
-    each start date a forward start reads, and a contract's payoff at its
-    maturity row, which it reduces to (price, SE) there.
-    Monitoring (barrier crossing, running minimum) is discrete on exactly
-    these times.  Minima are exact, so every payoff is that of the whole
-    path array, bit for bit.
-    """
-    times = _check_times(times)
-    due = {}  # row -> contracts that mature at it
-    start_row = {}  # forward start with a strike ratio -> its start-date row
-    for j, spec in enumerate(specs):
-        i_mat = _grid_position(times, spec.maturity, "maturity")
-        if not isinstance(spec, (ForwardStartCall, DownAndOutCall, LookbackCall)):
-            raise ValidationError(f"unknown exotic spec {type(spec).__name__}")
-        if isinstance(spec, ForwardStartCall) and spec.strike is None:
-            start_row[j] = _grid_position(times, spec.tau, "start date")
-        due.setdefault(i_mat, []).append(j)
-    out = [None] * len(specs)
-    low, starts = None, {}
-    for i, s_t in enumerate(rows):
-        low = np.array(s_t) if low is None else np.minimum(low, s_t, out=low)
-        if i in start_row.values():
-            starts[i] = s_t
-        for j in due.get(i, ()):
-            spec = specs[j]
-            if isinstance(spec, ForwardStartCall):
-                if spec.strike is not None:
-                    payoff = np.maximum(s_t - spec.strike, 0.0)
-                else:
-                    payoff = np.maximum(s_t - spec.strike_ratio * starts[start_row[j]],
-                                        0.0)
-            elif isinstance(spec, DownAndOutCall):
-                payoff = np.maximum(s_t - spec.strike, 0.0) * (low > spec.barrier)
-            else:
-                payoff = s_t - low
-            if payoff.size < 2:
-                raise ValidationError("a standard error needs at least 2 paths")
-            out[j] = (float(payoff.mean()),
-                      float(payoff.std(ddof=1) / math.sqrt(payoff.size)))
-    return out
+
+def _fold_exotics(sims, times, specs):
+    """Per simulator, the mean payoff and standard error of each exotic on
+    its paths: the blocks of every `bases._PathBlocks` in `sims` (model and
+    Heston rows at `times`) step on one pool of `_workers` threads
+    (`bases._run_blocks`), each folding its rows into its columns of the
+    simulator's payoffs (`_payoffs`); each price is reduced once over them,
+    so it has the bits of the whole path array's."""
+    plan = _fold_plan(times, specs)
+    payoffs = [np.empty((len(specs), sim.n_paths)) for sim in sims]
+
+    def folder(out):
+        return lambda cols, rows: _payoffs(rows, plan, specs, out[:, cols])
+
+    _run_blocks([(sim, folder(out)) for sim, out in zip(sims, payoffs)],
+                _workers(max(sim.n_paths for sim in sims)))
+    return [[_price(payoff) for payoff in out] for out in payoffs]
 
 
 def exotic_mc_price(paths, times, spec):

@@ -13,11 +13,15 @@ from chaoscal.bases import (
     LegendreBasis,
     PiecewiseConstantBasis,
     _interval_root,
+    _PathBlocks,
+    _run_blocks,
+    _walk_bytes,
     basis_eval,
     cell_index,
     gram_tail,
     sample_integrals,
 )
+from chaoscal import model as model_module
 from chaoscal.errors import ValidationError
 
 PW = PiecewiseConstantBasis.uniform(2.0, 4)
@@ -202,7 +206,7 @@ class TestSampling:
         # also over intervals that span 3 or more cells (root rank >= 3)
         times = [0.05, 0.1, 0.1, 0.2, 0.65, 0.65, 1.9, 2.0]
         got = sample_integrals(spec, BrownianDriver(seed=23), times, 500, d=2, tags=(7,))
-        gen = BrownianDriver(seed=23).generator(7)
+        gen = BrownianDriver(seed=23).generator(7, 0)  # (tags, block): one block
         acc = np.zeros((500, 2, spec.size))
         prev, g_prev, ranks = 0.0, gram_tail(spec, 0.0), []
         for ti, t in enumerate(times):
@@ -215,6 +219,42 @@ class TestSampling:
                 prev, g_prev = t, g_t
             assert got[ti].tobytes() == acc.reshape(500, -1).tobytes()
         assert max(ranks) >= 3
+
+    def test_array_over_the_byte_cap(self, monkeypatch):
+        # the output and the walk's count, one byte over the cap, raise
+        # naming n_paths before a stream is opened; at the cap it runs
+        class NoStreams:
+            def generator(self, *key):
+                raise AssertionError("a stream was opened")
+
+        times, n = [0.5, 1.0, 2.0], 3000
+        need = 8 * 3 * n * 8 + _walk_bytes(PW, 2, 3, n)
+        monkeypatch.setattr(model_module, "MAX_BYTES", need - 1)
+        with pytest.raises(ValidationError, match=rf"n_paths = {n} at n_times = 3 need "
+                                                  rf"{need} bytes"):
+            sample_integrals(PW, NoStreams(), times, n, d=2)
+        monkeypatch.setattr(model_module, "MAX_BYTES", need)
+        assert sample_integrals(PW, BrownianDriver(1), times, n, d=2).shape == (3, n, 8)
+
+    def test_a_trillion_paths_are_refused(self):
+        # numpy's own error (58.2 TiB) was raised before
+        with pytest.raises(ValidationError, match=r"n_paths = 1000000000000 at n_times = 2"):
+            sample_integrals(PiecewiseConstantBasis.uniform(1.0, 4), BrownianDriver(0),
+                             [0.5, 1.0], 10**12)
+
+    def test_block_runner_raises_a_task_error(self):
+        # a task's exception reaches the caller once the running tasks end
+        def rows(k, cols, scratch):
+            yield k
+
+        def sink(cols, rows):
+            if next(rows) == 1:
+                raise ZeroDivisionError("block 1")
+
+        blocks = _PathBlocks(10 * 64, 64, rows, lambda: None)
+        for workers in (1, 2):
+            with pytest.raises(ZeroDivisionError, match="block 1"):
+                _run_blocks([(blocks, sink)], workers)
 
     def test_determinism_and_streams(self):
         drv = BrownianDriver(seed=42)

@@ -516,6 +516,42 @@ class TestExotics:
         assert float(rows[3]["model_price"]) >= vanilla - 1e-12
         assert rows[3]["model_iv"] != ""
 
+    EXOTICS = [{"type": "forward_start", "tau": 0.5, "maturity": 1.0, "strike_ratio": 1.0},
+               {"type": "down_and_out", "maturity": 1.0, "strike": 100.0, "barrier": 90.0},
+               {"type": "lookback", "maturity": 1.0}]
+
+    @pytest.mark.parametrize("side", ["model", "reference"])
+    def test_integer_spot_prices_as_the_float_spot(self, tmp_path, side):
+        # an integer spot made the first row int64, and the fold's running
+        # minimum of float rows raised a casting error (exit code 1)
+        outs = []
+        for s0 in (100.0, 100):
+            run = tmp_path / repr(s0)
+            run.mkdir()
+            model_path = run / "model.json"
+            model_path.write_text(model_text(s0=s0 if side == "model" else 100.0))
+            ref = dict(HESTON, r=0.0, q=0.0, s0=s0 if side == "reference" else 100.0)
+            rc, out = self.run_exotics(run, self.EXOTICS, reference=ref, paths=3000,
+                                       model_path=model_path)
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_worker_count_does_not_change_the_csv(self, tmp_path, monkeypatch):
+        # three blocks of paths a simulator, on one worker and on two
+        from chaoscal import reference as reference_module
+
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(reference_module, "_workers", lambda n_paths: workers)
+            run = tmp_path / str(workers)
+            run.mkdir()
+            rc, out = self.run_exotics(run, self.EXOTICS, reference=dict(HESTON, r=0.0, q=0.0),
+                                       paths=2 * reference_module._PATH_BLOCK + 7, steps=16)
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_cells_are_the_library_on_both_simulators(self, tmp_path):
         # the command prices the simulators' (len(times), n_paths) arrays as
         # they come, at its seed and stream tags: 7001 model, 7002 reference

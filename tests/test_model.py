@@ -8,6 +8,9 @@ from chaoscal.bases import (
     BrownianDriver,
     LegendreBasis,
     PiecewiseConstantBasis,
+    _block_walk,
+    _interval_roots,
+    _walk_scratch,
     cell_index,
     gram_tail,
     sample_integrals,
@@ -19,7 +22,6 @@ from chaoscal.indices import enumerate_indices, phi_eval
 from chaoscal.model import (
     ChaosModel,
     FeatureBlock,
-    _path_rows,
     path_grid,
     sample_features,
     second_moment,
@@ -262,14 +264,36 @@ class TestPathGrid:
         model = make_model(seed=81, scale=0.5, d=d, basis=basis, p=3)
         times = [0.1, 0.2, 0.2, 0.35, 0.5, 1.7, 1.7, 2.0]
         drv = BrownianDriver(seed=18)
-        rows = list(_path_rows(model, times, 400, drv, tags=(9,)))
+        rows = path_grid(model, times, 400, drv, tags=(9,))
         ints = sample_integrals(basis, drv, times, 400, d=d, tags=(9,))
         for ti, t in enumerate(times):
             g = block_diag(*[gram_tail(basis, t)] * d)
             want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
             assert_ulps(rows[ti], want)
-        # every row is its own array: the exotics fold keeps start-date rows
-        assert not any(np.shares_memory(a, b) for a in rows for b in rows if a is not b)
+
+    @pytest.mark.parametrize("basis", [PiecewiseConstantBasis((0.0, 0.2, 0.5, 1.1, 2.0)),
+                                       LegendreBasis(horizon=2.0, size=3)],
+                             ids=["piecewise", "legendre"])
+    def test_rows_across_a_block_boundary_are_the_kernel(self, basis):
+        # 16384 + 3 paths are two stream blocks, the second of 3 paths, each
+        # drawn from its own stream (tags, block) by both samplers; on
+        # piecewise the collapse runs in 4096-row chunks inside a block
+        n = model_module._PATH_BLOCK + 3
+        model = make_model(seed=83, scale=0.5, d=2, basis=basis, p=2)
+        times = [0.0, 0.35, 0.5, 1.7, 2.0]
+        drv = BrownianDriver(seed=19)
+        rows = path_grid(model, times, n, drv, tags=(4,))
+        ints = sample_integrals(basis, drv, times, n, d=2, tags=(4,))
+        np.testing.assert_array_equal(rows[0], model.s0)
+        for ti, t in enumerate(times[1:], start=1):
+            g = block_diag(*[gram_tail(basis, t)] * 2)
+            want = model.s0 + dyson_features(model.indices, g, ints[ti]) @ model.coefficients
+            assert_ulps(rows[ti], want)
+        # the second block is a walk of its own on the stream (tags, 1)
+        roots = _interval_roots(basis, times)
+        walk = _block_walk(roots, drv.generator(4, 1), _walk_scratch(basis, roots, 2, 3), 3)
+        for ti, last in enumerate(walk):
+            np.testing.assert_array_equal(ints[ti, -3:], last.reshape(3, -1))
 
     def test_a_piecewise_pass_builds_a_plan_per_cell(self, monkeypatch):
         built = []
@@ -282,8 +306,7 @@ class TestPathGrid:
         monkeypatch.setattr(model_module, "_column_plan", counted)
         model_module._plan.cache_clear()
         try:
-            for _ in _path_rows(model, np.linspace(0.0, 2.0, 65), 50, BrownianDriver(2)):
-                pass
+            path_grid(model, np.linspace(0.0, 2.0, 65), 50, BrownianDriver(2))
         finally:
             model_module._plan.cache_clear()  # no plan of this pass outlives it
         assert 0 < len(built) <= model.m

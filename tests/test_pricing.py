@@ -533,7 +533,7 @@ class TestPreflightBeforeDrawing:
             raise AssertionError("paths drawn before the pre-flight")
 
         monkeypatch.setattr(model_module, "_feature_blocks", draw)
-        monkeypatch.setattr(model_module, "_walk_integrals", draw)
+        monkeypatch.setattr(model_module, "_block_walk", draw)
 
     @staticmethod
     def run(entry, maturities):
@@ -641,12 +641,19 @@ class TestRowBlocks:
 # over 64 times for both bases, plus a Legendre path_grid.  The desk model
 # (argv[1]) prices 100003 paths, where an unaligned OpenBLAS row split of
 # features @ theta moved the last bits between 1 and 2 or 4 threads.  The
-# Heston reference steps 3 path blocks, one a worker up to the CPU count.
+# Heston reference steps 3 path blocks, one a worker up to the CPU count, and
+# `exotics` at 40000 paths steps 3 blocks of each simulator on one pool.
 _THREADS_SCRIPT = textwrap.dedent("""
+    import contextlib
     import hashlib
+    import io
+    import json
+    import os
     import sys
+    import tempfile
     from types import SimpleNamespace
     import numpy as np
+    from chaoscal.cli import main
     from chaoscal.bases import (BrownianDriver, LegendreBasis,
                                 PiecewiseConstantBasis, sample_integrals)
     from chaoscal.indices import enumerate_indices
@@ -694,12 +701,28 @@ _THREADS_SCRIPT = textwrap.dedent("""
                                                    tags=(0, 4, 0)))
     desk_paths = path_grid(desk, np.linspace(0.0, 1.0, 5), 100_003, BrownianDriver(0),
                            tags=(7001,))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, name) for name in ("spec", "ref", "csv")}
+        with open(files["spec"], "w") as handle:
+            json.dump({"monitoring_steps": 16, "contracts": [
+                {"type": "forward_start", "tau": 0.5, "maturity": 1.0, "strike_ratio": 1.0},
+                {"type": "down_and_out", "maturity": 1.0, "strike": 100.0, "barrier": 85.0},
+                {"type": "lookback", "maturity": 1.0}]}, handle)
+        with open(files["ref"], "w") as handle:
+            json.dump({"s0": 100.0, "kappa": 1.5, "vbar": 0.04, "eps": 0.5, "rho": -0.7,
+                       "v0": 0.04}, handle)
+        with contextlib.redirect_stdout(io.StringIO()):  # its line names the file
+            assert main(["exotics", "--model", sys.argv[1], "--spec", files["spec"],
+                         "--reference", files["ref"], "--paths", "40000", "--seed", "3",
+                         "--out", files["csv"]]) == 0
+        with open(files["csv"], "rb") as handle:
+            exotics = handle.read()
     for name, value in (("prices", prices), ("quad", quad),
                         ("r2", cv.r_squared), ("leg_ints", leg_ints),
                         ("pw_ints", pw_ints), ("leg_paths", leg_paths),
                         ("rough_cf", rough_cf), ("rough_surface", rough_surface),
                         ("heston", heston), ("desk_s", desk_s),
-                        ("desk_paths", desk_paths)):
+                        ("desk_paths", desk_paths), ("exotics", np.frombuffer(exotics, np.uint8))):
         print(name, hashlib.sha256(np.asarray(value).tobytes()).hexdigest())
 """)
 
@@ -787,17 +810,70 @@ class TestByteBound:
         specs = [ForwardStartCall(0.5, 1.0, strike_ratio=1.0),
                  DownAndOutCall(1.0, 100.0, 85.0), LookbackCall(1.0)]
 
-        def run():  # as `exotics` runs them: the model's fold, then the reference's
-            reference._exotic_fold(model_module._path_rows(model, times, n_paths,
-                                                           BrownianDriver(3)), times, specs)
+        def run():  # as `exotics` runs them: both simulators' blocks on one pool
+            sims = [model_module._path_rows(model, times, n_paths, BrownianDriver(3))]
             if with_reference:
-                reference._exotic_fold(reference._heston_rows(params, times, n_paths,
-                                                              BrownianDriver(3)), times, specs)
+                sims.append(reference._heston_rows(params, times, n_paths, BrownianDriver(3)))
+            reference._fold_exotics(sims, times, specs)
 
         peak = self.peak(run)
         monkeypatch.setattr(model_module, "MAX_BYTES", peak - 1)
         with pytest.raises(ValidationError, match=r"need \d+ bytes"):
             reference._check_fold(model, len(times), n_paths, specs, with_reference)
+
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_path_grid_and_exotics_at_the_byte_cap(self, monkeypatch, kind):
+        # one byte under the count raises naming it, at the count they run;
+        # a Legendre time runs no position, so its Q array is one row a path
+        from chaoscal import reference
+        from chaoscal.vol import LookbackCall
+
+        model, _ = block_model(kind)
+        assert model_module._patterns(model) == (6 if kind == "piecewise" else 1)
+        times, n = np.linspace(0.0, 1.0, 17), 20_000
+        need = 8 * n * len(times) + model_module._rows_bytes(model, len(times), n)
+        monkeypatch.setattr(model_module, "MAX_BYTES", need - 1)
+        with pytest.raises(ValidationError, match=rf"n_paths = {n} at n_times = 17 need "
+                                                  rf"{need} bytes"):
+            path_grid(model, times, n, BrownianDriver(3))
+        monkeypatch.setattr(model_module, "MAX_BYTES", need)
+        path_grid(model, times, n, BrownianDriver(3))
+
+        params = reference.HestonParams(100.0, 1.5, 0.04, 0.5, -0.7, 0.04)
+        specs = [LookbackCall(1.0)]
+        need = reference._fold_bytes(model, len(times), n, specs, True)
+        monkeypatch.setattr(model_module, "MAX_BYTES", need - 1)
+        with pytest.raises(ValidationError, match=rf"need {need} bytes"):
+            reference._check_fold(model, len(times), n, specs, True)
+        monkeypatch.setattr(model_module, "MAX_BYTES", need)
+        reference._check_fold(model, len(times), n, specs, True)
+        reference._fold_exotics([model_module._path_rows(model, times, n, BrownianDriver(3)),
+                                 reference._heston_rows(params, times, n, BrownianDriver(3))],
+                                times, specs)
+
+    @pytest.mark.parametrize("entry", ["sample_features", "estimate_cv"])
+    def test_sampler_at_the_byte_cap(self, monkeypatch, entry):
+        # one byte under its count, a sampler raises naming n_paths before a
+        # stream is opened; at the count it runs
+        class NoStreams:
+            def generator(self, *key):
+                raise AssertionError("a stream was opened")
+
+        model, _ = block_model("piecewise")
+        n = 3000
+        if entry == "sample_features":
+            need = model_module._features_bytes(model, n, len(model.indices))
+            run = lambda driver: sample_features(model, 1.0, n, driver)  # noqa: E731
+        else:
+            need = pricing._cv_bytes(model, n)
+            block = sample_features(model, 1.0, 10, BrownianDriver(2))
+            run = lambda driver: estimate_cv(model, block, 100.0, 2, driver, n)  # noqa: E731
+        monkeypatch.setattr(model_module, "MAX_BYTES", need - 1)
+        with pytest.raises(ValidationError, match=rf"n_paths = {n} at n_times = 1 need "
+                                                  rf"{need} bytes"):
+            run(NoStreams())
+        monkeypatch.setattr(model_module, "MAX_BYTES", need)
+        run(BrownianDriver(3))
 
     def test_exotics_count_does_not_grow_with_the_grid_rows(self):
         # a year of daily monitoring at 1M paths: 2.9 GB as a path array,
@@ -871,8 +947,8 @@ def test_thread_count_does_not_change_bits():
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     cpu = min(os.sched_getaffinity(0))
     outputs = []
-    # one child at a time; the last is pinned to one CPU, so the Heston
-    # reference steps its blocks on one worker
+    # one child at a time; the last is pinned to one CPU, so the block
+    # runner steps every simulator's blocks on one worker
     for threads, pinned in (("1", False), ("2", False), ("4", False), ("1", True)):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
@@ -882,17 +958,23 @@ def test_thread_count_does_not_change_bits():
                               timeout=300, preexec_fn=pin)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 11
+    assert len(outputs[0]) == 12
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 # The price Jacobian of the desk model, with a single-strike maturity, at
 # 100003 paths: the last 1024-row block of each reduction is partial.
 _JACOBIAN_THREADS_SCRIPT = textwrap.dedent("""
+    import contextlib
     import hashlib
+    import io
+    import json
+    import os
     import sys
+    import tempfile
     from types import SimpleNamespace
     import numpy as np
+    from chaoscal.cli import main
     from chaoscal.bases import BrownianDriver
     from chaoscal.modelio import load_model
     from chaoscal.pricing import (PricingMethod, PricingSchedule, _group_jacobian,

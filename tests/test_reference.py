@@ -1,9 +1,12 @@
 """Reference models: Heston CF/Lewis, rough-Heston Riccati, simulation, exotics."""
 
+import csv
+import json
 import math
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +15,14 @@ from scipy.special import gamma as gamma_fn
 
 from chaoscal import model as model_module
 from chaoscal import reference
-from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis
+from chaoscal.bases import (
+    BrownianDriver,
+    LegendreBasis,
+    PiecewiseConstantBasis,
+    _check_times,
+    _spans,
+)
+from chaoscal.cli import main
 from chaoscal.errors import (
     ConfigError,
     ExplosionError,
@@ -21,9 +31,16 @@ from chaoscal.errors import (
 )
 from chaoscal.indices import enumerate_indices
 from chaoscal.model import ChaosModel, path_grid
+from chaoscal.modelio import serialize_model
 from chaoscal.reference import (
+    _MAX_STEPS,
+    _PATH_BLOCK,
+    _PSI_C,
+    _PSI_FLOOR,
     HestonParams,
     RoughHestonParams,
+    _grid_position,
+    _workers,
     adaptive_panel_integral,
     exotic_mc_price,
     heston_cf,
@@ -723,8 +740,9 @@ class TestHestonSimulate:
         times = np.linspace(0.0, horizon, 9)
 
         def run():
-            for _ in reference._heston_rows(p, times, n, BrownianDriver(6), max_step=max_step):
-                pass
+            blocks = reference._heston_rows(p, times, n, BrownianDriver(6), max_step=max_step)
+            reference._run_blocks([(blocks, lambda cols, rows: all(True for _ in rows))],
+                                  reference._workers(n))
 
         run()  # lazy set-up outside the trace
         tracemalloc.start()
@@ -876,22 +894,28 @@ GBM_SPECS = (ForwardStartCall(0.0, 1.0, strike_ratio=1.05),
 @pytest.fixture(scope="module")
 def gbm_paths():
     """(grid, rows, prices): eps -> 0 with v0 = vbar, an exact GBM world with
-    sigma = 0.2, on 513 times and 100k paths.  The prices are folded from
-    the rows as they come, which gives the bits of the whole path array
-    (`TestExoticFold`); only rows 1, 256 and 512 (T), which the tests read,
-    are kept: the whole array held 400 MB for the module."""
+    sigma = 0.2, on 513 times and 100k paths.  Each block of paths folds its
+    rows into its payoffs as they come, which gives the bits of the whole
+    path array (`TestExoticFold`); only rows 1, 256 and 512 (T), which the
+    tests read, are kept: the whole array held 400 MB for the module."""
     p = HestonParams(100.0, 1.5, 0.04, 1e-8, -0.5, 0.04)
-    grid = np.linspace(0.0, 1.0, 513)
-    kept = {}
+    grid, n = np.linspace(0.0, 1.0, 513), 100_000
+    plan = reference._fold_plan(grid, GBM_SPECS)
+    kept = {i: np.empty(n) for i in (1, 256, 512)}
+    payoffs = np.empty((len(GBM_SPECS), n))
 
-    def rows():
-        for i, row in enumerate(reference._heston_rows(p, grid, 100_000,
-                                                       BrownianDriver(11))):
-            if i in (1, 256, 512):
-                kept[i] = row
-            yield row
+    def sink(cols, rows):
+        def tee():
+            for i, row in enumerate(rows):
+                if i in kept:
+                    kept[i][cols] = row
+                yield row
 
-    prices = dict(zip(GBM_SPECS, reference._exotic_fold(rows(), grid, GBM_SPECS)))
+        reference._payoffs(tee(), plan, GBM_SPECS, payoffs[:, cols])
+
+    reference._run_blocks([(reference._heston_rows(p, grid, n, BrownianDriver(11)), sink)],
+                          reference._workers(n))
+    prices = dict(zip(GBM_SPECS, map(reference._price, payoffs)))
     return grid, kept, prices
 
 
@@ -1055,6 +1079,236 @@ def block_major_heston(p, times, n_paths, driver, tags, max_step=1.0 / 32.0):
     return s, v_out
 
 
+# `reference._heston_rows` and `reference._exotic_fold` verbatim as they were
+# before the block runner (only renamed): each monitoring interval stepped
+# every block of paths as one pool task, and the contracts folded each whole
+# row of S in time order.  The reference columns of `exotics` keep their bits.
+def time_major_heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
+                           max_step=1.0 / 32.0):
+    """Check the arguments of `heston_simulate`; return an iterator over its
+    rows in time order: S at each time as a new array, or (S, V) with
+    return_variance.
+
+    The check covers the step count: ceil(width / max_step) summed over the
+    intervals may not pass _MAX_STEPS, so an absurd horizon is refused before
+    any draw.  Each block of _PATH_BLOCK paths keeps its own generator, log
+    price and variance.  For each monitoring interval, every block is one task
+    on a thread pool of `_workers` threads: it takes the interval's QE-M steps
+    and writes its columns of the row, which is yielded once every task is
+    done.  A block's generator draws as it would alone, only its own task
+    uses it, and a step treats each path on its own (the exponential-law
+    paths are gathered, stepped and scattered back), so the rows are those of
+    `heston_simulate`, bit for bit, whatever the worker count.  The step
+    temporaries go into one scratch set per worker, taken from a free list
+    for a task and put back after it.
+    """
+    times = _check_times(times)
+    if times.size < 2 or times[0] != 0.0:
+        raise ValidationError("times must be 1-d, start at 0, have >= 2 points")
+    if np.any(np.diff(times) <= 0):
+        raise ValidationError("times must be strictly increasing")
+    if not max_step > 0:
+        raise ValidationError(f"max_step must be positive, got {max_step}")
+    if n_paths < 1:
+        raise ValidationError("need at least one path")
+    with np.errstate(over="ignore"):  # a count past a float's range is inf, and refused
+        steps = np.maximum(1.0, np.ceil(np.diff(times) / max_step - 1e-12))
+    total = np.cumsum(steps)
+    if total[-1] > _MAX_STEPS:
+        i = int(np.argmax(total > _MAX_STEPS))
+        raise ValidationError(
+            f"max_step {max_step:g} takes {total[i]:.4g} steps through the interval "
+            f"[{times[i]:g}, {times[i + 1]:g}], over the cap of {_MAX_STEPS}")
+    kappa, vbar, eps, rho = p.kappa, p.vbar, p.eps, p.rho
+    q = rho / eps  # the log price's weight on the martingale increment of V
+    workers = _workers(n_paths)
+    free = []  # scratch sets not in use by a task
+
+    def step(block, lo, hi, n, s, var):
+        cols, gen, x, v = block
+        scratch = free.pop()
+        m = len(x)
+        z = scratch[:2].reshape(-1)[: 2 * m].reshape(2, m)  # Z_V, then Z_X
+        zv, zx = z
+        u, mean, psi, w1, w2, w3, w4, w5 = scratch[2:, :m]
+        prev = lo
+        for i in range(1, n + 1):
+            end = hi if i == n else lo + (hi - lo) * i / n
+            dt = end - prev
+            prev = end
+            gen.standard_normal(out=z)
+            gen.random(out=u)
+            decay = math.exp(-kappa * dt)
+            grown = -math.expm1(-kappa * dt)
+            big_a = q * (1.0 + 0.5 * kappa * dt) - 0.25 * rho**2 * dt  # K2 + K4/2
+            # the conditional mean of V' and psi, its variance over mean^2
+            np.multiply(v, decay, out=mean)
+            mean += vbar * grown
+            np.multiply(v, eps**2 * decay * grown / kappa, out=psi)
+            psi += vbar * eps**2 * grown**2 / (2.0 * kappa)
+            np.multiply(mean, mean, out=w1)
+            psi /= w1
+            tail = np.flatnonzero(psi > _PSI_C)  # the paths of the exponential law
+            # quadratic law V' = a (b + Z_V)^2; psi is clipped at psi_c so
+            # that the tail's values, replaced below, stay finite, and at
+            # _PSI_FLOOR so that (2/psi)(2/psi - 1) does: over an interval of
+            # 1e-200 it overflowed, a was 0 and V' = 0 * inf was NaN
+            np.clip(psi, _PSI_FLOOR, _PSI_C, out=w1)
+            np.divide(2.0, w1, out=w1)
+            np.subtract(w1, 1.0, out=w2)
+            w1 *= w2
+            np.sqrt(w1, out=w1)
+            w1 += w2  # b^2 = 2/psi - 1 + sqrt(2/psi (2/psi - 1))
+            np.add(w1, 1.0, out=w2)
+            np.divide(mean, w2, out=w2)  # a = mean / (1 + b^2)
+            np.sqrt(w1, out=w1)
+            np.add(w1, zv, out=w3)
+            w3 *= w3
+            w3 *= w2  # V'
+            w2 *= 2.0 * big_a  # y = 2 A a; E[exp(A V')] is finite iff y < 1
+            plain = []  # paths where it is not keep Andersen's uncorrected drift
+            if big_a > 0 and w2.max() >= 1.0:  # only at rho > 0 and long steps
+                over = w2 >= 1.0
+                plain.append(np.flatnonzero(over & (psi <= _PSI_C)))
+                w2[over] = 0.0
+            # the log price takes A V' - log E[exp(A V')], which is the
+            # martingale correction's K0* + K1 V + K2 V' + (K3 V + K4 V')/2,
+            # arranged as y Z_V (b + Z_V/2) - (y b)^2 / (2 (1 - y))
+            # + log(1 - y) / 2 so that no term of size rho/eps cancels
+            np.multiply(zv, 0.5, out=w4)
+            w4 += w1
+            w4 *= zv
+            w4 *= w2
+            w1 *= w2
+            w1 *= w1
+            np.subtract(1.0, w2, out=w5)
+            np.log(w5, out=w2)
+            w5 += w5
+            w1 /= w5
+            w4 -= w1
+            w2 *= 0.5
+            w4 += w2
+            if tail.size:
+                # exponential law: V' = 0 with probability pz, else
+                # Exp(beta); U <= pz puts the log's argument at 1.  The tail
+                # is gathered into rows no longer needed (mode "clip" takes
+                # unbuffered; the indices are in range), so a worker
+                # allocates only its index
+                k = tail.size
+                pz, beta, v_new, pz_c, gap = w1[:k], w2[:k], w5[:k], psi[:k], mean[:k]
+                np.take(psi, tail, out=pz, mode="clip")
+                np.take(mean, tail, out=beta, mode="clip")
+                np.take(u, tail, out=v_new, mode="clip")
+                np.add(pz, 1.0, out=pz_c)
+                pz -= 1.0
+                pz /= pz_c
+                np.subtract(1.0, pz, out=pz_c)
+                np.divide(pz_c, beta, out=beta)
+                np.subtract(1.0, v_new, out=v_new)
+                np.divide(pz_c, v_new, out=v_new)
+                np.maximum(v_new, 1.0, out=v_new)
+                np.log(v_new, out=v_new)
+                v_new /= beta
+                w3[tail] = v_new
+                # E[exp(A V')] = pz + (1 - pz) beta / gap where gap = beta - A > 0
+                np.subtract(beta, big_a, out=gap)
+                if big_a > 0 and gap.min() <= 0.0:
+                    over = gap <= 0.0
+                    plain.append(tail[over])
+                    gap[over] = np.inf
+                pz_c *= beta
+                pz_c /= gap
+                pz_c += pz
+                np.log(pz_c, out=pz_c)
+                np.multiply(v_new, big_a, out=gap)
+                gap -= pz_c
+                w4[tail] = gap
+            if plain:
+                # K0 + K1 V + K2 V' + (K3 V + K4 V')/2, K0 = -rho kappa vbar dt / eps
+                plain = np.concatenate(plain)
+                old, new = v[plain], w3[plain]
+                w4[plain] = (q * ((new - old) - kappa * dt * (vbar - 0.5 * (old + new)))
+                             - 0.25 * rho**2 * dt * (old + new))
+            np.add(v, w3, out=w1)
+            w1 *= 0.5 * (1.0 - rho**2) * dt  # K3 V + K4 V'
+            np.sqrt(w1, out=w2)
+            w2 *= zx
+            w1 *= 0.5
+            w4 -= w1
+            w4 += w2
+            w4 += (p.r - p.q) * dt
+            x += w4
+            np.copyto(v, w3)
+        np.exp(x, out=s[cols])
+        if var is not None:
+            var[cols] = v
+        free.append(scratch)
+
+    def rows():
+        blocks = [(slice(a, b), driver.generator(*tags, block_id),
+                   np.full(b - a, math.log(p.s0)), np.full(b - a, p.v0))
+                  for block_id, (a, b) in enumerate(_spans(n_paths, _PATH_BLOCK))]
+        free.extend(np.empty((10, len(blocks[0][2]))) for _ in range(workers))
+        s = np.full(n_paths, p.s0)
+        yield (s, np.full(n_paths, p.v0)) if return_variance else s
+        with ThreadPoolExecutor(workers) as pool:
+            for lo, hi, n in zip(times, times[1:], steps.astype(int)):
+                s = np.empty(n_paths)
+                var = np.empty(n_paths) if return_variance else None
+                tasks = [pool.submit(step, block, lo, hi, n, s, var) for block in blocks]
+                for task in tasks:
+                    task.result()  # a task's exception is raised here
+                yield (s, var) if return_variance else s
+
+    return rows()
+
+
+def time_major_fold(rows, times, specs):
+    """Mean payoff and standard error of each exotic, folding the rows of S at
+    `times`, one per time in time order, into the payoffs as they come.
+
+    The fold holds one running minimum for every barrier and lookback, S at
+    each start date a forward start reads, and a contract's payoff at its
+    maturity row, which it reduces to (price, SE) there.
+    Monitoring (barrier crossing, running minimum) is discrete on exactly
+    these times.  Minima are exact, so every payoff is that of the whole
+    path array, bit for bit.
+    """
+    times = _check_times(times)
+    due = {}  # row -> contracts that mature at it
+    start_row = {}  # forward start with a strike ratio -> its start-date row
+    for j, spec in enumerate(specs):
+        i_mat = _grid_position(times, spec.maturity, "maturity")
+        if not isinstance(spec, (ForwardStartCall, DownAndOutCall, LookbackCall)):
+            raise ValidationError(f"unknown exotic spec {type(spec).__name__}")
+        if isinstance(spec, ForwardStartCall) and spec.strike is None:
+            start_row[j] = _grid_position(times, spec.tau, "start date")
+        due.setdefault(i_mat, []).append(j)
+    out = [None] * len(specs)
+    low, starts = None, {}
+    for i, s_t in enumerate(rows):
+        low = np.array(s_t) if low is None else np.minimum(low, s_t, out=low)
+        if i in start_row.values():
+            starts[i] = s_t
+        for j in due.get(i, ()):
+            spec = specs[j]
+            if isinstance(spec, ForwardStartCall):
+                if spec.strike is not None:
+                    payoff = np.maximum(s_t - spec.strike, 0.0)
+                else:
+                    payoff = np.maximum(s_t - spec.strike_ratio * starts[start_row[j]],
+                                        0.0)
+            elif isinstance(spec, DownAndOutCall):
+                payoff = np.maximum(s_t - spec.strike, 0.0) * (low > spec.barrier)
+            else:
+                payoff = s_t - low
+            if payoff.size < 2:
+                raise ValidationError("a standard error needs at least 2 paths")
+            out[j] = (float(payoff.mean()),
+                      float(payoff.std(ddof=1) / math.sqrt(payoff.size)))
+    return out
+
+
 class TestExoticFold:
     """Exotics fold each simulated row into the payoffs as it comes; every
     price and SE has the bits of the whole path array."""
@@ -1074,26 +1328,82 @@ class TestExoticFold:
         theta = 20.0 * np.random.default_rng(31).standard_normal(n) / np.sqrt(n)
         return ChaosModel(100.0, 2, 4, d, basis, theta)
 
-    def assert_fold_is_the_array(self, rows, paths):
-        got = reference._exotic_fold(rows, self.TIMES, self.SPECS)
+    def assert_fold_is_the_array(self, got, paths):
         want = [whole_array_price(paths, self.TIMES, spec) for spec in self.SPECS]
         assert got == want
         assert got == [exotic_mc_price(paths, self.TIMES, spec) for spec in self.SPECS]
 
     @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
     def test_model_rows(self, kind):
+        # two blocks, the second of 1000 paths
         from chaoscal.model import _path_rows
 
         model = self.chaos_model(kind)
-        paths = path_grid(model, self.TIMES, 5003, BrownianDriver(8), tags=(7001,))
+        n = reference._PATH_BLOCK + 1000
+        paths = path_grid(model, self.TIMES, n, BrownianDriver(8), tags=(7001,))
+        blocks = _path_rows(model, self.TIMES, n, BrownianDriver(8), tags=(7001,))
         self.assert_fold_is_the_array(
-            _path_rows(model, self.TIMES, 5003, BrownianDriver(8), tags=(7001,)), paths)
+            reference._fold_exotics([blocks], self.TIMES, self.SPECS)[0], paths)
 
     def test_heston_rows_over_two_blocks(self):
         n = reference._PATH_BLOCK + 1000
         paths = heston_simulate(P, self.TIMES, n, BrownianDriver(8), tags=(7002,))
-        rows = reference._heston_rows(P, self.TIMES, n, BrownianDriver(8), tags=(7002,))
-        self.assert_fold_is_the_array(rows, paths)
+        blocks = reference._heston_rows(P, self.TIMES, n, BrownianDriver(8), tags=(7002,))
+        self.assert_fold_is_the_array(
+            reference._fold_exotics([blocks], self.TIMES, self.SPECS)[0], paths)
+
+    def test_both_simulators_on_one_pool(self, monkeypatch):
+        # eight blocks of each simulator share one pool; each side's prices
+        # are its own fold's, on one worker and on four switching threads
+        # every microsecond: a scratch set handed to two tasks at once would
+        # move the bits
+        for module in (model_module, reference):
+            monkeypatch.setattr(module, "_PATH_BLOCK", 64)
+        model = self.chaos_model("piecewise")
+
+        def sims():
+            return [model_module._path_rows(model, self.TIMES, 500, BrownianDriver(8), (7001,)),
+                    reference._heston_rows(P, self.TIMES, 500, BrownianDriver(8), (7002,))]
+
+        monkeypatch.setattr(reference, "_workers", lambda n_paths: 1)
+        alone = [reference._fold_exotics([sim], self.TIMES, self.SPECS)[0] for sim in sims()]
+        assert reference._fold_exotics(sims(), self.TIMES, self.SPECS) == alone
+        monkeypatch.setattr(reference, "_workers", lambda n_paths: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = reference._fold_exotics(sims(), self.TIMES, self.SPECS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == alone
+
+    def test_reference_columns_are_the_time_major_fold(self, tmp_path):
+        # over two blocks of paths, the command's reference columns have the
+        # bits of the fold before the block runner
+        n = _PATH_BLOCK + 1000
+        model_path = tmp_path / "model.json"
+        serialize_model(self.chaos_model("piecewise"), model_path)
+        contracts = [
+            {"type": "forward_start", "tau": 0.3, "maturity": 0.7, "strike_ratio": 1.0},
+            {"type": "forward_start", "tau": 0.3, "maturity": 1.0, "strike_ratio": 1.05},
+            {"type": "forward_start", "tau": 0.5, "maturity": 1.0, "strike": 101.0},
+            {"type": "down_and_out", "maturity": 0.7, "strike": 100.0, "barrier": 90.0},
+            {"type": "down_and_out", "maturity": 1.0, "strike": 95.0, "barrier": 85.0},
+            {"type": "lookback", "maturity": 0.5},
+            {"type": "lookback", "maturity": 1.0},
+        ]
+        spec, ref, out = (tmp_path / name for name in ("spec.json", "ref.json", "out.csv"))
+        spec.write_text(json.dumps({"contracts": contracts, "monitoring_steps": 16}))
+        ref.write_text(json.dumps({"s0": P.s0, "kappa": P.kappa, "vbar": P.vbar,
+                                   "eps": P.eps, "rho": P.rho, "v0": P.v0}))
+        assert main(["exotics", "--model", str(model_path), "--spec", str(spec),
+                     "--reference", str(ref), "--out", str(out), "--paths", str(n),
+                     "--seed", "4"]) == 0
+        rows = time_major_heston_rows(P, self.TIMES, n, BrownianDriver(4), tags=(7002,))
+        want = time_major_fold(rows, self.TIMES, self.SPECS)
+        with open(out, newline="") as handle:
+            got = [(row["ref_price"], row["ref_se"]) for row in csv.DictReader(handle)]
+        assert got == [(repr(price), repr(se)) for price, se in want]
 
     def test_heston_rows_step_each_block_as_alone(self, monkeypatch):
         monkeypatch.setattr(reference, "_PATH_BLOCK", 64)  # three blocks, one short
@@ -1104,11 +1414,6 @@ class TestExoticFold:
         np.testing.assert_array_equal(v_sim, v)
         np.testing.assert_array_equal(
             heston_simulate(P, self.TIMES, 150, BrownianDriver(9), tags=(3,)), s)
-        rows = reference._heston_rows(P, self.TIMES, 150, BrownianDriver(9), (3,), True)
-        for i, (s_row, v_row) in enumerate(rows):
-            np.testing.assert_array_equal(s_row, s[i])
-            np.testing.assert_array_equal(v_row, v[i])
-        assert i == len(self.TIMES) - 1
 
     @pytest.mark.parametrize("p, horizon", [
         (HestonParams(100.0, 5.0, 0.04, 2.0, 0.7, 0.04), 8.0),
