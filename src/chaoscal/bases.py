@@ -95,6 +95,11 @@ class BrownianDriver:
 
     It has no time resolution: every basis is sampled exactly from the
     interval covariances of its Ito integrals (see `sample_integrals`).
+
+    A stream's key is the words (seed, 0, *tags), which SeedSequence pads
+    with zeros to 4: keys of at most 4 words that differ only by trailing
+    zeros share a stream, as generator(7001) and generator(7001, 0) do, so
+    block 0 keyed (*tags, 0) draws what a stream keyed (*tags,) draws.
     """
 
     seed: int
@@ -263,15 +268,29 @@ def _interval_roots(spec, times):
     return roots
 
 
-def _walk(roots, gen, acc, z, tmp):
-    """Iterator over I^t at each time of `_interval_roots`, drawn from the
-    generator gen into acc, (n, d, M) zeros: acc itself, valid until the
-    next.  z and tmp are flat scratch for the normals and their combination
-    (`_walk_scratch`).  A time's normals are drawn path-major,
-    so walks over consecutive row blocks from one generator give the rows of
-    a single walk over all of them; only the positions from the first to the
-    last nonzero root row move: inside a piecewise cell, one per component."""
-    n, d, _ = acc.shape
+def _walk_scratch(spec, roots, d, n):
+    """A walk's arrays for n paths over `_interval_roots` roots: the running
+    sum, and room for the normals of the interval of highest rank and the
+    combination of the widest span (`_block_walk`); inside a piecewise cell
+    both are one value a path and component."""
+    drawn = [rows for _, rows in filter(None, roots)]
+    rank = max((rows.shape[1] for rows in drawn), default=0)
+    span = max((rows.shape[0] for rows in drawn), default=0)
+    return np.empty((n, d, spec.size)), np.empty(n * d * rank), np.empty(n * d * span)
+
+
+def _block_walk(roots, gen, scratch, n):
+    """Iterator over I^t of n paths at each time of `_interval_roots`, drawn
+    from the generator gen into the leading rows of a `_walk_scratch` set:
+    its running sum, (n, d, M), itself, valid until the next.  A time's
+    normals are drawn path-major, so walks over consecutive row blocks from
+    one generator give the rows of a single walk over all of them; only the
+    positions from the first to the last nonzero root row move: inside a
+    piecewise cell, one per component."""
+    acc, z, tmp = scratch
+    acc = acc[:n]
+    acc[:] = 0.0
+    d = acc.shape[1]
     for root in roots:
         if root is not None:
             lo, rows = root
@@ -281,26 +300,6 @@ def _walk(roots, gen, acc, z, tmp):
             np.einsum("pjr,ir->pji", draw, rows, out=inc)
             acc[..., lo:lo + rows.shape[0]] += inc
         yield acc
-
-
-def _walk_scratch(spec, roots, d, n):
-    """A walk's arrays for n paths over `_interval_roots` roots: the running
-    sum, and room for the normals of the interval of highest rank and the
-    combination of the widest span (`_walk`); inside a piecewise cell both
-    are one value a path and component."""
-    drawn = [rows for _, rows in filter(None, roots)]
-    rank = max((rows.shape[1] for rows in drawn), default=0)
-    span = max((rows.shape[0] for rows in drawn), default=0)
-    return np.empty((n, d, spec.size)), np.empty(n * d * rank), np.empty(n * d * span)
-
-
-def _block_walk(roots, gen, scratch, n):
-    """`_walk` of n paths from the generator gen, in the leading rows of a
-    `_walk_scratch` set."""
-    acc, z, tmp = scratch
-    acc = acc[:n]
-    acc[:] = 0.0
-    return _walk(roots, gen, acc, z, tmp)
 
 
 def _walk_bytes(spec, d, n_times, n_paths):

@@ -11,8 +11,16 @@ monomials via H_n' = H_{n-1},
 
 each monomial evaluated at (I^t; v).  The series terminates; it runs over
 the couplings G_ik != 0, i < k, listed once per plan from the M x M tail,
-none for the diagonal piecewise G.  Where v_e = 0 (cells after t) I^t_e = 0 = H_n(0; 0), n > 0, so
-such monomials are skipped as exact zeros.
+none for the diagonal piecewise G.  Where v_e = 0 (cells after t) I^t_e =
+0 = H_n(0; 0), n > 0, so such monomials are skipped as exact zeros.
+
+One plan type holds those monomials for every caller (`_cell_plan`): built
+at a time and split over the positions that run after it, up to the end of
+the cell it closes.  Feature rows read a plan with no running position, one
+column per index (`_plan_rows`); path rows sum the frozen factors onto a
+polynomial in the running ones once a cell (`_collapse`) and evaluate it at
+each time (`_cell_rows`).  Every Hermite table, plain or shifted, is built
+by `hermite._recurrence`.
 
 Oracles for the tests: the Dyson series over all of G with plain Hermite
 polynomials (`dyson_cond_exp`), and the piecewise closed form
@@ -32,7 +40,7 @@ import numpy as np
 
 from .bases import cell_index, gram_tail
 from .errors import ValidationError
-from .hermite import hermite_upto
+from .hermite import _recurrence, hermite_upto
 
 
 def _couplings(g, d=1, diagonal=False):
@@ -107,6 +115,16 @@ def dyson_cond_exp(a, t, integrals, g):
     return evaluate_combo(dyson_combo(a, _couplings(g, diagonal=True)), integrals)
 
 
+def _check_layout(x, indices, width):
+    """Raise ValidationError unless the samples x (on their last axis) and
+    every index span the M*d layout of `width` positions."""
+    if np.shape(x)[-1] != width:
+        raise ValidationError(f"samples last axis {np.shape(x)[-1]} != M*d = {width}")
+    for a in indices:
+        if len(a) != width:
+            raise ValidationError(f"index length {len(a)} != M*d = {width}")
+
+
 def cond_exp_piecewise(spec, a, t, increments, d=1):
     """Closed-form E[Phi_a | F_t] for the piecewise-constant basis.
 
@@ -118,10 +136,7 @@ def cond_exp_piecewise(spec, a, t, increments, d=1):
     u = cell_index(spec, t)
     m = spec.size
     z = np.asarray(increments, dtype=float)
-    if z.shape[-1] != m * d:
-        raise ValidationError(f"increments last axis {z.shape[-1]} != M*d = {m * d}")
-    if len(a) != m * d:
-        raise ValidationError(f"index length {len(a)} != M*d = {m * d}")
+    _check_layout(z, [a], m * d)
     tau = (t - spec.grid[u - 1]) / spec.widths[u - 1]
 
     scalar = z.ndim == 1
@@ -155,7 +170,8 @@ def piecewise_features(spec, indices, t, z, d=1):
     len(indices)), column-major; columns of indices annihilated at t (some
     a_i^j > 0 with i > u) are exact zeros.
     """
-    return _plan_rows(_column_plan(indices, gram_tail(spec, t), d), z, normalized=True)
+    _check_layout(z, indices, spec.size * d)
+    return _plan_rows(_cell_plan(indices, gram_tail(spec, t), d), z, normalized=True)
 
 
 def dyson_features(indices, g, integrals):
@@ -165,99 +181,26 @@ def dyson_features(indices, g, integrals):
     samples of I^t.  Returns (n_paths, len(indices)), column-major; columns
     that vanish at t are exact zeros.
     """
-    return _plan_rows(_column_plan(indices, g, 1), integrals, normalized=False)
+    _check_layout(integrals, indices, np.shape(g)[0])
+    return _plan_rows(_cell_plan(indices, g, 1), integrals, normalized=False)
 
 
 @dataclass(frozen=True)
-class _ColumnPlan:
-    """The Hermite products of E[Phi_a | F_t] at one (indices, Gram tail).
-
-    Column `col` is sum_b c_b prod_e v_e^{b_e/2} H_{b_e}(y_e) over the Dyson
-    combo of its index in the off-diagonal of the Gram tail; `columns[col]`
-    holds its terms as (c_b * scale, ((table row, order), ...)).  The table
-    rows are the positions with v > 0 (`positions`, whose sqrt(v) is
-    `root_v`); a column without terms is an exact zero.
-    """
-
-    positions: np.ndarray
-    root_v: np.ndarray
-    columns: tuple
-    n_max: int
-
-
-def _column_plan(indices, g, d):
-    """The `_ColumnPlan` of `indices` at the M x M Gram tail g, taken
-    block-diagonally over d components; it depends on neither the paths nor
-    the coefficients, so one plan serves every row block of a maturity."""
-    v = np.tile(1.0 - np.diag(g), d)
-    positions = np.flatnonzero(v > 0.0)
-    slot = {e: s for s, e in enumerate(positions)}  # table row of each live position
-    couplings = _couplings(g, d)  # listed once for every index
-    columns = []
-    n_max = 0
-    for a in indices:
-        terms = []
-        for b, c in dyson_combo(a, couplings).items():
-            factors = tuple((slot.get(e), n) for e, n in enumerate(b) if n > 0)
-            if all(s is not None for s, _ in factors):
-                scale = math.prod(v[e] ** (0.5 * n) for e, n in enumerate(b) if n > 0)
-                terms.append((c * scale, factors))
-                n_max = max([n_max] + [n for _, n in factors])
-        columns.append(tuple(terms))
-    root_v = np.sqrt(v[positions])
-    for arr in (positions, root_v):  # a cached plan is shared by its callers
-        arr.setflags(write=False)
-    return _ColumnPlan(positions, root_v, tuple(columns), n_max)
-
-
-def _plan_rows(plan, x, normalized, out=None, live=False):
-    """Feature rows of `plan` at the samples x, (n_rows, M*d): x are the
-    normalized values y if `normalized`, else I^t, divided here by sqrt(v).
-    Returns (n_rows, len(columns)), column-major, or only the columns with
-    terms, in column order, if `live`; written into `out` if given (rows of
-    a column-major matrix).  Every row and column is computed on its own, so
-    a block of rows gives the bits of the same rows of a larger call, and a
-    live column the bits of its column in the full matrix.  Products form in
-    place in the output column: a fresh temporary per column made every
-    `path_grid` step page-fault.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows = x.T[plan.positions]  # a copy
-    if not normalized:
-        rows /= plan.root_v[:, None]
-    table = hermite_upto(plan.n_max, rows)
-    columns = [terms for terms in plan.columns if terms] if live else plan.columns
-    if out is None:
-        out = np.empty((x.shape[0], len(columns)), order="F")
-    tmp = np.empty(x.shape[0])
-    for col, terms in enumerate(columns):
-        if not terms:
-            out[:, col] = 0.0
-        for k, (c, factors) in enumerate(terms):
-            acc = tmp if k else out[:, col]
-            acc[:] = table[factors[0][1], factors[0][0]] if factors else c
-            for s, n in factors[1:]:
-                acc *= table[n, s]
-            if factors and c != 1.0:
-                acc *= c
-            if k:
-                out[:, col] += acc
-    return out
-
-
-@dataclass(frozen=True)
-class _CellPlan:
-    """A `_ColumnPlan` at a cell's end split over the cell's running positions
-    (`_cell_plan`): S_t at t in the cell is
+class _Plan:
+    """The Hermite products of E[Phi_a | F_t] at one (indices, Gram tail),
+    split over the positions `running` (`_cell_plan`).  Built at the end of
+    a cell over which only the running positions move, S_t in the cell is
 
         sum_k Q_k prod_j H_{r_kj}(I^t_j; v_j(t)),   j over `running`,
 
     with r_k = `patterns[k]` (the all-zero pattern first) and Q_k the
-    coefficient-weighted sum of pattern k's terms over the frozen factors,
-    which hold still over the cell (`_collapse`).  `terms[k]` holds those
-    terms as (column, c, ((frozen row, order), ...)), the frozen rows indexing
-    `frozen` (positions) and `root_v`; c is the plan's coefficient over the
-    running factors' v^{n/2} at the cell's end.
+    theta-weighted sum of pattern k's terms (`_collapse`), held in column
+    order in `terms[k]` as (column, c, ((frozen row, order), ...)); the rows
+    index `frozen`, the other positions with v > 0, and `root_v`, their
+    sqrt(v).  c is the Dyson coefficient times prod_e v_e^{b_e/2}, over the
+    running factors' v^{n/2}.  With no running position the one pattern ()
+    holds the `width` feature columns (`_plan_rows`), of which `live` have
+    terms.  `n_max` and `order` are the highest frozen and running orders.
     """
 
     frozen: np.ndarray
@@ -265,42 +208,91 @@ class _CellPlan:
     running: np.ndarray
     patterns: tuple
     terms: tuple
+    live: np.ndarray
     n_max: int
+    order: int
+    width: int
 
 
-def _cell_plan(plan, running):
-    """Split every term of `plan`, built at a cell's end, into its factors at
-    the positions `running` (M*d layout, an int array) and its frozen
-    factors: the `_CellPlan` of the cell.  With no running position every
-    term is frozen and the one pattern is (): Q_0 is S_t at the plan's time.
-    With every position running nothing is frozen and Q_k are constants."""
+def _cell_plan(indices, g, d, running=()):
+    """The `_Plan` of `indices` at the M x M Gram tail g, taken
+    block-diagonally over d components, over the positions `running` (M*d
+    layout); with every position running the Q_k are constants.  It depends
+    on neither the paths nor the coefficients."""
+    v = np.tile(1.0 - np.diag(g), d)
+    root = np.sqrt(v)
     where = {int(e): j for j, e in enumerate(running)}
-    frozen = [s for s, e in enumerate(plan.positions) if int(e) not in where]
-    row = {s: f for f, s in enumerate(frozen)}
+    frozen = [e for e in np.flatnonzero(v > 0.0).tolist() if e not in where]
+    row = {e: f for f, e in enumerate(frozen)}
+    couplings = _couplings(g, d)  # listed once for every index
     terms = {(0,) * len(where): []}
-    n_max = 0
-    for col, col_terms in enumerate(plan.columns):
-        for c, factors in col_terms:
+    live, n_max, order = [], 0, 0
+    for col, a in enumerate(indices):
+        for b, c in dyson_combo(a, couplings).items():
+            factors = [(e, n) for e, n in enumerate(b) if n > 0]
+            if any(v[e] <= 0.0 for e, _ in factors):
+                continue  # a position after t: an exact zero
+            c *= math.prod(v[e] ** (0.5 * n) for e, n in factors)
             pattern, fixed = [0] * len(where), []
-            for s, n in factors:
-                j = where.get(int(plan.positions[s]))
+            for e, n in factors:
+                j = where.get(e)
                 if j is None:
-                    fixed.append((row[s], n))
+                    fixed.append((row[e], n))
                     n_max = max(n_max, n)
                 else:
                     pattern[j] = n
-                    c /= plan.root_v[s] ** n
+                    order = max(order, n)
+                    c /= root[e] ** n
             terms.setdefault(tuple(pattern), []).append((col, c, tuple(fixed)))
+            if live[-1:] != [col]:
+                live.append(col)
     frozen = np.asarray(frozen, dtype=int)
-    return _CellPlan(plan.positions[frozen], plan.root_v[frozen],
-                     np.asarray(running), tuple(terms),
-                     tuple(tuple(ts) for ts in terms.values()), n_max)
+    plan = _Plan(frozen, root[frozen], np.asarray(list(where), dtype=int), tuple(terms),
+                 tuple(tuple(ts) for ts in terms.values()), np.asarray(live, dtype=int),
+                 n_max, order, len(indices))
+    for arr in (plan.frozen, plan.root_v, plan.running, plan.live):  # shared by its callers
+        arr.setflags(write=False)
+    return plan
 
 
-def _collapse_work(cell, n_rows):
-    """Values of `_collapse`'s work buffer at n_rows rows: its Hermite table
-    of the frozen positions and a product row."""
-    return (cell.n_max + 1) * len(cell.frozen) * n_rows + n_rows
+def _plan_rows(plan, x, normalized, out=None, live=False):
+    """Feature rows of `plan`, which runs no position, at the samples x,
+    (n_rows, M*d): x are the normalized values y if `normalized`, else I^t,
+    divided here by sqrt(v).  Returns (n_rows, width), column-major, or only
+    the `live` columns, in column order, if `live`; written into `out` if
+    given (rows of a column-major matrix).  Every row and column is computed
+    on its own, so a block of rows gives the bits of the same rows of a
+    larger call, and a live column the bits of its column in the full
+    matrix.  Products form in place in the output column: a fresh temporary
+    per column made every `path_grid` step page-fault.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rows = x.T[plan.frozen]  # a copy
+    if not normalized:
+        rows /= plan.root_v[:, None]
+    table = hermite_upto(plan.n_max, rows)
+    if out is None:
+        out = np.empty((x.shape[0], len(plan.live) if live else plan.width), order="F")
+    if not live:
+        # one dead column at a time: a fancy index, or np.setdiff1d, raised
+        # the desk `evaluate` peak RSS by about 1 MB
+        for col in set(range(plan.width)).difference(plan.live.tolist()):
+            out[:, col] = 0.0
+    tmp = np.empty(x.shape[0])
+    last, j = None, -1
+    for col, c, factors in plan.terms[0]:
+        first = col != last
+        if first:
+            last, j = col, (j + 1 if live else col)
+        acc = out[:, j] if first else tmp
+        acc[:] = table[factors[0][1], factors[0][0]] if factors else c
+        for s, n in factors[1:]:
+            acc *= table[n, s]
+        if factors and c != 1.0:
+            acc *= c
+        if not first:
+            out[:, j] += acc
+    return out
 
 
 def _collapse(cell, weights, x, out, work):
@@ -308,7 +300,8 @@ def _collapse(cell, weights, x, out, work):
     terms into out[k], (len(patterns), n_rows), at the rows x of I^t
     (n_rows, M*d) at a time whose frozen positions are complete.  The
     Hermite table and the products go into work, flat scratch of at least
-    `_collapse_work` values, so the call allocates nothing."""
+    (n_max + 1) len(frozen) n_rows + n_rows values, so the call allocates
+    nothing."""
     n, f = x.shape[0], len(cell.frozen)
     table = work[: (cell.n_max + 1) * f * n].reshape(cell.n_max + 1, f, n)
     tmp = work[(cell.n_max + 1) * f * n:][:n]
@@ -316,10 +309,7 @@ def _collapse(cell, weights, x, out, work):
     if cell.n_max >= 1:
         for i, e in enumerate(cell.frozen):
             np.divide(x[:, e], cell.root_v[i], out=table[1, i])
-    for k in range(1, cell.n_max):  # (k+1) H_{k+1} = y H_k - H_{k-1}
-        np.multiply(table[1], table[k], out=table[k + 1])
-        table[k + 1] -= table[k - 1]
-        table[k + 1] /= k + 1
+    _recurrence(table, cell.n_max)
     for q, terms in zip(out, cell.terms):
         q[:] = 0.0
         for col, c, factors in terms:
@@ -333,35 +323,21 @@ def _collapse(cell, weights, x, out, work):
             q += tmp
 
 
-def _cell_work(cell, n_rows):
-    """Values of `_cell_rows`'s work buffer at n_rows rows: its Hermite table
-    of the running positions with a spare row, and a product row."""
-    return (_cell_order(cell) + 2) * len(cell.running) * n_rows + n_rows
-
-
-def _cell_order(cell):
-    """The highest order a running position takes in the cell's patterns."""
-    return max(max(r, default=0) for r in cell.patterns)
-
-
 def _cell_rows(cell, q, x, v, out, work):
     """S_t = sum_k q[k] prod_j H_{r_kj}(x_j; v_j) into out: q from
     `_collapse`, x the rows of I^t (n_rows, M*d) at t in the cell and v the
-    running positions' variance accrued by t.  The shifted Hermite table and
-    the products go into work, flat scratch of at least `_cell_work` values,
-    so the call allocates nothing."""
-    n, r, n_max = x.shape[0], len(cell.running), _cell_order(cell)
-    table = work[: (n_max + 2) * r * n].reshape(n_max + 2, r, n)  # row -1: spare
-    tmp = work[(n_max + 2) * r * n:][:n]
+    running positions' variance accrued by t.  The shifted Hermite table,
+    with a spare row, and the products go into work, flat scratch of at
+    least (order + 2) len(running) n_rows + n_rows values, so the call
+    allocates nothing."""
+    n, r, order = x.shape[0], len(cell.running), cell.order
+    table = work[: (order + 2) * r * n].reshape(order + 2, r, n)  # row -1: spare
+    tmp = work[(order + 2) * r * n:][:n]
     table[0] = 1.0
-    if n_max >= 1:
+    if order >= 1:
         for j, e in enumerate(cell.running):
             table[1, j] = x[:, e]
-    for k in range(1, n_max):  # (k+1) H_{k+1} = x H_k - v H_{k-1}
-        np.multiply(table[k - 1], v[:, None], out=table[-1])
-        np.multiply(table[1], table[k], out=table[k + 1])
-        table[k + 1] -= table[-1]
-        table[k + 1] /= k + 1
+    _recurrence(table, order, v[:, None], table[-1])
     out[:] = q[0]
     for qk, pattern in zip(q[1:], cell.patterns[1:]):
         factors = [(j, n) for j, n in enumerate(pattern) if n]

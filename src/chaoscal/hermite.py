@@ -13,6 +13,8 @@ normalization exclusively.
 For a Gaussian martingale X, X_T ~ N(0,1), with variance v accrued by t,
 E[H_n(X_T) | F_t] = H_n(X_t; v) = v^{n/2} H_n(X_t / sqrt(v)): the shifted
 family, (n+1) H_{n+1} = x H_n - v H_{n-1}, generating exp(t x - v t^2/2).
+Both families run through one in-place recurrence (`_recurrence`), which
+`hermite_upto` and the path kernels of `conditional` share.
 """
 
 import numpy as np
@@ -44,6 +46,20 @@ def hermite_upto(n_max, x):
     out[0] = 1.0
     if n_max >= 1:
         out[1] = x
-    for n in range(1, n_max):
-        out[n + 1] = (x * out[n] - out[n - 1]) / (n + 1)
+    _recurrence(out.reshape(n_max + 1, -1), n_max)  # rows as views, even at a scalar x
     return out
+
+
+def _recurrence(table, n_max, v=None, spare=None):
+    """Fill rows 2..n_max of table from its rows 0 = 1 and 1 = x, in place,
+    by (n+1) H_{n+1} = x H_n - v H_{n-1}: the plain family if v is None,
+    else the shifted one, v broadcast against a row and v H_{n-1} formed in
+    the row `spare`.  It allocates nothing."""
+    for n in range(1, n_max):
+        np.multiply(table[1], table[n], out=table[n + 1])
+        if v is None:
+            table[n + 1] -= table[n - 1]
+        else:
+            np.multiply(table[n - 1], v, out=spare)
+            table[n + 1] -= spare
+        table[n + 1] /= n + 1

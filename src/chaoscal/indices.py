@@ -58,7 +58,7 @@ def _compositions(total, n_parts):
 @lru_cache(maxsize=16)
 def _index_set(p, m, d):
     """The index set of (p, m, d) in enumeration order, built once and shared
-    by every model, column plan and hash of that shape."""
+    by every model, plan and hash of that shape."""
     n = m * d
     return tuple(MultiIndex(c) for k in range(1, p + 1) for c in _compositions(k, n))
 

@@ -7,9 +7,9 @@ columns are samples of E[Phi_a | F_T]; S_T is then an affine function
 S_0 + features @ coefficients, and gradients in the coefficients are exact.
 
 Feature rows are built in row blocks (`_feature_blocks`) from one Hermite
-column plan per (indices, Gram tail).  Calibration writes the blocks into
-one matrix (`sample_features`), since its price Jacobian needs every row;
-it keeps only the columns that can be nonzero at the maturity
+plan per (indices, Gram tail).  Calibration writes the blocks into one
+matrix (`sample_features`), since its price Jacobian needs every row; it
+keeps only the columns that can be nonzero at the maturity
 (`_live_columns`) and redraws one such matrix in place at each
 resimulation.
 Pricing reduces each block to S_T at once (`_sample_terminal`), so it holds
@@ -24,7 +24,7 @@ n_paths) grid.  It builds no feature rows on any basis: over a cell
 coefficients are fixed once the other positions are, so each cell sums the
 chaos onto that polynomial once and each time evaluates it, elementwise,
 with no BLAS product.  A Legendre time is a cell of its own with no running
-position.
+position, and its features are the plan of that cell (`_plan`, cached).
 
 Every product `features @ coefficients` runs over row blocks that start at
 multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
@@ -67,15 +67,7 @@ from .bases import (
     cell_index,
     gram_tail,
 )
-from .conditional import (
-    _cell_plan,
-    _cell_rows,
-    _cell_work,
-    _collapse,
-    _collapse_work,
-    _column_plan,
-    _plan_rows,
-)
+from .conditional import _cell_plan, _cell_rows, _collapse, _plan_rows
 from .errors import ValidationError
 from .indices import _set_bytes, enumerate_indices, index_space_dim
 
@@ -86,7 +78,7 @@ _BLOCK_BYTES = 8 << 20  # cap on one block of feature rows and its scratch
 _CHUNK_BYTES = 1 << 20
 _ROW_ALIGN = 1024  # every row block starts at a multiple of this
 _MAX_BLOCK_ROWS = _PATH_BLOCK  # 16 * _ROW_ALIGN
-_PLANS = 256  # column plans `_plan` keeps
+_PLANS = 256  # plans `_plan` keeps
 
 
 @dataclass
@@ -161,12 +153,14 @@ def _row_dot(features, theta):
 
 
 @lru_cache(maxsize=_PLANS)
-def _plan(p, m, d, basis, t):
-    return _column_plan(enumerate_indices(p, m, d), gram_tail(basis, t), d)
+def _plan(p, m, d, basis, t, running):
+    """The `conditional._Plan` at t over the positions `running`, a tuple:
+    () for feature rows, a cell's running positions for path rows."""
+    return _cell_plan(enumerate_indices(p, m, d), gram_tail(basis, t), d, running)
 
 
 def _index_bytes(p, m, d, n_plans):
-    """Bytes the index layer may hold with n_plans column plans cached: the
+    """Bytes the index layer may hold with n_plans plans cached: the
     enumerated set (`_set_bytes`), at most 512 bytes a column per plan, and
     the larger of a plan build's M x M matrices (4 in the Legendre `gram_tail`)
     and couplings, within M^2 + 3 (d + 1) q words for q = M (M + 1) / 2, and
@@ -178,17 +172,17 @@ def _index_bytes(p, m, d, n_plans):
 
 
 def _feature_plan(model, t):
-    """The Hermite column plan of the model's features at t, built once per
-    model structure and time."""
-    return _plan(model.p, model.m, model.d, model.basis, float(t))
+    """The Hermite plan of the model's features at t, which runs no
+    position, built once per model structure and time."""
+    return _plan(model.p, model.m, model.d, model.basis, float(t), ())
 
 
 def _live_columns(model, t):
     """Enumeration positions of the feature columns at t that can be nonzero:
-    those with terms in the column plan.  The piecewise basis annihilates
-    every index with an exponent in a cell after t's, which leaves
+    those with terms in the plan.  The piecewise basis annihilates every
+    index with an exponent in a cell after t's, which leaves
     index_space_dim(p, u, d) - 1 of them at t in cell u."""
-    return np.flatnonzero([bool(terms) for terms in _feature_plan(model, t).columns])
+    return _feature_plan(model, t).live
 
 
 def _feature_blocks(model, t, n_paths, driver, tags=(), out=None, live=False):
@@ -300,24 +294,32 @@ def _cell(basis, d, t):
     own position in each component and freezes the rest (every position on a
     grid of one cell).  A Legendre basis has no cells on which positions
     freeze, so each time is a cell of its own, ending at t, over which no
-    position runs."""
+    position runs.  The positions are a tuple, a key of `_plan`."""
     if not isinstance(basis, PiecewiseConstantBasis):
-        return t, np.empty(0, dtype=int)
+        return t, ()
     u = cell_index(basis, t)
-    return basis.grid[u], np.flatnonzero(np.tile(np.arange(basis.size) == u - 1, d))
+    return basis.grid[u], tuple(basis.size * j + u - 1 for j in range(d))
 
 
 def _collapse_rows(p, m, d):
-    """Rows a `_collapse` call takes at once: as many as keep its work
-    (`conditional._collapse_work`, at most (p + 1) M d + 1 values a row)
-    within _CHUNK_BYTES, rounded down to a multiple of _ROW_ALIGN, within
-    [_ROW_ALIGN, _PATH_BLOCK]."""
+    """Rows a `_collapse` call takes at once: as many as keep its work (at
+    most (p + 1) M d + 1 values a row) within _CHUNK_BYTES, rounded down to
+    a multiple of _ROW_ALIGN, within [_ROW_ALIGN, _PATH_BLOCK]."""
     rows = _CHUNK_BYTES // (8 * ((p + 1) * m * d + 1)) // _ROW_ALIGN * _ROW_ALIGN
     return min(_PATH_BLOCK, max(_ROW_ALIGN, rows))
 
 
+def _work(p, m, d, n_paths):
+    """Values of a `_path_rows` worker's work buffer at n_paths paths: the
+    larger of `_cell_rows`' at a block (at most (p + 2) d + 1 values a path)
+    and `_collapse`'s at a `_collapse_rows` chunk (at most (p + 1) M d + 1
+    values a row)."""
+    block, rows = min(n_paths, _PATH_BLOCK), min(n_paths, _collapse_rows(p, m, d))
+    return max(((p + 2) * d + 1) * block, ((p + 1) * m * d + 1) * rows)
+
+
 def _patterns(model):
-    """The most patterns a cell of the model's `_cell_plan`s has: the
+    """The most patterns a cell plan of the model has: the
     exponent tuples of degree <= p over the d positions a piecewise cell
     runs, and the one pattern () of a Legendre time, which runs none."""
     if isinstance(model.basis, PiecewiseConstantBasis):
@@ -328,17 +330,16 @@ def _patterns(model):
 def _rows_bytes(model, n_times, n_paths):
     """Bytes `_path_rows` holds on the block runner: the walk
     (`bases._walk_bytes`); each worker's Q array (`_patterns` rows of a
-    block), row and work buffer, the larger of `_cell_rows`' at a block
-    (at most (p + 2) d + 1 values a path) and `_collapse`'s at a
-    `_collapse_rows` chunk; 256 bytes a time for its place in the schedule;
-    and the index layer with a column plan and its split per cell: per time
-    on Legendre, per cell on a piecewise grid."""
+    block), row and work buffer (`_work`); 256 bytes a time for its place in
+    the schedule; and the index layer with two plans a cell (per time on
+    Legendre, per cell on a piecewise grid): its plan over the running
+    positions, and the feature plan that pricing may have cached at its
+    end."""
     p, m, d = model.p, model.m, model.d
     cells = min(n_times, m) if isinstance(model.basis, PiecewiseConstantBasis) else n_times
-    block, rows = min(n_paths, _PATH_BLOCK), min(n_paths, _collapse_rows(p, m, d))
-    work = max(((p + 2) * d + 1) * block, ((p + 1) * m * d + 1) * rows)
+    block = min(n_paths, _PATH_BLOCK)
     return (_walk_bytes(model.basis, d, n_times, n_paths)
-            + 8 * _workers(n_paths) * (block * (_patterns(model) + 1) + work)
+            + 8 * _workers(n_paths) * (block * (_patterns(model) + 1) + _work(p, m, d, n_paths))
             + 256 * n_times + _index_bytes(p, m, d, 2 * cells))
 
 
@@ -370,7 +371,7 @@ def _path_rows(model, times, n_paths, driver, tags=()):
 
     Over t's cell (`_cell`) the chaos sum is a polynomial in the running
     positions' integrals whose coefficients hold still: the plan at each
-    cell's end is split once a call (`_cell_plan`), and at the cell's first
+    cell's end, split over them, is cached (`_plan`), and at the cell's first
     time a block sums its frozen factors into the Q arrays (`_collapse`, in
     `_collapse_rows` chunks); each time evaluates that polynomial over the
     block (`_cell_rows`).  On Legendre every time is its own cell, its row
@@ -394,19 +395,17 @@ def _path_rows(model, times, n_paths, driver, tags=()):
         opens = t > end
         if opens:
             end, running = _cell(model.basis, d, t)
-            cell = _cell_plan(_feature_plan(model, end), running)
+            cell = _plan(model.p, model.m, d, model.basis, end, running)
         v = (np.tile(1.0 - np.diag(gram_tail(model.basis, t)), d)[cell.running]
-             if cell.running.size else still)
+             if running else still)
         schedule.append((cell, opens, v))
     chunk = _collapse_rows(model.p, model.m, d)
     size = min(n_paths, _PATH_BLOCK)
-    cells = [step[0] for step in schedule if step]
-    tables = max([max(_cell_work(cell, size), _collapse_work(cell, min(chunk, size)))
-                  for cell in cells], default=0)
 
     def scratch():
         return _walk_scratch(model.basis, roots, d, size) + (
-            np.empty((_patterns(model), size)), np.empty(size), np.empty(tables))
+            np.empty((_patterns(model), size)), np.empty(size),
+            np.empty(_work(model.p, model.m, d, n_paths)))
 
     def rows(k, cols, scratch):
         n = cols.stop - cols.start
@@ -433,7 +432,7 @@ def path_grid(model, times, n_paths, driver, tags=()):
 
     All times share one Brownian path per path index (needed for exotics).
     The rows are those of `_path_rows`, each block's written into its
-    columns as it steps (`bases._run_blocks`): one column plan per cell (per
+    columns as it steps (`bases._run_blocks`): one plan per cell (per
     time on Legendre) and a small polynomial per time.  Block k draws from
     the stream keyed (*tags, k).  `_check_grid` runs first.
     """

@@ -312,8 +312,10 @@ def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):
 
     Degenerate Sigma_X (e.g. theta = 0) degrades to degree 0 with a warning.
     What the draw holds (`_cv_bytes`) is checked against `model.MAX_BYTES`
-    first.
+    first, after beta_samples, which the covariance's ddof of 1 needs at 2.
     """
+    if beta_samples < 2:
+        raise ValidationError(f"beta_samples must be at least 2, got {beta_samples}")
     _check_held(_cv_bytes(model, beta_samples), 1, beta_samples)
     draw = _cv_draw(model, block.maturity, degree, driver, beta_samples, tags)
     return _cv_solve(draw, k)

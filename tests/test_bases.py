@@ -277,6 +277,22 @@ class TestSampling:
         with pytest.raises((ValidationError, ValueError), match="non-?negative integer"):
             BrownianDriver(seed).generator(tag)
 
+    def test_stream_keys_of_the_cli_are_distinct(self):
+        # a key of at most 4 words (the seed and the 0 count) is padded with
+        # zeros, so keys that differ only by trailing zeros share a stream;
+        # the keys the commands draw for the desk must not: evaluation
+        # (0, mi, 0|1), calibration (r, 3233, mi, 0|1), exotics (7001, k)
+        # and (7002, k)
+        drv = BrownianDriver(0)
+        keys = ([(0, mi, j) for mi in range(5) for j in (0, 1)]
+                + [(r, 3233, mi, j) for r in range(3) for mi in range(5) for j in (0, 1)]
+                + [(tag, k) for tag in (7001, 7002) for k in range(4)])
+        firsts = {tuple(drv.generator(*key).standard_normal(3)) for key in keys}
+        assert len(firsts) == len(keys)
+        # block 0 of a one-block simulator keeps the stream of its tags alone
+        np.testing.assert_array_equal(drv.generator(7001).standard_normal(5),
+                                      drv.generator(7001, 0).standard_normal(5))
+
     def test_short_interval_is_sampled_exactly(self):
         # An interval of 1e-4 needs no time resolution: its increment
         # variance is diag(G(0.5) - G(0.5 + 1e-4)), 4 SE per component.

@@ -20,8 +20,10 @@ from chaoscal.bases import (
     sample_integrals,
 )
 from chaoscal.conditional import (
-    _column_plan,
+    _cell_plan,
+    _collapse,
     _couplings,
+    _plan_rows,
     cond_exp_piecewise,
     dyson_combo,
     dyson_cond_exp,
@@ -124,6 +126,18 @@ class TestPiecewiseClosedForm:
                 want = cond_exp_piecewise(self.SPEC, idx[col], t, z[row], d=2)
                 assert feats[row, col] == pytest.approx(want, abs=1e-14)
 
+    def test_feature_matrix_checks_its_widths(self):
+        # samples of another width, and indices of another (p, m, d), are
+        # refused naming both widths, as the scalar form refuses them
+        idx = enumerate_indices(2, 4, 2)
+        for width in (7, 9):
+            with pytest.raises(ValidationError, match=rf"last axis {width} != M\*d = 8"):
+                piecewise_features(PiecewiseConstantBasis.uniform(1.0, 4), idx, 0.6,
+                                   np.ones((5, width)), d=2)
+        with pytest.raises(ValidationError, match=r"index length 6 != M\*d = 8"):
+            piecewise_features(PiecewiseConstantBasis.uniform(1.0, 4),
+                               enumerate_indices(2, 3, 2), 0.6, np.ones((5, 8)), d=2)
+
 
 class TestEquivalence:
     def test_piecewise_vs_dyson_random_triples(self):
@@ -223,6 +237,14 @@ class TestKernelBeforeMaturity:
                     assert np.all(feats[:, col] != 0.0)
                     np.testing.assert_allclose(feats[:, col], want, rtol=0, atol=1e-13)
 
+    def test_samples_of_another_width_are_refused(self):
+        spec = LegendreBasis(horizon=1.0, size=3)
+        g = gram_tail(spec, 0.4)
+        with pytest.raises(ValidationError, match=r"last axis 5 != M\*d = 3"):
+            dyson_features(enumerate_indices(2, 3, 1), g, np.ones((4, 5)))
+        with pytest.raises(ValidationError, match=r"index length 4 != M\*d = 3"):
+            dyson_features(enumerate_indices(2, 4, 1), g, np.ones((4, 3)))
+
 
 class TestComboEvaluation:
     def test_evaluate_combo_vectorized(self):
@@ -241,7 +263,7 @@ class TestComboEvaluation:
 
 
 class TestCouplings:
-    """Column plans read the M x M Gram tail and list its couplings once."""
+    """Plans read the M x M Gram tail and list its couplings once."""
 
     @pytest.mark.parametrize("spec,p,d", [
         (PiecewiseConstantBasis.uniform(1.0, 4), 3, 2),
@@ -253,11 +275,12 @@ class TestCouplings:
         idx = enumerate_indices(p, spec.size, d)
         for t in [0.2, 0.55, 0.9]:
             g = gram_tail(spec, t)
-            got = _column_plan(idx, g, d)
-            want = _column_plan(idx, block_diag(*[g] * d), 1)
-            assert got.columns == want.columns
-            np.testing.assert_array_equal(got.positions, want.positions)
+            got = _cell_plan(idx, g, d)
+            want = _cell_plan(idx, block_diag(*[g] * d), 1)
+            assert got.terms == want.terms
+            np.testing.assert_array_equal(got.frozen, want.frozen)
             np.testing.assert_array_equal(got.root_v, want.root_v)
+            np.testing.assert_array_equal(got.live, want.live)
             assert got.n_max == want.n_max
 
     def test_couplings_listed_once_per_plan(self, monkeypatch):
@@ -266,9 +289,31 @@ class TestCouplings:
         monkeypatch.setattr(conditional, "_couplings",
                             lambda *args: calls.append(args) or listing(*args))
         spec = LegendreBasis(horizon=1.0, size=3)
-        plan = _column_plan(enumerate_indices(3, 3, 2), gram_tail(spec, 0.4), 2)
+        plan = _cell_plan(enumerate_indices(3, 3, 2), gram_tail(spec, 0.4), 2)
         assert len(calls) == 1
-        assert any(len(terms) > 1 for terms in plan.columns)  # cross terms used
+        cols = [col for col, _, _ in plan.terms[0]]
+        assert len(cols) > len(set(cols))  # cross terms used
+
+    @pytest.mark.parametrize("spec", [PiecewiseConstantBasis.uniform(1.0, 4),
+                                      LegendreBasis(horizon=1.0, size=3)],
+                             ids=["piecewise", "legendre"])
+    def test_plan_without_running_positions_is_the_feature_plan(self, spec):
+        # `live` lists the nonzero feature columns, and the collapse of the
+        # plan's one pattern () gives S_t within 4 ulps, as the path rows do
+        # (it sums in another order than the feature product)
+        idx = enumerate_indices(3, spec.size, 2)
+        theta = 0.3 * np.random.default_rng(5).standard_normal(len(idx))
+        t = 0.6
+        plan = _cell_plan(idx, gram_tail(spec, t), 2)
+        assert plan.patterns == ((),) and plan.running.size == 0
+        ints = sample_integrals(spec, BrownianDriver(seed=63), [t], 50, d=2)[0]
+        rows = _plan_rows(plan, ints, normalized=False)
+        np.testing.assert_array_equal(plan.live, np.flatnonzero(np.any(rows != 0.0, axis=0)))
+        assert 0 < len(plan.live) <= len(idx)
+        q = np.empty((1, 50))
+        _collapse(plan, theta, ints, q, np.empty((plan.n_max + 1) * len(plan.frozen) * 50 + 50))
+        got, want = 100.0 + q[0], 100.0 + rows @ theta
+        assert np.abs(got - want).max() <= 4 * np.spacing(np.abs(want).max())
 
     def test_piecewise_tail_has_no_couplings(self):
         spec = PiecewiseConstantBasis.uniform(1.0, 4)

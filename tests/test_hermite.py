@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chaoscal.errors import ValidationError
-from chaoscal.hermite import hermite_upto
+from chaoscal.hermite import _recurrence, hermite_upto
 
 
 class TestValues:
@@ -86,3 +86,30 @@ class TestErrors:
     def test_bad_order(self):
         with pytest.raises(ValidationError):
             hermite_upto(-1, 0.0)
+
+
+class TestSharedRecurrence:
+    """The in-place recurrence the path kernels build their tables with."""
+
+    X = np.random.default_rng(8).standard_normal((3, 40))
+
+    def table(self, n_max):
+        table = np.empty((n_max + 2,) + self.X.shape)  # the last row spare
+        table[0] = 1.0
+        table[1] = self.X
+        return table
+
+    def test_plain_family_is_hermite_upto_bit_for_bit(self):
+        table = self.table(9)
+        _recurrence(table, 9)
+        np.testing.assert_array_equal(table[:10], hermite_upto(9, self.X))
+
+    def test_shifted_family_is_the_scaled_plain_one(self):
+        # H_n(x; v) = v^{n/2} H_n(x / sqrt(v)), v one value a row of positions
+        v = np.array([0.25, 1.0, 2.5])
+        table = self.table(7)
+        _recurrence(table, 7, v[:, None], table[-1])
+        plain = hermite_upto(7, self.X / np.sqrt(v)[:, None])
+        for n in range(8):
+            want = v[:, None] ** (n / 2) * plain[n]
+            np.testing.assert_allclose(table[n], want, rtol=1e-13, atol=1e-15)

@@ -16,7 +16,7 @@ from chaoscal.bases import (
     sample_integrals,
 )
 from chaoscal import model as model_module
-from chaoscal.conditional import _column_plan, dyson_features
+from chaoscal.conditional import _cell_plan, dyson_features
 from chaoscal.errors import ValidationError
 from chaoscal.indices import enumerate_indices, phi_eval
 from chaoscal.model import (
@@ -300,16 +300,34 @@ class TestPathGrid:
 
         def counted(*args):
             built.append(args)
-            return _column_plan(*args)
+            return _cell_plan(*args)
 
         model = make_model(seed=91, d=2)
-        monkeypatch.setattr(model_module, "_column_plan", counted)
+        monkeypatch.setattr(model_module, "_cell_plan", counted)
         model_module._plan.cache_clear()
         try:
             path_grid(model, np.linspace(0.0, 2.0, 65), 50, BrownianDriver(2))
         finally:
             model_module._plan.cache_clear()  # no plan of this pass outlives it
         assert 0 < len(built) <= model.m
+
+    @pytest.mark.parametrize("basis", [PW, LegendreBasis(horizon=2.0, size=3)],
+                             ids=["piecewise", "legendre"])
+    def test_a_second_pass_builds_no_plan(self, monkeypatch, basis):
+        # the plans split over each cell's running positions are cached
+        built = []
+        model = make_model(seed=92, d=2, basis=basis)
+        times = np.linspace(0.0, 2.0, 9)
+        model_module._plan.cache_clear()
+        try:
+            first = path_grid(model, times, 50, BrownianDriver(2))
+            monkeypatch.setattr(model_module, "_cell_plan",
+                                lambda *args: built.append(args) or _cell_plan(*args))
+            second = path_grid(model, times, 50, BrownianDriver(2))
+        finally:
+            model_module._plan.cache_clear()
+        assert built == []
+        np.testing.assert_array_equal(first, second)
 
     @pytest.mark.parametrize("basis", [PiecewiseConstantBasis.uniform(2.0, 3),
                                        LegendreBasis(horizon=2.0, size=3)],

@@ -271,6 +271,21 @@ class TestEstimateCv:
         with pytest.raises(ValidationError):
             estimate_cv(model, block, 100.0, 3, driver, 100)
 
+    def test_one_beta_sample_refused_before_drawing(self, monkeypatch):
+        # one sample has no covariance at ddof 1: numpy warned and then
+        # failed to converge in the SVD
+        model = self.rand_model()
+        block = sample_features(model, 1.0, 10, BrownianDriver(6), tags=(0,))
+
+        def draw(*args, **kwargs):
+            raise AssertionError("drawn before beta_samples was checked")
+
+        monkeypatch.setattr(pricing, "_cv_draw", draw)
+        for bad in (1, 0):
+            with pytest.raises(ValidationError, match=rf"^beta_samples must be at least 2, "
+                                                      rf"got {bad}$"):
+                estimate_cv(model, block, 100.0, 1, BrownianDriver(6), bad)
+
 
 class TestMcCallPrice:
     def test_theta_zero_exact(self):
