@@ -33,11 +33,15 @@ simulator that no other running task holds, and hands the block's rows to a
 sink, which writes them into the block's columns of an output.  A block
 draws as it would alone and every step is elementwise over its paths, so
 the bits do not depend on the worker count or the order the tasks run in.
+The runner under it, `_run`, also runs a fit's draws and pricing passes
+(`calibrate`), one task a Monte Carlo maturity, on the one pool the fit
+holds.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
@@ -320,10 +324,16 @@ def _spans(n_rows, block):
     return [(a, min(a + block, n_rows)) for a in range(0, n_rows, block)]
 
 
+def _threads(n_tasks):
+    """Threads for n_tasks independent tasks: one a task, at most one a CPU
+    this process may run on."""
+    return min(n_tasks, len(os.sched_getaffinity(0)))
+
+
 def _workers(n_paths):
     """Threads `_run_blocks` steps n_paths paths on: one a block of
-    _PATH_BLOCK, at most one a CPU this process may run on."""
-    return min(-(-n_paths // _PATH_BLOCK), len(os.sched_getaffinity(0)))
+    _PATH_BLOCK (`_threads`)."""
+    return _threads(-(-n_paths // _PATH_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -339,14 +349,41 @@ class _PathBlocks:
     scratch: object
 
 
+def _run(tasks, pool, costs=None):
+    """Run each callable of `tasks` as one task on `pool`, a thread pool, or
+    on one made here of `pool` threads, and return their results in list
+    order once every task has ended.  Tasks are submitted in list order, or
+    by descending `costs` if given (ties in list order), so the longest
+    start first.  The first exception in list order is raised, whatever
+    order the tasks ran in; if the wait itself is interrupted, the tasks not
+    yet started are dropped."""
+    if not tasks:
+        return []
+    if not isinstance(pool, Executor):
+        with ThreadPoolExecutor(pool) as own:
+            return _run(tasks, own, costs)
+    order = range(len(tasks))
+    if costs is not None:
+        order = sorted(order, key=lambda i: -costs[i])
+    futures = [None] * len(tasks)
+    for i in order:
+        futures[i] = pool.submit(tasks[i])
+    try:
+        wait(futures)
+    finally:
+        for f in futures:
+            f.cancel()
+    return [f.result() for f in futures]
+
+
 def _run_blocks(jobs, workers):
     """Run every block of each (`_PathBlocks`, sink) job as one task on one
-    pool of `workers` threads, and return when all are done.  Each job
-    makes its scratch sets here, one a worker up to its block count, so
+    pool of `workers` threads (`_run`), and return when all are done.  Each
+    job makes its scratch sets here, one a worker up to its block count, so
     they come from this thread's heap; a task takes one that no running
     task holds and calls sink(cols, rows) with the block's columns and row
-    iterator.  The first exception a task raises, in submission order, is
-    raised here, and the tasks not yet started are dropped."""
+    iterator.  The first exception a task raises, in block order, is raised
+    here."""
 
     def task(blocks, free, sink, k, cols):
         scratch = free.pop()
@@ -355,16 +392,10 @@ def _run_blocks(jobs, workers):
         finally:
             free.append(scratch)
 
-    runs = []
+    tasks = []
     for blocks, sink in jobs:
         spans = _spans(blocks.n_paths, blocks.block)
         free = [blocks.scratch() for _ in range(min(workers, len(spans)))]
-        runs += [(blocks, free, sink, k, slice(a, b)) for k, (a, b) in enumerate(spans)]
-    with ThreadPoolExecutor(workers) as pool:
-        tasks = [pool.submit(task, *run) for run in runs]
-        try:
-            for t in tasks:
-                t.result()
-        finally:
-            for t in tasks:
-                t.cancel()
+        tasks += [partial(task, blocks, free, sink, k, slice(a, b))
+                  for k, (a, b) in enumerate(spans)]
+    _run(tasks, workers)

@@ -30,6 +30,20 @@ history row is one pass, one pricing of a workspace at one theta, and
 max_iterations and patience count these rows.  A fit in which no pass
 improved on the starting loss warns that it returns its start.
 
+A fit holds one thread pool for its length, of one thread a build task up
+to the CPU count (`pricing._fit_workers`), and runs each Monte Carlo
+maturity's work on it as tasks (`bases._run`): at each build its feature
+draw and its CV draw, longest first, and at each pass its pricing or its
+Jacobian.  Each task repeats the serial arithmetic on its own stream and
+calls no threaded BLAS routine (see `pricing`), and every sum over
+maturities runs afterwards in maturity order, so the results depend on
+neither the worker count nor the BLAS thread count.  What a task writes is
+allocated on the calling thread, which also runs the quadrature groups,
+the CV statistics, the betas and every warning, in maturity order; a task
+may raise but never warns, and the first exception in maturity order is
+the one raised.  Outside a fit, `build_workspace`, `workspace_loss` and
+`_normal_equations` run their tasks on a pool of their own.
+
 * "gauss_newton" (default) minimizes the ridge objective
   L(theta) + mu |theta|^2, mu = 1e-3 * weight_decay, by Levenberg-Marquardt
   steps.  From the price Jacobian J (`pricing._group_jacobian`), the weights
@@ -65,14 +79,17 @@ improved on the starting loss warns that it returns its start.
 
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .bases import BrownianDriver
+from .bases import BrownianDriver, _run, _threads
 from .errors import OptimizerError, ValidationError, WeightingError
 from .model import ChaosModel
-from .pricing import _group_jacobian, _group_prices, _maturity_groups
+from .pricing import _fit_workers, _group_jacobian, _group_prices, _maturity_groups
 from .quotes import quote_rates
 from .vol import bs_call, bs_vega
 
@@ -93,6 +110,8 @@ _OPTIMIZERS = ("gauss_newton", "adamw")
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# the thread pool of the running fit, which `calibrate` holds for its length
+_FIT_POOL = ContextVar("_FIT_POOL", default=None)
 
 
 @dataclass(frozen=True)
@@ -184,7 +203,9 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), cache=Non
     (`pricing._check_surface`) before anything is drawn.  `cache` keeps the
     quadrature nodes, and the feature matrices redrawn in place, across
     builds for one model structure (`pricing._maturity_groups`); a build on
-    it overwrites the features of the workspace built on it before.
+    it overwrites the features of the workspace built on it before.  The
+    draws run as tasks on the fit's pool, or on one of this call's outside
+    a fit.
     """
     qs = quotes.quotes
     weights = np.asarray(weights, dtype=float)
@@ -196,24 +217,36 @@ def build_workspace(model, quotes, weights, schedule, driver, tags=(), cache=Non
     prefix = tuple(tags) + (_CAL_TAG,)
     ws = []
     for g in _maturity_groups(model, quotes, schedule, driver, prefix, cache,
-                              features=True):
+                              features=True, pool=_FIT_POOL.get()):
         targets = np.array([_call_target(qs[i], spot) for i in g.rows]) / g.scale
         gweights = weights[g.rows] * g.scale**2
         ws.append(replace(g, targets=targets, gweights=gweights))
     return ws
 
 
+def _by_group(work, ws, *args):
+    """[work(g, *a) for g, *a in zip(ws, *args)]: each Monte Carlo group's
+    call as a task (`bases._run`) on the fit's pool, or outside a fit on one
+    of this call's, and each quadrature group's on this thread, since it
+    draws nothing and its `_row_dot` may use BLAS threads.  The tasks run
+    first; the first exception among them in maturity order is raised."""
+    calls = [partial(work, *call) for call in zip(ws, *args)]
+    drawn = [call for g, call in zip(ws, calls) if g.kind == "mc"]
+    done = iter(_run(drawn, _FIT_POOL.get() or _threads(len(drawn))))
+    return [next(done) if g.kind == "mc" else call() for g, call in zip(ws, calls)]
+
+
 def workspace_loss(ws, theta, kept=None):
     """Loss of the frozen workspace at coefficients theta: one pricing pass
-    per maturity.  Each maturity's S_T is appended to the list `kept`, if
-    one is given, for `_normal_equations` at the same theta.  The gradient
-    is -2 J^T Gamma r from `_normal_equations`.
+    per maturity, each Monte Carlo maturity's a task (`_by_group`) that
+    drops its payoffs before it ends, and the sum in maturity order.  Each
+    maturity's S_T is appended to the list `kept`, if one is given, for
+    `_normal_equations` at the same theta.  The gradient is -2 J^T Gamma r
+    from `_normal_equations`.
     """
     theta = np.asarray(theta, dtype=float)
     total = 0.0
-    for g in ws:
-        s, pay, prices = _group_prices(g, theta)
-        del pay  # freed before the next maturity's payoffs
+    for g, (s, prices) in zip(ws, _by_group(lambda g: _group_prices(g, theta)[::2], ws)):
         if kept is not None:
             kept.append(s)
         resid = g.targets - prices
@@ -225,12 +258,15 @@ def _normal_equations(ws, theta, kept=None):
     """(loss, J^T Gamma J, J^T Gamma r) of the workspace at theta, with J the
     price Jacobian and r the residuals; the loss is `workspace_loss`'s, bit
     for bit.  `kept`, the S_T that a `workspace_loss` pass at this very
-    theta kept, are read rather than recomputed, with the same bits."""
+    theta kept, are read rather than recomputed, with the same bits.  Each
+    Monte Carlo maturity's Jacobian is a task (`_by_group`); the sums run
+    in maturity order."""
     total = 0.0
     a = np.zeros((len(theta), len(theta)))
     b = np.zeros(len(theta))
-    for g, s in zip(ws, kept or [None] * len(ws)):
-        prices, jac = _group_jacobian(g, theta, s)
+    jacobians = _by_group(lambda g, s: _group_jacobian(g, theta, s), ws,
+                          kept or [None] * len(ws))
+    for g, (prices, jac) in zip(ws, jacobians):
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
         a += np.einsum("ki,k,kj->ij", jac, g.gweights, jac)
@@ -411,8 +447,10 @@ def calibrate(model0, quotes, cfg, schedule):
     workspace, or by patience (no improvement beyond cfg.tol, absolute,
     within cfg.patience rows); Gauss-Newton then prices
     coefficients that moved since their last candidate pass on workspace
-    (r + 1,).  On error the partial history is attached to the exception as
-    `.history`.
+    (r + 1,).  The fit's Monte Carlo draws and passes run on one pool it
+    holds to the end (see the module docstring).  On error the partial
+    history is attached to the exception as `.history`, and the pool is
+    closed once its running tasks end.
 
     The starting spread must reach the quoted strikes: when every mapped
     strike K S_0 / F sits several init-std spreads away from S_0 (no
@@ -442,11 +480,16 @@ def calibrate(model0, quotes, cfg, schedule):
 
     fit = _gauss_newton if cfg.optimizer == "gauss_newton" else _adamw
     log = _FitLog(cfg)
-    try:
-        fit(workspace, work.coefficients, cfg, log)
-    except Exception as exc:
-        exc.history = log.history
-        raise
+    # a quadrature-only fit submits nothing, so its pool starts no thread
+    with ThreadPoolExecutor(max(1, _fit_workers(quotes, schedule))) as pool:
+        token = _FIT_POOL.set(pool)
+        try:
+            fit(workspace, work.coefficients, cfg, log)
+        except Exception as exc:
+            exc.history = log.history
+            raise
+        finally:
+            _FIT_POOL.reset(token)
     first = log.history[0].loss
     if len(log.history) > 1 and 0.0 < first == log.history[-1].best_loss:
         warnings.warn(

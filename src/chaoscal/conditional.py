@@ -17,9 +17,10 @@ none for the diagonal piecewise G.  Where v_e = 0 (cells after t) I^t_e =
 One plan type holds those monomials for every caller (`_cell_plan`): built
 at a time and split over the positions that run after it, up to the end of
 the cell it closes.  Feature rows read a plan with no running position, one
-column per index (`_plan_rows`); path rows sum the frozen factors onto a
-polynomial in the running ones once a cell (`_collapse`) and evaluate it at
-each time (`_cell_rows`).  Every Hermite table, plain or shifted, is built
+column per index (`_plan_rows`), or its sum at the coefficients, S_t - S_0
+(`_collapse`); path rows sum the frozen factors onto a polynomial in the
+running ones once a cell (`_collapse`) and evaluate it at each time
+(`_cell_rows`).  Every Hermite table, plain or shifted, is built
 by `hermite._recurrence`.
 
 Oracles for the tests: the Dyson series over all of G with plain Hermite
@@ -295,20 +296,25 @@ def _plan_rows(plan, x, normalized, out=None, live=False):
     return out
 
 
-def _collapse(cell, weights, x, out, work):
+def _collapse(cell, weights, x, out, work, normalized=False):
     """Write Q_k = sum of weights[column] * c * frozen factors over pattern k's
     terms into out[k], (len(patterns), n_rows), at the rows x of I^t
-    (n_rows, M*d) at a time whose frozen positions are complete.  The
-    Hermite table and the products go into work, flat scratch of at least
-    (n_max + 1) len(frozen) n_rows + n_rows values, so the call allocates
-    nothing."""
+    (n_rows, M*d) at a time whose frozen positions are complete, or of the
+    normalized values I^t / sqrt(v) if `normalized`.  With no running
+    position (a feature plan) out[0] is S_t - S_0 at the coefficients
+    `weights`.  The Hermite table and the products go into work, flat
+    scratch of at least (n_max + 1) len(frozen) n_rows + n_rows values, so
+    the call allocates nothing."""
     n, f = x.shape[0], len(cell.frozen)
     table = work[: (cell.n_max + 1) * f * n].reshape(cell.n_max + 1, f, n)
     tmp = work[(cell.n_max + 1) * f * n:][:n]
     table[0] = 1.0
     if cell.n_max >= 1:
         for i, e in enumerate(cell.frozen):
-            np.divide(x[:, e], cell.root_v[i], out=table[1, i])
+            if normalized:
+                table[1, i] = x[:, e]
+            else:
+                np.divide(x[:, e], cell.root_v[i], out=table[1, i])
     _recurrence(table, cell.n_max)
     for q, terms in zip(out, cell.terms):
         q[:] = 0.0

@@ -12,9 +12,10 @@ matrix (`sample_features`), since its price Jacobian needs every row; it
 keeps only the columns that can be nonzero at the maturity
 (`_live_columns`) and redraws one such matrix in place at each
 resimulation.
-Pricing reduces each block to S_T at once (`_sample_terminal`), so it holds
-one block of feature rows whatever the path count: at most _BLOCK_BYTES, or
-_ROW_ALIGN rows if those are more.
+Pricing sums each block of draws to S_T at once (`_sample_terminal`),
+through the feature plan's `_collapse`, so it builds no feature row and
+holds one block of draws and a `_collapse_rows` chunk's work whatever the
+path count; its bits agree with `terminal_values` to rounding only.
 `_path_rows` gives the model's paths as blocks for `bases._run_blocks`:
 each block of _PATH_BLOCK paths draws from its own stream, keyed
 (*tags, block), and yields S_t one time at a time, for the exotics fold in
@@ -26,10 +27,13 @@ chaos onto that polynomial once and each time evaluates it, elementwise,
 with no BLAS product.  A Legendre time is a cell of its own with no running
 position, and its features are the plan of that cell (`_plan`, cached).
 
-Every product `features @ coefficients` runs over row blocks that start at
-multiples of 1024 rows and hold at most 16384 (`_row_dot` and the sampler's
-blocks alike).  OpenBLAS splits the rows of a matrix-vector product across
-its threads, and at odd row counts the split moved the last bits: at 100003
+Every product `features @ coefficients` of a held matrix, the quadrature
+nodes' and `terminal_values`', runs over row blocks that start at
+multiples of 1024 rows and hold at most 16384 (`_row_dot`); a fit's Monte
+Carlo passes form theirs in numpy's einsum instead (`pricing._terminal`),
+since they run on worker threads, where no threaded BLAS may run.
+OpenBLAS splits the rows of a matrix-vector product across its threads,
+and at odd row counts the split moved the last bits: at 100003
 paths, the desk model's terminal values hashed one way under 1 thread and
 another under 2 and 4 (at 100000 they agreed).  Products over such aligned
 blocks reproduced the 1-thread bits under 1 to 4 threads at 100003, 200001
@@ -145,7 +149,8 @@ def _block_bytes(p, m, d, n_rows):
 
 def _row_dot(features, theta):
     """features @ theta in row blocks of _MAX_BLOCK_ROWS: the 1-thread BLAS
-    bits at any thread count (see the module docstring)."""
+    bits at any thread count (see the module docstring).  It serves the
+    quadrature nodes and `terminal_values`, on the calling thread."""
     out = np.empty(features.shape[0])
     for a, b in _spans(len(out), _MAX_BLOCK_ROWS):
         out[a:b] = features[a:b] @ theta
@@ -186,10 +191,12 @@ def _live_columns(model, t):
 
 
 def _feature_blocks(model, t, n_paths, driver, tags=(), out=None, live=False):
-    """Check the arguments; return an iterator over (first row, rows) blocks
-    of the E[Phi_a | F_t] matrix that `sample_features` returns (its
-    `_live_columns` only if `live`), each written into its rows of `out` if
-    given.
+    """Check the arguments; return an iterator over (first row, x) blocks of
+    the draws under the E[Phi_a | F_t] matrix that `sample_features`
+    returns: x holds the normalized values I^t / sqrt(v) on the piecewise
+    basis, I^t on the others, (rows, M*d).  If `out` is given, each block's
+    rows of that matrix (its `_live_columns` only if `live`) are written
+    into its rows of `out` before the block is yielded.
 
     Piecewise basis: exact, from iid standard normals (full-cell increments
     below the running cell, the normalized partial increment at it).  Other
@@ -215,8 +222,9 @@ def _feature_blocks(model, t, n_paths, driver, tags=(), out=None, live=False):
                 x = next(_block_walk(roots, gen, _walk_scratch(model.basis, roots, model.d,
                                                                b - a), b - a))
                 x = x.reshape(b - a, -1)
-            rows = None if out is None else out[a:b]
-            yield a, _plan_rows(plan, x, normalized=piecewise, out=rows, live=live)
+            if out is not None:
+                _plan_rows(plan, x, normalized=piecewise, out=out[a:b], live=live)
+            yield a, x
 
     return blocks()
 
@@ -232,27 +240,44 @@ def _features_bytes(model, n_paths, width):
 def sample_features(model, t, n_paths, driver, tags=(), live=False, out=None):
     """Sample E[Phi_a | F_t] for every index, or for the `_live_columns` at t
     only if `live`; the offline matrix reused across calibration iterations,
-    written block by block (`_feature_blocks`) into `out` if given, a
-    column-major matrix of the same shape, so a fit redraws one buffer.
-    Without `out`, what it holds (`_features_bytes`) is checked against
-    MAX_BYTES before the matrix is allocated."""
+    written block by block (`_feature_blocks`) into `out` if given, which
+    must be the (n_paths, width) float64 column-major matrix the call would
+    return (ValidationError naming both shapes otherwise), so a fit redraws
+    one buffer.  Without `out`, what it holds (`_features_bytes`) is
+    checked against MAX_BYTES before the matrix is allocated."""
+    width = len(_live_columns(model, t)) if live else len(model.indices)
     if out is None:  # a bad n_paths is reported by _feature_blocks, not by numpy
-        width = len(_live_columns(model, t)) if live else len(model.indices)
         _check_held(_features_bytes(model, n_paths, width), 1, n_paths)
         out = np.empty((max(n_paths, 0), width), order="F")
+    elif (out.shape != (n_paths, width) or out.dtype != np.float64
+          or not out.flags.f_contiguous):
+        layout = "column-major" if out.flags.f_contiguous else "not column-major"
+        raise ValidationError(f"out is a {out.shape} {out.dtype} array, {layout}; "
+                              f"expected ({n_paths}, {width}) float64, column-major")
     for _ in _feature_blocks(model, t, n_paths, driver, tags, out=out, live=live):
         pass  # each block writes its rows into out
     return FeatureBlock(float(t), out)
 
 
-def _sample_terminal(model, t, n_paths, driver, tags=()):
-    """S_t samples on the streams of `sample_features`, bit for bit its
-    `terminal_values`, holding one block of feature rows at a time."""
-    blocks = _feature_blocks(model, t, n_paths, driver, tags)
-    s = np.empty(n_paths)
-    for a, rows in blocks:
-        s[a:a + len(rows)] = model.s0 + rows @ model.coefficients
-        del rows  # freed before the next block is built
+def _sample_terminal(model, t, n_paths, driver, tags=(), out=None):
+    """S_t samples on the streams of `sample_features`, written into `out`
+    if given: each block of draws is summed at the coefficients through the
+    feature plan (`_collapse`, in `_collapse_rows` chunks), so no feature
+    row is built.  Its products sum in another order than `terminal_values`
+    does, so the two agree to rounding, not bit for bit; each row is summed
+    on its own, in numpy's elementwise loops, so the bits depend on neither
+    the block size nor BLAS."""
+    blocks = _feature_blocks(model, t, n_paths, driver, tags)  # checks t and n_paths
+    plan = _feature_plan(model, t)
+    normalized = isinstance(model.basis, PiecewiseConstantBasis)
+    s = np.empty(n_paths) if out is None else out
+    work = np.empty(_work(model.p, model.m, model.d, n_paths))
+    chunk = _collapse_rows(model.p, model.m, model.d)
+    for a, x in blocks:
+        for b, c in _spans(len(x), chunk):
+            _collapse(plan, model.coefficients, x[b:c], s[None, a + b:a + c], work,
+                      normalized)
+    s += model.s0
     return s
 
 

@@ -16,10 +16,11 @@ Two engines:
   normal density, done with the probabilists' rule (weights sum to 1).
 
 Prices, CV betas and calibration gradients are deterministic functions of
-(seed, tags), bit for bit across BLAS thread counts.  OpenBLAS splits
-the reduction axis of a matrix-vector or dot product across threads, so its
-last bits depend on the thread count.  A reduction over paths or nodes
-therefore runs either in numpy's own single-threaded loops:
+(seed, tags), bit for bit across BLAS thread counts and a fit's worker
+count.  OpenBLAS splits the reduction axis of a matrix-vector or dot
+product across threads, so its last bits depend on the thread count.  A
+reduction over paths or nodes therefore runs either in numpy's own
+single-threaded loops:
 
 * pairwise `(a * w).sum()` for the control variates and the CV variance;
   the control variates are summed centred, as w.(S - S_0) and
@@ -27,20 +28,35 @@ therefore runs either in numpy's own single-threaded loops:
   cancels to O(spread) and the loss stays smooth enough for the
   finite-difference gradient check;
 * `np.einsum` without `optimize` for the prices (sums of nonnegative terms,
-  which need no pairwise order) and the CV moments;
+  which need no pairwise order), the CV moments and a fit's Monte Carlo
+  terminal values `features @ theta` (`_terminal`);
+* elementwise sums per path for drawn terminal values, which reach S_T
+  through the feature plan (`model._sample_terminal`) and build no feature
+  row;
 
 or on BLAS, but only over row blocks that start at multiples of 1024 rows,
 whose products keep their 1-thread bits (the `model` module docstring says
-why): the terminal values `features @ theta` in blocks of at most 16384 rows
-(`model._row_dot`, `model._feature_blocks`), and the price Jacobian of
-`_group_jacobian`, from which every loss gradient is assembled, in blocks of
-1024 added in block order.  Feature matrices are column-major, so that
-`conditional._plan_rows` writes each column contiguously.  Acceptance
-criterion c13, `tests/test_pricing.py::test_thread_count_does_not_change_bits`
-and `test_thread_count_does_not_change_jacobian_bits` enforce this.
+why): the quadrature nodes' terminal values in blocks of at most 16384 rows
+(`model._row_dot`), and the price Jacobian of `_group_jacobian`, from which
+every loss gradient is assembled, in blocks of 1024 added in block order.
+Feature matrices are column-major, so that `conditional._plan_rows` writes
+each column contiguously.  Acceptance criterion c13,
+`tests/test_pricing.py::test_thread_count_does_not_change_bits` and
+`test_thread_count_does_not_change_jacobian_bits` enforce this.
 
-Outside calibration no MC feature matrix is held whole: the rows of a
-maturity's draw, and of its CV draw, are reduced to S_T block by block, so
+A fit runs each Monte Carlo maturity's draws and pricing as tasks on a pool
+of worker threads (`calibrate`), and no task may call a threaded BLAS
+routine: OpenBLAS's own threads spin after each threaded call, so a task
+that wakes them takes back the core the pool gave it (a fit ran no faster
+on 2 BLAS threads than on 1, at twice the CPU time).  So tasks form S_T by
+einsum or `_collapse`, and quadrature groups, which draw nothing, keep
+`_row_dot` on the calling thread.  The Jacobian's 1024-row products stay on
+BLAS: at 5 strikes and at most 44 columns a block OpenBLAS runs them on the
+calling thread, but a maturity with many more strikes may wake its threads
+again.
+
+Outside calibration no MC feature matrix is held whole: the draws of a
+maturity, and of its CV sample, are reduced to S_T block by block, so
 memory grows with the path count only through S_T and the payoff matrix.
 Calibration holds each MC maturity's live feature columns (`_Group`).
 
@@ -51,13 +67,14 @@ basis, byte cap) is stated once, in `_check_surface`, which
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .bases import PiecewiseConstantBasis, cell_index
+from .bases import PiecewiseConstantBasis, _run, _threads, cell_index
 from .conditional import _plan_rows
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError
 from .indices import index_space_dim
 from .model import (
     MAX_BYTES,
@@ -201,17 +218,28 @@ def _check_horizon(maturities, horizon):
         raise ValidationError(f"maturities {bad} beyond horizon {horizon}")
 
 
+def _fit_workers(quotes, schedule):
+    """Threads of a fit's pool (`bases._threads`): one a task of a
+    workspace build, each Monte Carlo maturity's feature draw and CV draw,
+    at most one a CPU."""
+    methods = [schedule.for_maturity(t) for t in {q.maturity for q in quotes.quotes}]
+    return _threads(sum(1 + (m.cv_degree > 0) for m in methods if m.kind == "mc"))
+
+
 def _check_surface(p, m, d, basis, quotes, schedule, schedule_name, features):
     """Raise ValidationError unless a model of shape (p, m, d, basis) can
     price the quotes: each maturity within the horizon (`_check_horizon`);
     quadrature or a degree-2 CV only on the piecewise-constant basis, whose
     closed forms they need; and at most MAX_BYTES held: to the end, each
     maturity's quadrature nodes and, for a fit, its live feature columns,
-    weights and the S_T a loss pass keeps, and 8 n x n matrices, and the
+    weights and the S_T a loss pass keeps, its CV sample's S_T, which a
+    build draws for every maturity at once, and 8 n x n matrices, and the
     index layer with a plan per maturity; for the largest maturity, a
     feature block, a CV draw (8 arrays), S_T, 5 temporaries, a payoff per
-    strike, and the S_T and CV draw (3 arrays) left by another.  A
-    quadrature maturity's kept S_T fits in its node build's temporaries."""
+    strike, and the S_T and CV draw (3 arrays) left by another.  A fit's
+    draws and passes run on `_fit_workers` threads at once, so it counts
+    the largest maturity's once a worker.  A quadrature maturity's kept S_T
+    fits in its node build's temporaries."""
     mats = sorted({q.maturity for q in quotes.quotes})
     _check_horizon(mats, basis.horizon)
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
@@ -233,14 +261,15 @@ def _check_surface(p, m, d, basis, quotes, schedule, schedule_name, features):
             sizes = f"n_paths = {rows}, beta_samples = {method.beta_samples}"
             cv = method.beta_samples if method.cv_degree else 0
             live = index_space_dim(p, cell_index(basis, t), d) - 1 if piecewise else n
-            held = 8 * rows * (live + 2) if features else 0
+            held = 8 * (rows * (live + 2) + cv) if features else 0
             freed = _block_bytes(p, m, d, max(rows, cv)) + 64 * cv
             alive = 8 * (rows + 3 * cv)
         strikes = sum(q.maturity == t for q in quotes.quotes)
         need[sizes, t] = held, freed + 8 * rows * (strikes + 6), alive
     held, freed, alive = zip(*need.values(), (0, 0, 0))  # a surface may be empty
-    total = (sum(held) + max(freed) + max(alive) + (64 * n * n if features else 0)
-             + _index_bytes(p, m, d, len(need)))
+    workers = max(1, _fit_workers(quotes, schedule)) if features else 1
+    total = (sum(held) + workers * max(freed) + max(alive)
+             + (64 * n * n if features else 0) + _index_bytes(p, m, d, len(need)))
     if total > MAX_BYTES:
         sizes, t = max(need, key=lambda key: sum(need[key]))
         raise ValidationError(
@@ -256,21 +285,32 @@ def quad_call_price(model, t, k, n):
 
 
 def _cv_draw(model, t, degree, driver, beta_samples, tags):
-    """The independent CV sample at maturity t, shared by all its strikes.
-
-    Returns (s, xc, sigma_x, singular): terminal values, centered control
-    variates, their covariance, and whether Sigma_X is too degenerate to
-    solve (e.g. theta = 0), in which case a warning is issued.
-    """
+    """The independent CV sample at maturity t, shared by all its strikes:
+    `_cv_stats` of its S_T."""
     if degree not in (1, 2):
         raise ValidationError("cv degree must be 1 or 2 when estimating")
-    s = _sample_terminal(model, t, beta_samples, driver, tags=tags)
+    return _cv_stats(model, t, degree,
+                     _sample_terminal(model, t, beta_samples, driver, tags=tags))
+
+
+def _cv_stats(model, t, degree, s):
+    """(s, xc, sigma_x, singular) of the CV sample s, the S_T drawn at
+    maturity t: s, the centered control variates, their covariance, and
+    whether Sigma_X is too degenerate to solve (e.g. theta = 0), in which
+    case a warning is issued.  A covariance that is not finite (terminal
+    values so large that their squares' sums overflow) raises NumericError
+    naming the maturity.  It runs on the calling thread, warnings and all.
+    """
     xs = [s - model.s0]
     if degree == 2:
         xs.append(s**2 - second_moment(model, t))
     x = np.stack(xs, axis=1)
     xc = x - x.mean(axis=0)
     sigma_x = np.einsum("ij,ik->jk", xc, xc) / (len(s) - 1)
+    if not np.all(np.isfinite(sigma_x)):
+        raise NumericError(
+            f"control-variate covariance at maturity {t} is not finite: the "
+            f"terminal values reach {float(np.max(np.abs(s))):.3g}")
     # scale-free singularity test on the correlation structure
     dg = np.sqrt(np.diag(sigma_x))
     bad = (dg < 1e-12 * max(1.0, model.s0)).any()
@@ -344,11 +384,13 @@ class _Group:
     """One maturity's frozen pricing inputs, built by `_maturity_groups`.
 
     A group that carries features prices theta through the columns `live`
-    of theta: S_T = S_0 + features @ theta[live].  Quadrature features hold
-    every column; a calibration MC group holds only the columns alive at
-    its maturity (`model._live_columns`), since the others are exact zeros.
+    of theta: S_T = S_0 + features @ theta[live] (`_terminal`).  Quadrature
+    features hold every column; a calibration MC group holds only the
+    columns alive at its maturity (`model._live_columns`), since the others
+    are exact zeros.
     """
 
+    kind: str  # the method's kind: "mc" | "quad"
     maturity: float
     s0: float
     rows: np.ndarray  # quote positions
@@ -366,7 +408,7 @@ class _Group:
 
 
 def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
-                     features=False):
+                     features=False, pool=None):
     """Yield one `_Group` per quoted maturity, in ascending maturity order.
 
     The surface passes `_check_surface` before the first draw.  Strikes map
@@ -375,7 +417,10 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
     for every strike from one beta block per maturity.  An MC group carries
     its live feature columns only if `features` (calibration, whose price
     Jacobian needs them); otherwise it carries S_T at the model's
-    coefficients, sampled one block of feature rows at a time.
+    coefficients, sampled one block of draws at a time, one maturity after
+    another.  With `features` every draw is made first (`_fit_draws`), on
+    `pool` (see `bases._run`); the CV statistics, betas and warnings follow
+    on this thread, in maturity order.
 
     `cache`, a dict keyed by (maturity, PricingMethod), carries arrays
     across builds for models of one structure: quadrature nodes, which
@@ -395,6 +440,9 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
     qs = quotes.quotes
     mats = sorted({q.maturity for q in qs})
     cache = {} if cache is None else cache
+    drawn = {}
+    if features:
+        drawn = _fit_draws(model, mats, schedule, driver, prefix, cache, pool)
     for mi, t in enumerate(mats):
         rows = np.array([i for i, q in enumerate(qs) if q.maturity == t])
         scale = np.array([qs[i].discount_factor * qs[i].forward / model.s0 for i in rows])
@@ -404,23 +452,22 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
         if method.kind == "quad":
             if key not in cache:
                 cache[key] = quad_nodes_features(model, t, method.n_nodes)
-            yield _Group(t, model.s0, rows, strikes, scale, *cache[key],
+            yield _Group("quad", t, model.s0, rows, strikes, scale, *cache[key],
                          np.arange(len(model.coefficients)))
             continue
-        tags = prefix + (mi, 0)
         feats = live = terminal = None
         if features:
-            feats = cache[key] = sample_features(
-                model, t, method.n_paths, driver, tags=tags, live=True,
-                out=cache.get(key)).features
+            feats, cv_s = drawn.pop(mi)
             live = _live_columns(model, t)
         else:
-            terminal = _sample_terminal(model, t, method.n_paths, driver, tags=tags)
+            terminal = _sample_terminal(model, t, method.n_paths, driver,
+                                        tags=prefix + (mi, 0))
         w = np.full(method.n_paths, 1.0 / method.n_paths)
         b1 = b2 = m2c = None
         if method.cv_degree >= 1:
-            draw = _cv_draw(model, t, method.cv_degree, driver,
-                            method.beta_samples, prefix + (mi, 1))
+            draw = (_cv_stats(model, t, method.cv_degree, cv_s) if features else
+                    _cv_draw(model, t, method.cv_degree, driver, method.beta_samples,
+                             prefix + (mi, 1)))
             betas = np.zeros((2, len(rows)))  # zeros where degraded
             for j, k in enumerate(strikes):
                 cv = _cv_solve(draw, k)
@@ -428,8 +475,49 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
             b1, b2 = betas
             if method.cv_degree == 2:
                 m2c = second_moment_coeffs(model, t)
-        yield _Group(t, model.s0, rows, strikes, scale, w, feats, live, terminal,
+        yield _Group("mc", t, model.s0, rows, strikes, scale, w, feats, live, terminal,
                      b1, b2, m2c)
+
+
+def _fit_draws(model, mats, schedule, driver, prefix, cache, pool):
+    """{position: (features, CV S_T or None)} of every Monte Carlo maturity
+    among `mats`, drawn on the tags of `_maturity_groups`: its live feature
+    columns into its matrix in `cache` (allocated at the first build) and
+    its CV sample's S_T into a new array, each draw one task on `pool`, a
+    thread pool or None for one of this call's (`bases._run`), the longest
+    first.  Every array a task writes is allocated here, on the calling
+    thread: what a worker thread allocates stays in its own heap."""
+    out, tasks, costs = {}, [], []
+    for mi, t in enumerate(mats):
+        method = schedule.for_maturity(t)
+        if method.kind != "mc":
+            continue
+        width = len(_live_columns(model, t))
+        key = (t, method)
+        if key not in cache:
+            cache[key] = np.empty((method.n_paths, width), order="F")
+        tasks.append(partial(sample_features, model, t, method.n_paths, driver,
+                             tags=prefix + (mi, 0), live=True, out=cache[key]))
+        costs.append(method.n_paths * width)
+        cv_s = None
+        if method.cv_degree >= 1:
+            cv_s = np.empty(method.beta_samples)
+            tasks.append(partial(_sample_terminal, model, t, method.beta_samples, driver,
+                                 tags=prefix + (mi, 1), out=cv_s))
+            costs.append(method.beta_samples * width)
+        out[mi] = cache[key], cv_s
+    _run(tasks, pool or _threads(len(tasks)), costs)
+    return out
+
+
+def _terminal(g, theta):
+    """S_T = S_0 + features @ theta[live] of a group that carries features.
+    A Monte Carlo group's product runs in numpy's single-threaded einsum,
+    since a fit prices it in a task, where no threaded BLAS may run; a
+    quadrature group's in `_row_dot`'s blocks, on the calling thread."""
+    if g.kind == "mc":
+        return g.s0 + np.einsum("ij,j->i", g.features, theta[g.live])
+    return g.s0 + _row_dot(g.features, theta[g.live])
 
 
 def _group_prices(g, theta, s=None):
@@ -441,8 +529,7 @@ def _group_prices(g, theta, s=None):
     The control-variate sums come before the payoff matrix, so their
     path-length temporaries are gone before it is allocated."""
     if s is None:
-        s = (g.terminal if g.features is None
-             else g.s0 + _row_dot(g.features, theta[g.live]))
+        s = g.terminal if g.features is None else _terminal(g, theta)
     cv = []  # per control variate: beta times its sample mean
     if g.beta1 is not None:
         # centred: w.s - S_0 would cancel two O(S_0) numbers to O(spread)
@@ -500,9 +587,9 @@ def price_surface(model, quotes, schedule, driver, stream_tag=0):
     Quotes are converted to the model's zero-rate world through their
     (discount factor, forward): strike K~ = K S_0 / F prices to C~, and the
     market price is C = C~ DF F / S_0.  One draw of S_T (and one independent
-    CV draw) per MC maturity, each reduced from its feature rows block by
-    block, is shared across its strikes.  Returns a price array aligned with
-    quotes.
+    CV draw) per MC maturity, each reduced from its draws block by block, is
+    shared across its strikes; the maturities are priced one after another.
+    Returns a price array aligned with quotes.
     """
     out = np.empty(len(quotes.quotes))
     for g in _maturity_groups(model, quotes, schedule, driver, (stream_tag,)):

@@ -1,5 +1,8 @@
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +29,11 @@ from chaoscal.errors import OptimizerError, ValidationError, WeightingError
 from chaoscal.model import ChaosModel, sample_features, terminal_values
 from chaoscal.pricing import PricingMethod, PricingSchedule, estimate_cv, price_surface
 from chaoscal.vol import bs_call, bs_vega, implied_vol
+
+
+def assert_ulps(got, want, ulps=4):
+    """got equals want within `ulps` units in the last place of max |want|."""
+    assert np.abs(got - want).max() <= ulps * np.spacing(np.abs(want).max())
 
 
 def make_model(theta, s0=100.0, p=2, m=2, d=1, horizon=1.0):
@@ -269,7 +277,9 @@ class TestSharedPricingPath:
     def test_group_betas_are_estimate_cv_on_the_same_tags(self):
         # calibration groups carry the feature matrix's live columns,
         # evaluation groups only its terminal values; both draw on the tags
-        # of sample_features, and the columns left out are exact zeros
+        # of sample_features, and the columns left out are exact zeros.
+        # Evaluation sums S_T through the feature plan, in another order
+        # than the product of terminal_values, so they agree to rounding
         model, quotes = self.case()
         driver = BrownianDriver(5)
         ws = build_workspace(model, quotes, np.ones(15), self.MC, driver, tags=(4,))
@@ -280,8 +290,7 @@ class TestSharedPricingPath:
                                         tags=prefix + (mi, 0))
                 if prefix == (7,):
                     assert g.features is None
-                    np.testing.assert_array_equal(terminal_values(model, block),
-                                                  g.terminal)
+                    assert_ulps(g.terminal, terminal_values(model, block))
                 else:
                     assert g.terminal is None
                     np.testing.assert_array_equal(block.features[:, g.live], g.features)
@@ -313,9 +322,9 @@ class TestFitBuffers:
     def count_products(monkeypatch):
         # every S_T = S_0 + features @ theta of a calibration group
         products = []
-        real = pricing._row_dot
-        monkeypatch.setattr(pricing, "_row_dot",
-                            lambda f, theta: products.append(len(f)) or real(f, theta))
+        real = pricing._terminal
+        monkeypatch.setattr(pricing, "_terminal",
+                            lambda g, theta: products.append(len(g.features)) or real(g, theta))
         return products
 
     def test_normal_equations_read_the_s_t_a_loss_pass_kept(self, monkeypatch):
@@ -404,6 +413,102 @@ class TestFitBuffers:
                                        tags=tags + (3233, mi, 0)).features
                 np.testing.assert_array_equal(full[:, live], drawn)
         assert [f.shape[1] for _, f, _ in seen[0][1]] == [2, 5]  # T 0.3 drops 3
+
+
+class TestFitPool:
+    """A fit runs each Monte Carlo maturity's draws and passes as tasks on one
+    pool; the calling thread keeps BLAS, the CV statistics and the warnings."""
+
+    MC = PricingSchedule(default=PricingMethod("mc", n_paths=3000, cv_degree=2,
+                                               beta_samples=1000))
+    MATS = (0.3, 0.6, 1.0)
+
+    def case(self, max_iterations=30):
+        truth = make_model([10.0, 3.0, -1.0, 0.5, 2.0])
+        quotes = surface_from_model(truth, self.MATS, [95.0, 100.0, 105.0], QUAD,
+                                    BrownianDriver(31))
+        cfg = CalibrationConfig(max_iterations=max_iterations, resim_every=10, seed=7)
+        model0 = truth.with_coefficients(initial_coefficients(5, cfg) * truth.s0)
+        return model0, quotes, cfg
+
+    def test_worker_count_does_not_change_the_fit(self, monkeypatch):
+        # one worker and two, the interpreter switching threads every
+        # microsecond so that the tasks interleave as finely as they can
+        module = sys.modules["chaoscal.calibrate"]
+        real = module._group_prices
+        threads = set()
+        monkeypatch.setattr(module, "_group_prices", lambda *args: (
+            threads.add(threading.get_ident()) or real(*args)))
+        fits, used = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2):
+                monkeypatch.setattr(module, "_fit_workers", lambda quotes, sched: workers)
+                threads.clear()
+                fits.append(calibrate(*self.case(), self.MC))
+                used.append(len(threads))
+        finally:
+            sys.setswitchinterval(interval)
+        (fit1, h1), (fit2, h2) = fits
+        assert used == [1, 2]
+        assert len(h1) > 10
+        assert ([(r.loss, r.best_loss, r.resimulated) for r in h1]
+                == [(r.loss, r.best_loss, r.resimulated) for r in h2])
+        np.testing.assert_array_equal(fit1.coefficients, fit2.coefficients)
+
+    def test_row_dot_runs_only_on_the_calling_thread(self, monkeypatch):
+        # the quadrature maturity's S_T goes through BLAS on the calling
+        # thread; no Monte Carlo task calls `_row_dot`
+        calls = []
+        for module in (pricing, model_module):
+            def guarded(features, theta, real=module._row_dot):
+                if threading.current_thread() is not threading.main_thread():
+                    raise AssertionError("_row_dot ran on a worker thread")
+                calls.append(len(features))
+                return real(features, theta)
+
+            monkeypatch.setattr(module, "_row_dot", guarded)
+        mixed = PricingSchedule(default=self.MC.default,
+                                entries=((0.3, PricingMethod("quad", n_nodes=20)),))
+        _, history = calibrate(*self.case(), mixed)
+        assert calls and len(history) > 10
+
+    def test_first_task_error_in_maturity_order_closes_the_pool(self, monkeypatch):
+        # maturity 1.0's draw fails at once, 0.3's later: the fit raises
+        # 0.3's, and its pool is shut down by then
+        module = sys.modules["chaoscal.calibrate"]
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        real = pricing.sample_features
+
+        def failing(model, t, *args, **kwargs):
+            if t == 0.6:
+                return real(model, t, *args, **kwargs)
+            if t == 0.3:
+                time.sleep(0.05)
+            raise ValidationError(f"draw at {t} failed")
+
+        monkeypatch.setattr(module, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(module, "_fit_workers", lambda quotes, sched: 2)
+        monkeypatch.setattr(pricing, "sample_features", failing)
+        with pytest.raises(ValidationError, match=r"^draw at 0.3 failed$") as err:
+            calibrate(*self.case(), self.MC)
+        assert err.value.history == []
+        assert len(pools) == 1 and pools[0]._shutdown
+
+    def test_singular_cv_warning_reaches_the_caller(self):
+        # a zero start prices S_T = S_0 on every path, so the first
+        # workspace's CV covariance is singular; its warning is issued on
+        # the calling thread, where pytest.warns catches it
+        _, quotes, cfg = self.case(max_iterations=3)
+        with pytest.warns(RuntimeWarning, match="control-variate covariance is singular"):
+            calibrate(make_model(np.zeros(5)), quotes, cfg, self.MC)
 
 
 class TestLossGradient:

@@ -38,6 +38,9 @@ HESTON = {"s0": 100.0, "kappa": 1.2, "vbar": 0.04, "eps": 0.4,
 
 TRUTH_THETA = [8.0, 10.0, 2.0, 1.5, -2.0]
 
+DESK_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "bench", "desk_model.json")
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload) + "\n")
@@ -362,6 +365,22 @@ class TestCalibrateCli:
         assert "numeric error" in capsys.readouterr().err
         assert len(read_rows(history)) >= 1
 
+    def test_start_whose_cv_covariance_overflows_exits_3(self, calibrated, tmp_path,
+                                                         capsys):
+        # a start spread of 1e80 of spot: the CV covariance of the first
+        # workspace overflows, which numpy's SVD met with LinAlgError (exit 1)
+        config = write_json(tmp_path / "c.json", {
+            "max_iterations": 3, "init_std": 1e80,
+            "model": {"p": 2, "m": 2, "d": 1, "horizon": 1.0},
+        })
+        schedule = write_json(tmp_path / "mc.json", {
+            "default": {"kind": "mc", "n_paths": 2000, "beta_samples": 1000}})
+        rc = main(["calibrate", "--quotes", calibrated["quotes"], "--config", config,
+                   "--schedule", schedule, "--out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert ("control-variate covariance at maturity 0.5 is not finite"
+                in capsys.readouterr().err)
+
     def test_gauss_newton_failure_exits_3_and_keeps_partial_history(
             self, calibrated, tmp_path, capsys, monkeypatch):
         # the second trial step prices to NaN, after two good passes
@@ -442,6 +461,29 @@ class TestPriceEvaluate:
 
         assert run(3, "a") == run(3, "b")
         assert run(3, "c") != run(4, "d")
+
+    @pytest.mark.parametrize("command", ["price", "evaluate"])
+    def test_cv_covariance_that_overflows_exits_3(self, tmp_path, capsys, command):
+        # every desk coefficient times 1e80: S_T stays finite, but the sums
+        # of its squares overflow the CV covariance
+        with open(DESK_MODEL) as handle:
+            desk = json.load(handle)
+        desk["coefficients"] = [1e80 * c for c in desk["coefficients"]]
+        model = write_json(tmp_path / "big.json", desk)
+        quotes = tmp_path / "q.csv"
+        quotes.write_text("maturity_years,strike,option_type,mid_price,implied_vol,"
+                          "discount_factor,forward,spot\n"
+                          "0.5,100.0,C,5.0,,1.0,100.0,100.0\n"
+                          "1.0,100.0,C,8.0,,1.0,100.0,100.0\n")
+        schedule = write_json(tmp_path / "mc.json", {
+            "default": {"kind": "mc", "n_paths": 2000, "beta_samples": 1000}})
+        out = ["--out", str(tmp_path / "o.csv")] if command == "price" else [
+            "--report", str(tmp_path / "r.json")]
+        rc = main([command, "--model", model, "--quotes", str(quotes),
+                   "--schedule", schedule, *out])
+        assert rc == 3
+        assert ("control-variate covariance at maturity 0.5 is not finite"
+                in capsys.readouterr().err)
 
     def test_put_row_gets_the_model_put_price(self, tmp_path):
         # a call and a put at one strike, off the zero-rate world: by parity

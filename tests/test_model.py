@@ -100,6 +100,33 @@ class TestSampleFeatures:
         with pytest.raises(ValidationError):
             sample_features(model, 2.5, 10, BrownianDriver(seed=1))
 
+    @pytest.mark.parametrize("shape, dtype, order", [
+        ((200, 44), np.float64, "F"), ((100, 50), np.float64, "F"),
+        ((90, 44), np.float64, "F"), ((100, 44), np.float32, "F"),
+        ((100, 44), np.float64, "C")])
+    def test_out_must_be_the_matrix_it_would_return(self, shape, dtype, order):
+        # 100 paths of 44 columns: a taller out came back with rows never
+        # written, a wider one with stale columns, a shorter one raised
+        # numpy's broadcast error; now each raises before anything is drawn
+        model = make_model(d=2)
+        out = np.zeros(shape, dtype=dtype, order=order)
+        name = np.dtype(dtype).name
+        with pytest.raises(ValidationError, match=rf"^out is a \({shape[0]}, {shape[1]}\) "
+                                                  rf"{name} array, .*; expected \(100, 44\) "
+                                                  r"float64, column-major$"):
+            sample_features(model, 1.0, 100, BrownianDriver(seed=1), out=out)
+        assert not out.any()
+
+    def test_out_receives_the_matrix(self):
+        model = make_model(d=2)
+        live = model_module._live_columns(model, 0.3)
+        assert len(live) == 5  # degree <= 2 in the first cell's 2 positions
+        out = np.empty((100, len(live)), order="F")
+        block = sample_features(model, 0.3, 100, BrownianDriver(seed=1), live=True, out=out)
+        assert block.features is out
+        full = sample_features(model, 0.3, 100, BrownianDriver(seed=1)).features
+        np.testing.assert_array_equal(out, full[:, live])
+
 
 class TestTerminalValues:
     def test_zero_theta_constant(self):

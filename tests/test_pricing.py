@@ -16,7 +16,7 @@ from chaoscal import model as model_module
 from chaoscal import pricing
 from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis, cell_index
 from chaoscal.conditional import piecewise_features
-from chaoscal.errors import ConfigError, ValidationError
+from chaoscal.errors import ConfigError, NumericError, ValidationError
 from chaoscal.indices import MultiIndex, _set_bytes, enumerate_indices
 from chaoscal.model import (
     ChaosModel,
@@ -285,6 +285,21 @@ class TestEstimateCv:
             with pytest.raises(ValidationError, match=rf"^beta_samples must be at least 2, "
                                                       rf"got {bad}$"):
                 estimate_cv(model, block, 100.0, 1, BrownianDriver(6), bad)
+
+    def test_overflowing_covariance_raises_naming_the_maturity(self):
+        # coefficients of order 1e80: S_T is finite, but the sums of the
+        # squared degree-2 variate overflow, and numpy's SVD failed to
+        # converge on the NaN correlation
+        model = self.rand_model()
+        big = model.with_coefficients(1e80 * model.coefficients)
+        driver = BrownianDriver(6)
+        block = sample_features(big, 1.0, 10, driver, tags=(0,))
+        with pytest.raises(NumericError, match=r"^control-variate covariance at maturity "
+                                               r"1.0 is not finite"):
+            estimate_cv(big, block, 100.0, 2, driver, 1000, tags=(1,))
+        cv = estimate_cv(model.with_coefficients(1e60 * model.coefficients), block,
+                         100.0, 2, driver, 1000, tags=(1,))
+        assert cv.degree == 2
 
 
 class TestMcCallPrice:
@@ -657,7 +672,9 @@ class TestRowBlocks:
 # (argv[1]) prices 100003 paths, where an unaligned OpenBLAS row split of
 # features @ theta moved the last bits between 1 and 2 or 4 threads.  The
 # Heston reference steps 3 path blocks, one a worker up to the CPU count, and
-# `exotics` at 40000 paths steps 3 blocks of each simulator on one pool.
+# `exotics` at 40000 paths steps 3 blocks of each simulator on one pool.  A
+# Monte Carlo fit of 3 maturities over 2 workspaces runs its draws and
+# passes on a pool of one worker a build task up to the CPU count.
 _THREADS_SCRIPT = textwrap.dedent("""
     import contextlib
     import hashlib
@@ -671,6 +688,7 @@ _THREADS_SCRIPT = textwrap.dedent("""
     from chaoscal.cli import main
     from chaoscal.bases import (BrownianDriver, LegendreBasis,
                                 PiecewiseConstantBasis, sample_integrals)
+    from chaoscal.calibrate import CalibrationConfig, calibrate
     from chaoscal.indices import enumerate_indices
     from chaoscal.model import ChaosModel, path_grid, sample_features, terminal_values
     from chaoscal.modelio import load_model
@@ -678,6 +696,7 @@ _THREADS_SCRIPT = textwrap.dedent("""
                                   price_surface, quad_call_price)
     from chaoscal.reference import (HestonParams, RoughHestonParams, heston_simulate,
                                     lewis_call_price, rough_heston_cf)
+    from chaoscal.vol import bs_call
 
     n = len(enumerate_indices(2, 4, 1))
     theta = 20.0 * np.random.default_rng(5).standard_normal(n) / np.sqrt(n)
@@ -732,7 +751,16 @@ _THREADS_SCRIPT = textwrap.dedent("""
                          "--out", files["csv"]]) == 0
         with open(files["csv"], "rb") as handle:
             exotics = handle.read()
-    for name, value in (("prices", prices), ("quad", quad),
+    fit_quotes = SimpleNamespace(spot=100.0, quotes=[
+        SimpleNamespace(maturity=t, strike=k, discount_factor=1.0, forward=100.0,
+                        implied_vol=0.2, mid_price=bs_call(100.0, k, t, 0.2),
+                        option_type="C")
+        for t in (0.3, 0.6, 1.0) for k in (95.0, 100.0, 105.0)])
+    fitted, history = calibrate(
+        model, fit_quotes, CalibrationConfig(max_iterations=6, resim_every=3, seed=4),
+        PricingSchedule(PricingMethod("mc", n_paths=20_000, beta_samples=5_000)))
+    fit = np.concatenate([[r.loss for r in history], fitted.coefficients])
+    for name, value in (("prices", prices), ("quad", quad), ("fit", fit),
                         ("r2", cv.r_squared), ("leg_ints", leg_ints),
                         ("pw_ints", pw_ints), ("leg_paths", leg_paths),
                         ("rough_cf", rough_cf), ("rough_surface", rough_surface),
@@ -973,7 +1001,7 @@ def test_thread_count_does_not_change_bits():
                               timeout=300, preexec_fn=pin)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 12
+    assert len(outputs[0]) == 13
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
