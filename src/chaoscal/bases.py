@@ -30,14 +30,17 @@ _PATH_BLOCK: block k draws from its own stream, keyed (*tags, k), and steps
 through every time before it is done.  `_run_blocks` runs each block as one
 task on a pool of `_workers` threads, each task with a scratch set of its
 simulator that no other running task holds, and hands the block's rows to a
-sink, which writes them into the block's columns of an output.  A block
-draws as it would alone and every step is elementwise over its paths, so
-the bits do not depend on the worker count or the order the tasks run in.
+sink, which writes them into the block's columns of an output; a scratch
+set is allocated from shapes that the simulator's count (`_job_bytes`)
+sums.  A block draws as it would alone and every step is elementwise over
+its paths, so the bits do not depend on the worker count or the order the
+tasks run in.
 The runner under it, `_run`, also runs a fit's draws and pricing passes
 (`calibrate`), one task a Monte Carlo maturity, on the one pool the fit
 holds.
 """
 
+import math
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -50,6 +53,7 @@ from .errors import ValidationError
 
 _PATH_BLOCK = 1 << 14  # paths of one stream block
 _TASK_BYTES = 1 << 14  # Python objects a block or worker adds (about 4 KiB)
+_TIME_BYTES = 384  # Python objects a time holds in roots or a schedule (360 B seen)
 
 
 @dataclass(frozen=True)
@@ -230,9 +234,8 @@ def sample_integrals(spec, driver, times, n_paths, d=1, tags=()):
         for ti, acc in enumerate(walk):
             out[ti, cols] = acc.reshape(-1, width)
 
-    size = min(n_paths, _PATH_BLOCK)
-    blocks = _PathBlocks(n_paths, _PATH_BLOCK, rows, lambda: _walk_scratch(spec, roots, d, size))
-    _run_blocks([(blocks, sink)], _workers(n_paths))
+    shapes = _walk_shapes(spec.size, d, min(n_paths, _PATH_BLOCK), roots)
+    _run_blocks([(_PathBlocks(n_paths, _PATH_BLOCK, rows, shapes), sink)], _workers(n_paths))
     return out
 
 
@@ -272,20 +275,20 @@ def _interval_roots(spec, times):
     return roots
 
 
-def _walk_scratch(spec, roots, d, n):
-    """A walk's arrays for n paths over `_interval_roots` roots: the running
-    sum, and room for the normals of the interval of highest rank and the
-    combination of the widest span (`_block_walk`); inside a piecewise cell
-    both are one value a path and component."""
-    drawn = [rows for _, rows in filter(None, roots)]
-    rank = max((rows.shape[1] for rows in drawn), default=0)
-    span = max((rows.shape[0] for rows in drawn), default=0)
-    return np.empty((n, d, spec.size)), np.empty(n * d * rank), np.empty(n * d * span)
+def _walk_shapes(m, d, n, roots=None):
+    """A walk's arrays for n paths (`_block_walk`): the running sum, and
+    room for the normals of the interval of highest rank and the combination
+    of the widest span among the `_interval_roots` roots (rank = span = M,
+    the widest, if None); inside a piecewise cell both are one value."""
+    drawn = [rows.shape for _, rows in filter(None, roots)] if roots is not None else [(m, m)]
+    rank = max((shape[1] for shape in drawn), default=0)
+    span = max((shape[0] for shape in drawn), default=0)
+    return [(n, d, m), (n * d * rank,), (n * d * span,)]
 
 
 def _block_walk(roots, gen, scratch, n):
     """Iterator over I^t of n paths at each time of `_interval_roots`, drawn
-    from the generator gen into the leading rows of a `_walk_scratch` set:
+    from the generator gen into the leading rows of arrays of `_walk_shapes`:
     its running sum, (n, d, M), itself, valid until the next.  A time's
     normals are drawn path-major, so walks over consecutive row blocks from
     one generator give the rows of a single walk over all of them; only the
@@ -306,17 +309,26 @@ def _block_walk(roots, gen, scratch, n):
         yield acc
 
 
-def _walk_bytes(spec, d, n_times, n_paths):
-    """Bytes a walk of n_paths paths over n_times times holds on the block
-    runner: each worker's `_walk_scratch` (at most 3 doubles a path and
-    position of a block), the interval roots and the Gram tails and eigendecomposition
-    that build one (M x M each, 4 at once), and `_TASK_BYTES` a block and a
-    worker."""
-    blocks = -(-n_paths // _PATH_BLOCK)
-    workers = _workers(n_paths)
+def _bytes(shapes):
+    """Bytes of float64 arrays of the given shapes."""
+    return 8 * sum(math.prod(shape) for shape in shapes)
+
+
+def _job_bytes(shapes, n_paths, block, workers):
+    """Bytes a `_PathBlocks` job of n_paths paths in blocks of `block` holds
+    on `workers` threads: `shapes` and _TASK_BYTES a worker and a block."""
+    return workers * _bytes(shapes) + _TASK_BYTES * (-(-n_paths // block) + workers)
+
+
+def _walk_bytes(spec, d, n_times, n_paths, shapes=None):
+    """Bytes a walk of n_paths paths over n_times times holds: its job of
+    `shapes` a worker (`_walk_shapes` at their widest if None), and its
+    roots, M x M and _TIME_BYTES a time, with 4 M x M for the Gram tails and
+    eigendecomposition that build one."""
     m = spec.size
-    return (8 * (3 * workers * min(n_paths, _PATH_BLOCK) * m * d + (n_times + 4) * m * m)
-            + _TASK_BYTES * (blocks + workers))
+    shapes = _walk_shapes(m, d, min(n_paths, _PATH_BLOCK)) if shapes is None else shapes
+    return (_job_bytes(shapes, n_paths, _PATH_BLOCK, _workers(n_paths))
+            + 8 * (n_times + 4) * m * m + _TIME_BYTES * n_times)
 
 
 def _spans(n_rows, block):
@@ -341,12 +353,12 @@ class _PathBlocks:
     """A simulator's paths as `_run_blocks` steps them: n_paths columns in
     blocks of `block` (`_spans`); rows(k, cols, scratch) is an iterator over
     block k's rows, the columns cols at each time in order, each valid until
-    the next; scratch() makes one worker's scratch set."""
+    the next; scratch is one worker's list of float64 arrays of `shapes`."""
 
     n_paths: int
     block: int
     rows: object
-    scratch: object
+    shapes: list
 
 
 def _run(tasks, pool, costs=None):
@@ -379,11 +391,11 @@ def _run(tasks, pool, costs=None):
 def _run_blocks(jobs, workers):
     """Run every block of each (`_PathBlocks`, sink) job as one task on one
     pool of `workers` threads (`_run`), and return when all are done.  Each
-    job makes its scratch sets here, one a worker up to its block count, so
-    they come from this thread's heap; a task takes one that no running
-    task holds and calls sink(cols, rows) with the block's columns and row
-    iterator.  The first exception a task raises, in block order, is raised
-    here."""
+    job's scratch sets are allocated here from its shapes, one a worker up
+    to its block count, so they come from this thread's heap; a task takes
+    one that no running task holds and calls sink(cols, rows) with the
+    block's columns and row iterator.  The first exception a task raises,
+    in block order, is raised here."""
 
     def task(blocks, free, sink, k, cols):
         scratch = free.pop()
@@ -395,7 +407,7 @@ def _run_blocks(jobs, workers):
     tasks = []
     for blocks, sink in jobs:
         spans = _spans(blocks.n_paths, blocks.block)
-        free = [blocks.scratch() for _ in range(min(workers, len(spans)))]
+        free = [[np.empty(s) for s in blocks.shapes] for _ in range(min(workers, len(spans)))]
         tasks += [partial(task, blocks, free, sink, k, slice(a, b))
                   for k, (a, b) in enumerate(spans)]
     _run(tasks, workers)

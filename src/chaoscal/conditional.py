@@ -296,6 +296,13 @@ def _plan_rows(plan, x, normalized, out=None, live=False):
     return out
 
 
+def _plan_rows_bytes(p, frozen, n_rows):
+    """Bytes `_plan_rows` allocates beside its output at n_rows rows over
+    `frozen` positions: their copy, finiteness mask and Hermite table to
+    order p, and a scratch column."""
+    return 8 * n_rows * ((p + 3) * frozen + 1)
+
+
 def _collapse(cell, weights, x, out, work, normalized=False):
     """Write Q_k = sum of weights[column] * c * frozen factors over pattern k's
     terms into out[k], (len(patterns), n_rows), at the rows x of I^t

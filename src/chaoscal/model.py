@@ -11,21 +11,18 @@ plan per (indices, Gram tail).  Calibration writes the blocks into one
 matrix (`sample_features`), since its price Jacobian needs every row; it
 keeps only the columns that can be nonzero at the maturity
 (`_live_columns`) and redraws one such matrix in place at each
-resimulation.
-Pricing sums each block of draws to S_T at once (`_sample_terminal`),
-through the feature plan's `_collapse`, so it builds no feature row and
-holds one block of draws and a `_collapse_rows` chunk's work whatever the
-path count; its bits agree with `terminal_values` to rounding only.
-`_path_rows` gives the model's paths as blocks for `bases._run_blocks`:
-each block of _PATH_BLOCK paths draws from its own stream, keyed
-(*tags, block), and yields S_t one time at a time, for the exotics fold in
-`reference` or for `path_grid`, which writes them into the (n_times,
-n_paths) grid.  It builds no feature rows on any basis: over a cell
-(`_cell`), S_t is a polynomial in the running positions' integrals whose
-coefficients are fixed once the other positions are, so each cell sums the
-chaos onto that polynomial once and each time evaluates it, elementwise,
-with no BLAS product.  A Legendre time is a cell of its own with no running
-position, and its features are the plan of that cell (`_plan`, cached).
+resimulation.  Pricing sums each block of draws to S_T at once
+(`_sample_terminal`), through the feature plan's `_collapse`, so it builds
+no feature row; its bits agree with `terminal_values` to rounding only.
+`_path_rows` gives the model's paths as blocks for `bases._run_blocks`, for
+the exotics fold in `reference` or for `path_grid`, and builds no feature
+rows on any basis: each cell sums the chaos onto a polynomial in its
+running positions once, and each time evaluates it.
+
+Each kernel states its arrays once, as shapes for given sizes
+(`_draw_shapes`, `_terminal_shapes`, `_rows_shapes`): it allocates from
+them, one set a call or a worker whatever the path count, and its byte
+count, checked against MAX_BYTES before the first draw, sums them.
 
 Every product `features @ coefficients` of a held matrix, the quadrature
 nodes' and `terminal_values`', runs over row blocks that start at
@@ -58,20 +55,22 @@ import numpy as np
 
 from .bases import (
     _PATH_BLOCK,
+    _TIME_BYTES,
     PiecewiseConstantBasis,
     _block_walk,
+    _bytes,
     _check_times,
     _interval_roots,
     _PathBlocks,
     _run_blocks,
     _spans,
     _walk_bytes,
-    _walk_scratch,
+    _walk_shapes,
     _workers,
     cell_index,
     gram_tail,
 )
-from .conditional import _cell_plan, _cell_rows, _collapse, _plan_rows
+from .conditional import _cell_plan, _cell_rows, _collapse, _plan_rows, _plan_rows_bytes
 from .errors import ValidationError
 from .indices import _set_bytes, enumerate_indices, index_space_dim
 
@@ -129,22 +128,13 @@ class FeatureBlock:
     features: np.ndarray  # (n_paths, n_indices), or the live columns; enumeration order
 
 
-def _row_bytes(p, m, d):
-    """Bytes per block row: features, scratch, normals, their copy, Hermite table."""
-    return 8 * (index_space_dim(p, m, d) + (p + 3) * m * d)
-
-
 def _block_rows(p, m, d):
-    """Rows per feature block: as many as fit in _BLOCK_BYTES, rounded down to
-    a multiple of _ROW_ALIGN, and within [_ROW_ALIGN, _MAX_BLOCK_ROWS]."""
-    rows = _BLOCK_BYTES // _row_bytes(p, m, d) // _ROW_ALIGN * _ROW_ALIGN
+    """Rows per feature block: as many rows of features, normals, their copy
+    and Hermite table as fit in _BLOCK_BYTES, rounded down to a multiple of
+    _ROW_ALIGN, and within [_ROW_ALIGN, _MAX_BLOCK_ROWS]."""
+    row = 8 * (index_space_dim(p, m, d) + (p + 3) * m * d)
+    rows = _BLOCK_BYTES // row // _ROW_ALIGN * _ROW_ALIGN
     return min(_MAX_BLOCK_ROWS, max(_ROW_ALIGN, rows))
-
-
-def _block_bytes(p, m, d, n_rows):
-    """Bytes of the largest block of n_rows rows, with 2 m d + 2 temporaries."""
-    row = _row_bytes(p, m, d) + 8 * (2 * m * d + 2)
-    return row * min(n_rows, _block_rows(p, m, d))
 
 
 def _row_dot(features, theta):
@@ -165,15 +155,14 @@ def _plan(p, m, d, basis, t, running):
 
 
 def _index_bytes(p, m, d, n_plans):
-    """Bytes the index layer may hold with n_plans plans cached: the
+    """Bytes the index layer may hold with n_plans plans alive: the
     enumerated set (`_set_bytes`), at most 512 bytes a column per plan, and
     the larger of a plan build's M x M matrices (4 in the Legendre `gram_tail`)
     and couplings, within M^2 + 3 (d + 1) q words for q = M (M + 1) / 2, and
     the n x M*d exponent and power tables of `second_moment_coeffs`."""
     n = index_space_dim(p, m, d) - 1
-    plans = 64 * n * min(n_plans, _PLANS)
     build = m * m + 3 * (d + 1) * m * (m + 1) // 2
-    return _set_bytes(p, m, d) + 8 * (plans + max(build, 2 * n * m * d))
+    return _set_bytes(p, m, d) + 8 * (64 * n * n_plans + max(build, 2 * n * m * d))
 
 
 def _feature_plan(model, t):
@@ -190,38 +179,47 @@ def _live_columns(model, t):
     return _feature_plan(model, t).live
 
 
+def _draw_shapes(basis, m, d, rows, roots=None):
+    """A feature draw's arrays for a block of `rows` rows: the normals on
+    the piecewise basis, a walk's arrays (`bases._walk_shapes`) on others."""
+    if isinstance(basis, PiecewiseConstantBasis):
+        return [(rows, m * d)]
+    return _walk_shapes(m, d, rows, roots)
+
+
 def _feature_blocks(model, t, n_paths, driver, tags=(), out=None, live=False):
     """Check the arguments; return an iterator over (first row, x) blocks of
     the draws under the E[Phi_a | F_t] matrix that `sample_features`
     returns: x holds the normalized values I^t / sqrt(v) on the piecewise
-    basis, I^t on the others, (rows, M*d).  If `out` is given, each block's
-    rows of that matrix (its `_live_columns` only if `live`) are written
-    into its rows of `out` before the block is yielded.
+    basis, I^t on the others, (rows, M*d), valid until the next block.  If
+    `out` is given, each block's rows of that matrix (its `_live_columns`
+    only if `live`) are written into its rows of `out` before the block is
+    yielded.
 
     Piecewise basis: exact, from iid standard normals (full-cell increments
     below the running cell, the normalized partial increment at it).  Other
     bases: the Dyson series on exactly drawn Ito integrals I^t.  Every block
     draws after the one before from one generator, so the blocks are the
-    rows of a single draw, bit for bit.
-    """
+    rows of a single draw, bit for bit, into one set of `_draw_shapes`."""
     if not 0.0 < t <= model.horizon:
         raise ValidationError(f"maturity {t} outside (0, {model.horizon}]")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     plan = _feature_plan(model, t)
     piecewise = isinstance(model.basis, PiecewiseConstantBasis)
+    roots = None if piecewise else _interval_roots(model.basis, [t])
+    size = min(n_paths, _block_rows(model.p, model.m, model.d))
+    draws = [np.empty(shape)
+             for shape in _draw_shapes(model.basis, model.m, model.d, size, roots)]
 
     def blocks():
         gen = driver.generator(*tags)
-        roots = None if piecewise else _interval_roots(model.basis, [t])
-        for a, b in _spans(n_paths, _block_rows(model.p, model.m, model.d)):
+        for a, b in _spans(n_paths, size):
             if piecewise:
-                x = gen.standard_normal((b - a, model.m * model.d))
-            else:
-                # a walk of one time; only its running sum outlives the statement
-                x = next(_block_walk(roots, gen, _walk_scratch(model.basis, roots, model.d,
-                                                               b - a), b - a))
-                x = x.reshape(b - a, -1)
+                x = draws[0][: b - a]
+                gen.standard_normal(out=x)
+            else:  # a walk of one time
+                x = next(_block_walk(roots, gen, draws, b - a)).reshape(b - a, -1)
             if out is not None:
                 _plan_rows(plan, x, normalized=piecewise, out=out[a:b], live=live)
             yield a, x
@@ -230,11 +228,13 @@ def _feature_blocks(model, t, n_paths, driver, tags=(), out=None, live=False):
 
 
 def _features_bytes(model, n_paths, width):
-    """Bytes `sample_features` holds: its (n_paths, width) matrix, a feature
-    block (`_block_bytes`) and the index layer with one plan."""
+    """Bytes `sample_features` holds: its (n_paths, width) matrix, a block's
+    draws and `_plan_rows` temporaries, and the index layer with one plan."""
     p, m, d = model.p, model.m, model.d
     n = max(n_paths, 0)
-    return 8 * n * width + _block_bytes(p, m, d, n) + _index_bytes(p, m, d, 1)
+    rows = min(n, _block_rows(p, m, d))
+    return (8 * n * width + _bytes(_draw_shapes(model.basis, m, d, rows))
+            + _plan_rows_bytes(p, m * d, rows) + _index_bytes(p, m, d, 1))
 
 
 def sample_features(model, t, n_paths, driver, tags=(), live=False, out=None):
@@ -259,14 +259,22 @@ def sample_features(model, t, n_paths, driver, tags=(), live=False, out=None):
     return FeatureBlock(float(t), out)
 
 
+def _terminal_shapes(p, m, d, basis, n_paths):
+    """`_sample_terminal`'s arrays beside S_t, at their widest: a block of
+    draws (`_draw_shapes`) and the `_collapse` work (`_work`)."""
+    rows = min(n_paths, _block_rows(p, m, d))
+    return _draw_shapes(basis, m, d, rows) + [(_work(p, m, d, n_paths),)]
+
+
 def _sample_terminal(model, t, n_paths, driver, tags=(), out=None):
     """S_t samples on the streams of `sample_features`, written into `out`
     if given: each block of draws is summed at the coefficients through the
     feature plan (`_collapse`, in `_collapse_rows` chunks), so no feature
-    row is built.  Its products sum in another order than `terminal_values`
-    does, so the two agree to rounding, not bit for bit; each row is summed
-    on its own, in numpy's elementwise loops, so the bits depend on neither
-    the block size nor BLAS."""
+    row is built; beside S_t it holds `_terminal_shapes`.  Its products sum
+    in another order than `terminal_values` does, so the two agree to
+    rounding, not bit for bit; each row is summed on its own, in numpy's
+    elementwise loops, so the bits depend on neither the block size nor
+    BLAS."""
     blocks = _feature_blocks(model, t, n_paths, driver, tags)  # checks t and n_paths
     plan = _feature_plan(model, t)
     normalized = isinstance(model.basis, PiecewiseConstantBasis)
@@ -352,20 +360,23 @@ def _patterns(model):
     return 1
 
 
+def _rows_shapes(model, n_paths, roots=None):
+    """A `_path_rows` worker's scratch: a block's walk (`bases._walk_shapes`),
+    Q array (`_patterns` rows) and row, and the work buffer (`_work`)."""
+    size = min(n_paths, _PATH_BLOCK)
+    return _walk_shapes(model.m, model.d, size, roots) + [
+        (_patterns(model), size), (size,), (_work(model.p, model.m, model.d, n_paths),)]
+
+
 def _rows_bytes(model, n_times, n_paths):
-    """Bytes `_path_rows` holds on the block runner: the walk
-    (`bases._walk_bytes`); each worker's Q array (`_patterns` rows of a
-    block), row and work buffer (`_work`); 256 bytes a time for its place in
-    the schedule; and the index layer with two plans a cell (per time on
-    Legendre, per cell on a piecewise grid): its plan over the running
-    positions, and the feature plan that pricing may have cached at its
-    end."""
+    """Bytes `_path_rows` holds: its walk with `_rows_shapes` a worker,
+    _TIME_BYTES a time of its schedule, and the index layer with the plans
+    the schedule holds, one a cell (a time on Legendre), and as many more
+    that pricing may have cached, up to _PLANS."""
     p, m, d = model.p, model.m, model.d
     cells = min(n_times, m) if isinstance(model.basis, PiecewiseConstantBasis) else n_times
-    block = min(n_paths, _PATH_BLOCK)
-    return (_walk_bytes(model.basis, d, n_times, n_paths)
-            + 8 * _workers(n_paths) * (block * (_patterns(model) + 1) + _work(p, m, d, n_paths))
-            + 256 * n_times + _index_bytes(p, m, d, 2 * cells))
+    return (_walk_bytes(model.basis, d, n_times, n_paths, _rows_shapes(model, n_paths))
+            + _TIME_BYTES * n_times + _index_bytes(p, m, d, cells + min(cells, _PLANS)))
 
 
 def _check_held(need, n_times, n_paths):
@@ -401,11 +412,12 @@ def _path_rows(model, times, n_paths, driver, tags=()):
     `_collapse_rows` chunks); each time evaluates that polynomial over the
     block (`_cell_rows`).  On Legendre every time is its own cell, its row
     is Q_0 and no position runs, so it needs neither a Gram tail nor more
-    than one Q row.  The walk, the Q arrays (`_patterns` rows) and both
-    kernels' Hermite tables live in the worker's scratch set, so a block
-    allocates nothing on its thread: with the tables allocated there, each
-    worker thread's heap kept them, and the desk_eval benchmark's peak RSS
-    read 64.5 MB against 59.5 MB (2 CPUs, numpy 2.4).
+    than one Q row, and the schedule holds every time's plan.  The walk, the
+    Q arrays and both kernels' Hermite tables live in the worker's scratch
+    set (`_rows_shapes`), so a block allocates nothing on its thread: with
+    the tables allocated there, each worker thread's heap kept them, and the
+    desk_eval benchmark's peak RSS read 64.5 MB against 59.5 MB (2 CPUs,
+    numpy 2.4).
     """
     times = _check_times(times)
     roots = _interval_roots(model.basis, times)
@@ -425,12 +437,6 @@ def _path_rows(model, times, n_paths, driver, tags=()):
              if running else still)
         schedule.append((cell, opens, v))
     chunk = _collapse_rows(model.p, model.m, d)
-    size = min(n_paths, _PATH_BLOCK)
-
-    def scratch():
-        return _walk_scratch(model.basis, roots, d, size) + (
-            np.empty((_patterns(model), size)), np.empty(size),
-            np.empty(_work(model.p, model.m, d, n_paths)))
 
     def rows(k, cols, scratch):
         n = cols.stop - cols.start
@@ -449,7 +455,7 @@ def _path_rows(model, times, n_paths, driver, tags=()):
                 _cell_rows(cell, q, ints, v, row, work)
             yield row
 
-    return _PathBlocks(n_paths, _PATH_BLOCK, rows, scratch)
+    return _PathBlocks(n_paths, _PATH_BLOCK, rows, _rows_shapes(model, n_paths, roots))
 
 
 def path_grid(model, times, n_paths, driver, tags=()):

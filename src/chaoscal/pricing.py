@@ -59,10 +59,11 @@ Outside calibration no MC feature matrix is held whole: the draws of a
 maturity, and of its CV sample, are reduced to S_T block by block, so
 memory grows with the path count only through S_T and the payoff matrix.
 Calibration holds each MC maturity's live feature columns (`_Group`).
-
 Every rule a surface must pass before a draw (horizon, method against
 basis, byte cap) is stated once, in `_check_surface`, which
-`_maturity_groups` runs before its first draw.
+`_maturity_groups` runs before its first draw; its byte count composes the
+kernels' counts (`model._terminal_shapes`, `_pass_bytes`), not a formula of
+its own.
 """
 
 import warnings
@@ -72,14 +73,15 @@ from functools import partial
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .bases import PiecewiseConstantBasis, _run, _threads, cell_index
-from .conditional import _plan_rows
+from .bases import PiecewiseConstantBasis, _bytes, _run, _threads, cell_index
+from .conditional import _plan_rows, _plan_rows_bytes
 from .errors import ConfigError, NumericError, ValidationError
 from .indices import index_space_dim
 from .model import (
+    _PLANS,
     MAX_BYTES,
     _ROW_ALIGN,
-    _block_bytes,
+    _block_rows,
     _check_held,
     _feature_plan,
     _index_bytes,
@@ -87,6 +89,7 @@ from .model import (
     _row_dot,
     _sample_terminal,
     _spans,
+    _terminal_shapes,
     sample_features,
     second_moment,
     second_moment_coeffs,
@@ -162,12 +165,16 @@ def gauss_hermite_rule(n):
 
 
 def _quad_node_bytes(n, dims, width, n_indices, p):
-    """Peak bytes of the float64 arrays `quad_nodes_features` holds at once
-    over its n^dims rows, in columns: the weights (1), the nodes in the M*d
-    layout (width), the feature build's copy of the live nodes, their Hermite
-    table up to order p, a scratch column and one column for the small arrays
-    around them ((p + 2) dims + 2), and the features (n_indices)."""
-    return 8 * n**dims * (1 + width + (p + 2) * dims + 2 + n_indices)
+    """Peak bytes `quad_nodes_features` holds over its n^dims rows: the
+    weights, a column for the small arrays, the nodes in the M*d layout
+    (width), the features (n_indices), and the `_plan_rows` temporaries."""
+    return 8 * n**dims * (2 + width + n_indices) + _plan_rows_bytes(p, dims, n**dims)
+
+
+def _pass_bytes(n_rows, n_cols):
+    """Bytes a pricing pass holds over n_rows samples: S_T, 5 temporaries
+    and n_cols rows: a payoff per strike, or a CV sample's two variates."""
+    return 8 * n_rows * (n_cols + 6)
 
 
 def _quad_dims(basis, t, d):
@@ -230,16 +237,14 @@ def _check_surface(p, m, d, basis, quotes, schedule, schedule_name, features):
     """Raise ValidationError unless a model of shape (p, m, d, basis) can
     price the quotes: each maturity within the horizon (`_check_horizon`);
     quadrature or a degree-2 CV only on the piecewise-constant basis, whose
-    closed forms they need; and at most MAX_BYTES held: to the end, each
-    maturity's quadrature nodes and, for a fit, its live feature columns,
-    weights and the S_T a loss pass keeps, its CV sample's S_T, which a
-    build draws for every maturity at once, and 8 n x n matrices, and the
-    index layer with a plan per maturity; for the largest maturity, a
-    feature block, a CV draw (8 arrays), S_T, 5 temporaries, a payoff per
-    strike, and the S_T and CV draw (3 arrays) left by another.  A fit's
-    draws and passes run on `_fit_workers` threads at once, so it counts
-    the largest maturity's once a worker.  A quadrature maturity's kept S_T
-    fits in its node build's temporaries."""
+    closed forms they need; and at most MAX_BYTES held, composed of the
+    kernels' counts.  Held to the end: each maturity's quadrature nodes or,
+    for a fit, its live feature columns, weights, kept S_T and CV S_T; a
+    fit's 8 n x n matrices; the index layer with a plan per maturity.  For
+    the largest maturity: its draws (`model._terminal_shapes`, and a fit's
+    `_plan_rows` temporaries) and passes (`_pass_bytes`), once a worker of
+    a fit's pool (`_fit_workers`); and the S_T and CV draw (3 arrays) left
+    by another."""
     mats = sorted({q.maturity for q in quotes.quotes})
     _check_horizon(mats, basis.horizon)
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
@@ -262,14 +267,17 @@ def _check_surface(p, m, d, basis, quotes, schedule, schedule_name, features):
             cv = method.beta_samples if method.cv_degree else 0
             live = index_space_dim(p, cell_index(basis, t), d) - 1 if piecewise else n
             held = 8 * (rows * (live + 2) + cv) if features else 0
-            freed = _block_bytes(p, m, d, max(rows, cv)) + 64 * cv
+            freed = _bytes(_terminal_shapes(p, m, d, basis, max(rows, cv))) + _pass_bytes(cv, 2)
+            if features:
+                freed += _plan_rows_bytes(p, m * d, min(rows, _block_rows(p, m, d)))
             alive = 8 * (rows + 3 * cv)
         strikes = sum(q.maturity == t for q in quotes.quotes)
-        need[sizes, t] = held, freed + 8 * rows * (strikes + 6), alive
+        need[sizes, t] = held, freed + _pass_bytes(rows, strikes), alive
     held, freed, alive = zip(*need.values(), (0, 0, 0))  # a surface may be empty
     workers = max(1, _fit_workers(quotes, schedule)) if features else 1
     total = (sum(held) + workers * max(freed) + max(alive)
-             + (64 * n * n if features else 0) + _index_bytes(p, m, d, len(need)))
+             + (64 * n * n if features else 0)
+             + _index_bytes(p, m, d, min(len(need), _PLANS)))
     if total > MAX_BYTES:
         sizes, t = max(need, key=lambda key: sum(need[key]))
         raise ValidationError(
@@ -340,11 +348,11 @@ def _cv_solve(draw, k):
 
 
 def _cv_bytes(model, n):
-    """Bytes a CV draw of n paths holds: one feature block, 8 arrays of n
-    (as `_check_surface` counts it) and the index layer with one plan."""
+    """Bytes a CV draw of n paths holds: `model._terminal_shapes`, its
+    statistics (`_pass_bytes`) and the index layer with one plan."""
     p, m, d = model.p, model.m, model.d
-    n = max(n, 0)
-    return _block_bytes(p, m, d, n) + 64 * n + _index_bytes(p, m, d, 1)
+    return (_bytes(_terminal_shapes(p, m, d, model.basis, n)) + _pass_bytes(n, 2)
+            + _index_bytes(p, m, d, 1))
 
 
 def estimate_cv(model, block, k, degree, driver, beta_samples=10_000, tags=()):

@@ -55,8 +55,8 @@ import numpy as np
 
 from .bases import (
     _PATH_BLOCK,
-    _TASK_BYTES,
     _check_times,
+    _job_bytes,
     _PathBlocks,
     _run_blocks,
     _workers,
@@ -605,7 +605,8 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
             x += w4
             np.copyto(v, w3)
 
-    def rows(k, cols, scratch):
+    def rows(k, cols, arrays):
+        (scratch,) = arrays
         m = cols.stop - cols.start
         gen = driver.generator(*tags, k)
         x, v, s = scratch[10:, :m]
@@ -618,22 +619,22 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
             np.exp(x, out=s)
             yield (s, v) if return_variance else s
 
-    size = min(n_paths, _PATH_BLOCK)
-    return _PathBlocks(n_paths, _PATH_BLOCK, rows, lambda: np.empty((13, size)))
+    return _PathBlocks(n_paths, _PATH_BLOCK, rows, _heston_shapes(n_paths))
+
+
+def _heston_shapes(n_paths):
+    """A `_heston_rows` worker's scratch: a block's two rows of normals, its
+    uniforms, seven work rows, its log price, variance and S."""
+    return [(13, min(n_paths, _PATH_BLOCK))]
 
 
 def _heston_bytes(n_paths):
-    """Bytes `_heston_rows` holds on the block runner: each worker's scratch
-    (a block's two rows of normals, its uniforms, seven work rows, its log
-    price, variance and S) and what a step allocates beside it (at most
-    _STEP_ROWS rows: the exponential law's index and, on paths where
-    E[exp(A V')] is infinite, the uncorrected drift's temporaries), and
-    _TASK_BYTES a block and a worker for the Python objects around them:
-    generators, tasks, threads."""
-    blocks = -(-n_paths // _PATH_BLOCK)
-    workers = _workers(n_paths)
-    return (8 * (13 + _STEP_ROWS) * workers * min(n_paths, _PATH_BLOCK)
-            + _TASK_BYTES * (blocks + workers))
+    """Bytes `_heston_rows` holds: its job of `_heston_shapes` and, a
+    worker, what a step allocates beside it: at most _STEP_ROWS rows (the
+    exponential law's index and, on paths where E[exp(A V')] is infinite,
+    the uncorrected drift's temporaries)."""
+    (shape,) = _heston_shapes(n_paths)
+    return _job_bytes([shape, (_STEP_ROWS, shape[1])], n_paths, _PATH_BLOCK, _workers(n_paths))
 
 
 def heston_simulate(

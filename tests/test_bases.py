@@ -251,7 +251,7 @@ class TestSampling:
             if next(rows) == 1:
                 raise ZeroDivisionError("block 1")
 
-        blocks = _PathBlocks(10 * 64, 64, rows, lambda: None)
+        blocks = _PathBlocks(10 * 64, 64, rows, [])
         for workers in (1, 2):
             with pytest.raises(ZeroDivisionError, match="block 1"):
                 _run_blocks([(blocks, sink)], workers)

@@ -624,6 +624,21 @@ class TestExotics:
                 assert row[f"{side}_se"] == repr(se)
                 assert row[f"{side}_iv"] == repr(iv)
 
+    def test_legendre_plans_past_the_cache_are_counted(self, tmp_path, monkeypatch, capsys):
+        # a Legendre fold keeps every monitoring time's plan, past the 256 the
+        # plan cache keeps: 44 coefficients at 1024 steps of 10 paths held
+        # 15.2 MB (tracemalloc, the whole command), where a count that
+        # stopped at 256 plans read 8.4 MB; a cap between them exits 2
+        from chaoscal import model as model_module
+
+        model = ChaosModel(100.0, 2, 4, 2, LegendreBasis(1.0, 4), np.linspace(-1.0, 1.0, 44))
+        serialize_model(model, tmp_path / "legendre.json")
+        monkeypatch.setattr(model_module, "MAX_BYTES", 12_000_000)
+        rc, _ = self.run_exotics(tmp_path, [{"type": "lookback", "maturity": 1.0}], paths=10,
+                                 steps=1024, model_path=tmp_path / "legendre.json")
+        assert rc == 2
+        assert "key 'monitoring_steps' = 1024 with --paths 10" in capsys.readouterr().err
+
     def test_reference_columns_blank_without_reference(self, tmp_path):
         rc, out = self.run_exotics(
             tmp_path, [{"type": "lookback", "maturity": 1.0}], paths=2000

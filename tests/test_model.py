@@ -10,7 +10,7 @@ from chaoscal.bases import (
     PiecewiseConstantBasis,
     _block_walk,
     _interval_roots,
-    _walk_scratch,
+    _walk_shapes,
     cell_index,
     gram_tail,
     sample_integrals,
@@ -318,7 +318,8 @@ class TestPathGrid:
             assert_ulps(rows[ti], want)
         # the second block is a walk of its own on the stream (tags, 1)
         roots = _interval_roots(basis, times)
-        walk = _block_walk(roots, drv.generator(4, 1), _walk_scratch(basis, roots, 2, 3), 3)
+        scratch = [np.empty(shape) for shape in _walk_shapes(basis.size, 2, 3, roots)]
+        walk = _block_walk(roots, drv.generator(4, 1), scratch, 3)
         for ti, last in enumerate(walk):
             np.testing.assert_array_equal(ints[ti, -3:], last.reshape(3, -1))
 

@@ -14,7 +14,8 @@ from scipy.stats import norm
 import chaoscal
 from chaoscal import model as model_module
 from chaoscal import pricing
-from chaoscal.bases import BrownianDriver, LegendreBasis, PiecewiseConstantBasis, cell_index
+from chaoscal.bases import (BrownianDriver, LegendreBasis, PiecewiseConstantBasis, cell_index,
+                            sample_integrals)
 from chaoscal.conditional import piecewise_features
 from chaoscal.errors import ConfigError, NumericError, ValidationError
 from chaoscal.indices import MultiIndex, _set_bytes, enumerate_indices
@@ -894,6 +895,72 @@ class TestByteBound:
                                  reference._heston_rows(params, times, n, BrownianDriver(3))],
                                 times, specs)
 
+    @pytest.mark.parametrize("entry", ["path_grid", "exotics"])
+    def test_legendre_path_rows_count_a_plan_a_time(self, monkeypatch, entry):
+        # a Legendre schedule keeps each time's plan for the whole call, past
+        # the _PLANS plans the cache keeps (lowered here so that 64 more times
+        # show it): the count must grow by at least what they add to the
+        # traced peak, path_grid's and the exotics fold's
+        from chaoscal import reference
+        from chaoscal.vol import LookbackCall
+
+        model, _ = block_model("legendre")
+        monkeypatch.setattr(model_module, "_PLANS", 1)
+        n, specs = 10, [LookbackCall(1.0)]
+
+        def grown(run, count):
+            peaks = []
+            for times in (np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 129)):
+                run(times)  # lazy set-up outside the trace; plans built inside
+                model_module._plan.cache_clear()
+                tracemalloc.start()
+                try:
+                    run(times)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - count(len(times)))
+                finally:
+                    tracemalloc.stop()
+            return peaks[1] - peaks[0]
+
+        if entry == "path_grid":
+            assert grown(lambda times: path_grid(model, times, n, BrownianDriver(3)),
+                         lambda k: 8 * n * k + model_module._rows_bytes(model, k, n)) <= 0
+        else:
+            assert grown(lambda times: reference._fold_exotics(
+                [model_module._path_rows(model, times, n, BrownianDriver(3))], times, specs),
+                lambda k: reference._fold_bytes(model, k, n, specs, False)) <= 0
+
+    # a Legendre Gram tail takes a quadrature a time, so its grid is shorter
+    @pytest.mark.parametrize("kind,n_times", [("piecewise", 1025), ("legendre", 257)])
+    def test_sample_integrals_peak_within_the_bound(self, monkeypatch, kind, n_times):
+        # the roots hold a tuple, an array view and a scalar a time, which a
+        # count with no term a time missed: by about 280 KB at 1025 times of
+        # 100 paths on one piecewise cell
+        spec = (PiecewiseConstantBasis.uniform(1.0, 1) if kind == "piecewise"
+                else LegendreBasis(1.0, 4))
+        times, n = np.linspace(0.0, 1.0, n_times), 100
+        peak = self.peak(lambda: sample_integrals(spec, BrownianDriver(3), times, n, d=2))
+        monkeypatch.setattr(model_module, "MAX_BYTES", peak - 1)
+        with pytest.raises(ValidationError, match=r"need \d+ bytes"):
+            sample_integrals(spec, BrownianDriver(3), times, n, d=2)
+
+    # 30000 paths are three feature blocks on piecewise, two on Legendre
+    @pytest.mark.parametrize("entry", ["sample_features", "estimate_cv"])
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_draw_peak_within_the_bound(self, monkeypatch, kind, entry):
+        model, degree = block_model(kind)
+        n = 30_000
+        block = sample_features(model, 1.0, 10, BrownianDriver(2))
+
+        def run():
+            if entry == "sample_features":
+                return sample_features(model, 1.0, n, BrownianDriver(3))
+            return estimate_cv(model, block, 100.0, degree, BrownianDriver(3), n)
+
+        peak = self.peak(run)
+        monkeypatch.setattr(model_module, "MAX_BYTES", peak - 1)
+        with pytest.raises(ValidationError, match=r"need \d+ bytes"):
+            run()
+
     @pytest.mark.parametrize("entry", ["sample_features", "estimate_cv"])
     def test_sampler_at_the_byte_cap(self, monkeypatch, entry):
         # one byte under its count, a sampler raises naming n_paths before a
@@ -937,14 +1004,15 @@ class TestByteBound:
         pricing._check_surface(2, 4, 1, basis, quotes, PricingSchedule(), "schedule", False)
 
     def test_feature_block_of_a_large_model_is_counted(self):
-        # a block holds at least 1024 rows: 2.6 GB for 316,250 coefficients
-        # at any path count, counted without enumerating the coefficients
+        # a fit's feature matrix of 316,250 columns (5.1 GB at 2000 paths) is
+        # counted without enumerating the coefficients; evaluation builds no
+        # feature row
         basis = PiecewiseConstantBasis.uniform(1.0, 4)
         quotes = strike_quotes((1.0,), (100.0,))
         sched = PricingSchedule(PricingMethod("mc", n_paths=2000, cv_degree=0))
         with pytest.raises(ValidationError,
                            match=r"316250 coefficients at n_paths = 2000, "):
-            pricing._check_surface(50, 4, 1, basis, quotes, sched, "schedule", False)
+            pricing._check_surface(50, 4, 1, basis, quotes, sched, "schedule", True)
         pricing._check_surface(2, 4, 1, basis, quotes, sched, "schedule", False)
 
     @pytest.mark.parametrize("kind,p,m,d", [
