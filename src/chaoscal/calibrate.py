@@ -54,9 +54,10 @@ the one raised.  Outside a fit, `build_workspace`, `workspace_loss` and
 
   and prices theta + delta with one loss pass: a step that lowers the ridge
   objective is accepted and lambda divided by 3, otherwise lambda is
-  multiplied by 4.  The loss pass hands each maturity's S_T to the
-  Jacobian at an accepted step, which reads them rather than recomputing
-  features @ theta and writes no row of its own.  The floor in D
+  multiplied by 4.  The loss pass hands each maturity's S_T and prices to
+  the Jacobian at an accepted step, which reads them rather than recomputing
+  features @ theta, the payoffs and the CV sums, and writes no row of its
+  own.  The floor in D
   bounds the step of a coefficient whose curvature is tiny (one that few
   quotes see, with no ridge), where Marquardt's diag(H) alone lets it run
   away.  lambda starts at 1e-3 on each workspace, which takes three
@@ -64,9 +65,14 @@ the one raised.  Outside a fit, `build_workspace`, `workspace_loss` and
   coefficients are the best by the loss of each workspace's first pass,
   which prices them on streams they were not fitted to; coefficients that
   moved on the last workspace are priced on one more, so a fit's last row
-  can be one beyond max_iterations.  J^T Gamma J and
-  J^T Gamma r are einsum reductions; the small solve goes through LAPACK,
-  whose bits acceptance criterion c13 checks across BLAS thread counts.
+  can be one beyond max_iterations.  A workspace that draws nothing (every
+  maturity on quadrature) makes its round a function of theta alone, so
+  once such a round accepts no step it is a fixed point: its rows are
+  recorded again for each round left rather than rebuilt and repriced, and
+  patience and max_iterations end the fit on the rows they would have.
+  J^T Gamma J and J^T Gamma r are einsum reductions; the small solve goes
+  through LAPACK, whose bits acceptance criterion c13 checks across BLAS
+  thread counts.
 * "adamw" takes one AdamW step per pass, resim_every steps per workspace,
   along the gradient -2 J^T Gamma r of the same Jacobian, and returns the
   best coefficients by the loss of any pass.  Decoupled weight decay
@@ -229,10 +235,13 @@ def _by_group(work, ws, *args):
     call as a task (`bases._run`) on the fit's pool, or outside a fit on one
     of this call's, and each quadrature group's on this thread, since it
     draws nothing and its `_row_dot` may use BLAS threads.  The tasks run
-    first; the first exception among them in maturity order is raised."""
+    first, the one over the most feature entries (paths x live columns)
+    started first; the first exception among them in maturity order is
+    raised."""
     calls = [partial(work, *call) for call in zip(ws, *args)]
     drawn = [call for g, call in zip(ws, calls) if g.kind == "mc"]
-    done = iter(_run(drawn, _FIT_POOL.get() or _threads(len(drawn))))
+    costs = [g.features.size for g in ws if g.kind == "mc"]
+    done = iter(_run(drawn, _FIT_POOL.get() or _threads(len(drawn)), costs))
     return [next(done) if g.kind == "mc" else call() for g, call in zip(ws, calls)]
 
 
@@ -240,15 +249,15 @@ def workspace_loss(ws, theta, kept=None):
     """Loss of the frozen workspace at coefficients theta: one pricing pass
     per maturity, each Monte Carlo maturity's a task (`_by_group`) that
     drops its payoffs before it ends, and the sum in maturity order.  Each
-    maturity's S_T is appended to the list `kept`, if one is given, for
-    `_normal_equations` at the same theta.  The gradient is -2 J^T Gamma r
-    from `_normal_equations`.
+    maturity's (S_T, prices) is appended to the list `kept`, if one is
+    given, for `_normal_equations` at the same theta.  The gradient is
+    -2 J^T Gamma r from `_normal_equations`.
     """
     theta = np.asarray(theta, dtype=float)
     total = 0.0
     for g, (s, prices) in zip(ws, _by_group(lambda g: _group_prices(g, theta)[::2], ws)):
         if kept is not None:
-            kept.append(s)
+            kept.append((s, prices))
         resid = g.targets - prices
         total += float(g.gweights @ resid**2)
     return total
@@ -257,14 +266,15 @@ def workspace_loss(ws, theta, kept=None):
 def _normal_equations(ws, theta, kept=None):
     """(loss, J^T Gamma J, J^T Gamma r) of the workspace at theta, with J the
     price Jacobian and r the residuals; the loss is `workspace_loss`'s, bit
-    for bit.  `kept`, the S_T that a `workspace_loss` pass at this very
-    theta kept, are read rather than recomputed, with the same bits.  Each
+    for bit.  `kept`, the (S_T, prices) that a `workspace_loss` pass at this
+    very theta kept, are read rather than recomputed, with the same bits
+    (`pricing._group_jacobian`).  Each
     Monte Carlo maturity's Jacobian is a task (`_by_group`); the sums run
     in maturity order."""
     total = 0.0
     a = np.zeros((len(theta), len(theta)))
     b = np.zeros(len(theta))
-    jacobians = _by_group(lambda g, s: _group_jacobian(g, theta, s), ws,
+    jacobians = _by_group(lambda g, k: _group_jacobian(g, theta, k), ws,
                           kept or [None] * len(ws))
     for g, (prices, jac) in zip(ws, jacobians):
         resid = g.targets - prices
@@ -415,12 +425,21 @@ def _gauss_newton(workspace, theta, cfg, log):
     """Damped Gauss-Newton on the ridge objective.  Each workspace's first
     pass prices theta on streams it was not fitted to and is the only
     candidate pass; a theta that moved after its last such pass is priced on
-    one more workspace."""
+    one more workspace.
+
+    A round on a workspace that draws nothing (quadrature only) is a
+    function of theta alone: its nodes, targets and weights are fixed and
+    lambda restarts at _GN_DAMPING.  Once such a round accepts no step, it
+    returns the theta it started from, so every later round would repeat it
+    bit for bit; its rows are recorded again for each of them instead,
+    until the log ends the fit or the rounds run out."""
     mu = _GN_RIDGE * cfg.weight_decay
     moved = False
-    for r in range(-(-cfg.max_iterations // cfg.resim_every)):
+    rounds = -(-cfg.max_iterations // cfg.resim_every)
+    for r in range(rounds):
         ws = None  # the old groups' path weights and CV betas go first
         ws = workspace(r, theta)
+        first = len(log.history)
         loss_val, a, b = _normal_equations(ws, theta)
         if r == 0:
             _warn_if_frozen(loss_val, a, cfg)
@@ -429,6 +448,13 @@ def _gauss_newton(workspace, theta, cfg, log):
         theta, moved, go = _gauss_newton_round(ws, theta, loss_val, a, b, mu, log)
         if not go:
             break
+        if not moved and all(g.kind == "quad" for g in ws):
+            passes = [(row.loss, row.resimulated) for row in log.history[first:]]
+            for _ in range(r + 1, rounds):
+                for loss_val, resim in passes:
+                    if not log.record(loss_val, theta, resim, resim):
+                        return
+            return
     if moved:
         ws = None
         ws = workspace(r + 1, theta)
@@ -443,14 +469,16 @@ def calibrate(model0, quotes, cfg, schedule):
     workspaces, tagged (r,), at the current coefficients, and write one
     history row per pass, one pricing of a workspace at one theta; the
     Jacobian at an accepted Gauss-Newton step reads its trial's S_T and
-    writes no row.  A fit stops after max_iterations rows, after the last
-    workspace, or by patience (no improvement beyond cfg.tol, absolute,
-    within cfg.patience rows); Gauss-Newton then prices
-    coefficients that moved since their last candidate pass on workspace
-    (r + 1,).  The fit's Monte Carlo draws and passes run on one pool it
-    holds to the end (see the module docstring).  On error the partial
-    history is attached to the exception as `.history`, and the pool is
-    closed once its running tasks end.
+    prices and writes no row.  A Gauss-Newton fit that draws nothing
+    replays its first round that accepts no step for every round left, with
+    the same rows, instead of building and pricing them.  A fit stops after
+    max_iterations rows, after the last workspace, or by patience (no
+    improvement beyond cfg.tol, absolute, within cfg.patience rows);
+    Gauss-Newton then prices coefficients that moved since their last
+    candidate pass on workspace (r + 1,).  The fit's Monte Carlo draws and
+    passes run on one pool it holds to the end (see the module docstring).
+    On error the partial history is attached to the exception as
+    `.history`, and the pool is closed once its running tasks end.
 
     The starting spread must reach the quoted strikes: when every mapped
     strike K S_0 / F sits several init-std spreads away from S_0 (no

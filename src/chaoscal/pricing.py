@@ -528,16 +528,14 @@ def _terminal(g, theta):
     return g.s0 + _row_dot(g.features, theta[g.live])
 
 
-def _group_prices(g, theta, s=None):
+def _group_prices(g, theta):
     """(s, pay, prices): terminal samples, per-strike payoffs and model-world
     CV-adjusted call prices of group g at coefficients theta (a group that
-    carries S_T was sampled at them).  `s`, if given, is this function's s
-    of an earlier call at the same theta, which it then does not recompute.
+    carries S_T was sampled at them).
 
     The control-variate sums come before the payoff matrix, so their
     path-length temporaries are gone before it is allocated."""
-    if s is None:
-        s = g.terminal if g.features is None else _terminal(g, theta)
+    s = g.terminal if g.features is None else _terminal(g, theta)
     cv = []  # per control variate: beta times its sample mean
     if g.beta1 is not None:
         # centred: w.s - S_0 would cancel two O(S_0) numbers to O(spread)
@@ -555,15 +553,18 @@ def _group_prices(g, theta, s=None):
     return s, pay, prices
 
 
-def _group_jacobian(g, theta, s=None):
+def _group_jacobian(g, theta, kept=None):
     """(prices, jac): `_group_prices`' prices of a calibration group and
     their gradients in theta with the CV betas frozen, one row per strike:
 
         J_k = sum_p w_p (1{s_p > K_k} - beta1_k - 2 beta2_k s_p) f_p
               + 2 beta2_k (m2c * theta).
 
-    `s` is passed on to `_group_prices`.  The bracketed weights form a
-    strikes x paths matrix V, built in place in the payoff matrix.  The sum
+    The bracketed weights form a strikes x paths matrix V, which starts as
+    1{s > K}: the bits of 1{(s - K)+ > 0}, since s - K > 0 exactly when
+    s > K in IEEE arithmetic and a NaN sample is false either way.  `kept`,
+    the (s, prices) of a `_group_prices` call at this very theta, are read
+    rather than recomputed, so no payoff matrix or CV sum is formed.  The sum
     over the paths is one BLAS product V_b F_b per block of
     `model._ROW_ALIGN` rows, added in block order, so its bits do not depend
     on the BLAS thread count (`_row_dot`'s 16384-row blocks kept them too,
@@ -572,8 +573,9 @@ def _group_jacobian(g, theta, s=None):
     calibration group drops are annihilated at its maturity, and their
     entries of J stay exact zeros.
     """
-    s, v, prices = _group_prices(g, theta, s)
-    np.greater(v, 0.0, out=v)  # 1{s > K}, in place of the payoffs
+    s, prices = _group_prices(g, theta)[::2] if kept is None else kept
+    v = np.empty((len(g.strikes), len(s)))
+    np.greater(s, g.strikes[:, None], out=v)
     if g.beta1 is not None:
         v -= g.beta1[:, None]
         if g.m2c is not None:

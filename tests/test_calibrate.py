@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -13,9 +14,12 @@ from chaoscal import model as model_module
 from chaoscal import pricing
 from chaoscal.bases import BrownianDriver, PiecewiseConstantBasis
 from chaoscal.calibrate import (
+    _GN_RIDGE,
     CalibrationConfig,
     OptimizerState,
+    _gauss_newton_round,
     _normal_equations,
+    _warn_if_frozen,
     adamw_step,
     build_workspace,
     calibrate,
@@ -345,6 +349,35 @@ class TestFitBuffers:
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("schedule", [MC, QUAD], ids=["mc-cv2", "quad"])
+    def test_jacobian_reads_the_prices_a_loss_pass_kept(self, monkeypatch, schedule):
+        # handed the (S_T, prices) of a loss pass at theta, the Jacobian
+        # forms no payoff matrix or CV sum again, and J equals the
+        # recomputed J bit for bit
+        model, quotes = self.case()
+        ws = build_workspace(model, quotes, np.ones(6), schedule, BrownianDriver(5))
+        real = pricing._group_prices
+        calls = []
+        monkeypatch.setattr(pricing, "_group_prices",
+                            lambda *args: calls.append(args) or real(*args))
+        for theta in (model.coefficients, model.coefficients + 0.5):
+            want = [pricing._group_jacobian(g, theta) for g in ws]
+            kept = []
+            workspace_loss(ws, theta, kept)
+            calls.clear()
+            got = [pricing._group_jacobian(g, theta, k) for g, k in zip(ws, kept)]
+            assert calls == []
+            for (p1, j1), (p2, j2) in zip(got, want):
+                np.testing.assert_array_equal(p1, p2)
+                np.testing.assert_array_equal(j1, j2)
+        # V = 1{s > K} has the bits of the payoff indicator 1{(s - K)+ > 0},
+        # also where s - K rounds, at +-inf and at NaN
+        k = 100.0
+        s = np.array([k, np.nextafter(k, 0.0), np.nextafter(k, 200.0), 5e-324,
+                      np.inf, -np.inf, np.nan])
+        np.testing.assert_array_equal(np.greater(s, k),
+                                      np.greater(np.maximum(s - k, 0.0), 0.0))
+
     def fit_case(self):
         truth = make_model([10.0, 3.0, -1.0, 0.5, 2.0])
         quotes = surface_from_model(truth, self.MATS, [95.0, 100.0, 105.0], QUAD,
@@ -456,6 +489,23 @@ class TestFitPool:
         assert ([(r.loss, r.best_loss, r.resimulated) for r in h1]
                 == [(r.loss, r.best_loss, r.resimulated) for r in h2])
         np.testing.assert_array_equal(fit1.coefficients, fit2.coefficients)
+
+    def test_passes_start_the_longest_task_first(self, monkeypatch):
+        # each pass's Monte Carlo tasks are costed by paths x live columns,
+        # so T 1.0 (all 5 columns) starts before T 0.3 (2 columns)
+        module = sys.modules["chaoscal.calibrate"]
+        real = module._run
+        costs = []
+        monkeypatch.setattr(module, "_run", lambda tasks, pool, cost=None: (
+            costs.append(cost) or real(tasks, pool, cost)))
+        model = make_model([8.0, 10.0, 2.0, 1.5, -2.0])
+        quotes = _Surface([_Quote(t, k, mid_price=5.0, implied_vol=0.2, forward=100.0)
+                           for t in (0.3, 1.0) for k in (95.0, 105.0)])
+        ws = build_workspace(model, quotes, np.ones(4), self.MC, BrownianDriver(5))
+        kept = []
+        workspace_loss(ws, model.coefficients, kept)
+        _normal_equations(ws, model.coefficients, kept)
+        assert costs == [[3000 * 2, 3000 * 5]] * 2
 
     def test_row_dot_runs_only_on_the_calling_thread(self, monkeypatch):
         # the quadrature maturity's S_T goes through BLAS on the calling
@@ -1070,3 +1120,133 @@ class TestCalibrate:
         prices = price_surface(fitted, quotes, QUAD, driver)
         for c, q in zip(prices, quotes.quotes):
             assert c == pytest.approx(q.mid_price, abs=0.05)
+
+
+def _gauss_newton_rerun(workspace, theta, cfg, log):
+    """`calibrate._gauss_newton` as it was before draw-free fixed points were
+    replayed, verbatim: every round is built and priced."""
+    mu = _GN_RIDGE * cfg.weight_decay
+    moved = False
+    for r in range(-(-cfg.max_iterations // cfg.resim_every)):
+        ws = None  # the old groups' path weights and CV betas go first
+        ws = workspace(r, theta)
+        loss_val, a, b = _normal_equations(ws, theta)
+        if r == 0:
+            _warn_if_frozen(loss_val, a, cfg)
+        if not log.record(loss_val, theta, True, True):
+            return
+        theta, moved, go = _gauss_newton_round(ws, theta, loss_val, a, b, mu, log)
+        if not go:
+            break
+    if moved:
+        ws = None
+        ws = workspace(r + 1, theta)
+        log.record(workspace_loss(ws, theta), theta, True, True)
+
+
+class TestFixedPointReplay:
+    """A Gauss-Newton round on a workspace that draws nothing and that accepts
+    no step is replayed for the rounds left, not built and priced again."""
+
+    def counted_fit(self, monkeypatch, quotes, cfg, schedule, rerun=False):
+        """(fitted, history, builds, passes): the fit, its workspace builds
+        and its priced passes (first normal equations and loss passes)."""
+        module = sys.modules["chaoscal.calibrate"]
+        if rerun:  # the old loop, run on the module's globals as it was
+            monkeypatch.setattr(module, "_gauss_newton", types.FunctionType(
+                _gauss_newton_rerun.__code__, vars(module)))
+        counts = {"builds": 0, "passes": 0}
+        real_build = module.build_workspace
+        real_loss, real_normal = module.workspace_loss, module._normal_equations
+
+        def build(*args, **kwargs):
+            counts["builds"] += 1
+            return real_build(*args, **kwargs)
+
+        def counted_loss(ws, theta, kept=None):
+            counts["passes"] += 1
+            return real_loss(ws, theta, kept)
+
+        def counted_normal(ws, theta, kept=None):
+            counts["passes"] += kept is None
+            return real_normal(ws, theta, kept)
+
+        monkeypatch.setattr(module, "build_workspace", build)
+        monkeypatch.setattr(module, "workspace_loss", counted_loss)
+        monkeypatch.setattr(module, "_normal_equations", counted_normal)
+        model0 = make_model(initial_coefficients(5, cfg) * 100.0)
+        fitted, history = calibrate(model0, quotes, cfg, schedule)
+        monkeypatch.undo()
+        return fitted, history, counts["builds"], counts["passes"]
+
+    @staticmethod
+    def rows(history):
+        return [(r.iteration, r.loss, r.best_loss, r.resimulated) for r in history]
+
+    @staticmethod
+    def quotes():
+        truth = make_model([10.0, 3.0, -1.0, 0.5, 2.0])
+        return surface_from_model(truth, [0.3, 1.0], [95.0, 100.0, 105.0], QUAD,
+                                  BrownianDriver(31))
+
+    # to max_iterations, and by patience within the replayed rounds
+    @pytest.mark.parametrize("patience", [1000, 60], ids=["max_iterations",
+                                                                 "patience"])
+    def test_replay_is_the_rerun_bit_for_bit(self, monkeypatch, patience):
+        cfg = CalibrationConfig(max_iterations=300, resim_every=10, seed=7,
+                                patience=patience, tol=1e-12)
+        quotes = self.quotes()
+        fit, history, builds, passes = self.counted_fit(monkeypatch, quotes, cfg, QUAD)
+        want_fit, want, want_builds, want_passes = self.counted_fit(
+            monkeypatch, quotes, cfg, QUAD, rerun=True)
+        assert self.rows(history) == self.rows(want)
+        np.testing.assert_array_equal(fit.coefficients, want_fit.coefficients)
+        assert history[-1].best_loss < 1e-6 * history[0].loss
+        # the fit replayed rounds that the rerun built and priced
+        assert builds < want_builds == sum(r.resimulated for r in want)
+        assert passes < want_passes == len(want)
+        if patience == 1000:
+            assert len(history) == cfg.max_iterations
+        else:
+            assert len(history) < cfg.max_iterations
+
+    def test_builds_and_passes_stop_at_the_fixed_point(self, monkeypatch):
+        # the builds and passes are those of the rounds up to the first that
+        # accepts nothing; the round after it repeats its rows
+        cfg = CalibrationConfig(max_iterations=300, resim_every=10, seed=7)
+        _, history, builds, passes = self.counted_fit(monkeypatch, self.quotes(),
+                                                      cfg, QUAD)
+        starts = [r.iteration for r in history if r.resimulated]
+        assert 1 < builds < len(starts) == 30
+        assert passes == starts[builds]
+        fixed = [r.loss for r in history[starts[builds - 1]:starts[builds]]]
+        again = [r.loss for r in history[starts[builds]:starts[builds + 1]]]
+        assert fixed == again and len(fixed) > 1
+
+    def test_a_monte_carlo_maturity_is_never_replayed(self, monkeypatch):
+        # a frozen start with no ridge: every trial step is zero, so no
+        # round accepts one.  On quadrature alone the fit prices its first
+        # round only; with one Monte Carlo maturity it builds every round
+        cfg = CalibrationConfig(max_iterations=60, resim_every=10, init_std=1e-8,
+                                weight_decay=0.0, seed=1)
+        quotes = _Surface([_Quote(t, k, forward=100.0, implied_vol=0.2, mid_price=1.0)
+                           for t in (0.5, 1.0) for k in (120.0, 130.0)])
+        mixed = PricingSchedule(
+            default=PricingMethod("quad", n_nodes=20),
+            entries=((1.0, PricingMethod("mc", n_paths=2000, cv_degree=0)),))
+        quad = PricingSchedule(default=PricingMethod("quad", n_nodes=20))
+        fits = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for schedule in (mixed, quad):
+                fits.append(self.counted_fit(monkeypatch, quotes, cfg, schedule))
+                fits.append(self.counted_fit(monkeypatch, quotes, cfg, schedule,
+                                             rerun=True))
+        (_, h, builds, passes), (_, h_rerun, _, _) = fits[:2]
+        assert len(h) == cfg.max_iterations
+        assert builds == sum(r.resimulated for r in h) == 6
+        assert passes == len(h)
+        assert self.rows(h) == self.rows(h_rerun)
+        (_, h, builds, passes), (_, h_rerun, _, _) = fits[2:]
+        assert (builds, passes) == (1, 11)
+        assert self.rows(h) == self.rows(h_rerun)

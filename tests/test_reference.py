@@ -6,7 +6,7 @@ import math
 import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import gamma as gamma_fn
 
 from chaoscal import model as model_module
-from chaoscal import reference
+from chaoscal import bases, reference
 from chaoscal.bases import (
     BrownianDriver,
     LegendreBasis,
@@ -661,6 +661,18 @@ class TestRoughHestonCf:
         assert [c.size for c in calls] == [1] * 18  # 9 frequencies, 2 step groups
 
 
+class _InlineExecutor(Executor):
+    """An executor that runs each task in `submit`, on the calling thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 class TestHestonSimulate:
     def test_grid_validation(self):
         d = BrownianDriver(1)
@@ -718,11 +730,17 @@ class TestHestonSimulate:
         np.testing.assert_array_equal(s, s_fine[keep])
         np.testing.assert_array_equal(v, v_fine[keep])
 
-    def test_memory_does_not_grow_with_the_step_count(self):
+    def test_memory_does_not_grow_with_the_step_count(self, monkeypatch):
         # 128 and 1280 steps hold the same arrays; with the refined grid held
-        # as a list, the peaks of 1000 and 10000 steps were 41.6 KB and 406 KB
+        # as a list, the peaks of 1000 and 10000 steps were 41.6 KB and 406 KB.
+        # The blocks run inline, on the calling thread: on a worker thread a
+        # 4-year run sometimes ended before the caller waited on it, and its
+        # trace then lacked the wait's 2.2 KB.  Allocator and interpreter
+        # noise only adds to a traced peak, so each horizon reads the least
+        # of three traced runs, taken in turn with the other's
+        monkeypatch.setattr(bases, "ThreadPoolExecutor", _InlineExecutor)
+
         def peak(horizon):
-            heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6))  # warm-up
             tracemalloc.start()
             try:
                 heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6))
@@ -730,7 +748,13 @@ class TestHestonSimulate:
             finally:
                 tracemalloc.stop()
 
-        assert peak(40.0) <= peak(4.0) + 1024
+        peaks = {4.0: [], 40.0: []}
+        for horizon in peaks:  # warm-up
+            heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6))
+        for _ in range(3):
+            for horizon, runs in peaks.items():
+                runs.append(peak(horizon))
+        assert min(peaks[40.0]) <= min(peaks[4.0]) + 1024
 
     @staticmethod
     def assert_peak_within_the_count(monkeypatch, workers, p, horizon, max_step):
