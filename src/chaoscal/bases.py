@@ -28,16 +28,18 @@ The path simulators (`sample_integrals`, `model.path_grid`, the exotics
 fold, `reference.heston_simulate`) step their paths in blocks of
 _PATH_BLOCK: block k draws from its own stream, keyed (*tags, k), and steps
 through every time before it is done.  `_run_blocks` runs each block as one
-task on a pool of `_workers` threads, each task with a scratch set of its
-simulator that no other running task holds, and hands the block's rows to a
-sink, which writes them into the block's columns of an output; a scratch
-set is allocated from shapes that the simulator's count (`_job_bytes`)
-sums.  A block draws as it would alone and every step is elementwise over
-its paths, so the bits do not depend on the worker count or the order the
-tasks run in.
+task on a pool of `_workers` threads, each task with a scratch set that no
+other running task holds, and hands the block's rows to a sink, which
+writes them into the block's columns of an output or, in the exotics
+fold, reduces them to the block's payoff statistics.  One pool of scratch
+sets serves every job of a call: each set has a slot for each array of
+the widest job (`_pool_shapes`), allocated from the shapes that the
+simulators' counts (`_job_bytes`) sum.  A block draws as it would alone
+and every step is elementwise over its paths, so the bits do not depend on
+the worker count or the order the tasks run in.
 The runner under it, `_run`, also runs a fit's draws and pricing passes
 (`calibrate`), one task a Monte Carlo maturity, on the one pool the fit
-holds.
+holds; a single task, or a single thread, runs on the calling thread.
 """
 
 import math
@@ -45,6 +47,7 @@ import os
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legval
@@ -368,10 +371,14 @@ def _run(tasks, pool, costs=None):
     by descending `costs` if given (ties in list order), so the longest
     start first.  The first exception in list order is raised, whatever
     order the tasks ran in; if the wait itself is interrupted, the tasks not
-    yet started are dropped."""
+    yet started are dropped.  Given one task or one thread and no pool, the
+    tasks run here in list order, up to the first that raises, and no thread
+    is started."""
     if not tasks:
         return []
     if not isinstance(pool, Executor):
+        if len(tasks) == 1 or pool <= 1:
+            return [task() for task in tasks]
         with ThreadPoolExecutor(pool) as own:
             return _run(tasks, own, costs)
     order = range(len(tasks))
@@ -388,26 +395,45 @@ def _run(tasks, pool, costs=None):
     return [f.result() for f in futures]
 
 
+def _pool_shapes(shapes):
+    """One scratch set that serves jobs of each list of shapes in `shapes`:
+    a flat array a slot, where the k-th largest array of every list takes
+    slot k (`_places`), as long as the longest of them."""
+    sizes = [sorted((math.prod(s) for s in job), reverse=True) for job in shapes]
+    return [(max(slot),) for slot in zip_longest(*sizes, fillvalue=0)]
+
+
+def _places(shapes):
+    """The `_pool_shapes` slot of each shape of one job: the k-th largest
+    takes slot k (ties in list order)."""
+    order = sorted(range(len(shapes)), key=lambda i: -math.prod(shapes[i]))
+    return [order.index(i) for i in range(len(shapes))]
+
+
 def _run_blocks(jobs, workers):
     """Run every block of each (`_PathBlocks`, sink) job as one task on one
-    pool of `workers` threads (`_run`), and return when all are done.  Each
-    job's scratch sets are allocated here from its shapes, one a worker up
-    to its block count, so they come from this thread's heap; a task takes
-    one that no running task holds and calls sink(cols, rows) with the
-    block's columns and row iterator.  The first exception a task raises,
-    in block order, is raised here."""
+    pool of `workers` threads (`_run`), and return when all are done.  The
+    call's scratch sets, one a worker up to the block count, are allocated
+    here from `_pool_shapes` of every job's shapes, so they come from this
+    thread's heap and each serves any job; a task takes one that no running
+    task holds, views its slots as its job's shapes and calls
+    sink(cols, rows) with the block's columns and row iterator.  The first
+    exception a task raises, in block order, is raised here."""
 
-    def task(blocks, free, sink, k, cols):
+    def task(blocks, places, sink, k, cols):
         scratch = free.pop()
         try:
-            sink(cols, blocks.rows(k, cols, scratch))
+            arrays = [scratch[i][:math.prod(s)].reshape(s)
+                      for i, s in zip(places, blocks.shapes)]
+            sink(cols, blocks.rows(k, cols, arrays))
         finally:
             free.append(scratch)
 
     tasks = []
     for blocks, sink in jobs:
-        spans = _spans(blocks.n_paths, blocks.block)
-        free = [[np.empty(s) for s in blocks.shapes] for _ in range(min(workers, len(spans)))]
-        tasks += [partial(task, blocks, free, sink, k, slice(a, b))
-                  for k, (a, b) in enumerate(spans)]
+        places = _places(blocks.shapes)
+        tasks += [partial(task, blocks, places, sink, k, slice(a, b))
+                  for k, (a, b) in enumerate(_spans(blocks.n_paths, blocks.block))]
+    shapes = _pool_shapes([blocks.shapes for blocks, _ in jobs])
+    free = [[np.empty(s) for s in shapes] for _ in range(min(workers, len(tasks)))]
     _run(tasks, workers)

@@ -255,7 +255,7 @@ def workspace_loss(ws, theta, kept=None):
     """
     theta = np.asarray(theta, dtype=float)
     total = 0.0
-    for g, (s, prices) in zip(ws, _by_group(lambda g: _group_prices(g, theta)[::2], ws)):
+    for g, (s, prices) in zip(ws, _by_group(lambda g: _group_prices(g, theta), ws)):
         if kept is not None:
             kept.append((s, prices))
         resid = g.targets - prices

@@ -362,20 +362,24 @@ def _patterns(model):
 
 def _rows_shapes(model, n_paths, roots=None):
     """A `_path_rows` worker's scratch: a block's walk (`bases._walk_shapes`),
-    Q array (`_patterns` rows) and row, and the work buffer (`_work`)."""
+    Q array (`_patterns` rows) and the work buffer (`_work`), and on the
+    piecewise basis a row, which a Legendre time's Q_0 is."""
     size = min(n_paths, _PATH_BLOCK)
+    row = [(size,)] if isinstance(model.basis, PiecewiseConstantBasis) else []
     return _walk_shapes(model.m, model.d, size, roots) + [
-        (_patterns(model), size), (size,), (_work(model.p, model.m, model.d, n_paths),)]
+        (_patterns(model), size), (_work(model.p, model.m, model.d, n_paths),)] + row
 
 
-def _rows_bytes(model, n_times, n_paths):
-    """Bytes `_path_rows` holds: its walk with `_rows_shapes` a worker,
-    _TIME_BYTES a time of its schedule, and the index layer with the plans
-    the schedule holds, one a cell (a time on Legendre), and as many more
-    that pricing may have cached, up to _PLANS."""
+def _rows_bytes(model, n_times, n_paths, shapes=None):
+    """Bytes `_path_rows` holds: its walk with `shapes` a worker
+    (`_rows_shapes` if None), _TIME_BYTES a time of its schedule, and the
+    index layer with the plans the schedule holds, one a cell (a time on
+    Legendre), and as many more that pricing may have cached, up to
+    _PLANS."""
     p, m, d = model.p, model.m, model.d
     cells = min(n_times, m) if isinstance(model.basis, PiecewiseConstantBasis) else n_times
-    return (_walk_bytes(model.basis, d, n_times, n_paths, _rows_shapes(model, n_paths))
+    shapes = _rows_shapes(model, n_paths) if shapes is None else shapes
+    return (_walk_bytes(model.basis, d, n_times, n_paths, shapes)
             + _TIME_BYTES * n_times + _index_bytes(p, m, d, cells + min(cells, _PLANS)))
 
 
@@ -411,8 +415,10 @@ def _path_rows(model, times, n_paths, driver, tags=()):
     time a block sums its frozen factors into the Q arrays (`_collapse`, in
     `_collapse_rows` chunks); each time evaluates that polynomial over the
     block (`_cell_rows`).  On Legendre every time is its own cell, its row
-    is Q_0 and no position runs, so it needs neither a Gram tail nor more
-    than one Q row, and the schedule holds every time's plan.  The walk, the
+    is Q_0, yielded as it is, and no position runs, so it needs neither a
+    Gram tail nor more than one Q row, and the schedule holds every time's
+    plan.  Time 0 yields Q_0 filled with S_0, since the next time opens a
+    cell.  The walk, the
     Q arrays and both kernels' Hermite tables live in the worker's scratch
     set (`_rows_shapes`), so a block allocates nothing on its thread: with
     the tables allocated there, each worker thread's heap kept them, and the
@@ -441,19 +447,23 @@ def _path_rows(model, times, n_paths, driver, tags=()):
     def rows(k, cols, scratch):
         n = cols.stop - cols.start
         walk = _block_walk(roots, driver.generator(*tags, k), scratch[:3], n)
-        q, row, work = scratch[3][:, :n], scratch[4][:n], scratch[5]
+        q, work, row = scratch[3][:, :n], scratch[4], scratch[5:]
         for acc, step in zip(walk, schedule):
             if step is None:
-                row[:] = model.s0
-            else:
-                cell, opens, v = step
-                ints = acc.reshape(n, -1)
-                if opens:
-                    for a, b in _spans(n, chunk):
-                        _collapse(cell, model.coefficients, ints[a:b], q[:, a:b], work)
-                    q[0] += model.s0
-                _cell_rows(cell, q, ints, v, row, work)
-            yield row
+                q[0] = model.s0
+                yield q[0]
+                continue
+            cell, opens, v = step
+            ints = acc.reshape(n, -1)
+            if opens:
+                for a, b in _spans(n, chunk):
+                    _collapse(cell, model.coefficients, ints[a:b], q[:, a:b], work)
+                q[0] += model.s0
+            if not cell.running.size:
+                yield q[0]
+                continue
+            _cell_rows(cell, q, ints, v, row[0][:n], work)
+            yield row[0][:n]
 
     return _PathBlocks(n_paths, _PATH_BLOCK, rows, _rows_shapes(model, n_paths, roots))
 

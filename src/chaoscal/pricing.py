@@ -56,14 +56,19 @@ calling thread, but a maturity with many more strikes may wake its threads
 again.
 
 Outside calibration no MC feature matrix is held whole: the draws of a
-maturity, and of its CV sample, are reduced to S_T block by block, so
-memory grows with the path count only through S_T and the payoff matrix.
-Calibration holds each MC maturity's live feature columns (`_Group`).
+maturity, and of its CV sample, are reduced to S_T block by block, and a
+pass forms the control-variate terms and then one strike's payoff at a
+time in two rows (`_pass_shapes`), so memory grows with the path count
+through S_T and those two rows, whatever the strike count; Monte Carlo
+sample weights are one value viewed n times (`np.broadcast_to`), and
+evaluation drops a maturity's S_T and CV sample before the next one draws.
+Calibration holds each MC maturity's live feature columns (`_Group`), and
+its Jacobian a strikes x paths weight matrix (`_jacobian_shapes`).
 Every rule a surface must pass before a draw (horizon, method against
 basis, byte cap) is stated once, in `_check_surface`, which
 `_maturity_groups` runs before its first draw; its byte count composes the
-kernels' counts (`model._terminal_shapes`, `_pass_bytes`), not a formula of
-its own.
+kernels' shapes (`model._terminal_shapes`, `_cv_shapes`, `_pass_shapes`),
+not a formula of its own.
 """
 
 import warnings
@@ -171,10 +176,24 @@ def _quad_node_bytes(n, dims, width, n_indices, p):
     return 8 * n**dims * (2 + width + n_indices) + _plan_rows_bytes(p, dims, n**dims)
 
 
-def _pass_bytes(n_rows, n_cols):
-    """Bytes a pricing pass holds over n_rows samples: S_T, 5 temporaries
-    and n_cols rows: a payoff per strike, or a CV sample's two variates."""
-    return 8 * n_rows * (n_cols + 6)
+def _pass_shapes(n_rows):
+    """`_group_prices`' arrays beside S_T over n_rows samples: two rows,
+    which take the control variates' centred terms and then each strike's
+    payoff in turn."""
+    return [(n_rows,), (n_rows,)]
+
+
+def _jacobian_shapes(n_rows, n_strikes):
+    """`_group_jacobian`'s arrays beside S_T over n_rows samples: the
+    strikes x samples weight matrix V and a row for a strike's CV term."""
+    return [(n_strikes, n_rows), (n_rows,)]
+
+
+def _cv_shapes(n_rows, degree=2):
+    """`_cv_stats`' and `_cv_solve`'s arrays beside the CV sample's S_T over
+    n_rows samples: the centred control variates, a strike's centred payoff
+    and its square."""
+    return [(n_rows, degree), (n_rows,), (n_rows,)]
 
 
 def _quad_dims(basis, t, d):
@@ -239,17 +258,20 @@ def _check_surface(p, m, d, basis, quotes, schedule, schedule_name, features):
     quadrature or a degree-2 CV only on the piecewise-constant basis, whose
     closed forms they need; and at most MAX_BYTES held, composed of the
     kernels' counts.  Held to the end: each maturity's quadrature nodes or,
-    for a fit, its live feature columns, weights, kept S_T and CV S_T; a
-    fit's 8 n x n matrices; the index layer with a plan per maturity.  For
-    the largest maturity: its draws (`model._terminal_shapes`, and a fit's
-    `_plan_rows` temporaries) and passes (`_pass_bytes`), once a worker of
-    a fit's pool (`_fit_workers`); and the S_T and CV draw (3 arrays) left
-    by another."""
+    for a fit, its live feature columns, kept S_T and CV S_T; a fit's 8
+    n x n matrices; the index layer with a plan per maturity.  For the
+    largest maturity, the most its steps hold at once, since each frees its
+    arrays before the next: its draws (`model._terminal_shapes`, and a fit's
+    `_plan_rows` temporaries), its CV statistics (`_cv_shapes`) and its
+    passes (`_pass_shapes`, and a fit's `_jacobian_shapes`); evaluation holds
+    its S_T through all of them.  A fit's tasks count once a worker of its
+    pool (`_fit_workers`); evaluation drops a maturity's arrays before the
+    next one draws."""
     mats = sorted({q.maturity for q in quotes.quotes})
     _check_horizon(mats, basis.horizon)
     n = index_space_dim(p, m, d) - 1  # counted, never enumerated
     piecewise = isinstance(basis, PiecewiseConstantBasis)
-    need = {}  # (sizes, maturity) -> (held to the end, freed after it, left alive)
+    need = {}  # (sizes, maturity) -> (held to the end, most held at once by its steps)
     for t in mats:
         method = schedule.for_maturity(t)
         if (method.kind == "quad" or method.cv_degree == 2) and not piecewise:
@@ -259,24 +281,26 @@ def _check_surface(p, m, d, basis, quotes, schedule, schedule_name, features):
                 f"piecewise-constant basis, not {type(basis).__name__}")
         if method.kind == "quad":
             dims = _quad_dims(basis, t, d)
-            rows, sizes = method.n_nodes**dims, f"n_nodes = {method.n_nodes}"
-            held, freed, alive = _quad_node_bytes(method.n_nodes, dims, m * d, n, p), 0, 0
-        else:
-            rows = method.n_paths
-            sizes = f"n_paths = {rows}, beta_samples = {method.beta_samples}"
-            cv = method.beta_samples if method.cv_degree else 0
-            live = index_space_dim(p, cell_index(basis, t), d) - 1 if piecewise else n
-            held = 8 * (rows * (live + 2) + cv) if features else 0
-            freed = _bytes(_terminal_shapes(p, m, d, basis, max(rows, cv))) + _pass_bytes(cv, 2)
-            if features:
-                freed += _plan_rows_bytes(p, m * d, min(rows, _block_rows(p, m, d)))
-            alive = 8 * (rows + 3 * cv)
+            sizes = f"n_nodes = {method.n_nodes}"
+            need[sizes, t] = _quad_node_bytes(method.n_nodes, dims, m * d, n, p), 0
+            continue
+        rows = method.n_paths
+        sizes = f"n_paths = {rows}, beta_samples = {method.beta_samples}"
+        cv = method.beta_samples if method.cv_degree else 0
         strikes = sum(q.maturity == t for q in quotes.quotes)
-        need[sizes, t] = held, freed + _pass_bytes(rows, strikes), alive
-    held, freed, alive = zip(*need.values(), (0, 0, 0))  # a surface may be empty
+        draw = _bytes(_terminal_shapes(p, m, d, basis, max(rows, cv)))
+        stats = _bytes(_cv_shapes(cv)) if cv else 0
+        passes = _bytes(_pass_shapes(rows))
+        if features:
+            live = index_space_dim(p, cell_index(basis, t), d) - 1 if piecewise else n
+            draw += _plan_rows_bytes(p, m * d, min(rows, _block_rows(p, m, d)))
+            passes = 8 * rows + max(passes, _bytes(_jacobian_shapes(rows, strikes)))
+            need[sizes, t] = 8 * (rows * (live + 1) + cv), max(draw, stats, passes)
+        else:
+            need[sizes, t] = 0, 8 * rows + max(draw, 8 * cv + stats, passes)
+    held, steps = zip(*need.values(), (0, 0))  # a surface may be empty
     workers = max(1, _fit_workers(quotes, schedule)) if features else 1
-    total = (sum(held) + workers * max(freed) + max(alive)
-             + (64 * n * n if features else 0)
+    total = (sum(held) + workers * max(steps) + (64 * n * n if features else 0)
              + _index_bytes(p, m, d, min(len(need), _PLANS)))
     if total > MAX_BYTES:
         sizes, t = max(need, key=lambda key: sum(need[key]))
@@ -309,11 +333,12 @@ def _cv_stats(model, t, degree, s):
     values so large that their squares' sums overflow) raises NumericError
     naming the maturity.  It runs on the calling thread, warnings and all.
     """
-    xs = [s - model.s0]
+    xc = np.empty(_cv_shapes(len(s), degree)[0])
+    np.subtract(s, model.s0, out=xc[:, 0])
     if degree == 2:
-        xs.append(s**2 - second_moment(model, t))
-    x = np.stack(xs, axis=1)
-    xc = x - x.mean(axis=0)
+        np.multiply(s, s, out=xc[:, 1])
+        xc[:, 1] -= second_moment(model, t)
+    xc -= xc.mean(axis=0)
     sigma_x = np.einsum("ij,ik->jk", xc, xc) / (len(s) - 1)
     if not np.all(np.isfinite(sigma_x)):
         raise NumericError(
@@ -334,24 +359,28 @@ def _cv_stats(model, t, degree, s):
 
 
 def _cv_solve(draw, k):
-    """CvState for strike k on a `_cv_draw` sample."""
+    """CvState for strike k on a `_cv_draw` sample; the payoff is centred
+    in place (`_cv_shapes`)."""
     s, xc, sigma_x, bad = draw
     if bad:
         return CvState(0, np.zeros(0), 0.0)
-    y = np.maximum(s - k, 0.0)
-    yc = y - y.mean()
-    sigma_yx = np.einsum("ij,i->j", xc, yc) / (len(y) - 1)
+    yc = np.subtract(s, k)
+    np.maximum(yc, 0.0, out=yc)
+    yc -= yc.mean()
+    sigma_yx = np.einsum("ij,i->j", xc, yc) / (len(yc) - 1)
     beta = np.linalg.solve(sigma_x, sigma_yx)
-    var_y = float((yc * yc).sum() / (len(y) - 1))
+    var_y = float((yc * yc).sum() / (len(yc) - 1))
     r2 = float(sigma_yx @ beta / var_y) if var_y > 0 else 0.0
     return CvState(xc.shape[1], beta, r2)
 
 
 def _cv_bytes(model, n):
-    """Bytes a CV draw of n paths holds: `model._terminal_shapes`, its
-    statistics (`_pass_bytes`) and the index layer with one plan."""
+    """Bytes a CV draw of n paths holds: its S_T beside the larger of the
+    draw's `model._terminal_shapes` and its statistics' `_cv_shapes`, which
+    come after it, and the index layer with one plan."""
     p, m, d = model.p, model.m, model.d
-    return (_bytes(_terminal_shapes(p, m, d, model.basis, n)) + _pass_bytes(n, 2)
+    return (8 * n + max(_bytes(_terminal_shapes(p, m, d, model.basis, n)),
+                        _bytes(_cv_shapes(n)))
             + _index_bytes(p, m, d, 1))
 
 
@@ -404,7 +433,7 @@ class _Group:
     rows: np.ndarray  # quote positions
     strikes: np.ndarray  # model-world strikes K S_0 / F
     scale: np.ndarray  # model-to-market price factor DF F / S_0
-    weights: np.ndarray  # sample weights (uniform for MC, GH for quadrature)
+    weights: np.ndarray  # sample weights (a zero-stride view of 1/n for MC, GH for quadrature)
     features: np.ndarray = None  # (n_samples, len(live)); None for MC evaluation
     live: np.ndarray = None  # the coefficients the feature columns belong to
     terminal: np.ndarray = None  # MC evaluation: S_T at the model's coefficients
@@ -470,7 +499,7 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
         else:
             terminal = _sample_terminal(model, t, method.n_paths, driver,
                                         tags=prefix + (mi, 0))
-        w = np.full(method.n_paths, 1.0 / method.n_paths)
+        w = np.broadcast_to(1.0 / method.n_paths, (method.n_paths,))
         b1 = b2 = m2c = None
         if method.cv_degree >= 1:
             draw = (_cv_stats(model, t, method.cv_degree, cv_s) if features else
@@ -481,10 +510,12 @@ def _maturity_groups(model, quotes, schedule, driver, prefix, cache=None,
                 cv = _cv_solve(draw, k)
                 betas[:cv.degree, j] = cv.beta
             b1, b2 = betas
+            del draw  # the CV sample is gone before the pass
             if method.cv_degree == 2:
                 m2c = second_moment_coeffs(model, t)
         yield _Group("mc", t, model.s0, rows, strikes, scale, w, feats, live, terminal,
                      b1, b2, m2c)
+        del terminal  # and this maturity's S_T before the next one draws
 
 
 def _fit_draws(model, mats, schedule, driver, prefix, cache, pool):
@@ -519,38 +550,48 @@ def _fit_draws(model, mats, schedule, driver, prefix, cache, pool):
 
 
 def _terminal(g, theta):
-    """S_T = S_0 + features @ theta[live] of a group that carries features.
-    A Monte Carlo group's product runs in numpy's single-threaded einsum,
-    since a fit prices it in a task, where no threaded BLAS may run; a
-    quadrature group's in `_row_dot`'s blocks, on the calling thread."""
+    """S_T = S_0 + features @ theta[live] of a group that carries features,
+    S_0 added in place.  A Monte Carlo group's product runs in numpy's
+    single-threaded einsum, since a fit prices it in a task, where no
+    threaded BLAS may run; a quadrature group's in `_row_dot`'s blocks, on
+    the calling thread."""
     if g.kind == "mc":
-        return g.s0 + np.einsum("ij,j->i", g.features, theta[g.live])
-    return g.s0 + _row_dot(g.features, theta[g.live])
+        s = np.einsum("ij,j->i", g.features, theta[g.live])
+    else:
+        s = _row_dot(g.features, theta[g.live])
+    s += g.s0
+    return s
 
 
 def _group_prices(g, theta):
-    """(s, pay, prices): terminal samples, per-strike payoffs and model-world
-    CV-adjusted call prices of group g at coefficients theta (a group that
-    carries S_T was sampled at them).
+    """(s, prices): terminal samples and model-world CV-adjusted call prices
+    of group g at coefficients theta (a group that carries S_T was sampled
+    at them).
 
-    The control-variate sums come before the payoff matrix, so their
-    path-length temporaries are gone before it is allocated."""
+    The two rows of `_pass_shapes` take the control-variate terms, each
+    summed pairwise as `(a * w).sum()` sums it, and then each strike's
+    payoff in turn, so a pass holds S_T and two rows whatever the strike
+    count."""
     s = g.terminal if g.features is None else _terminal(g, theta)
+    row, tmp = (np.empty(shape) for shape in _pass_shapes(len(s)))
     cv = []  # per control variate: beta times its sample mean
     if g.beta1 is not None:
         # centred: w.s - S_0 would cancel two O(S_0) numbers to O(spread)
-        ds = s - g.s0
-        cv.append(g.beta1 * float((g.weights * ds).sum()))
+        ds = np.subtract(s, g.s0, out=row)
+        cv.append(g.beta1 * float(np.multiply(g.weights, ds, out=tmp).sum()))
         if g.m2c is not None:
-            cv.append(g.beta2 * (float((g.weights * (ds * (s + g.s0))).sum())
-                                 - float(g.m2c @ theta**2)))
-        del ds
-    pay = s - g.strikes[:, None]
-    np.maximum(pay, 0.0, out=pay)
-    prices = np.einsum("ij,j->i", pay, g.weights)
+            np.add(s, g.s0, out=tmp)
+            tmp *= ds
+            tmp *= g.weights
+            cv.append(g.beta2 * (float(tmp.sum()) - float(g.m2c @ theta**2)))
+    prices = np.empty(len(g.strikes))
+    for j, k in enumerate(g.strikes):
+        np.subtract(s, k, out=row)
+        np.maximum(row, 0.0, out=row)
+        prices[j] = np.einsum("i,i->", row, g.weights)
     for term in cv:
         prices = prices - term
-    return s, pay, prices
+    return s, prices
 
 
 def _group_jacobian(g, theta, kept=None):
@@ -560,11 +601,12 @@ def _group_jacobian(g, theta, kept=None):
         J_k = sum_p w_p (1{s_p > K_k} - beta1_k - 2 beta2_k s_p) f_p
               + 2 beta2_k (m2c * theta).
 
-    The bracketed weights form a strikes x paths matrix V, which starts as
-    1{s > K}: the bits of 1{(s - K)+ > 0}, since s - K > 0 exactly when
-    s > K in IEEE arithmetic and a NaN sample is false either way.  `kept`,
-    the (s, prices) of a `_group_prices` call at this very theta, are read
-    rather than recomputed, so no payoff matrix or CV sum is formed.  The sum
+    The bracketed weights form a strikes x paths matrix V
+    (`_jacobian_shapes`), which starts as 1{s > K}: the bits of
+    1{(s - K)+ > 0}, since s - K > 0 exactly when s > K in IEEE arithmetic
+    and a NaN sample is false either way.  `kept`, the (s, prices) of a
+    `_group_prices` call at this very theta, are read rather than
+    recomputed, so no payoff or CV sum is formed again.  The sum
     over the paths is one BLAS product V_b F_b per block of
     `model._ROW_ALIGN` rows, added in block order, so its bits do not depend
     on the BLAS thread count (`_row_dot`'s 16384-row blocks kept them too,
@@ -573,13 +615,14 @@ def _group_jacobian(g, theta, kept=None):
     calibration group drops are annihilated at its maturity, and their
     entries of J stay exact zeros.
     """
-    s, prices = _group_prices(g, theta)[::2] if kept is None else kept
-    v = np.empty((len(g.strikes), len(s)))
+    s, prices = _group_prices(g, theta) if kept is None else kept
+    v, tmp = (np.empty(shape) for shape in _jacobian_shapes(len(s), len(g.strikes)))
     np.greater(s, g.strikes[:, None], out=v)
     if g.beta1 is not None:
         v -= g.beta1[:, None]
         if g.m2c is not None:
-            v -= 2.0 * g.beta2[:, None] * s
+            for vk, b2 in zip(v, g.beta2):
+                vk -= np.multiply(s, 2.0 * b2, out=tmp)
     v *= g.weights
     sums = np.zeros((len(g.strikes), g.features.shape[1]))
     for a, b in _spans(len(s), _ROW_ALIGN):
@@ -603,5 +646,6 @@ def price_surface(model, quotes, schedule, driver, stream_tag=0):
     """
     out = np.empty(len(quotes.quotes))
     for g in _maturity_groups(model, quotes, schedule, driver, (stream_tag,)):
-        out[g.rows] = _group_prices(g, model.coefficients)[2] * g.scale
+        out[g.rows] = _group_prices(g, model.coefficients)[1] * g.scale
+        del g  # its S_T goes before the next maturity draws
     return out

@@ -36,9 +36,11 @@ calibrated against.  Four pieces:
   `bases._run_blocks`, one thread a block up to the CPU count, with the
   bits of one block after another.  `_fold_exotics` runs the blocks of
   `model._path_rows` and of `_heston_rows` on one pool; each block folds its
-  rows into its paths' payoffs as they come (`_payoffs`), and each price is
-  reduced once over the assembled payoffs, so exotics hold a block's rows
-  and the payoffs, never the (n_times, n_paths) array.  Discrete
+  rows into payoff rows of its scratch as they come (`_payoffs`) and
+  reduces them at once to each contract's mean and sum of squared
+  deviations (`_moments`), which the calling thread combines in block order
+  (`_price`).  So exotics hold a block's rows and payoffs a worker, never
+  the (n_times, n_paths) array nor a payoff a path.  Discrete
   monitoring of barriers/minima carries an O(sqrt(dt)) bias; comparisons
   against the chaos model use the same monitoring times on both sides, so
   that bias cancels in the comparison.
@@ -58,7 +60,9 @@ from .bases import (
     _check_times,
     _job_bytes,
     _PathBlocks,
+    _pool_shapes,
     _run_blocks,
+    _spans,
     _workers,
 )
 from .errors import (
@@ -68,7 +72,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .model import _check_held, _rows_bytes
+from .model import _check_held, _rows_bytes, _rows_shapes
 from .vol import DownAndOutCall, ForwardStartCall, LookbackCall
 
 _PSI_C = 1.5  # QE switches V's law from quadratic to exponential above this psi
@@ -493,9 +497,11 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
     def step(gen, scratch, m, lo, hi, n):
         """n QE-M steps over [lo, hi] of the log price x and variance v of
         the block's m paths, in place."""
-        z = scratch[:2].reshape(-1)[: 2 * m].reshape(2, m)  # Z_V, then Z_X
+        normals, work, state = scratch
+        z = normals.reshape(-1)[: 2 * m].reshape(2, m)  # Z_V, then Z_X
         zv, zx = z
-        u, mean, psi, w1, w2, w3, w4, w5, x, v = scratch[2:12, :m]
+        u, mean, psi, w1, w2, w3, w4, w5 = work[:, :m]
+        x, v = state[:2, :m]
         prev = lo
         for i in range(1, n + 1):
             end = hi if i == n else lo + (hi - lo) * i / n
@@ -605,11 +611,10 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
             x += w4
             np.copyto(v, w3)
 
-    def rows(k, cols, arrays):
-        (scratch,) = arrays
+    def rows(k, cols, scratch):
         m = cols.stop - cols.start
         gen = driver.generator(*tags, k)
-        x, v, s = scratch[10:, :m]
+        x, v, s = scratch[2][:, :m]
         x[:] = math.log(p.s0)
         v[:] = p.v0
         s[:] = p.s0
@@ -623,9 +628,12 @@ def _heston_rows(p, times, n_paths, driver, tags=(), return_variance=False,
 
 
 def _heston_shapes(n_paths):
-    """A `_heston_rows` worker's scratch: a block's two rows of normals, its
-    uniforms, seven work rows, its log price, variance and S."""
-    return [(13, min(n_paths, _PATH_BLOCK))]
+    """A `_heston_rows` worker's scratch: a block's two rows of normals; its
+    uniforms and seven work rows; its log price, variance and S.  Three
+    arrays, so that the exotics fold's scratch sets (`bases._pool_shapes`)
+    fit them into slots that the model rows' arrays fill."""
+    size = min(n_paths, _PATH_BLOCK)
+    return [(2, size), (8, size), (3, size)]
 
 
 def _heston_bytes(n_paths):
@@ -633,8 +641,9 @@ def _heston_bytes(n_paths):
     worker, what a step allocates beside it: at most _STEP_ROWS rows (the
     exponential law's index and, on paths where E[exp(A V')] is infinite,
     the uncorrected drift's temporaries)."""
-    (shape,) = _heston_shapes(n_paths)
-    return _job_bytes([shape, (_STEP_ROWS, shape[1])], n_paths, _PATH_BLOCK, _workers(n_paths))
+    shapes = _heston_shapes(n_paths)
+    return _job_bytes(shapes + [(_STEP_ROWS, shapes[0][1])], n_paths, _PATH_BLOCK,
+                      _workers(n_paths))
 
 
 def heston_simulate(
@@ -693,17 +702,30 @@ def _grid_position(times, t, what):
     return pos
 
 
+def _fold_shapes(n_specs, size):
+    """The fold's arrays beside a simulator's scratch (`_folded`): a payoff
+    row for each of n_specs contracts, over a block of `size` paths."""
+    return [(n_specs, size)]
+
+
 def _fold_bytes(model, n_times, n_paths, specs, reference):
     """Bytes `_fold_exotics` holds over n_times rows of n_paths model paths,
-    and of n_paths Heston paths if `reference`: both simulators' counts
-    (`_rows_bytes`, `_heston_bytes`), since their blocks share one pool;
-    each simulator's payoffs, which hold the fold's state; a row a worker
-    for a barrier's mask; and 48 bytes a time for the grid."""
-    sim = _rows_bytes(model, n_times, n_paths)
+    and of n_paths Heston paths if `reference`: the model's path rows
+    (`_rows_bytes`) on scratch sets that serve both simulators' blocks
+    with the fold's rows (`bases._pool_shapes`), since they share one pool;
+    the Heston step's own rows a worker (`_heston_bytes`); a barrier's
+    mask, a byte a path of a block, a worker; each block's payoff moments;
+    and 48 bytes a time for the grid."""
+    block, workers = min(n_paths, _PATH_BLOCK), _workers(n_paths)
+    fold = _fold_shapes(len(specs), block)
+    jobs = [_rows_shapes(model, n_paths) + fold]
     if reference:
-        sim += _heston_bytes(n_paths)
-    masks = _workers(n_paths) * min(n_paths, _PATH_BLOCK)
-    return sim + 8 * (n_paths * len(specs) * (1 + reference) + masks) + 48 * n_times
+        jobs.append(_heston_shapes(n_paths) + fold)
+    held = _rows_bytes(model, n_times, n_paths, _pool_shapes(jobs))
+    if reference:
+        held += _job_bytes([(_STEP_ROWS, block)], n_paths, _PATH_BLOCK, workers)
+    moments = 16 * len(specs) * len(jobs) * -(-n_paths // _PATH_BLOCK)
+    return held + workers * block + moments + 48 * n_times
 
 
 def _check_fold(model, n_times, n_paths, specs, reference):
@@ -726,11 +748,10 @@ def _fold_plan(times, specs):
     return plan
 
 
-def _payoffs(rows, plan, specs, out=None):
+def _payoffs(rows, plan, specs, out):
     """Fold `rows`, S at each time of the `_fold_plan` plan in time order,
-    into each contract's payoff on their paths, written into out[j] (made
-    at the first row if None) as the rows come, and return out.  A row may
-    be overwritten once the next is asked for.
+    into each contract's payoff on their paths, written into out[j] as the
+    rows come.  A row may be overwritten once the next is asked for.
 
     Until its maturity, a contract's row of out holds what its payoff
     reads: the running minimum of S for a barrier or lookback, S at its
@@ -741,8 +762,6 @@ def _payoffs(rows, plan, specs, out=None):
     is all the fold allocates.
     """
     for i, s_t in enumerate(rows):
-        if out is None:
-            out = np.empty((len(specs), len(s_t)))
         for spec, (i_mat, i_start), state in zip(specs, plan, out):
             if i > i_mat:
                 continue
@@ -768,51 +787,92 @@ def _payoffs(rows, plan, specs, out=None):
                 state *= alive
             elif i == i_mat:
                 np.subtract(s_t, state, out=state)
-    return out
 
 
-def _price(payoff):
-    """Mean payoff and its standard error."""
-    if payoff.size < 2:
+def _moments(pay, out):
+    """Write each payoff row's (mean, sum of squared deviations from it) into
+    its row of out, as numpy's `mean` and `var` form them over the row,
+    whose payoffs the deviations overwrite."""
+    for row, stats in zip(pay, out):
+        mean = row.mean()
+        row -= mean
+        row *= row
+        stats[:] = mean, row.sum()
+
+
+def _price(counts, moments):
+    """Mean payoff and its standard error over blocks of counts[k] paths
+    whose payoffs have the `_moments` moments[k], combined in block order by
+    Chan, Golub and LeVeque's update.  One block gives numpy's whole-array
+    mean and std(ddof=1) / sqrt(n) bit for bit, and payoffs that are all
+    equal an SE of exactly 0; over several, the SE is numpy's within a few
+    ulps while the spread is not far below the mean (at a mean 1e4 times
+    the spread, 10 ulps from the exact SE, where numpy's was 1)."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for count, (block_mean, block_m2) in zip(counts, moments):
+        n += count
+        delta = block_mean - mean
+        mean += delta * (count / n)
+        m2 += block_m2 + delta * delta * ((n - count) * count / n)
+    if n < 2:
         raise ValidationError("a standard error needs at least 2 paths")
-    return float(payoff.mean()), float(payoff.std(ddof=1) / math.sqrt(payoff.size))
+    return float(mean), float(math.sqrt(m2 / (n - 1)) / math.sqrt(n))
 
 
-def _exotic_fold(rows, times, specs):
-    """Mean payoff and standard error of each exotic, folding the rows of S at
-    `times`, one per time in time order, into the payoffs as they come
-    (`_payoffs`).  The grid is checked before the first row is read."""
-    return [_price(payoff) for payoff in _payoffs(rows, _fold_plan(times, specs), specs)]
+def _folded(sim, plan, specs):
+    """The blocks of `sim` with the fold on top: block k yields, once, its
+    payoff rows (`_fold_shapes`, in its scratch beside the simulator's), its
+    rows folded into them (`_payoffs`)."""
+    width = len(sim.shapes)
+
+    def rows(k, cols, scratch):
+        pay = scratch[width][:, : cols.stop - cols.start]
+        _payoffs(sim.rows(k, cols, scratch[:width]), plan, specs, pay)
+        yield pay
+
+    return _PathBlocks(sim.n_paths, sim.block, rows,
+                       sim.shapes + _fold_shapes(len(specs), min(sim.n_paths, sim.block)))
 
 
 def _fold_exotics(sims, times, specs):
     """Per simulator, the mean payoff and standard error of each exotic on
     its paths: the blocks of every `bases._PathBlocks` in `sims` (model and
     Heston rows at `times`) step on one pool of `_workers` threads
-    (`bases._run_blocks`), each folding its rows into its columns of the
-    simulator's payoffs (`_payoffs`); each price is reduced once over them,
-    so it has the bits of the whole path array's."""
+    (`bases._run_blocks`), each folding its rows into payoff rows of its
+    scratch (`_folded`) and reducing them at once to their `_moments`;
+    this thread combines the blocks in block order (`_price`), so the
+    prices do not depend on the worker count, and no array of paths x
+    contracts is held.  The grid is checked before the first row is read."""
     plan = _fold_plan(times, specs)
-    payoffs = [np.empty((len(specs), sim.n_paths)) for sim in sims]
+    jobs, stats = [], []
+    for sim in sims:
+        spans = _spans(sim.n_paths, sim.block)
+        moments = np.empty((len(spans), len(specs), 2))
+        stats.append(([b - a for a, b in spans], moments))
 
-    def folder(out):
-        return lambda cols, rows: _payoffs(rows, plan, specs, out[:, cols])
+        def sink(cols, rows, moments=moments, block=sim.block):
+            for pay in rows:
+                _moments(pay, moments[cols.start // block])
 
-    _run_blocks([(sim, folder(out)) for sim, out in zip(sims, payoffs)],
-                _workers(max(sim.n_paths for sim in sims)))
-    return [[_price(payoff) for payoff in out] for out in payoffs]
+        jobs.append((_folded(sim, plan, specs), sink))
+    _run_blocks(jobs, _workers(max(sim.n_paths for sim in sims)))
+    return [[_price(counts, moments[:, j]) for j in range(len(specs))]
+            for counts, moments in stats]
 
 
 def exotic_mc_price(paths, times, spec):
     """Mean payoff and standard error of an exotic on simulated paths.
 
     paths has shape (len(times), n_paths), one row per monitoring time as
-    `heston_simulate` and `model.path_grid` return them; the price is that of
-    `_exotic_fold` over its rows.
+    `heston_simulate` and `model.path_grid` return them; the price is that
+    of `_fold_exotics` over all its columns as one block, so it has the
+    bits of numpy's whole-array mean and std(ddof=1) / sqrt(n_paths).
     """
     paths = np.asarray(paths, dtype=float)
     times = np.asarray(times, dtype=float)
     if paths.ndim != 2 or paths.shape[0] != times.size:
         raise ValidationError(f"paths must be (len(times), n_paths) with "
                               f"{times.size} times, got shape {paths.shape}")
-    return _exotic_fold(paths, times, [spec])[0]
+    blocks = _PathBlocks(paths.shape[1], max(paths.shape[1], 1),
+                         lambda k, cols, scratch: iter(paths[:, cols]), [])
+    return _fold_exotics([blocks], times, [spec])[0][0]

@@ -1,6 +1,8 @@
 """Orthonormal bases: evaluation, Gram tails, and Ito-integral sampling."""
 
 import hashlib
+import threading
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from chaoscal.bases import (
     PiecewiseConstantBasis,
     _interval_root,
     _PathBlocks,
+    _run,
     _run_blocks,
     _walk_bytes,
     basis_eval,
@@ -21,6 +24,7 @@ from chaoscal.bases import (
     gram_tail,
     sample_integrals,
 )
+from chaoscal import bases
 from chaoscal import model as model_module
 from chaoscal.errors import ValidationError
 
@@ -255,6 +259,27 @@ class TestSampling:
         for workers in (1, 2):
             with pytest.raises(ZeroDivisionError, match="block 1"):
                 _run_blocks([(blocks, sink)], workers)
+
+    def test_one_task_or_one_thread_runs_here(self, monkeypatch):
+        # no pool is made: the tasks run on the calling thread in list
+        # order, and the first error stops them
+        def no_pool(workers):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(bases, "ThreadPoolExecutor", no_pool)
+        ran = []
+
+        def task(value):
+            ran.append(threading.get_ident())
+            if value is None:
+                raise ZeroDivisionError("task")
+            return value
+
+        assert _run([partial(task, 1), partial(task, 2)], 1) == [1, 2]
+        assert _run([partial(task, 3)], 4) == [3]
+        with pytest.raises(ZeroDivisionError, match="task"):
+            _run([partial(task, 4), partial(task, None), partial(task, 5)], 1)
+        assert ran == [threading.get_ident()] * 5
 
     def test_determinism_and_streams(self):
         drv = BrownianDriver(seed=42)

@@ -645,7 +645,7 @@ class TestLossGradient:
         checked = 0
         for g in ws:
             prices, jac = pricing._group_jacobian(g, theta)
-            np.testing.assert_array_equal(prices, pricing._group_prices(g, theta)[2])
+            np.testing.assert_array_equal(prices, pricing._group_prices(g, theta)[1])
             s = g.s0 + g.features @ theta
             for i in range(len(theta)):
                 near = (np.abs(s[None, :] - g.strikes[:, None])
@@ -654,8 +654,8 @@ class TestLossGradient:
                     continue
                 ei = np.zeros_like(theta)
                 ei[i] = h
-                fd = (pricing._group_prices(g, theta + ei)[2]
-                      - pricing._group_prices(g, theta - ei)[2]) / (2 * h)
+                fd = (pricing._group_prices(g, theta + ei)[1]
+                      - pricing._group_prices(g, theta - ei)[1]) / (2 * h)
                 np.testing.assert_allclose(jac[:, i], fd, rtol=1e-6, atol=1e-7,
                                            err_msg=f"T={g.maturity}, coordinate {i}")
                 checked += 1
@@ -712,7 +712,8 @@ class TestLossGradient:
             jac = pricing._group_jacobian(g, theta)[1]
             # the plain per-strike form: features^T v_k plus the CV moment
             # term, on the full-width feature matrix
-            s, pay = pricing._group_prices(g, theta)[:2]
+            s = pricing._group_prices(g, theta)[0]
+            pay = np.maximum(s - g.strikes[:, None], 0.0)
             full = np.zeros((len(s), len(theta)))
             full[:, g.live] = g.features
             want = np.array([

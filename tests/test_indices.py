@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from chaoscal.model import ChaosModel
 from chaoscal.modelio import index_order_hash, load_model, serialize_model
 from chaoscal.pricing import PricingMethod, PricingSchedule
 from chaoscal.quotes import Quote, QuoteSurface
+from conftest import traced_peak
 
 
 class TestEnumeration:
@@ -124,15 +124,12 @@ class TestOneEnumeration:
     @pytest.mark.parametrize("p,m,d", [(1, 1000, 1), (2, 100, 1), (2, 4, 2), (3, 10, 2),
                                        (4, 3, 2)])
     def test_set_bytes_cover_the_enumeration(self, p, m, d):
-        indices._index_set.cache_clear()
-        tracemalloc.start()
-        try:
+        def enumerate_all():
             for a in enumerate_indices(p, m, d):
                 a.order, a.factorial  # noqa: B018 -- cached on first use
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= indices._set_bytes(p, m, d)
+
+        indices._index_set.cache_clear()
+        assert traced_peak(enumerate_all) <= indices._set_bytes(p, m, d)
 
 
 class TestPhiEval:

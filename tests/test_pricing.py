@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +35,7 @@ from chaoscal.pricing import (
     quad_call_price,
     quad_nodes_features,
 )
+from conftest import traced_peak
 
 DESK_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "bench", "desk_model.json")
@@ -177,14 +177,10 @@ class TestQuadCallPrice:
         model = make_model(PiecewiseConstantBasis.uniform(1.0, m), p, d,
                            np.zeros(len(enumerate_indices(p, m, d))))
         quad_nodes_features(model, t, n)  # lazy set-up outside the trace
-        tracemalloc.start()
-        try:
-            weights, feats = quad_nodes_features(model, t, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: quad_nodes_features(model, t, n))
         u = cell_index(model.basis, t)
         assert peak <= pricing._quad_node_bytes(n, u * d, m * d, len(model.indices), p)
+        weights, feats = quad_nodes_features(model, t, n)
         # reference: the meshgrid build of nodes and weights, bit for bit
         z, w = gauss_hermite_rule(n)
         mesh = lambda x: np.stack([g.ravel() for g in np.meshgrid(
@@ -644,25 +640,39 @@ class TestRowBlocks:
                                           err_msg=key)
 
     def test_price_surface_peak_grows_by_terminal_values_and_payoffs_only(self):
-        # the 44 feature columns (8 * 44 bytes a path) are never held whole:
-        # per added path the peak grows by less than S_T, the sample weights,
-        # one payoff per strike and one temporary
+        # the 44 feature columns (8 * 44 bytes a path) are never held whole,
+        # nor a payoff per strike: per added path the peak grows by less
+        # than S_T, one payoff row and two CV temporaries, at 5 strikes and
+        # at 10
         model, _ = block_model("piecewise")
-        strikes = (90.0, 95.0, 100.0, 105.0, 110.0)
-        quotes = strike_quotes((1.0,), strikes)
 
-        def peak(n_paths):
+        def peak(n_paths, quotes):
             sched = PricingSchedule(PricingMethod("mc", n_paths=n_paths, cv_degree=2,
                                                   beta_samples=10_000))
-            tracemalloc.start()
-            try:
-                price_surface(model, quotes, sched, BrownianDriver(3))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: price_surface(model, quotes, sched, BrownianDriver(3)))
 
-        growth = (peak(400_000) - peak(100_000)) / 300_000
-        assert growth < 8 * (len(strikes) + 3)
+        for n_strikes in (5, 10):
+            quotes = strike_quotes((1.0,), np.linspace(90.0, 110.0, n_strikes))
+            growth = (peak(400_000, quotes) - peak(100_000, quotes)) / 300_000
+            assert growth < 8 * 4, n_strikes
+
+
+    def test_evaluation_holds_one_maturity_at_a_time(self):
+        # a maturity's S_T and CV sample are dropped before the next one
+        # draws: two maturities peak within a tenth of an S_T of one (kept,
+        # the first maturity's S_T added 0.23 of one, when the second drew)
+        model, _ = block_model("piecewise")
+        n = 200_000
+        sched = PricingSchedule(PricingMethod("mc", n_paths=n, cv_degree=2,
+                                              beta_samples=10_000))
+
+        def run(maturities):
+            price_surface(model, strike_quotes(maturities, (95.0, 105.0)), sched,
+                          BrownianDriver(3))
+
+        run((0.6, 1.0))  # lazy set-up outside the trace
+        one, two = (traced_peak(lambda: run(mats)) for mats in ((1.0,), (0.6, 1.0)))
+        assert two - one < 8 * n / 10
 
 
 # Reductions that c13's 5-strike, CV-MC surface never reaches: a 10-strike MC
@@ -778,12 +788,7 @@ class TestByteBound:
     @staticmethod
     def peak(run):
         run()  # column plans and lazy set-up outside the trace
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(run)
 
     @staticmethod
     def assert_bound_covers(monkeypatch, model, quotes, sched, peak, features):
@@ -913,12 +918,7 @@ class TestByteBound:
             for times in (np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 129)):
                 run(times)  # lazy set-up outside the trace; plans built inside
                 model_module._plan.cache_clear()
-                tracemalloc.start()
-                try:
-                    run(times)
-                    peaks.append(tracemalloc.get_traced_memory()[1] - count(len(times)))
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(lambda: run(times)) - count(len(times)))
             return peaks[1] - peaks[0]
 
         if entry == "path_grid":
@@ -996,6 +996,18 @@ class TestByteBound:
         with pytest.raises(ValidationError, match=r"need \d+ bytes"):
             model_module._check_grid(model, 366, 1_000_000)
 
+    def test_desk_evaluation_peak_within_the_bound(self, monkeypatch):
+        # the desk model's evaluation, 200k paths over 5 maturities x 5
+        # strikes: the count covers the traced peak, about 5 MB
+        from chaoscal.modelio import load_model
+
+        model = load_model(DESK_MODEL)
+        quotes = strike_quotes((0.3, 0.45, 0.6, 0.8, 1.0), (90.0, 95.0, 100.0, 105.0, 110.0))
+        sched = PricingSchedule(PricingMethod("mc", n_paths=200_000, cv_degree=2,
+                                              beta_samples=20_000))
+        peak = self.peak(lambda: price_surface(model, quotes, sched, BrownianDriver(0)))
+        self.assert_bound_covers(monkeypatch, model, quotes, sched, peak, False)
+
     def test_evaluation_counts_one_maturity_at_a_time(self):
         # 40 maturities x 40 strikes under the default schedule: about 44 MB
         # for one maturity, 1.7 GB if every maturity were held at once
@@ -1030,13 +1042,7 @@ class TestByteBound:
             runs.append(lambda: model_module.second_moment_coeffs(model, 0.3))
         for run in runs:
             model_module._plan.cache_clear()
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound
+            assert traced_peak(run) <= bound
 
     def test_index_layer_of_a_wide_model_is_counted(self):
         # p 1, m 8000: 8000 coefficients, but a column plan's 8000 x 8000

@@ -1,12 +1,13 @@
 """Reference models: Heston CF/Lewis, rough-Heston Riccati, simulation, exotics."""
 
 import csv
+import dataclasses
 import json
 import math
 import sys
-import tracemalloc
+import threading
 import warnings
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -58,6 +59,7 @@ from chaoscal.vol import (
     bs_call,
     exotic_bs_price,
 )
+from conftest import traced_peak
 
 P = HestonParams(100.0, 1.5, 0.04, 0.5, -0.7, 0.04)
 
@@ -661,18 +663,6 @@ class TestRoughHestonCf:
         assert [c.size for c in calls] == [1] * 18  # 9 frequencies, 2 step groups
 
 
-class _InlineExecutor(Executor):
-    """An executor that runs each task in `submit`, on the calling thread."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-
 class TestHestonSimulate:
     def test_grid_validation(self):
         d = BrownianDriver(1)
@@ -730,23 +720,28 @@ class TestHestonSimulate:
         np.testing.assert_array_equal(s, s_fine[keep])
         np.testing.assert_array_equal(v, v_fine[keep])
 
-    def test_memory_does_not_grow_with_the_step_count(self, monkeypatch):
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        # a single block runs on the calling thread (`bases._run`), with the
+        # bits of the block-major replica
+        want = block_major_heston(P, [0.0, 4.0], 2, BrownianDriver(6), ())[0]
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        got = heston_simulate(P, [0.0, 4.0], 2, BrownianDriver(6))
+        assert started == []
+        np.testing.assert_array_equal(got, want)
+
+    def test_memory_does_not_grow_with_the_step_count(self):
         # 128 and 1280 steps hold the same arrays; with the refined grid held
         # as a list, the peaks of 1000 and 10000 steps were 41.6 KB and 406 KB.
-        # The blocks run inline, on the calling thread: on a worker thread a
+        # The single block runs on the calling thread: on a worker thread a
         # 4-year run sometimes ended before the caller waited on it, and its
         # trace then lacked the wait's 2.2 KB.  Allocator and interpreter
         # noise only adds to a traced peak, so each horizon reads the least
         # of three traced runs, taken in turn with the other's
-        monkeypatch.setattr(bases, "ThreadPoolExecutor", _InlineExecutor)
 
         def peak(horizon):
-            tracemalloc.start()
-            try:
-                heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: heston_simulate(P, [0.0, horizon], 2, BrownianDriver(6)))
 
         peaks = {4.0: [], 40.0: []}
         for horizon in peaks:  # warm-up
@@ -769,13 +764,7 @@ class TestHestonSimulate:
                                   reference._workers(n))
 
         run()  # lazy set-up outside the trace
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= reference._heston_bytes(n)
+        assert traced_peak(run) <= reference._heston_bytes(n)
 
     # one worker, and a worker for each of the three blocks (one short)
     @pytest.mark.parametrize("workers", [1, 3])
@@ -919,27 +908,22 @@ GBM_SPECS = (ForwardStartCall(0.0, 1.0, strike_ratio=1.05),
 def gbm_paths():
     """(grid, rows, prices): eps -> 0 with v0 = vbar, an exact GBM world with
     sigma = 0.2, on 513 times and 100k paths.  Each block of paths folds its
-    rows into its payoffs as they come, which gives the bits of the whole
-    path array (`TestExoticFold`); only rows 1, 256 and 512 (T), which the
-    tests read, are kept: the whole array held 400 MB for the module."""
+    rows into its payoffs as they come (`TestExoticFold`); only rows 1, 256
+    and 512 (T), which the tests read, are kept: the whole array held 400 MB
+    for the module."""
     p = HestonParams(100.0, 1.5, 0.04, 1e-8, -0.5, 0.04)
     grid, n = np.linspace(0.0, 1.0, 513), 100_000
-    plan = reference._fold_plan(grid, GBM_SPECS)
     kept = {i: np.empty(n) for i in (1, 256, 512)}
-    payoffs = np.empty((len(GBM_SPECS), n))
+    sim = reference._heston_rows(p, grid, n, BrownianDriver(11))
 
-    def sink(cols, rows):
-        def tee():
-            for i, row in enumerate(rows):
-                if i in kept:
-                    kept[i][cols] = row
-                yield row
+    def rows(k, cols, scratch):
+        for i, row in enumerate(sim.rows(k, cols, scratch)):
+            if i in kept:
+                kept[i][cols] = row
+            yield row
 
-        reference._payoffs(tee(), plan, GBM_SPECS, payoffs[:, cols])
-
-    reference._run_blocks([(reference._heston_rows(p, grid, n, BrownianDriver(11)), sink)],
-                          reference._workers(n))
-    prices = dict(zip(GBM_SPECS, map(reference._price, payoffs)))
+    tee = dataclasses.replace(sim, rows=rows)
+    prices = dict(zip(GBM_SPECS, reference._fold_exotics([tee], grid, GBM_SPECS)[0]))
     return grid, kept, prices
 
 
@@ -982,7 +966,7 @@ class TestExoticMc:
     def test_barrier_never_hit_is_vanilla(self, gbm_paths):
         _, rows, prices = gbm_paths
         pr, _ = prices[DownAndOutCall(1.0, 100.0, 1e-6)]
-        assert pr == np.maximum(rows[512] - 100.0, 0.0).mean()
+        assert_ulps(pr, np.maximum(rows[512] - 100.0, 0.0).mean())
 
     def test_barrier_against_adjusted_closed_form(self, gbm_paths):
         # discrete monitoring vs the continuity-corrected barrier
@@ -1031,6 +1015,13 @@ class TestExoticMc:
         with pytest.raises(ValidationError, match=r"\(len\(times\), n_paths\)"):
             exotic_mc_price(np.full((5, self.SMALL.size), 100.0), self.SMALL,
                             LookbackCall(1.0))
+
+
+def assert_ulps(got, want, ulps=4):
+    """Each value of got equals its value of want within `ulps` units in
+    its last place."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))), (got, want)
 
 
 def whole_array_price(paths, times, spec):
@@ -1353,9 +1344,11 @@ class TestExoticFold:
         return ChaosModel(100.0, 2, 4, d, basis, theta)
 
     def assert_fold_is_the_array(self, got, paths):
+        # the blocks' moments combine to the whole array's mean and SE
+        # within a few ulps; `exotic_mc_price`, one block, has its bits
         want = [whole_array_price(paths, self.TIMES, spec) for spec in self.SPECS]
-        assert got == want
-        assert got == [exotic_mc_price(paths, self.TIMES, spec) for spec in self.SPECS]
+        assert [exotic_mc_price(paths, self.TIMES, spec) for spec in self.SPECS] == want
+        assert_ulps(got, want)
 
     @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
     def test_model_rows(self, kind):
@@ -1402,8 +1395,9 @@ class TestExoticFold:
         assert shared == alone
 
     def test_reference_columns_are_the_time_major_fold(self, tmp_path):
-        # over two blocks of paths, the command's reference columns have the
-        # bits of the fold before the block runner
+        # over two blocks of paths, the command's reference columns are the
+        # fold before the block runner, within a few ulps: each block's
+        # payoffs are reduced on their own and the blocks combined
         n = _PATH_BLOCK + 1000
         model_path = tmp_path / "model.json"
         serialize_model(self.chaos_model("piecewise"), model_path)
@@ -1426,8 +1420,9 @@ class TestExoticFold:
         rows = time_major_heston_rows(P, self.TIMES, n, BrownianDriver(4), tags=(7002,))
         want = time_major_fold(rows, self.TIMES, self.SPECS)
         with open(out, newline="") as handle:
-            got = [(row["ref_price"], row["ref_se"]) for row in csv.DictReader(handle)]
-        assert got == [(repr(price), repr(se)) for price, se in want]
+            got = [(float(row["ref_price"]), float(row["ref_se"]))
+                   for row in csv.DictReader(handle)]
+        assert_ulps(got, want)
 
     def test_heston_rows_step_each_block_as_alone(self, monkeypatch):
         monkeypatch.setattr(reference, "_PATH_BLOCK", 64)  # three blocks, one short
@@ -1472,10 +1467,113 @@ class TestExoticFold:
         np.testing.assert_array_equal(v_sim, v)
 
     def test_fold_checks_the_grid_before_reading_a_row(self):
-        def rows():
+        def rows(k, cols, scratch):
             raise AssertionError("a row was read before the grid was checked")
             yield
 
         specs = [LookbackCall(1.0), ForwardStartCall(0.2, 1.0, strike_ratio=1.0)]
         with pytest.raises(ConfigError, match="start date 0.2 "):
-            reference._exotic_fold(rows(), self.TIMES, specs)
+            reference._fold_exotics([bases._PathBlocks(10, 4, rows, [])], self.TIMES, specs)
+
+
+class TestFoldMoments:
+    """Each block of the exotics fold reduces its payoffs at once to their
+    (mean, sum of squared deviations); this thread combines the blocks in
+    block order into the price and SE, so no array of paths x contracts is
+    held and the worker count moves no bit."""
+
+    SPECS = [ForwardStartCall(0.5, 1.0, strike_ratio=1.0), DownAndOutCall(1.0, 100.0, 85.0),
+             LookbackCall(1.0)]
+
+    @staticmethod
+    def combined(payoff):
+        spans = _spans(payoff.size, _PATH_BLOCK)
+        moments = np.empty((len(spans), 1, 2))
+        for (a, b), out in zip(spans, moments):
+            reference._moments(payoff[None, a:b].copy(), out)
+        return reference._price([b - a for a, b in spans], moments[:, 0])
+
+    # four blocks, the last short, and three, the last of one path
+    @pytest.mark.parametrize("n", [60_000, 2 * _PATH_BLOCK + 1])
+    def test_mean_and_se_are_the_whole_arrays(self, n):
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(n)
+        for payoff in (np.maximum(100.0 * np.exp(0.2 * z) - 100.0, 0.0),  # a call
+                       100.0 + z,  # a spread a hundredth of the mean
+                       np.exp(3.0 * z)):  # a heavy tail
+            want = payoff.mean(), payoff.std(ddof=1) / math.sqrt(n)
+            assert_ulps(self.combined(payoff), want)
+
+    def test_one_block_is_the_whole_array_bit_for_bit(self):
+        payoff = np.random.default_rng(6).standard_normal(_PATH_BLOCK)
+        assert self.combined(payoff) == (payoff.mean(),
+                                         payoff.std(ddof=1) / math.sqrt(payoff.size))
+
+    def test_equal_payoffs_have_an_se_of_exactly_zero(self):
+        # three blocks, the last of one path: every lookback payoff is 0,
+        # every forward start 2
+        n = 2 * _PATH_BLOCK + 1
+        times = np.array([0.0, 0.5, 1.0])
+
+        def fold(paths, spec):
+            blocks = bases._PathBlocks(n, _PATH_BLOCK,
+                                       lambda k, cols, scratch: iter(paths[:, cols]), [])
+            return reference._fold_exotics([blocks], times, [spec])[0][0]
+
+        assert self.combined(np.zeros(n)) == (0.0, 0.0)
+        assert fold(np.full((3, n), 100.0), LookbackCall(1.0)) == (0.0, 0.0)
+        paths = np.array([np.full(n, 100.0), np.full(n, 100.0), np.full(n, 102.0)])
+        assert fold(paths, ForwardStartCall(0.5, 1.0, strike_ratio=1.0)) == (2.0, 0.0)
+
+    def test_exotics_output_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # eight blocks of each simulator on one worker, on two, and on two
+        # switching threads every microsecond: the CSV is the same bytes
+        for module in (model_module, reference):
+            monkeypatch.setattr(module, "_PATH_BLOCK", 64)
+        serialize_model(TestExoticFold.chaos_model("piecewise"), tmp_path / "model.json")
+        contracts = [
+            {"type": "forward_start", "tau": 0.5, "maturity": 1.0, "strike_ratio": 1.0},
+            {"type": "down_and_out", "maturity": 1.0, "strike": 100.0, "barrier": 85.0},
+            {"type": "lookback", "maturity": 1.0},
+        ]
+        (tmp_path / "spec.json").write_text(
+            json.dumps({"contracts": contracts, "monitoring_steps": 16}))
+        (tmp_path / "ref.json").write_text(json.dumps(
+            {"s0": P.s0, "kappa": P.kappa, "vbar": P.vbar, "eps": P.eps, "rho": P.rho,
+             "v0": P.v0}))
+        outputs = []
+        interval = sys.getswitchinterval()
+        for workers, switch in ((1, interval), (2, interval), (2, 1e-6)):
+            monkeypatch.setattr(reference, "_workers", lambda n_paths: workers)
+            out = tmp_path / f"out{len(outputs)}.csv"
+            sys.setswitchinterval(switch)
+            try:
+                assert main(["exotics", "--model", str(tmp_path / "model.json"),
+                             "--spec", str(tmp_path / "spec.json"),
+                             "--reference", str(tmp_path / "ref.json"), "--out", str(out),
+                             "--paths", "500", "--seed", "4"]) == 0
+            finally:
+                sys.setswitchinterval(interval)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    @pytest.mark.parametrize("kind", ["piecewise", "legendre"])
+    def test_fold_peak_does_not_grow_with_the_paths(self, kind, with_reference):
+        # from 100k to 400k paths the traced peak grows by at most what the
+        # count adds a block (its task and its moments); payoffs kept a path
+        # grew it by 8 bytes a path and contract a simulator, 7.2 MB here
+        model = TestExoticFold.chaos_model(kind)
+        times = np.linspace(0.0, 1.0, 5)
+
+        def run(n):
+            sims = [model_module._path_rows(model, times, n, BrownianDriver(3), (7001,))]
+            if with_reference:
+                sims.append(reference._heston_rows(P, times, n, BrownianDriver(3), (7002,)))
+            reference._fold_exotics(sims, times, self.SPECS)
+
+        run(100_000)  # lazy set-up outside the trace
+        small, large = (traced_peak(lambda: run(n)) for n in (100_000, 400_000))
+        count = [reference._fold_bytes(model, len(times), n, self.SPECS, with_reference)
+                 for n in (100_000, 400_000)]
+        assert large - small <= count[1] - count[0]
